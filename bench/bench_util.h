@@ -3,254 +3,43 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "fault/fault_plan.h"
-#include "fault/scale_plan.h"
 #include "harness/experiment.h"
+#include "harness/knobs.h"
 #include "harness/sweep.h"
 #include "stats/run_record.h"
 #include "stats/span_export.h"
 
 namespace dssmr::bench {
 
-/// Collects one stats::RunRecord per run and writes them on finish().
-///
-/// Flags (shared by every fig_* binary):
-///   --json [path]          write a run-record JSON file (default
-///                          BENCH_<exp>.json)
-///   --jobs N               run sweep points on N threads (default 1).
-///                          Results are byte-identical to --jobs 1: each
-///                          simulation is self-contained and output order is
-///                          submission order (see harness/sweep.h)
-///   --trace [path]         enable event tracing and dump JSON Lines
-///                          (default TRACE_<exp>.jsonl); benches forward
-///                          trace_wanted() into their run configs
-///   --trace-chrome [path]  enable span tracing and write a Chrome
-///                          trace_event file (default CHROME_<exp>.json) for
-///                          chrome://tracing / Perfetto; benches forward
-///                          spans_wanted() into their run configs
-///   --nemesis <plan>       run every point under a fault plan — a shipped
-///                          plan name or fault-plan DSL (see
-///                          fault/fault_plan.h); benches forward nemesis()
-///                          into their run configs
-///   --scale-plan <plan>    run every point under an elastic scale plan — a
-///                          shipped plan name or scale-plan DSL (see
-///                          fault/scale_plan.h, e.g. add-partition@2s);
-///                          benches forward scale_plan() into their run
-///                          configs. Composes with --nemesis
-///   --telemetry            enable flight-recorder telemetry (gauge samples,
-///                          windowed partition heat, latency windows, fault
-///                          marks); lands in the --json run record's
-///                          `telemetry` section, so pair it with --json
-///   --telemetry-interval N sampling cadence / bucket width in microseconds
-///                          (default 100000 = 100ms); implies --telemetry
-///   --batch-size N         batch N logical submissions per flush (default 0
-///                          = batching off, byte-identical to the unbatched
-///                          code); benches forward batch_size() into their
-///                          run configs
-///   --batch-delay-us N     max virtual-time batching wait in microseconds
-///                          (default 100)
-///   --pipeline-depth N     allow N in-flight Paxos proposals per leader
-///                          (default 0 = unbounded single-flush behavior)
-///   --prefetch-k N         prophecy prefetch: oracle replies carry up to N
-///                          co-accessed neighbour locations (default 0 = off,
-///                          byte-identical to the pre-locality code); benches
-///                          forward prefetch_k() into their run configs
-///   --cache-repair         piggyback ⟨var, partition, epoch⟩ repair entries
-///                          on replies; clients heal stale caches and
-///                          re-route retries without re-consulting
-///   --coalesce-moves N     merge concurrent moves with overlapping
-///                          destination sets into one bulk multicast, flushed
-///                          at N buffered moves (default 0 = off)
-///   --coalesce-delay-us N  max virtual-time wait before a coalesced flush
-///                          (default 200)
+/// Parses the flags every fig_* binary shares, collects one stats::RunRecord
+/// per run and writes the requested outputs on finish(). The flags, their
+/// defaults and help lines are declared once, in the knob table
+/// (src/harness/knobs.cpp); an unknown flag prints that list. Benches forward
+/// the parsed knobs into each run config with apply().
 class RunRecordSink {
  public:
-  RunRecordSink(int argc, char** argv, std::string experiment)
+  RunRecordSink(int argc, const char* const* argv, std::string experiment)
       : experiment_(std::move(experiment)) {
-    for (int i = 1; i < argc; ++i) {
-      const auto next_or = [&](const std::string& fallback) {
-        if (i + 1 < argc && argv[i + 1][0] != '-') return std::string(argv[++i]);
-        return fallback;
-      };
-      if (std::strcmp(argv[i], "--json") == 0) {
-        json_path_ = next_or("BENCH_" + experiment_ + ".json");
-      } else if (std::strcmp(argv[i], "--jobs") == 0) {
-        const std::string v = next_or("");
-        jobs_ = static_cast<std::size_t>(v.empty() ? 0 : std::atoll(v.c_str()));
-        if (jobs_ == 0) {
-          std::fprintf(stderr, "--jobs needs a positive thread count\n");
-          bad_args_ = true;
-        }
-      } else if (std::strcmp(argv[i], "--trace") == 0) {
-        trace_path_ = next_or("TRACE_" + experiment_ + ".jsonl");
-      } else if (std::strcmp(argv[i], "--trace-chrome") == 0) {
-        chrome_path_ = next_or("CHROME_" + experiment_ + ".json");
-      } else if (std::strcmp(argv[i], "--telemetry") == 0) {
-        telemetry_ = true;
-      } else if (std::strcmp(argv[i], "--telemetry-interval") == 0) {
-        const std::string v = next_or("");
-        const long long us = v.empty() ? 0 : std::atoll(v.c_str());
-        if (us <= 0) {
-          std::fprintf(stderr, "--telemetry-interval needs a positive microsecond count\n");
-          bad_args_ = true;
-        } else {
-          telemetry_ = true;
-          telemetry_interval_ = static_cast<Duration>(us);
-        }
-      } else if (std::strcmp(argv[i], "--batch-size") == 0) {
-        const std::string v = next_or("");
-        const long long n = v.empty() ? -1 : std::atoll(v.c_str());
-        if (n < 0) {
-          std::fprintf(stderr, "--batch-size needs a non-negative count\n");
-          bad_args_ = true;
-        } else {
-          batch_size_ = static_cast<std::size_t>(n);
-        }
-      } else if (std::strcmp(argv[i], "--batch-delay-us") == 0) {
-        const std::string v = next_or("");
-        const long long us = v.empty() ? 0 : std::atoll(v.c_str());
-        if (us <= 0) {
-          std::fprintf(stderr, "--batch-delay-us needs a positive microsecond count\n");
-          bad_args_ = true;
-        } else {
-          batch_delay_ = static_cast<Duration>(us);
-        }
-      } else if (std::strcmp(argv[i], "--pipeline-depth") == 0) {
-        const std::string v = next_or("");
-        const long long n = v.empty() ? -1 : std::atoll(v.c_str());
-        if (n < 0) {
-          std::fprintf(stderr, "--pipeline-depth needs a non-negative count\n");
-          bad_args_ = true;
-        } else {
-          pipeline_depth_ = static_cast<std::size_t>(n);
-        }
-      } else if (std::strcmp(argv[i], "--prefetch-k") == 0) {
-        const std::string v = next_or("");
-        const long long n = v.empty() ? -1 : std::atoll(v.c_str());
-        if (n < 0) {
-          std::fprintf(stderr, "--prefetch-k needs a non-negative count\n");
-          bad_args_ = true;
-        } else {
-          prefetch_k_ = static_cast<std::size_t>(n);
-        }
-      } else if (std::strcmp(argv[i], "--cache-repair") == 0) {
-        cache_repair_ = true;
-      } else if (std::strcmp(argv[i], "--coalesce-moves") == 0) {
-        const std::string v = next_or("");
-        const long long n = v.empty() ? -1 : std::atoll(v.c_str());
-        if (n < 0) {
-          std::fprintf(stderr, "--coalesce-moves needs a non-negative count\n");
-          bad_args_ = true;
-        } else {
-          coalesce_moves_ = static_cast<std::size_t>(n);
-        }
-      } else if (std::strcmp(argv[i], "--coalesce-delay-us") == 0) {
-        const std::string v = next_or("");
-        const long long us = v.empty() ? 0 : std::atoll(v.c_str());
-        if (us <= 0) {
-          std::fprintf(stderr, "--coalesce-delay-us needs a positive microsecond count\n");
-          bad_args_ = true;
-        } else {
-          coalesce_delay_ = static_cast<Duration>(us);
-        }
-      } else if (std::strcmp(argv[i], "--nemesis") == 0) {
-        nemesis_ = next_or("");
-        if (nemesis_.empty()) {
-          std::fprintf(stderr, "--nemesis needs a plan name or fault-plan spec\n");
-          bad_args_ = true;
-        } else {
-          try {
-            fault::resolve_plan(nemesis_);  // surface parse errors here...
-          } catch (const std::invalid_argument& e) {
-            std::fprintf(stderr, "%s\n", e.what());
-            nemesis_ = "";  // ...and keep the sweep fault-free so finish()
-            bad_args_ = true;  // can return 2 instead of crashing mid-run
-          }
-        }
-      } else if (std::strcmp(argv[i], "--scale-plan") == 0) {
-        scale_plan_ = next_or("");
-        if (scale_plan_.empty()) {
-          std::fprintf(stderr, "--scale-plan needs a plan name or scale-plan spec\n");
-          bad_args_ = true;
-        } else {
-          try {
-            fault::resolve_scale_plan(scale_plan_);  // surface parse errors here...
-          } catch (const std::invalid_argument& e) {
-            std::fprintf(stderr, "%s\n", e.what());
-            scale_plan_ = "";   // ...and keep the sweep scale-free so finish()
-            bad_args_ = true;   // can return 2 instead of crashing mid-run
-          }
-        }
-      } else {
-        std::fprintf(stderr,
-                     "unknown flag %s (supported: --json [path], --jobs N, "
-                     "--trace [path], --trace-chrome [path], --nemesis <plan>, "
-                     "--scale-plan <plan>, "
-                     "--telemetry, --telemetry-interval <us>, --batch-size <n>, "
-                     "--batch-delay-us <us>, --pipeline-depth <n>, "
-                     "--prefetch-k <n>, --cache-repair, --coalesce-moves <n>, "
-                     "--coalesce-delay-us <us>)\n",
-                     argv[i]);
-        bad_args_ = true;
-      }
-    }
+    bad_args_ = !harness::parse_bench_flags(argc, argv, experiment_, options_);
+    // Retained-span cap per run: a full sweep records millions of spans, and
+    // an uncapped Chrome trace would be too large for Perfetto (and for CI
+    // artifacts). Phase histograms are unaffected — only the exported span
+    // list is truncated.
+    options_.spans_capacity = 1u << 16;
   }
 
-  bool json_enabled() const { return !json_path_.empty(); }
-  /// Sweep-point thread count (--jobs, default 1 = serial).
-  std::size_t jobs() const { return jobs_; }
-  /// Benches set ChirperRunConfig::trace (or DeploymentConfig::trace) to this.
-  bool trace_wanted() const { return !trace_path_.empty(); }
-  bool chrome_wanted() const { return !chrome_path_.empty(); }
-  /// Benches set ChirperRunConfig::spans (or DeploymentConfig::spans) to
-  /// this. The Chrome export needs spans; the run record's `phases` section
-  /// also appears whenever spans ran, so --trace-chrome enriches --json too.
-  bool spans_wanted() const { return chrome_wanted(); }
-  /// Retained-span cap per run (forwarded to `spans_capacity`): a full sweep
-  /// records millions of spans, and an uncapped Chrome trace would be too
-  /// large for Perfetto (and for CI artifacts). Phase histograms are
-  /// unaffected — only the exported span list is truncated.
-  std::size_t spans_capacity() const { return 1u << 16; }
-  /// Benches set ChirperRunConfig::nemesis to this (empty = no faults).
-  const std::string& nemesis() const { return nemesis_; }
-  /// Benches set ChirperRunConfig::scale_plan to this (empty = no
-  /// elasticity, byte-identical to the pre-elasticity output).
-  const std::string& scale_plan() const { return scale_plan_; }
-  /// Benches set ChirperRunConfig::telemetry (or DeploymentConfig::telemetry)
-  /// to this; the run record then carries a `telemetry` section.
-  bool telemetry_wanted() const { return telemetry_; }
-  Duration telemetry_interval() const { return telemetry_interval_; }
-  /// Benches forward these into ChirperRunConfig::{batch_size, batch_delay,
-  /// pipeline_depth}; the defaults keep every bench byte-identical to the
-  /// pre-batching output.
-  std::size_t batch_size() const { return batch_size_; }
-  Duration batch_delay() const { return batch_delay_; }
-  std::size_t pipeline_depth() const { return pipeline_depth_; }
-  /// Benches forward these into ChirperRunConfig::{prefetch_k, cache_repair,
-  /// coalesce_moves, coalesce_delay}; the defaults keep every bench
-  /// byte-identical to the pre-locality output.
-  std::size_t prefetch_k() const { return prefetch_k_; }
-  bool cache_repair() const { return cache_repair_; }
-  std::size_t coalesce_moves() const { return coalesce_moves_; }
-  Duration coalesce_delay() const { return coalesce_delay_; }
+  /// The parsed command line: run knobs, output paths and --jobs.
+  const harness::BenchOptions& options() const { return options_; }
 
-  /// Stamps the locality flags into a hand-built run record, matching the
-  /// meta that make_run_record emits for chirper runs. No-op (and therefore
-  /// byte-preserving) when the whole fast path is off.
-  void add_locality_meta(stats::RunRecord& rec) const {
-    if (prefetch_k_ == 0 && !cache_repair_ && coalesce_moves_ == 0) return;
-    rec.add_meta("prefetch_k", std::to_string(prefetch_k_));
-    rec.add_meta("cache_repair", cache_repair_ ? "true" : "false");
-    rec.add_meta("coalesce_moves", std::to_string(coalesce_moves_));
-    rec.add_meta("coalesce_delay_us", std::to_string(coalesce_delay_));
-  }
+  /// Forwards every run knob into a bench's run config (the RunKnobs part of
+  /// options()). With no flags the knobs keep their defaults, so every bench
+  /// stays byte-identical to its feature-free output.
+  void apply(harness::RunKnobs& cfg) const { cfg = options_; }
+  void apply(harness::DeploymentConfig& dep) const { harness::apply_knobs(options_, dep); }
 
   void add(stats::RunRecord record) { records_.push_back(std::move(record)); }
 
@@ -263,30 +52,33 @@ class RunRecordSink {
   /// Writes the requested outputs; returns the process exit code for main().
   int finish() {
     if (bad_args_) return 2;
-    if (!json_path_.empty()) {
-      std::ofstream os(json_path_);
+    const std::string& json_path = options_.json_path;
+    if (!json_path.empty()) {
+      std::ofstream os(json_path);
       if (!os) {
-        std::fprintf(stderr, "cannot open %s for writing\n", json_path_.c_str());
+        std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
         return 1;
       }
       stats::write_run_records(os, experiment_, records_);
-      std::printf("\nwrote %s (%zu runs)\n", json_path_.c_str(), records_.size());
+      std::printf("\nwrote %s (%zu runs)\n", json_path.c_str(), records_.size());
     }
-    if (!trace_path_.empty()) {
-      std::ofstream os(trace_path_);
+    const std::string& trace_path = options_.trace_path;
+    if (!trace_path.empty()) {
+      std::ofstream os(trace_path);
       if (!os) {
-        std::fprintf(stderr, "cannot open %s for writing\n", trace_path_.c_str());
+        std::fprintf(stderr, "cannot open %s for writing\n", trace_path.c_str());
         return 1;
       }
       for (const stats::RunRecord& rec : records_) {
         rec.metrics.trace().write_jsonl(os, rec.label);
       }
-      std::printf("wrote %s\n", trace_path_.c_str());
+      std::printf("wrote %s\n", trace_path.c_str());
     }
-    if (!chrome_path_.empty()) {
-      std::ofstream os(chrome_path_);
+    const std::string& chrome_path = options_.chrome_path;
+    if (!chrome_path.empty()) {
+      std::ofstream os(chrome_path);
       if (!os) {
-        std::fprintf(stderr, "cannot open %s for writing\n", chrome_path_.c_str());
+        std::fprintf(stderr, "cannot open %s for writing\n", chrome_path.c_str());
         return 1;
       }
       stats::ChromeTraceExport chrome(os);
@@ -294,28 +86,14 @@ class RunRecordSink {
         chrome.add_run(rec.metrics.spans(), rec.label);
       }
       chrome.finish();
-      std::printf("wrote %s\n", chrome_path_.c_str());
+      std::printf("wrote %s\n", chrome_path.c_str());
     }
     return 0;
   }
 
  private:
   std::string experiment_;
-  std::string json_path_;
-  std::string trace_path_;
-  std::string chrome_path_;
-  std::string nemesis_;
-  std::string scale_plan_;
-  bool telemetry_ = false;
-  Duration telemetry_interval_ = msec(100);
-  std::size_t batch_size_ = 0;
-  Duration batch_delay_ = usec(100);
-  std::size_t pipeline_depth_ = 0;
-  std::size_t prefetch_k_ = 0;
-  bool cache_repair_ = false;
-  std::size_t coalesce_moves_ = 0;
-  Duration coalesce_delay_ = usec(200);
-  std::size_t jobs_ = 1;
+  harness::BenchOptions options_;
   bool bad_args_ = false;
   std::vector<stats::RunRecord> records_;
 };
@@ -336,7 +114,7 @@ inline std::vector<harness::RunResult> run_points(RunRecordSink& sink,
   std::vector<harness::ChirperRunConfig> cfgs;
   cfgs.reserve(points.size());
   for (const SweepPoint& p : points) cfgs.push_back(p.cfg);
-  std::vector<harness::RunResult> results = harness::run_sweep(cfgs, sink.jobs());
+  std::vector<harness::RunResult> results = harness::run_sweep(cfgs, sink.options().jobs);
   for (std::size_t i = 0; i < points.size(); ++i) {
     sink.add(points[i].cfg, results[i], points[i].label);
   }

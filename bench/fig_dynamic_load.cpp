@@ -89,9 +89,11 @@ int main(int argc, char** argv) {
   // Each variant builds its own deployment, so the two runs are independent
   // and can execute on sweep threads (--jobs 2); outputs are collected by
   // index and printed afterwards, identical to a serial run.
-  auto outcomes = harness::parallel_map(2, sink.jobs(), [&](std::size_t vi) {
+  const harness::BenchOptions& opts = sink.options();
+  auto outcomes = harness::parallel_map(2, opts.jobs, [&](std::size_t vi) {
     const bool dynastar = kVariants[vi];
     harness::DeploymentConfig dep;
+    sink.apply(dep);
     dep.partitions = 4;
     dep.replicas_per_partition = 2;
     dep.oracle_replicas = 2;
@@ -101,20 +103,6 @@ int main(int argc, char** argv) {
     dep.oracle.oracle_issues_moves = dynastar;
     dep.node.rmcast_relay = false;
     dep.seed = 42;
-    dep.trace = sink.trace_wanted();
-    dep.spans = sink.spans_wanted();
-    dep.telemetry = sink.telemetry_wanted();
-    dep.telemetry_interval = sink.telemetry_interval();
-    dep.spans_capacity = sink.spans_capacity();
-    dep.batch_size = sink.batch_size();
-    dep.batch_delay = sink.batch_delay();
-    dep.pipeline_depth = sink.pipeline_depth();
-    dep.prefetch_k = sink.prefetch_k();
-    dep.cache_repair = sink.cache_repair();
-    dep.coalesce_moves = sink.coalesce_moves();
-    dep.coalesce_delay = sink.coalesce_delay();
-    dep.elastic = !sink.scale_plan().empty();
-    dep.oracle.elastic = dep.elastic;
 
     harness::PolicyFactory policy;
     if (dynastar) {
@@ -132,13 +120,13 @@ int main(int argc, char** argv) {
     d.settle();
 
     std::optional<fault::Nemesis> nemesis;
-    if (!sink.nemesis().empty()) {
-      nemesis.emplace(d, fault::resolve_plan(sink.nemesis()));
+    if (!opts.nemesis.empty()) {
+      nemesis.emplace(d, fault::resolve_plan(opts.nemesis));
       nemesis->arm();
     }
     std::optional<fault::Scaler> scaler;
-    if (!sink.scale_plan().empty()) {
-      scaler.emplace(d, fault::resolve_scale_plan(sink.scale_plan()));
+    if (!opts.scale_plan.empty()) {
+      scaler.emplace(d, fault::resolve_scale_plan(opts.scale_plan));
       scaler->arm();
     }
 
@@ -163,9 +151,7 @@ int main(int argc, char** argv) {
     out.rec.add_meta("clients", std::to_string(dep.clients));
     out.rec.add_meta("seed", std::to_string(dep.seed));
     out.rec.add_meta("repartitionings", std::to_string(out.repartitionings));
-    out.rec.add_meta("nemesis", sink.nemesis().empty() ? "none" : sink.nemesis());
-    if (!sink.scale_plan().empty()) out.rec.add_meta("scale_plan", sink.scale_plan());
-    sink.add_locality_meta(out.rec);
+    harness::add_knob_meta(opts, out.rec);
     return out;
   });
 

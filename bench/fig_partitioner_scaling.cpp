@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   // Each size is independent (own Rng, builder, graph), so sizes run on
   // sweep threads. Caveat: with --jobs > 1 the wall-clock columns contend
   // for cores — use serial runs when the timings themselves are the result.
-  auto rows = harness::parallel_map(std::size(kSizes), sink.jobs(), [&](std::size_t si) {
+  auto rows = harness::parallel_map(std::size(kSizes), sink.options().jobs,[&](std::size_t si) {
     const std::uint32_t n = kSizes[si];
     Rng rng{99};
     const workload::HolmeKimConfig cfg{.n = n, .m = 7, .p_triad = 0.7};

@@ -7,12 +7,6 @@
 // `perf_suite --smoke --json` and tools/perf_compare.py diffs the result
 // against the committed baseline with tolerance bands.
 //
-// The engine benchmarks also run against an embedded copy of the legacy
-// event queue (binary heap of std::function + lazy-cancel hash set — the
-// pre-optimization implementation), so the reported `speedup_vs_legacy`
-// ratios are self-demonstrating on any machine rather than a claim about
-// one historical measurement.
-//
 // Flags:
 //   --smoke      shrink every benchmark (~seconds total; CI mode)
 //   --json [p]   write the JSON report (default BENCH_perf.json)
@@ -24,11 +18,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <memory>
-#include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -57,57 +48,6 @@ double peak_rss_mb() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
 }
 
-/// The seed tree's event queue, kept verbatim in miniature: binary heap of
-/// heap-allocated std::function callbacks, cancellation via an auxiliary
-/// hash set consulted at pop time. Exists only as the denominator of
-/// speedup_vs_legacy.
-class LegacyEngine {
- public:
-  using TimerId = std::uint64_t;
-
-  TimerId schedule(Duration delay, std::function<void()> cb) {
-    const TimerId id = next_id_++;
-    heap_.push(Item{now_ + delay, seq_++, id, std::move(cb)});
-    return id;
-  }
-  void cancel(TimerId id) { cancelled_.insert(id); }
-
-  bool step() {
-    while (!heap_.empty()) {
-      Item item = heap_.top();
-      heap_.pop();
-      if (auto it = cancelled_.find(item.id); it != cancelled_.end()) {
-        cancelled_.erase(it);
-        continue;
-      }
-      now_ = item.when;
-      item.cb();
-      return true;
-    }
-    return false;
-  }
-  void run() {
-    while (step()) {
-    }
-  }
-
- private:
-  struct Item {
-    Time when;
-    std::uint64_t seq;
-    TimerId id;
-    std::function<void()> cb;
-    bool operator>(const Item& o) const {
-      return when != o.when ? when > o.when : seq > o.seq;
-    }
-  };
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap_;
-  std::unordered_set<TimerId> cancelled_;
-  Time now_ = 0;
-  std::uint64_t seq_ = 0;
-  TimerId next_id_ = 1;
-};
-
 struct BenchResult {
   std::string name;
   double items_per_sec = 0;
@@ -130,27 +70,6 @@ class CountingActor : public net::Actor {
 
 // --- engine -----------------------------------------------------------------
 
-template <class EngineLike, class ScheduleFn, class StepFn>
-double engine_fire_loop(EngineLike& engine, std::uint64_t iters, ScheduleFn schedule,
-                        StepFn step) {
-  // The capture mirrors the simulator's network-delivery callbacks
-  // ([this, from, to, m] — four words). Anything beyond 16 bytes overflows
-  // std::function's inline buffer, so the legacy engine pays an allocation
-  // per event here exactly as it did per delivery in real runs.
-  std::int64_t sink = 0;
-  std::uint64_t from = 1, to = 2, payload = 3;
-  const auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    schedule(engine, [&sink, from, to, payload] {
-      sink += static_cast<std::int64_t>(from + to + payload) / 6;
-    });
-    step(engine);
-  }
-  const double wall = seconds_since(t0);
-  if (sink != static_cast<std::int64_t>(iters)) std::abort();
-  return wall;
-}
-
 BenchResult bench_engine_schedule_fire(std::uint64_t iters) {
   // Standing queue depth: a mid-size chirper run keeps thousands of timers
   // pending (per-client timeouts plus every in-flight network delivery), so
@@ -162,23 +81,20 @@ BenchResult bench_engine_schedule_fire(std::uint64_t iters) {
   for (int i = 0; i < kStanding; ++i) {
     engine.schedule(1'000'000'000 + i, [&ballast] { ++ballast; });
   }
-  const double wall = engine_fire_loop(
-      engine, iters, [](sim::Engine& e, auto cb) { e.schedule(0, std::move(cb)); },
-      [](sim::Engine& e) { e.step(); });
-
-  LegacyEngine legacy;
-  std::int64_t ballast2 = 0;
-  for (int i = 0; i < kStanding; ++i) {
-    legacy.schedule(1'000'000'000 + i, [&ballast2] { ++ballast2; });
+  // The capture mirrors the simulator's network-delivery callbacks
+  // ([this, from, to, m] — four words).
+  std::int64_t sink = 0;
+  std::uint64_t from = 1, to = 2, payload = 3;
+  const auto t0 = Clock::now();
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    engine.schedule(0, [&sink, from, to, payload] {
+      sink += static_cast<std::int64_t>(from + to + payload) / 6;
+    });
+    engine.step();
   }
-  const double legacy_wall = engine_fire_loop(
-      legacy, iters, [](LegacyEngine& e, auto cb) { e.schedule(0, std::move(cb)); },
-      [](LegacyEngine& e) { e.step(); });
-
-  BenchResult r{"engine.schedule_fire", static_cast<double>(iters) / wall, wall, {}};
-  r.extra.emplace_back("legacy_items_per_sec", static_cast<double>(iters) / legacy_wall);
-  r.extra.emplace_back("speedup_vs_legacy", legacy_wall / wall);
-  return r;
+  const double wall = seconds_since(t0);
+  if (sink != static_cast<std::int64_t>(iters)) std::abort();
+  return {"engine.schedule_fire", static_cast<double>(iters) / wall, wall, {}};
 }
 
 BenchResult bench_engine_schedule_cancel(std::uint64_t iters) {
@@ -187,7 +103,7 @@ BenchResult bench_engine_schedule_cancel(std::uint64_t iters) {
 
   sim::Engine engine;
   std::int64_t sink = 0;
-  auto t0 = Clock::now();
+  const auto t0 = Clock::now();
   for (std::uint64_t rd = 0; rd < rounds; ++rd) {
     sim::TimerId ids[kBatch];
     for (int i = 0; i < kBatch; ++i) {
@@ -197,25 +113,10 @@ BenchResult bench_engine_schedule_cancel(std::uint64_t iters) {
     engine.run();
   }
   const double wall = seconds_since(t0);
-
-  LegacyEngine legacy;
-  t0 = Clock::now();
-  for (std::uint64_t rd = 0; rd < rounds; ++rd) {
-    LegacyEngine::TimerId ids[kBatch];
-    for (int i = 0; i < kBatch; ++i) {
-      ids[i] = legacy.schedule(1000 + i, [&sink] { ++sink; });
-    }
-    for (int i = 0; i < kBatch; ++i) legacy.cancel(ids[i]);
-    legacy.run();
-  }
-  const double legacy_wall = seconds_since(t0);
   if (sink != 0) std::abort();
 
   const auto items = static_cast<double>(rounds * kBatch);
-  BenchResult r{"engine.schedule_cancel", items / wall, wall, {}};
-  r.extra.emplace_back("legacy_items_per_sec", items / legacy_wall);
-  r.extra.emplace_back("speedup_vs_legacy", legacy_wall / wall);
-  return r;
+  return {"engine.schedule_cancel", items / wall, wall, {}};
 }
 
 // --- network ----------------------------------------------------------------

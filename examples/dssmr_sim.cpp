@@ -2,9 +2,10 @@
 //
 // Runs one Chirper experiment with the full stack and prints the measured
 // throughput/latency/protocol counters; every knob of the evaluation is a
-// flag. Useful for exploring configurations beyond the paper's grid.
+// flag. Useful for exploring configurations beyond the paper's grid, e.g.
+// (one command line):
 //
-//   ./build/examples/dssmr_sim --strategy=dssmr --partitions=4 --mix=post \
+//   ./build/examples/dssmr_sim --strategy=dssmr --partitions=4 --mix=post
 //        --edge-cut=0.05 --users=2048 --measure-s=4 --seed=7
 #include <cstdio>
 #include <cstdlib>

@@ -208,6 +208,9 @@ void PartitionServer::deliver_command(const multicast::AmcastMessage& m, const C
     case CommandType::kDelete:
       deliver_delete(m, cmd);
       break;
+    case CommandType::kReconfig:
+      DSSMR_ASSERT_MSG(false, "kReconfig is an oracle-only record; partitions never deliver it");
+      break;
   }
 }
 

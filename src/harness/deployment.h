@@ -17,6 +17,7 @@
 #include "core/move_coalescer.h"
 #include "core/oracle.h"
 #include "core/server_proxy.h"
+#include "harness/knobs.h"
 #include "multicast/batcher.h"
 #include "multicast/directory.h"
 #include "net/network.h"
@@ -28,7 +29,9 @@ namespace dssmr::harness {
 
 using PolicyFactory = std::function<std::unique_ptr<core::OraclePolicy>()>;
 
-struct DeploymentConfig {
+/// The batching, locality, tracing and telemetry knobs come from Knobs
+/// (harness/knobs.h).
+struct DeploymentConfig : Knobs {
   std::size_t partitions = 2;
   std::size_t replicas_per_partition = 3;
   std::size_t oracle_replicas = 3;
@@ -45,57 +48,8 @@ struct DeploymentConfig {
   Duration client_timeout = msec(250);
   bool client_hints = false;
 
-  /// Submission batching (multicast/batcher.h): 0 disables it and the
-  /// deployment is byte-identical to a build without batching — no relay
-  /// processes exist and group nodes construct no batcher. When > 0, one
-  /// BatchRelay per rack collects its clients' multicasts and every group
-  /// node batches its remote submissions with the same knobs.
-  std::size_t batch_size = 0;
-  /// Max virtual-time wait from the first queued submission to the flush.
-  Duration batch_delay = usec(100);
-  /// Paxos pipeline window: in-flight proposals per leader (0 = unbounded,
-  /// the original single-slot-per-flush behavior).
-  std::size_t pipeline_depth = 0;
-
-  /// Locality fast path (all off by default; defaults keep the deployment —
-  /// process layout, wire bytes, run record — byte-identical to a build
-  /// without it). prefetch_k > 0 makes prophecies carry up to k co-accessed
-  /// neighbour locations that clients install into their caches.
-  std::size_t prefetch_k = 0;
-  /// Replies piggyback ⟨var, partition, epoch⟩ repair entries; clients heal
-  /// stale caches monotonically and re-route retries without re-consulting.
-  bool cache_repair = false;
-  /// Coalesce concurrent moves with overlapping destination sets into one
-  /// bulk multicast: > 0 enables it (flush threshold) both at the oracle
-  /// (DynaStar's oracle-issued moves) and via a client-tier relay (DS-SMR's
-  /// client-issued moves).
-  std::size_t coalesce_moves = 0;
-  /// Max wait from the first buffered move to the coalesced flush.
-  Duration coalesce_delay = usec(200);
-
   Duration metrics_bucket = sec(1);
   std::uint64_t seed = 1;
-
-  /// Enables the structured event trace (stats::Trace) for the whole
-  /// deployment; off by default so hot paths only pay the enabled-check.
-  bool trace = false;
-  /// Enables causal span tracing (stats/span.h): per-command phase latency
-  /// decomposition and Chrome-trace export. Same default-off rationale.
-  bool spans = false;
-  /// Caps the spans retained for export (0 = SpanStore default). Phase
-  /// histograms and counts keep accumulating past the cap, so the run
-  /// record's `phases` section stays complete; only the exported span list
-  /// is truncated (benches cap it to keep Chrome traces loadable).
-  std::size_t spans_capacity = 0;
-
-  /// Enables flight-recorder telemetry (stats::Recorder): gauge sampling on
-  /// a virtual-time cadence, windowed per-partition heat, windowed latency
-  /// percentiles and timeline marks. Off by default; when off, no tick chain
-  /// is scheduled and every record_* call is a one-branch no-op, so the
-  /// virtual-time schedule is identical to a build without telemetry.
-  bool telemetry = false;
-  /// Gauge-sampling cadence and heat/latency bucket width.
-  Duration telemetry_interval = msec(100);
 
   /// Elastic repartitioning (a ScalePlan will add/retire partitions mid-run).
   /// Off by default; when off, no elastic gauge registers and the deployment

@@ -108,33 +108,17 @@ RunResult run_chirper(const ChirperRunConfig& cfg) {
   PreparedWorkload prepared = prepare_workload(cfg);
 
   DeploymentConfig dep;
+  apply_knobs(cfg, dep);
   dep.partitions = cfg.partitions;
   dep.replicas_per_partition = cfg.replicas_per_partition;
   dep.oracle_replicas = cfg.replicas_per_partition;
   dep.clients = cfg.partitions * cfg.clients_per_partition;
   dep.strategy = cfg.strategy;
   dep.node.rmcast_relay = cfg.rmcast_relay;
-  dep.batch_size = cfg.batch_size;
-  dep.batch_delay = cfg.batch_delay;
-  dep.pipeline_depth = cfg.pipeline_depth;
-  dep.prefetch_k = cfg.prefetch_k;
-  dep.cache_repair = cfg.cache_repair;
-  dep.coalesce_moves = cfg.coalesce_moves;
-  dep.coalesce_delay = cfg.coalesce_delay;
   dep.client_cache = cfg.client_cache;
   dep.seed = cfg.seed;
-  dep.trace = cfg.trace;
-  dep.spans = cfg.spans;
-  dep.spans_capacity = cfg.spans_capacity;
-  dep.telemetry = cfg.telemetry;
-  dep.telemetry_interval = cfg.telemetry_interval;
   dep.client_hints = cfg.strategy == core::Strategy::kDynaStar;
   dep.oracle.oracle_issues_moves = cfg.strategy == core::Strategy::kDynaStar;
-  // Elastic gating: the flag interns the elastic.* counters and registers the
-  // partition-count gauge, so it is set only when a plan is actually armed —
-  // scale-plan-free runs stay byte-identical to the pre-elasticity output.
-  dep.elastic = !cfg.scale_plan.empty();
-  dep.oracle.elastic = dep.elastic;
 
   const auto k = static_cast<std::uint32_t>(cfg.partitions);
   PolicyFactory policy_factory;
@@ -255,25 +239,7 @@ stats::RunRecord make_run_record(const ChirperRunConfig& cfg, const RunResult& r
   rec.add_meta("warmup_us", std::to_string(cfg.warmup));
   rec.add_meta("measure_us", std::to_string(cfg.measure));
   rec.add_meta("client_cache", cfg.client_cache ? "true" : "false");
-  rec.add_meta("nemesis", cfg.nemesis.empty() ? "none" : cfg.nemesis);
-  // Conditional so scale-plan-free records keep the exact pre-elasticity
-  // meta key set (byte-identity modulo the schema token).
-  if (!cfg.scale_plan.empty()) rec.add_meta("scale_plan", cfg.scale_plan);
-  if (cfg.batch_size > 0 || cfg.pipeline_depth > 0) {
-    rec.add_meta("batch_size", std::to_string(cfg.batch_size));
-    rec.add_meta("batch_delay_us", std::to_string(cfg.batch_delay));
-    rec.add_meta("pipeline_depth", std::to_string(cfg.pipeline_depth));
-  }
-  if (cfg.prefetch_k > 0 || cfg.cache_repair || cfg.coalesce_moves > 0) {
-    rec.add_meta("prefetch_k", std::to_string(cfg.prefetch_k));
-    rec.add_meta("cache_repair", cfg.cache_repair ? "true" : "false");
-    rec.add_meta("coalesce_moves", std::to_string(cfg.coalesce_moves));
-    rec.add_meta("coalesce_delay_us", std::to_string(cfg.coalesce_delay));
-  }
-  rec.add_meta("telemetry", cfg.telemetry ? "on" : "off");
-  if (cfg.telemetry) {
-    rec.add_meta("telemetry_interval_us", std::to_string(cfg.telemetry_interval));
-  }
+  add_knob_meta(cfg, rec);
   rec.add_meta("placement_edge_cut", std::to_string(r.placement_edge_cut));
   rec.add_meta("throughput_cps", std::to_string(r.throughput_cps));
   rec.add_meta("latency_p50_us", std::to_string(r.latency_p50_us));

@@ -11,6 +11,7 @@
 #include "chirper/chirper.h"
 #include "common/types.h"
 #include "harness/deployment.h"
+#include "harness/knobs.h"
 #include "smr/command.h"
 #include "stats/histogram.h"
 #include "stats/metrics.h"
@@ -63,7 +64,9 @@ enum class Placement : std::uint8_t {
 
 const char* to_string(Placement p);
 
-struct ChirperRunConfig {
+/// The batching, locality, tracing, telemetry, fault and scale-plan knobs come
+/// from RunKnobs (harness/knobs.h).
+struct ChirperRunConfig : RunKnobs {
   std::size_t partitions = 2;
   std::size_t clients_per_partition = 5;
   core::Strategy strategy = core::Strategy::kDssmr;
@@ -97,50 +100,11 @@ struct ChirperRunConfig {
   /// initial ideal partitioning before the run starts.
   bool dynastar_preload_graph = false;
 
-  /// Tuned-for-simulation deployment knobs applied by run_chirper.
+  /// Tuned-for-simulation deployment knobs applied by run_chirper. Two
+  /// replicas per partition have no majority left after a crash, so any
+  /// partition crash stalls that group; fault-robustness runs should use 3.
   std::size_t replicas_per_partition = 2;
   bool rmcast_relay = false;  // crash-free perf runs
-
-  /// Submission batching / consensus pipelining (see DeploymentConfig):
-  /// batch_size 0 keeps the run byte-identical to the pre-batching code.
-  std::size_t batch_size = 0;
-  Duration batch_delay = usec(100);
-  std::size_t pipeline_depth = 0;
-
-  /// Locality fast path (see DeploymentConfig): prophecy prefetch depth,
-  /// piggybacked cache repair, and move coalescing. All off by default —
-  /// defaults keep the run byte-identical to the pre-locality code.
-  std::size_t prefetch_k = 0;
-  bool cache_repair = false;
-  std::size_t coalesce_moves = 0;
-  Duration coalesce_delay = usec(200);
-
-  /// Structured event trace (stats::Trace) for the run; the full trace is
-  /// returned in RunResult::metrics and summarized in run records.
-  bool trace = false;
-  /// Causal span tracing (stats/span.h): phase latency histograms land in the
-  /// run record's `phases` section and the spans can be exported to a Chrome
-  /// trace (--trace-chrome in the benches).
-  bool spans = false;
-  /// Retained-span cap forwarded to DeploymentConfig::spans_capacity
-  /// (0 = SpanStore default). Histograms are unaffected by the cap.
-  std::size_t spans_capacity = 0;
-
-  /// Fault plan for the run: a shipped plan name or fault-plan DSL (see
-  /// fault/fault_plan.h), armed right after settle(). Empty = no faults.
-  std::string nemesis;
-
-  /// Scale plan for the run: a shipped plan name or scale-plan DSL (see
-  /// fault/scale_plan.h), armed right after settle(). Empty = no elasticity
-  /// (and the run stays byte-identical to the pre-elasticity code). Composes
-  /// with `nemesis` — both actors are armed on the same clock.
-  std::string scale_plan;
-
-  /// Flight-recorder telemetry (stats::Recorder): gauge sampling, windowed
-  /// partition heat, windowed latency percentiles, timeline marks. Lands in
-  /// the run record's `telemetry` section; off = zero cost and absent key.
-  bool telemetry = false;
-  Duration telemetry_interval = msec(100);
 };
 
 struct RunResult {

@@ -5,10 +5,10 @@ Two checks, both derived from the source of truth rather than a hand-kept
 list, so adding a flag or a run-record section without documenting it fails
 CI:
 
-  * Bench CLI flags — every `--flag` parsed by bench/bench_util.h (the
-    option sink shared by all fig_* binaries) must appear in a README.md
-    markdown-table row (a line starting with `|` containing the backticked
-    flag). The README's flag table is the canonical quick reference.
+  * Bench CLI flags — the knob table in src/harness/knobs.cpp declares every
+    flag the fig_* binaries share, with the help line their usage text
+    prints. Every row must carry a non-empty help line, no flag may be
+    declared twice, and README.md must point readers at the table.
   * Run-record schema keys — every JSON key emitted by
     src/stats/run_record.cpp (`w.key("...")` calls) plus the schema version
     token must be documented in docs/schema.md.
@@ -23,7 +23,8 @@ Exit codes:
        flags/keys (the lint could not actually lint)
 
 --self-test additionally verifies the negative path: the lint must flag an
-injected undocumented flag and an injected undocumented schema key. CI runs
+injected table row without a help line and an injected undocumented schema
+key. CI runs
 `check_docs.py --self-test` so a regression that makes the lint vacuously
 pass is itself a failure.
 """
@@ -33,13 +34,16 @@ import pathlib
 import re
 import sys
 
-FLAG_SOURCE = "bench/bench_util.h"
+FLAG_SOURCE = "src/harness/knobs.cpp"
 FLAG_DOC = "README.md"
 KEY_SOURCE = "src/stats/run_record.cpp"
 SCHEMA_SOURCE = "src/stats/run_record.h"
 KEY_DOC = "docs/schema.md"
 
-FLAG_RE = re.compile(r'std::strcmp\(argv\[i\],\s*"(--[a-z][a-z-]*)"\)')
+# One knob-table row: `{.flag = "--x", ... .help = "..." "..."}`.
+ROW_RE = re.compile(r'\{\s*\.flag\s*=\s*"(--[a-z][a-z-]*)"(.*?)\}', re.S)
+HELP_RE = re.compile(r'\.help\s*=\s*((?:"(?:[^"\\]|\\.)*"\s*)+)')
+LITERAL_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 KEY_RE = re.compile(r'w\.key\("([A-Za-z_.]+)"\)')
 SCHEMA_RE = re.compile(r'kRunRecordSchema\s*=\s*"([^"]+)"')
 
@@ -58,7 +62,12 @@ def read(root, rel):
 
 
 def extract_flags(source_text):
-    return sorted(set(FLAG_RE.findall(source_text)))
+    """(flag, help line) per knob-table row, in table order."""
+    rows = []
+    for flag, body in ROW_RE.findall(source_text):
+        m = HELP_RE.search(body)
+        rows.append((flag, "".join(LITERAL_RE.findall(m.group(1))) if m else ""))
+    return rows
 
 
 def extract_keys(writer_text, header_text):
@@ -69,14 +78,20 @@ def extract_keys(writer_text, header_text):
     return keys, m.group(1)
 
 
-def table_rows(doc_text):
-    return [line for line in doc_text.splitlines() if line.lstrip().startswith("|")]
-
-
-def check_flags(flags, readme_text):
-    """Each flag must sit in a markdown-table row, backticked."""
-    rows = "\n".join(table_rows(readme_text))
-    return [f for f in flags if f"`{f}" not in rows]
+def check_flags(rows, readme_text):
+    """Each row needs a help line and a unique flag; the README must point
+    at the table."""
+    problems = []
+    seen = set()
+    for flag, help_line in rows:
+        if not help_line.strip():
+            problems.append(f"{FLAG_SOURCE}: flag {flag} has no help line")
+        if flag in seen:
+            problems.append(f"{FLAG_SOURCE}: flag {flag} declared twice")
+        seen.add(flag)
+    if FLAG_SOURCE not in readme_text:
+        problems.append(f"{FLAG_DOC}: does not point at the knob table {FLAG_SOURCE}")
+    return problems
 
 
 def check_keys(keys, token, schema_text):
@@ -98,9 +113,7 @@ def run_checks(root):
     readme = read(root, FLAG_DOC)
     schema_doc = read(root, KEY_DOC)
 
-    problems = []
-    for f in check_flags(flags, readme):
-        problems.append(f"{FLAG_DOC}: flag {f} ({FLAG_SOURCE}) missing from the flag table")
+    problems = check_flags(flags, readme)
     for k in check_keys(keys, token, schema_doc):
         problems.append(f"{KEY_DOC}: run-record key {k} ({KEY_SOURCE}) undocumented")
     return flags, keys, problems
@@ -111,7 +124,8 @@ def self_test(root):
     readme = read(root, FLAG_DOC)
     schema_doc = read(root, KEY_DOC)
     failures = []
-    if not check_flags(["--intentionally-undocumented"], readme):
+    injected = '{.flag = "--intentionally-undocumented", .kind = Kind::kSwitch},'
+    if not check_flags(extract_flags(injected), readme):
         failures.append("lint did not flag an undocumented CLI flag")
     if not check_keys(["intentionally_undocumented_key"], "dssmr.run_record.v7",
                       schema_doc):
@@ -139,7 +153,7 @@ def main():
         for p in problems:
             print(f"check_docs: FAIL: {p}", file=sys.stderr)
         sys.exit(1)
-    print(f"check_docs: OK — {len(flags)} bench flags documented in {FLAG_DOC}, "
+    print(f"check_docs: OK — {len(flags)} bench flags documented in {FLAG_SOURCE}, "
           f"{len(keys)} run-record keys documented in {KEY_DOC}")
 
 

@@ -42,8 +42,6 @@ WIDE_TOLERANCE = 0.60
 # name -> (kind, band) where kind is "wide" (WIDE_TOLERANCE), "default"
 # (--tolerance), or "exact" (must match the baseline exactly).
 GATED_EXTRAS = {
-    "engine.schedule_fire": {"speedup_vs_legacy": "default"},
-    "engine.schedule_cancel": {"speedup_vs_legacy": "default"},
     "zipf.sample": {"speedup_vs_cdf": "default"},
     "chirper.telemetry": {"counters_identical": "exact"},
     "chirper.batched": {

@@ -70,7 +70,7 @@ class RunRecordSink {
         return 1;
       }
       for (const stats::RunRecord& rec : records_) {
-        rec.metrics.trace().write_jsonl(os, rec.label);
+        stats::write_trace_jsonl(os, rec.metrics.spans(), rec.label);
       }
       std::printf("wrote %s\n", trace_path.c_str());
     }

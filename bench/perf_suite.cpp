@@ -19,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "harness/experiment.h"
+#include "harness/knobs.h"
 #include "harness/sweep.h"
 #include "net/network.h"
 #include "sim/engine.h"
@@ -502,17 +504,21 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string json_path;
   std::size_t jobs = 4;
+  const auto usage = [] {
+    std::fprintf(stderr, "usage: perf_suite [--smoke] [--json [path]] [--jobs N>=1]\n");
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json_path = (i + 1 < argc && argv[i + 1][0] != '-') ? argv[++i] : "BENCH_perf.json";
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = static_cast<std::size_t>(std::atoll(argv[++i]));
-      if (jobs == 0) jobs = 1;
+      const std::optional<long long> n = harness::parse_integer(argv[++i]);
+      if (!n || *n < 1) return usage();
+      jobs = static_cast<std::size_t>(*n);
     } else {
-      std::fprintf(stderr, "usage: perf_suite [--smoke] [--json [path]] [--jobs N]\n");
-      return 2;
+      return usage();
     }
   }
 

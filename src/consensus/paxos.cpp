@@ -173,10 +173,6 @@ void PaxosCore::become_leader() {
   role_ = Role::Leader;
   proposals_.clear();
   inflight_ = 0;
-  if (trace_ != nullptr) {
-    trace_->record(stats::TraceEvent::kLeaderChange, engine_.now(), self_.value, gid_.value,
-                   static_cast<std::int64_t>(ballot_));
-  }
 
   Slot max_slot = next_deliver_ - 1;
   for (const auto& [slot, acc] : p1b_accepted_) max_slot = std::max(max_slot, slot);

@@ -34,7 +34,6 @@
 #include "common/types.h"
 #include "net/message.h"
 #include "sim/engine.h"
-#include "stats/trace.h"
 
 namespace dssmr::consensus {
 
@@ -170,6 +169,8 @@ class PaxosCore {
   bool handle(ProcessId from, const net::MessagePtr& m);
 
   bool is_leader() const { return role_ == Role::Leader; }
+  /// Ballot of the current candidacy or leadership.
+  Ballot ballot() const { return ballot_; }
   /// Undecided proposals currently in flight (telemetry; leader-side).
   std::size_t inflight_proposals() const { return inflight_; }
   /// Entries buffered but not yet proposed (telemetry; leader-side).
@@ -190,10 +191,6 @@ class PaxosCore {
   /// tail is re-learned through the existing heartbeat -> LearnReq ->
   /// CommitMsg machinery. Callers pair this with Network::recover.
   void restart();
-
-  /// Event trace for leader changes (owned by the deployment's Metrics; may
-  /// stay null for standalone cores).
-  void set_trace(stats::Trace* trace) { trace_ = trace; }
 
  private:
   enum class Role { Follower, Candidate, Leader };
@@ -240,7 +237,6 @@ class PaxosCore {
   Callbacks cb_;
   Rng rng_;
   bool halted_ = false;
-  stats::Trace* trace_ = nullptr;
 
   // Acceptor state.
   Ballot promised_ = 0;

@@ -18,7 +18,7 @@ using smr::ProphecyMsg;
 using smr::ReplyCode;
 using smr::ReplyMsg;
 using stats::SpanPhase;
-using stats::TraceEvent;
+using stats::InstantKind;
 
 namespace {
 
@@ -27,6 +27,13 @@ namespace {
 stats::Counter& dummy_counter() {
   thread_local stats::Counter c;
   return c;
+}
+
+/// Never-enabled event store standing in when no metrics object is wired:
+/// every record() on it returns at the enable check.
+stats::SpanStore& dummy_events() {
+  thread_local stats::SpanStore store;
+  return store;
 }
 
 }  // namespace
@@ -80,26 +87,26 @@ void ClientProxy::init_client(net::Network& network, const multicast::Directory&
   }
 }
 
-stats::SpanStore* ClientProxy::spans() {
-  return metrics_ != nullptr ? &metrics_->spans() : nullptr;
+stats::SpanStore& ClientProxy::events() {
+  return metrics_ != nullptr ? metrics_->spans() : dummy_events();
 }
 
 void ClientProxy::record_phase(SpanPhase p, Time start, GroupId group, std::int64_t arg) {
-  stats::SpanStore* sp = spans();
-  if (sp == nullptr || !sp->enabled() || root_span_ == 0) return;
-  sp->record({.trace_id = cmd_.trace_id,
-              .parent = root_span_,
-              .phase = p,
-              .start = start,
-              .end = network().engine().now(),
-              .node = pid().value,
-              .group = group,
-              .arg = arg});
+  stats::SpanStore& sp = events();
+  if (!sp.enabled() || root_span_ == 0) return;
+  sp.record({.trace_id = cmd_.trace_id,
+             .parent = root_span_,
+             .phase = p,
+             .start = start,
+             .end = network().engine().now(),
+             .node = pid().value,
+             .group = group,
+             .arg = arg});
 }
 
 void ClientProxy::decompose_reply(const ReplyMsg& r) {
-  stats::SpanStore* sp = spans();
-  if (sp == nullptr || !sp->enabled() || root_span_ == 0) return;
+  stats::SpanStore& sp = events();
+  if (!sp.enabled() || root_span_ == 0) return;
   // Split [sent_at_, now] with the server's piggybacked timestamps. Clamping
   // keeps the cut points monotone inside the window, so the spans tile it
   // exactly even with odd timing: an all-zero ReplyTiming clamps every cut
@@ -112,28 +119,22 @@ void ClientProxy::decompose_reply(const ReplyMsg& r) {
   Time a = s;
   if (batched()) {
     const Time f = std::clamp(batch_flushed_at_, s, now);
-    sp->record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kBatch,
-                .start = s, .end = f, .node = pid().value, .group = r.from_group});
+    sp.record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kBatch,
+               .start = s, .end = f, .node = pid().value, .group = r.from_group});
     a = f;
   }
   const Time d = std::clamp(r.timing.delivered_at, a, now);
   const Time es = std::clamp(r.timing.exec_start, d, now);
   const Time ee = std::clamp(r.timing.exec_end, es, now);
   const GroupId g = r.from_group;
-  sp->record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kAmcast,
-              .start = a, .end = d, .node = pid().value, .group = g});
-  sp->record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kQueue,
-              .start = d, .end = es, .node = pid().value, .group = g});
-  sp->record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kExecute,
-              .start = es, .end = ee, .node = pid().value, .group = g});
-  sp->record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kReply,
-              .start = ee, .end = now, .node = pid().value, .group = g});
-}
-
-void ClientProxy::trace(stats::TraceEvent e, std::uint64_t id, std::int64_t arg) {
-  if (metrics_ != nullptr) {
-    metrics_->trace().record(e, network().engine().now(), pid().value, id, arg);
-  }
+  sp.record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kAmcast,
+             .start = a, .end = d, .node = pid().value, .group = g});
+  sp.record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kQueue,
+             .start = d, .end = es, .node = pid().value, .group = g});
+  sp.record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kExecute,
+             .start = es, .end = ee, .node = pid().value, .group = g});
+  sp.record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kReply,
+             .start = ee, .end = now, .node = pid().value, .group = g});
 }
 
 std::optional<GroupId> ClientProxy::cached_location(VarId v) const {
@@ -159,7 +160,8 @@ void ClientProxy::apply_repair(const std::vector<smr::RepairEntry>& repair) {
     meta.prefetched = false;
     cache_[e.var] = e.loc;
     ctr_.repairs->inc();
-    trace(TraceEvent::kCacheRepair, e.var.value, static_cast<std::int64_t>(e.loc.value));
+    events().record(InstantKind::kCacheRepair, network().engine().now(), pid().value,
+                    e.var.value, static_cast<std::int64_t>(e.loc.value));
   }
 }
 
@@ -184,16 +186,17 @@ bool ClientProxy::try_repair_reroute() {
   }
   if (p == kNoGroup) return false;
   ctr_.repair_reroutes->inc();
-  trace(TraceEvent::kRepairReroute, cmd_.id.value, static_cast<std::int64_t>(p.value));
-  stats::SpanStore* sp = spans();
-  if (sp != nullptr && sp->enabled() && root_span_ != 0) {
+  events().record(InstantKind::kRepairReroute, network().engine().now(), pid().value,
+                  cmd_.id.value, static_cast<std::int64_t>(p.value));
+  stats::SpanStore& sp = events();
+  if (sp.enabled() && root_span_ != 0) {
     // Marker span (fold=false): the retry window it annotates was already
     // decomposed into amcast/queue/execute/reply by decompose_reply.
     const Time now = network().engine().now();
-    sp->record({.trace_id = cmd_.trace_id, .parent = root_span_,
-                .phase = SpanPhase::kRepair, .start = now, .end = now,
-                .node = pid().value, .group = p, .arg = retries_},
-               /*fold=*/false);
+    sp.record({.trace_id = cmd_.trace_id, .parent = root_span_,
+               .phase = SpanPhase::kRepair, .start = now, .end = now,
+               .node = pid().value, .group = p, .arg = retries_},
+              /*fold=*/false);
   }
   send_command({p}, Phase::kAwaitCommand);
   return true;
@@ -211,8 +214,8 @@ void ClientProxy::issue(Command cmd, DoneFn done) {
   outstanding_consults_.clear();
   issued_at_ = network().engine().now();
   fallback_start_ = 0;
-  stats::SpanStore* sp = spans();
-  root_span_ = (sp != nullptr && sp->enabled()) ? sp->alloc_id() : 0;
+  stats::SpanStore& sp = events();
+  root_span_ = sp.enabled() ? sp.alloc_id() : 0;
   ctr_.ops->inc();
   start_attempt();
 }
@@ -259,13 +262,13 @@ void ClientProxy::start_attempt() {
         }
         if (from_prefetch) {
           ctr_.prefetch_hits->inc();
-          stats::SpanStore* sp = spans();
-          if (sp != nullptr && sp->enabled() && root_span_ != 0) {
+          stats::SpanStore& sp = events();
+          if (sp.enabled() && root_span_ != 0) {
             const Time now = network().engine().now();
-            sp->record({.trace_id = cmd_.trace_id, .parent = root_span_,
-                        .phase = SpanPhase::kPrefetch, .start = now, .end = now,
-                        .node = pid().value, .group = p},
-                       /*fold=*/false);
+            sp.record({.trace_id = cmd_.trace_id, .parent = root_span_,
+                       .phase = SpanPhase::kPrefetch, .start = now, .end = now,
+                       .node = pid().value, .group = p},
+                      /*fold=*/false);
           }
         }
       }
@@ -293,7 +296,8 @@ void ClientProxy::do_consult() {
     outstanding_consults_.clear();
   }
   const MsgId id = fresh_id();
-  trace(TraceEvent::kConsult, id.value, static_cast<std::int64_t>(cmd_.id.value));
+  events().record(InstantKind::kConsult, network().engine().now(), pid().value,
+                  id.value, static_cast<std::int64_t>(cmd_.id.value));
   if (outstanding_consults_.size() >= kMaxOutstandingConsults) {
     outstanding_consults_.erase(outstanding_consults_.begin());  // drop the oldest
   }
@@ -315,8 +319,8 @@ void ClientProxy::on_prophecy(const ProphecyMsg& p) {
   outstanding_consults_.clear();
   network().engine().cancel(timeout_);
   timeout_ = 0;
-  trace(TraceEvent::kProphecy, p.consult_id.value,
-        static_cast<std::int64_t>(p.locations.size()));
+  events().record(InstantKind::kProphecy, network().engine().now(), pid().value,
+                  p.consult_id.value, static_cast<std::int64_t>(p.locations.size()));
   record_phase(SpanPhase::kConsult, consult_start_, kNoGroup, retries_);
 
   if (p.code == ReplyCode::kNok) {
@@ -384,7 +388,8 @@ void ClientProxy::send_dssmr_move(GroupId dest, const std::vector<GroupId>& sour
   move.type = CommandType::kMove;
   move.id = fresh_id();
   move.trace_id = cmd_.trace_id;  // the move belongs to the command's trace
-  trace(TraceEvent::kMoveIssued, move.id.value, static_cast<std::int64_t>(dest.value));
+  events().record(InstantKind::kMoveIssued, network().engine().now(), pid().value,
+                  move.id.value, static_cast<std::int64_t>(dest.value));
   move.write_set = cmd_.vars();
   move.move_sources = sources;
   move.move_dest = dest;
@@ -447,7 +452,8 @@ void ClientProxy::do_fallback() {
   // Termination guarantee: execute as an S-SMR multi-partition command on
   // every partition — no locality check can fail there.
   ctr_.fallbacks->inc();
-  trace(TraceEvent::kFallback, cmd_.id.value, retries_);
+  events().record(InstantKind::kFallback, network().engine().now(), pid().value,
+                  cmd_.id.value, retries_);
   fallback_start_ = network().engine().now();
   DSSMR_ASSERT(cmd_.type == CommandType::kAccess);
   send_command(cfg_.partition_universe != nullptr ? *cfg_.partition_universe
@@ -493,7 +499,8 @@ void ClientProxy::on_reply(ProcessId from, const net::MessagePtr& m) {
         // move forever and the S-SMR fallback is never reached.
         ctr_.retries->inc();
         ++retries_;
-        trace(TraceEvent::kRetry, cmd_.id.value, retries_);
+        events().record(InstantKind::kRetry, network().engine().now(), pid().value,
+                        cmd_.id.value, retries_);
         if (retries_ > cfg_.max_retries) {
           do_fallback();
         } else {
@@ -514,7 +521,8 @@ void ClientProxy::on_reply(ProcessId from, const net::MessagePtr& m) {
         ctr_.retries->inc();
         for (VarId v : cmd_.vars()) cache_.erase(v);
         ++retries_;
-        trace(TraceEvent::kRetry, cmd_.id.value, retries_);
+        events().record(InstantKind::kRetry, network().engine().now(), pid().value,
+                        cmd_.id.value, retries_);
         // Piggybacked repair: install the reply's ⟨var, partition, epoch⟩
         // entries (monotone) and, if they pin every variable to one
         // partition, go straight there — the common stale-cache retry then
@@ -563,27 +571,27 @@ void ClientProxy::finish(ReplyCode code, const net::MessagePtr& app_reply) {
     metrics_->recorder().record_latency(now, now - issued_at_);
   }
 
-  stats::SpanStore* sp = spans();
-  if (sp != nullptr && sp->enabled() && root_span_ != 0) {
+  stats::SpanStore& sp = events();
+  if (sp.enabled() && root_span_ != 0) {
     if (fallback_start_ != 0) {
       // Server-side style view of the S-SMR fallback window; the window's
       // time is already folded as amcast/queue/execute/reply spans.
-      sp->record({.trace_id = cmd_.trace_id,
-                  .parent = root_span_,
-                  .phase = SpanPhase::kFallback,
-                  .start = fallback_start_,
-                  .end = now,
-                  .node = pid().value,
-                  .arg = retries_},
-                 /*fold=*/false);
+      sp.record({.trace_id = cmd_.trace_id,
+                 .parent = root_span_,
+                 .phase = SpanPhase::kFallback,
+                 .start = fallback_start_,
+                 .end = now,
+                 .node = pid().value,
+                 .arg = retries_},
+                /*fold=*/false);
     }
-    sp->record({.trace_id = cmd_.trace_id,
-                .id = root_span_,
-                .phase = SpanPhase::kCommand,
-                .start = issued_at_,
-                .end = now,
-                .node = pid().value,
-                .arg = code == ReplyCode::kOk ? 0 : 1});
+    sp.record({.trace_id = cmd_.trace_id,
+               .id = root_span_,
+               .phase = SpanPhase::kCommand,
+               .start = issued_at_,
+               .end = now,
+               .node = pid().value,
+               .arg = code == ReplyCode::kOk ? 0 : 1});
     root_span_ = 0;
   }
 

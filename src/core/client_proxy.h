@@ -126,10 +126,10 @@ class ClientProxy : public multicast::ClientNode {
   void do_fallback();
   void finish(smr::ReplyCode code, const net::MessagePtr& app_reply);
   void arm_timeout();
-  void trace(stats::TraceEvent e, std::uint64_t id, std::int64_t arg = 0);
 
-  /// The deployment span store, or nullptr when metrics are not wired.
-  stats::SpanStore* spans();
+  /// The deployment's event store, or a never-enabled one when metrics are
+  /// not wired.
+  stats::SpanStore& events();
   /// Folds one client-attributed phase span [start, now] into the trace.
   void record_phase(stats::SpanPhase p, Time start, GroupId group, std::int64_t arg = 0);
   /// Decomposes the post-send window [sent_at_, now] into amcast / queue /

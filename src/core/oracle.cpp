@@ -83,13 +83,6 @@ void OracleNode::bump(stats::Counter* c) {
   if (is_leader()) c->inc();
 }
 
-void OracleNode::trace(stats::TraceEvent e, std::uint64_t id, std::int64_t arg) {
-  // Leader-gated like bump(): one trace record per protocol event.
-  if (metrics_ != nullptr && is_leader()) {
-    metrics_->trace().record(e, engine().now(), pid().value, id, arg);
-  }
-}
-
 void OracleNode::account(Duration service) {
   // One series per deployment: only the leader accounts, so the series
   // reflects one oracle replica's CPU, matching the paper's measurement.
@@ -214,8 +207,8 @@ void OracleNode::handle_consult(const multicast::AmcastMessage& m, const Consult
           amcast(std::move(move_dests), net::make_msg<CommandMsg>(std::move(move)));
         }
         bump(ctr_.moves_issued);
-        trace(stats::TraceEvent::kMoveIssued, move_id.value,
-              static_cast<std::int64_t>(prophecy->dest.value));
+        record_instant(stats::InstantKind::kMoveIssued, move_id.value,
+                       static_cast<std::int64_t>(prophecy->dest.value));
         if (moves_series_ != nullptr) moves_series_->add(engine().now());
       }
       prophecy->oracle_moved = config_.oracle_issues_moves;
@@ -396,8 +389,8 @@ void OracleNode::handle_reconfig(const Command& cmd) {
       mapping_->add_partition(target);
       partitions_.push_back(target);
       bump(ctr_.partitions_added);
-      trace(stats::TraceEvent::kPartitionAdded, cmd.id.value,
-            static_cast<std::int64_t>(target.value));
+      record_instant(stats::InstantKind::kPartitionAdded, cmd.id.value,
+                     static_cast<std::int64_t>(target.value));
     }
     // Rebalance toward the newcomer. Leader-only, like oracle-issued
     // collocation moves: the moves go through the regular amcast machinery
@@ -409,8 +402,8 @@ void OracleNode::handle_reconfig(const Command& cmd) {
     if (mapping_->is_live(target)) {
       mapping_->set_draining(target);
       bump(ctr_.partitions_retired);
-      trace(stats::TraceEvent::kPartitionDraining, cmd.id.value,
-            static_cast<std::int64_t>(target.value));
+      record_instant(stats::InstantKind::kPartitionDraining, cmd.id.value,
+                     static_cast<std::int64_t>(target.value));
     }
     // Sweep whatever is currently mapped there. The Scaler re-submits the
     // retire record if stragglers (moves in flight at planning time) land
@@ -502,8 +495,8 @@ void OracleNode::issue_rebalance_move(GroupId from, GroupId to, std::vector<VarI
           .record(static_cast<std::int64_t>(move.write_set.size()));
     }
   }
-  trace(stats::TraceEvent::kRebalanceMove, move.id.value,
-        static_cast<std::int64_t>(to.value));
+  record_instant(stats::InstantKind::kRebalanceMove, move.id.value,
+                 static_cast<std::int64_t>(to.value));
   if (moves_series_ != nullptr && is_leader()) moves_series_->add(engine().now());
   std::vector<GroupId> dests{from, to, group()};
   if (config_.coalesce_moves > 0) {
@@ -571,10 +564,9 @@ void OracleNode::handle_hint(const HintMsg& hint) {
   // A hint batch that crossed the policy's threshold recomputed the ideal
   // partitioning — annotate the telemetry timeline (leader-gated, like all
   // deployment-wide recording).
-  if (metrics_ != nullptr && is_leader() && metrics_->recorder().enabled() &&
-      policy_->repartition_count() != repartitions_before) {
-    metrics_->recorder().mark(engine().now(), stats::Recorder::MarkKind::kEvent,
-                              "repartition #" + std::to_string(policy_->repartition_count()));
+  if (policy_->repartition_count() != repartitions_before) {
+    record_instant(stats::InstantKind::kMark, 0, 0,
+                   "repartition #" + std::to_string(policy_->repartition_count()));
   }
   queue_reply_task(config_.command_service, [] {});
 }

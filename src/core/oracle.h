@@ -129,7 +129,6 @@ class OracleNode : public multicast::GroupNode {
 
   void queue_reply_task(Duration service, std::function<void()> run);
   void bump(stats::Counter* c);
-  void trace(stats::TraceEvent e, std::uint64_t id, std::int64_t arg = 0);
   void account(Duration service);
 
   std::unique_ptr<Mapping> mapping_;

@@ -99,13 +99,6 @@ void PartitionServer::span(SpanPhase p, std::uint64_t trace_id, Time start, Time
             /*fold=*/false);
 }
 
-void PartitionServer::trace(stats::TraceEvent e, std::uint64_t id, std::int64_t arg) {
-  // Leader-gated like bump(): one trace record per protocol event.
-  if (metrics_ != nullptr && is_leader()) {
-    metrics_->trace().record(e, engine().now(), pid().value, id, arg);
-  }
-}
-
 PartitionServer::Coord& PartitionServer::coord(MsgId cmd_id) { return coord_[cmd_id]; }
 
 void PartitionServer::reply_to(ProcessId client, MsgId cmd_id, ReplyCode code,
@@ -486,12 +479,12 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
             // go through the client's retry/fallback path, not pretend success.
             const ReplyCode code = failed == 0 ? ReplyCode::kOk : ReplyCode::kRetry;
             if (failed == 0) {
-              trace(stats::TraceEvent::kMoveApplied, id.value,
-                    static_cast<std::int64_t>(installed.size()));
+              record_instant(stats::InstantKind::kMoveApplied, id.value,
+                             static_cast<std::int64_t>(installed.size()));
             } else {
               bump(ctr_.moves_failed);
-              trace(stats::TraceEvent::kMoveFailed, id.value,
-                    static_cast<std::int64_t>(failed));
+              record_instant(stats::InstantKind::kMoveFailed, id.value,
+                             static_cast<std::int64_t>(failed));
             }
             reply_to(client, id, code, net::make_msg<smr::MoveResultMsg>(std::move(installed)),
                      /*cache=*/true, ReplyTiming{delivered, exec_start, exec_end},

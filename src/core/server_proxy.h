@@ -142,7 +142,6 @@ class PartitionServer : public multicast::GroupNode {
   /// Dense heat-table index of this partition (gid with the oracle's slot
   /// compacted away; see heat_command).
   std::size_t heat_index() const;
-  void trace(stats::TraceEvent e, std::uint64_t id, std::int64_t arg = 0);
   /// Leader-gated server-view span (fold=false: the client attributes this
   /// time itself from the reply's timestamps).
   void span(stats::SpanPhase p, std::uint64_t trace_id, Time start, Time end,

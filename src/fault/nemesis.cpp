@@ -140,8 +140,9 @@ void Nemesis::do_crash(Node& n) {
   n.halt_node();
   last_victim_ = &n;
   d_.metrics().inc("faults.crashes");
-  trace(stats::TraceEvent::kFaultInject, n.pid().value);
-  mark(stats::Recorder::MarkKind::kFaultBegin, "crash pid=" + std::to_string(n.pid().value));
+  d_.metrics().spans().record(stats::InstantKind::kFaultInject, d_.engine().now(),
+                              n.pid().value, 0, 0,
+                              "crash pid=" + std::to_string(n.pid().value));
   window_open();
 }
 
@@ -150,8 +151,9 @@ void Nemesis::do_recover(Node& n) {
   d_.network().recover(n.pid());
   n.restart_node();
   d_.metrics().inc("faults.recoveries");
-  trace(stats::TraceEvent::kFaultRecover, n.pid().value);
-  mark(stats::Recorder::MarkKind::kFaultEnd, "recover pid=" + std::to_string(n.pid().value));
+  d_.metrics().spans().record(stats::InstantKind::kFaultRecover, d_.engine().now(),
+                              n.pid().value, 0, 0,
+                              "recover pid=" + std::to_string(n.pid().value));
   window_close();
 }
 
@@ -205,10 +207,10 @@ void Nemesis::do_cut(const FaultEvent& e) {
       if (!e.directed) cut_one(pb, pa);
     }
   }
-  trace(stats::TraceEvent::kFaultInject, 0,
-        static_cast<std::int64_t>(cut_links_.size() - before));
-  mark(stats::Recorder::MarkKind::kFaultBegin,
-       "cut " + std::to_string(cut_links_.size() - before) + " links");
+  const std::size_t cut = cut_links_.size() - before;
+  d_.metrics().spans().record(stats::InstantKind::kFaultInject, d_.engine().now(), 0, 0,
+                              static_cast<std::int64_t>(cut),
+                              "cut " + std::to_string(cut) + " links");
   ++open_cut_events_;
   window_open();
 }
@@ -217,10 +219,9 @@ void Nemesis::do_heal() {
   for (const auto& [from, to] : cut_links_) {
     d_.network().set_link_directed(from, to, true);
   }
-  trace(stats::TraceEvent::kFaultRecover, 0,
-        static_cast<std::int64_t>(cut_links_.size()));
-  mark(stats::Recorder::MarkKind::kFaultEnd,
-       "heal " + std::to_string(cut_links_.size()) + " links");
+  d_.metrics().spans().record(stats::InstantKind::kFaultRecover, d_.engine().now(), 0, 0,
+                              static_cast<std::int64_t>(cut_links_.size()),
+                              "heal " + std::to_string(cut_links_.size()) + " links");
   cut_links_.clear();
   d_.metrics().inc("faults.heals");
   while (open_cut_events_ > 0) {
@@ -235,15 +236,14 @@ void Nemesis::do_drop_burst(const FaultEvent& e) {
   const double prev = d_.network().config().drop_probability;
   d_.network().set_drop_probability(e.drop_probability);
   d_.metrics().inc("faults.drop_bursts");
-  trace(stats::TraceEvent::kFaultInject, 0,
-        static_cast<std::int64_t>(e.drop_probability * 1e6));
-  mark(stats::Recorder::MarkKind::kFaultBegin,
-       "drop burst p=" + std::to_string(e.drop_probability));
+  d_.metrics().spans().record(stats::InstantKind::kFaultInject, d_.engine().now(), 0, 0,
+                              static_cast<std::int64_t>(e.drop_probability * 1e6),
+                              "drop burst p=" + std::to_string(e.drop_probability));
   window_open();
   d_.engine().schedule(e.duration, [this, prev] {
     d_.network().set_drop_probability(prev);
-    trace(stats::TraceEvent::kFaultRecover, 0);
-    mark(stats::Recorder::MarkKind::kFaultEnd, "drop burst over");
+    d_.metrics().spans().record(stats::InstantKind::kFaultRecover, d_.engine().now(), 0, 0,
+                                0, "drop burst over");
     window_close();
   });
 }
@@ -263,14 +263,6 @@ void Nemesis::window_close() {
     d_.metrics().inc("faults.fallbacks_in_window",
                      d_.metrics().counter("client.fallbacks") - fallbacks_at_open_);
   }
-}
-
-void Nemesis::trace(stats::TraceEvent e, std::uint32_t node, std::int64_t arg) {
-  d_.metrics().trace().record(e, d_.engine().now(), node, 0, arg);
-}
-
-void Nemesis::mark(stats::Recorder::MarkKind kind, std::string label) {
-  d_.metrics().recorder().mark(d_.engine().now(), kind, std::move(label));
 }
 
 }  // namespace dssmr::fault

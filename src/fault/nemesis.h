@@ -66,10 +66,6 @@ class Nemesis {
 
   void window_open();
   void window_close();
-  void trace(stats::TraceEvent e, std::uint32_t node, std::int64_t arg = 0);
-  /// Telemetry timeline annotation (stats::Recorder); no-op when telemetry
-  /// is off. Begin/end marks let dashboards shade disrupted intervals.
-  void mark(stats::Recorder::MarkKind kind, std::string label);
 
   harness::Deployment& d_;
   FaultPlan plan_;

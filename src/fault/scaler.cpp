@@ -87,7 +87,8 @@ void Scaler::fire(const ScaleEvent& e) {
 void Scaler::do_add() {
   const std::size_t index = d_.partition_count();
   const GroupId gid = d_.add_partition();
-  mark("scale-out: partition " + std::to_string(index) + " booted");
+  d_.metrics().spans().record(stats::InstantKind::kMark, d_.engine().now(), 0, 0, 0,
+                              "scale-out: partition " + std::to_string(index) + " booted");
   submit_on_leader(gid, core::kReconfigAdd, kPollLimit);
 }
 
@@ -97,7 +98,8 @@ void Scaler::do_remove(std::size_t partition) {
   DSSMR_ASSERT_MSG(!d_.partition_retired(partition), "partition retired twice");
   const GroupId gid = d_.partition_gid(partition);
   ++pending_removes_;
-  mark("scale-in: partition " + std::to_string(partition) + " draining");
+  d_.metrics().spans().record(stats::InstantKind::kMark, d_.engine().now(), 0, 0, 0,
+                              "scale-in: partition " + std::to_string(partition) + " draining");
   submit_on_leader(gid, core::kReconfigRetire, kPollLimit);
   await_drain(partition, d_.engine().now(), kPollLimit);
 }
@@ -121,9 +123,10 @@ void Scaler::await_drain(std::size_t partition, Time submitted_at, int polls_lef
     d_.metrics().histogram("elastic.drain_time_us")
         .record(d_.engine().now() - submitted_at);
     d_.finish_retire(partition);
-    trace(stats::TraceEvent::kPartitionRetired, 0,
-          static_cast<std::int64_t>(d_.partition_gid(partition).value));
-    mark("scale-in: partition " + std::to_string(partition) + " retired");
+    d_.metrics().spans().record(
+        stats::InstantKind::kPartitionRetired, d_.engine().now(), 0, 0,
+        static_cast<std::int64_t>(d_.partition_gid(partition).value),
+        "scale-in: partition " + std::to_string(partition) + " retired");
     DSSMR_ASSERT(pending_removes_ > 0);
     --pending_removes_;
     watchdog(partition, kWatchdogPolls);
@@ -143,20 +146,13 @@ void Scaler::watchdog(std::size_t partition, int polls_left) {
       // variables on the retired partition. The retire record is idempotent:
       // re-delivering it re-sweeps whatever is mapped there now.
       d_.metrics().inc("elastic.straggler_sweeps");
-      mark("scale-in: straggler re-sweep of partition " + std::to_string(partition));
+      d_.metrics().spans().record(
+          stats::InstantKind::kMark, d_.engine().now(), 0, 0, 0,
+          "scale-in: straggler re-sweep of partition " + std::to_string(partition));
       submit_on_leader(d_.partition_gid(partition), core::kReconfigRetire, kPollLimit);
     }
     watchdog(partition, polls_left - 1);
   });
-}
-
-void Scaler::mark(std::string label) {
-  d_.metrics().recorder().mark(d_.engine().now(), stats::Recorder::MarkKind::kEvent,
-                               std::move(label));
-}
-
-void Scaler::trace(stats::TraceEvent e, std::uint64_t id, std::int64_t arg) {
-  d_.metrics().trace().record(e, d_.engine().now(), 0, id, arg);
 }
 
 }  // namespace dssmr::fault

@@ -85,9 +85,6 @@ class Scaler {
   /// Post-retire straggler sweep (see file comment).
   void watchdog(std::size_t partition, int polls_left);
 
-  void mark(std::string label);
-  void trace(stats::TraceEvent e, std::uint64_t id, std::int64_t arg);
-
   harness::Deployment& d_;
   ScalePlan plan_;
   bool armed_ = false;

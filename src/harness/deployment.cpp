@@ -20,7 +20,7 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
   DSSMR_ASSERT(config_.replicas_per_partition >= 1);
   DSSMR_ASSERT(config_.oracle_replicas >= 1);
 
-  if (config_.trace) metrics_.trace().enable();
+  metrics_.spans().enable_instants(config_.trace, config_.telemetry);
   if (config_.spans) {
     metrics_.spans().enable();
     if (config_.spans_capacity != 0) metrics_.spans().set_capacity(config_.spans_capacity);
@@ -83,8 +83,6 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
       server(p, r).init_partition(network_, directory_, partition_gid(p), config_.node,
                                   app_factory_, config_.server, &metrics_,
                                   config_.seed * 7919 + p * 131 + r);
-      server(p, r).set_trace(&metrics_.trace());
-      server(p, r).set_spans(&metrics_.spans());
       server(p, r).set_metrics(&metrics_);
     }
   }
@@ -93,8 +91,6 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
     oracles_[r]->init_oracle(network_, directory_, oracle_gid(), config_.node,
                              policy_factory_(), partition_gids(), config_.oracle, &metrics_,
                              config_.seed * 104729 + r);
-    oracles_[r]->set_trace(&metrics_.trace());
-    oracles_[r]->set_spans(&metrics_.spans());
     oracles_[r]->set_metrics(&metrics_);
   }
 
@@ -300,8 +296,6 @@ GroupId Deployment::add_partition() {
   for (std::size_t r = 0; r < config_.replicas_per_partition; ++r) {
     server(p, r).init_partition(network_, directory_, gid, config_.node, app_factory_,
                                 config_.server, &metrics_, config_.seed * 7919 + p * 131 + r);
-    server(p, r).set_trace(&metrics_.trace());
-    server(p, r).set_spans(&metrics_.spans());
     server(p, r).set_metrics(&metrics_);
     server(p, r).start();
   }

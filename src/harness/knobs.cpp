@@ -1,9 +1,9 @@
 #include "harness/knobs.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <type_traits>
@@ -171,15 +171,15 @@ std::string assign(const Row& row, const char* value, const std::string& experim
     }
     case Kind::kThreads:
     case Kind::kCount: {
-      const long long n = v.empty() ? -1 : std::atoll(v.c_str());
-      if (n < (row.kind == Kind::kThreads ? 1 : 0)) return need;
-      out.*std::get<Field<std::size_t>>(row.field) = static_cast<std::size_t>(n);
+      const std::optional<long long> n = parse_integer(v);
+      if (!n || *n < (row.kind == Kind::kThreads ? 1 : 0)) return need;
+      out.*std::get<Field<std::size_t>>(row.field) = static_cast<std::size_t>(*n);
       return {};
     }
     case Kind::kMicros: {
-      const long long us = v.empty() ? 0 : std::atoll(v.c_str());
-      if (us <= 0) return need;
-      out.*std::get<Field<Duration>>(row.field) = static_cast<Duration>(us);
+      const std::optional<long long> us = parse_integer(v);
+      if (!us || *us <= 0) return need;
+      out.*std::get<Field<Duration>>(row.field) = static_cast<Duration>(*us);
       return {};
     }
     case Kind::kFaultPlan:
@@ -203,6 +203,13 @@ std::string assign(const Row& row, const char* value, const std::string& experim
 }
 
 }  // namespace
+
+std::optional<long long> parse_integer(std::string_view s) {
+  long long n = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), n);
+  if (s.empty() || ec != std::errc{} || end != s.data() + s.size()) return std::nullopt;
+  return n;
+}
 
 void apply_knobs(const RunKnobs& knobs, DeploymentConfig& dep) {
   static_cast<Knobs&>(dep) = knobs;

@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/types.h"
 
@@ -52,8 +54,9 @@ struct Knobs {
   /// Max wait from the first buffered move to the coalesced flush.
   Duration coalesce_delay = usec(200);
 
-  /// Enables the structured event trace (stats::Trace) for the whole
-  /// deployment; off by default so hot paths only pay the enabled-check.
+  /// Records every protocol-event instant (consult, move, retry, ...) in the
+  /// deployment's event store (stats/span.h) — the `--trace` JSONL view; off
+  /// by default so hot paths only pay the enabled-check.
   bool trace = false;
   /// Enables causal span tracing (stats/span.h): per-command phase latency
   /// decomposition and Chrome-trace export. Same default-off rationale.
@@ -66,9 +69,10 @@ struct Knobs {
 
   /// Enables flight-recorder telemetry (stats::Recorder): gauge sampling on
   /// a virtual-time cadence, windowed per-partition heat, windowed latency
-  /// percentiles and timeline marks. Off by default; when off, no tick chain
-  /// is scheduled and every record_* call is a one-branch no-op, so the
-  /// virtual-time schedule is identical to a build without telemetry.
+  /// percentiles and timeline marks (labelled instants in the event store).
+  /// Off by default; when off, no tick chain is scheduled and every record_*
+  /// call is a one-branch no-op, so the virtual-time schedule is identical to
+  /// a build without telemetry.
   bool telemetry = false;
   /// Gauge-sampling cadence and heat/latency bucket width.
   Duration telemetry_interval = msec(100);
@@ -111,5 +115,9 @@ bool parse_bench_flags(int argc, const char* const* argv, const std::string& exp
 
 /// One line per flag: its syntax, help line and default.
 std::string bench_flag_usage();
+
+/// `s` read whole as a decimal integer; nullopt when it is empty, carries
+/// anything after the digits ("4x", "1e3") or overflows.
+std::optional<long long> parse_integer(std::string_view s);
 
 }  // namespace dssmr::harness

@@ -190,7 +190,10 @@ void GroupNode::init_group_node(net::Network& network, const Directory& director
     }
   };
   pcb.on_leadership = [this](bool leading) {
-    if (leading) amcast_->on_gained_leadership();
+    if (!leading) return;
+    record_instant(stats::InstantKind::kLeaderChange, gid_.value,
+                   static_cast<std::int64_t>(paxos_->ballot()));
+    amcast_->on_gained_leadership();
   };
   const std::span<const ProcessId> members = directory.members(gid);
   paxos_ = std::make_unique<consensus::PaxosCore>(
@@ -199,27 +202,25 @@ void GroupNode::init_group_node(net::Network& network, const Directory& director
 
   AmcastCore::Callbacks acb;
   acb.deliver = [this](const AmcastMessage& m, Time stamped_at) {
-    // Leader-gated so one trace record is emitted per group delivery, not one
-    // per replica (matching the leader-gated metrics counters).
+    // Leader-gated so one event is recorded per group delivery, not one per
+    // replica (matching the leader-gated metrics counters).
     const bool leading = paxos_->is_leader();
     if (delivered_ctr_ != nullptr && leading) delivered_ctr_->inc();
-    if (trace_ != nullptr && leading) {
-      trace_->record(stats::TraceEvent::kAmcastDeliver, network_->engine().now(), pid().value,
-                     m.id.value, static_cast<std::int64_t>(m.dests.size()));
-    }
-    if (spans_ != nullptr && spans_->enabled() && leading) {
+    record_instant(stats::InstantKind::kAmcastDeliver, m.id.value,
+                   static_cast<std::int64_t>(m.dests.size()));
+    if (metrics_ != nullptr && metrics_->spans().enabled() && leading) {
       // This group's view of the multicast: stamp -> atomic delivery. The
       // client folds its own end-to-end amcast phase; these server-side spans
       // stay unfolded (one per destination group, they would double-count).
       if (const std::uint64_t tid = m.payload->trace_id(); tid != 0) {
-        spans_->record({.trace_id = tid,
-                        .phase = stats::SpanPhase::kAmcast,
-                        .start = stamped_at,
-                        .end = network_->engine().now(),
-                        .node = pid().value,
-                        .group = gid_,
-                        .arg = static_cast<std::int64_t>(m.dests.size())},
-                       /*fold=*/false);
+        metrics_->spans().record({.trace_id = tid,
+                                  .phase = stats::SpanPhase::kAmcast,
+                                  .start = stamped_at,
+                                  .end = network_->engine().now(),
+                                  .node = pid().value,
+                                  .group = gid_,
+                                  .arg = static_cast<std::int64_t>(m.dests.size())},
+                                 /*fold=*/false);
       }
     }
     on_amdeliver(m);
@@ -252,16 +253,18 @@ void GroupNode::start() {
   paxos_->start();
 }
 
-void GroupNode::set_trace(stats::Trace* trace) {
-  DSSMR_ASSERT_MSG(paxos_ != nullptr, "init_group_node() not called");
-  trace_ = trace;
-  paxos_->set_trace(trace);
-}
-
 void GroupNode::set_metrics(stats::Metrics* metrics) {
   DSSMR_ASSERT_MSG(paxos_ != nullptr, "init_group_node() not called");
+  metrics_ = metrics;
   delivered_ctr_ = metrics != nullptr ? &metrics->counter_handle("amcast.delivered") : nullptr;
   if (batcher_ != nullptr) batcher_->set_metrics(metrics);
+}
+
+void GroupNode::record_instant(stats::InstantKind kind, std::uint64_t id, std::int64_t arg,
+                               std::string label) {
+  if (metrics_ == nullptr || !is_leader()) return;
+  metrics_->spans().record(kind, network_->engine().now(), pid().value, id, arg,
+                           std::move(label));
 }
 
 void GroupNode::halt_node() {

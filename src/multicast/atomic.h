@@ -45,7 +45,6 @@
 #include "sim/engine.h"
 #include "stats/metrics.h"
 #include "stats/span.h"
-#include "stats/trace.h"
 
 namespace dssmr::multicast {
 
@@ -200,19 +199,12 @@ class GroupNode : public net::Actor {
     return batcher_ != nullptr ? batcher_->pending_entries() : 0;
   }
 
-  /// Wires the deployment-wide event trace (leader-gated kAmcastDeliver here,
-  /// kLeaderChange in the Paxos core). Call after init_group_node().
-  void set_trace(stats::Trace* trace);
-
-  /// Wires the deployment-wide span store: each traced payload delivered here
-  /// gets a leader-gated kAmcast span covering stamp -> delivery. Call after
-  /// init_group_node().
-  void set_spans(stats::SpanStore* spans) { spans_ = spans; }
-
   /// Wires the deployment-wide metrics registry: interns a leader-gated
   /// `amcast.delivered` counter bumped once per group delivery (the interned
-  /// handle keeps the per-delivery hot path free of by-name map lookups).
-  /// Call after init_group_node().
+  /// handle keeps the per-delivery hot path free of by-name map lookups), and
+  /// records leader-gated events into its store: a kAmcast span covering
+  /// stamp -> delivery for each traced payload, kAmcastDeliver and
+  /// kLeaderChange instants. Call after init_group_node().
   void set_metrics(stats::Metrics* metrics);
 
  protected:
@@ -228,6 +220,12 @@ class GroupNode : public net::Actor {
 
   MsgId next_msg_id();
 
+  /// Records an instant into the deployment's event store, leader-gated so
+  /// a group event is recorded once, not once per replica. No-op until
+  /// set_metrics() wires a registry.
+  void record_instant(stats::InstantKind kind, std::uint64_t id, std::int64_t arg = 0,
+                      std::string label = {});
+
  private:
   void submit_local_or_remote(GroupId g, consensus::LogEntry entry);
 
@@ -241,8 +239,7 @@ class GroupNode : public net::Actor {
   std::unique_ptr<RmcastEngine> rmcast_;
   /// Server-tier submission batcher; null unless config_.batching enables it.
   std::unique_ptr<SubmitBatcher> batcher_;
-  stats::Trace* trace_ = nullptr;
-  stats::SpanStore* spans_ = nullptr;
+  stats::Metrics* metrics_ = nullptr;
   /// Interned by set_metrics(); nullptr when no metrics sink is wired.
   stats::Counter* delivered_ctr_ = nullptr;
   std::uint64_t next_msg_seq_ = 0;

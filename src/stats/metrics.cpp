@@ -29,7 +29,6 @@ void Metrics::reset() {
   counters_.clear();
   histograms_.clear();
   series_.clear();
-  trace_.clear();
   spans_.clear();
   recorder_.reset();
 }

@@ -17,7 +17,6 @@
 #include "stats/recorder.h"
 #include "stats/span.h"
 #include "stats/timeseries.h"
-#include "stats/trace.h"
 
 namespace dssmr::stats {
 
@@ -54,12 +53,8 @@ class Metrics {
   const std::map<std::string, Histogram>& histograms() const { return histograms_; }
   const std::map<std::string, TimeSeries>& all_series() const { return series_; }
 
-  /// Deployment-wide event trace; disabled unless Trace::enable() is called.
-  Trace& trace() { return trace_; }
-  const Trace& trace() const { return trace_; }
-
-  /// Deployment-wide causal span store; disabled unless SpanStore::enable()
-  /// is called.
+  /// Deployment-wide event store (spans and instants); records nothing until
+  /// SpanStore::enable() / enable_instants() switch a kind on.
   SpanStore& spans() { return spans_; }
   const SpanStore& spans() const { return spans_; }
 
@@ -75,7 +70,6 @@ class Metrics {
   std::map<std::string, Counter> counters_;
   std::map<std::string, Histogram> histograms_;
   std::map<std::string, TimeSeries> series_;
-  Trace trace_;
   SpanStore spans_;
   Recorder recorder_;
 };

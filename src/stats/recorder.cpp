@@ -6,18 +6,6 @@
 
 namespace dssmr::stats {
 
-const char* to_string(Recorder::MarkKind k) {
-  switch (k) {
-    case Recorder::MarkKind::kFaultBegin:
-      return "fault_begin";
-    case Recorder::MarkKind::kFaultEnd:
-      return "fault_end";
-    case Recorder::MarkKind::kEvent:
-      return "event";
-  }
-  return "?";
-}
-
 void Recorder::enable(Duration interval, std::size_t partitions) {
   DSSMR_ASSERT_MSG(interval > 0, "telemetry interval must be positive");
   enabled_ = true;
@@ -87,11 +75,6 @@ void Recorder::record_latency(Time t, std::int64_t latency_us) {
   latency_windows_[idx].record(latency_us);
 }
 
-void Recorder::mark(Time t, MarkKind kind, std::string label) {
-  if (!enabled_) return;
-  marks_.push_back(Mark{t, kind, std::move(label)});
-}
-
 Histogram Recorder::merged_latency() const {
   Histogram out;
   for (const Histogram& h : latency_windows_) out.merge(h);
@@ -105,7 +88,6 @@ void Recorder::reset() {
   gauges_.clear();
   heat_.clear();
   latency_windows_.clear();
-  marks_.clear();
 }
 
 void Recorder::copy_from(const Recorder& other) {
@@ -119,7 +101,6 @@ void Recorder::copy_from(const Recorder& other) {
   for (const Gauge& g : other.gauges_) gauges_.push_back(Gauge{g.name, nullptr, g.values});
   heat_ = other.heat_;
   latency_windows_ = other.latency_windows_;
-  marks_ = other.marks_;
 }
 
 }  // namespace dssmr::stats

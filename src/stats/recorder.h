@@ -17,9 +17,9 @@
 //    recorded at the same site as `client.latency_us`, so merged windows
 //    reproduce the end-of-run histogram and each window answers p50/p99.
 //
-// Marks annotate the timeline with point events: fault-window begin/end from
-// the nemesis and oracle repartitionings, so dashboards can shade disrupted
-// intervals.
+// The run record's timeline marks (fault-window edges, repartitionings) are
+// the labelled instants of the deployment's event store (stats/span.h),
+// recorded while telemetry is on.
 //
 // Disabled mode is zero-cost by construction: every record_* entry point
 // checks one bool and returns, nothing is ever allocated, and the harness
@@ -49,14 +49,6 @@ class Recorder {
   /// TimeSeries::kMaxBuckets: fail loudly on implausible times instead of
   /// letting a clock bug resize vectors to oblivion.
   static constexpr std::size_t kMaxBuckets = 1u << 20;
-
-  enum class MarkKind : std::uint8_t { kFaultBegin, kFaultEnd, kEvent };
-
-  struct Mark {
-    Time at = 0;
-    MarkKind kind = MarkKind::kEvent;
-    std::string label;
-  };
 
   /// One sampled gauge: name, the callback (empty after copying), and one
   /// sampled value per tick.
@@ -118,16 +110,12 @@ class Recorder {
   /// the end-of-run histogram.
   void record_latency(Time t, std::int64_t latency_us);
 
-  /// Timeline annotation (fault window edges, repartitionings).
-  void mark(Time t, MarkKind kind, std::string label);
-
   // -- read side (serialization, dashboards, tests) --------------------------
 
   const std::vector<Time>& tick_times() const { return ticks_; }
   const std::vector<Gauge>& gauges() const { return gauges_; }
   const std::vector<PartitionHeat>& heat() const { return heat_; }
   const std::vector<Histogram>& latency_windows() const { return latency_windows_; }
-  const std::vector<Mark>& marks() const { return marks_; }
 
   /// All latency windows merged into one histogram (equals the end-of-run
   /// latency histogram when both record at the same site).
@@ -145,9 +133,6 @@ class Recorder {
   std::vector<Gauge> gauges_;
   std::vector<PartitionHeat> heat_;
   std::vector<Histogram> latency_windows_;
-  std::vector<Mark> marks_;
 };
-
-const char* to_string(Recorder::MarkKind k);
 
 }  // namespace dssmr::stats

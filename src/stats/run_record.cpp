@@ -47,7 +47,8 @@ void write_series(JsonWriter& w, const TimeSeries& s) {
 // Per-partition `commands`/`multi` sum exactly to the end-of-run
 // `server.single_partition_commands` + `server.multi_partition_commands`
 // counters because both record at the same leader-gated sites.
-void write_telemetry(JsonWriter& w, const Recorder& r) {
+// `marks` is the event store's telemetry view: its labelled instants.
+void write_telemetry(JsonWriter& w, const Recorder& r, const SpanStore& events) {
   w.begin_object();
   w.field("interval_us", static_cast<std::int64_t>(r.interval()));
   w.key("ticks");
@@ -118,11 +119,12 @@ void write_telemetry(JsonWriter& w, const Recorder& r) {
   w.end_array();
   w.key("marks");
   w.begin_array();
-  for (const Recorder::Mark& m : r.marks()) {
+  for (const Instant& e : events.instants()) {
+    if (!events.is_mark(e)) continue;
     w.begin_object();
-    w.field("t_us", static_cast<std::int64_t>(m.at));
-    w.field("kind", to_string(m.kind));
-    w.field("label", m.label);
+    w.field("t_us", static_cast<std::int64_t>(e.t));
+    w.field("kind", mark_kind(e.kind));
+    w.field("label", events.label(e));
     w.end_object();
   }
   w.end_array();
@@ -137,20 +139,65 @@ void write_spans_summary(JsonWriter& w, const SpanStore& s) {
   w.end_object();
 }
 
-void write_trace_summary(JsonWriter& w, const Trace& t) {
+// The `trace` summary is a view of the event store's protocol-event
+// instants: the retained ones, the dropped ones and per-kind totals.
+void write_trace_summary(JsonWriter& w, const SpanStore& events) {
+  std::uint64_t recorded = 0;
+  for (const Instant& e : events.instants()) recorded += events.in_trace(e) ? 1 : 0;
   w.begin_object();
-  w.field("enabled", t.enabled());
-  w.field("recorded", t.records().size());
-  w.field("dropped", t.dropped());
+  w.field("enabled", events.tracing());
+  w.field("recorded", recorded);
+  w.field("dropped", events.dropped_instants());
   w.key("events");
   w.begin_object();
-  for (std::size_t i = 0; i < kTraceEventTypes; ++i) {
-    const auto e = static_cast<TraceEvent>(i);
-    if (t.count(e) > 0) w.field(to_string(e), t.count(e));
+  for (std::size_t i = 0; i < kInstantKinds; ++i) {
+    const auto k = static_cast<InstantKind>(i);
+    if (events.count(k) > 0) w.field(to_string(k), events.count(k));
   }
   w.end_object();
   w.end_object();
 }
+
+/// A summary section built from one counter prefix: present only when some
+/// counter carries the prefix; re-emits those counters with the prefix
+/// stripped, then each listed `<prefix><histogram>` that saw data.
+struct PrefixSection {
+  std::string_view key;
+  std::string_view prefix;
+  std::vector<std::string_view> histograms;
+};
+
+void write_prefix_section(JsonWriter& w, const Metrics& m, const PrefixSection& s) {
+  bool any = false;
+  for (const auto& [name, c] : m.counters()) {
+    if (!name.starts_with(s.prefix)) continue;
+    if (!any) {
+      w.key(s.key);
+      w.begin_object();
+      any = true;
+    }
+    w.field(std::string_view(name).substr(s.prefix.size()), c.value());
+  }
+  if (!any) return;
+  for (std::string_view hist : s.histograms) {
+    const Histogram* h = m.find_histogram(std::string(s.prefix) + std::string(hist));
+    if (h == nullptr || h->count() == 0) continue;
+    w.key(hist);
+    write_histogram(w, *h);
+  }
+  w.end_object();
+}
+
+// v3 `faults` (a nemesis ran), then — after telemetry — v5 `batching`, v6
+// `locality` (prefetch, cache repair or move coalescing was on) and v7
+// `elasticity` (a ScalePlan was armed): one stable place per feature for
+// its tooling.
+const PrefixSection kFaultsSection{"faults", "faults.", {"time_to_new_leader_us"}};
+const PrefixSection kFeatureSections[] = {
+    {"batching", "batch.", {"size_entries"}},
+    {"locality", "locality.", {"bulk_entries"}},
+    {"elasticity", "elastic.", {"drain_time_us", "rebalance_entries"}},
+};
 
 }  // namespace
 
@@ -203,118 +250,21 @@ void write_run_records(std::ostream& os, std::string_view experiment,
       }
       w.end_object();
     }
-    // v3: fault-injection summary, present only for runs that carried
-    // `faults.*` metrics (a nemesis ran). Counters are re-emitted here with
-    // the prefix stripped so fault tooling has one stable place to look.
-    bool any_faults = false;
-    for (const auto& [name, c] : run.metrics.counters()) {
-      if (name.starts_with("faults.")) {
-        any_faults = true;
-        break;
-      }
-    }
-    if (any_faults) {
-      w.key("faults");
-      w.begin_object();
-      for (const auto& [name, c] : run.metrics.counters()) {
-        if (name.starts_with("faults.")) w.field(name.substr(7), c.value());
-      }
-      if (const Histogram* h = run.metrics.find_histogram("faults.time_to_new_leader_us");
-          h != nullptr && h->count() > 0) {
-        w.key("time_to_new_leader_us");
-        write_histogram(w, *h);
-      }
-      w.end_object();
-    }
+    write_prefix_section(w, run.metrics, kFaultsSection);
     // v4: flight-recorder telemetry, present only when the run enabled the
     // Recorder (--telemetry in the benches). Absent otherwise, keeping
     // telemetry-off records identical to pre-telemetry output.
     if (run.metrics.recorder().enabled()) {
       w.key("telemetry");
-      write_telemetry(w, run.metrics.recorder());
+      write_telemetry(w, run.metrics.recorder(), spans);
     }
-    // v5: submission-batching summary, present only for runs that carried
-    // `batch.*` metrics (batching was on somewhere). Counters are re-emitted
-    // with the prefix stripped, plus the flush-size histogram, so batching
-    // tooling has one stable place to look.
-    bool any_batching = false;
-    for (const auto& [name, c] : run.metrics.counters()) {
-      if (name.starts_with("batch.")) {
-        any_batching = true;
-        break;
-      }
-    }
-    if (any_batching) {
-      w.key("batching");
-      w.begin_object();
-      for (const auto& [name, c] : run.metrics.counters()) {
-        if (name.starts_with("batch.")) w.field(name.substr(6), c.value());
-      }
-      if (const Histogram* h = run.metrics.find_histogram("batch.size_entries");
-          h != nullptr && h->count() > 0) {
-        w.key("size_entries");
-        write_histogram(w, *h);
-      }
-      w.end_object();
-    }
-    // v6: locality-fast-path summary, present only for runs that carried
-    // `locality.*` metrics (prefetch, cache repair or move coalescing was
-    // on). Counters are re-emitted with the prefix stripped, plus the
-    // bulk-move size histogram — one stable place for cache-effectiveness
-    // tooling, mirroring the `batching` section.
-    bool any_locality = false;
-    for (const auto& [name, c] : run.metrics.counters()) {
-      if (name.starts_with("locality.")) {
-        any_locality = true;
-        break;
-      }
-    }
-    if (any_locality) {
-      w.key("locality");
-      w.begin_object();
-      for (const auto& [name, c] : run.metrics.counters()) {
-        if (name.starts_with("locality.")) w.field(name.substr(9), c.value());
-      }
-      if (const Histogram* h = run.metrics.find_histogram("locality.bulk_entries");
-          h != nullptr && h->count() > 0) {
-        w.key("bulk_entries");
-        write_histogram(w, *h);
-      }
-      w.end_object();
-    }
-    // v7: elasticity summary, present only for runs that carried `elastic.*`
-    // metrics (a ScalePlan was armed). Counters are re-emitted with the
-    // prefix stripped, plus the rebalance chunk-size histogram — one stable
-    // place for scale-out tooling, mirroring the sections above.
-    bool any_elastic = false;
-    for (const auto& [name, c] : run.metrics.counters()) {
-      if (name.starts_with("elastic.")) {
-        any_elastic = true;
-        break;
-      }
-    }
-    if (any_elastic) {
-      w.key("elasticity");
-      w.begin_object();
-      for (const auto& [name, c] : run.metrics.counters()) {
-        if (name.starts_with("elastic.")) w.field(name.substr(8), c.value());
-      }
-      if (const Histogram* h = run.metrics.find_histogram("elastic.drain_time_us");
-          h != nullptr && h->count() > 0) {
-        w.key("drain_time_us");
-        write_histogram(w, *h);
-      }
-      if (const Histogram* h = run.metrics.find_histogram("elastic.rebalance_entries");
-          h != nullptr && h->count() > 0) {
-        w.key("rebalance_entries");
-        write_histogram(w, *h);
-      }
-      w.end_object();
+    for (const PrefixSection& section : kFeatureSections) {
+      write_prefix_section(w, run.metrics, section);
     }
     w.key("spans");
     write_spans_summary(w, spans);
     w.key("trace");
-    write_trace_summary(w, run.metrics.trace());
+    write_trace_summary(w, spans);
     w.end_object();
   }
   w.end_array();

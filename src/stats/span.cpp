@@ -23,6 +23,39 @@ std::string_view to_string(SpanPhase p) {
   return "unknown";
 }
 
+std::string_view to_string(InstantKind k) {
+  switch (k) {
+    case InstantKind::kConsult: return "consult";
+    case InstantKind::kProphecy: return "prophecy";
+    case InstantKind::kMoveIssued: return "move_issued";
+    case InstantKind::kMoveApplied: return "move_applied";
+    case InstantKind::kMoveFailed: return "move_failed";
+    case InstantKind::kRetry: return "retry";
+    case InstantKind::kFallback: return "fallback";
+    case InstantKind::kLeaderChange: return "leader_change";
+    case InstantKind::kAmcastDeliver: return "amcast_deliver";
+    case InstantKind::kFaultInject: return "fault_inject";
+    case InstantKind::kFaultRecover: return "fault_recover";
+    case InstantKind::kCacheRepair: return "cache_repair";
+    case InstantKind::kRepairReroute: return "repair_reroute";
+    case InstantKind::kPartitionAdded: return "partition_added";
+    case InstantKind::kPartitionDraining: return "partition_draining";
+    case InstantKind::kPartitionRetired: return "partition_retired";
+    case InstantKind::kRebalanceMove: return "rebalance_move";
+    case InstantKind::kMark: return "mark";
+    case InstantKind::kKindCount_: break;  // not a real kind
+  }
+  return "unknown";
+}
+
+std::string_view mark_kind(InstantKind k) {
+  switch (k) {
+    case InstantKind::kFaultInject: return "fault_begin";
+    case InstantKind::kFaultRecover: return "fault_end";
+    default: return "event";
+  }
+}
+
 bool SpanStore::has_phase_data() const {
   for (const Histogram& h : phase_hist_) {
     if (h.count() > 0) return true;
@@ -34,8 +67,10 @@ void SpanStore::clear() {
   spans_.clear();
   counts_.fill(0);
   for (Histogram& h : phase_hist_) h.reset();
-  dropped_ = 0;
   last_id_ = 0;
+  instants_.clear();
+  instant_counts_.fill(0);
+  labels_.clear();
 }
 
 // ---- SpanQuery --------------------------------------------------------------

@@ -1,26 +1,32 @@
-// Causal span tracing: per-command latency decomposition as a span tree.
+// The deployment's event store: intervals (causal spans) and instants.
 //
-// Every client command gets a root span carrying a trace id (the command's
-// stable logical id). The layers the command crosses — client proxy, oracle,
-// atomic multicast, partition servers — record child spans with virtual-clock
-// start/end times, so a finished trace is a tree that decomposes the
-// command's end-to-end latency into protocol phases: consult / move / amcast
-// / queue / execute / reply. The DSN 2016 evaluation reasons entirely in
-// these terms (which phases does a command cross?), and every later perf PR
-// is measured with this layer.
+// DS-SMR fails in sequences (consult -> prophecy -> move -> retry ->
+// fallback), so every layer records what it did into this one store, in two
+// shapes:
 //
-// Two complementary outputs share the store:
-//  * The span list itself — exported to Chrome trace_event JSON
-//    (span_export.h) and queried by tests through SpanQuery ("a retried
-//    command contains >= 2 consult spans").
-//  * Per-phase latency histograms — the client proxy attributes every
-//    microsecond of a command's life to exactly one phase (server timestamps
-//    piggybacked on replies split the post-send window), so the phase
-//    histograms sum to the end-to-end latency exactly. Server-side spans are
-//    recorded with fold=false: they are an additional *view* of time already
-//    attributed by the client, not new latency.
+//  * Intervals (Span). Every client command gets a root span carrying a
+//    trace id (the command's stable logical id). The layers the command
+//    crosses — client proxy, oracle, atomic multicast, partition servers —
+//    record child spans with virtual-clock start/end times, so a finished
+//    trace is a tree that decomposes the command's end-to-end latency into
+//    protocol phases: consult / move / amcast / queue / execute / reply. The
+//    client proxy attributes every microsecond of a command's life to exactly
+//    one phase (server timestamps piggybacked on replies split the post-send
+//    window), so the phase histograms sum to the end-to-end latency exactly.
+//    Server-side spans are recorded with fold=false: they are an additional
+//    *view* of time already attributed by the client, not new latency.
+//  * Instants (Instant). Typed point events with a virtual timestamp —
+//    protocol steps, leader changes, fault edges, scale events. An instant
+//    that carries a label is also a timeline mark for the telemetry
+//    dashboard (fault windows, repartitionings).
 //
-// Tracing is off by default; record() starts with a cheap enabled-check so
+// Three views read the store: the Chrome trace (intervals, span_export.h),
+// the `--trace` JSONL and run-record `trace` summary (protocol-event
+// instants), and the run-record `telemetry.marks` (labelled instants).
+//
+// Recording is off by default and each kind has its own switch: intervals
+// with enable(), protocol-event instants with `trace`, marks with `marks`
+// (see enable_instants). Every record() starts with a cheap flag check, so
 // instrumented hot paths cost one predictable branch when disabled.
 #pragma once
 
@@ -29,6 +35,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -49,8 +56,8 @@ enum class SpanPhase : std::uint8_t {
   kOracle,    // oracle-side consult handling (server view, not a client phase)
   kPrefetch,  // marker: the cache fast path was served from prefetched entries
   kRepair,    // marker: a retry window ended in a piggybacked cache repair
-  // Add new phases directly above and extend to_string(); see the TraceEvent
-  // sentinel in trace.h for the pattern.
+  // Add new phases directly above and extend to_string(); the sentinel keeps
+  // kSpanPhases (and every per-phase array) sized automatically.
   kPhaseCount_,
 };
 
@@ -92,14 +99,61 @@ struct Span {
   Duration duration() const { return end - start; }
 };
 
+enum class InstantKind : std::uint8_t {
+  kConsult,        // client sent a consult to the oracle
+  kProphecy,       // oracle leader answered a consult
+  kMoveIssued,     // a move command was multicast (client in DS-SMR, oracle in DynaStar)
+  kMoveApplied,    // destination leader installed every requested variable
+  kMoveFailed,     // destination leader gave up >= 1 unshipped variable (stale mapping)
+  kRetry,          // client retried its command (stale cache or failed move)
+  kFallback,       // client fell back to S-SMR all-partition execution
+  kLeaderChange,   // a Paxos replica became leader of its group
+  kAmcastDeliver,  // atomic multicast delivered a message (leader-side)
+  kFaultInject,    // nemesis injected a disruption (crash, leader kill, cut, drop burst)
+  kFaultRecover,   // nemesis restored something (recover, heal, drop burst end)
+  kCacheRepair,    // client installed a piggybacked ⟨var, partition, epoch⟩ repair
+  kRepairReroute,  // a retry was re-routed from repaired cache state (no consult)
+  kPartitionAdded,     // oracle admitted a fresh partition (kReconfig add delivered)
+  kPartitionDraining,  // oracle marked a partition draining (kReconfig retire delivered)
+  kPartitionRetired,   // scaler observed the drain barrier and retired the partition
+  kRebalanceMove,      // oracle leader issued one chunked rebalance move
+  kMark,  // a timeline mark with no protocol event (repartitioning, straggler sweep)
+  // Add new kinds directly above and extend to_string(); the sentinel keeps
+  // kInstantKinds (and every count array) sized automatically.
+  kKindCount_,
+};
+
+inline constexpr std::size_t kInstantKinds = static_cast<std::size_t>(InstantKind::kKindCount_);
+static_assert(kInstantKinds == static_cast<std::size_t>(InstantKind::kMark) + 1,
+              "InstantKind changed: point this assert at the new last kind and add "
+              "its to_string() case (stats_test checks exhaustiveness)");
+
+std::string_view to_string(InstantKind k);
+
+/// The telemetry mark kind of a labelled instant: fault injections open a
+/// fault window ("fault_begin"), recoveries close it ("fault_end"), anything
+/// else is an "event".
+std::string_view mark_kind(InstantKind k);
+
+struct Instant {
+  Time t = 0;               // virtual timestamp (microseconds)
+  InstantKind kind{};       //
+  std::uint32_t node = 0;   // recording process id
+  std::uint64_t id = 0;     // command / consult / multicast id
+  std::int64_t arg = 0;     // kind-specific detail (dest group, retry count, ...)
+  std::uint32_t label = 0;  // 0 = no mark; else 1 + index into the store's labels
+};
+
 class SpanStore {
  public:
+  // ---- intervals -------------------------------------------------------------
+
   bool enabled() const { return enabled_; }
   void enable(bool on = true) { enabled_ = on; }
 
   /// Caps the retained span vector; per-phase counts and histograms keep
   /// accumulating past the cap and dropped() reports discarded spans.
-  void set_capacity(std::size_t cap) { capacity_ = cap; }
+  void set_capacity(std::size_t cap) { spans_.capacity = cap; }
 
   /// Pre-allocates a span id (so a root span recorded at command completion
   /// can be referenced as `parent` by children recorded earlier).
@@ -114,16 +168,12 @@ class SpanStore {
     s.folded = fold;
     if (fold) phase_hist_[static_cast<std::size_t>(s.phase)].record(s.duration());
     if (s.id == 0) s.id = ++last_id_;
-    if (spans_.size() < capacity_) {
-      spans_.push_back(s);
-    } else {
-      ++dropped_;
-    }
+    spans_.add(s);
   }
 
-  const std::vector<Span>& spans() const { return spans_; }
+  const std::vector<Span>& spans() const { return spans_.items; }
   std::uint64_t count(SpanPhase p) const { return counts_[static_cast<std::size_t>(p)]; }
-  std::uint64_t dropped() const { return dropped_; }
+  std::uint64_t dropped() const { return spans_.dropped; }
 
   const Histogram& phase_histogram(SpanPhase p) const {
     return phase_hist_[static_cast<std::size_t>(p)];
@@ -135,17 +185,94 @@ class SpanStore {
   void set_group_name(GroupId g, std::string name) { group_names_[g.value] = std::move(name); }
   const std::map<std::uint32_t, std::string>& group_names() const { return group_names_; }
 
-  /// Drops spans, counts and histograms; keeps enabled, capacity and names.
+  // ---- instants --------------------------------------------------------------
+
+  /// `trace` keeps every protocol-event instant (the `--trace` view);
+  /// `marks` keeps labelled instants (the telemetry timeline). An instant
+  /// that is neither traced nor a kept mark is not recorded at all.
+  void enable_instants(bool trace, bool marks) {
+    tracing_ = trace;
+    marking_ = marks;
+  }
+  bool tracing() const { return tracing_; }
+  bool marking() const { return marking_; }
+
+  /// Caps the retained instant vector (default 1<<20, independent of the
+  /// span cap); per-kind counts keep accumulating past it.
+  void set_instant_capacity(std::size_t cap) { instants_.capacity = cap; }
+
+  /// Records an instant at virtual time `t`. kMark instants are marks only
+  /// and never part of the trace view; a non-empty `label` makes any instant
+  /// a timeline mark too. Labels live in a side table so the instant list
+  /// stays compact.
+  void record(InstantKind kind, Time t, std::uint32_t node = 0, std::uint64_t id = 0,
+              std::int64_t arg = 0, std::string label = {}) {
+    const bool traced = tracing_ && kind != InstantKind::kMark;
+    const bool marked = marking_ && !label.empty();
+    if (!traced && !marked) return;
+    if (traced) ++instant_counts_[static_cast<std::size_t>(kind)];
+    const auto label_ref = static_cast<std::uint32_t>(label.empty() ? 0 : labels_.size() + 1);
+    if (instants_.add({t, kind, node, id, arg, label_ref}) && label_ref != 0) {
+      labels_.push_back(std::move(label));
+    }
+  }
+
+  /// Retained instants of every kind, in record order.
+  const std::vector<Instant>& instants() const { return instants_.items; }
+  /// The instant's mark label ("" when it has none).
+  std::string_view label(const Instant& e) const {
+    return e.label == 0 ? std::string_view{} : std::string_view{labels_[e.label - 1]};
+  }
+  /// Trace-view instants of `kind` recorded, including those past the cap.
+  std::uint64_t count(InstantKind kind) const {
+    return instant_counts_[static_cast<std::size_t>(kind)];
+  }
+  std::uint64_t dropped_instants() const { return instants_.dropped; }
+
+  /// The `--trace` view: protocol-event instants, recorded while tracing.
+  bool in_trace(const Instant& e) const { return tracing_ && e.kind != InstantKind::kMark; }
+  /// The telemetry view: labelled instants, recorded while marking.
+  bool is_mark(const Instant& e) const { return marking_ && e.label != 0; }
+
+  /// Drops spans, instants, counts and histograms; keeps the enable flags,
+  /// capacities and names.
   void clear();
 
  private:
+  /// A retained vector with a cap: past it, items are counted as dropped
+  /// instead of stored. Intervals and instants each keep one, so neither
+  /// kind can evict the other.
+  template <typename T>
+  struct Retained {
+    std::vector<T> items;
+    std::size_t capacity = 1u << 20;
+    std::uint64_t dropped = 0;
+
+    /// Keeps `x` if there is room, else counts it dropped; true if kept.
+    bool add(T x) {
+      if (items.size() >= capacity) {
+        ++dropped;
+        return false;
+      }
+      items.push_back(std::move(x));
+      return true;
+    }
+    void clear() {
+      items.clear();
+      dropped = 0;
+    }
+  };
+
   bool enabled_ = false;
-  std::size_t capacity_ = 1u << 20;
+  bool tracing_ = false;
+  bool marking_ = false;
   std::uint64_t last_id_ = 0;
-  std::uint64_t dropped_ = 0;
   std::array<std::uint64_t, kSpanPhases> counts_{};
   std::array<Histogram, kSpanPhases> phase_hist_{};
-  std::vector<Span> spans_;
+  Retained<Span> spans_;
+  std::array<std::uint64_t, kInstantKinds> instant_counts_{};
+  Retained<Instant> instants_;
+  std::vector<std::string> labels_;
   std::map<std::uint32_t, std::string> group_names_;
 };
 

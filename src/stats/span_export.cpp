@@ -112,4 +112,14 @@ void write_chrome_trace(std::ostream& os, const SpanStore& spans,
   os << '\n';
 }
 
+void write_trace_jsonl(std::ostream& os, const SpanStore& events, std::string_view run) {
+  const std::string prefix =
+      run.empty() ? std::string{} : "\"run\":\"" + json_escaped(run) + "\",";
+  for (const Instant& e : events.instants()) {
+    if (!events.in_trace(e)) continue;
+    os << "{" << prefix << "\"t\":" << e.t << ",\"event\":\"" << to_string(e.kind)
+       << "\",\"node\":" << e.node << ",\"id\":" << e.id << ",\"arg\":" << e.arg << "}\n";
+  }
+}
+
 }  // namespace dssmr::stats

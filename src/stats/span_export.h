@@ -1,4 +1,7 @@
-// Chrome trace_event export of a SpanStore.
+// Exports of the event store (stats/span.h): the Chrome trace of its
+// intervals and the JSON Lines trace of its protocol-event instants.
+//
+// Chrome trace_event export (intervals only):
 //
 // Emits the JSON object format ({"traceEvents":[...]}) understood by
 // chrome://tracing and Perfetto (ui.perfetto.dev). Mapping:
@@ -46,5 +49,10 @@ class ChromeTraceExport {
 /// Single-store convenience: one run, finished file.
 void write_chrome_trace(std::ostream& os, const SpanStore& spans,
                         std::string_view run_label = {});
+
+/// The `--trace` view, one JSON object per retained protocol-event instant:
+/// {"t":..,"event":"..","node":..,"id":..,"arg":..}. `run` (when non-empty)
+/// is added to every line so multi-run dumps concatenate into one file.
+void write_trace_jsonl(std::ostream& os, const SpanStore& events, std::string_view run = {});
 
 }  // namespace dssmr::stats

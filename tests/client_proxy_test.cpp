@@ -134,10 +134,10 @@ TEST(ClientProxy, FailedMoveRetriesThenFallsBack) {
   EXPECT_GE(d->metrics().counter("client.retries"), 1u);
   EXPECT_EQ(d->metrics().counter("client.fallbacks"), 1u);
 
-  const stats::Trace& trace = d->metrics().trace();
-  EXPECT_GE(trace.count(stats::TraceEvent::kMoveFailed), 1u);
-  EXPECT_GE(trace.count(stats::TraceEvent::kRetry), 1u);
-  EXPECT_EQ(trace.count(stats::TraceEvent::kFallback), 1u);
+  const stats::SpanStore& events = d->metrics().spans();
+  EXPECT_GE(events.count(stats::InstantKind::kMoveFailed), 1u);
+  EXPECT_GE(events.count(stats::InstantKind::kRetry), 1u);
+  EXPECT_EQ(events.count(stats::InstantKind::kFallback), 1u);
 }
 
 // Regression: after a move the client used to cache ALL the command's
@@ -160,7 +160,7 @@ TEST(ClientProxy, FailedMoveCachesOnlyInstalledVars) {
 
   EXPECT_EQ(run_op(*d, 0, kv_sum({VarId{1}, VarId{5}}, VarId{1})), ReplyCode::kOk);
   EXPECT_EQ(d->metrics().counter("client.fallbacks"), 1u);
-  EXPECT_GE(d->metrics().trace().count(stats::TraceEvent::kMoveFailed), 1u);
+  EXPECT_GE(d->metrics().spans().count(stats::InstantKind::kMoveFailed), 1u);
   // The phantom never landed anywhere: caching it would poison the cache.
   EXPECT_EQ(d->client(0).cached_location(VarId{5}), std::nullopt);
   // The real variable did install at the move destination and may be cached.

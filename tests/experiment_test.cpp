@@ -78,11 +78,11 @@ TEST(Experiment, DssmrMovesSubsideOnPartitionableWorkload) {
 
   // The event trace agrees with the counters, and under strong locality the
   // retry budget is never exhausted — the S-SMR fallback must not fire.
-  const stats::Trace& t = r.metrics.trace();
-  EXPECT_GT(t.count(stats::TraceEvent::kConsult), 0u);
-  EXPECT_EQ(t.count(stats::TraceEvent::kConsult), r.counter("client.consults"));
-  EXPECT_EQ(t.count(stats::TraceEvent::kMoveIssued), r.counter("client.moves"));
-  EXPECT_EQ(t.count(stats::TraceEvent::kFallback), 0u);
+  const stats::SpanStore& t = r.metrics.spans();
+  EXPECT_GT(t.count(stats::InstantKind::kConsult), 0u);
+  EXPECT_EQ(t.count(stats::InstantKind::kConsult), r.counter("client.consults"));
+  EXPECT_EQ(t.count(stats::InstantKind::kMoveIssued), r.counter("client.moves"));
+  EXPECT_EQ(t.count(stats::InstantKind::kFallback), 0u);
 }
 
 TEST(Experiment, RunRecordSerializesToJson) {

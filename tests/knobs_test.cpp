@@ -96,11 +96,17 @@ TEST(Knobs, BadValuesMakeFinishReturnTwo) {
   const std::vector<Args> bad = {
       {"--jobs", "0"},
       {"--jobs"},
+      {"--jobs", "abc"},
       {"--batch-size", "-1"},
+      {"--batch-size", "abc"},
+      {"--batch-size", "4x"},
+      {"--pipeline-depth", "1e3"},
       {"--pipeline-depth", "-2"},
       {"--prefetch-k", "-1"},
       {"--coalesce-moves", "-4"},
       {"--batch-delay-us", "0"},
+      {"--batch-delay-us", "5x"},
+      {"--telemetry-interval", "1e3"},
       {"--coalesce-delay-us", "0"},
       {"--telemetry-interval", "0"},
       {"--nemesis", "not-a-plan"},
@@ -118,6 +124,7 @@ TEST(Knobs, BadValuesMakeFinishReturnTwo) {
   EXPECT_TRUE(sink_for({"--nemesis", "not-a-plan"}).options().nemesis.empty());
   EXPECT_TRUE(sink_for({"--scale-plan", "not-a-plan"}).options().scale_plan.empty());
   EXPECT_FALSE(sink_for({"--telemetry-interval", "0"}).options().telemetry);
+  EXPECT_EQ(sink_for({"--batch-size", "4x"}).options().batch_size, 0u);
 }
 
 TEST(Knobs, UsageNamesEveryFlag) {

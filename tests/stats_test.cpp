@@ -4,14 +4,15 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "stats/histogram.h"
 #include "stats/json_writer.h"
 #include "stats/metrics.h"
 #include "stats/run_record.h"
 #include "stats/span.h"
+#include "stats/span_export.h"
 #include "stats/timeseries.h"
-#include "stats/trace.h"
 
 namespace dssmr::stats {
 namespace {
@@ -266,57 +267,79 @@ TEST(JsonWriter, NonFiniteDoublesBecomeNull) {
   EXPECT_EQ(os.str(), "[\n  null,\n  null\n]");
 }
 
+// The trace view of the event store: protocol-event instants, recorded while
+// tracing is on.
+
+std::vector<Instant> select(const SpanStore& s, InstantKind kind) {
+  std::vector<Instant> out;
+  for (const Instant& e : s.instants()) {
+    if (e.kind == kind) out.push_back(e);
+  }
+  return out;
+}
+
 TEST(Trace, DisabledRecordsNothing) {
-  Trace t;
-  t.record(TraceEvent::kConsult, 10);
-  EXPECT_EQ(t.total(), 0u);
-  EXPECT_TRUE(t.records().empty());
+  SpanStore s;
+  s.record(InstantKind::kConsult, 10);
+  s.record(InstantKind::kFaultInject, 10, 0, 0, 0, "crash");  // marks are off too
+  EXPECT_EQ(s.count(InstantKind::kConsult), 0u);
+  EXPECT_TRUE(s.instants().empty());
 }
 
 TEST(Trace, CountsAndSelect) {
-  Trace t;
-  t.enable();
-  t.record(TraceEvent::kConsult, 10, 1, 100);
-  t.record(TraceEvent::kRetry, 20, 1, 100, 1);
-  t.record(TraceEvent::kRetry, 30, 1, 100, 2);
-  t.record(TraceEvent::kFallback, 40, 1, 100, 2);
-  EXPECT_EQ(t.count(TraceEvent::kRetry), 2u);
-  EXPECT_EQ(t.count(TraceEvent::kFallback), 1u);
-  EXPECT_EQ(t.total(), 4u);
-  auto retries = t.select(TraceEvent::kRetry);
+  SpanStore s;
+  s.enable_instants(/*trace=*/true, /*marks=*/false);
+  s.record(InstantKind::kConsult, 10, 1, 100);
+  s.record(InstantKind::kRetry, 20, 1, 100, 1);
+  s.record(InstantKind::kRetry, 30, 1, 100, 2);
+  s.record(InstantKind::kFallback, 40, 1, 100, 2);
+  s.record(InstantKind::kMark, 50, 0, 0, 0, "repartition #1");  // not a trace event
+  EXPECT_EQ(s.count(InstantKind::kRetry), 2u);
+  EXPECT_EQ(s.count(InstantKind::kFallback), 1u);
+  EXPECT_EQ(s.count(InstantKind::kMark), 0u);
+  EXPECT_EQ(s.instants().size(), 4u);
+  auto retries = select(s, InstantKind::kRetry);
   ASSERT_EQ(retries.size(), 2u);
   EXPECT_EQ(retries[0].t, 20);
   EXPECT_EQ(retries[1].arg, 2);
 }
 
 TEST(Trace, CapacityDropsRecordsButKeepsCounts) {
-  Trace t;
-  t.enable();
-  t.set_capacity(2);
-  for (int i = 0; i < 5; ++i) t.record(TraceEvent::kAmcastDeliver, i);
-  EXPECT_EQ(t.records().size(), 2u);
-  EXPECT_EQ(t.dropped(), 3u);
-  EXPECT_EQ(t.count(TraceEvent::kAmcastDeliver), 5u);
+  SpanStore s;
+  s.enable();
+  s.enable_instants(/*trace=*/true, /*marks=*/false);
+  s.set_instant_capacity(2);
+  for (int i = 0; i < 5; ++i) s.record(InstantKind::kAmcastDeliver, i);
+  EXPECT_EQ(s.instants().size(), 2u);
+  EXPECT_EQ(s.dropped_instants(), 3u);
+  EXPECT_EQ(s.count(InstantKind::kAmcastDeliver), 5u);
+  // Each kind has its own cap: a full instant list leaves spans untouched.
+  s.record({.trace_id = 1, .phase = SpanPhase::kConsult, .start = 1, .end = 2});
+  EXPECT_EQ(s.spans().size(), 1u);
+  EXPECT_EQ(s.dropped(), 0u);
 }
 
 TEST(Trace, ClearKeepsEnabledFlag) {
-  Trace t;
-  t.enable();
-  t.record(TraceEvent::kConsult, 1);
-  t.clear();
-  EXPECT_TRUE(t.enabled());
-  EXPECT_EQ(t.total(), 0u);
-  t.record(TraceEvent::kConsult, 2);
-  EXPECT_EQ(t.total(), 1u);
+  SpanStore s;
+  s.enable_instants(/*trace=*/true, /*marks=*/true);
+  s.record(InstantKind::kConsult, 1);
+  s.clear();
+  EXPECT_TRUE(s.tracing());
+  EXPECT_TRUE(s.marking());
+  EXPECT_TRUE(s.instants().empty());
+  EXPECT_EQ(s.count(InstantKind::kConsult), 0u);
+  s.record(InstantKind::kConsult, 2);
+  EXPECT_EQ(s.count(InstantKind::kConsult), 1u);
 }
 
 TEST(Trace, WriteJsonlOneLinePerRecord) {
-  Trace t;
-  t.enable();
-  t.record(TraceEvent::kMoveIssued, 5, 9, 42, 1);
-  t.record(TraceEvent::kMoveFailed, 6, 3, 42, 1);
+  SpanStore s;
+  s.enable_instants(/*trace=*/true, /*marks=*/true);
+  s.record(InstantKind::kMoveIssued, 5, 9, 42, 1);
+  s.record(InstantKind::kMark, 6, 0, 0, 0, "repartition #1");  // marks-only view
+  s.record(InstantKind::kMoveFailed, 6, 3, 42, 1);
   std::ostringstream os;
-  t.write_jsonl(os, "my \"run\"");
+  write_trace_jsonl(os, s, "my \"run\"");
   const std::string out = os.str();
   std::size_t lines = 0;
   for (char c : out) lines += c == '\n' ? 1 : 0;
@@ -326,18 +349,18 @@ TEST(Trace, WriteJsonlOneLinePerRecord) {
   EXPECT_NE(out.find("\"run\":\"my \\\"run\\\"\""), std::string::npos);
 }
 
-// Guards the enum / to_string / sentinel triple: adding a TraceEvent without
-// a to_string case trips this (the static_assert in trace.h catches a stale
-// sentinel at compile time).
+// Guards the enum / to_string / sentinel triple: adding an InstantKind
+// without a to_string case trips this (the static_assert in span.h catches a
+// stale sentinel at compile time).
 TEST(Trace, ToStringCoversEveryEvent) {
   std::set<std::string_view> names;
-  for (std::size_t i = 0; i < kTraceEventTypes; ++i) {
-    const std::string_view name = to_string(static_cast<TraceEvent>(i));
-    EXPECT_NE(name, "unknown") << "TraceEvent " << i << " missing a to_string case";
+  for (std::size_t i = 0; i < kInstantKinds; ++i) {
+    const std::string_view name = to_string(static_cast<InstantKind>(i));
+    EXPECT_NE(name, "unknown") << "InstantKind " << i << " missing a to_string case";
     EXPECT_FALSE(name.empty());
     names.insert(name);
   }
-  EXPECT_EQ(names.size(), kTraceEventTypes) << "duplicate TraceEvent names";
+  EXPECT_EQ(names.size(), kInstantKinds) << "duplicate InstantKind names";
 }
 
 TEST(Span, ToStringCoversEveryPhase) {
@@ -478,8 +501,8 @@ TEST(RunRecord, SerializesSyntheticMetrics) {
   rec.metrics.histogram("lat").record(100);
   rec.metrics.histogram("lat").record(200);
   rec.metrics.series("tput").add(0, 3);
-  rec.metrics.trace().enable();
-  rec.metrics.trace().record(TraceEvent::kConsult, 1);
+  rec.metrics.spans().enable_instants(/*trace=*/true, /*marks=*/false);
+  rec.metrics.spans().record(InstantKind::kConsult, 1);
   std::ostringstream os;
   write_run_records(os, "unit", {rec});
   const std::string json = os.str();

@@ -8,10 +8,12 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.h"
 #include "stats/run_record.h"
+#include "stats/span_export.h"
 #include "testing/tiny_json.h"
 
 namespace dssmr::stats {
@@ -25,12 +27,43 @@ TEST(Recorder, DisabledEntryPointsAreNoOps) {
   r.record_command(msec(5), 0, false);
   r.record_move(msec(5), 1);
   r.record_latency(msec(5), 123);
-  r.mark(msec(5), Recorder::MarkKind::kEvent, "ignored");
   r.tick(msec(5));
   EXPECT_TRUE(r.heat().empty());
   EXPECT_TRUE(r.latency_windows().empty());
-  EXPECT_TRUE(r.marks().empty());
   EXPECT_TRUE(r.tick_times().empty());
+}
+
+// ---- Timeline marks: labelled instants in the event store --------------------
+
+TEST(Marks, RecordedOnlyWhileMarking) {
+  SpanStore s;
+  s.record(InstantKind::kMark, msec(5), 0, 0, 0, "ignored");
+  EXPECT_TRUE(s.instants().empty());
+
+  s.enable_instants(/*trace=*/false, /*marks=*/true);
+  s.record(InstantKind::kConsult, msec(6));  // protocol event, tracing off
+  s.record(InstantKind::kFaultInject, msec(7), 3, 0, 0, "crash pid=3");
+  ASSERT_EQ(s.instants().size(), 1u);
+  EXPECT_TRUE(s.is_mark(s.instants()[0]));
+  EXPECT_FALSE(s.in_trace(s.instants()[0]));
+  // Marks are not part of the trace view's per-kind totals.
+  EXPECT_EQ(s.count(InstantKind::kFaultInject), 0u);
+}
+
+TEST(Marks, CopyKeepsLabelsAndKinds) {
+  SpanStore s;
+  s.enable_instants(/*trace=*/false, /*marks=*/true);
+  s.record(InstantKind::kFaultInject, msec(20), 0, 0, 0, "crash");
+  s.record(InstantKind::kFaultRecover, msec(30), 0, 0, 0, "recover");
+  s.record(InstantKind::kMark, msec(40), 0, 0, 0, "repartition #1");
+
+  const SpanStore copy = s;  // what RunRecord snapshotting does
+  ASSERT_EQ(copy.instants().size(), 3u);
+  EXPECT_EQ(copy.label(copy.instants()[0]), "crash");
+  EXPECT_EQ(copy.label(copy.instants()[2]), "repartition #1");
+  EXPECT_EQ(mark_kind(copy.instants()[0].kind), "fault_begin");
+  EXPECT_EQ(mark_kind(copy.instants()[1].kind), "fault_end");
+  EXPECT_EQ(mark_kind(copy.instants()[2].kind), "event");
 }
 
 TEST(Recorder, HeatBucketsCommandsByIntervalAndPartition) {
@@ -107,7 +140,6 @@ TEST(Recorder, CopyKeepsDataDropsCallbacks) {
   r.register_gauge("g", [] { return 7.0; });
   r.tick(msec(100));
   r.record_command(msec(10), 0, false);
-  r.mark(msec(20), Recorder::MarkKind::kFaultBegin, "crash");
 
   const Recorder copy = r;  // what RunRecord snapshotting does
   EXPECT_TRUE(copy.enabled());
@@ -116,9 +148,6 @@ TEST(Recorder, CopyKeepsDataDropsCallbacks) {
   ASSERT_EQ(copy.gauges()[0].values.size(), 1u);
   EXPECT_DOUBLE_EQ(copy.gauges()[0].values[0], 7.0);
   EXPECT_EQ(copy.heat()[0].total_commands, 1u);
-  ASSERT_EQ(copy.marks().size(), 1u);
-  EXPECT_EQ(copy.marks()[0].label, "crash");
-  EXPECT_STREQ(to_string(copy.marks()[0].kind), "fault_begin");
 }
 
 TEST(RecorderDeathTest, FarFutureTimeFailsLoudly) {
@@ -224,6 +253,40 @@ TEST(Telemetry, RunRecordV4RoundTripsWithTelemetrySection) {
     EXPECT_GE(l.number, 0.0);
     EXPECT_LE(l.number, 1.0);
   }
+}
+
+// One event store: each nemesis fault edge is a single instant, so with both
+// views on every fault_inject/fault_recover in the trace view pairs 1:1 with a
+// fault_begin/fault_end mark at the same virtual time.
+TEST(Telemetry, FaultInstantsPairWithFaultMarks) {
+  auto cfg = tiny_cfg();
+  cfg.trace = true;
+  cfg.telemetry = true;
+  cfg.nemesis = "leader-kill-recover";
+  const auto r = harness::run_chirper(cfg);
+
+  const testing::JsonValue doc = testing::JsonParser::parse(record_json(cfg, r));
+  const testing::JsonValue& run = doc.at("runs").array.at(0);
+  std::vector<std::pair<std::string, std::int64_t>> marks;
+  for (const testing::JsonValue& m : run.at("telemetry").at("marks").array) {
+    if (m.at("kind").str != "event") marks.emplace_back(m.at("kind").str, m.at("t_us").as_int());
+  }
+  std::ostringstream jsonl;
+  write_trace_jsonl(jsonl, r.metrics.spans());
+  std::vector<std::pair<std::string, std::int64_t>> faults;
+  std::istringstream lines(jsonl.str());
+  for (std::string line; std::getline(lines, line);) {
+    const testing::JsonValue e = testing::JsonParser::parse(line);
+    const std::string& event = e.at("event").str;
+    if (event == "fault_inject") faults.emplace_back("fault_begin", e.at("t").as_int());
+    if (event == "fault_recover") faults.emplace_back("fault_end", e.at("t").as_int());
+  }
+  EXPECT_FALSE(faults.empty());
+  EXPECT_EQ(faults, marks);
+  const testing::JsonValue& summary = run.at("trace").at("events");
+  EXPECT_EQ(static_cast<std::size_t>(summary.at("fault_inject").as_int() +
+                                     summary.at("fault_recover").as_int()),
+            faults.size());
 }
 
 TEST(Telemetry, MergedLatencyWindowsTileEndOfRunHistogram) {

@@ -10,7 +10,8 @@ CI:
     prints. Every row must carry a non-empty help line, no flag may be
     declared twice, and README.md must point readers at the table.
   * Run-record schema keys — every JSON key emitted by
-    src/stats/run_record.cpp (`w.key("...")` calls) plus the schema version
+    src/stats/run_record.cpp (`w.key("...")` calls and the section keys and
+    histogram names of its prefix-section table) plus the schema version
     token must be documented in docs/schema.md.
 
 Usage:
@@ -45,6 +46,8 @@ ROW_RE = re.compile(r'\{\s*\.flag\s*=\s*"(--[a-z][a-z-]*)"(.*?)\}', re.S)
 HELP_RE = re.compile(r'\.help\s*=\s*((?:"(?:[^"\\]|\\.)*"\s*)+)')
 LITERAL_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 KEY_RE = re.compile(r'w\.key\("([A-Za-z_.]+)"\)')
+# One prefix-section table entry: `{"section", "prefix.", {"hist", ...}}`.
+SECTION_RE = re.compile(r'\{"([A-Za-z_]+)", "[A-Za-z_.]+", \{([^{}]*)\}\}')
 SCHEMA_RE = re.compile(r'kRunRecordSchema\s*=\s*"([^"]+)"')
 
 
@@ -71,7 +74,11 @@ def extract_flags(source_text):
 
 
 def extract_keys(writer_text, header_text):
-    keys = sorted(set(KEY_RE.findall(writer_text)))
+    keys = set(KEY_RE.findall(writer_text))
+    for section, histograms in SECTION_RE.findall(writer_text):
+        keys.add(section)
+        keys.update(LITERAL_RE.findall(histograms))
+    keys = sorted(keys)
     m = SCHEMA_RE.search(header_text)
     if not m:
         die(f"{SCHEMA_SOURCE}: no kRunRecordSchema token found")

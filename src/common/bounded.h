@@ -37,6 +37,10 @@ class BoundedSet {
 
   bool contains(const T& value) const { return set_.contains(value); }
   std::size_t size() const { return set_.size(); }
+  void clear() {
+    set_.clear();
+    order_.clear();
+  }
 
  private:
   std::size_t capacity_;

@@ -208,7 +208,7 @@ void PaxosCore::step_down(Ballot seen) {
 
 bool PaxosCore::submit(LogEntry entry) {
   if (halted_ || role_ != Role::Leader) return false;
-  if (!submitted_ids_.insert(entry.id.value).second) return true;  // duplicate
+  if (!submitted_ids_.insert(entry.id.value)) return true;  // duplicate
   pending_.push_back(std::move(entry));
   if (pending_.size() >= cfg_.max_batch) {
     flush_pending();

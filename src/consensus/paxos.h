@@ -30,6 +30,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/bounded.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "net/message.h"
@@ -257,7 +258,14 @@ class PaxosCore {
   /// Count of undecided entries in proposals_ (the pipeline occupancy).
   std::size_t inflight_ = 0;
   Batch pending_;
-  std::unordered_set<std::uint64_t> submitted_ids_;
+  /// Entry ids submitted while leading, so a duplicate is not proposed
+  /// twice. Duplicates are the same entry submitted by each replica of a
+  /// sending group, or re-answered after a timestamp query: they trail the
+  /// first copy by one round trip or one `ts_retry_interval`, and 4096 ids
+  /// spans far more than either at the benches' per-leader submit rates.
+  /// Correctness does not rest on the window: the multicast layer drops a
+  /// decided duplicate stamp or timestamp at delivery.
+  BoundedSet<std::uint64_t> submitted_ids_{4096};
 
   sim::TimerId election_timer_ = 0;
   sim::TimerId heartbeat_timer_ = 0;

@@ -430,6 +430,8 @@ void ClientProxy::send_dssmr_move(GroupId dest, const std::vector<GroupId>& sour
 void ClientProxy::send_command(std::vector<GroupId> dests, Phase next_phase) {
   awaited_reply_ = cmd_.id;
   phase_ = next_phase;
+  awaited_groups_ = dests.size();
+  not_involved_.clear();
   sent_at_ = network().engine().now();  // first send; retransmissions keep the window
   batch_flushed_at_ = 0;
   auto payload = net::make_msg<CommandMsg>(cmd_);
@@ -470,6 +472,19 @@ void ClientProxy::on_reply(ProcessId from, const net::MessagePtr& m) {
   const auto* r = net::msg_cast<ReplyMsg>(m);
   if (r == nullptr) return;
   if (phase_ == Phase::kIdle || r->cmd_id != awaited_reply_) return;  // stale/duplicate
+
+  if (r->code == ReplyCode::kNotInvolved) {
+    // A partition holding none of an S-SMR command's variables neither waits
+    // for nor executes it; the partitions that do hold one answer. When no
+    // destination holds any, the variables exist nowhere: the command's
+    // answer is kNok, as a consult's is for unknown variables.
+    not_involved_.insert(r->from_group);
+    if (not_involved_.size() == awaited_groups_) {
+      decompose_reply(*r);
+      finish(ReplyCode::kNok, nullptr);
+    }
+    return;
+  }
 
   switch (phase_) {
     case Phase::kAwaitMove: {

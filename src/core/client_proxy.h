@@ -12,7 +12,8 @@
 //   3. Multicast the command to the single destination partition.
 //   4. A `retry` answer means the mapping changed under us: invalidate the
 //      cache and go back to 1. After `max_retries` attempts, fall back to
-//      S-SMR — multicast to every partition — which always terminates.
+//      S-SMR — multicast to every partition, of which those holding one of
+//      its variables execute it — which always terminates.
 //
 // The same proxy also implements the S-SMR baseline (`kStaticSsmr`): the
 // oracle is a local immutable map and commands go straight to the statically
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "common/flat_map.h"
+#include "common/small_set.h"
 #include "common/types.h"
 #include "core/mapping.h"
 #include "multicast/client.h"
@@ -186,6 +188,12 @@ class ClientProxy : public multicast::ClientNode {
   static constexpr std::size_t kMaxOutstandingConsults = 8;
   std::vector<std::uint64_t> outstanding_consults_;
   MsgId awaited_reply_{0};
+  /// Destinations of the current command send, and those that answered
+  /// kNotInvolved: an S-SMR execution's outcome comes from the partitions
+  /// that hold its variables, so the others' answers only matter when every
+  /// destination gave one (see on_reply).
+  std::size_t awaited_groups_ = 0;
+  common::SmallSet<GroupId> not_involved_;
   GroupId pending_dest_ = kNoGroup;
   std::function<void()> resend_;
   sim::TimerId timeout_ = 0;

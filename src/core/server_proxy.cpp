@@ -290,14 +290,42 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m,
                                            const Command& cmd) {
   const ProcessId client = cmd.requester != kNoProcess ? cmd.requester : m.sender;
   const Time delivered = engine().now();
-  bump(ctr_.multi_partition);
-  heat_command(/*multi=*/true);
-  inflight_.insert(cmd.id);
-
   std::vector<GroupId> others;
   for (GroupId g : m.dests) {
     if (g != group() && g != config_.oracle_group) others.push_back(g);
   }
+
+  // Uninvolved: we neither own nor store any of the command's variables (the
+  // common case for an all-partition fallback). Our at-head snapshot would
+  // then be empty: a value enters store_ only through a task queued ahead of
+  // this one (a move install or a create), each of those claimed ownership at
+  // its own, earlier delivery, and a claim that is gone by now was dropped by
+  // a failed install (no value) or by a move-out or delete whose task, also
+  // ahead of ours, removes the value again. So we ship the same empty set now
+  // instead of at head, the involved peers compute exactly what they would
+  // have, and our queue never blocks on this command. The reply is cached and
+  // recorded as final so a retransmission is never executed here later, even
+  // after a move has brought one of the variables in.
+  const std::vector<VarId> vars = cmd.vars();
+  const bool involved = std::any_of(vars.begin(), vars.end(), [this](VarId v) {
+    return owned_.contains(v) || store_.contains(v);
+  });
+  if (!involved) {
+    // By name, not interned at init: runs without fallbacks keep their counters.
+    if (is_leader() && metrics_ != nullptr) metrics_->inc("server.fallback_uninvolved");
+    if (!others.empty()) {
+      rmcast(others, net::make_msg<VarShipMsg>(cmd.id, group(), /*is_move=*/false,
+                                               decltype(VarShipMsg::vars){}));
+    }
+    coord_.erase(cmd.id);  // peer shipments that arrived before our delivery
+    reply_to(client, cmd.id, ReplyCode::kNotInvolved, nullptr, /*cache=*/true,
+             ReplyTiming{delivered, delivered, delivered}, /*access_final=*/true);
+    return;
+  }
+
+  bump(ctr_.multi_partition);
+  heat_command(/*multi=*/true);
+  inflight_.insert(cmd.id);
 
   const Duration service = app_->service_time(cmd);
   exec_->enqueue(smr::ExecutionEngine::Task{

@@ -32,6 +32,8 @@ const char* to_string(ReplyCode c) {
       return "nok";
     case ReplyCode::kRetired:
       return "retired";
+    case ReplyCode::kNotInvolved:
+      return "not_involved";
   }
   return "?";
 }

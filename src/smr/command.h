@@ -101,9 +101,10 @@ struct BulkMoveMsg final : net::Message {
 
 enum class ReplyCode : std::uint8_t {
   kOk,
-  kRetry,    // partition did not hold all variables — re-consult the oracle
-  kNok,      // command cannot execute (missing/duplicate variable)
-  kRetired,  // partition has drained and left the deployment — re-consult
+  kRetry,        // partition did not hold all variables — re-consult the oracle
+  kNok,          // command cannot execute (missing/duplicate variable)
+  kRetired,      // partition has drained and left the deployment — re-consult
+  kNotInvolved,  // multi-partition command: partition holds none of its variables
 };
 
 const char* to_string(ReplyCode c);

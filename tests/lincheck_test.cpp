@@ -167,20 +167,29 @@ TEST_P(SsmrLinearizability, StaticStrategyHistoriesAreLinearizable) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SsmrLinearizability, ::testing::Values(11, 12, 13, 14, 15));
 
 TEST(DssmrLinearizabilityFaults, HistoryWithFallbacksIsLinearizable) {
-  constexpr std::size_t kVars = 4;
-  auto cfg = small_config(2, Strategy::kDssmr, 4);
-  cfg.client_max_retries = 0;  // every stale access falls back to S-SMR
-  Deployment d{cfg, kv::kv_app_factory(),
-               [] { return std::make_unique<core::DssmrPolicy>(); }};
-  KvSpec spec;
-  for (std::size_t i = 0; i < kVars; ++i) {
-    d.preload_var(VarId{i}, d.partition_gid(i % 2), kv::KvValue{0, ""});
-    spec.preload(VarId{i}, 0, "");
+  // Fallbacks go to all three partitions; most touch one or two, so the
+  // others answer "not involved" without executing. Histories must stay
+  // linearizable, and the uninvolved path must actually have been taken.
+  constexpr std::size_t kVars = 6;
+  std::uint64_t uninvolved = 0;
+  for (std::uint64_t seed : {77, 78, 79, 80, 81, 82}) {
+    auto cfg = small_config(3, Strategy::kDssmr, 6);
+    cfg.client_max_retries = 0;  // every stale access falls back to S-SMR
+    cfg.seed = seed;
+    Deployment d{cfg, kv::kv_app_factory(),
+                 [] { return std::make_unique<core::DssmrPolicy>(); }};
+    KvSpec spec;
+    for (std::size_t i = 0; i < kVars; ++i) {
+      d.preload_var(VarId{i}, d.partition_gid(i % 3), kv::KvValue{0, ""});
+      spec.preload(VarId{i}, 0, "");
+    }
+    d.start();
+    d.settle();
+    auto history = record_history(d, 6, seed, kVars);
+    EXPECT_TRUE(is_linearizable(history, spec)) << "seed " << seed;
+    uninvolved += d.metrics().counter("server.fallback_uninvolved");
   }
-  d.start();
-  d.settle();
-  auto history = record_history(d, 8, 77, kVars);
-  EXPECT_TRUE(is_linearizable(history, spec));
+  EXPECT_GT(uninvolved, 0u);
 }
 
 TEST(DssmrLinearizabilityFaults, HistoryAcrossPartitionLeaderCrashIsLinearizable) {

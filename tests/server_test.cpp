@@ -14,9 +14,11 @@ using harness::Deployment;
 using smr::ReplyCode;
 using namespace dssmr::testing;
 
-std::unique_ptr<Deployment> kv_deployment(std::size_t parts, Strategy strategy,
-                                          std::size_t vars = 8, std::size_t clients = 4) {
+std::unique_ptr<Deployment> kv_deployment(
+    std::size_t parts, Strategy strategy, std::size_t vars = 8, std::size_t clients = 4,
+    int max_retries = harness::DeploymentConfig{}.client_max_retries) {
   auto cfg = small_config(parts, strategy, clients);
+  cfg.client_max_retries = max_retries;
   auto d = std::make_unique<Deployment>(
       cfg, kv::kv_app_factory(),
       [] { return std::make_unique<DssmrPolicy>(DssmrPolicy::DestRule::kMostHeld); });
@@ -171,6 +173,98 @@ TEST(ServerFallback, FallbackExecutesDespiteScatteredVars) {
   EXPECT_EQ(run_op(*d, 0, kv_get(VarId{1}), &reply), ReplyCode::kOk);
   EXPECT_EQ(kv_num(reply), 10);
   EXPECT_EQ(d->metrics().counter("client.fallbacks"), 1u);
+}
+
+// Executed tasks and CPU-busy time summed over every replica of partition p.
+std::pair<std::uint64_t, Duration> exec_totals(Deployment& d, std::size_t p) {
+  std::pair<std::uint64_t, Duration> t{0, 0};
+  for (std::size_t r = 0; r < d.config().replicas_per_partition; ++r) {
+    t.first += d.server(p, r).executed_count();
+    t.second += d.server(p, r).busy_time();
+  }
+  return t;
+}
+
+// vi = i on partition i % parts; the first stale answer falls back to S-SMR.
+std::unique_ptr<Deployment> fallback_deployment(std::size_t parts) {
+  return kv_deployment(parts, Strategy::kDssmr, 3 * parts, 4, /*max_retries=*/-1);
+}
+
+TEST(ServerFallback, OnlyPartitionsHoldingAVariableExecuteIt) {
+  // v1 starts on P1; a collocation moves it to P0 behind client 0's cached
+  // location, so client 0's read of v1 falls back to all three partitions.
+  // Only P0 holds v1: P1 and P2 must answer at once and never queue it.
+  auto d = fallback_deployment(3);
+  EXPECT_EQ(run_op(*d, 0, kv_get(VarId{1})), ReplyCode::kOk);  // cache v1@P1
+  EXPECT_EQ(run_op(*d, 1, kv_sum({VarId{0}, VarId{3}, VarId{1}}, VarId{0})), ReplyCode::kOk);
+  d->engine().run_for(msec(100));  // every replica has applied the move
+  ASSERT_TRUE(d->server(0, 0).owns(VarId{1}));
+  const auto p0 = exec_totals(*d, 0);
+  const auto p1 = exec_totals(*d, 1);
+  const auto p2 = exec_totals(*d, 2);
+
+  net::MessagePtr reply;
+  EXPECT_EQ(run_op(*d, 0, kv_get(VarId{1}), &reply), ReplyCode::kOk);
+  EXPECT_EQ(kv_num(reply), 1);
+  d->engine().run_for(msec(100));
+  EXPECT_EQ(d->metrics().counter("client.fallbacks"), 1u);
+  EXPECT_EQ(d->metrics().counter("server.fallback_uninvolved"), 2u);
+  EXPECT_EQ(exec_totals(*d, 1), p1);
+  EXPECT_EQ(exec_totals(*d, 2), p2);
+  EXPECT_EQ(exec_totals(*d, 0).first, p0.first + d->config().replicas_per_partition);
+  EXPECT_GT(exec_totals(*d, 0).second, p0.second);
+}
+
+TEST(ServerFallback, PhantomOnlyFallbackTerminatesWithNok) {
+  // The oracle maps v50 to P0 but no partition holds it: every single-partition
+  // attempt is stale, and the fallback finds no partition involved. The
+  // client must still finish — with kNok, as for an unknown variable.
+  auto d = fallback_deployment(2);
+  for (std::size_t r = 0; r < d->config().oracle_replicas; ++r) {
+    d->oracle(r).preload(VarId{50}, d->partition_gid(0));
+  }
+  bool done = false;
+  ReplyCode rc = ReplyCode::kOk;
+  d->client(0).issue(kv_get(VarId{50}), [&](ReplyCode c, const net::MessagePtr&) {
+    done = true;
+    rc = c;
+  });
+  const Time deadline = d->engine().now() + sec(10);
+  while (!done && d->engine().now() < deadline) d->engine().run_for(msec(5));
+  ASSERT_TRUE(done) << "phantom-only fallback wedged";
+  EXPECT_EQ(rc, ReplyCode::kNok);
+  EXPECT_EQ(d->metrics().counter("client.fallbacks"), 1u);
+  EXPECT_EQ(d->metrics().counter("server.fallback_uninvolved"), 2u);
+  EXPECT_EQ(d->metrics().counter("server.multi_partition_commands"), 0u);
+}
+
+TEST(ServerFallback, RetransmissionNeverExecutesWhereFirstDeliveryWasUninvolved) {
+  // An all-partition add to v1 (on P1) is delivered, then a move brings v1 to
+  // P2, then the same command is delivered again. P2 was uninvolved at the
+  // first delivery and must not apply the add now that it holds v1.
+  auto d = fallback_deployment(3);
+  smr::Command add = kv_add(VarId{1}, 5);
+  add.id = d->client(0).fresh_id();
+  const auto payload = net::make_msg<smr::CommandMsg>(add);
+  const std::vector<GroupId> all = d->partition_gids();
+  d->client(0).amcast(all, payload);
+  d->engine().run_for(msec(100));
+  EXPECT_EQ(d->metrics().counter("server.fallback_uninvolved"), 2u);
+
+  EXPECT_EQ(run_op(*d, 1, kv_sum({VarId{2}, VarId{5}, VarId{1}}, VarId{2})), ReplyCode::kOk);
+  d->engine().run_for(msec(100));
+  ASSERT_TRUE(d->server(2, 0).owns(VarId{1}));
+  const auto p2 = exec_totals(*d, 2);
+
+  d->client(0).amcast(all, payload);  // retransmission, fresh multicast id
+  d->engine().run_for(msec(100));
+  EXPECT_EQ(exec_totals(*d, 2), p2);
+  EXPECT_EQ(d->metrics().counter("server.fallback_uninvolved"), 2u);
+  net::MessagePtr reply;
+  EXPECT_EQ(run_op(*d, 1, kv_get(VarId{1}), &reply), ReplyCode::kOk);
+  EXPECT_EQ(kv_num(reply), 1 + 5);
+  EXPECT_EQ(run_op(*d, 1, kv_get(VarId{2}), &reply), ReplyCode::kOk);
+  EXPECT_EQ(kv_num(reply), 2 + 5 + 6);
 }
 
 }  // namespace

@@ -204,6 +204,8 @@ TEST(Command, ToStringCoversAllTypes) {
   EXPECT_STREQ(to_string(ReplyCode::kOk), "ok");
   EXPECT_STREQ(to_string(ReplyCode::kRetry), "retry");
   EXPECT_STREQ(to_string(ReplyCode::kNok), "nok");
+  EXPECT_STREQ(to_string(ReplyCode::kRetired), "retired");
+  EXPECT_STREQ(to_string(ReplyCode::kNotInvolved), "not_involved");
 }
 
 TEST(VarShipMsg, SizeIncludesValues) {

@@ -168,61 +168,52 @@ BenchResult bench_mapping_locate(std::uint64_t iters) {
 
 // --- locality ---------------------------------------------------------------
 
-// Mirrors ClientProxy's prophecy-install hot path (apply_repair /
-// install_prefetch): epoch-gated upserts into the flat-map location cache and
-// its parallel per-variable metadata map, one prophecy's worth of entries at a
-// time. The epoch mix deliberately includes stale entries so the monotone
-// drop-stale branch is exercised, and a cached_epoch-style lookup pass keeps
-// the read side honest.
+// Mirrors ClientProxy's prophecy-install hot path (install_prefetch):
+// unconditional upserts into the flat-map location cache plus the
+// per-variable `prefetched` flag, one prophecy's worth of entries at a time.
+// A read pass mirrors the cache fast path's prefetch-hit check (find the
+// flag, clear it once credited), so the read side stays honest too.
 BenchResult bench_prophecy_apply(std::uint64_t iters) {
   constexpr std::size_t kVars = 100'000;
   constexpr std::size_t kBatch = 8;  // one prophecy's locations + prefetch
-  struct VarMeta {
-    std::uint64_t epoch = 0;
-    bool prefetched = false;
-  };
   common::FlatMap<VarId, GroupId> cache;
-  common::FlatMap<VarId, VarMeta> meta;
+  common::FlatMap<VarId, bool> prefetched;
   cache.reserve(kVars);
-  meta.reserve(kVars);
+  prefetched.reserve(kVars);
 
   Rng rng{17};
-  smr::RepairEntry batch[kBatch];
-  std::uint64_t installed = 0;
+  std::pair<VarId, GroupId> batch[kBatch];
   const std::uint64_t rounds = iters / kBatch;
   const auto t0 = Clock::now();
   for (std::uint64_t rd = 0; rd < rounds; ++rd) {
-    for (auto& e : batch) {
-      e.var = VarId{rng.below(kVars)};
-      e.loc = GroupId{static_cast<std::uint32_t>(rng.below(8))};
-      e.epoch = 1 + rng.below(4);  // mix of stale and fresh epochs
+    for (auto& [v, loc] : batch) {
+      v = VarId{rng.below(kVars)};
+      loc = GroupId{static_cast<std::uint32_t>(rng.below(8))};
     }
-    for (const auto& e : batch) {
-      VarMeta& m = meta[e.var];
-      if (e.epoch <= m.epoch) continue;  // monotone: stale repairs are dropped
-      m.epoch = e.epoch;
-      m.prefetched = true;
-      cache[e.var] = e.loc;
-      ++installed;
+    for (const auto& [v, loc] : batch) {
+      cache[v] = loc;
+      prefetched[v] = true;
     }
   }
   const double wall = seconds_since(t0);
 
-  // cached_epoch()-style read pass over the warmed maps.
+  // Prefetch-hit read pass over the warmed maps.
   Rng rng2{18};
-  std::uint64_t acc = 0;
+  std::uint64_t hits = 0;
   const auto t1 = Clock::now();
   for (std::uint64_t i = 0; i < iters; ++i) {
-    const auto it = meta.find(VarId{rng2.below(kVars)});
-    acc += it != meta.end() ? it->second.epoch : 0;
+    const auto it = prefetched.find(VarId{rng2.below(kVars)});
+    if (it != prefetched.end() && it->second) {
+      it->second = false;
+      ++hits;
+    }
   }
   const double lookup_wall = seconds_since(t1);
-  if (acc == ~0ull || installed == 0) std::abort();
+  if (hits == 0 || cache.size() == 0) std::abort();
 
   const auto items = static_cast<double>(rounds * kBatch);
   BenchResult r{"locality.prophecy_apply", items / wall, wall, {}};
-  r.extra.emplace_back("installed_fraction", static_cast<double>(installed) / items);
-  r.extra.emplace_back("epoch_lookups_per_sec", static_cast<double>(iters) / lookup_wall);
+  r.extra.emplace_back("hit_lookups_per_sec", static_cast<double>(iters) / lookup_wall);
   return r;
 }
 
@@ -373,10 +364,10 @@ BenchResult bench_chirper_batched(bool smoke) {
 
 // Locality-on/off pair on the same config and seed: the off run is the
 // denominator, so the ratios directly state what the locality fast path
-// (prophecy prefetch + piggybacked cache repair + move coalescing) buys. The
-// workload is a larger graph with a 20% edge cut so clients pay real cold
-// consults and cross-partition commands trigger moves, retries and cache
-// invalidations — the traffic prefetch and repair exist to absorb.
+// (prophecy prefetch) buys. The workload is a larger graph than
+// chirper.small, so clients pay real cold consults and cross-partition
+// commands trigger moves, retries and cache invalidations — the traffic
+// prefetch exists to absorb.
 //
 // Three ratios are reported: `consult_ratio` (oracle consults per command,
 // off/on — fully deterministic, same seed same number), `event_ratio`
@@ -396,9 +387,6 @@ BenchResult bench_chirper_locality(bool smoke) {
   const harness::RunResult off = harness::run_chirper(cfg);
 
   cfg.prefetch_k = 64;
-  cfg.cache_repair = true;
-  cfg.coalesce_moves = 4;
-  cfg.coalesce_delay = usec(50);
   const harness::RunResult on = harness::run_chirper(cfg);
   const double on_wall = on.drive_wall_s;
 
@@ -424,11 +412,6 @@ BenchResult bench_chirper_locality(bool smoke) {
   r.extra.emplace_back("off_events_per_command", off_ev);
   r.extra.emplace_back("event_ratio", on_ev > 0 ? off_ev / on_ev : 0.0);
   r.extra.emplace_back("prefetch_hits", static_cast<double>(on.counter("locality.prefetch_hits")));
-  r.extra.emplace_back("repairs", static_cast<double>(on.counter("locality.repairs")));
-  r.extra.emplace_back("repair_reroutes",
-                       static_cast<double>(on.counter("locality.repair_reroutes")));
-  r.extra.emplace_back("coalesced_moves",
-                       static_cast<double>(on.counter("locality.coalesced_moves")));
   return r;
 }
 

@@ -71,9 +71,7 @@ void ClientProxy::init_client(net::Network& network, const multicast::Directory&
           handle("client.hints"),     handle("client.ok"),
           handle("client.nok"),
           gated(cfg_.prefetch, "locality.prefetch_installed"),
-          gated(cfg_.prefetch, "locality.prefetch_hits"),
-          gated(cfg_.cache_repair, "locality.repairs"),
-          gated(cfg_.cache_repair, "locality.repair_reroutes")};
+          gated(cfg_.prefetch, "locality.prefetch_hits")};
   if (metrics_ != nullptr) {
     latency_hist_ = &metrics_->histogram("client.latency_us");
     completions_series_ = &metrics_->series("client.completions");
@@ -143,63 +141,12 @@ std::optional<GroupId> ClientProxy::cached_location(VarId v) const {
   return it->second;
 }
 
-std::uint64_t ClientProxy::cached_epoch(VarId v) const {
-  auto it = cache_meta_.find(v);
-  return it != cache_meta_.end() ? it->second.epoch : 0;
-}
-
-void ClientProxy::apply_repair(const std::vector<smr::RepairEntry>& repair) {
-  for (const smr::RepairEntry& e : repair) {
-    if (e.loc == kNoGroup) continue;
-    VarMeta& meta = cache_meta_[e.var];
-    // Strictly newer only: an equal-epoch entry adds nothing, and an older
-    // one (late duplicate, or a forged-stale test message) must never roll
-    // the cache back to a superseded owner.
-    if (e.epoch <= meta.epoch) continue;
-    meta.epoch = e.epoch;
-    meta.prefetched = false;
-    cache_[e.var] = e.loc;
-    ctr_.repairs->inc();
-    events().record(InstantKind::kCacheRepair, network().engine().now(), pid().value,
-                    e.var.value, static_cast<std::int64_t>(e.loc.value));
-  }
-}
-
 void ClientProxy::install_prefetch(const ProphecyMsg& p) {
-  for (const smr::RepairEntry& e : p.prefetch) {
-    if (e.loc == kNoGroup) continue;
-    VarMeta& meta = cache_meta_[e.var];
-    if (e.epoch < meta.epoch) continue;  // a repair already taught us better
-    meta.epoch = std::max(meta.epoch, e.epoch);
-    meta.prefetched = true;
-    cache_[e.var] = e.loc;
+  for (const auto& [v, loc] : p.prefetch) {
+    cache_[v] = loc;
+    prefetched_[v] = true;
     ctr_.prefetch_installed->inc();
   }
-}
-
-bool ClientProxy::try_repair_reroute() {
-  GroupId p = kNoGroup;
-  for (VarId v : cmd_.vars()) {
-    auto it = cache_.find(v);
-    if (it == cache_.end() || (p != kNoGroup && it->second != p)) return false;
-    p = it->second;
-  }
-  if (p == kNoGroup) return false;
-  ctr_.repair_reroutes->inc();
-  events().record(InstantKind::kRepairReroute, network().engine().now(), pid().value,
-                  cmd_.id.value, static_cast<std::int64_t>(p.value));
-  stats::SpanStore& sp = events();
-  if (sp.enabled() && root_span_ != 0) {
-    // Marker span (fold=false): the retry window it annotates was already
-    // decomposed into amcast/queue/execute/reply by decompose_reply.
-    const Time now = network().engine().now();
-    sp.record({.trace_id = cmd_.trace_id, .parent = root_span_,
-               .phase = SpanPhase::kRepair, .start = now, .end = now,
-               .node = pid().value, .group = p, .arg = retries_},
-              /*fold=*/false);
-  }
-  send_command({p}, Phase::kAwaitCommand);
-  return true;
 }
 
 void ClientProxy::issue(Command cmd, DoneFn done) {
@@ -254,10 +201,10 @@ void ClientProxy::start_attempt() {
         // is credited at most once.
         bool from_prefetch = false;
         for (VarId v : cmd_.vars()) {
-          auto mit = cache_meta_.find(v);
-          if (mit != cache_meta_.end() && mit->second.prefetched) {
+          auto mit = prefetched_.find(v);
+          if (mit != prefetched_.end() && mit->second) {
             from_prefetch = true;
-            mit->second.prefetched = false;
+            mit->second = false;
           }
         }
         if (from_prefetch) {
@@ -339,17 +286,10 @@ void ClientProxy::on_prophecy(const ProphecyMsg& p) {
   }
 
   // Access: refresh cache, then route. The prophecy is the oracle's current
-  // mapping, so it installs unconditionally; with cache repair on it also
-  // carries per-variable epochs that advance the monotone sidecar.
+  // mapping, so it installs unconditionally.
   std::vector<GroupId> dests;
-  for (std::size_t i = 0; i < p.locations.size(); ++i) {
-    const auto& [v, loc] = p.locations[i];
+  for (const auto& [v, loc] : p.locations) {
     cache_[v] = loc;
-    if (cfg_.cache_repair && i < p.epochs.size()) {
-      VarMeta& meta = cache_meta_[v];
-      meta.epoch = std::max(meta.epoch, p.epochs[i]);
-      meta.prefetched = false;
-    }
     if (std::find(dests.begin(), dests.end(), loc) == dests.end()) dests.push_back(loc);
   }
   if (cfg_.prefetch && !p.prefetch.empty()) install_prefetch(p);
@@ -393,9 +333,6 @@ void ClientProxy::send_dssmr_move(GroupId dest, const std::vector<GroupId>& sour
   move.write_set = cmd_.vars();
   move.move_sources = sources;
   move.move_dest = dest;
-  // Through the coalescer relay the multicast sender is the relay, not us —
-  // stamp the requester so partitions and the oracle answer this client.
-  if (cfg_.move_coalescer != kNoProcess) move.requester = pid();
 
   std::vector<GroupId> dests = sources;
   dests.push_back(dest);
@@ -405,19 +342,6 @@ void ClientProxy::send_dssmr_move(GroupId dest, const std::vector<GroupId>& sour
   phase_ = Phase::kAwaitMove;
   move_start_ = network().engine().now();
   auto payload = net::make_msg<CommandMsg>(std::move(move));
-  if (cfg_.move_coalescer != kNoProcess) {
-    // Locality fast path: hand the move to the coalescer relay, which merges
-    // overlapping moves into one bulk multicast (one Skeen exchange). The
-    // destination partition still answers this client directly, and resends
-    // go through the relay again — partitions dedup by the stable move id.
-    network().send(pid(), cfg_.move_coalescer, payload);
-    resend_ = [this, payload] {
-      network().send(pid(), cfg_.move_coalescer, payload);
-      arm_timeout();
-    };
-    arm_timeout();
-    return;
-  }
   amcast_with_id(fresh_id(), dests, payload);
   resend_ = [this, dests, payload] {
     // Same logical move (same cmd id inside), fresh multicast id.
@@ -503,9 +427,6 @@ void ClientProxy::on_reply(ProcessId from, const net::MessagePtr& m) {
       } else if (r->code == ReplyCode::kOk) {
         for (VarId v : cmd_.vars()) cache_[v] = pending_dest_;
       }
-      // The destination's repair entries carry the post-move epochs; applied
-      // after the install loop so the epoch sidecar catches up with the cache.
-      if (cfg_.cache_repair && !r->repair.empty()) apply_repair(r->repair);
       if (r->code == ReplyCode::kOk) {
         send_command({pending_dest_}, Phase::kAwaitCommand);
       } else {
@@ -538,20 +459,12 @@ void ClientProxy::on_reply(ProcessId from, const net::MessagePtr& m) {
         ++retries_;
         events().record(InstantKind::kRetry, network().engine().now(), pid().value,
                         cmd_.id.value, retries_);
-        // Piggybacked repair: install the reply's ⟨var, partition, epoch⟩
-        // entries (monotone) and, if they pin every variable to one
-        // partition, go straight there — the common stale-cache retry then
-        // costs one extra hop instead of a full oracle consult.
-        if (cfg_.cache_repair && !r->repair.empty()) apply_repair(r->repair);
         if (retries_ > cfg_.max_retries) {
           do_fallback();
-        } else if (cfg_.cache_repair && try_repair_reroute()) {
-          // re-sent directly from the repaired cache
         } else {
           do_consult();
         }
       } else {
-        if (cfg_.cache_repair && !r->repair.empty()) apply_repair(r->repair);
         decompose_reply(*r);
         finish(r->code, r->app_reply);
       }

@@ -67,17 +67,10 @@ struct ClientConfig {
   std::shared_ptr<const StaticMap> static_map;
   /// Send workload-graph hints to the oracle after commands that carry them.
   bool send_hints = false;
-  /// Locality fast path (all off by default; see OracleConfig for the oracle
-  /// halves). `prefetch` installs the prophecy's piggybacked co-access
-  /// neighbours into the location cache; `cache_repair` consumes the
-  /// ⟨var, partition, epoch⟩ repair entries on replies (monotone install) and
-  /// lets a `retry` re-route directly from the repaired cache instead of
-  /// restarting at the oracle.
+  /// Locality fast path (off by default; see OracleConfig::prefetch_k for
+  /// the oracle half): install the prophecy's piggybacked co-access
+  /// neighbours into the location cache.
   bool prefetch = false;
-  bool cache_repair = false;
-  /// When set, DS-SMR moves are routed through this move-coalescer relay
-  /// (see core/move_coalescer.h) instead of being multicast directly.
-  ProcessId move_coalescer = kNoProcess;
 };
 
 class ClientProxy : public multicast::ClientNode {
@@ -98,15 +91,6 @@ class ClientProxy : public multicast::ClientNode {
   /// Cached-entry count (telemetry gauge).
   std::size_t cache_size() const { return cache_.size(); }
   const ClientConfig& config() const { return cfg_; }
-
-  /// Installs piggybacked repair entries into the location cache. Monotone:
-  /// an entry only lands when its epoch is strictly newer than what the cache
-  /// already knows for that variable, so a stale (or forged-stale) repair can
-  /// never roll a fresher mapping back. Public for tests.
-  void apply_repair(const std::vector<smr::RepairEntry>& repair);
-  /// The newest epoch the cache has seen for `v` (0 = never). Survives
-  /// cache_.erase on retry, so re-installs stay monotone. Public for tests.
-  std::uint64_t cached_epoch(VarId v) const;
 
  protected:
   void on_reply(ProcessId from, const net::MessagePtr& m) override;
@@ -157,13 +141,11 @@ class ClientProxy : public multicast::ClientNode {
     stats::Counter* hints;
     stats::Counter* ok;
     stats::Counter* nok;
-    /// Locality fast path (interned only when the matching flag is on, so
-    /// default-off runs never materialize `locality.*` counters and their
-    /// run records stay byte-identical).
+    /// Locality fast path (interned only when prefetch is on, so default-off
+    /// runs never materialize `locality.*` counters and their run records
+    /// stay byte-identical).
     stats::Counter* prefetch_installed;
     stats::Counter* prefetch_hits;
-    stats::Counter* repairs;
-    stats::Counter* repair_reroutes;
   } ctr_{};
 
   /// Interned histogram/series handles, same rationale as ctr_: finish() and
@@ -213,22 +195,12 @@ class ClientProxy : public multicast::ClientNode {
   /// Location cache (Section "Performance optimizations"): consulted on
   /// every access command, so it shares the oracle's open-addressing map.
   LocationMap cache_;
-  /// Locality-fast-path sidecar for cache_: the newest epoch seen per
-  /// variable (guards repair/prefetch installs against regression) plus
-  /// whether the current cached entry came from a prophecy prefetch (counted
-  /// once as a hit when the fast path uses it). Deliberately survives
-  /// cache_.erase so monotonicity holds across retries.
-  struct VarMeta {
-    std::uint64_t epoch = 0;
-    bool prefetched = false;
-  };
-  common::FlatMap<VarId, VarMeta> cache_meta_;
+  /// Locality-fast-path sidecar for cache_: whether a variable's cached
+  /// entry came from a prophecy prefetch (counted once as a prefetch hit when
+  /// the fast path uses it).
+  common::FlatMap<VarId, bool> prefetched_;
 
   void install_prefetch(const smr::ProphecyMsg& p);
-  /// After a repaired retry: if every variable now resolves to one cached
-  /// partition, re-send there directly (no oracle consult). Returns false
-  /// when the repair did not pin all variables to a single destination.
-  bool try_repair_reroute();
 };
 
 }  // namespace dssmr::core

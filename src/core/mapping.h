@@ -50,7 +50,6 @@ class Mapping {
       map_.emplace(v, p);
     }
     counts_[index_of(p)]++;
-    ++epochs_[v];
   }
 
   void erase(VarId v) {
@@ -58,15 +57,6 @@ class Mapping {
     if (it == map_.end()) return;
     counts_[index_of(it->second)]--;
     map_.erase(it);
-  }
-
-  /// Monotone placement epoch of `v`: bumped on every place(), surviving
-  /// erase() so a delete/recreate can never look older than what preceded it.
-  /// 0 means "never placed". Piggybacked-cache-repair entries compare these
-  /// to decide whether an update is fresher than what a client already holds.
-  std::uint64_t epoch_of(VarId v) const {
-    auto it = epochs_.find(v);
-    return it == epochs_.end() ? 0 : it->second;
   }
 
   std::size_t var_count() const { return map_.size(); }
@@ -163,7 +153,6 @@ class Mapping {
   std::vector<bool> live_;
   std::uint64_t membership_epoch_ = 0;
   LocationMap map_;
-  common::FlatMap<VarId, std::uint64_t> epochs_;
 };
 
 /// Placement decisions. Implementations MUST be deterministic functions of

@@ -36,25 +36,14 @@ struct OracleConfig {
   Duration consult_service = usec(5);
   /// Simulated CPU cost of applying one command / hint batch.
   Duration command_service = usec(3);
-  /// Locality fast path (all off by default; see DESIGN.md):
+  /// Locality fast path, prophecy prefetch (0 = off; see DESIGN.md):
   /// prophecies carry up to this many co-accessed prefetch entries.
   std::size_t prefetch_k = 0;
-  /// Prophecies (and server replies) carry mapping epochs for piggybacked
-  /// cache repair.
-  bool cache_repair = false;
-  /// DynaStar mode: buffer oracle-issued moves and merge overlapping
-  /// destination sets into one bulk multicast once this many are pending
-  /// (0 = ship each move immediately, byte-identical to the pre-locality
-  /// behavior).
-  std::size_t coalesce_moves = 0;
-  /// Max virtual-time wait before a partial move buffer flushes.
-  Duration coalesce_delay = usec(200);
   /// Elastic repartitioning armed (a ScalePlan may deliver membership
   /// records). Gates the interning of the elastic.* counters so non-elastic
   /// run records stay byte-identical to the pre-elasticity output.
   bool elastic = false;
-  /// Variables per rebalance move command (one chunk = one kMove multicast;
-  /// chunks from one planning pass coalesce further when coalescing is on).
+  /// Variables per rebalance move command (one chunk = one kMove multicast).
   std::size_t rebalance_chunk = 16;
 };
 
@@ -122,11 +111,6 @@ class OracleNode : public multicast::GroupNode {
   /// One chunked rebalance move: sources = {from}, dest = to.
   void issue_rebalance_move(GroupId from, GroupId to, std::vector<VarId> chunk);
 
-  /// Move coalescing (leader only): buffers an oracle-issued move, flushing
-  /// by count or after coalesce_delay.
-  void buffer_move(smr::Command move, std::vector<GroupId> dests);
-  void flush_moves();
-
   void queue_reply_task(Duration service, std::function<void()> run);
   void bump(stats::Counter* c);
   void account(Duration service);
@@ -142,16 +126,6 @@ class OracleNode : public multicast::GroupNode {
   common::FlatMap<MsgId, common::SmallSet<GroupId>> signals_;
   BoundedMap<MsgId, CachedReply> completed_{1 << 15};
 
-  /// Pending oracle-issued moves awaiting coalescing (leader only; lost
-  /// buffers on a leader change are recovered by the clients' consult
-  /// timeout).
-  struct PendingMove {
-    smr::Command move;
-    std::vector<GroupId> dests;
-  };
-  std::vector<PendingMove> pending_moves_;
-  bool move_flush_armed_ = false;
-
   /// Interned counter handles (see ClientProxy::Counters): consults and hints
   /// arrive per command, so the by-name map lookup is a hot-path cost.
   struct Counters {
@@ -162,8 +136,6 @@ class OracleNode : public multicast::GroupNode {
     stats::Counter* moves_applied;
     stats::Counter* hints;
     stats::Counter* prefetch_sent;
-    stats::Counter* coalesced_moves;
-    stats::Counter* bulk_flushes;
     stats::Counter* partitions_added;
     stats::Counter* partitions_retired;
     stats::Counter* rebalance_moves;

@@ -7,11 +7,9 @@
 
 namespace dssmr::core {
 
-using smr::BulkMoveMsg;
 using smr::Command;
 using smr::CommandMsg;
 using smr::CommandType;
-using smr::RepairEntry;
 using smr::ReplyCode;
 using smr::ReplyMsg;
 using smr::ReplyTiming;
@@ -58,7 +56,6 @@ void PartitionServer::init_partition(net::Network& network,
 void PartitionServer::preload(VarId v, std::unique_ptr<smr::VarValue> value) {
   owned_.insert(v);
   store_.put(v, std::move(value));
-  if (config_.cache_repair) var_epochs_[v] = 1;
 }
 
 void PartitionServer::bump(stats::Counter* c) {
@@ -103,7 +100,7 @@ PartitionServer::Coord& PartitionServer::coord(MsgId cmd_id) { return coord_[cmd
 
 void PartitionServer::reply_to(ProcessId client, MsgId cmd_id, ReplyCode code,
                                net::MessagePtr app_reply, bool cache, ReplyTiming timing,
-                               bool access_final, std::vector<RepairEntry> repair) {
+                               bool access_final) {
   if (cache) completed_.put(cmd_id, CachedReply{code, app_reply, timing});
   if (access_final) {
     // Watermark update runs on every replica (deliveries are identical across
@@ -114,54 +111,20 @@ void PartitionServer::reply_to(ProcessId client, MsgId cmd_id, ReplyCode code,
   }
   if (client == kNoProcess) return;
   if (!is_leader()) return;  // a peer replica's leader sends it
-  send_direct(client, net::make_msg<ReplyMsg>(cmd_id, code, group(), std::move(app_reply),
-                                              timing, std::move(repair)));
-}
-
-std::vector<RepairEntry> PartitionServer::make_repair(const std::vector<VarId>& vars) const {
-  if (!config_.cache_repair) return {};
-  std::vector<RepairEntry> repair;
-  repair.reserve(vars.size());
-  for (VarId v : vars) {
-    if (owned_.contains(v)) {
-      const auto it = var_epochs_.find(v);
-      repair.push_back({v, group(), it != var_epochs_.end() ? it->second : 1});
-    } else if (const Forward* f = forwards_.find(v)) {
-      repair.push_back({v, f->dest, f->epoch});
-    }
-  }
-  return repair;
+  send_direct(client, net::make_msg<ReplyMsg>(cmd_id, code, group(), std::move(app_reply), timing));
 }
 
 void PartitionServer::on_amdeliver(const multicast::AmcastMessage& m) {
-  if (const auto* bulk = net::msg_cast<BulkMoveMsg>(m.payload)) {
-    // Coalesced moves: the bulk message is addressed to the union of the
-    // sub-moves' destination sets, so a partition may receive sub-moves it
-    // plays no part in — skip those (running the source path for them would
-    // wrongly drop ownership of unrelated variables).
-    for (const Command& mv : bulk->moves) {
-      const bool involved =
-          mv.move_dest == group() ||
-          std::find(mv.move_sources.begin(), mv.move_sources.end(), group()) !=
-              mv.move_sources.end();
-      if (involved) deliver_command(m, mv);
-    }
-    return;
-  }
   const auto* cm = net::msg_cast<CommandMsg>(m.payload);
   DSSMR_ASSERT_MSG(cm != nullptr, "partition received a non-command payload");
-  deliver_command(m, cm->cmd);
-}
-
-void PartitionServer::deliver_command(const multicast::AmcastMessage& m, const Command& cmd) {
+  const Command& cmd = cm->cmd;
   const ProcessId client = cmd.requester != kNoProcess ? cmd.requester : m.sender;
 
   // Retried command that already completed here: re-send the cached outcome.
   if (const CachedReply* cached = completed_.find(cmd.id)) {
     if (is_leader() && client != kNoProcess) {
-      send_direct(client,
-                  net::make_msg<ReplyMsg>(cmd.id, cached->code, group(), cached->app_reply,
-                                          cached->timing, make_repair(cmd.vars())));
+      send_direct(client, net::make_msg<ReplyMsg>(cmd.id, cached->code, group(), cached->app_reply,
+                                                  cached->timing));
     }
     return;
   }
@@ -178,7 +141,7 @@ void PartitionServer::deliver_command(const multicast::AmcastMessage& m, const C
       if (cmd.id.value == it->second.cmd_id && is_leader() && client != kNoProcess) {
         const CachedReply& r = it->second.reply;
         send_direct(client, net::make_msg<ReplyMsg>(cmd.id, r.code, group(), r.app_reply,
-                                                    r.timing, make_repair(cmd.vars())));
+                                                    r.timing));
       }
       return;
     }
@@ -225,12 +188,8 @@ void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
   for (VarId v : cmd.read_set) {
     if (!owned_.contains(v)) {
       bump(ctr_.retries_issued);
-      // The retry carries repair entries (current owner + epoch, or a
-      // forwarding pointer for variables we moved away) so the client can
-      // re-route directly instead of re-consulting the oracle.
       reply_to(client, cmd.id, stale, nullptr, /*cache=*/false,
-               ReplyTiming{delivered, delivered, delivered}, /*access_final=*/false,
-               make_repair(cmd.vars()));
+               ReplyTiming{delivered, delivered, delivered});
       return;
     }
   }
@@ -238,8 +197,7 @@ void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
     if (!owned_.contains(v)) {
       bump(ctr_.retries_issued);
       reply_to(client, cmd.id, stale, nullptr, /*cache=*/false,
-               ReplyTiming{delivered, delivered, delivered}, /*access_final=*/false,
-               make_repair(cmd.vars()));
+               ReplyTiming{delivered, delivered, delivered});
       return;
     }
   }
@@ -271,15 +229,14 @@ void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
                 bump(ctr_.retries_issued);
                 reply_to(client, cmd.id,
                          retired_ ? ReplyCode::kRetired : ReplyCode::kRetry, nullptr,
-                         /*cache=*/false, timing, /*access_final=*/false,
-                         make_repair(cmd.vars()));
+                         /*cache=*/false, timing);
                 return;
               }
             }
             smr::ExecutionView view{store_};
             net::MessagePtr app_reply = app_->execute(cmd, view);
             reply_to(client, cmd.id, ReplyCode::kOk, std::move(app_reply), /*cache=*/true,
-                     timing, /*access_final=*/true, make_repair(cmd.vars()));
+                     timing, /*access_final=*/true);
           },
   });
 }
@@ -373,8 +330,7 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m,
             net::MessagePtr app_reply = app_->execute(cmd, view);
             if (it != coord_.end()) coord_.erase(it);
             reply_to(client, cmd.id, ReplyCode::kOk, std::move(app_reply), /*cache=*/true,
-                     ReplyTiming{delivered, exec_start, exec_end}, /*access_final=*/true,
-                     make_repair(cmd.vars()));
+                     ReplyTiming{delivered, exec_start, exec_end}, /*access_final=*/true);
           },
   });
 }
@@ -389,19 +345,10 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
 
   if (!is_dest) {
     // Source: give up ownership immediately (delivery order defines who owns
-    // what); ship the values once predecessors finish executing. With cache
-    // repair on, leave a forwarding pointer so later retries for these
-    // variables can re-route the client without an oracle consult.
+    // what); ship the values once predecessors finish executing.
     std::vector<VarId> mine;
-    for (std::size_t i = 0; i < vars.size(); ++i) {
-      const VarId v = vars[i];
-      if (owned_.erase(v) == 0) continue;
-      mine.push_back(v);
-      if (config_.cache_repair) {
-        const std::uint64_t hint =
-            i < cmd.move_epochs.size() ? cmd.move_epochs[i] : var_epochs_[v] + 1;
-        forwards_.put(v, Forward{cmd.move_dest, hint});
-      }
+    for (VarId v : vars) {
+      if (owned_.erase(v) != 0) mine.push_back(v);
     }
     bump(ctr_.moves_source);
     heat_move();
@@ -437,17 +384,7 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
 
   // Destination: claim ownership now; wait for one shipment per source, then
   // install the values and answer the requester.
-  for (std::size_t i = 0; i < vars.size(); ++i) {
-    const VarId v = vars[i];
-    owned_.insert(v);
-    if (config_.cache_repair) {
-      // Epoch advances past both our local history and the mover's hint (the
-      // oracle mapping's epoch), so repair entries never regress.
-      std::uint64_t& e = var_epochs_[v];
-      const std::uint64_t hint = i < cmd.move_epochs.size() ? cmd.move_epochs[i] : 0;
-      e = std::max(e + 1, hint);
-    }
-  }
+  for (VarId v : vars) owned_.insert(v);
   std::vector<GroupId> sources;
   for (GroupId g : cmd.move_sources) {
     if (g != group()) sources.push_back(g);
@@ -515,8 +452,7 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
                              static_cast<std::int64_t>(failed));
             }
             reply_to(client, id, code, net::make_msg<smr::MoveResultMsg>(std::move(installed)),
-                     /*cache=*/true, ReplyTiming{delivered, exec_start, exec_end},
-                     /*access_final=*/false, make_repair(vars));
+                     /*cache=*/true, ReplyTiming{delivered, exec_start, exec_end});
           },
   });
 }
@@ -534,7 +470,6 @@ void PartitionServer::deliver_create(const multicast::AmcastMessage& m, const Co
     return;
   }
   owned_.insert(v);
-  if (config_.cache_repair) ++var_epochs_[v];
   bump(ctr_.creates);
   inflight_.insert(cmd.id);
   const Time delivered = engine().now();

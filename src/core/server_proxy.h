@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "common/bounded.h"
-#include "common/flat_map.h"
 #include "common/small_set.h"
 #include "common/types.h"
 #include "multicast/atomic.h"
@@ -54,12 +53,6 @@ struct PartitionServerConfig {
   /// Capacity of the bounded reply cache (`completed_`). Tests shrink it to
   /// force eviction and exercise the per-client dedup fallback.
   std::size_t reply_cache_capacity = 1 << 15;
-  /// Locality fast path: replies piggyback ⟨var, partition, epoch⟩ repair
-  /// entries for the command's variables (including forwarding pointers for
-  /// variables this partition moved away), so stale client caches heal
-  /// without re-consulting the oracle. Off by default — off keeps replies
-  /// byte-identical to the pre-locality wire format.
-  bool cache_repair = false;
 };
 
 class PartitionServer : public multicast::GroupNode {
@@ -114,10 +107,6 @@ class PartitionServer : public multicast::GroupNode {
     smr::ReplyTiming timing;
   };
 
-  /// Shared prologue (reply-cache resend, inflight dedup, access watermark)
-  /// plus the per-type dispatch; called once per CommandMsg and once per
-  /// relevant sub-move of a BulkMoveMsg.
-  void deliver_command(const multicast::AmcastMessage& m, const smr::Command& cmd);
   void deliver_access_single(const multicast::AmcastMessage& m, const smr::Command& cmd);
   void deliver_access_multi(const multicast::AmcastMessage& m, const smr::Command& cmd);
   void deliver_move(const multicast::AmcastMessage& m, const smr::Command& cmd);
@@ -128,11 +117,7 @@ class PartitionServer : public multicast::GroupNode {
   /// advances the per-client dedup watermark (see `access_final_`).
   void reply_to(ProcessId client, MsgId cmd_id, smr::ReplyCode code,
                 net::MessagePtr app_reply, bool cache, smr::ReplyTiming timing = {},
-                bool access_final = false, std::vector<smr::RepairEntry> repair = {});
-  /// Piggybacked repair entries for `cmd`'s variables ({} when cache repair
-  /// is off). Maintained identically on every replica, so whichever replica
-  /// currently leads answers with the same facts.
-  std::vector<smr::RepairEntry> make_repair(const std::vector<VarId>& vars) const;
+                bool access_final = false);
   Coord& coord(MsgId cmd_id);
   void bump(stats::Counter* c);
   /// Leader-gated windowed heat (stats::Recorder); recorded at the exact
@@ -174,16 +159,6 @@ class PartitionServer : public multicast::GroupNode {
     CachedReply reply;
   };
   std::unordered_map<std::uint32_t, AccessFinal> access_final_;
-  /// Cache-repair state (only maintained when config_.cache_repair): the
-  /// monotone epoch of each variable this partition holds (or held), and a
-  /// bounded forwarding table for variables moved away — the repair payload
-  /// that lets a retried client go straight to the new owner.
-  common::FlatMap<VarId, std::uint64_t> var_epochs_;
-  struct Forward {
-    GroupId dest = kNoGroup;
-    std::uint64_t epoch = 0;
-  };
-  BoundedMap<VarId, Forward> forwards_{1 << 15};
   PartitionServerConfig config_;
   stats::Metrics* metrics_ = nullptr;
   /// See set_retired().

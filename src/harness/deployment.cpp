@@ -19,6 +19,10 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
   DSSMR_ASSERT(config_.partitions >= 1);
   DSSMR_ASSERT(config_.replicas_per_partition >= 1);
   DSSMR_ASSERT(config_.oracle_replicas >= 1);
+  DSSMR_ASSERT_MSG(!config_.cache_repair, "cache repair was removed; leave cache_repair false");
+  DSSMR_ASSERT_MSG(config_.coalesce_moves == 0 && config_.coalesce_delay == Knobs{}.coalesce_delay,
+                   "move coalescing was removed; leave coalesce_moves/coalesce_delay at "
+                   "their defaults");
 
   metrics_.spans().enable_instants(config_.trace, config_.telemetry);
   if (config_.spans) {
@@ -39,17 +43,8 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
   config_.node.batching.batch_delay = config_.batch_delay;
   config_.node.paxos.pipeline_depth = config_.pipeline_depth;
 
-  // Locality fast path: fan the deployment knobs into the per-node configs.
-  // All default off, leaving every config at its pre-locality value.
+  // Prophecy prefetch: the oracle attaches candidates, clients install them.
   config_.oracle.prefetch_k = config_.prefetch_k;
-  config_.oracle.cache_repair = config_.cache_repair;
-  config_.server.cache_repair = config_.cache_repair;
-  if (config_.strategy == core::Strategy::kDynaStar) {
-    // Oracle-issued moves coalesce at the oracle leader; client-issued moves
-    // (kDssmr) go through the MoveCoalescer relay registered below instead.
-    config_.oracle.coalesce_moves = config_.coalesce_moves;
-    config_.oracle.coalesce_delay = config_.coalesce_delay;
-  }
 
   // Register partition replicas: partition i lives in rack i % 2 (two
   // switches in the paper's testbed).
@@ -106,19 +101,6 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
     }
   }
 
-  // Move-coalescer relay (rack 0), only when coalescing is on for
-  // client-issued moves — layout preservation, as with the batch relays.
-  ProcessId coalescer_pid = kNoProcess;
-  if (config_.coalesce_moves > 0 && config_.strategy == core::Strategy::kDssmr) {
-    coalescer_ = std::make_unique<core::MoveCoalescer>();
-    coalescer_pid = network_.add_process(*coalescer_, 0);
-    coalescer_->init_coalescer(network_, directory_,
-                               core::MoveCoalescerConfig{oracle_gid(),
-                                                         config_.coalesce_moves,
-                                                         config_.coalesce_delay},
-                               &metrics_);
-  }
-
   // Clients, alternating racks.
   core::ClientConfig ccfg;
   ccfg.strategy = config_.strategy;
@@ -133,8 +115,6 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
   ccfg.static_map = static_map_;
   ccfg.send_hints = config_.client_hints;
   ccfg.prefetch = config_.prefetch_k > 0;
-  ccfg.cache_repair = config_.cache_repair;
-  ccfg.move_coalescer = coalescer_pid;
   for (std::size_t c = 0; c < config_.clients; ++c) {
     auto client = std::make_unique<core::ClientProxy>();
     network_.add_process(*client, static_cast<int>(c % 2));
@@ -226,9 +206,9 @@ void Deployment::register_telemetry_gauges() {
   }
 
   // Locality fast path: cache hit rate vs. consult rate over time (the
-  // report's cache-effectiveness sparkline). Only when a locality flag is on —
-  // the gauge set of a locality-off run must match the pre-locality one.
-  if (config_.prefetch_k > 0 || config_.cache_repair || config_.coalesce_moves > 0) {
+  // report's cache-effectiveness sparkline). Only when prefetch is on — the
+  // gauge set of a locality-off run must match the pre-locality one.
+  if (config_.prefetch_k > 0) {
     rec.register_gauge("locality.window_hit_rate", [this] {
       const std::uint64_t hits = metrics_.counter("client.cache_hits");
       const std::uint64_t consults = metrics_.counter("client.consults");

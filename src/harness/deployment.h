@@ -14,7 +14,6 @@
 #include "common/types.h"
 #include "core/client_proxy.h"
 #include "core/mapping.h"
-#include "core/move_coalescer.h"
 #include "core/oracle.h"
 #include "core/server_proxy.h"
 #include "harness/knobs.h"
@@ -130,8 +129,6 @@ class Deployment {
   /// Client-tier batch relays (empty when batching is off).
   std::size_t relay_count() const { return relays_.size(); }
   multicast::BatchRelay& relay(std::size_t i) { return *relays_[i]; }
-  /// Move-coalescer relay (nullptr unless coalescing is on under kDssmr).
-  core::MoveCoalescer* move_coalescer() { return coalescer_.get(); }
 
   core::StaticMap& static_map() { return *static_map_; }
 
@@ -175,9 +172,6 @@ class Deployment {
   /// One per rack when batching is on; registered after the oracles so that
   /// batching-off deployments keep the exact seed process-id layout.
   std::vector<std::unique_ptr<multicast::BatchRelay>> relays_;
-  /// Registered after the batch relays, before the clients, and only when
-  /// coalescing is on — same layout-preservation rule as relays_.
-  std::unique_ptr<core::MoveCoalescer> coalescer_;
   std::vector<std::unique_ptr<core::ClientProxy>> clients_;
 };
 

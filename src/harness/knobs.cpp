@@ -50,9 +50,7 @@ template <class T>
 using Field = T BenchOptions::*;
 
 bool batching_on(const RunKnobs& k) { return k.batch_size > 0 || k.pipeline_depth > 0; }
-bool locality_on(const RunKnobs& k) {
-  return k.prefetch_k > 0 || k.cache_repair || k.coalesce_moves > 0;
-}
+bool locality_on(const RunKnobs& k) { return k.prefetch_k > 0; }
 bool telemetry_on(const RunKnobs& k) { return k.telemetry; }
 bool scale_plan_set(const RunKnobs& k) { return !k.scale_plan.empty(); }
 
@@ -108,17 +106,6 @@ constexpr Row kRows[] = {
      .meta = "prefetch_k", .gate = locality_on,
      .help = "consult replies prefetch up to N co-accessed neighbour locations into the "
              "client's cache; 0 = off"},
-    {.flag = "--cache-repair", .kind = Kind::kSwitch, .field = &BenchOptions::cache_repair,
-     .meta = "cache_repair", .gate = locality_on,
-     .help = "replies piggyback (var, partition, epoch) repairs; clients heal stale caches "
-             "and re-route retries without a fresh consult"},
-    {.flag = "--coalesce-moves", .kind = Kind::kCount, .field = &BenchOptions::coalesce_moves,
-     .meta = "coalesce_moves", .gate = locality_on,
-     .help = "merge up to N concurrent moves with overlapping destination sets into one bulk "
-             "multicast; 0 = off"},
-    {.flag = "--coalesce-delay-us", .kind = Kind::kMicros,
-     .field = &BenchOptions::coalesce_delay, .meta = "coalesce_delay_us", .gate = locality_on,
-     .help = "max virtual-time wait before a non-full move batch flushes"},
     {.flag = "--telemetry", .kind = Kind::kSwitch, .field = &BenchOptions::telemetry,
      .meta = "telemetry", .off = "off", .on = "on",
      .help = "arm the flight recorder: windowed gauges, partition heat and latency in the "

@@ -38,20 +38,16 @@ struct Knobs {
   /// the original single-slot-per-flush behavior).
   std::size_t pipeline_depth = 0;
 
-  /// Locality fast path (all off by default; defaults keep the deployment —
-  /// process layout, wire bytes, run record — byte-identical to a build
-  /// without it). prefetch_k > 0 makes prophecies carry up to k co-accessed
+  /// Locality fast path, prophecy prefetch (off by default; off keeps the
+  /// deployment — wire bytes, run record — byte-identical to a build without
+  /// it). prefetch_k > 0 makes prophecies carry up to k co-accessed
   /// neighbour locations that clients install into their caches.
   std::size_t prefetch_k = 0;
-  /// Replies piggyback ⟨var, partition, epoch⟩ repair entries; clients heal
-  /// stale caches monotonically and re-route retries without re-consulting.
+  /// Removed features (piggybacked cache repair, move coalescing), kept only
+  /// so existing callers that assign the defaults still compile. No flag sets
+  /// them, and Deployment rejects any other value.
   bool cache_repair = false;
-  /// Coalesce concurrent moves with overlapping destination sets into one
-  /// bulk multicast: > 0 enables it (flush threshold) both at the oracle
-  /// (DynaStar's oracle-issued moves) and via a client-tier relay (DS-SMR's
-  /// client-issued moves).
   std::size_t coalesce_moves = 0;
-  /// Max wait from the first buffered move to the coalesced flush.
   Duration coalesce_delay = usec(200);
 
   /// Records every protocol-event instant (consult, move, retry, ...) in the

@@ -50,13 +50,7 @@ std::size_t Command::size_bytes() const {
   // 48 header bytes + 8 for the trace id (always carried, so the bandwidth
   // model is identical whether span tracing is enabled or not).
   return 56 + (read_set.size() + write_set.size()) * 8 + arg.size() +
-         move_sources.size() * 4 + move_epochs.size() * 8 + hint_edges.size() * 16;
-}
-
-std::size_t BulkMoveMsg::size_bytes() const {
-  std::size_t n = 16;
-  for (const Command& c : moves) n += c.size_bytes();
-  return n;
+         move_sources.size() * 4 + hint_edges.size() * 16;
 }
 
 std::size_t VarShipMsg::size_bytes() const {

@@ -57,11 +57,6 @@ struct Command {
   std::vector<GroupId> move_sources;
   /// Destination partition.
   GroupId move_dest = kNoGroup;
-  /// Mapping epoch each moved variable reaches once installed (parallel to
-  /// vars(), which is sorted): the issuer's known epoch + 1. Only filled when
-  /// piggybacked cache repair is on — empty keeps the wire size identical to
-  /// the pre-locality code.
-  std::vector<std::uint64_t> move_epochs;
 
   /// Workload-graph edges this command implies (filled by the application for
   /// structural operations); the client proxy forwards them to DynaStar-style
@@ -84,21 +79,6 @@ struct CommandMsg final : net::Message {
   std::uint64_t trace_id() const override { return cmd.trace_id; }
 };
 
-/// Several coalesced kMove commands shipped as one atomic multicast (the
-/// locality fast path's move coalescing): one Skeen exchange over the union
-/// of the sub-moves' destination sets instead of one per move. Receivers
-/// apply each sub-move independently and skip the ones they are not a source
-/// or destination of; replies still go per sub-move to each requester.
-struct BulkMoveMsg final : net::Message {
-  std::vector<Command> moves;
-  explicit BulkMoveMsg(std::vector<Command> m) : moves(std::move(m)) {}
-  const char* type_name() const override { return "smr.bulkmove"; }
-  std::size_t size_bytes() const override;
-  std::uint64_t trace_id() const override {
-    return moves.empty() ? 0 : moves.front().trace_id;
-  }
-};
-
 enum class ReplyCode : std::uint8_t {
   kOk,
   kRetry,        // partition did not hold all variables — re-consult the oracle
@@ -108,16 +88,6 @@ enum class ReplyCode : std::uint8_t {
 };
 
 const char* to_string(ReplyCode c);
-
-/// One piggybacked cache-repair fact: "variable `var` lives on `loc` as of
-/// mapping epoch `epoch`". Clients install it only when `epoch` is strictly
-/// newer than what they hold, so a delayed repair can never roll a cache
-/// back (see the locality fast path in DESIGN.md).
-struct RepairEntry {
-  VarId var;
-  GroupId loc = kNoGroup;
-  std::uint64_t epoch = 0;
-};
 
 /// Server-side timestamps piggybacked on replies (Dapper-style annotations):
 /// when the executing group delivered the command, and when execution started
@@ -137,20 +107,11 @@ struct ReplyMsg final : net::Message {
   GroupId from_group;
   net::MessagePtr app_reply;  // application-level result (may be null)
   ReplyTiming timing;
-  /// Piggybacked cache repair for the command's variables (empty unless the
-  /// server runs with cache repair on): current ⟨var, partition, epoch⟩ as
-  /// the replying partition knows them, including forwarding pointers for
-  /// variables it moved away. Lets a kRetry re-route directly instead of
-  /// restarting at the oracle.
-  std::vector<RepairEntry> repair;
-  ReplyMsg(MsgId id, ReplyCode c, GroupId g, net::MessagePtr r = nullptr,
-           ReplyTiming t = {}, std::vector<RepairEntry> rep = {})
-      : cmd_id(id), code(c), from_group(g), app_reply(std::move(r)), timing(t),
-        repair(std::move(rep)) {}
+  ReplyMsg(MsgId id, ReplyCode c, GroupId g, net::MessagePtr r = nullptr, ReplyTiming t = {})
+      : cmd_id(id), code(c), from_group(g), app_reply(std::move(r)), timing(t) {}
   const char* type_name() const override { return "smr.reply"; }
   std::size_t size_bytes() const override {
-    return 32 + 24 + repair.size() * 20 +
-           (app_reply != nullptr ? app_reply->size_bytes() : 0);
+    return 32 + 24 + (app_reply != nullptr ? app_reply->size_bytes() : 0);
   }
 };
 
@@ -190,18 +151,15 @@ struct ProphecyMsg final : net::Message {
   /// True when the oracle itself issued the move (DynaStar mode) and the
   /// client must wait for the destination partition before multicasting.
   bool oracle_moved = false;
-  /// Mapping epochs parallel to `locations` (locality fast path; filled only
-  /// when cache repair is on, else empty and free on the wire).
-  std::vector<std::uint64_t> epochs;
   /// Prophecy prefetch: up to --prefetch-k variables recently co-accessed
   /// with the command's, with their current locations, so the client warms
   /// its cache and skips future consults. Empty when prefetch is off.
-  std::vector<RepairEntry> prefetch;
+  std::vector<std::pair<VarId, GroupId>> prefetch;
 
   ProphecyMsg(MsgId id, ReplyCode c) : consult_id(id), code(c) {}
   const char* type_name() const override { return "oracle.prophecy"; }
   std::size_t size_bytes() const override {
-    return 32 + locations.size() * 12 + epochs.size() * 8 + prefetch.size() * 20;
+    return 32 + (locations.size() + prefetch.size()) * 12;
   }
 };
 

@@ -189,13 +189,13 @@ void write_prefix_section(JsonWriter& w, const Metrics& m, const PrefixSection& 
 }
 
 // v3 `faults` (a nemesis ran), then — after telemetry — v5 `batching`, v6
-// `locality` (prefetch, cache repair or move coalescing was on) and v7
+// `locality` (prophecy prefetch was on) and v7
 // `elasticity` (a ScalePlan was armed): one stable place per feature for
 // its tooling.
 const PrefixSection kFaultsSection{"faults", "faults.", {"time_to_new_leader_us"}};
 const PrefixSection kFeatureSections[] = {
     {"batching", "batch.", {"size_entries"}},
-    {"locality", "locality.", {"bulk_entries"}},
+    {"locality", "locality.", {}},
     {"elasticity", "elastic.", {"drain_time_us", "rebalance_entries"}},
 };
 

@@ -1,4 +1,4 @@
-// Machine-readable per-run records (schema "dssmr.run_record.v7").
+// Machine-readable per-run records (schema "dssmr.run_record.v8").
 //
 // Every bench binary can serialize its runs to JSON so the repo's perf
 // trajectory is diffable: counters, histogram summaries (count/min/max/mean/
@@ -13,17 +13,16 @@
 // section summarizing submission batching — flush counts by trigger, entry
 // totals and the flush-size histogram (present when a run carried `batch.*`
 // metrics — v5's addition, see multicast/batcher.h), a `locality` section
-// summarizing the locality fast path — prefetch installs/hits, cache
-// repairs, re-routes, coalesced moves and the bulk-move size histogram
-// (present when a run carried `locality.*` metrics — v6's addition, see
-// core/client_proxy.h and core/move_coalescer.h), an `elasticity` section
-// summarizing live repartitioning — partitions added/retired, rebalance move
-// and variable totals, and the rebalance chunk-size histogram (present when
-// a run carried `elastic.*` metrics, i.e. a ScalePlan was armed — v7's
-// addition, see fault/scaler.h) — and free-form run metadata (strategy,
-// partitions, seed, ...). The format is documented in docs/schema.md and
-// EXPERIMENTS.md; CI asserts one of these files parses and carries a nonzero
-// client.ops.
+// summarizing prophecy prefetch — entries sent, installed and hit (present
+// when a run carried `locality.*` metrics — v6's addition, see
+// core/client_proxy.h), an `elasticity` section summarizing live
+// repartitioning — partitions added/retired, rebalance move and variable
+// totals, and the rebalance chunk-size histogram (present when a run carried
+// `elastic.*` metrics, i.e. a ScalePlan was armed — v7's addition, see
+// fault/scaler.h) — and free-form run metadata (strategy, partitions, seed,
+// ...). v8 only removed keys of deleted features. The format is documented
+// in docs/schema.md and EXPERIMENTS.md; CI asserts one of these files parses
+// and carries a nonzero client.ops.
 #pragma once
 
 #include <iosfwd>
@@ -36,7 +35,7 @@
 
 namespace dssmr::stats {
 
-inline constexpr std::string_view kRunRecordSchema = "dssmr.run_record.v7";
+inline constexpr std::string_view kRunRecordSchema = "dssmr.run_record.v8";
 
 struct RunRecord {
   std::string label;

@@ -17,7 +17,6 @@ std::string_view to_string(SpanPhase p) {
     case SpanPhase::kFallback: return "fallback";
     case SpanPhase::kOracle: return "oracle";
     case SpanPhase::kPrefetch: return "prefetch";
-    case SpanPhase::kRepair: return "repair";
     case SpanPhase::kPhaseCount_: break;  // not a real phase
   }
   return "unknown";
@@ -36,8 +35,6 @@ std::string_view to_string(InstantKind k) {
     case InstantKind::kAmcastDeliver: return "amcast_deliver";
     case InstantKind::kFaultInject: return "fault_inject";
     case InstantKind::kFaultRecover: return "fault_recover";
-    case InstantKind::kCacheRepair: return "cache_repair";
-    case InstantKind::kRepairReroute: return "repair_reroute";
     case InstantKind::kPartitionAdded: return "partition_added";
     case InstantKind::kPartitionDraining: return "partition_draining";
     case InstantKind::kPartitionRetired: return "partition_retired";

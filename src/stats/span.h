@@ -55,14 +55,13 @@ enum class SpanPhase : std::uint8_t {
   kFallback,  // S-SMR fallback window (all-partition multicast -> reply)
   kOracle,    // oracle-side consult handling (server view, not a client phase)
   kPrefetch,  // marker: the cache fast path was served from prefetched entries
-  kRepair,    // marker: a retry window ended in a piggybacked cache repair
   // Add new phases directly above and extend to_string(); the sentinel keeps
   // kSpanPhases (and every per-phase array) sized automatically.
   kPhaseCount_,
 };
 
 inline constexpr std::size_t kSpanPhases = static_cast<std::size_t>(SpanPhase::kPhaseCount_);
-static_assert(kSpanPhases == static_cast<std::size_t>(SpanPhase::kRepair) + 1,
+static_assert(kSpanPhases == static_cast<std::size_t>(SpanPhase::kPrefetch) + 1,
               "SpanPhase changed: point this assert at the new last phase and add "
               "its to_string() case (stats_test checks exhaustiveness)");
 
@@ -74,8 +73,8 @@ std::string_view to_string(SpanPhase p);
 /// (kBatch appears only when submission batching is on — the batcher's flush
 /// time splits the post-send window; unbatched runs never record it.
 /// kFallback covers a window already decomposed into amcast/queue/execute/
-/// reply, kOracle is a server-side view, and kPrefetch/kRepair are locality
-/// fast-path markers over already-attributed time; all are fold=false.)
+/// reply, kOracle is a server-side view, and kPrefetch is a locality
+/// fast-path marker over already-attributed time; all are fold=false.)
 inline constexpr std::array<SpanPhase, 7> kLatencyPhases = {
     SpanPhase::kConsult, SpanPhase::kMove,    SpanPhase::kBatch,  SpanPhase::kAmcast,
     SpanPhase::kQueue,   SpanPhase::kExecute, SpanPhase::kReply,
@@ -111,8 +110,6 @@ enum class InstantKind : std::uint8_t {
   kAmcastDeliver,  // atomic multicast delivered a message (leader-side)
   kFaultInject,    // nemesis injected a disruption (crash, leader kill, cut, drop burst)
   kFaultRecover,   // nemesis restored something (recover, heal, drop burst end)
-  kCacheRepair,    // client installed a piggybacked ⟨var, partition, epoch⟩ repair
-  kRepairReroute,  // a retry was re-routed from repaired cache state (no consult)
   kPartitionAdded,     // oracle admitted a fresh partition (kReconfig add delivered)
   kPartitionDraining,  // oracle marked a partition draining (kReconfig retire delivered)
   kPartitionRetired,   // scaler observed the drain barrier and retired the partition

@@ -51,9 +51,6 @@ std::vector<FlagCase> flag_cases() {
       {{"--batch-delay-us", "50"}, [](C c, O) { return c.batch_delay == usec(50); }},
       {{"--pipeline-depth", "4"}, [](C c, O) { return c.pipeline_depth == 4; }},
       {{"--prefetch-k", "16"}, [](C c, O) { return c.prefetch_k == 16; }},
-      {{"--cache-repair"}, [](C c, O) { return c.cache_repair; }},
-      {{"--coalesce-moves", "4"}, [](C c, O) { return c.coalesce_moves == 4; }},
-      {{"--coalesce-delay-us", "300"}, [](C c, O) { return c.coalesce_delay == usec(300); }},
       {{"--telemetry"}, [](C c, O) { return c.telemetry; }},
       {{"--telemetry-interval", "5000"},
        [](C c, O) { return c.telemetry && c.telemetry_interval == usec(5000); }},
@@ -103,17 +100,19 @@ TEST(Knobs, BadValuesMakeFinishReturnTwo) {
       {"--pipeline-depth", "1e3"},
       {"--pipeline-depth", "-2"},
       {"--prefetch-k", "-1"},
-      {"--coalesce-moves", "-4"},
       {"--batch-delay-us", "0"},
       {"--batch-delay-us", "5x"},
       {"--telemetry-interval", "1e3"},
-      {"--coalesce-delay-us", "0"},
       {"--telemetry-interval", "0"},
       {"--nemesis", "not-a-plan"},
       {"--nemesis"},
       {"--scale-plan", "not-a-plan"},
       {"--scale-plan"},
       {"--no-such-flag"},
+      // Flags of removed features (cache repair, move coalescing).
+      {"--cache-repair"},
+      {"--coalesce-moves", "4"},
+      {"--coalesce-delay-us", "300"},
   };
   for (const Args& args : bad) {
     auto sink = sink_for(args);
@@ -172,8 +171,6 @@ TEST(Knobs, MetaMatchesTheHandWrittenRecord) {
   cfg.batch_size = 8;
   cfg.pipeline_depth = 4;
   cfg.prefetch_k = 8;
-  cfg.cache_repair = true;
-  cfg.coalesce_moves = 4;
   cfg.telemetry = true;
   cfg.telemetry_interval = msec(50);
   EXPECT_EQ(make_run_record(cfg, no_run).meta,
@@ -192,9 +189,6 @@ TEST(Knobs, MetaMatchesTheHandWrittenRecord) {
                   {"batch_delay_us", "100"},
                   {"pipeline_depth", "4"},
                   {"prefetch_k", "8"},
-                  {"cache_repair", "true"},
-                  {"coalesce_moves", "4"},
-                  {"coalesce_delay_us", "200"},
                   {"telemetry", "on"},
                   {"telemetry_interval_us", "50000"},
                   {"placement_edge_cut", "0.000000"},
@@ -220,13 +214,11 @@ TEST(Knobs, EachMetaGroupGatesOnItsOwnKnobs) {
   EXPECT_EQ(keys(k), (Keys{"nemesis", "batch_size", "batch_delay_us", "pipeline_depth",
                            "telemetry"}));
   k = RunKnobs{};
-  k.cache_repair = true;
-  EXPECT_EQ(keys(k), (Keys{"nemesis", "prefetch_k", "cache_repair", "coalesce_moves",
-                           "coalesce_delay_us", "telemetry"}));
+  k.prefetch_k = 1;
+  EXPECT_EQ(keys(k), (Keys{"nemesis", "prefetch_k", "telemetry"}));
   // Delays and the sampling interval alone turn no group on.
   k = RunKnobs{};
   k.batch_delay = usec(5);
-  k.coalesce_delay = usec(5);
   k.telemetry_interval = usec(5);
   k.trace = true;
   k.spans = true;

@@ -1,10 +1,9 @@
-// Locality fast path: prophecy prefetch, piggybacked cache repair and move
-// coalescing — functional behavior (prefetch installs warm the cache, repair
-// entries re-route retries, coalesced moves still execute and reply), epoch
-// monotonicity against forged/stale repairs, linearizability with the whole
-// fast path on (including under every shipped nemesis plan), and the
-// off-by-default purity the seed relies on: locality-off runs must produce
-// byte-identical run records and carry no locality artifacts.
+// Locality fast path: prophecy prefetch — functional behavior (prefetch
+// installs warm the cache and later commands skip the oracle),
+// linearizability with prefetch on (including under every shipped nemesis
+// plan), the off-by-default purity the seed relies on (locality-off runs
+// produce byte-identical run records and carry no locality artifacts), and
+// the guard that rejects the removed cache-repair and coalescing knobs.
 #include "core/client_proxy.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/move_coalescer.h"
 #include "fault/fault_plan.h"
 #include "fault/nemesis.h"
 #include "harness/experiment.h"
@@ -33,9 +31,6 @@ using namespace dssmr::testing;
 harness::DeploymentConfig locality_config(std::size_t parts, std::size_t clients) {
   auto cfg = small_config(parts, Strategy::kDssmr, clients);
   cfg.prefetch_k = 8;
-  cfg.cache_repair = true;
-  cfg.coalesce_moves = 4;
-  cfg.coalesce_delay = usec(200);
   return cfg;
 }
 
@@ -92,107 +87,24 @@ TEST(Prefetch, OffConfigInstallsNothing) {
   EXPECT_EQ(d.metrics().counter("locality.prefetch_installed"), 0u);
 }
 
-// ---- piggybacked cache repair ------------------------------------------------
+// ---- removed knobs ------------------------------------------------------------
 
-TEST(CacheRepair, RepliesAdvanceEpochsMonotonically) {
-  auto cfg = locality_config(2, 2);
-  Deployment d{cfg, kv::kv_app_factory(),
-               [] { return std::make_unique<core::DssmrPolicy>(); }};
-  preload_kv(d, 4);
-  d.start();
-  d.settle();
-
-  EXPECT_EQ(run_op(d, 0, kv_get(VarId{1})), smr::ReplyCode::kOk);
-  const std::uint64_t e1 = d.client(0).cached_epoch(VarId{1});
-  EXPECT_GT(e1, 0u);  // preloaded vars start at epoch 1
-
-  // A forged repair with a stale epoch must never roll the cache back, no
-  // matter what location it claims.
-  const auto before = d.client(0).cached_location(VarId{1});
-  ASSERT_TRUE(before.has_value());
-  const GroupId other =
-      *before == d.partition_gid(0) ? d.partition_gid(1) : d.partition_gid(0);
-  d.client(0).apply_repair({{VarId{1}, other, /*epoch=*/0}});
-  EXPECT_EQ(d.client(0).cached_location(VarId{1}), before);
-  EXPECT_EQ(d.client(0).cached_epoch(VarId{1}), e1);
-
-  // Equal epoch: still no install (strictly-greater rule).
-  d.client(0).apply_repair({{VarId{1}, other, e1}});
-  EXPECT_EQ(d.client(0).cached_location(VarId{1}), before);
-
-  // Strictly newer epoch: installs and advances.
-  d.client(0).apply_repair({{VarId{1}, other, e1 + 1}});
-  EXPECT_EQ(d.client(0).cached_location(VarId{1}), other);
-  EXPECT_EQ(d.client(0).cached_epoch(VarId{1}), e1 + 1);
+// Cache repair and move coalescing are gone; their Knobs fields remain only so
+// existing callers that assign the defaults compile. Any other value aborts.
+TEST(LocalityDeathTest, RemovedKnobsAbortDeployment) {
+  const auto deploy = [](const harness::DeploymentConfig& cfg) {
+    Deployment d{cfg, kv::kv_app_factory(),
+                 [] { return std::make_unique<core::DssmrPolicy>(); }};
+  };
+  auto repair = small_config(2, Strategy::kDssmr, 2);
+  repair.cache_repair = true;
+  EXPECT_DEATH(deploy(repair), "cache repair was removed");
+  auto coalesce = small_config(2, Strategy::kDssmr, 2);
+  coalesce.coalesce_moves = 4;
+  EXPECT_DEATH(deploy(coalesce), "move coalescing was removed");
 }
 
-TEST(CacheRepair, MovedVarRepairReachesOtherClients) {
-  auto cfg = locality_config(2, 2);
-  Deployment d{cfg, kv::kv_app_factory(),
-               [] { return std::make_unique<core::DssmrPolicy>(); }};
-  preload_kv(d, 4);
-  d.start();
-  d.settle();
-
-  // Both clients learn var 0 (partition 0) and var 1 (partition 1).
-  EXPECT_EQ(run_op(d, 0, kv_get(VarId{0})), smr::ReplyCode::kOk);
-  EXPECT_EQ(run_op(d, 1, kv_get(VarId{0})), smr::ReplyCode::kOk);
-  EXPECT_EQ(run_op(d, 1, kv_get(VarId{1})), smr::ReplyCode::kOk);
-
-  // Client 0 collocates {0,1} via a DS-SMR move; client 1's cache is now
-  // stale for whichever var moved. Its next command over both vars either
-  // routes by luck or hits kRetry — with repair on, the retry reply teaches
-  // it the new owner without a fresh consult ending in fallback.
-  EXPECT_EQ(run_op(d, 0, kv_sum({VarId{0}}, VarId{1})), smr::ReplyCode::kOk);
-  EXPECT_EQ(run_op(d, 1, kv_sum({VarId{0}}, VarId{1})), smr::ReplyCode::kOk);
-  EXPECT_TRUE(d.audit_consistency().empty());
-  // Repair actually flowed somewhere in the run (prophecy epochs, retry or
-  // OK-reply piggyback).
-  EXPECT_GT(d.metrics().counter("locality.repairs"), 0u);
-}
-
-// ---- move coalescing ---------------------------------------------------------
-
-TEST(Coalescing, BufferedMovesFlushAndExecute) {
-  auto cfg = locality_config(2, 4);
-  Deployment d{cfg, kv::kv_app_factory(),
-               [] { return std::make_unique<core::DssmrPolicy>(); }};
-  preload_kv(d, 8);
-  d.start();
-  d.settle();
-  ASSERT_NE(d.move_coalescer(), nullptr);
-
-  // Every client issues a cross-partition command at once: their moves land
-  // in the coalescer inside one delay window and flush together.
-  std::vector<smr::ReplyCode> codes(4, smr::ReplyCode::kNok);
-  std::size_t done = 0;
-  for (std::size_t ci = 0; ci < 4; ++ci) {
-    const auto v = static_cast<std::uint64_t>(2 * ci);
-    d.client(ci).issue(kv_sum({VarId{v}}, VarId{v + 1}),
-                       [&codes, &done, ci](smr::ReplyCode c, const net::MessagePtr&) {
-                         codes[ci] = c;
-                         ++done;
-                       });
-  }
-  d.engine().run_for(sec(5));
-  ASSERT_EQ(done, 4u);
-  for (std::size_t ci = 0; ci < 4; ++ci) {
-    EXPECT_EQ(codes[ci], smr::ReplyCode::kOk) << "client " << ci;
-  }
-  EXPECT_EQ(d.metrics().counter("client.moves"), 4u);
-  EXPECT_TRUE(d.audit_consistency().empty());
-}
-
-TEST(Coalescing, DisabledMeansNoCoalescerProcess) {
-  auto cfg = small_config(2, Strategy::kDssmr, 2);
-  Deployment d{cfg, kv::kv_app_factory(),
-               [] { return std::make_unique<core::DssmrPolicy>(); }};
-  preload_kv(d, 4);
-  d.start();
-  EXPECT_EQ(d.move_coalescer(), nullptr);
-}
-
-// ---- linearizability with the full fast path on ------------------------------
+// ---- linearizability with prefetch on ------------------------------
 
 class LocalityLinearizability : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -213,10 +125,9 @@ TEST_P(LocalityLinearizability, ConcurrentHistoriesAreLinearizable) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LocalityLinearizability, ::testing::Values(1, 2, 3, 4, 5));
 
-// Prefetch + repair + coalescing stay linearizable under every shipped fault
-// plan: stale prefetched locations, repairs racing crashes and coalesced
-// moves split by leader failover must all degrade to retries, never to a
-// consistency violation.
+// Prefetch stays linearizable under every shipped fault plan: stale
+// prefetched locations must degrade to retries, never to a consistency
+// violation.
 class LocalityUnderFaults : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(LocalityUnderFaults, HistoriesUnderPlanAreLinearizable) {
@@ -265,9 +176,6 @@ harness::ChirperRunConfig chirper_locality(std::uint64_t seed) {
   cfg.measure = msec(300);
   cfg.seed = seed;
   cfg.prefetch_k = 8;
-  cfg.cache_repair = true;
-  cfg.coalesce_moves = 4;
-  cfg.coalesce_delay = usec(200);
   return cfg;
 }
 
@@ -283,22 +191,21 @@ TEST(LocalityDeterminism, SameSeedSameRunRecordBytes) {
   const std::string second = record_json(cfg, harness::run_chirper(cfg));
   EXPECT_GT(first.size(), 100u);
   EXPECT_EQ(first, second);
-  // The record carries the v6 locality section and the knob metadata.
+  // The record carries schema v8, the v6 locality section and the prefetch
+  // knob, and none of the removed features' meta.
+  EXPECT_NE(first.find("\"schema\": \"dssmr.run_record.v8\""), std::string::npos);
   EXPECT_NE(first.find("\"locality\""), std::string::npos);
   EXPECT_NE(first.find("\"prefetch_k\": \"8\""), std::string::npos);
-  EXPECT_NE(first.find("\"cache_repair\": \"true\""), std::string::npos);
-  EXPECT_NE(first.find("\"coalesce_moves\": \"4\""), std::string::npos);
+  EXPECT_EQ(first.find("cache_repair"), std::string::npos);
+  EXPECT_EQ(first.find("coalesce_"), std::string::npos);
 }
 
 TEST(LocalityDeterminism, OffRunsCarryNoLocalityArtifacts) {
   harness::ChirperRunConfig cfg = chirper_locality(78);
   cfg.prefetch_k = 0;
-  cfg.cache_repair = false;
-  cfg.coalesce_moves = 0;
   const std::string json = record_json(cfg, harness::run_chirper(cfg));
   EXPECT_EQ(json.find("\"locality\""), std::string::npos);
   EXPECT_EQ(json.find("prefetch"), std::string::npos);
-  EXPECT_EQ(json.find("cache_repair"), std::string::npos);
 }
 
 // The real off-mode purity bar: a locality-off run record is byte-identical
@@ -307,8 +214,6 @@ TEST(LocalityDeterminism, OffRunsCarryNoLocalityArtifacts) {
 TEST(LocalityDeterminism, OffModeMatchesPreLocalityRecordBytes) {
   harness::ChirperRunConfig off = chirper_locality(79);
   off.prefetch_k = 0;
-  off.cache_repair = false;
-  off.coalesce_moves = 0;
 
   harness::ChirperRunConfig legacy;
   legacy.partitions = off.partitions;

@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Doc lint: keep the user-facing docs in sync with the code they describe.
 
-Two checks, both derived from the source of truth rather than a hand-kept
-list, so adding a flag or a run-record section without documenting it fails
-CI:
+Three checks, all derived from the source of truth rather than a hand-kept
+list, so adding a flag or a run-record section without documenting it, or
+removing a flag the docs still mention, fails CI:
 
   * Bench CLI flags — the knob table in src/harness/knobs.cpp declares every
     flag the fig_* binaries share, with the help line their usage text
     prints. Every row must carry a non-empty help line, no flag may be
     declared twice, and README.md must point readers at the table.
+  * Stale flags — every `--flag` the user-facing docs mention must be
+    declared as a string literal ("--flag" or '--flag') by some source under
+    src/, bench/, examples/, tools/ or perfbench/. Only EXTERNAL_FLAGS,
+    which belong to other programs, are exempt.
   * Run-record schema keys — every JSON key emitted by
     src/stats/run_record.cpp (`w.key("...")` calls and the section keys and
     histogram names of its prefix-section table) plus the schema version
@@ -24,8 +28,8 @@ Exit codes:
        flags/keys (the lint could not actually lint)
 
 --self-test additionally verifies the negative path: the lint must flag an
-injected table row without a help line and an injected undocumented schema
-key. CI runs
+injected table row without a help line, an injected doc mention of an
+undeclared flag and an injected undocumented schema key. CI runs
 `check_docs.py --self-test` so a regression that makes the lint vacuously
 pass is itself a failure.
 """
@@ -40,6 +44,14 @@ FLAG_DOC = "README.md"
 KEY_SOURCE = "src/stats/run_record.cpp"
 SCHEMA_SOURCE = "src/stats/run_record.h"
 KEY_DOC = "docs/schema.md"
+# Docs whose `--flag` mentions must name a declared flag.
+FLAG_MENTION_DOCS = ["README.md", "EXPERIMENTS.md", "DESIGN.md", "docs/schema.md",
+                     ".claude/skills/verify/SKILL.md"]
+FLAG_DECL_DIRS = ["src", "bench", "examples", "tools", "perfbench"]
+FLAG_DECL_SUFFIXES = {".cpp", ".h", ".py"}
+# Flags of other programs: `--help` reaches dssmr_sim's usage through its
+# unknown-flag path, and `--test-dir` is ctest's.
+EXTERNAL_FLAGS = {"--help", "--test-dir"}
 
 # One knob-table row: `{.flag = "--x", ... .help = "..." "..."}`.
 ROW_RE = re.compile(r'\{\s*\.flag\s*=\s*"(--[a-z][a-z-]*)"(.*?)\}', re.S)
@@ -49,6 +61,9 @@ KEY_RE = re.compile(r'w\.key\("([A-Za-z_.]+)"\)')
 # One prefix-section table entry: `{"section", "prefix.", {"hist", ...}}`.
 SECTION_RE = re.compile(r'\{"([A-Za-z_]+)", "[A-Za-z_.]+", \{([^{}]*)\}\}')
 SCHEMA_RE = re.compile(r'kRunRecordSchema\s*=\s*"([^"]+)"')
+FLAG_PATTERN = r"--[a-z][a-z0-9]*(?:-[a-z0-9]+)*"
+FLAG_MENTION_RE = re.compile(rf"(?<![\w-])({FLAG_PATTERN})")
+FLAG_DECL_RE = re.compile(rf"""["']({FLAG_PATTERN})["']""")
 
 
 def die(msg):
@@ -101,6 +116,26 @@ def check_flags(rows, readme_text):
     return problems
 
 
+def declared_flags(root):
+    """Every `--flag` string literal in the sources."""
+    flags = set()
+    for rel in FLAG_DECL_DIRS:
+        for path in sorted((root / rel).rglob("*")):
+            if path.is_file() and path.suffix in FLAG_DECL_SUFFIXES:
+                flags.update(FLAG_DECL_RE.findall(path.read_text(encoding="utf-8")))
+    return flags
+
+
+def check_stale_flags(docs, declared):
+    """`docs` maps a doc name to its text; every flag it mentions must be
+    declared or external."""
+    problems = []
+    for name, text in docs.items():
+        for flag in sorted(set(FLAG_MENTION_RE.findall(text)) - declared - EXTERNAL_FLAGS):
+            problems.append(f"{name}: mentions {flag}, which no source declares")
+    return problems
+
+
 def check_keys(keys, token, schema_text):
     missing = [k for k in keys
                if not re.search(rf"\b{re.escape(k)}\b", schema_text)]
@@ -119,8 +154,12 @@ def run_checks(root):
 
     readme = read(root, FLAG_DOC)
     schema_doc = read(root, KEY_DOC)
+    declared = declared_flags(root)
+    if not declared:
+        die(f"no --flag literals found under {', '.join(FLAG_DECL_DIRS)}")
 
     problems = check_flags(flags, readme)
+    problems += check_stale_flags({d: read(root, d) for d in FLAG_MENTION_DOCS}, declared)
     for k in check_keys(keys, token, schema_doc):
         problems.append(f"{KEY_DOC}: run-record key {k} ({KEY_SOURCE}) undocumented")
     return flags, keys, problems
@@ -134,8 +173,13 @@ def self_test(root):
     injected = '{.flag = "--intentionally-undocumented", .kind = Kind::kSwitch},'
     if not check_flags(extract_flags(injected), readme):
         failures.append("lint did not flag an undocumented CLI flag")
-    if not check_keys(["intentionally_undocumented_key"], "dssmr.run_record.v7",
-                      schema_doc):
+    # Built from pieces so this file never declares the flag it injects.
+    undeclared = "--intentionally" + "-undeclared"
+    if not check_stale_flags({FLAG_DOC: f"{readme}\nRun with {undeclared}.\n"},
+                             declared_flags(root)):
+        failures.append("lint did not flag a doc mention of an undeclared flag")
+    _, token = extract_keys(read(root, KEY_SOURCE), read(root, SCHEMA_SOURCE))
+    if not check_keys(["intentionally_undocumented_key"], token, schema_doc):
         failures.append("lint did not flag an undocumented schema key")
     return failures
 

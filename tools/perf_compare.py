@@ -73,7 +73,7 @@ GATED_EXTRAS = {
 # baseline. The batching/pipelining hot path must stay a >= 1.5x win.
 REQUIRED_MIN = {
     "chirper.batched": {"event_ratio": 1.5},
-    # The locality fast path promise: prefetch + repair must at least halve
+    # The locality fast path promise: prophecy prefetch must at least halve
     # deterministic oracle consults per command, do strictly less simulator
     # work per command, and never trade throughput away for it. Ratios are
     # off/on (consults, events) and on/off (throughput), all deterministic

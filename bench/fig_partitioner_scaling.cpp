@@ -69,7 +69,9 @@ int main(int argc, char** argv) {
         partition::edge_cut_fraction(g, partition::hash_partition(g.vertex_count(), 8));
 
     // No deployment here, so synthesize a schema-consistent record per size.
-    row.rec.label = "n" + std::to_string(n);
+    char label[16];
+    std::snprintf(label, sizeof label, "n%u", n);
+    row.rec.label = std::string(label);
     row.rec.add_meta("k", std::to_string(pcfg.k));
     row.rec.add_meta("mem_mb", std::to_string(row.mem_mb));
     row.rec.add_meta("cut_fraction", std::to_string(row.cut));

@@ -77,7 +77,6 @@ void PaxosCore::restart() {
   p1b_granted_.clear();
   p1b_accepted_.clear();
   proposals_.clear();
-  inflight_ = 0;
   pending_.clear();
   submitted_ids_.clear();
   // The election timer doubles as the catch-up trigger: the current leader's
@@ -130,7 +129,7 @@ void PaxosCore::arm_resend_timer() {
     resend_timer_ = 0;
     if (halted_ || role_ != Role::Leader) return;
     for (const auto& [slot, prop] : proposals_) {
-      if (!prop.decided) broadcast(net::make_msg<P2a>(gid_, ballot_, slot, prop.batch));
+      broadcast(net::make_msg<P2a>(gid_, ballot_, slot, prop.batch));
     }
     arm_resend_timer();
   });
@@ -172,7 +171,6 @@ void PaxosCore::start_election() {
 void PaxosCore::become_leader() {
   role_ = Role::Leader;
   proposals_.clear();
-  inflight_ = 0;
 
   Slot max_slot = next_deliver_ - 1;
   for (const auto& [slot, acc] : p1b_accepted_) max_slot = std::max(max_slot, slot);
@@ -228,7 +226,7 @@ void PaxosCore::flush_pending() {
   // Pipelined: propose chunks of up to max_batch while the window has room.
   // Leftover entries stay pending and are re-flushed as decisions land, so
   // under load the per-slot batches grow instead of the slot count.
-  while (!pending_.empty() && inflight_ < cfg_.pipeline_depth) {
+  while (!pending_.empty() && proposals_.size() < cfg_.pipeline_depth) {
     if (pending_.size() <= cfg_.max_batch) {
       propose(next_slot_++, std::exchange(pending_, {}));
       break;
@@ -244,9 +242,7 @@ void PaxosCore::flush_pending() {
 }
 
 void PaxosCore::propose(Slot slot, Batch batch) {
-  auto [it, inserted] = proposals_.try_emplace(slot);
-  if (!inserted && it->second.decided) return;
-  if (inserted) ++inflight_;
+  auto it = proposals_.try_emplace(slot).first;
   it->second.batch = std::move(batch);
   it->second.acks.clear();
   it->second.acks.insert(self_index_);
@@ -354,7 +350,7 @@ void PaxosCore::handle_p2b(ProcessId from, const P2b& m) {
     return;
   }
   auto it = proposals_.find(m.slot);
-  if (it == proposals_.end() || it->second.decided) return;
+  if (it == proposals_.end()) return;
   it->second.acks.insert(index_of(from));
   if (it->second.acks.size() >= majority()) {
     Batch copy = it->second.batch;
@@ -392,17 +388,14 @@ void PaxosCore::decide(Slot slot, Batch batch, bool broadcast_commit) {
   if (slot < next_deliver_) return;  // already delivered
   const bool fresh = !decided_.contains(slot);
   if (fresh) decided_[slot] = std::move(batch);
-  if (auto it = proposals_.find(slot); it != proposals_.end() && !it->second.decided) {
-    it->second.decided = true;
-    if (inflight_ > 0) --inflight_;
-  }
+  proposals_.erase(slot);
   if (broadcast_commit && fresh) {
     broadcast(net::make_msg<CommitMsg>(gid_, slot, decided_[slot]));
   }
   advance_delivery();
   // A decision freed a pipeline slot; push the backlog into it right away.
   if (cfg_.pipeline_depth != 0 && role_ == Role::Leader && !pending_.empty() &&
-      inflight_ < cfg_.pipeline_depth) {
+      proposals_.size() < cfg_.pipeline_depth) {
     flush_pending();
   }
 }
@@ -423,10 +416,6 @@ void PaxosCore::trim() {
   const Slot low = next_deliver_ - cfg_.retain_window;
   decided_.erase(decided_.begin(), decided_.lower_bound(low));
   accepted_.erase(accepted_.begin(), accepted_.lower_bound(low));
-  while (!proposals_.empty() && proposals_.begin()->first < low &&
-         proposals_.begin()->second.decided) {
-    proposals_.erase(proposals_.begin());
-  }
 }
 
 }  // namespace dssmr::consensus

@@ -173,7 +173,7 @@ class PaxosCore {
   /// Ballot of the current candidacy or leadership.
   Ballot ballot() const { return ballot_; }
   /// Undecided proposals currently in flight (telemetry; leader-side).
-  std::size_t inflight_proposals() const { return inflight_; }
+  std::size_t inflight_proposals() const { return proposals_.size(); }
   /// Entries buffered but not yet proposed (telemetry; leader-side).
   std::size_t pending_entries() const { return pending_.size(); }
   /// Best guess at the current leader (self while leading).
@@ -199,7 +199,6 @@ class PaxosCore {
   struct Proposal {
     Batch batch;
     std::unordered_set<std::uint32_t> acks;
-    bool decided = false;
   };
 
   std::size_t majority() const { return members_.size() / 2 + 1; }
@@ -254,9 +253,9 @@ class PaxosCore {
   std::unordered_set<std::uint32_t> p1b_granted_;
   std::map<Slot, std::pair<Ballot, Batch>> p1b_accepted_;
   Slot next_slot_ = 1;
+  /// Undecided proposals only (decide() erases the slot): its size is the
+  /// pipeline occupancy, and the resend timer touches nothing else.
   std::map<Slot, Proposal> proposals_;
-  /// Count of undecided entries in proposals_ (the pipeline occupancy).
-  std::size_t inflight_ = 0;
   Batch pending_;
   /// Entry ids submitted while leading, so a duplicate is not proposed
   /// twice. Duplicates are the same entry submitted by each replica of a

@@ -158,6 +158,7 @@ void ClientProxy::issue(Command cmd, DoneFn done) {
   cmd_.trace_id = cmd_.id.value;
   done_ = std::move(done);
   retries_ = 0;
+  direct_consult_.reset();
   outstanding_consults_.clear();
   issued_at_ = network().engine().now();
   fallback_start_ = 0;
@@ -250,7 +251,19 @@ void ClientProxy::do_consult() {
   }
   outstanding_consults_.push_back(id.value);
   phase_ = Phase::kConsult;
-  amcast_with_id(id, {cfg_.oracle_group}, net::make_msg<ConsultMsg>(id, cmd_));
+  auto consult = net::make_msg<ConsultMsg>(id, cmd_);
+  if (cmd_.type == CommandType::kAccess && !direct_consult_) {
+    // The first access consult reads the oracle leader's mapping without
+    // ordering: the prophecy is advisory (servers check ownership and answer
+    // retry). A re-consult means the previous answer was stale or lost —
+    // after a retry, a failed move or a timeout — so it goes through the
+    // log, where it follows the moves ordered before it and reaches the
+    // group's real leader even if a deposed one answered the first time.
+    direct_consult_ = id.value;
+    send_to_group(cfg_.oracle_group, std::move(consult));
+  } else {
+    amcast_with_id(id, {cfg_.oracle_group}, std::move(consult));
+  }
   // Consult retransmissions use entirely fresh ids: consults are read-only,
   // so re-asking is harmless and dodges the multicast dedup.
   resend_ = [this] { do_consult(); };
@@ -268,6 +281,14 @@ void ClientProxy::on_prophecy(const ProphecyMsg& p) {
   timeout_ = 0;
   events().record(InstantKind::kProphecy, network().engine().now(), pid().value,
                   p.consult_id.value, static_cast<std::int64_t>(p.locations.size()));
+  if (p.code == ReplyCode::kNok && p.consult_id.value == direct_consult_) {
+    // An unordered kNok is not final: the answering replica may be a new
+    // leader that has not applied every create yet, or a deposed one behind
+    // a cut. Re-consult through the log; only an ordered kNok ends the
+    // command. The consult window stays open across both consults.
+    do_consult();
+    return;
+  }
   record_phase(SpanPhase::kConsult, consult_start_, kNoGroup, retries_);
 
   if (p.code == ReplyCode::kNok) {

@@ -5,6 +5,14 @@
 //
 //   1. Optionally answer the destination question from the location cache
 //      (Section "Performance optimizations"); otherwise consult the oracle.
+//      A command's first access consult goes point to point to the oracle
+//      replicas and the current leader answers it from its mapping; every
+//      later consult (after a retry, a failed move or a timeout) and every
+//      create/delete consult is ordered through the oracle's log, so it sees
+//      the moves and membership changes ordered before it. An unordered
+//      `nok` (variable unknown) is re-checked through the log before it
+//      ends the command: the answering leader may not have applied a create
+//      that already completed.
 //   2. If the prophecy spans several partitions, collocate first: in DS-SMR
 //      mode the proxy multicasts a move command to {oracle} ∪ sources ∪
 //      {destination}; in DynaStar mode the oracle has already issued the move
@@ -159,6 +167,10 @@ class ClientProxy : public multicast::ClientNode {
   smr::Command cmd_;
   DoneFn done_;
   int retries_ = 0;
+  /// Id of the current command's direct consult, once sent: only its first
+  /// access consult skips the oracle's log (see do_consult), and a kNok
+  /// answer to it is re-checked through the log (see on_prophecy).
+  std::optional<std::uint64_t> direct_consult_;
   Time issued_at_ = 0;
   /// Consult ids issued for the current attempt: retransmissions use fresh
   /// ids (see do_consult), and with timeouts shorter than the round trip the

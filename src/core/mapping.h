@@ -185,10 +185,12 @@ class OraclePolicy {
   virtual std::size_t workload_graph_edges() const { return 0; }
 
   /// Prophecy prefetch (the locality fast path, see DESIGN.md): records that
-  /// `vars` were accessed by one command. Called by the oracle while
-  /// processing a delivered consult, on every replica identically — the
-  /// co-access state stays a deterministic function of the delivered command
-  /// sequence. The base class keeps a cheap bounded recent-co-access table;
+  /// `vars` were accessed by one command. Called only by the oracle replica
+  /// that answers a consult (the leader), for direct and ordered consults
+  /// alike, so the co-access state is best-effort, leader-local soft state
+  /// that a new leader rebuilds from the consults it answers. Prefetched
+  /// locations are advisory, so a partial table costs prefetch hits, never
+  /// correctness. The base class keeps a cheap bounded recent-co-access table;
   /// policies with a real workload graph (DynaStar) override
   /// prefetch_candidates() instead and may ignore this.
   virtual void note_co_access(const std::vector<VarId>& vars) {

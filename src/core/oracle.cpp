@@ -101,7 +101,7 @@ void OracleNode::queue_reply_task(Duration service, std::function<void()> run) {
 
 void OracleNode::on_amdeliver(const multicast::AmcastMessage& m) {
   if (const auto* consult = net::msg_cast<ConsultMsg>(m.payload)) {
-    handle_consult(m, *consult);
+    handle_consult(m.sender, *consult);
     return;
   }
   if (const auto* hint = net::msg_cast<HintMsg>(m.payload)) {
@@ -130,10 +130,16 @@ void OracleNode::on_amdeliver(const multicast::AmcastMessage& m) {
   }
 }
 
-void OracleNode::handle_consult(const multicast::AmcastMessage& m, const ConsultMsg& consult) {
+void OracleNode::on_direct(ProcessId from, const net::MessagePtr& m) {
+  // A first access consult, sent to every replica outside the log: only the
+  // current leader answers, from its applied mapping.
+  const auto* consult = net::msg_cast<ConsultMsg>(m);
+  if (consult != nullptr && is_leader()) handle_consult(from, *consult);
+}
+
+void OracleNode::handle_consult(ProcessId client, const ConsultMsg& consult) {
   bump(ctr_.consults);
   const Command& cmd = consult.cmd;
-  const ProcessId client = m.sender;
   auto prophecy = std::make_shared<ProphecyMsg>(consult.consult_id, ReplyCode::kOk);
 
   if (cmd.type == CommandType::kCreate) {
@@ -198,10 +204,12 @@ void OracleNode::handle_consult(const multicast::AmcastMessage& m, const Consult
   }
 
   if (config_.prefetch_k > 0 && cmd.type == CommandType::kAccess &&
-      prophecy->code == ReplyCode::kOk) {
-    // Feed and probe the policy's co-access state on EVERY replica — it must
-    // remain a deterministic function of the delivered consult sequence —
-    // then attach located candidates to the prophecy (only the leader sends).
+      prophecy->code == ReplyCode::kOk && is_leader()) {
+    // The co-access table is leader-local soft state: most access consults
+    // reach only the leader, so only the replica that answers feeds and
+    // probes it. A new leader starts from its own (partial) table, which
+    // costs prefetch hits, never correctness — prefetched entries are
+    // advisory like every cached location.
     policy_->note_co_access(cmd.vars());
     std::vector<VarId> candidates;
     policy_->prefetch_candidates(cmd.vars(), config_.prefetch_k, candidates);
@@ -210,9 +218,7 @@ void OracleNode::handle_consult(const multicast::AmcastMessage& m, const Consult
       if (loc == kNoGroup) continue;
       prophecy->prefetch.emplace_back(c, loc);
     }
-    if (!prophecy->prefetch.empty() && is_leader()) {
-      ctr_.prefetch_sent->inc(prophecy->prefetch.size());
-    }
+    ctr_.prefetch_sent->inc(prophecy->prefetch.size());
   }
 
   const Time delivered = engine().now();

@@ -6,6 +6,15 @@
 // partitions on create/delete via signal exchange so that its reply to the
 // client implies the partition has applied the change (execution atomicity).
 //
+// Consults arrive two ways. A command's first access consult is sent point
+// to point to every replica (on_direct): the current leader answers it from
+// its applied mapping and the followers drop it. A prophecy is advisory —
+// partitions check ownership at delivery and answer `retry` — so this read
+// needs no ordering. Every other consult (a re-consult after a retry, a
+// failed move or a timeout, and every create/delete consult) is atomically
+// multicast to the oracle group and answered at delivery, after every move
+// and membership record ordered before it.
+//
 // Placement decisions are delegated to an OraclePolicy: the DS-SMR policy
 // needs no workload knowledge; the DynaStar-style policy (an extension, see
 // DESIGN.md) maintains a workload graph and a graph-partitioner-computed
@@ -88,6 +97,7 @@ class OracleNode : public multicast::GroupNode {
  protected:
   void on_amdeliver(const multicast::AmcastMessage& m) override;
   void on_rmdeliver(ProcessId origin, const net::MessagePtr& payload) override;
+  void on_direct(ProcessId from, const net::MessagePtr& m) override;
 
  private:
   struct CachedReply {
@@ -95,7 +105,7 @@ class OracleNode : public multicast::GroupNode {
     smr::ReplyTiming timing;
   };
 
-  void handle_consult(const multicast::AmcastMessage& m, const smr::ConsultMsg& consult);
+  void handle_consult(ProcessId client, const smr::ConsultMsg& consult);
   void handle_create(const multicast::AmcastMessage& m, const smr::Command& cmd);
   void handle_delete(const multicast::AmcastMessage& m, const smr::Command& cmd);
   void handle_move(const smr::Command& cmd);

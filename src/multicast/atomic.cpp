@@ -298,6 +298,12 @@ void GroupNode::on_message(ProcessId from, const net::MessagePtr& m) {
     }
     return;
   }
+  if (const auto* direct = net::msg_cast<DirectBatchMsg>(m)) {
+    if (direct->gid == gid_) {
+      for (const auto& [origin, payload] : direct->entries) on_direct(origin, payload);
+    }
+    return;
+  }
   if (const auto* q = net::msg_cast<TsQuery>(m)) {
     if (auto ts = amcast_->lookup_ts(q->mid)) {
       consensus::LogEntry entry{derive_entry_id(q->mid, q->requester, kTsSalt + gid_.value),

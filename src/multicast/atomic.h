@@ -212,7 +212,8 @@ class GroupNode : public net::Actor {
   virtual void on_amdeliver(const AmcastMessage& m) = 0;
   /// Reliable delivery hook.
   virtual void on_rmdeliver(ProcessId origin, const net::MessagePtr& payload) = 0;
-  /// Everything that is not consensus/multicast traffic.
+  /// Everything that is not consensus/multicast traffic, including each
+  /// entry of a DirectBatchMsg (with `from` = the entry's origin).
   virtual void on_direct(ProcessId from, const net::MessagePtr& m) {
     (void)from;
     (void)m;

@@ -43,19 +43,24 @@ void SubmitBatcher::amcast(const AmcastMessage& msg, FlushFn on_flush) {
     pending_[g].push_back(consensus::LogEntry{derive_entry_id(msg.id, g, kStampSalt), stamp});
   }
   if (on_flush) flush_cbs_.push_back(std::move(on_flush));
-  ++queued_items_;
-  if (queued_items_ >= cfg_.batch_size) {
-    if (full_flush_ctr_ != nullptr) full_flush_ctr_->inc();
-    flush();
-  } else {
-    arm_timer();
-  }
+  queued();
 }
 
 void SubmitBatcher::submit(GroupId g, consensus::LogEntry entry) {
   DSSMR_ASSERT_MSG(network_ != nullptr, "init() not called");
   if (halted_) return;
   pending_[g].push_back(std::move(entry));
+  queued();
+}
+
+void SubmitBatcher::direct(GroupId g, ProcessId origin, net::MessagePtr payload) {
+  DSSMR_ASSERT_MSG(network_ != nullptr, "init() not called");
+  if (halted_) return;
+  direct_[g].emplace_back(origin, std::move(payload));
+  queued();
+}
+
+void SubmitBatcher::queued() {
   ++queued_items_;
   if (queued_items_ >= cfg_.batch_size) {
     if (full_flush_ctr_ != nullptr) full_flush_ctr_->inc();
@@ -65,23 +70,32 @@ void SubmitBatcher::submit(GroupId g, consensus::LogEntry entry) {
   }
 }
 
+void SubmitBatcher::ship(GroupId g, const net::MessagePtr& m) {
+  const std::span<const ProcessId> members = directory_->members(g);
+  if (std::find(members.begin(), members.end(), self_) == members.end()) {
+    network_->multisend(self_, members, m);
+  } else {
+    // A group node batching for its own group while following: peers only.
+    for (ProcessId p : members) {
+      if (p != self_) network_->send(self_, p, m);
+    }
+  }
+}
+
 void SubmitBatcher::flush() {
-  if (pending_.empty()) return;
+  if (pending_.empty() && direct_.empty()) return;
   network_->engine().cancel(timer_);
   timer_ = 0;
   std::size_t total = 0;
+  // Direct messages ship first: each is a consult whose answer gates its
+  // client's next send, while the log entries beside it wait for ordering.
+  for (auto& [g, entries] : direct_) {
+    total += entries.size();
+    ship(g, net::make_msg<DirectBatchMsg>(g, std::move(entries)));
+  }
   for (auto& [g, entries] : pending_) {
     total += entries.size();
-    auto batch = net::make_msg<BatchSubmitMsg>(g, std::move(entries));
-    const std::span<const ProcessId> members = directory_->members(g);
-    if (std::find(members.begin(), members.end(), self_) == members.end()) {
-      network_->multisend(self_, members, batch);
-    } else {
-      // A group node batching for its own group while following: peers only.
-      for (ProcessId p : members) {
-        if (p != self_) network_->send(self_, p, batch);
-      }
-    }
+    ship(g, net::make_msg<BatchSubmitMsg>(g, std::move(entries)));
   }
   if (flushes_ctr_ != nullptr) {
     flushes_ctr_->inc();
@@ -89,6 +103,7 @@ void SubmitBatcher::flush() {
     size_hist_->record(static_cast<std::int64_t>(total));
   }
   pending_.clear();
+  direct_.clear();
   queued_items_ = 0;
   const Time now = network_->engine().now();
   // Reset before firing: a callback may enqueue the next command.
@@ -99,6 +114,7 @@ void SubmitBatcher::flush() {
 std::size_t SubmitBatcher::pending_entries() const {
   std::size_t n = 0;
   for (const auto& [g, entries] : pending_) n += entries.size();
+  for (const auto& [g, entries] : direct_) n += entries.size();
   return n;
 }
 
@@ -107,7 +123,9 @@ void SubmitBatcher::arm_timer() {
   timer_ = network_->engine().schedule(cfg_.batch_delay, [this] {
     timer_ = 0;
     if (halted_) return;
-    if (timer_flush_ctr_ != nullptr && !pending_.empty()) timer_flush_ctr_->inc();
+    if (timer_flush_ctr_ != nullptr && (!pending_.empty() || !direct_.empty())) {
+      timer_flush_ctr_->inc();
+    }
     flush();
   });
 }
@@ -117,6 +135,7 @@ void SubmitBatcher::halt() {
   if (network_ != nullptr) network_->engine().cancel(timer_);
   timer_ = 0;
   pending_.clear();
+  direct_.clear();
   flush_cbs_.clear();
   queued_items_ = 0;
 }

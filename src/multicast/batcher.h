@@ -12,6 +12,9 @@
 //    tier) collects the multicasts of that rack's clients. Clients hand
 //    submissions over in-process — the relay models the proxy co-located
 //    with the clients — and the relay ships from its own network endpoint.
+//    The relay also carries the clients' unordered point-to-point messages
+//    to a group (a command's first access consult): the same flush ships
+//    them to the group's members as one DirectBatchMsg.
 //  * Server tier: each GroupNode routes its remote submissions (timestamp
 //    pushes, stamp re-disseminations) through an embedded batcher.
 //
@@ -23,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -45,7 +49,8 @@ struct BatchConfig {
 };
 
 /// Accumulates log-entry submissions and flushes them as one BatchSubmitMsg
-/// per destination group (sent to every member; the leader sequences).
+/// per destination group (sent to every member; the leader sequences), plus
+/// one DirectBatchMsg per group for queued point-to-point messages.
 class SubmitBatcher {
  public:
   using FlushFn = std::function<void(Time flushed_at)>;
@@ -69,6 +74,10 @@ class SubmitBatcher {
   /// re-disseminations from the server tier).
   void submit(GroupId g, consensus::LogEntry entry);
 
+  /// Queues an unordered message from `origin` to every member of group `g`;
+  /// the members receive it as if `origin` had sent it point to point.
+  void direct(GroupId g, ProcessId origin, net::MessagePtr payload);
+
   /// Ships everything queued now (size/timer triggers call this internally).
   void flush();
 
@@ -82,7 +91,11 @@ class SubmitBatcher {
   void restart();
 
  private:
+  /// Counts one logical submission; flushes when the batch is full.
+  void queued();
   void arm_timer();
+  /// Sends `m` to the members of `g` (peers only when this process is one).
+  void ship(GroupId g, const net::MessagePtr& m);
 
   net::Network* network_ = nullptr;
   const Directory* directory_ = nullptr;
@@ -92,6 +105,7 @@ class SubmitBatcher {
 
   /// Per-group queues (std::map: flush order must be deterministic).
   std::map<GroupId, std::vector<consensus::LogEntry>> pending_;
+  std::map<GroupId, std::vector<std::pair<ProcessId, net::MessagePtr>>> direct_;
   std::vector<FlushFn> flush_cbs_;
   std::size_t queued_items_ = 0;  // logical submissions since the last flush
   sim::TimerId timer_ = 0;

@@ -42,4 +42,12 @@ MsgId ClientNode::amcast(std::vector<GroupId> dests, net::MessagePtr payload) {
   return id;
 }
 
+void ClientNode::send_to_group(GroupId g, net::MessagePtr payload) {
+  if (batcher_ != nullptr) {
+    batcher_->direct(g, pid(), std::move(payload));
+    return;
+  }
+  network_->multisend(pid(), directory_->members(g), payload);
+}
+
 }  // namespace dssmr::multicast

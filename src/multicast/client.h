@@ -2,10 +2,11 @@
 //
 // Clients are not members of any group: they submit StampEntries to the
 // destination groups' members (only the current leader sequences them) and
-// receive replies as direct messages. Re-invoking amcast_with_id with the
-// same MsgId is safe — duplicate stamps deduplicate at the leaders and at
-// the amcast apply layer — which is exactly what the DS-SMR client proxy's
-// retry loop relies on.
+// receive replies as direct messages. They can also send a group's members
+// an unordered message (send_to_group), which bypasses the group's log.
+// Re-invoking amcast_with_id with the same MsgId is safe — duplicate stamps
+// deduplicate at the leaders and at the amcast apply layer — which is
+// exactly what the DS-SMR client proxy's retry loop relies on.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +50,10 @@ class ClientNode : public net::Actor {
 
   /// Convenience: fresh id + amcast; returns the id.
   MsgId amcast(std::vector<GroupId> dests, net::MessagePtr payload);
+
+  /// Sends `payload` point to point to every member of group `g`, outside
+  /// the group's log (riding the batcher's next flush when one is wired).
+  void send_to_group(GroupId g, net::MessagePtr payload);
 
   net::Network& network() { return *network_; }
   const Directory& directory() const { return *directory_; }

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -79,6 +80,26 @@ struct BatchSubmitMsg final : net::Message {
     std::size_t n = 24;
     for (const auto& e : entries) {
       n += 16 + (e.payload != nullptr ? e.payload->size_bytes() : 0);
+    }
+    return n;
+  }
+};
+
+/// Point-to-point messages for one group's members, accumulated by a
+/// client-tier SubmitBatcher next to its log entries and shipped in the same
+/// flush. Nothing here is sequenced: every member hands each entry to its
+/// direct-message handler as if `origin` had sent it.
+struct DirectBatchMsg final : net::Message {
+  GroupId gid;
+  std::vector<std::pair<ProcessId, net::MessagePtr>> entries;
+  DirectBatchMsg(GroupId g, std::vector<std::pair<ProcessId, net::MessagePtr>> e)
+      : gid(g), entries(std::move(e)) {}
+  const char* type_name() const override { return "amcast.directbatch"; }
+  std::size_t size_bytes() const override {
+    std::size_t n = 24;
+    for (const auto& [origin, payload] : entries) {
+      (void)origin;
+      n += 8 + (payload != nullptr ? payload->size_bytes() : 0);
     }
     return n;
   }

@@ -7,12 +7,16 @@
 //
 //   ./build/examples/dssmr_sim --strategy=dssmr --partitions=4 --mix=post
 //        --edge-cut=0.05 --users=2048 --measure-s=4 --seed=7
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "harness/experiment.h"
+#include "harness/knobs.h"
 
 using namespace dssmr;
 
@@ -55,6 +59,21 @@ bool parse_flag(const char* arg, const char* name, std::string& out) {
   std::exit(2);
 }
 
+/// `v` read whole as a decimal integer in [lo, hi]; usage() otherwise.
+long long integer(const std::string& v, long long lo, long long hi = LLONG_MAX) {
+  const std::optional<long long> n = harness::parse_integer(v);
+  if (!n || *n < lo || *n > hi) usage();
+  return *n;
+}
+
+/// `v` read whole as a decimal number; usage() otherwise.
+double real(const std::string& v) {
+  char* end = nullptr;
+  const double d = std::strtod(v.c_str(), &end);
+  if (v.empty() || end != v.c_str() + v.size()) usage();
+  return d;
+}
+
 Flags parse(int argc, char** argv) {
   Flags f;
   for (int i = 1; i < argc; ++i) {
@@ -64,21 +83,21 @@ Flags parse(int argc, char** argv) {
     } else if (parse_flag(argv[i], "--mix", v)) {
       f.mix = v;
     } else if (parse_flag(argv[i], "--partitions", v)) {
-      f.partitions = std::strtoul(v.c_str(), nullptr, 10);
+      f.partitions = static_cast<std::size_t>(integer(v, 1));
     } else if (parse_flag(argv[i], "--clients", v)) {
-      f.clients_per_partition = std::strtoul(v.c_str(), nullptr, 10);
+      f.clients_per_partition = static_cast<std::size_t>(integer(v, 1));
     } else if (parse_flag(argv[i], "--users", v)) {
-      f.users = static_cast<std::uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+      f.users = static_cast<std::uint32_t>(integer(v, 1, UINT32_MAX));
     } else if (parse_flag(argv[i], "--edge-cut", v)) {
-      f.edge_cut = std::strtod(v.c_str(), nullptr);
+      f.edge_cut = real(v);
     } else if (parse_flag(argv[i], "--zipf", v)) {
-      f.zipf = std::strtod(v.c_str(), nullptr);
+      f.zipf = real(v);
     } else if (parse_flag(argv[i], "--warmup-s", v)) {
-      f.warmup_s = std::atoi(v.c_str());
+      f.warmup_s = static_cast<int>(integer(v, 0, INT_MAX));
     } else if (parse_flag(argv[i], "--measure-s", v)) {
-      f.measure_s = std::atoi(v.c_str());
+      f.measure_s = static_cast<int>(integer(v, 1, INT_MAX));
     } else if (parse_flag(argv[i], "--seed", v)) {
-      f.seed = std::strtoull(v.c_str(), nullptr, 10);
+      f.seed = static_cast<std::uint64_t>(integer(v, 0));
     } else if (std::strcmp(argv[i], "--random-graph") == 0) {
       f.controlled_cut = false;
     } else if (std::strcmp(argv[i], "--no-cache") == 0) {

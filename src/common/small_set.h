@@ -1,8 +1,8 @@
 // Sorted small-vector set for tiny, short-lived membership tracking.
 //
-// The oracle's per-command signal bookkeeping and a server's per-move
-// shipment tracking hold a handful of GroupIds each (bounded by the
-// partition count); a node-based std::set pays an allocation per element and
+// The execution engine's per-command input tracking (which groups a task
+// awaits, which have arrived) holds a handful of GroupIds each (bounded by
+// the partition count); a node-based std::set pays an allocation per element and
 // pointer-chasing per lookup. This keeps elements inline in a sorted vector:
 // O(log n) lookup, O(n) insert, zero allocations for the common n <= 8 case
 // once the vector's inline growth is amortized, and deterministic iteration

@@ -91,14 +91,12 @@ class Mapping {
     partitions_.push_back(p);
     counts_.push_back(0);
     live_.push_back(true);
-    ++membership_epoch_;
   }
 
   /// Marks `p` draining: it stays a member (moves off it still resolve
   /// indices) but stops being a placement candidate.
   void set_draining(GroupId p) {
     live_[index_of(p)] = false;
-    ++membership_epoch_;
   }
 
   bool is_member(GroupId p) const {
@@ -122,10 +120,6 @@ class Mapping {
     for (bool l : live_) n += l ? 1 : 0;
     return n;
   }
-
-  /// Bumped on every add_partition()/set_draining(); lets readers detect that
-  /// the partition universe changed without diffing the vector.
-  std::uint64_t membership_epoch() const { return membership_epoch_; }
 
   /// Appends every variable currently mapped to `p`, sorted by id. The sort
   /// makes the order canonical (independent of hash-table layout), which the
@@ -151,7 +145,6 @@ class Mapping {
   std::vector<std::uint64_t> counts_;
   /// Parallel to partitions_: false while draining/retired.
   std::vector<bool> live_;
-  std::uint64_t membership_epoch_ = 0;
   LocationMap map_;
 };
 

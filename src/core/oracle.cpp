@@ -88,15 +88,14 @@ void OracleNode::account(Duration service) {
   }
 }
 
-void OracleNode::queue_reply_task(Duration service, std::function<void()> run) {
+void OracleNode::queue_reply_task(Duration service, sim::Callback run, MsgId id,
+                                  common::SmallSet<GroupId> awaits) {
   account(service);
-  exec_->enqueue(smr::ExecutionEngine::Task{
-      .id = MsgId{0},
-      .on_head = nullptr,
-      .ready = nullptr,
-      .service = service,
-      .run = std::move(run),
-  });
+  exec_->enqueue({.id = id,
+                  .awaits = std::move(awaits),
+                  .service = service,
+                  .on_head = {},
+                  .run = std::move(run)});
 }
 
 void OracleNode::on_amdeliver(const multicast::AmcastMessage& m) {
@@ -113,10 +112,8 @@ void OracleNode::on_amdeliver(const multicast::AmcastMessage& m) {
   const Command& cmd = cm->cmd;
   switch (cmd.type) {
     case CommandType::kCreate:
-      handle_create(m, cmd);
-      break;
     case CommandType::kDelete:
-      handle_delete(m, cmd);
+      handle_create_delete(m, cmd);
       break;
     case CommandType::kMove:
       handle_move(cmd);
@@ -241,7 +238,7 @@ void OracleNode::handle_consult(ProcessId client, const ConsultMsg& consult) {
   });
 }
 
-void OracleNode::handle_create(const multicast::AmcastMessage& m, const Command& cmd) {
+void OracleNode::handle_create_delete(const multicast::AmcastMessage& m, const Command& cmd) {
   const VarId v = cmd.write_set.at(0);
   const ProcessId client = cmd.requester != kNoProcess ? cmd.requester : m.sender;
 
@@ -259,7 +256,11 @@ void OracleNode::handle_create(const multicast::AmcastMessage& m, const Command&
     if (g != group()) target = g;
   }
   ReplyCode outcome = ReplyCode::kOk;
-  if (mapping_->contains(v) || target == kNoGroup) {
+  if (cmd.type == CommandType::kDelete) {
+    mapping_->erase(v);
+    policy_->on_delete(v);
+    bump(ctr_.deletes);
+  } else if (mapping_->contains(v) || target == kNoGroup) {
     outcome = ReplyCode::kNok;
   } else {
     mapping_->place(v, target);
@@ -267,73 +268,20 @@ void OracleNode::handle_create(const multicast::AmcastMessage& m, const Command&
     bump(ctr_.creates);
   }
 
-  account(config_.command_service);
-  exec_->enqueue(smr::ExecutionEngine::Task{
-      .id = cmd.id,
-      .on_head = nullptr,
-      // Reply only after the partition signalled that it applied the create.
-      .ready = outcome == ReplyCode::kOk
-                   ? std::function<bool()>([this, id = cmd.id, target] {
-                       return signals_[id].contains(target);
-                     })
-                   : nullptr,
-      .service = config_.command_service,
-      .run =
-          [this, id = cmd.id, client, outcome, delivered] {
-            signals_.erase(id);
-            const Time exec_end = engine().now();
-            const ReplyTiming timing{delivered, exec_end - config_.command_service, exec_end};
-            completed_.put(id, CachedReply{outcome, timing});
-            if (is_leader()) {
-              send_direct(client,
-                          net::make_msg<ReplyMsg>(id, outcome, group(), nullptr, timing));
-            }
-          },
-  });
-}
-
-void OracleNode::handle_delete(const multicast::AmcastMessage& m, const Command& cmd) {
-  const VarId v = cmd.write_set.at(0);
-  const ProcessId client = cmd.requester != kNoProcess ? cmd.requester : m.sender;
-
-  if (const CachedReply* cached = completed_.find(cmd.id)) {
-    if (is_leader()) {
-      send_direct(client, net::make_msg<ReplyMsg>(cmd.id, cached->code, group(), nullptr,
-                                                  cached->timing));
-    }
-    return;
-  }
-
-  const Time delivered = engine().now();
-  GroupId target = kNoGroup;
-  for (GroupId g : m.dests) {
-    if (g != group()) target = g;
-  }
-  mapping_->erase(v);
-  policy_->on_delete(v);
-  bump(ctr_.deletes);
-
-  account(config_.command_service);
-  exec_->enqueue(smr::ExecutionEngine::Task{
-      .id = cmd.id,
-      .on_head = nullptr,
-      .ready = target != kNoGroup ? std::function<bool()>([this, id = cmd.id, target] {
-                                      return signals_[id].contains(target);
-                                    })
-                                  : nullptr,
-      .service = config_.command_service,
-      .run =
-          [this, id = cmd.id, client, delivered] {
-            signals_.erase(id);
-            const Time exec_end = engine().now();
-            const ReplyTiming timing{delivered, exec_end - config_.command_service, exec_end};
-            completed_.put(id, CachedReply{ReplyCode::kOk, timing});
-            if (is_leader()) {
-              send_direct(client, net::make_msg<ReplyMsg>(id, ReplyCode::kOk, group(),
-                                                          nullptr, timing));
-            }
-          },
-  });
+  // Reply only after the partition signalled that it applied the change.
+  common::SmallSet<GroupId> awaits;
+  if (outcome == ReplyCode::kOk && target != kNoGroup) awaits.insert(target);
+  queue_reply_task(
+      config_.command_service,
+      [this, id = cmd.id, client, outcome, delivered] {
+        const Time exec_end = engine().now();
+        const ReplyTiming timing{delivered, exec_end - config_.command_service, exec_end};
+        completed_.put(id, CachedReply{outcome, timing});
+        if (is_leader()) {
+          send_direct(client, net::make_msg<ReplyMsg>(id, outcome, group(), nullptr, timing));
+        }
+      },
+      cmd.id, std::move(awaits));
 }
 
 void OracleNode::handle_move(const Command& cmd) {
@@ -492,9 +440,10 @@ void OracleNode::handle_hint(const HintMsg& hint) {
 
 void OracleNode::on_rmdeliver(ProcessId origin, const net::MessagePtr& payload) {
   (void)origin;
-  if (const auto* sig = net::msg_cast<SignalMsg>(payload)) {
-    signals_[sig->cmd_id].insert(sig->from_group);
-    exec_->notify();
+  const auto* sig = net::msg_cast<SignalMsg>(payload);
+  // A signal for a command already answered has nothing left to release.
+  if (sig != nullptr && !completed_.contains(sig->cmd_id)) {
+    exec_->arrive(sig->cmd_id, sig->from_group);
   }
 }
 

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "common/bounded.h"
-#include "common/flat_map.h"
 #include "common/small_set.h"
 #include "common/types.h"
 #include "core/mapping.h"
@@ -106,8 +105,7 @@ class OracleNode : public multicast::GroupNode {
   };
 
   void handle_consult(ProcessId client, const smr::ConsultMsg& consult);
-  void handle_create(const multicast::AmcastMessage& m, const smr::Command& cmd);
-  void handle_delete(const multicast::AmcastMessage& m, const smr::Command& cmd);
+  void handle_create_delete(const multicast::AmcastMessage& m, const smr::Command& cmd);
   void handle_move(const smr::Command& cmd);
   void handle_hint(const smr::HintMsg& hint);
   void handle_reconfig(const smr::Command& cmd);
@@ -121,7 +119,10 @@ class OracleNode : public multicast::GroupNode {
   /// One chunked rebalance move: sources = {from}, dest = to.
   void issue_rebalance_move(GroupId from, GroupId to, std::vector<VarId> chunk);
 
-  void queue_reply_task(Duration service, std::function<void()> run);
+  /// Queues an oracle task; one with `awaits` waits for those groups' signals
+  /// for command `id`.
+  void queue_reply_task(Duration service, sim::Callback run, MsgId id = MsgId{0},
+                        common::SmallSet<GroupId> awaits = {});
   void bump(stats::Counter* c);
   void account(Duration service);
 
@@ -131,9 +132,6 @@ class OracleNode : public multicast::GroupNode {
   std::vector<GroupId> partitions_;
   OracleConfig config_;
   stats::Metrics* metrics_ = nullptr;
-  /// Signals received from partitions, per command. Tiny per-command sets
-  /// (bounded by the partition count), probed on the execution hot path.
-  common::FlatMap<MsgId, common::SmallSet<GroupId>> signals_;
   BoundedMap<MsgId, CachedReply> completed_{1 << 15};
 
   /// Interned counter handles (see ClientProxy::Counters): consults and hints

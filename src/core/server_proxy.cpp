@@ -96,7 +96,26 @@ void PartitionServer::span(SpanPhase p, std::uint64_t trace_id, Time start, Time
             /*fold=*/false);
 }
 
-PartitionServer::Coord& PartitionServer::coord(MsgId cmd_id) { return coord_[cmd_id]; }
+template <class Body>
+void PartitionServer::execute(MsgId id, std::uint64_t trace_id, Time delivered, Duration service,
+                              common::SmallSet<GroupId> awaits, Body body, sim::Callback on_head,
+                              std::int64_t span_arg) {
+  inflight_.insert(id);
+  exec_->enqueue({.id = id,
+                  .awaits = std::move(awaits),
+                  .service = service,
+                  .on_head = std::move(on_head),
+                  .run = [this, id, trace_id, delivered, service, span_arg,
+                          body = std::move(body)]() mutable {
+                    inflight_.erase(id);
+                    // run fires when the service time elapses, i.e. at exec end.
+                    const Time exec_end = engine().now();
+                    const Time exec_start = exec_end - service;
+                    span(SpanPhase::kQueue, trace_id, delivered, exec_start);
+                    span(SpanPhase::kExecute, trace_id, exec_start, exec_end, span_arg);
+                    body(ReplyTiming{delivered, exec_start, exec_end});
+                  }});
+}
 
 void PartitionServer::reply_to(ProcessId client, MsgId cmd_id, ReplyCode code,
                                net::MessagePtr app_reply, bool cache, ReplyTiming timing,
@@ -204,22 +223,8 @@ void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
 
   bump(ctr_.single_partition);
   heat_command(/*multi=*/false);
-  inflight_.insert(cmd.id);
-  const Duration service = app_->service_time(cmd);
-  exec_->enqueue(smr::ExecutionEngine::Task{
-      .id = cmd.id,
-      .on_head = nullptr,
-      .ready = nullptr,
-      .service = service,
-      .run =
-          [this, cmd, client, delivered, service] {
-            inflight_.erase(cmd.id);
-            // run() fires when the service time elapses, i.e. at exec end.
-            const Time exec_end = engine().now();
-            const Time exec_start = exec_end - service;
-            span(SpanPhase::kQueue, cmd.trace_id, delivered, exec_start);
-            span(SpanPhase::kExecute, cmd.trace_id, exec_start, exec_end);
-            const ReplyTiming timing{delivered, exec_start, exec_end};
+  execute(cmd.id, cmd.trace_id, delivered, app_->service_time(cmd), {},
+          [this, cmd, client](const ReplyTiming& timing) {
             // A move ordered between delivery and execution cannot have taken
             // our variables (it would have been ordered before us and already
             // executed), but a *failed* inbound move can leave an owned
@@ -227,9 +232,8 @@ void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
             for (VarId v : cmd.vars()) {
               if (!store_.contains(v)) {
                 bump(ctr_.retries_issued);
-                reply_to(client, cmd.id,
-                         retired_ ? ReplyCode::kRetired : ReplyCode::kRetry, nullptr,
-                         /*cache=*/false, timing);
+                reply_to(client, cmd.id, retired_ ? ReplyCode::kRetired : ReplyCode::kRetry,
+                         nullptr, /*cache=*/false, timing);
                 return;
               }
             }
@@ -237,8 +241,7 @@ void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
             net::MessagePtr app_reply = app_->execute(cmd, view);
             reply_to(client, cmd.id, ReplyCode::kOk, std::move(app_reply), /*cache=*/true,
                      timing, /*access_final=*/true);
-          },
-  });
+          });
 }
 
 // ---- access: multi partition (S-SMR execution) -------------------------------
@@ -247,9 +250,9 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m,
                                            const Command& cmd) {
   const ProcessId client = cmd.requester != kNoProcess ? cmd.requester : m.sender;
   const Time delivered = engine().now();
-  std::vector<GroupId> others;
+  common::SmallSet<GroupId> others;  // sorted, like m.dests
   for (GroupId g : m.dests) {
-    if (g != group() && g != config_.oracle_group) others.push_back(g);
+    if (g != group() && g != config_.oracle_group) others.insert(g);
   }
 
   // Uninvolved: we neither own nor store any of the command's variables (the
@@ -271,10 +274,13 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m,
     // By name, not interned at init: runs without fallbacks keep their counters.
     if (is_leader() && metrics_ != nullptr) metrics_->inc("server.fallback_uninvolved");
     if (!others.empty()) {
-      rmcast(others, net::make_msg<VarShipMsg>(cmd.id, group(), /*is_move=*/false,
-                                               decltype(VarShipMsg::vars){}));
+      rmcast({others.begin(), others.end()},
+             net::make_msg<VarShipMsg>(cmd.id, group(), /*is_move=*/false,
+                                       decltype(VarShipMsg::vars){}));
     }
-    coord_.erase(cmd.id);  // peer shipments that arrived before our delivery
+    // Peer shipments that arrived before our delivery.
+    exec_->forget(cmd.id);
+    shipped_.erase(cmd.id);
     reply_to(client, cmd.id, ReplyCode::kNotInvolved, nullptr, /*cache=*/true,
              ReplyTiming{delivered, delivered, delivered}, /*access_final=*/true);
     return;
@@ -282,57 +288,38 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m,
 
   bump(ctr_.multi_partition);
   heat_command(/*multi=*/true);
-  inflight_.insert(cmd.id);
-
-  const Duration service = app_->service_time(cmd);
-  exec_->enqueue(smr::ExecutionEngine::Task{
-      .id = cmd.id,
-      .on_head =
-          [this, cmd, others] {
-            // Ship every variable of the command we own (a snapshot), plus an
-            // implicit signal, to the other involved partitions.
-            std::vector<std::pair<VarId, std::shared_ptr<const smr::VarValue>>> ship;
-            for (VarId v : cmd.vars()) {
-              if (const smr::VarValue* val = store_.get(v); val != nullptr) {
-                ship.emplace_back(v, std::shared_ptr<const smr::VarValue>(val->clone()));
-              }
-            }
-            if (!others.empty()) {
-              rmcast(others, net::make_msg<VarShipMsg>(cmd.id, group(), /*is_move=*/false,
-                                                       std::move(ship)));
-            }
-          },
-      .ready =
-          [this, id = cmd.id, others] {
-            const Coord& c = coord(id);
-            for (GroupId g : others) {
-              if (!c.ships_from.contains(g)) return false;
-            }
-            return true;
-          },
-      .service = service,
-      .run =
-          [this, cmd, client, delivered, service] {
-            inflight_.erase(cmd.id);
-            const Time exec_end = engine().now();
-            const Time exec_start = exec_end - service;
-            // The queue span here includes the wait for peer shipments — the
-            // serialization S-SMR pays for multi-partition commands.
-            span(SpanPhase::kQueue, cmd.trace_id, delivered, exec_start);
-            span(SpanPhase::kExecute, cmd.trace_id, exec_start, exec_end);
-            smr::ExecutionView view{store_};
-            auto it = coord_.find(cmd.id);
-            if (it != coord_.end()) {
-              for (auto& [v, val] : it->second.shipped) {
-                if (!store_.contains(v) && val != nullptr) view.lend(v, val->clone());
-              }
-            }
-            net::MessagePtr app_reply = app_->execute(cmd, view);
-            if (it != coord_.end()) coord_.erase(it);
-            reply_to(client, cmd.id, ReplyCode::kOk, std::move(app_reply), /*cache=*/true,
-                     ReplyTiming{delivered, exec_start, exec_end}, /*access_final=*/true);
-          },
-  });
+  // Ships every variable of the command we own (a snapshot), plus an
+  // implicit signal, to the other involved partitions.
+  auto ship_mine = [this, cmd, others] {
+    std::vector<std::pair<VarId, std::shared_ptr<const smr::VarValue>>> ship;
+    for (VarId v : cmd.vars()) {
+      if (const smr::VarValue* val = store_.get(v); val != nullptr) {
+        ship.emplace_back(v, std::shared_ptr<const smr::VarValue>(val->clone()));
+      }
+    }
+    if (!others.empty()) {
+      rmcast({others.begin(), others.end()},
+             net::make_msg<VarShipMsg>(cmd.id, group(), /*is_move=*/false, std::move(ship)));
+    }
+  };
+  // The queue span includes the wait for peer shipments — the serialization
+  // S-SMR pays for multi-partition commands.
+  execute(
+      cmd.id, cmd.trace_id, delivered, app_->service_time(cmd), std::move(others),
+      [this, cmd, client](const ReplyTiming& timing) {
+        smr::ExecutionView view{store_};
+        auto it = shipped_.find(cmd.id);
+        if (it != shipped_.end()) {
+          for (auto& [v, val] : it->second) {
+            if (!store_.contains(v) && val != nullptr) view.lend(v, val->clone());
+          }
+        }
+        net::MessagePtr app_reply = app_->execute(cmd, view);
+        if (it != shipped_.end()) shipped_.erase(it);
+        reply_to(client, cmd.id, ReplyCode::kOk, std::move(app_reply), /*cache=*/true, timing,
+                 /*access_final=*/true);
+      },
+      std::move(ship_mine));
 }
 
 // ---- move --------------------------------------------------------------------
@@ -352,109 +339,73 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
     }
     bump(ctr_.moves_source);
     heat_move();
-    inflight_.insert(cmd.id);
-    const Duration service =
-        config_.move_service_per_var * static_cast<Duration>(mine.size() + 1);
-    exec_->enqueue(smr::ExecutionEngine::Task{
-        .id = cmd.id,
-        .on_head = nullptr,
-        .ready = nullptr,
-        .service = service,
-        .run =
-            [this, mine, dest = cmd.move_dest, id = cmd.id, tid = cmd.trace_id, delivered,
-             service] {
-              inflight_.erase(id);
-              const Time exec_end = engine().now();
-              const Time exec_start = exec_end - service;
-              span(SpanPhase::kQueue, tid, delivered, exec_start);
-              span(SpanPhase::kExecute, tid, exec_start, exec_end,
-                   static_cast<std::int64_t>(mine.size()));
-              std::vector<std::pair<VarId, std::shared_ptr<const smr::VarValue>>> ship;
-              for (VarId v : mine) {
-                if (auto val = store_.take(v); val != nullptr) {
-                  ship.emplace_back(v, std::shared_ptr<const smr::VarValue>(std::move(val)));
-                }
-              }
-              rmcast({dest},
-                     net::make_msg<VarShipMsg>(id, group(), /*is_move=*/true, std::move(ship)));
-            },
-    });
+    execute(
+        cmd.id, cmd.trace_id, delivered,
+        config_.move_service_per_var * static_cast<Duration>(mine.size() + 1), {},
+        [this, mine, dest = cmd.move_dest, id = cmd.id](const ReplyTiming&) {
+          std::vector<std::pair<VarId, std::shared_ptr<const smr::VarValue>>> ship;
+          for (VarId v : mine) {
+            if (auto val = store_.take(v); val != nullptr) {
+              ship.emplace_back(v, std::shared_ptr<const smr::VarValue>(std::move(val)));
+            }
+          }
+          rmcast({dest}, net::make_msg<VarShipMsg>(id, group(), /*is_move=*/true, std::move(ship)));
+        },
+        {}, static_cast<std::int64_t>(mine.size()));
     return;
   }
 
   // Destination: claim ownership now; wait for one shipment per source, then
   // install the values and answer the requester.
   for (VarId v : vars) owned_.insert(v);
-  std::vector<GroupId> sources;
+  common::SmallSet<GroupId> sources;
   for (GroupId g : cmd.move_sources) {
-    if (g != group()) sources.push_back(g);
+    if (g != group()) sources.insert(g);
   }
   bump(ctr_.moves_dest);
   heat_move();
-  inflight_.insert(cmd.id);
-
-  const Duration service =
-      config_.move_service_per_var * static_cast<Duration>(vars.size() + 1);
-  exec_->enqueue(smr::ExecutionEngine::Task{
-      .id = cmd.id,
-      .on_head = nullptr,
-      .ready =
-          [this, id = cmd.id, sources] {
-            const Coord& c = coord(id);
-            for (GroupId g : sources) {
-              if (!c.ships_from.contains(g)) return false;
-            }
-            return true;
-          },
-      .service = service,
-      .run =
-          [this, vars, client, id = cmd.id, tid = cmd.trace_id, delivered, service] {
-            inflight_.erase(id);
-            const Time exec_end = engine().now();
-            const Time exec_start = exec_end - service;
-            span(SpanPhase::kQueue, tid, delivered, exec_start);
-            span(SpanPhase::kExecute, tid, exec_start, exec_end,
-                 static_cast<std::int64_t>(vars.size()));
-            auto it = coord_.find(id);
-            std::vector<VarId> installed;
-            std::size_t failed = 0;
-            for (VarId v : vars) {
-              if (store_.contains(v)) {  // we already held it
-                installed.push_back(v);
-                continue;
-              }
-              std::shared_ptr<const smr::VarValue> val;
-              if (it != coord_.end()) {
-                if (auto f = it->second.shipped.find(v); f != it->second.shipped.end()) {
-                  val = f->second;
-                }
-              }
-              if (val != nullptr) {
-                store_.put(v, val->clone());
-                installed.push_back(v);
-              } else {
-                // No source shipped it: the mapping was stale; give the claim up.
-                owned_.erase(v);
-                ++failed;
-              }
-            }
-            if (it != coord_.end()) coord_.erase(it);
-            // The reply tells the client which variables really landed here so
-            // it caches only those; a partial install is a failed move and must
-            // go through the client's retry/fallback path, not pretend success.
-            const ReplyCode code = failed == 0 ? ReplyCode::kOk : ReplyCode::kRetry;
-            if (failed == 0) {
-              record_instant(stats::InstantKind::kMoveApplied, id.value,
-                             static_cast<std::int64_t>(installed.size()));
-            } else {
-              bump(ctr_.moves_failed);
-              record_instant(stats::InstantKind::kMoveFailed, id.value,
-                             static_cast<std::int64_t>(failed));
-            }
-            reply_to(client, id, code, net::make_msg<smr::MoveResultMsg>(std::move(installed)),
-                     /*cache=*/true, ReplyTiming{delivered, exec_start, exec_end});
-          },
-  });
+  execute(
+      cmd.id, cmd.trace_id, delivered,
+      config_.move_service_per_var * static_cast<Duration>(vars.size() + 1), std::move(sources),
+      [this, vars, client, id = cmd.id](const ReplyTiming& timing) {
+        auto it = shipped_.find(id);
+        std::vector<VarId> installed;
+        std::size_t failed = 0;
+        for (VarId v : vars) {
+          if (store_.contains(v)) {  // we already held it
+            installed.push_back(v);
+            continue;
+          }
+          std::shared_ptr<const smr::VarValue> val;
+          if (it != shipped_.end()) {
+            if (auto f = it->second.find(v); f != it->second.end()) val = f->second;
+          }
+          if (val != nullptr) {
+            store_.put(v, val->clone());
+            installed.push_back(v);
+          } else {
+            // No source shipped it: the mapping was stale; give the claim up.
+            owned_.erase(v);
+            ++failed;
+          }
+        }
+        if (it != shipped_.end()) shipped_.erase(it);
+        // The reply tells the client which variables really landed here so
+        // it caches only those; a partial install is a failed move and must
+        // go through the client's retry/fallback path, not pretend success.
+        const ReplyCode code = failed == 0 ? ReplyCode::kOk : ReplyCode::kRetry;
+        if (failed == 0) {
+          record_instant(stats::InstantKind::kMoveApplied, id.value,
+                         static_cast<std::int64_t>(installed.size()));
+        } else {
+          bump(ctr_.moves_failed);
+          record_instant(stats::InstantKind::kMoveFailed, id.value,
+                         static_cast<std::int64_t>(failed));
+        }
+        reply_to(client, id, code, net::make_msg<smr::MoveResultMsg>(std::move(installed)),
+                 /*cache=*/true, timing);
+      },
+      {}, static_cast<std::int64_t>(vars.size()));
 }
 
 // ---- create / delete ---------------------------------------------------------
@@ -471,28 +422,15 @@ void PartitionServer::deliver_create(const multicast::AmcastMessage& m, const Co
   }
   owned_.insert(v);
   bump(ctr_.creates);
-  inflight_.insert(cmd.id);
-  const Time delivered = engine().now();
-  exec_->enqueue(smr::ExecutionEngine::Task{
-      .id = cmd.id,
-      .on_head = nullptr,
-      .ready = nullptr,
-      .service = config_.create_delete_service,
-      .run =
-          [this, v, id = cmd.id, tid = cmd.trace_id, delivered] {
-            inflight_.erase(id);
-            const Time exec_end = engine().now();
-            const Time exec_start = exec_end - config_.create_delete_service;
-            span(SpanPhase::kQueue, tid, delivered, exec_start);
-            span(SpanPhase::kExecute, tid, exec_start, exec_end);
+  execute(cmd.id, cmd.trace_id, engine().now(), config_.create_delete_service, {},
+          [this, v, id = cmd.id](const ReplyTiming&) {
             if (owned_.contains(v) && !store_.contains(v)) {
               store_.put(v, app_->make_default(v));
             }
             // Execution-atomicity signal: the oracle replies to the client
             // only after the partition has applied the create.
             rmcast({config_.oracle_group}, net::make_msg<SignalMsg>(id, group()));
-          },
-  });
+          });
 }
 
 void PartitionServer::deliver_delete(const multicast::AmcastMessage& m, const Command& cmd) {
@@ -501,24 +439,11 @@ void PartitionServer::deliver_delete(const multicast::AmcastMessage& m, const Co
   const VarId v = cmd.write_set[0];
   owned_.erase(v);
   bump(ctr_.deletes);
-  inflight_.insert(cmd.id);
-  const Time delivered = engine().now();
-  exec_->enqueue(smr::ExecutionEngine::Task{
-      .id = cmd.id,
-      .on_head = nullptr,
-      .ready = nullptr,
-      .service = config_.create_delete_service,
-      .run =
-          [this, v, id = cmd.id, tid = cmd.trace_id, delivered] {
-            inflight_.erase(id);
-            const Time exec_end = engine().now();
-            const Time exec_start = exec_end - config_.create_delete_service;
-            span(SpanPhase::kQueue, tid, delivered, exec_start);
-            span(SpanPhase::kExecute, tid, exec_start, exec_end);
+  execute(cmd.id, cmd.trace_id, engine().now(), config_.create_delete_service, {},
+          [this, v, id = cmd.id](const ReplyTiming&) {
             store_.erase(v);
             rmcast({config_.oracle_group}, net::make_msg<SignalMsg>(id, group()));
-          },
-  });
+          });
 }
 
 // ---- reliable-multicast inputs ------------------------------------------------
@@ -527,12 +452,12 @@ void PartitionServer::on_rmdeliver(ProcessId origin, const net::MessagePtr& payl
   (void)origin;
   if (const auto* ship = net::msg_cast<VarShipMsg>(payload)) {
     if (completed_.contains(ship->cmd_id)) return;  // late duplicate
-    Coord& c = coord(ship->cmd_id);
-    if (!c.ships_from.insert(ship->from_group)) return;  // replica duplicate
-    for (const auto& [v, val] : ship->vars) {
-      c.shipped.try_emplace(v, val);
-    }
-    exec_->notify();
+    // Another replica of the same group: drop it before storing anything, as
+    // replicas of one partition may ship different variable sets.
+    if (!exec_->arrive(ship->cmd_id, ship->from_group)) return;
+    // Storing after arrive() is safe: a task it readies runs in a later event.
+    auto& vals = shipped_[ship->cmd_id];
+    for (const auto& [v, val] : ship->vars) vals.try_emplace(v, val);
     return;
   }
   if (net::msg_cast<SignalMsg>(payload) != nullptr) {

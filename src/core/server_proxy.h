@@ -25,8 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -91,14 +89,6 @@ class PartitionServer : public multicast::GroupNode {
   void on_rmdeliver(ProcessId origin, const net::MessagePtr& payload) override;
 
  private:
-  /// Inter-partition inputs accumulated for one command. `ships_from` holds
-  /// at most one group per involved partition — a sorted small-vector beats a
-  /// node-based set on the ready-check hot path.
-  struct Coord {
-    common::SmallSet<GroupId> ships_from;
-    std::unordered_map<VarId, std::shared_ptr<const smr::VarValue>> shipped;
-  };
-
   struct CachedReply {
     smr::ReplyCode code;
     net::MessagePtr app_reply;
@@ -118,7 +108,13 @@ class PartitionServer : public multicast::GroupNode {
   void reply_to(ProcessId client, MsgId cmd_id, smr::ReplyCode code,
                 net::MessagePtr app_reply, bool cache, smr::ReplyTiming timing = {},
                 bool access_final = false);
-  Coord& coord(MsgId cmd_id);
+  /// Queues a command's task: it waits for the inputs of `awaits`, occupies
+  /// the CPU for `service`, records the queue and execute spans and then runs
+  /// `body(timing)`. The command counts as in flight until then.
+  template <class Body>
+  void execute(MsgId id, std::uint64_t trace_id, Time delivered, Duration service,
+               common::SmallSet<GroupId> awaits, Body body, sim::Callback on_head = {},
+               std::int64_t span_arg = 0);
   void bump(stats::Counter* c);
   /// Leader-gated windowed heat (stats::Recorder); recorded at the exact
   /// same sites as the single/multi counters so per-bucket sums tile them.
@@ -136,7 +132,9 @@ class PartitionServer : public multicast::GroupNode {
   std::unordered_set<VarId> owned_;
   std::unique_ptr<smr::AppStateMachine> app_;
   std::unique_ptr<smr::ExecutionEngine> exec_;
-  std::unordered_map<MsgId, Coord> coord_;
+  /// Variables shipped by peer partitions, per command, until its task runs.
+  std::unordered_map<MsgId, std::unordered_map<VarId, std::shared_ptr<const smr::VarValue>>>
+      shipped_;
   /// Logical command ids currently queued or executing. A client that
   /// retransmits re-multicasts under a fresh multicast id, so the amcast
   /// layer cannot dedup; without this set a duplicate delivery would enqueue

@@ -1,74 +1,29 @@
 #include "fault/fault_plan.h"
 
-#include <algorithm>
 #include <cstdlib>
-#include <stdexcept>
+
+#include "fault/plan_dsl.h"
 
 namespace dssmr::fault {
 namespace {
 
-[[noreturn]] void bad(std::string_view spec, const std::string& why) {
-  throw std::invalid_argument("bad fault plan \"" + std::string(spec) + "\": " + why);
-}
+using dsl::fail;
+using dsl::parse_time;
+using dsl::parse_u32;
+using dsl::trim;
 
-std::vector<std::string_view> split(std::string_view s, char sep) {
-  std::vector<std::string_view> out;
-  while (true) {
-    const std::size_t pos = s.find(sep);
-    if (pos == std::string_view::npos) {
-      out.push_back(s);
-      return out;
-    }
-    out.push_back(s.substr(0, pos));
-    s.remove_prefix(pos + 1);
-  }
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && s.front() == ' ') s.remove_prefix(1);
-  while (!s.empty() && s.back() == ' ') s.remove_suffix(1);
-  return s;
-}
-
-bool parse_u32(std::string_view s, std::uint32_t& out) {
-  if (s.empty()) return false;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    if (v > 0xffffffffULL) return false;
-  }
-  out = static_cast<std::uint32_t>(v);
-  return true;
-}
-
-/// `120ms`, `50us`, `2s` -> microseconds.
-Duration parse_time(std::string_view spec, std::string_view s) {
-  s = trim(s);
-  std::size_t digits = 0;
-  while (digits < s.size() && s[digits] >= '0' && s[digits] <= '9') ++digits;
-  if (digits == 0) bad(spec, "expected a time like 120ms, got \"" + std::string(s) + "\"");
-  std::uint32_t n = 0;
-  if (!parse_u32(s.substr(0, digits), n)) bad(spec, "time out of range: " + std::string(s));
-  const std::string_view unit = s.substr(digits);
-  if (unit == "us") return usec(n);
-  if (unit == "ms") return msec(n);
-  if (unit == "s") return sec(n);
-  bad(spec, "unknown time unit \"" + std::string(unit) + "\" (want us/ms/s)");
-}
-
-double parse_prob(std::string_view spec, std::string_view s) {
+double parse_prob(std::string_view s) {
   const std::string str(trim(s));
   char* end = nullptr;
   const double v = std::strtod(str.c_str(), &end);
   if (end != str.c_str() + str.size() || str.empty()) {
-    bad(spec, "expected a probability, got \"" + str + "\"");
+    fail("expected a probability, got \"" + str + "\"");
   }
   return v;  // Network::set_drop_probability clamps to [0,1]
 }
 
 /// p0r1 / oracle2 / p0 / oracle / last.
-FaultTarget parse_target(std::string_view spec, std::string_view s) {
+FaultTarget parse_target(std::string_view s) {
   s = trim(s);
   FaultTarget t;
   if (s == "last") {
@@ -81,32 +36,32 @@ FaultTarget parse_target(std::string_view spec, std::string_view s) {
       t.kind = FaultTarget::Kind::kOracle;
       return t;
     }
-    if (!parse_u32(rest, t.replica)) bad(spec, "bad oracle replica: " + std::string(s));
+    if (!parse_u32(rest, t.replica)) fail("bad oracle replica: " + std::string(s));
     t.kind = FaultTarget::Kind::kOracleReplica;
     return t;
   }
   if (s.starts_with("p")) {
     const std::size_t r = s.find('r', 1);
     if (r == std::string_view::npos) {
-      if (!parse_u32(s.substr(1), t.partition)) bad(spec, "bad partition: " + std::string(s));
+      if (!parse_u32(s.substr(1), t.partition)) fail("bad partition: " + std::string(s));
       t.kind = FaultTarget::Kind::kPartition;
       return t;
     }
     if (!parse_u32(s.substr(1, r - 1), t.partition) ||
         !parse_u32(s.substr(r + 1), t.replica)) {
-      bad(spec, "bad replica: " + std::string(s));
+      fail("bad replica: " + std::string(s));
     }
     t.kind = FaultTarget::Kind::kReplica;
     return t;
   }
-  bad(spec, "unknown target \"" + std::string(s) + "\" (want p<i>r<j>, p<i>, oracle<r>, oracle, last)");
+  fail("unknown target \"" + std::string(s) + "\" (want p<i>r<j>, p<i>, oracle<r>, oracle, last)");
 }
 
-std::vector<FaultTarget> parse_set(std::string_view spec, std::string_view s) {
+std::vector<FaultTarget> parse_set(std::string_view s) {
   std::vector<FaultTarget> out;
-  for (std::string_view part : split(s, '+')) {
-    FaultTarget t = parse_target(spec, part);
-    if (t.kind == FaultTarget::Kind::kLastVictim) bad(spec, "`last` is not valid in a cut set");
+  for (std::string_view part : dsl::split(s, '+')) {
+    FaultTarget t = parse_target(part);
+    if (t.kind == FaultTarget::Kind::kLastVictim) fail("`last` is not valid in a cut set");
     out.push_back(t);
   }
   return out;
@@ -118,38 +73,25 @@ bool is_process(const FaultTarget& t) {
          t.kind == FaultTarget::Kind::kLastVictim;
 }
 
-FaultEvent parse_event(std::string_view spec, std::string_view s) {
-  const std::size_t at_pos = s.rfind('@');
-  if (at_pos == std::string_view::npos) {
-    bad(spec, "event \"" + std::string(s) + "\" is missing @time");
-  }
+FaultEvent parse_event(std::string_view s) {
+  auto [action, args, time_part] = dsl::split_event(s);
   FaultEvent e;
-  std::string_view time_part = trim(s.substr(at_pos + 1));
-  std::string_view head = trim(s.substr(0, at_pos));
-
-  std::string_view action = head;
-  std::string_view args;
-  if (const std::size_t colon = head.find(':'); colon != std::string_view::npos) {
-    action = head.substr(0, colon);
-    args = trim(head.substr(colon + 1));
-  }
-
   if (action == "crash" || action == "recover") {
     e.action = action == "crash" ? FaultAction::kCrash : FaultAction::kRecover;
-    e.target = parse_target(spec, args);
+    e.target = parse_target(args);
     if (!is_process(e.target)) {
-      bad(spec, std::string(action) + " needs a process (p<i>r<j> or oracle<r>), got \"" +
-                    std::string(args) + "\"");
+      fail(std::string(action) + " needs a process (p<i>r<j> or oracle<r>), got \"" +
+           std::string(args) + "\"");
     }
     if (e.action == FaultAction::kCrash && e.target.kind == FaultTarget::Kind::kLastVictim) {
-      bad(spec, "crash:last is meaningless (it is already down)");
+      fail("crash:last is meaningless (it is already down)");
     }
   } else if (action == "kill-leader") {
     e.action = FaultAction::kKillLeader;
-    e.target = parse_target(spec, args);
+    e.target = parse_target(args);
     if (e.target.kind != FaultTarget::Kind::kPartition &&
         e.target.kind != FaultTarget::Kind::kOracle) {
-      bad(spec, "kill-leader needs a group (p<i> or oracle), got \"" + std::string(args) + "\"");
+      fail("kill-leader needs a group (p<i> or oracle), got \"" + std::string(args) + "\"");
     }
   } else if (action == "cut" || action == "partition") {
     e.action = FaultAction::kCut;
@@ -157,48 +99,34 @@ FaultEvent parse_event(std::string_view spec, std::string_view s) {
     e.directed = sep != std::string_view::npos;
     if (!e.directed) sep = args.find('|');
     if (sep == std::string_view::npos) {
-      bad(spec, "cut needs two sides: cut:A|B (or A>B), got \"" + std::string(args) + "\"");
+      fail("cut needs two sides: cut:A|B (or A>B), got \"" + std::string(args) + "\"");
     }
-    e.side_a = parse_set(spec, args.substr(0, sep));
-    e.side_b = parse_set(spec, args.substr(sep + 1));
+    e.side_a = parse_set(args.substr(0, sep));
+    e.side_b = parse_set(args.substr(sep + 1));
   } else if (action == "heal") {
     e.action = FaultAction::kHeal;
-    if (!args.empty()) bad(spec, "heal takes no argument");
+    if (!args.empty()) fail("heal takes no argument");
   } else if (action == "drop") {
     e.action = FaultAction::kDropBurst;
     const std::size_t plus = time_part.rfind('+');
     if (plus == std::string_view::npos) {
-      bad(spec,
-          "drop needs a duration: drop:<p>@<time>+<dur>, got \"" + std::string(s) + "\"");
+      fail("drop needs a duration: drop:<p>@<time>+<dur>, got \"" + std::string(s) + "\"");
     }
-    e.drop_probability = parse_prob(spec, args);
-    e.duration = parse_time(spec, time_part.substr(plus + 1));
+    e.drop_probability = parse_prob(args);
+    e.duration = parse_time(time_part.substr(plus + 1));
     time_part = trim(time_part.substr(0, plus));
-    if (e.duration <= 0) bad(spec, "drop burst duration must be positive");
+    if (e.duration <= 0) fail("drop burst duration must be positive");
   } else {
-    bad(spec, "unknown action \"" + std::string(action) + "\"");
+    fail("unknown action \"" + std::string(action) + "\"");
   }
-  e.at = parse_time(spec, time_part);
+  e.at = parse_time(time_part);
   return e;
 }
 
 }  // namespace
 
 FaultPlan parse_plan(std::string_view spec) {
-  FaultPlan plan;
-  plan.name = "custom";
-  plan.spec = std::string(trim(spec));
-  if (plan.spec.empty()) bad(spec, "empty plan");
-  for (std::string_view ev : split(plan.spec, ';')) {
-    ev = trim(ev);
-    if (ev.empty()) continue;
-    plan.events.push_back(parse_event(spec, ev));
-  }
-  if (plan.events.empty()) bad(spec, "plan has no events");
-  // Stable execution order: by trigger time, ties in written order.
-  std::stable_sort(plan.events.begin(), plan.events.end(),
-                   [](const FaultEvent& a, const FaultEvent& b) { return a.at < b.at; });
-  return plan;
+  return dsl::parse<FaultPlan>("fault", spec, parse_event);
 }
 
 const std::vector<ShippedPlan>& shipped_plans() {
@@ -220,14 +148,7 @@ const std::vector<ShippedPlan>& shipped_plans() {
 }
 
 FaultPlan resolve_plan(std::string_view name_or_spec) {
-  for (const ShippedPlan& p : shipped_plans()) {
-    if (name_or_spec == p.name) {
-      FaultPlan plan = parse_plan(p.spec);
-      plan.name = std::string(p.name);
-      return plan;
-    }
-  }
-  return parse_plan(name_or_spec);
+  return dsl::resolve(shipped_plans(), name_or_spec, parse_plan);
 }
 
 }  // namespace dssmr::fault

@@ -1,109 +1,32 @@
 #include "fault/scale_plan.h"
 
-#include <algorithm>
-#include <stdexcept>
+#include "fault/plan_dsl.h"
 
 namespace dssmr::fault {
 namespace {
 
-[[noreturn]] void bad(std::string_view spec, const std::string& why) {
-  throw std::invalid_argument("bad scale plan \"" + std::string(spec) + "\": " + why);
-}
-
-std::vector<std::string_view> split(std::string_view s, char sep) {
-  std::vector<std::string_view> out;
-  while (true) {
-    const std::size_t pos = s.find(sep);
-    if (pos == std::string_view::npos) {
-      out.push_back(s);
-      return out;
-    }
-    out.push_back(s.substr(0, pos));
-    s.remove_prefix(pos + 1);
-  }
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && s.front() == ' ') s.remove_prefix(1);
-  while (!s.empty() && s.back() == ' ') s.remove_suffix(1);
-  return s;
-}
-
-bool parse_u32(std::string_view s, std::uint32_t& out) {
-  if (s.empty()) return false;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    if (v > 0xffffffffULL) return false;
-  }
-  out = static_cast<std::uint32_t>(v);
-  return true;
-}
-
-/// `120ms`, `50us`, `2s` -> microseconds.
-Duration parse_time(std::string_view spec, std::string_view s) {
-  s = trim(s);
-  std::size_t digits = 0;
-  while (digits < s.size() && s[digits] >= '0' && s[digits] <= '9') ++digits;
-  if (digits == 0) bad(spec, "expected a time like 120ms, got \"" + std::string(s) + "\"");
-  std::uint32_t n = 0;
-  if (!parse_u32(s.substr(0, digits), n)) bad(spec, "time out of range: " + std::string(s));
-  const std::string_view unit = s.substr(digits);
-  if (unit == "us") return usec(n);
-  if (unit == "ms") return msec(n);
-  if (unit == "s") return sec(n);
-  bad(spec, "unknown time unit \"" + std::string(unit) + "\" (want us/ms/s)");
-}
-
-ScaleEvent parse_event(std::string_view spec, std::string_view s) {
-  const std::size_t at_pos = s.rfind('@');
-  if (at_pos == std::string_view::npos) {
-    bad(spec, "event \"" + std::string(s) + "\" is missing @time");
-  }
+ScaleEvent parse_event(std::string_view s) {
+  const auto [action, args, time] = dsl::split_event(s);
   ScaleEvent e;
-  const std::string_view time_part = trim(s.substr(at_pos + 1));
-  const std::string_view head = trim(s.substr(0, at_pos));
-
-  std::string_view action = head;
-  std::string_view args;
-  if (const std::size_t colon = head.find(':'); colon != std::string_view::npos) {
-    action = head.substr(0, colon);
-    args = trim(head.substr(colon + 1));
-  }
-
   if (action == "add-partition") {
     e.action = ScaleAction::kAddPartition;
-    if (!args.empty()) bad(spec, "add-partition takes no argument");
+    if (!args.empty()) dsl::fail("add-partition takes no argument");
   } else if (action == "remove-partition") {
     e.action = ScaleAction::kRemovePartition;
-    if (!parse_u32(args, e.partition)) {
-      bad(spec, "remove-partition needs a partition index, got \"" + std::string(args) + "\"");
+    if (!dsl::parse_u32(args, e.partition)) {
+      dsl::fail("remove-partition needs a partition index, got \"" + std::string(args) + "\"");
     }
   } else {
-    bad(spec, "unknown action \"" + std::string(action) + "\"");
+    dsl::fail("unknown action \"" + std::string(action) + "\"");
   }
-  e.at = parse_time(spec, time_part);
+  e.at = dsl::parse_time(time);
   return e;
 }
 
 }  // namespace
 
 ScalePlan parse_scale_plan(std::string_view spec) {
-  ScalePlan plan;
-  plan.name = "custom";
-  plan.spec = std::string(trim(spec));
-  if (plan.spec.empty()) bad(spec, "empty plan");
-  for (std::string_view ev : split(plan.spec, ';')) {
-    ev = trim(ev);
-    if (ev.empty()) continue;
-    plan.events.push_back(parse_event(spec, ev));
-  }
-  if (plan.events.empty()) bad(spec, "plan has no events");
-  // Stable execution order: by trigger time, ties in written order.
-  std::stable_sort(plan.events.begin(), plan.events.end(),
-                   [](const ScaleEvent& a, const ScaleEvent& b) { return a.at < b.at; });
-  return plan;
+  return dsl::parse<ScalePlan>("scale", spec, parse_event);
 }
 
 const std::vector<ShippedScalePlan>& shipped_scale_plans() {
@@ -120,14 +43,7 @@ const std::vector<ShippedScalePlan>& shipped_scale_plans() {
 }
 
 ScalePlan resolve_scale_plan(std::string_view name_or_spec) {
-  for (const ShippedScalePlan& p : shipped_scale_plans()) {
-    if (name_or_spec == p.name) {
-      ScalePlan plan = parse_scale_plan(p.spec);
-      plan.name = std::string(p.name);
-      return plan;
-    }
-  }
-  return parse_scale_plan(name_or_spec);
+  return dsl::resolve(shipped_scale_plans(), name_or_spec, parse_scale_plan);
 }
 
 }  // namespace dssmr::fault

@@ -117,8 +117,8 @@ struct RunResult {
   std::uint64_t ok = 0;
   std::uint64_t nok = 0;
   /// Simulator events executed during the drive phase (setup and settle
-  /// excluded; deterministic per seed — the perf suite's batched/unbatched
-  /// pair gates on the ratio).
+  /// excluded; deterministic per seed — Promise.BatchingCutsEventsPerCommand
+  /// gates on the batched/unbatched ratio).
   std::uint64_t events_executed = 0;
   /// Wall-clock seconds spent driving the simulation (setup excluded).
   double drive_wall_s = 0;

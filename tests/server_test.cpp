@@ -5,6 +5,7 @@
 
 #include "harness/deployment.h"
 #include "smr/kv.h"
+#include "testing/cluster.h"
 #include "testing/dssmr_fixture.h"
 
 namespace dssmr::core {
@@ -265,6 +266,51 @@ TEST(ServerFallback, RetransmissionNeverExecutesWhereFirstDeliveryWasUninvolved)
   EXPECT_EQ(kv_num(reply), 1 + 5);
   EXPECT_EQ(run_op(*d, 1, kv_get(VarId{2}), &reply), ReplyCode::kOk);
   EXPECT_EQ(kv_num(reply), 2 + 5 + 6);
+}
+
+/// A partition replica whose delivery hooks a test drives by hand.
+class ScriptedServer : public PartitionServer {
+ public:
+  using PartitionServer::on_amdeliver;
+  using PartitionServer::on_rmdeliver;
+};
+
+TEST(ServerExec, SecondReplicaShipmentOfAGroupIsIgnored) {
+  // Replicas of one partition can diverge, so two replicas of the peer group
+  // may ship different variable sets for one command. The first shipment is
+  // the group's input; a later one must not add values to it.
+  sim::Engine engine;
+  net::Network network(engine, {}, 7);
+  multicast::Directory directory;
+  ScriptedServer server;
+  RecordingGroupNode peer;
+  directory.add_group({network.add_process(server, 0)});
+  directory.add_group({network.add_process(peer, 1)});
+  server.init_partition(network, directory, GroupId{0}, {}, kv::kv_app_factory(), {}, nullptr,
+                        1);
+  peer.init_group_node(network, directory, GroupId{1}, {}, 2);
+  server.preload(VarId{0}, std::make_unique<kv::KvValue>(1, ""));
+
+  smr::Command sum = kv_sum({VarId{0}, VarId{1}, VarId{2}}, VarId{0});
+  sum.id = MsgId{42};
+  server.on_amdeliver({.id = MsgId{1},
+                       .sender = kNoProcess,
+                       .dests = {GroupId{0}, GroupId{1}},
+                       .payload = net::make_msg<smr::CommandMsg>(sum)});
+  auto ship = [&](std::vector<std::pair<VarId, std::int64_t>> vars) {
+    decltype(smr::VarShipMsg::vars) values;
+    for (auto [v, n] : vars) values.emplace_back(v, std::make_shared<kv::KvValue>(n, ""));
+    server.on_rmdeliver(kNoProcess, net::make_msg<smr::VarShipMsg>(sum.id, GroupId{1},
+                                                                   /*is_move=*/false, values));
+  };
+  ship({{VarId{1}, 10}});
+  ship({{VarId{1}, 99}, {VarId{2}, 50}});
+  engine.run_for(msec(1));
+
+  ASSERT_EQ(server.executed_count(), 1u);
+  const auto* v0 = dynamic_cast<const kv::KvValue*>(server.store().get(VarId{0}));
+  ASSERT_NE(v0, nullptr);
+  EXPECT_EQ(v0->num, 1 + 10);
 }
 
 }  // namespace

@@ -13,13 +13,24 @@ namespace {
 
 // ---- ExecutionEngine ----------------------------------------------------------
 
+/// A task with no inputs to wait for and no on_head step.
+ExecutionEngine::Task plain(std::uint64_t id, Duration service, sim::Callback run) {
+  return {.id = MsgId{id}, .awaits = {}, .service = service, .on_head = {}, .run = std::move(run)};
+}
+
+common::SmallSet<GroupId> groups(std::initializer_list<std::uint32_t> ids) {
+  common::SmallSet<GroupId> out;
+  for (std::uint32_t g : ids) out.insert(GroupId{g});
+  return out;
+}
+
 TEST(ExecutionEngine, RunsTasksInOrderWithServiceTime) {
   sim::Engine engine;
   ExecutionEngine exec{engine};
   std::vector<std::pair<int, Time>> finished;
   for (int i = 0; i < 3; ++i) {
-    exec.enqueue({MsgId{static_cast<std::uint64_t>(i)}, nullptr, nullptr, usec(10),
-                  [&, i] { finished.emplace_back(i, engine.now()); }});
+    exec.enqueue(plain(static_cast<std::uint64_t>(i), usec(10),
+                       [&, i] { finished.emplace_back(i, engine.now()); }));
   }
   engine.run();
   ASSERT_EQ(finished.size(), 3u);
@@ -33,15 +44,19 @@ TEST(ExecutionEngine, RunsTasksInOrderWithServiceTime) {
 TEST(ExecutionEngine, HeadWaitsBlockEverythingBehind) {
   sim::Engine engine;
   ExecutionEngine exec{engine};
-  bool input_ready = false;
   std::vector<int> order;
-  exec.enqueue({MsgId{1}, nullptr, [&] { return input_ready; }, usec(5),
-                [&] { order.push_back(1); }});
-  exec.enqueue({MsgId{2}, nullptr, nullptr, usec(5), [&] { order.push_back(2); }});
+  exec.enqueue({.id = MsgId{1},
+                .awaits = groups({3, 5}),
+                .service = usec(5),
+                .on_head = {},
+                .run = [&] { order.push_back(1); }});
+  exec.enqueue(plain(2, usec(5), [&] { order.push_back(2); }));
   engine.run_for(msec(1));
   EXPECT_TRUE(order.empty());  // both blocked behind the head
-  input_ready = true;
-  exec.notify();
+  EXPECT_TRUE(exec.arrive(MsgId{1}, GroupId{5}));
+  engine.run_for(msec(1));
+  EXPECT_TRUE(order.empty());  // still one group short
+  EXPECT_TRUE(exec.arrive(MsgId{1}, GroupId{3}));
   engine.run_for(msec(1));
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
@@ -50,24 +65,59 @@ TEST(ExecutionEngine, OnHeadRunsOnceBeforeReadyChecks) {
   sim::Engine engine;
   ExecutionEngine exec{engine};
   int head_calls = 0;
-  bool ready = false;
-  exec.enqueue({MsgId{1}, [&] { ++head_calls; }, [&] { return ready; }, usec(1), [] {}});
+  exec.enqueue({.id = MsgId{1},
+                .awaits = groups({2}),
+                .service = usec(1),
+                .on_head = [&] { ++head_calls; },
+                .run = [] {}});
   engine.run_for(msec(1));
-  exec.notify();
-  exec.notify();
   EXPECT_EQ(head_calls, 1);
-  ready = true;
-  exec.notify();
+  exec.arrive(MsgId{9}, GroupId{2});  // another command's input re-checks the head
+  EXPECT_EQ(head_calls, 1);
+  EXPECT_TRUE(exec.arrive(MsgId{1}, GroupId{2}));
   engine.run_for(msec(1));
   EXPECT_EQ(head_calls, 1);
   EXPECT_TRUE(exec.idle());
+}
+
+TEST(ExecutionEngine, InputArrivingBeforeItsCommandCounts) {
+  sim::Engine engine;
+  ExecutionEngine exec{engine};
+  EXPECT_TRUE(exec.arrive(MsgId{1}, GroupId{4}));
+  bool ran = false;
+  exec.enqueue({.id = MsgId{1},
+                .awaits = groups({4}),
+                .service = usec(1),
+                .on_head = {},
+                .run = [&] { ran = true; }});
+  engine.run_for(msec(1));
+  EXPECT_TRUE(ran);
+  // The run dropped the record: a reused id waits for fresh input.
+  bool reran = false;
+  exec.enqueue({.id = MsgId{1},
+                .awaits = groups({4}),
+                .service = usec(1),
+                .on_head = {},
+                .run = [&] { reran = true; }});
+  engine.run_for(msec(1));
+  EXPECT_FALSE(reran);
+}
+
+TEST(ExecutionEngine, DuplicateArriveReturnsFalse) {
+  sim::Engine engine;
+  ExecutionEngine exec{engine};
+  EXPECT_TRUE(exec.arrive(MsgId{1}, GroupId{2}));
+  EXPECT_FALSE(exec.arrive(MsgId{1}, GroupId{2}));
+  EXPECT_TRUE(exec.arrive(MsgId{1}, GroupId{3}));
+  exec.forget(MsgId{1});
+  EXPECT_TRUE(exec.arrive(MsgId{1}, GroupId{2}));  // forgotten: new again
 }
 
 TEST(ExecutionEngine, ZeroServiceTaskCompletes) {
   sim::Engine engine;
   ExecutionEngine exec{engine};
   bool ran = false;
-  exec.enqueue({MsgId{1}, nullptr, nullptr, 0, [&] { ran = true; }});
+  exec.enqueue(plain(1, 0, [&] { ran = true; }));
   engine.run_for(usec(1));
   EXPECT_TRUE(ran);
 }
@@ -76,11 +126,10 @@ TEST(ExecutionEngine, TaskEnqueuedFromRunCallback) {
   sim::Engine engine;
   ExecutionEngine exec{engine};
   std::vector<int> order;
-  exec.enqueue({MsgId{1}, nullptr, nullptr, usec(1), [&] {
-                  order.push_back(1);
-                  exec.enqueue({MsgId{2}, nullptr, nullptr, usec(1),
-                                [&] { order.push_back(2); }});
-                }});
+  exec.enqueue(plain(1, usec(1), [&] {
+    order.push_back(1);
+    exec.enqueue(plain(2, usec(1), [&] { order.push_back(2); }));
+  }));
   engine.run_for(msec(1));
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }

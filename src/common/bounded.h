@@ -6,47 +6,24 @@
 // entries once `capacity` is exceeded — callers must tolerate a false "not
 // seen" for entries older than the window, which all users here do (a stale
 // duplicate re-executes an idempotent no-op path).
+//
+// Entries live inline in a common::FlatMap; a ring of keys in insertion order
+// names the next victim. The ring grows lazily up to `capacity` (nothing is
+// reserved up front: an amcast group's delivered window defaults to 1<<17
+// entries on every replica), then each new key overwrites the oldest one and
+// erases it from the map. Overwriting an existing key's value does not
+// refresh its age.
 #pragma once
 
 #include <cstddef>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "common/assert.h"
+#include "common/flat_map.h"
 
 namespace dssmr {
-
-template <class T, class Hash = std::hash<T>>
-class BoundedSet {
- public:
-  explicit BoundedSet(std::size_t capacity = 1 << 17) : capacity_(capacity) {
-    DSSMR_ASSERT(capacity_ > 0);
-  }
-
-  /// Returns true if newly inserted.
-  bool insert(const T& value) {
-    if (!set_.insert(value).second) return false;
-    order_.push_back(value);
-    while (order_.size() > capacity_) {
-      set_.erase(order_.front());
-      order_.pop_front();
-    }
-    return true;
-  }
-
-  bool contains(const T& value) const { return set_.contains(value); }
-  std::size_t size() const { return set_.size(); }
-  void clear() {
-    set_.clear();
-    order_.clear();
-  }
-
- private:
-  std::size_t capacity_;
-  std::unordered_set<T, Hash> set_;
-  std::deque<T> order_;
-};
 
 template <class K, class V, class Hash = std::hash<K>>
 class BoundedMap {
@@ -55,15 +32,22 @@ class BoundedMap {
     DSSMR_ASSERT(capacity_ > 0);
   }
 
-  /// Inserts (or overwrites) and evicts the oldest entries beyond capacity.
-  void put(const K& key, V value) {
-    auto [it, inserted] = map_.insert_or_assign(key, std::move(value));
-    (void)it;
-    if (inserted) order_.push_back(key);
-    while (order_.size() > capacity_) {
-      map_.erase(order_.front());
-      order_.pop_front();
+  /// Inserts (or overwrites) and evicts the oldest entry beyond capacity.
+  /// Returns true if `key` was not present.
+  bool put(const K& key, V value) {
+    if (auto it = map_.find(key); it != map_.end()) {
+      it->second = std::move(value);
+      return false;
     }
+    if (ring_.size() < capacity_) {
+      ring_.push_back(key);
+    } else {
+      map_.erase(ring_[oldest_]);
+      ring_[oldest_] = key;
+      oldest_ = oldest_ + 1 == capacity_ ? 0 : oldest_ + 1;
+    }
+    map_.emplace(key, std::move(value));
+    return true;
   }
 
   const V* find(const K& key) const {
@@ -73,11 +57,35 @@ class BoundedMap {
 
   bool contains(const K& key) const { return map_.contains(key); }
   std::size_t size() const { return map_.size(); }
+  void clear() {
+    map_.clear();
+    ring_.clear();
+    oldest_ = 0;
+  }
 
  private:
   std::size_t capacity_;
-  std::unordered_map<K, V, Hash> map_;
-  std::deque<K> order_;
+  common::FlatMap<K, V, Hash> map_;
+  /// Keys in insertion order; once full, ring_[oldest_] is the oldest.
+  std::vector<K> ring_;
+  std::size_t oldest_ = 0;
+};
+
+template <class T, class Hash = std::hash<T>>
+class BoundedSet {
+ public:
+  explicit BoundedSet(std::size_t capacity = 1 << 17) : map_(capacity) {}
+
+  /// Returns true if newly inserted.
+  bool insert(const T& value) { return map_.put(value, {}); }
+
+  bool contains(const T& value) const { return map_.contains(value); }
+  std::size_t size() const { return map_.size(); }
+  void clear() { map_.clear(); }
+
+ private:
+  struct Unit {};
+  BoundedMap<T, Unit, Hash> map_;
 };
 
 }  // namespace dssmr

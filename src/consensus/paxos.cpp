@@ -247,8 +247,9 @@ void PaxosCore::propose(Slot slot, Batch batch) {
   it->second.acks.clear();
   it->second.acks.insert(self_index_);
 
-  // Self-accept.
-  accepted_[slot] = {ballot_, it->second.batch};
+  // Self-accept (a slot this replica already decided keeps its one copy in
+  // decided_; see accepted_).
+  if (!decided_.contains(slot)) accepted_[slot] = {ballot_, it->second.batch};
 
   broadcast(net::make_msg<P2a>(gid_, ballot_, slot, it->second.batch));
   if (it->second.acks.size() >= majority()) {
@@ -335,7 +336,9 @@ void PaxosCore::handle_p2a(ProcessId from, const P2a& m) {
   if (m.ballot >= promised_) {
     promised_ = m.ballot;
     if (role_ != Role::Follower && ballot_ != m.ballot) step_down(m.ballot);
-    if (m.slot >= next_deliver_) accepted_[m.slot] = {m.ballot, m.batch};
+    if (m.slot >= next_deliver_ && !decided_.contains(m.slot)) {
+      accepted_[m.slot] = {m.ballot, m.batch};
+    }
     cb_.send(from, net::make_msg<P2b>(gid_, m.ballot, m.slot, true));
     arm_election_timer();
   } else {
@@ -388,6 +391,7 @@ void PaxosCore::decide(Slot slot, Batch batch, bool broadcast_commit) {
   if (slot < next_deliver_) return;  // already delivered
   const bool fresh = !decided_.contains(slot);
   if (fresh) decided_[slot] = std::move(batch);
+  accepted_.erase(slot);
   proposals_.erase(slot);
   if (broadcast_commit && fresh) {
     broadcast(net::make_msg<CommitMsg>(gid_, slot, decided_[slot]));

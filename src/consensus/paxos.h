@@ -15,8 +15,11 @@
 //    (Ring Paxos batches aggressively) and essential for simulation speed.
 //  * Uniform agreement: a value is committed only after a majority accepted
 //    it, so any later leader's phase 1 re-discovers it.
-//  * The decided log is trimmed behind the delivery point except for a
-//    retransmission window used to answer catch-up requests.
+//  * Each slot is held once: accepted_ until it is decided, then decided_
+//    alone (phase 1 reports a decided slot from decided_, so its accepted
+//    copy is never read again). The decided log is trimmed behind the
+//    delivery point except for a retransmission window used to answer
+//    catch-up requests.
 //
 // PaxosCore is deliberately not a net::Actor: the owning replica feeds it
 // messages and it emits messages through a callback, which keeps it unit
@@ -27,11 +30,11 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/bounded.h"
 #include "common/rng.h"
+#include "common/small_set.h"
 #include "common/types.h"
 #include "net/message.h"
 #include "sim/engine.h"
@@ -198,7 +201,7 @@ class PaxosCore {
 
   struct Proposal {
     Batch batch;
-    std::unordered_set<std::uint32_t> acks;
+    common::SmallSet<std::uint32_t> acks;
   };
 
   std::size_t majority() const { return members_.size() / 2 + 1; }
@@ -240,6 +243,8 @@ class PaxosCore {
 
   // Acceptor state.
   Ballot promised_ = 0;
+  /// Accepted, not yet decided here: decide() moves a slot out, and neither
+  /// a P2a nor our own proposal puts a decided slot back.
   std::map<Slot, std::pair<Ballot, Batch>> accepted_;
 
   // Learner state.
@@ -250,7 +255,7 @@ class PaxosCore {
   Role role_ = Role::Follower;
   Ballot ballot_ = 0;           // ballot of my current candidacy/leadership
   Ballot max_seen_ballot_ = 0;  // highest ballot observed anywhere
-  std::unordered_set<std::uint32_t> p1b_granted_;
+  common::SmallSet<std::uint32_t> p1b_granted_;
   std::map<Slot, std::pair<Ballot, Batch>> p1b_accepted_;
   Slot next_slot_ = 1;
   /// Undecided proposals only (decide() erases the slot): its size is the

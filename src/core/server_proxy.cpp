@@ -38,7 +38,7 @@ void PartitionServer::init_partition(net::Network& network,
   DSSMR_ASSERT(app_ != nullptr);
   exec_ = std::make_unique<smr::ExecutionEngine>(network.engine());
   config_ = config;
-  completed_ = BoundedMap<MsgId, CachedReply>{config_.reply_cache_capacity};
+  completed_ = BoundedSet<MsgId>{config_.reply_cache_capacity};
   metrics_ = metrics;
   auto handle = [this](const char* name) {
     return metrics_ != nullptr ? &metrics_->counter_handle(name) : &dummy_counter();
@@ -118,19 +118,29 @@ void PartitionServer::execute(MsgId id, std::uint64_t trace_id, Time delivered, 
 }
 
 void PartitionServer::reply_to(ProcessId client, MsgId cmd_id, ReplyCode code,
-                               net::MessagePtr app_reply, bool cache, ReplyTiming timing,
-                               bool access_final) {
-  if (cache) completed_.put(cmd_id, CachedReply{code, app_reply, timing});
-  if (access_final) {
-    // Watermark update runs on every replica (deliveries are identical across
-    // replicas, so the dedup state stays deterministic and survives leader
-    // changes). ids are (client pid << 32) | seq.
-    AccessFinal& f = access_final_[static_cast<std::uint32_t>(cmd_id.value >> 32)];
-    if (cmd_id.value >= f.cmd_id) f = AccessFinal{cmd_id.value, {code, app_reply, timing}};
+                               net::MessagePtr app_reply, ReplyTiming timing, Settles settles) {
+  Reply reply{code, std::move(app_reply), timing};
+  if (settles != Settles::kNothing) {
+    // Runs on every replica (deliveries are identical across replicas, so the
+    // dedup state stays deterministic and survives leader changes).
+    completed_.insert(cmd_id);
+    if (client != kNoProcess) {
+      Session& session = sessions_[client];
+      if (settles == Settles::kMove) {
+        session.move = Settled{cmd_id, reply};
+      } else if (cmd_id >= session.access.id) {
+        session.access = Settled{cmd_id, reply};
+      }
+    }
   }
+  send_reply(client, cmd_id, reply);
+}
+
+void PartitionServer::send_reply(ProcessId client, MsgId cmd_id, const Reply& reply) {
   if (client == kNoProcess) return;
   if (!is_leader()) return;  // a peer replica's leader sends it
-  send_direct(client, net::make_msg<ReplyMsg>(cmd_id, code, group(), std::move(app_reply), timing));
+  send_direct(client, net::make_msg<ReplyMsg>(cmd_id, reply.code, group(), reply.app_reply,
+                                              reply.timing));
 }
 
 void PartitionServer::on_amdeliver(const multicast::AmcastMessage& m) {
@@ -139,31 +149,30 @@ void PartitionServer::on_amdeliver(const multicast::AmcastMessage& m) {
   const Command& cmd = cm->cmd;
   const ProcessId client = cmd.requester != kNoProcess ? cmd.requester : m.sender;
 
-  // Retried command that already completed here: re-send the cached outcome.
-  if (const CachedReply* cached = completed_.find(cmd.id)) {
-    if (is_leader() && client != kNoProcess) {
-      send_direct(client, net::make_msg<ReplyMsg>(cmd.id, cached->code, group(), cached->app_reply,
-                                                  cached->timing));
-    }
+  const auto session = sessions_.find(client);
+  const Settled* latest = nullptr;
+  if (session != sessions_.end()) {
+    latest = cmd.type == CommandType::kMove ? &session->second.move : &session->second.access;
+  }
+  // Re-sends the reply of a retried command that settled here, if it is the
+  // requester's latest of its kind; the requester ignores any other reply.
+  auto answer_retry = [&] {
+    if (latest != nullptr && latest->id == cmd.id) send_reply(client, cmd.id, latest->reply);
+  };
+  if (completed_.contains(cmd.id)) {
+    answer_retry();
     return;
   }
   // Retransmission delivered while the original is still queued: ignore it
   // (the queued task will answer). Processing it would enqueue a duplicate.
   if (inflight_.contains(cmd.id)) return;
 
-  // Reply-cache miss is not proof the command is new: the cache is bounded,
-  // and a slow retransmission can outlive its entry. The per-client access
-  // watermark catches that — at-most-once even after eviction.
-  if (cmd.type == CommandType::kAccess) {
-    auto it = access_final_.find(static_cast<std::uint32_t>(cmd.id.value >> 32));
-    if (it != access_final_.end() && cmd.id.value <= it->second.cmd_id) {
-      if (cmd.id.value == it->second.cmd_id && is_leader() && client != kNoProcess) {
-        const CachedReply& r = it->second.reply;
-        send_direct(client, net::make_msg<ReplyMsg>(cmd.id, r.code, group(), r.app_reply,
-                                                    r.timing));
-      }
-      return;
-    }
+  // A window miss is not proof the command is new: the window is bounded,
+  // and a slow retransmission can outlive its entry. The requester's latest
+  // settled access catches that — at-most-once even after eviction.
+  if (cmd.type == CommandType::kAccess && latest != nullptr && cmd.id <= latest->id) {
+    answer_retry();
+    return;
   }
 
   switch (cmd.type) {
@@ -207,16 +216,16 @@ void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
   for (VarId v : cmd.read_set) {
     if (!owned_.contains(v)) {
       bump(ctr_.retries_issued);
-      reply_to(client, cmd.id, stale, nullptr, /*cache=*/false,
-               ReplyTiming{delivered, delivered, delivered});
+      reply_to(client, cmd.id, stale, nullptr, ReplyTiming{delivered, delivered, delivered},
+               Settles::kNothing);
       return;
     }
   }
   for (VarId v : cmd.write_set) {
     if (!owned_.contains(v)) {
       bump(ctr_.retries_issued);
-      reply_to(client, cmd.id, stale, nullptr, /*cache=*/false,
-               ReplyTiming{delivered, delivered, delivered});
+      reply_to(client, cmd.id, stale, nullptr, ReplyTiming{delivered, delivered, delivered},
+               Settles::kNothing);
       return;
     }
   }
@@ -233,14 +242,14 @@ void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
               if (!store_.contains(v)) {
                 bump(ctr_.retries_issued);
                 reply_to(client, cmd.id, retired_ ? ReplyCode::kRetired : ReplyCode::kRetry,
-                         nullptr, /*cache=*/false, timing);
+                         nullptr, timing, Settles::kNothing);
                 return;
               }
             }
             smr::ExecutionView view{store_};
             net::MessagePtr app_reply = app_->execute(cmd, view);
-            reply_to(client, cmd.id, ReplyCode::kOk, std::move(app_reply), /*cache=*/true,
-                     timing, /*access_final=*/true);
+            reply_to(client, cmd.id, ReplyCode::kOk, std::move(app_reply), timing,
+                     Settles::kAccess);
           });
 }
 
@@ -281,8 +290,8 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m,
     // Peer shipments that arrived before our delivery.
     exec_->forget(cmd.id);
     shipped_.erase(cmd.id);
-    reply_to(client, cmd.id, ReplyCode::kNotInvolved, nullptr, /*cache=*/true,
-             ReplyTiming{delivered, delivered, delivered}, /*access_final=*/true);
+    reply_to(client, cmd.id, ReplyCode::kNotInvolved, nullptr,
+             ReplyTiming{delivered, delivered, delivered}, Settles::kAccess);
     return;
   }
 
@@ -316,8 +325,7 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m,
         }
         net::MessagePtr app_reply = app_->execute(cmd, view);
         if (it != shipped_.end()) shipped_.erase(it);
-        reply_to(client, cmd.id, ReplyCode::kOk, std::move(app_reply), /*cache=*/true, timing,
-                 /*access_final=*/true);
+        reply_to(client, cmd.id, ReplyCode::kOk, std::move(app_reply), timing, Settles::kAccess);
       },
       std::move(ship_mine));
 }
@@ -402,8 +410,8 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
           record_instant(stats::InstantKind::kMoveFailed, id.value,
                          static_cast<std::int64_t>(failed));
         }
-        reply_to(client, id, code, net::make_msg<smr::MoveResultMsg>(std::move(installed)),
-                 /*cache=*/true, timing);
+        reply_to(client, id, code, net::make_msg<smr::MoveResultMsg>(std::move(installed)), timing,
+                 Settles::kMove);
       },
       {}, static_cast<std::int64_t>(vars.size()));
 }

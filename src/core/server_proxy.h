@@ -20,8 +20,10 @@
 //    client its reply only after the partition has checked in.
 //
 // Replies are sent by the replica that currently leads the partition's Paxos
-// group; duplicated command deliveries (client retries) are answered from a
-// bounded reply cache keyed by the logical command id.
+// group. A bounded window of settled logical command ids catches duplicated
+// deliveries (client retries); the reply payload to resend is kept only for
+// each requester's latest settled access and move, the only retransmissions
+// a requester still waits for.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +33,7 @@
 #include <vector>
 
 #include "common/bounded.h"
+#include "common/flat_map.h"
 #include "common/small_set.h"
 #include "common/types.h"
 #include "multicast/atomic.h"
@@ -48,8 +51,9 @@ struct PartitionServerConfig {
   Duration create_delete_service = usec(5);
   /// Oracle group (destination of create/delete signals).
   GroupId oracle_group = kNoGroup;
-  /// Capacity of the bounded reply cache (`completed_`). Tests shrink it to
-  /// force eviction and exercise the per-client dedup fallback.
+  /// Capacity of the bounded window of settled commands (`completed_`).
+  /// Tests shrink it to force eviction and exercise the per-requester dedup
+  /// fallback.
   std::size_t reply_cache_capacity = 1 << 15;
 };
 
@@ -73,6 +77,8 @@ class PartitionServer : public multicast::GroupNode {
   /// Telemetry gauges (see harness/deployment.cpp).
   std::size_t queue_depth() const { return exec_->queue_depth(); }
   std::size_t reply_cache_size() const { return completed_.size(); }
+  /// Requesters with a settled command here (see `sessions_`).
+  std::size_t session_count() const { return sessions_.size(); }
 
   /// Elastic retirement: the partition has drained and left the deployment.
   /// It keeps participating in multicast (commands already addressed to it
@@ -89,13 +95,17 @@ class PartitionServer : public multicast::GroupNode {
   void on_rmdeliver(ProcessId origin, const net::MessagePtr& payload) override;
 
  private:
-  struct CachedReply {
-    smr::ReplyCode code;
+  struct Reply {
+    smr::ReplyCode code = smr::ReplyCode::kOk;
     net::MessagePtr app_reply;
     /// Timestamps of the original execution; retransmitted replies carry them
     /// unchanged (the client clamps stale timestamps into its own window).
     smr::ReplyTiming timing;
   };
+  /// What a reply settles here: nothing (a retry answer), or the requester's
+  /// access or move. A settled command enters `completed_` and its
+  /// requester's session.
+  enum class Settles : std::uint8_t { kNothing, kAccess, kMove };
 
   void deliver_access_single(const multicast::AmcastMessage& m, const smr::Command& cmd);
   void deliver_access_multi(const multicast::AmcastMessage& m, const smr::Command& cmd);
@@ -103,11 +113,10 @@ class PartitionServer : public multicast::GroupNode {
   void deliver_create(const multicast::AmcastMessage& m, const smr::Command& cmd);
   void deliver_delete(const multicast::AmcastMessage& m, const smr::Command& cmd);
 
-  /// `access_final` marks the settled outcome of a kAccess command; it also
-  /// advances the per-client dedup watermark (see `access_final_`).
   void reply_to(ProcessId client, MsgId cmd_id, smr::ReplyCode code,
-                net::MessagePtr app_reply, bool cache, smr::ReplyTiming timing = {},
-                bool access_final = false);
+                net::MessagePtr app_reply, smr::ReplyTiming timing, Settles settles);
+  /// Leader-only: (re)sends `reply` for `cmd_id` to `client`.
+  void send_reply(ProcessId client, MsgId cmd_id, const Reply& reply);
   /// Queues a command's task: it waits for the inputs of `awaits`, occupies
   /// the CPU for `service`, records the queue and execute spans and then runs
   /// `body(timing)`. The command counts as in flight until then.
@@ -141,22 +150,39 @@ class PartitionServer : public multicast::GroupNode {
   /// a second task (double execution for accesses, and a task that waits
   /// forever for already-consumed shipments for moves).
   std::unordered_set<MsgId> inflight_;
-  BoundedMap<MsgId, CachedReply> completed_{1 << 15};
-  /// Per-client at-most-once backstop for access commands. The reply cache is
-  /// bounded, so under heavy load a slow (not lost) retransmission can arrive
-  /// after its entry was evicted and execute a second time. Command ids are
-  /// monotone per issuing proxy and clients are closed-loop (a client issues
-  /// access N+1 only after access N's final reply), so per client it suffices
-  /// to remember the highest finally-answered access id: a delivered access
-  /// at or below it is a stale retransmission — answer the stored reply on an
-  /// exact id match, drop silently otherwise. Move/create/delete ids do not
-  /// participate: a client's move legitimately settles before the (older-id)
-  /// command it unblocks.
-  struct AccessFinal {
-    std::uint64_t cmd_id = 0;
-    CachedReply reply;
+  /// Logical ids of the commands settled here (outcomes only, no payloads):
+  /// a retransmission or a late VarShipMsg of one of them is not processed.
+  BoundedSet<MsgId> completed_{1 << 15};
+  /// A requester's latest settled command of one kind, with the reply to
+  /// resend for it. Command ids are never 0, so 0 means none yet.
+  struct Settled {
+    MsgId id{};
+    Reply reply;
   };
-  std::unordered_map<std::uint32_t, AccessFinal> access_final_;
+  /// Per requester (the process its replies go to), updated on every replica
+  /// so the state survives leader changes. A requester waits for one reply at
+  /// a time and ignores any other, so only the latest settled command's
+  /// payload is worth resending; a `completed_` hit for an older one is
+  /// dropped unanswered. State is one entry per requester process, however
+  /// many commands it issues.
+  ///
+  /// `access` is also the at-most-once backstop for accesses. `completed_` is
+  /// bounded, so under heavy load a slow (not lost) retransmission can arrive
+  /// after its entry was evicted and execute a second time. A client's access
+  /// ids are monotone and clients are closed-loop (a client issues access N+1
+  /// only after access N's final reply), so `access` keeps the highest settled
+  /// id, and a delivered access at or below it is a stale retransmission —
+  /// answer it on an exact id match, drop it silently otherwise.
+  ///
+  /// `move` is simply the move settled last: move ids are not ordered (the
+  /// oracle derives a DynaStar move's id from a hash of the consult id), and
+  /// a client's move legitimately settles before the (older-id) command it
+  /// unblocks, so moves stay outside the backstop.
+  struct Session {
+    Settled access;
+    Settled move;
+  };
+  common::FlatMap<ProcessId, Session> sessions_;
   PartitionServerConfig config_;
   stats::Metrics* metrics_ = nullptr;
   /// See set_retired().

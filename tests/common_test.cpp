@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
 #include <set>
 #include <unordered_map>
@@ -150,6 +151,71 @@ TEST(BoundedMap, OverwriteDoesNotGrow) {
   m.put(1, 20);
   EXPECT_EQ(m.size(), 1u);
   EXPECT_EQ(*m.find(1), 20);
+}
+
+TEST(Bounded, MatchesDequeReferenceUnderChurn) {
+  // Reference model: the original deque + unordered_map window (evict oldest
+  // first; overwriting a key does not refresh its age). Small capacities and
+  // a key range a few times larger make the ring wrap thousands of times.
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
+    SCOPED_TRACE(capacity);
+    BoundedMap<std::uint64_t, std::uint64_t> map{capacity};
+    BoundedSet<std::uint64_t> set{capacity};
+    std::unordered_map<std::uint64_t, std::uint64_t> ref_map;
+    std::deque<std::uint64_t> ref_map_order;
+    std::unordered_set<std::uint64_t> ref_set;
+    std::deque<std::uint64_t> ref_set_order;
+    Rng rng{capacity};
+    for (std::uint64_t step = 0; step < 10000; ++step) {
+      const std::uint64_t k = rng.below(3 * capacity + 2);
+      if (rng.below(100) == 0) {
+        map.clear();
+        set.clear();
+        ref_map.clear();
+        ref_map_order.clear();
+        ref_set.clear();
+        ref_set_order.clear();
+        continue;
+      }
+      switch (rng.below(4)) {
+        case 0: {
+          const bool fresh = ref_map.insert_or_assign(k, step).second;
+          if (fresh) ref_map_order.push_back(k);
+          while (ref_map_order.size() > capacity) {
+            ref_map.erase(ref_map_order.front());
+            ref_map_order.pop_front();
+          }
+          EXPECT_EQ(map.put(k, step), fresh);
+          break;
+        }
+        case 1: {
+          const bool fresh = ref_set.insert(k).second;
+          if (fresh) ref_set_order.push_back(k);
+          while (ref_set_order.size() > capacity) {
+            ref_set.erase(ref_set_order.front());
+            ref_set_order.pop_front();
+          }
+          EXPECT_EQ(set.insert(k), fresh);
+          break;
+        }
+        case 2: {
+          auto it = ref_map.find(k);
+          const std::uint64_t* got = map.find(k);
+          ASSERT_EQ(got != nullptr, it != ref_map.end());
+          if (got != nullptr) {
+            EXPECT_EQ(*got, it->second);
+          }
+          break;
+        }
+        case 3:
+          EXPECT_EQ(map.contains(k), ref_map.contains(k));
+          EXPECT_EQ(set.contains(k), ref_set.contains(k));
+          break;
+      }
+      ASSERT_EQ(map.size(), ref_map.size());
+      ASSERT_EQ(set.size(), ref_set.size());
+    }
+  }
 }
 
 TEST(FlatMap, InsertFindErase) {

@@ -165,6 +165,42 @@ TEST(Paxos, NewLeaderPreservesDecidedPrefix) {
   }
 }
 
+TEST(Paxos, NewLeaderReproposesSlotDecidedOnlyAboveAGap) {
+  // Replica 1 decides slot 2 but never hears of slot 1, so slot 2 sits
+  // undelivered above a gap; replica 2 holds slot 1 only. Once the leader
+  // crashes, slot 2's value survives only in replica 1's decided log (its
+  // accepted copy was dropped at decision), and phase 1 must still report it.
+  PaxosCluster c{3};
+  c.engine.run_for(msec(50));
+  ASSERT_TRUE(c.nodes[0]->core->is_leader());
+  const ProcessId p0 = c.nodes[0]->core->members()[0];
+  const ProcessId p1 = c.nodes[0]->core->members()[1];
+  const ProcessId p2 = c.nodes[0]->core->members()[2];
+
+  c.network.set_link(p0, p1, false);
+  const MsgId a = c.submit(1);
+  c.engine.run_for(msec(5));
+  c.network.set_link(p0, p1, true);
+  c.network.set_link(p0, p2, false);
+  const MsgId b = c.submit(2);
+  c.engine.run_for(msec(5));
+  ASSERT_EQ(c.nodes[0]->decided_slots, (std::vector<Slot>{1, 2}));
+  ASSERT_TRUE(c.nodes[1]->decided.empty());  // slot 2 decided, blocked on slot 1
+  ASSERT_EQ(c.nodes[2]->decided.size(), 1u);
+
+  c.network.crash(p0);
+  c.nodes[0]->core->halt();
+  c.network.set_link(p0, p2, true);
+  c.engine.run_for(msec(800));
+
+  for (std::size_t r = 1; r < 3; ++r) {
+    ASSERT_EQ(c.nodes[r]->decided.size(), 2u) << "replica " << r;
+    EXPECT_EQ(c.nodes[r]->decided[0].id, a) << "replica " << r;
+    EXPECT_EQ(c.nodes[r]->decided[1].id, b) << "replica " << r;
+    EXPECT_EQ(c.nodes[r]->decided_slots, (std::vector<Slot>{1, 2})) << "replica " << r;
+  }
+}
+
 TEST(Paxos, MakesProgressUnderMessageLoss) {
   PaxosCluster c{3, /*drop=*/0.10, /*seed=*/11};
   c.engine.run_for(msec(300));

@@ -3,6 +3,8 @@
 // replies.
 #include <gtest/gtest.h>
 
+#include "chirper/chirper.h"
+#include "core/oracle.h"
 #include "harness/deployment.h"
 #include "smr/kv.h"
 #include "testing/cluster.h"
@@ -311,6 +313,182 @@ TEST(ServerExec, SecondReplicaShipmentOfAGroupIsIgnored) {
   const auto* v0 = dynamic_cast<const kv::KvValue*>(server.store().get(VarId{0}));
   ASSERT_NE(v0, nullptr);
   EXPECT_EQ(v0->num, 1 + 10);
+}
+
+/// Collects the replies a partition sends to one requester.
+class ReplyRecorder : public net::Actor {
+ public:
+  void on_message(ProcessId, const net::MessagePtr& m) override {
+    if (const auto* r = net::msg_cast<smr::ReplyMsg>(m)) replies.push_back(*r);
+  }
+  std::vector<smr::ReplyMsg> replies;
+};
+
+/// A single-replica chirper partition (group 0, leading) whose deliveries
+/// are driven by hand; group 1 is the source of its moves. Replies go to
+/// `requester`, which issues every command id.
+struct RetryHarness {
+  explicit RetryHarness(std::size_t window) : network(engine, {}, 7) {
+    directory.add_group({network.add_process(server, 0)});
+    directory.add_group({network.add_process(peer, 1)});
+    network.add_process(requester, 0);
+    PartitionServerConfig cfg;
+    cfg.reply_cache_capacity = window;
+    server.init_partition(network, directory, GroupId{0}, {}, chirper::chirper_app_factory(),
+                          cfg, nullptr, 1);
+    peer.init_group_node(network, directory, GroupId{1}, {}, 2);
+    auto user = std::make_unique<chirper::UserValue>();
+    for (std::uint64_t i = 1; i <= 3; ++i) {
+      user->append_post({VarId{2}, i, "post " + std::to_string(i)});
+    }
+    server.preload(kUser, std::move(user));
+    server.start();
+    engine.run_for(msec(10));  // a one-member group elects itself
+  }
+
+  smr::Command timeline() {
+    smr::Command c = chirper::make_get_timeline(kUser);
+    c.id = MsgId{(std::uint64_t{requester.pid().value} << 32) | ++seq};
+    c.requester = requester.pid();
+    return c;
+  }
+
+  /// A move of `v` from group 1 to this partition.
+  smr::Command move(VarId v) {
+    smr::Command c;
+    c.type = smr::CommandType::kMove;
+    c.id = MsgId{(std::uint64_t{requester.pid().value} << 32) | ++seq};
+    c.requester = requester.pid();
+    c.write_set = {v};
+    c.move_sources = {GroupId{1}};
+    c.move_dest = GroupId{0};
+    return c;
+  }
+
+  void deliver(const smr::Command& c) {
+    server.on_amdeliver({.id = MsgId{++amcast_seq},
+                         .sender = kNoProcess,
+                         .dests = {GroupId{0}},
+                         .payload = net::make_msg<smr::CommandMsg>(c)});
+    engine.run_for(msec(1));
+  }
+
+  /// Delivers move `c` and group 1's shipment of its variable.
+  void settle_move(const smr::Command& c) {
+    deliver(c);
+    decltype(smr::VarShipMsg::vars) values;
+    values.emplace_back(c.write_set[0], std::make_shared<chirper::UserValue>());
+    server.on_rmdeliver(kNoProcess, net::make_msg<smr::VarShipMsg>(c.id, GroupId{1},
+                                                                   /*is_move=*/true, values));
+    engine.run_for(msec(1));
+  }
+
+  /// The texts of a timeline reply's posts (none for a payload-free reply).
+  static std::vector<std::string> posts(const smr::ReplyMsg& r) {
+    std::vector<std::string> texts;
+    if (const auto* t = net::msg_cast<chirper::TimelineReply>(r.app_reply)) {
+      for (const auto& p : t->posts) texts.push_back(p.text);
+    }
+    return texts;
+  }
+
+  static constexpr VarId kUser{1};
+  sim::Engine engine;
+  net::Network network;
+  multicast::Directory directory;
+  ScriptedServer server;
+  RecordingGroupNode peer;
+  ReplyRecorder requester;
+  std::uint64_t seq = 0;
+  std::uint64_t amcast_seq = 0;
+};
+
+TEST(ServerRetry, RetransmittedSettledCommandsGetTheirReplyBack) {
+  // A window of 1 evicts the access once the move settles, so its third copy
+  // is answered through the requester's session, not the window.
+  for (const std::size_t window : {std::size_t{1} << 15, std::size_t{1}}) {
+    SCOPED_TRACE(window);
+    RetryHarness h{window};
+    const smr::Command get = h.timeline();
+    h.deliver(get);
+    ASSERT_EQ(h.requester.replies.size(), 1u);
+    const std::vector<std::string> posts = RetryHarness::posts(h.requester.replies[0]);
+    EXPECT_EQ(posts, (std::vector<std::string>{"post 1", "post 2", "post 3"}));
+    h.deliver(get);
+    ASSERT_EQ(h.requester.replies.size(), 2u);
+    EXPECT_EQ(h.requester.replies[1].cmd_id, get.id);
+    EXPECT_EQ(h.requester.replies[1].code, ReplyCode::kOk);
+    EXPECT_EQ(RetryHarness::posts(h.requester.replies[1]), posts);
+
+    const smr::Command mv = h.move(VarId{7});
+    h.settle_move(mv);
+    ASSERT_EQ(h.requester.replies.size(), 3u);
+    ASSERT_EQ(h.requester.replies[2].code, ReplyCode::kOk);
+    h.deliver(mv);
+    ASSERT_EQ(h.requester.replies.size(), 4u);
+    EXPECT_EQ(h.requester.replies[3].cmd_id, mv.id);
+    EXPECT_EQ(h.requester.replies[3].code, ReplyCode::kOk);
+    const auto* result = net::msg_cast<smr::MoveResultMsg>(h.requester.replies[3].app_reply);
+    ASSERT_NE(result, nullptr);
+    EXPECT_EQ(result->installed, std::vector<VarId>{VarId{7}});
+
+    h.deliver(get);
+    ASSERT_EQ(h.requester.replies.size(), 5u);
+    EXPECT_EQ(RetryHarness::posts(h.requester.replies[4]), posts);
+    EXPECT_EQ(h.server.executed_count(), 2u);  // one timeline, one move
+  }
+}
+
+TEST(ServerRetry, OlderSettledCommandIsNeitherExecutedNorAnswered) {
+  // The requester has moved on from an older command and ignores its reply.
+  // With a window of 1 the older access has been evicted, and the session's
+  // at-most-once watermark drops it instead.
+  for (const std::size_t window : {std::size_t{1} << 15, std::size_t{1}}) {
+    SCOPED_TRACE(window);
+    RetryHarness h{window};
+    const smr::Command first = h.timeline();
+    h.deliver(first);
+    h.deliver(h.timeline());
+    ASSERT_EQ(h.requester.replies.size(), 2u);
+    h.deliver(first);
+    EXPECT_EQ(h.requester.replies.size(), 2u);
+    EXPECT_EQ(h.server.executed_count(), 2u);
+  }
+  // Moves are outside the watermark, so only the window catches them.
+  RetryHarness h{std::size_t{1} << 15};
+  const smr::Command first = h.move(VarId{7});
+  h.settle_move(first);
+  h.settle_move(h.move(VarId{8}));
+  ASSERT_EQ(h.requester.replies.size(), 2u);
+  h.deliver(first);
+  EXPECT_EQ(h.requester.replies.size(), 2u);
+  EXPECT_EQ(h.server.executed_count(), 2u);
+}
+
+TEST(ServerRetry, OracleIssuedMovesKeepOneSessionPerRequester) {
+  // DynaStar: the oracle issues a client's moves under ids hashed from the
+  // consult ids, so they follow no order and carry no issuer. Each move's
+  // retransmission still gets its reply back, and the partition keeps one
+  // session for the requester however many moves settle.
+  for (const std::size_t window : {std::size_t{1} << 15, std::size_t{1}}) {
+    SCOPED_TRACE(window);
+    RetryHarness h{window};
+    h.deliver(h.timeline());
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      smr::Command mv = h.move(VarId{10 + i});
+      mv.id = derive_move_id(mv.id);
+      h.settle_move(mv);
+      h.deliver(mv);
+      ASSERT_EQ(h.requester.replies.size(), 2 + 2 * i + 1);
+      const smr::ReplyMsg& resent = h.requester.replies.back();
+      EXPECT_EQ(resent.cmd_id, mv.id);
+      const auto* result = net::msg_cast<smr::MoveResultMsg>(resent.app_reply);
+      ASSERT_NE(result, nullptr);
+      EXPECT_EQ(result->installed, std::vector<VarId>{VarId{10 + i}});
+    }
+    EXPECT_EQ(h.server.executed_count(), 21u);
+    EXPECT_EQ(h.server.session_count(), 1u);
+  }
 }
 
 }  // namespace

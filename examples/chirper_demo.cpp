@@ -49,7 +49,7 @@ void show_timeline(harness::Deployment& d, VarId user) {
   const auto& tl = net::msg_as<chirper::TimelineReply>(reply);
   std::printf("  @%s's timeline (%zu posts):\n", name_of(user), tl.posts.size());
   for (const auto& post : tl.posts) {
-    std::printf("    [@%s] %s\n", name_of(post.author), post.text.c_str());
+    std::printf("    [@%s] %s\n", name_of(post->author), post->text.c_str());
   }
 }
 

@@ -19,12 +19,13 @@ net::MessagePtr ChirperApp::execute(const smr::Command& cmd, smr::ExecutionView&
   switch (cmd.op) {
     case kPost: {
       const VarId poster = cmd.write_set.at(0);
-      Post post{poster, cmd.id.value, cmd.arg};
-      // Deliver into every reachable timeline (the poster's own included).
-      // Variables deleted concurrently are simply skipped.
+      const auto post = std::make_shared<const Post>(Post{poster, cmd.id.value, cmd.arg});
+      // Deliver into every reachable timeline (the poster's own included),
+      // each sharing the one post. Variables deleted concurrently are
+      // simply skipped.
       for (VarId u : cmd.write_set) {
         if (auto* user = view.get_as<UserValue>(u); user != nullptr) {
-          user->append_post(post);
+          user->timeline.push(post);
         }
       }
       return net::make_msg<StatusReply>(view.get(poster) != nullptr);
@@ -51,9 +52,8 @@ net::MessagePtr ChirperApp::execute(const smr::Command& cmd, smr::ExecutionView&
     }
     case kGetTimeline: {
       const auto* user = view.get_as<UserValue>(cmd.read_set.at(0));
-      if (user == nullptr) return net::make_msg<TimelineReply>(std::vector<Post>{});
-      return net::make_msg<TimelineReply>(
-          std::vector<Post>(user->timeline.begin(), user->timeline.end()));
+      if (user == nullptr) return net::make_msg<TimelineReply>(std::vector<PostPtr>{});
+      return net::make_msg<TimelineReply>(user->timeline.posts());
     }
     default:
       return net::make_msg<StatusReply>(false);

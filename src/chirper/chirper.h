@@ -6,11 +6,15 @@
 // guaranteed single-partition command — the design decision the paper calls
 // out; the flip side is that post/follow/unfollow may touch several
 // partitions and therefore drive DS-SMR's moves.
+//
+// A post is immutable once executed, so a replica builds it once and every
+// timeline in the write set (and every timeline reply) holds the same
+// shared Post. Sizes still charge each timeline its own copy: the modelled
+// system ships and stores a post per follower, whatever the simulator keeps.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,33 +40,72 @@ struct Post {
   std::string text;
 };
 
+using PostPtr = std::shared_ptr<const Post>;
+
+/// Modelled bytes of one post, whichever timeline or reply holds it.
+inline std::size_t post_bytes(const Post& p) { return 24 + p.text.size(); }
+
+/// The newest kTimelineCap posts, oldest first. A ring over a vector that
+/// grows on demand up to the cap (an empty timeline allocates nothing) and
+/// then overwrites its oldest post in place.
+class Timeline {
+ public:
+  std::size_t size() const { return ring_.size(); }
+  /// The i-th oldest post.
+  const Post& operator[](std::size_t i) const { return *ring_[(head_ + i) % ring_.size()]; }
+  const Post& front() const { return (*this)[0]; }
+  const Post& back() const { return (*this)[size() - 1]; }
+
+  void push(PostPtr p) {
+    if (ring_.size() < kTimelineCap) {
+      if (ring_.size() == ring_.capacity()) {
+        ring_.reserve(std::min(kTimelineCap, std::max<std::size_t>(4, 2 * ring_.size())));
+      }
+      ring_.push_back(std::move(p));
+      return;
+    }
+    ring_[head_] = std::move(p);
+    head_ = (head_ + 1) % kTimelineCap;
+  }
+
+  /// The posts, oldest first, sharing this timeline's objects.
+  std::vector<PostPtr> posts() const {
+    std::vector<PostPtr> out;
+    out.reserve(ring_.size());
+    for (std::size_t i = 0; i < ring_.size(); ++i) {
+      out.push_back(ring_[(head_ + i) % ring_.size()]);
+    }
+    return out;
+  }
+
+ private:
+  std::vector<PostPtr> ring_;
+  std::size_t head_ = 0;  // index of the oldest post once the ring is full
+};
+
 struct UserValue final : smr::VarValue {
   std::vector<VarId> followers;
   std::vector<VarId> following;
-  std::deque<Post> timeline;  // newest at the back, capped at kTimelineCap
+  Timeline timeline;
 
+  /// Shallow in the posts: they are immutable, so a clone shares them.
   std::unique_ptr<smr::VarValue> clone() const override {
     return std::make_unique<UserValue>(*this);
   }
   std::size_t size_bytes() const override {
     std::size_t n = 64 + (followers.size() + following.size()) * 8;
-    for (const Post& p : timeline) n += 24 + p.text.size();
+    for (std::size_t i = 0; i < timeline.size(); ++i) n += post_bytes(timeline[i]);
     return n;
-  }
-
-  void append_post(Post p) {
-    timeline.push_back(std::move(p));
-    while (timeline.size() > kTimelineCap) timeline.pop_front();
   }
 };
 
 struct TimelineReply final : net::Message {
-  std::vector<Post> posts;
-  explicit TimelineReply(std::vector<Post> p) : posts(std::move(p)) {}
+  std::vector<PostPtr> posts;
+  explicit TimelineReply(std::vector<PostPtr> p) : posts(std::move(p)) {}
   const char* type_name() const override { return "chirper.timeline"; }
   std::size_t size_bytes() const override {
     std::size_t n = 16;
-    for (const Post& p : posts) n += 24 + p.text.size();
+    for (const PostPtr& p : posts) n += post_bytes(*p);
     return n;
   }
 };

@@ -159,8 +159,8 @@ void PaxosCore::start_election() {
     if (slot >= next_deliver_) p1b_accepted_[slot] = acc;
   }
   // Decided-but-not-everywhere slots are also "accepted" by us.
-  for (const auto& [slot, batch] : decided_) {
-    if (slot >= next_deliver_) p1b_accepted_[slot] = {promised_, batch};
+  for (Slot s = std::max(next_deliver_, decided_base_); s < decided_end(); ++s) {
+    if (const Batch* batch = decided_at(s)) p1b_accepted_[s] = {promised_, *batch};
   }
 
   broadcast(net::make_msg<P1a>(gid_, ballot_, next_deliver_ - 1));
@@ -249,7 +249,7 @@ void PaxosCore::propose(Slot slot, Batch batch) {
 
   // Self-accept (a slot this replica already decided keeps its one copy in
   // decided_; see accepted_).
-  if (!decided_.contains(slot)) accepted_[slot] = {ballot_, it->second.batch};
+  if (decided_at(slot) == nullptr) accepted_[slot] = {ballot_, it->second.batch};
 
   broadcast(net::make_msg<P2a>(gid_, ballot_, slot, it->second.batch));
   if (it->second.acks.size() >= majority()) {
@@ -303,8 +303,8 @@ void PaxosCore::handle_p1a(ProcessId from, const P1a& m) {
     for (const auto& [slot, entry] : accepted_) {
       if (slot > m.committed) acc[slot] = entry;
     }
-    for (const auto& [slot, batch] : decided_) {
-      if (slot > m.committed) acc[slot] = {promised_, batch};
+    for (Slot s = std::max(m.committed + 1, decided_base_); s < decided_end(); ++s) {
+      if (const Batch* batch = decided_at(s)) acc[s] = {promised_, *batch};
     }
     cb_.send(from, net::make_msg<P1b>(gid_, m.ballot, true, next_deliver_ - 1, std::move(acc)));
   } else {
@@ -336,7 +336,7 @@ void PaxosCore::handle_p2a(ProcessId from, const P2a& m) {
   if (m.ballot >= promised_) {
     promised_ = m.ballot;
     if (role_ != Role::Follower && ballot_ != m.ballot) step_down(m.ballot);
-    if (m.slot >= next_deliver_ && !decided_.contains(m.slot)) {
+    if (m.slot >= next_deliver_ && decided_at(m.slot) == nullptr) {
       accepted_[m.slot] = {m.ballot, m.batch};
     }
     cb_.send(from, net::make_msg<P2b>(gid_, m.ballot, m.slot, true));
@@ -373,9 +373,10 @@ void PaxosCore::handle_heartbeat(ProcessId from, const HeartbeatMsg& m) {
 }
 
 void PaxosCore::handle_learnreq(ProcessId from, const LearnReq& m) {
-  for (Slot s = m.from; s < next_deliver_; ++s) {
-    auto it = decided_.find(s);
-    if (it != decided_.end()) cb_.send(from, net::make_msg<CommitMsg>(gid_, s, it->second));
+  for (Slot s = std::max(m.from, decided_base_); s < next_deliver_; ++s) {
+    if (const Batch* batch = decided_at(s)) {
+      cb_.send(from, net::make_msg<CommitMsg>(gid_, s, *batch));
+    }
   }
 }
 
@@ -387,14 +388,24 @@ void PaxosCore::maybe_request_catchup(Slot leader_committed, ProcessId from) {
 
 // ---- learning --------------------------------------------------------------
 
+const Batch* PaxosCore::decided_at(Slot slot) const {
+  if (slot < decided_base_ || slot >= decided_end()) return nullptr;
+  const auto& batch = decided_[slot - decided_base_];
+  return batch.has_value() ? &*batch : nullptr;
+}
+
 void PaxosCore::decide(Slot slot, Batch batch, bool broadcast_commit) {
   if (slot < next_deliver_) return;  // already delivered
-  const bool fresh = !decided_.contains(slot);
-  if (fresh) decided_[slot] = std::move(batch);
+  // decided_base_ <= next_deliver_ (trim keeps the delivery point), so the
+  // slot lands at or above the window's front.
+  const std::size_t i = slot - decided_base_;
+  if (i >= decided_.size()) decided_.resize(i + 1);
+  const bool fresh = !decided_[i].has_value();
+  if (fresh) decided_[i] = std::move(batch);
   accepted_.erase(slot);
   proposals_.erase(slot);
   if (broadcast_commit && fresh) {
-    broadcast(net::make_msg<CommitMsg>(gid_, slot, decided_[slot]));
+    broadcast(net::make_msg<CommitMsg>(gid_, slot, *decided_[i]));
   }
   advance_delivery();
   // A decision freed a pipeline slot; push the backlog into it right away.
@@ -405,12 +416,10 @@ void PaxosCore::decide(Slot slot, Batch batch, bool broadcast_commit) {
 }
 
 void PaxosCore::advance_delivery() {
-  while (true) {
-    auto it = decided_.find(next_deliver_);
-    if (it == decided_.end()) break;
+  while (const Batch* batch = decided_at(next_deliver_)) {
     const Slot slot = next_deliver_;
     ++next_deliver_;
-    cb_.on_decide(slot, it->second);
+    cb_.on_decide(slot, *batch);
   }
   trim();
 }
@@ -418,7 +427,7 @@ void PaxosCore::advance_delivery() {
 void PaxosCore::trim() {
   if (next_deliver_ <= cfg_.retain_window) return;
   const Slot low = next_deliver_ - cfg_.retain_window;
-  decided_.erase(decided_.begin(), decided_.lower_bound(low));
+  for (; decided_base_ < low && !decided_.empty(); ++decided_base_) decided_.pop_front();
   accepted_.erase(accepted_.begin(), accepted_.lower_bound(low));
 }
 

@@ -17,9 +17,11 @@
 //    it, so any later leader's phase 1 re-discovers it.
 //  * Each slot is held once: accepted_ until it is decided, then decided_
 //    alone (phase 1 reports a decided slot from decided_, so its accepted
-//    copy is never read again). The decided log is trimmed behind the
-//    delivery point except for a retransmission window used to answer
-//    catch-up requests.
+//    copy is never read again). The decided log is a slot-indexed window
+//    starting at the trim point: it keeps a retransmission window of
+//    `retain_window` delivered slots for catch-up requests plus every slot
+//    decided above the delivery point, and scans of it start at the first
+//    slot they need instead of walking the retained window.
 //
 // PaxosCore is deliberately not a net::Actor: the owning replica feeds it
 // messages and it emits messages through a callback, which keeps it unit
@@ -27,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -224,6 +227,10 @@ class PaxosCore {
   void flush_pending();
   void arm_batch_timer();
   void decide(Slot slot, Batch batch, bool broadcast_commit);
+  /// The decided batch of `slot`, or null if it is undecided here or trimmed.
+  const Batch* decided_at(Slot slot) const;
+  /// One past the highest slot decided_ holds.
+  Slot decided_end() const { return decided_base_ + decided_.size(); }
   void advance_delivery();
   void trim();
   void arm_election_timer();
@@ -248,7 +255,13 @@ class PaxosCore {
   std::map<Slot, std::pair<Ballot, Batch>> accepted_;
 
   // Learner state.
-  std::map<Slot, Batch> decided_;
+  /// decided_[i] is slot decided_base_ + i (nullopt: not decided here yet).
+  /// trim() pops the front; a decision above the end grows the back, so no
+  /// slot above the delivery point is ever dropped. A deque, not a vector:
+  /// growing it keeps references to its elements valid, and
+  /// advance_delivery() holds one across the re-entrant on_decide.
+  std::deque<std::optional<Batch>> decided_;
+  Slot decided_base_ = 1;
   Slot next_deliver_ = 1;
 
   // Proposer state.

@@ -15,27 +15,96 @@ using harness::Deployment;
 using smr::ReplyCode;
 using namespace dssmr::testing;
 
+PostPtr shared_post(VarId author, std::uint64_t seq, std::string text) {
+  return std::make_shared<const Post>(Post{author, seq, std::move(text)});
+}
+
 TEST(UserValue, TimelineCapEnforced) {
   UserValue u;
-  for (std::uint64_t i = 0; i < kTimelineCap + 20; ++i) {
-    u.append_post({VarId{1}, i, "x"});
+  EXPECT_EQ(u.timeline.size(), 0u);
+  // Past the cap the ring overwrites its oldest post; 2.5 caps wraps it twice.
+  const std::uint64_t total = 2 * kTimelineCap + kTimelineCap / 2;
+  for (std::uint64_t i = 0; i < total; ++i) {
+    u.timeline.push(shared_post(VarId{1}, i, "x"));
+    ASSERT_EQ(u.timeline.size(), std::min<std::size_t>(i + 1, kTimelineCap));
+    ASSERT_EQ(u.timeline.back().seq, i);
   }
   EXPECT_EQ(u.timeline.size(), kTimelineCap);
-  EXPECT_EQ(u.timeline.front().seq, 20u);  // oldest were evicted
-  EXPECT_EQ(u.timeline.back().seq, kTimelineCap + 19);
+  EXPECT_EQ(u.timeline.front().seq, total - kTimelineCap);  // oldest were evicted
+  EXPECT_EQ(u.timeline.back().seq, total - 1);
+  for (std::size_t i = 0; i < kTimelineCap; ++i) {
+    EXPECT_EQ(u.timeline[i].seq, total - kTimelineCap + i) << "index " << i;
+  }
+  const std::vector<PostPtr> posts = u.timeline.posts();
+  ASSERT_EQ(posts.size(), kTimelineCap);
+  for (std::size_t i = 0; i < kTimelineCap; ++i) {
+    EXPECT_EQ(posts[i].get(), &u.timeline[i]) << "index " << i;
+  }
+}
+
+TEST(UserValue, SizeOfWrappedTimelineChargesEachPost) {
+  UserValue u;
+  u.followers = {VarId{1}, VarId{2}, VarId{3}};
+  u.following = {VarId{4}};
+  std::vector<std::string> texts;
+  for (std::uint64_t i = 0; i < kTimelineCap + 7; ++i) {
+    texts.push_back(std::string(i % 13, 'a'));
+    u.timeline.push(shared_post(VarId{1}, i, texts.back()));
+  }
+  // The per-post formula over the newest kTimelineCap posts.
+  std::size_t expected = 64 + 4 * 8;
+  for (std::size_t i = texts.size() - kTimelineCap; i < texts.size(); ++i) {
+    expected += 24 + texts[i].size();
+  }
+  EXPECT_EQ(u.size_bytes(), expected);
 }
 
 TEST(UserValue, CloneIsDeep) {
   UserValue u;
   u.followers = {VarId{1}, VarId{2}};
-  u.append_post({VarId{9}, 1, "hello"});
+  u.timeline.push(shared_post(VarId{9}, 1, "hello"));
   auto c = u.clone();
   auto* cu = dynamic_cast<UserValue*>(c.get());
   ASSERT_NE(cu, nullptr);
   cu->followers.push_back(VarId{3});
-  cu->timeline[0].text = "mutated";
+  cu->timeline.push(shared_post(VarId{9}, 2, "world"));
   EXPECT_EQ(u.followers.size(), 2u);
-  EXPECT_EQ(u.timeline[0].text, "hello");
+  ASSERT_EQ(u.timeline.size(), 1u);
+  EXPECT_EQ(u.timeline.back().text, "hello");
+  EXPECT_EQ(cu->timeline.size(), 2u);
+  EXPECT_EQ(cu->timeline.back().text, "world");
+}
+
+TEST(ChirperApp, PostFanOutSharesOnePostAcrossTimelines) {
+  // Executes post(0) with followers 1..k straight against a view, then
+  // checks every follower's timeline holds the very same post object.
+  constexpr std::size_t k = 5;
+  std::vector<VarId> followers;
+  for (std::size_t f = 1; f <= k; ++f) followers.push_back(VarId{f});
+  smr::Command cmd = make_post(VarId{0}, followers, "shared");
+  cmd.id = MsgId{77};
+
+  smr::VariableStore vars;
+  for (std::size_t u = 0; u <= k; ++u) vars.put(VarId{u}, std::make_unique<UserValue>());
+  smr::ExecutionView view{vars};
+  ChirperApp app;
+  app.execute(cmd, view);
+
+  const Post& first = view.get_as<UserValue>(VarId{0})->timeline.back();
+  EXPECT_EQ(first.text, "shared");
+  EXPECT_EQ(first.seq, 77u);
+  for (std::size_t u = 1; u <= k; ++u) {
+    const UserValue& user = *view.get_as<UserValue>(VarId{u});
+    ASSERT_EQ(user.timeline.size(), 1u);
+    EXPECT_EQ(&user.timeline.back(), &first) << "follower " << u;
+  }
+
+  // A timeline read shares the same object too.
+  smr::Command read = make_get_timeline(VarId{3});
+  const net::MessagePtr reply = app.execute(read, view);
+  const auto& posts = net::msg_as<TimelineReply>(reply).posts;
+  ASSERT_EQ(posts.size(), 1u);
+  EXPECT_EQ(posts[0].get(), &first);
 }
 
 TEST(CommandBuilders, PostIncludesFollowersOnce) {
@@ -76,8 +145,8 @@ TEST(ChirperE2E, PostAppearsInOwnTimeline) {
   net::MessagePtr reply;
   EXPECT_EQ(run_op(*d, 1, make_get_timeline(VarId{0}), &reply), ReplyCode::kOk);
   ASSERT_EQ(as_timeline(reply).posts.size(), 1u);
-  EXPECT_EQ(as_timeline(reply).posts[0].text, "first!");
-  EXPECT_EQ(as_timeline(reply).posts[0].author, VarId{0});
+  EXPECT_EQ(as_timeline(reply).posts[0]->text, "first!");
+  EXPECT_EQ(as_timeline(reply).posts[0]->author, VarId{0});
 }
 
 TEST(ChirperE2E, PostFansOutToFollowersAcrossPartitions) {
@@ -89,7 +158,7 @@ TEST(ChirperE2E, PostFansOutToFollowersAcrossPartitions) {
   net::MessagePtr reply;
   EXPECT_EQ(run_op(*d, 1, make_get_timeline(VarId{1}), &reply), ReplyCode::kOk);
   ASSERT_EQ(as_timeline(reply).posts.size(), 1u);
-  EXPECT_EQ(as_timeline(reply).posts[0].text, "fanout");
+  EXPECT_EQ(as_timeline(reply).posts[0]->text, "fanout");
   // DS-SMR collocated poster and follower.
   EXPECT_EQ(d->oracle(0).mapping().locate(VarId{0}), d->oracle(0).mapping().locate(VarId{1}));
 }
@@ -114,9 +183,9 @@ TEST(ChirperE2E, TimelineOrderIsPostOrder) {
   EXPECT_EQ(run_op(*d, 0, make_get_timeline(VarId{0}), &reply), ReplyCode::kOk);
   const auto& posts = as_timeline(reply).posts;
   ASSERT_EQ(posts.size(), 3u);
-  EXPECT_EQ(posts[0].text, "one");
-  EXPECT_EQ(posts[1].text, "two");
-  EXPECT_EQ(posts[2].text, "three");
+  EXPECT_EQ(posts[0]->text, "one");
+  EXPECT_EQ(posts[1]->text, "two");
+  EXPECT_EQ(posts[2]->text, "three");
 }
 
 TEST(ChirperE2E, WorksUnderStaticSsmrToo) {
@@ -126,7 +195,7 @@ TEST(ChirperE2E, WorksUnderStaticSsmrToo) {
   net::MessagePtr reply;
   EXPECT_EQ(run_op(*d, 1, make_get_timeline(VarId{1}), &reply), ReplyCode::kOk);
   ASSERT_EQ(as_timeline(reply).posts.size(), 1u);
-  EXPECT_EQ(as_timeline(reply).posts[0].text, "static");
+  EXPECT_EQ(as_timeline(reply).posts[0]->text, "static");
   // No moves under the static scheme; users stay put.
   EXPECT_TRUE(d->server(0, 0).owns(VarId{0}));
   EXPECT_TRUE(d->server(1, 0).owns(VarId{1}));

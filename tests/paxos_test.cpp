@@ -201,6 +201,94 @@ TEST(Paxos, NewLeaderReproposesSlotDecidedOnlyAboveAGap) {
   }
 }
 
+/// Member 1 of a 3-member group with no network: the test feeds it
+/// messages by hand and reads back what it sends and delivers.
+struct ScriptedFollower {
+  static constexpr Slot kRetain = 4;
+
+  ScriptedFollower() {
+    PaxosConfig cfg;
+    cfg.retain_window = kRetain;
+    PaxosCore::Callbacks cb;
+    cb.send = [this](ProcessId to, net::MessagePtr m) {
+      if (const auto* c = net::msg_cast<CommitMsg>(m); c != nullptr && to == kPeer) {
+        served.push_back(c->slot);
+      }
+    };
+    cb.on_decide = [this](Slot slot, const Batch& batch) {
+      delivered.push_back(slot);
+      ASSERT_EQ(batch.size(), 1u);
+      delivered_ids.push_back(batch[0].id);
+    };
+    core = std::make_unique<PaxosCore>(engine, GroupId{0}, members, members[1], cfg, cb, 1);
+  }
+
+  /// The leader's commit of `slot`, carrying entry id `slot`.
+  void commit(Slot slot) {
+    Batch batch{{MsgId{slot}, net::make_msg<IntMsg>(static_cast<std::int64_t>(slot))}};
+    core->handle(kLeader, net::make_msg<CommitMsg>(GroupId{0}, slot, std::move(batch)));
+  }
+
+  /// The slots this follower sends back for a catch-up request from `from`.
+  std::vector<Slot> serve(Slot from) {
+    served.clear();
+    core->handle(kPeer, net::make_msg<LearnReq>(GroupId{0}, from));
+    return served;
+  }
+
+  static constexpr ProcessId kLeader{0};
+  static constexpr ProcessId kPeer{2};
+  std::vector<ProcessId> members{kLeader, ProcessId{1}, kPeer};
+  sim::Engine engine;
+  std::unique_ptr<PaxosCore> core;
+  std::vector<Slot> delivered;
+  std::vector<MsgId> delivered_ids;
+  std::vector<Slot> served;
+};
+
+TEST(Paxos, KeepsEverySlotDecidedAboveAGapWiderThanTheRetainWindow) {
+  ScriptedFollower f;
+  // Slots 2..11 decide while slot 1 is missing: ten slots above the gap,
+  // far more than the four-slot retain window.
+  for (Slot s = 2; s <= 11; ++s) f.commit(s);
+  EXPECT_TRUE(f.delivered.empty());
+  EXPECT_EQ(f.core->delivered_upto(), 0u);
+
+  f.commit(1);
+  std::vector<Slot> all;
+  std::vector<MsgId> ids;
+  for (Slot s = 1; s <= 11; ++s) {
+    all.push_back(s);
+    ids.push_back(MsgId{s});
+  }
+  EXPECT_EQ(f.delivered, all);
+  EXPECT_EQ(f.delivered_ids, ids);
+  EXPECT_EQ(f.core->delivered_upto(), 11u);
+
+  // A late duplicate of a delivered slot changes nothing.
+  f.commit(5);
+  EXPECT_EQ(f.delivered.size(), 11u);
+}
+
+TEST(Paxos, LearnReqAfterTrimServesExactlyTheRetainWindow) {
+  ScriptedFollower f;
+  for (Slot s = 1; s <= 10; ++s) f.commit(s);
+  ASSERT_EQ(f.core->delivered_upto(), 10u);
+  // Delivered 1..10, retain window 4: slots 7..10 are kept, 6 is trimmed.
+  EXPECT_EQ(f.serve(1), (std::vector<Slot>{7, 8, 9, 10}));
+  EXPECT_EQ(f.serve(6), (std::vector<Slot>{7, 8, 9, 10}));
+  EXPECT_EQ(f.serve(7), (std::vector<Slot>{7, 8, 9, 10}));
+  EXPECT_EQ(f.serve(8), (std::vector<Slot>{8, 9, 10}));
+  EXPECT_EQ(f.serve(10), (std::vector<Slot>{10}));
+  EXPECT_TRUE(f.serve(11).empty());
+
+  // A slot decided above a gap is not served: only delivered slots are.
+  f.commit(12);
+  EXPECT_EQ(f.serve(9), (std::vector<Slot>{9, 10}));
+  f.commit(11);
+  EXPECT_EQ(f.serve(1), (std::vector<Slot>{9, 10, 11, 12}));
+}
+
 TEST(Paxos, MakesProgressUnderMessageLoss) {
   PaxosCluster c{3, /*drop=*/0.10, /*seed=*/11};
   c.engine.run_for(msec(300));

@@ -339,7 +339,8 @@ struct RetryHarness {
     peer.init_group_node(network, directory, GroupId{1}, {}, 2);
     auto user = std::make_unique<chirper::UserValue>();
     for (std::uint64_t i = 1; i <= 3; ++i) {
-      user->append_post({VarId{2}, i, "post " + std::to_string(i)});
+      chirper::Post post{VarId{2}, i, "post " + std::to_string(i)};
+      user->timeline.push(std::make_shared<const chirper::Post>(std::move(post)));
     }
     server.preload(kUser, std::move(user));
     server.start();
@@ -387,7 +388,7 @@ struct RetryHarness {
   static std::vector<std::string> posts(const smr::ReplyMsg& r) {
     std::vector<std::string> texts;
     if (const auto* t = net::msg_cast<chirper::TimelineReply>(r.app_reply)) {
-      for (const auto& p : t->posts) texts.push_back(p.text);
+      for (const auto& p : t->posts) texts.push_back(p->text);
     }
     return texts;
   }

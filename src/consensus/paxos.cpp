@@ -67,6 +67,7 @@ void PaxosCore::halt() {
   engine_.cancel(resend_timer_);
   engine_.cancel(batch_timer_);
   election_timer_ = heartbeat_timer_ = resend_timer_ = batch_timer_ = 0;
+  clear_held();
 }
 
 void PaxosCore::restart() {
@@ -182,6 +183,17 @@ void PaxosCore::become_leader() {
     auto it = p1b_accepted_.find(s);
     propose(s, it != p1b_accepted_.end() ? it->second.second : Batch{});
   }
+  // Then what was heading for the old leader: every held entry the recovered
+  // slots do not carry, in arrival order (flushed below).
+  for (const auto& [slot, acc] : p1b_accepted_) {
+    for (const LogEntry& e : acc.second) unhold(e.id);
+  }
+  for (LogEntry& e : held_) {
+    if (e.payload != nullptr && submitted_ids_.insert(e.id.value)) {
+      pending_.push_back(std::move(e));
+    }
+  }
+  clear_held();
   p1b_accepted_.clear();
 
   engine_.cancel(election_timer_);
@@ -205,7 +217,11 @@ void PaxosCore::step_down(Ballot seen) {
 // ---- submission ------------------------------------------------------------
 
 bool PaxosCore::submit(LogEntry entry) {
-  if (halted_ || role_ != Role::Leader) return false;
+  if (halted_) return false;
+  if (role_ != Role::Leader) {
+    hold(std::move(entry));
+    return false;
+  }
   if (!submitted_ids_.insert(entry.id.value)) return true;  // duplicate
   pending_.push_back(std::move(entry));
   if (pending_.size() >= cfg_.max_batch) {
@@ -214,6 +230,29 @@ bool PaxosCore::submit(LogEntry entry) {
     arm_batch_timer();
   }
   return true;
+}
+
+void PaxosCore::hold(LogEntry entry) {
+  if (!held_ids_.emplace(entry.id.value, held_base_ + held_.size()).second) return;
+  held_.push_back(std::move(entry));
+  // unhold() keeps a live entry at the front, so this drops the oldest.
+  if (held_.size() > kHeldWindow) unhold(held_.front().id);
+}
+
+void PaxosCore::unhold(MsgId id) {
+  auto it = held_ids_.find(id.value);
+  if (it == held_ids_.end()) return;
+  held_[it->second - held_base_].payload = nullptr;
+  held_ids_.erase(it);
+  while (!held_.empty() && held_.front().payload == nullptr) {
+    held_.pop_front();
+    ++held_base_;
+  }
+}
+
+void PaxosCore::clear_held() {
+  held_.clear();
+  held_ids_.clear();
 }
 
 void PaxosCore::flush_pending() {
@@ -335,6 +374,7 @@ void PaxosCore::handle_p2a(ProcessId from, const P2a& m) {
   max_seen_ballot_ = std::max(max_seen_ballot_, m.ballot);
   if (m.ballot >= promised_) {
     promised_ = m.ballot;
+    leader_heard_at_ = engine_.now();
     if (role_ != Role::Follower && ballot_ != m.ballot) step_down(m.ballot);
     if (m.slot >= next_deliver_ && decided_at(m.slot) == nullptr) {
       accepted_[m.slot] = {m.ballot, m.batch};
@@ -362,11 +402,14 @@ void PaxosCore::handle_p2b(ProcessId from, const P2b& m) {
 }
 
 void PaxosCore::handle_commit(const CommitMsg& m) {
+  // Commits come from the leader (its decisions and its catch-up answers).
+  leader_heard_at_ = engine_.now();
   decide(m.slot, m.batch, /*broadcast_commit=*/false);
 }
 
 void PaxosCore::handle_heartbeat(ProcessId from, const HeartbeatMsg& m) {
   max_seen_ballot_ = std::max(max_seen_ballot_, m.ballot);
+  if (m.ballot == max_seen_ballot_) leader_heard_at_ = engine_.now();
   if (role_ == Role::Leader && m.ballot > ballot_) step_down(m.ballot);
   if (role_ != Role::Leader) arm_election_timer();
   maybe_request_catchup(m.committed, from);
@@ -401,7 +444,12 @@ void PaxosCore::decide(Slot slot, Batch batch, bool broadcast_commit) {
   const std::size_t i = slot - decided_base_;
   if (i >= decided_.size()) decided_.resize(i + 1);
   const bool fresh = !decided_[i].has_value();
-  if (fresh) decided_[i] = std::move(batch);
+  if (fresh) {
+    decided_[i] = std::move(batch);
+    if (!held_ids_.empty()) {
+      for (const LogEntry& e : *decided_[i]) unhold(e.id);
+    }
+  }
   accepted_.erase(slot);
   proposals_.erase(slot);
   if (broadcast_commit && fresh) {

@@ -22,6 +22,14 @@
 //    `retain_window` delivered slots for catch-up requests plus every slot
 //    decided above the delivery point, and scans of it start at the first
 //    slot they need instead of walking the retained window.
+//  * Submissions outlive their leader. Senders address a submission to every
+//    member; a follower cannot propose it, so it holds it until a decide
+//    carries it (on every replica) or this replica is elected. A new leader
+//    proposes, after phase 1 and in arrival order, every held entry that the
+//    recovered slots do not carry. So work in flight to a crashed leader
+//    costs one election, not the sender's retransmission timeout. A held
+//    entry that was in fact decided already is re-proposed; the multicast
+//    layer drops the duplicate at delivery.
 //
 // PaxosCore is deliberately not a net::Actor: the owning replica feeds it
 // messages and it emits messages through a callback, which keeps it unit
@@ -36,6 +44,7 @@
 #include <vector>
 
 #include "common/bounded.h"
+#include "common/flat_map.h"
 #include "common/rng.h"
 #include "common/small_set.h"
 #include "common/types.h"
@@ -168,7 +177,8 @@ class PaxosCore {
   void start();
 
   /// Submits an entry for ordering. Returns false when this replica is not
-  /// currently leading (callers should retry via another member).
+  /// currently leading: it then holds the entry, and proposes it only if it
+  /// is elected before a decide carries the entry (see the design notes).
   bool submit(LogEntry entry);
 
   /// Routes a consensus message. Returns false if `m` is not a Paxos message
@@ -185,6 +195,12 @@ class PaxosCore {
   /// Best guess at the current leader (self while leading).
   ProcessId leader_hint() const;
   Slot delivered_upto() const { return next_deliver_ - 1; }
+  /// When the current leader was last heard from (a P2a, commit or heartbeat
+  /// of the highest ballot seen); 0 before any. A new leader keeps the time
+  /// it last heard its predecessor.
+  Time leader_heard_at() const { return leader_heard_at_; }
+  /// Entries held for a future leader (see submit()).
+  std::size_t held_entries() const { return held_ids_.size(); }
   GroupId group() const { return gid_; }
   const std::vector<ProcessId>& members() const { return members_; }
 
@@ -224,6 +240,9 @@ class PaxosCore {
   void handle_learnreq(ProcessId from, const LearnReq& m);
 
   void propose(Slot slot, Batch batch);
+  void hold(LogEntry entry);
+  void unhold(MsgId id);
+  void clear_held();
   void flush_pending();
   void arm_batch_timer();
   void decide(Slot slot, Batch batch, bool broadcast_commit);
@@ -263,6 +282,7 @@ class PaxosCore {
   std::deque<std::optional<Batch>> decided_;
   Slot decided_base_ = 1;
   Slot next_deliver_ = 1;
+  Time leader_heard_at_ = 0;
 
   // Proposer state.
   Role role_ = Role::Follower;
@@ -283,6 +303,15 @@ class PaxosCore {
   /// Correctness does not rest on the window: the multicast layer drops a
   /// decided duplicate stamp or timestamp at delivery.
   BoundedSet<std::uint64_t> submitted_ids_{4096};
+  /// Entries submitted while not leading, in arrival order (see submit()):
+  /// held_[i] arrived as number held_base_ + i, and held_ids_ maps a held
+  /// entry's id to that number. A decide nulls the entry's payload, and
+  /// nulled entries leave the front at once. The window spans the last
+  /// kHeldWindow arrivals, like submitted_ids_.
+  static constexpr std::size_t kHeldWindow = 4096;
+  std::deque<LogEntry> held_;
+  std::uint64_t held_base_ = 0;
+  common::FlatMap<std::uint64_t, std::uint64_t> held_ids_;
 
   sim::TimerId election_timer_ = 0;
   sim::TimerId heartbeat_timer_ = 0;

@@ -129,9 +129,11 @@ void OracleNode::on_amdeliver(const multicast::AmcastMessage& m) {
 
 void OracleNode::on_direct(ProcessId from, const net::MessagePtr& m) {
   // A first access consult, sent to every replica outside the log: only the
-  // current leader answers, from its applied mapping.
+  // current leader answers, from its applied mapping; a follower holds it in
+  // case the leader is gone.
   const auto* consult = net::msg_cast<ConsultMsg>(m);
-  if (consult != nullptr && is_leader()) handle_consult(from, *consult);
+  if (consult == nullptr) return;
+  leader_action([this, from, m, consult] { handle_consult(from, *consult); });
 }
 
 void OracleNode::handle_consult(ProcessId client, const ConsultMsg& consult) {
@@ -221,7 +223,7 @@ void OracleNode::handle_consult(ProcessId client, const ConsultMsg& consult) {
   const Time delivered = engine().now();
   queue_reply_task(config_.consult_service, [this, client, prophecy,
                                              tid = cmd.trace_id, delivered] {
-    if (is_leader()) {
+    leader_action([this, client, prophecy, tid, delivered] {
       // Server-side view of consult handling (delivery -> prophecy sent); the
       // client's folded kConsult span covers this window end to end.
       if (metrics_ != nullptr && tid != 0 && metrics_->spans().enabled()) {
@@ -234,8 +236,12 @@ void OracleNode::handle_consult(ProcessId client, const ConsultMsg& consult) {
                                  /*fold=*/false);
       }
       send_direct(client, prophecy);
-    }
+    });
   });
+}
+
+void OracleNode::send_reply(ProcessId client, net::MessagePtr reply) {
+  leader_action([this, client, reply = std::move(reply)] { send_direct(client, reply); });
 }
 
 void OracleNode::handle_create_delete(const multicast::AmcastMessage& m, const Command& cmd) {
@@ -243,10 +249,8 @@ void OracleNode::handle_create_delete(const multicast::AmcastMessage& m, const C
   const ProcessId client = cmd.requester != kNoProcess ? cmd.requester : m.sender;
 
   if (const CachedReply* cached = completed_.find(cmd.id)) {
-    if (is_leader()) {
-      send_direct(client, net::make_msg<ReplyMsg>(cmd.id, cached->code, group(), nullptr,
-                                                  cached->timing));
-    }
+    send_reply(client, net::make_msg<ReplyMsg>(cmd.id, cached->code, group(), nullptr,
+                                               cached->timing));
     return;
   }
 
@@ -277,9 +281,7 @@ void OracleNode::handle_create_delete(const multicast::AmcastMessage& m, const C
         const Time exec_end = engine().now();
         const ReplyTiming timing{delivered, exec_end - config_.command_service, exec_end};
         completed_.put(id, CachedReply{outcome, timing});
-        if (is_leader()) {
-          send_direct(client, net::make_msg<ReplyMsg>(id, outcome, group(), nullptr, timing));
-        }
+        send_reply(client, net::make_msg<ReplyMsg>(id, outcome, group(), nullptr, timing));
       },
       cmd.id, std::move(awaits));
 }

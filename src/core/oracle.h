@@ -8,9 +8,10 @@
 //
 // Consults arrive two ways. A command's first access consult is sent point
 // to point to every replica (on_direct): the current leader answers it from
-// its applied mapping and the followers drop it. A prophecy is advisory —
-// partitions check ownership at delivery and answer `retry` — so this read
-// needs no ordering. Every other consult (a re-consult after a retry, a
+// its applied mapping, and the followers hold it in case the leader is gone
+// (GroupNode::leader_action), as they do with every reply. A prophecy is
+// advisory — partitions check ownership at delivery and answer `retry` — so
+// this read needs no ordering. Every other consult (a re-consult after a retry, a
 // failed move or a timeout, and every create/delete consult) is atomically
 // multicast to the oracle group and answered at delivery, after every move
 // and membership record ordered before it.
@@ -105,6 +106,8 @@ class OracleNode : public multicast::GroupNode {
   };
 
   void handle_consult(ProcessId client, const smr::ConsultMsg& consult);
+  /// Leader-only: sends a create/delete reply (held on a follower).
+  void send_reply(ProcessId client, net::MessagePtr reply);
   void handle_create_delete(const multicast::AmcastMessage& m, const smr::Command& cmd);
   void handle_move(const smr::Command& cmd);
   void handle_hint(const smr::HintMsg& hint);

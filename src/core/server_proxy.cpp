@@ -138,9 +138,17 @@ void PartitionServer::reply_to(ProcessId client, MsgId cmd_id, ReplyCode code,
 
 void PartitionServer::send_reply(ProcessId client, MsgId cmd_id, const Reply& reply) {
   if (client == kNoProcess) return;
-  if (!is_leader()) return;  // a peer replica's leader sends it
-  send_direct(client, net::make_msg<ReplyMsg>(cmd_id, reply.code, group(), reply.app_reply,
-                                              reply.timing));
+  leader_action([this, client, msg = net::make_msg<ReplyMsg>(cmd_id, reply.code, group(),
+                                                             reply.app_reply, reply.timing)] {
+    send_direct(client, msg);
+  });
+}
+
+bool PartitionServer::settle_claim(VarId v, MsgId claimant) {
+  const auto it = claim_.find(v);
+  if (it == claim_.end() || it->second != claimant) return false;
+  claim_.erase(it);
+  return true;
 }
 
 void PartitionServer::on_amdeliver(const multicast::AmcastMessage& m) {
@@ -343,6 +351,7 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
     // what); ship the values once predecessors finish executing.
     std::vector<VarId> mine;
     for (VarId v : vars) {
+      claim_.erase(v);
       if (owned_.erase(v) != 0) mine.push_back(v);
     }
     bump(ctr_.moves_source);
@@ -365,7 +374,10 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
 
   // Destination: claim ownership now; wait for one shipment per source, then
   // install the values and answer the requester.
-  for (VarId v : vars) owned_.insert(v);
+  for (VarId v : vars) {
+    owned_.insert(v);
+    claim_[v] = cmd.id;
+  }
   common::SmallSet<GroupId> sources;
   for (GroupId g : cmd.move_sources) {
     if (g != group()) sources.insert(g);
@@ -381,6 +393,7 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
         std::size_t failed = 0;
         for (VarId v : vars) {
           if (store_.contains(v)) {  // we already held it
+            settle_claim(v, id);
             installed.push_back(v);
             continue;
           }
@@ -390,10 +403,12 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
           }
           if (val != nullptr) {
             store_.put(v, val->clone());
+            settle_claim(v, id);
             installed.push_back(v);
           } else {
-            // No source shipped it: the mapping was stale; give the claim up.
-            owned_.erase(v);
+            // No source shipped it: the mapping was stale; give the claim up,
+            // unless a later delivery already re-claimed or moved v.
+            if (settle_claim(v, id)) owned_.erase(v);
             ++failed;
           }
         }
@@ -429,9 +444,11 @@ void PartitionServer::deliver_create(const multicast::AmcastMessage& m, const Co
     return;
   }
   owned_.insert(v);
+  claim_[v] = cmd.id;
   bump(ctr_.creates);
   execute(cmd.id, cmd.trace_id, engine().now(), config_.create_delete_service, {},
           [this, v, id = cmd.id](const ReplyTiming&) {
+            settle_claim(v, id);
             if (owned_.contains(v) && !store_.contains(v)) {
               store_.put(v, app_->make_default(v));
             }
@@ -446,6 +463,7 @@ void PartitionServer::deliver_delete(const multicast::AmcastMessage& m, const Co
   DSSMR_ASSERT(cmd.write_set.size() == 1);
   const VarId v = cmd.write_set[0];
   owned_.erase(v);
+  claim_.erase(v);
   bump(ctr_.deletes);
   execute(cmd.id, cmd.trace_id, engine().now(), config_.create_delete_service, {},
           [this, v, id = cmd.id](const ReplyTiming&) {

@@ -20,10 +20,12 @@
 //    client its reply only after the partition has checked in.
 //
 // Replies are sent by the replica that currently leads the partition's Paxos
-// group. A bounded window of settled logical command ids catches duplicated
-// deliveries (client retries); the reply payload to resend is kept only for
-// each requester's latest settled access and move, the only retransmissions
-// a requester still waits for.
+// group; the others hold theirs until they hear that leader again, and send
+// them if they are elected first (GroupNode::leader_action). A bounded window
+// of settled logical command ids catches duplicated deliveries (client
+// retries); the reply payload to resend is kept only for each requester's
+// latest settled access and move, the only retransmissions a requester still
+// waits for.
 #pragma once
 
 #include <cstdint>
@@ -113,9 +115,12 @@ class PartitionServer : public multicast::GroupNode {
   void deliver_create(const multicast::AmcastMessage& m, const smr::Command& cmd);
   void deliver_delete(const multicast::AmcastMessage& m, const smr::Command& cmd);
 
+  /// Clears `v`'s claim if it is still `claimant`'s; returns whether it was.
+  bool settle_claim(VarId v, MsgId claimant);
   void reply_to(ProcessId client, MsgId cmd_id, smr::ReplyCode code,
                 net::MessagePtr app_reply, smr::ReplyTiming timing, Settles settles);
-  /// Leader-only: (re)sends `reply` for `cmd_id` to `client`.
+  /// Leader-only: (re)sends `reply` for `cmd_id` to `client` (held on a
+  /// follower).
   void send_reply(ProcessId client, MsgId cmd_id, const Reply& reply);
   /// Queues a command's task: it waits for the inputs of `awaits`, occupies
   /// the CPU for `service`, records the queue and execute spans and then runs
@@ -139,6 +144,15 @@ class PartitionServer : public multicast::GroupNode {
 
   smr::VariableStore store_;
   std::unordered_set<VarId> owned_;
+  /// Claims whose task has not run yet: the command (a move to here or a
+  /// create) whose delivery last claimed each variable. A delivery that
+  /// gives the variable away clears it, and so does the claimant's task.
+  /// owned_ changes at delivery, in the same order on every replica, but a
+  /// failed install gives its claim up when its task runs, and replicas run
+  /// tasks at different times relative to deliveries. The claim tells that
+  /// give-up whether a later delivery re-claimed or moved the variable in
+  /// the meantime, so every replica ends with the same owned_.
+  common::FlatMap<VarId, MsgId> claim_;
   std::unique_ptr<smr::AppStateMachine> app_;
   std::unique_ptr<smr::ExecutionEngine> exec_;
   /// Variables shipped by peer partitions, per command, until its task runs.

@@ -194,6 +194,7 @@ void GroupNode::init_group_node(net::Network& network, const Directory& director
     record_instant(stats::InstantKind::kLeaderChange, gid_.value,
                    static_cast<std::int64_t>(paxos_->ballot()));
     amcast_->on_gained_leadership();
+    run_held_actions();
   };
   const std::span<const ProcessId> members = directory.members(gid);
   paxos_ = std::make_unique<consensus::PaxosCore>(
@@ -269,6 +270,7 @@ void GroupNode::record_instant(stats::InstantKind kind, std::uint64_t id, std::i
 
 void GroupNode::halt_node() {
   halted_ = true;
+  held_actions_.clear();
   if (paxos_ != nullptr) paxos_->halt();
   if (amcast_ != nullptr) amcast_->halt();
   if (batcher_ != nullptr) batcher_->halt();
@@ -277,6 +279,7 @@ void GroupNode::halt_node() {
 void GroupNode::restart_node() {
   if (!halted_) return;
   halted_ = false;
+  held_actions_.clear();
   if (paxos_ != nullptr) paxos_->restart();
   if (amcast_ != nullptr) amcast_->restart();
   if (batcher_ != nullptr) batcher_->restart();
@@ -288,12 +291,14 @@ void GroupNode::on_message(ProcessId from, const net::MessagePtr& m) {
   // and direct messages were still served — a "crashed" node that answers.
   if (halted_) return;
   if (paxos_->handle(from, m)) return;
+  // Every member takes a submission: the leader proposes it, a follower
+  // holds it for a future leader.
   if (const auto* sub = net::msg_cast<SubmitToLog>(m)) {
-    if (sub->gid == gid_ && paxos_->is_leader()) paxos_->submit(sub->entry);
+    if (sub->gid == gid_) paxos_->submit(sub->entry);
     return;
   }
   if (const auto* batch = net::msg_cast<BatchSubmitMsg>(m)) {
-    if (batch->gid == gid_ && paxos_->is_leader()) {
+    if (batch->gid == gid_) {
       for (const consensus::LogEntry& e : batch->entries) paxos_->submit(e);
     }
     return;
@@ -314,6 +319,26 @@ void GroupNode::on_message(ProcessId from, const net::MessagePtr& m) {
   }
   if (rmcast_->handle(pid(), m)) return;
   on_direct(from, m);
+}
+
+void GroupNode::leader_action(sim::Callback action) {
+  if (is_leader()) {
+    action();
+    return;
+  }
+  const Time heard = paxos_->leader_heard_at();
+  while (!held_actions_.empty() &&
+         (held_actions_.front().first < heard || held_actions_.size() >= kHeldActions)) {
+    held_actions_.pop_front();
+  }
+  held_actions_.emplace_back(engine().now(), std::move(action));
+}
+
+void GroupNode::run_held_actions() {
+  const Time heard = paxos_->leader_heard_at();
+  for (auto& [held_at, action] : std::exchange(held_actions_, {})) {
+    if (held_at >= heard) action();
+  }
 }
 
 MsgId GroupNode::next_msg_id() {
@@ -340,10 +365,8 @@ void GroupNode::send_direct(ProcessId to, net::MessagePtr payload) {
 }
 
 void GroupNode::submit_local_or_remote(GroupId g, consensus::LogEntry entry) {
-  if (g == gid_ && paxos_->is_leader()) {
-    paxos_->submit(std::move(entry));
-    return;
-  }
+  // Our own group: the leader proposes, a follower holds its copy too.
+  if (g == gid_ && paxos_->submit(entry)) return;
   if (batcher_ != nullptr) {
     // Server-tier batching: the entry rides the next BatchSubmitMsg to g's
     // members instead of fanning out immediately.

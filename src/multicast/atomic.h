@@ -23,10 +23,15 @@
 //
 // GroupNode bundles one Paxos replica + the amcast state machine + a
 // reliable-multicast engine into a single simulated process; the SMR server
-// proxy and the oracle replica derive from it.
+// proxy and the oracle replica derive from it. What only a group's leader
+// does — proposing a submission, answering a direct consult, replying to a
+// client — a follower holds instead of dropping, and acts on if it is
+// elected before it hears the leader again (PaxosCore::submit,
+// GroupNode::leader_action), so a leader crash costs one election.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -221,6 +226,14 @@ class GroupNode : public net::Actor {
 
   MsgId next_msg_id();
 
+  /// Runs `action` now if this replica leads its group; otherwise holds it.
+  /// For what only the leader does. The leader runs its own copy, so a held
+  /// action is dropped once the leader is heard from again; a replica that
+  /// is elected first runs the actions it held since it last heard the old
+  /// leader. Acting twice must be harmless: clients ignore a reply or a
+  /// prophecy they no longer await.
+  void leader_action(sim::Callback action);
+
   /// Records an instant into the deployment's event store, leader-gated so
   /// a group event is recorded once, not once per replica. No-op until
   /// set_metrics() wires a registry.
@@ -229,6 +242,7 @@ class GroupNode : public net::Actor {
 
  private:
   void submit_local_or_remote(GroupId g, consensus::LogEntry entry);
+  void run_held_actions();
 
   net::Network* network_ = nullptr;
   const Directory* directory_ = nullptr;
@@ -244,6 +258,10 @@ class GroupNode : public net::Actor {
   /// Interned by set_metrics(); nullptr when no metrics sink is wired.
   stats::Counter* delivered_ctr_ = nullptr;
   std::uint64_t next_msg_seq_ = 0;
+  /// leader_action()s held while following, with the time each was held; at
+  /// most kHeldActions (the oldest go first), like PaxosCore's held entries.
+  static constexpr std::size_t kHeldActions = 4096;
+  std::deque<std::pair<Time, sim::Callback>> held_actions_;
 };
 
 }  // namespace dssmr::multicast

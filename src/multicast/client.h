@@ -1,7 +1,8 @@
 // Client-side multicast endpoint.
 //
 // Clients are not members of any group: they submit StampEntries to the
-// destination groups' members (only the current leader sequences them) and
+// destination groups' members (the current leader sequences them, the
+// followers hold them for a future leader) and
 // receive replies as direct messages. They can also send a group's members
 // an unordered message (send_to_group), which bypasses the group's log.
 // Re-invoking amcast_with_id with the same MsgId is safe — duplicate stamps

@@ -53,8 +53,10 @@ struct TsEntry final : net::Message {
 };
 
 /// Request that a group sequence `entry` into its log. Sent to every group
-/// member; only the current Paxos leader acts on it, so duplicated
-/// submissions collapse via the leader's entry-id dedup.
+/// member: the current Paxos leader proposes it, and each follower holds it
+/// until a decide carries it, so a leader elected after a crash proposes it
+/// instead (PaxosCore::submit). Duplicated submissions collapse via the
+/// leader's entry-id dedup, and a decided duplicate is dropped at delivery.
 struct SubmitToLog final : net::Message {
   GroupId gid;
   consensus::LogEntry entry;
@@ -67,9 +69,10 @@ struct SubmitToLog final : net::Message {
 
 /// A batch of log-entry submissions for one group, accumulated by a
 /// SubmitBatcher (see multicast/batcher.h) and shipped as a single message.
-/// Like SubmitToLog, it is sent to every group member and only the current
-/// Paxos leader sequences the entries; the leader's entry-id dedup absorbs
-/// duplicated batches from retries.
+/// Like SubmitToLog, it is sent to every group member: the current Paxos
+/// leader sequences the entries and the followers hold them for a future
+/// leader; the leader's entry-id dedup absorbs duplicated batches from
+/// retries.
 struct BatchSubmitMsg final : net::Message {
   GroupId gid;
   std::vector<consensus::LogEntry> entries;

@@ -273,5 +273,56 @@ TEST(Amcast, GroupLeaderCrashDoesNotLoseMessages) {
   }
 }
 
+/// Crashes whichever replica of group `g` leads; returns its index.
+std::size_t crash_group_leader(Fabric& f, std::size_t g) {
+  for (std::size_t r = 0; r < f.replicas_per_group; ++r) {
+    if (f.node(g, r).is_leader()) {
+      f.network.crash(f.node(g, r).pid());
+      f.node(g, r).halt_node();
+      return r;
+    }
+  }
+  ADD_FAILURE() << "group " << g << " has no leader";
+  return 0;
+}
+
+TEST(Amcast, SubmissionToACrashedLeaderIsDeliveredAfterTheElection) {
+  // The client submits once, after the leader died: only the followers get
+  // the submission, and the one elected proposes it. Nothing re-sends it.
+  Fabric f{1, 3, 1};
+  f.engine.run_for(msec(50));
+  const std::size_t dead = crash_group_leader(f, 0);
+  const MsgId id = f.clients[0]->amcast({GroupId{0}}, net::make_msg<IntMsg>(5));
+  f.engine.run_for(sec(1));
+  for (std::size_t r = 0; r < 3; ++r) {
+    if (r == dead) continue;
+    EXPECT_EQ(delivered_ids(f.node(0, r)), std::vector<std::uint64_t>{id.value}) << "replica " << r;
+  }
+}
+
+TEST(Amcast, LateSubmissionToFollowersDeliversOnce) {
+  // A copy of a submission can reach the followers after its slot was
+  // decided — here a retry of a delivered message, which the leader dedups.
+  // The followers hold it and the next leader proposes it again; delivery
+  // drops the duplicate stamp, so every replica still delivers it once.
+  Fabric f{1, 3, 1};
+  f.engine.run_for(msec(50));
+  const MsgId id = f.clients[0]->fresh_id();
+  auto payload = net::make_msg<IntMsg>(4);
+  f.clients[0]->amcast_with_id(id, {GroupId{0}}, payload);
+  f.engine.run_for(msec(50));
+  f.clients[0]->amcast_with_id(id, {GroupId{0}}, payload);
+  f.engine.run_for(msec(1));
+  const std::size_t dead = crash_group_leader(f, 0);
+  f.engine.run_for(sec(1));
+  const MsgId next = f.clients[0]->amcast({GroupId{0}}, net::make_msg<IntMsg>(5));
+  f.engine.run_for(msec(100));
+  for (std::size_t r = 0; r < 3; ++r) {
+    if (r == dead) continue;
+    EXPECT_EQ(delivered_ids(f.node(0, r)), (std::vector<std::uint64_t>{id.value, next.value}))
+        << "replica " << r;
+  }
+}
+
 }  // namespace
 }  // namespace dssmr::multicast

@@ -242,6 +242,20 @@ TEST_F(OracleFixture, DirectConsultGetsExactlyOneProphecy) {
   EXPECT_EQ(oracle_deliveries(d), before);
 }
 
+TEST_F(OracleFixture, DirectConsultToADeadLeaderIsAnsweredByTheNextOne) {
+  // The consult reaches only the followers. The one elected answers it from
+  // what it held, before the client's timeout would have re-sent it.
+  std::size_t dead = 0;
+  while (dead + 1 < d.config().oracle_replicas && !d.oracle(dead).is_leader()) ++dead;
+  ASSERT_TRUE(d.oracle(dead).is_leader());
+  d.network().crash(d.oracle(dead).pid());
+  d.oracle(dead).halt_node();
+  probe.consult_direct(d.oracle_gid(), kv_get(VarId{1}));
+  d.engine().run_for(d.config().client_timeout);
+  ASSERT_EQ(probe.prophecies.size(), 1u);
+  EXPECT_EQ(last_prophecy().dest, d.partition_gid(1));
+}
+
 TEST(ConsultPath, ReconsultAfterRetryIsOrdered) {
   auto d = traced_deployment(small_config(2, Strategy::kDssmr, 1));
   preload_and_start(*d, 2);
@@ -476,6 +490,57 @@ INSTANTIATE_TEST_SUITE_P(Strategies, DeposedOracleLeader,
                          [](const auto& info) {
                            return info.param == Strategy::kDssmr ? "DSSMR" : "DynaStar";
                          });
+
+// Followers hold each direct consult and each reply their leader acts on.
+// Crashing the oracle's and p0's leaders right after a command finished makes
+// the new leaders answer it again, to a client that no longer awaits it:
+// nothing changes, neither the outcomes nor the history's verdict.
+TEST(LeaderFailover, ReplayedAnswersToAFinishedCommandChangeNothing) {
+  constexpr std::size_t kVars = 4;
+  auto cfg = small_config(2, Strategy::kDssmr, 1);
+  cfg.client_cache = false;  // every command's first consult is direct
+  cfg.spans = true;          // kOracle spans count the answers to consults
+  Deployment d{cfg, kv::kv_app_factory(), [] { return std::make_unique<DssmrPolicy>(); }};
+  lincheck::KvSpec spec;
+  for (std::size_t i = 0; i < kVars; ++i) {
+    d.preload_var(VarId{i}, d.partition_gid(i % 2), kv::KvValue{0, ""});
+    spec.preload(VarId{i}, 0, "");
+  }
+  d.start();
+  d.settle();
+
+  std::vector<lincheck::Operation> history;
+  auto op = [&](smr::Command cmd) {
+    lincheck::Operation& o = history.emplace_back();
+    o.cmd = cmd;
+    o.invoke = d.engine().now();
+    o.code = run_op(d, 0, std::move(cmd), &o.reply);
+    o.response = d.engine().now();
+  };
+  op(kv_add(VarId{0}, 5));
+  for (multicast::GroupNode* group_leader : {static_cast<multicast::GroupNode*>(&d.oracle(0)),
+                                             static_cast<multicast::GroupNode*>(&d.server(0, 0))}) {
+    ASSERT_TRUE(group_leader->is_leader());
+    d.network().crash(group_leader->pid());
+    group_leader->halt_node();
+  }
+  op(kv_get(VarId{0}));
+  op(kv_add(VarId{1}, 2));
+  op(kv_sum({VarId{0}, VarId{1}}, VarId{2}));
+  op(kv_get(VarId{2}));
+  d.engine().run_for(sec(1));
+
+  EXPECT_EQ(d.metrics().counter("client.ok"), history.size());
+  EXPECT_EQ(d.metrics().counter("client.nok"), 0u);
+  EXPECT_TRUE(lincheck::is_linearizable(history, spec));
+  EXPECT_EQ(kv_num(history.back().reply), 7);
+  // The new oracle leader answered the first command's consult again.
+  std::size_t answers = 0;
+  for (const stats::Span& sp : d.metrics().spans().spans()) {
+    answers += sp.phase == stats::SpanPhase::kOracle ? 1 : 0;
+  }
+  EXPECT_GT(answers, d.metrics().counter("client.consults"));
+}
 
 }  // namespace
 }  // namespace dssmr::core

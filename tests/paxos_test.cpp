@@ -79,6 +79,104 @@ TEST(Paxos, NonLeaderRejectsSubmit) {
   EXPECT_FALSE(c.nodes[1]->core->submit({MsgId{1}, net::make_msg<IntMsg>(1)}));
 }
 
+/// Crashes the current leader, node 0, and runs until a survivor took over.
+TestPaxosNode* crash_leader(PaxosCluster& c) {
+  c.network.crash(c.nodes[0]->core->members()[0]);
+  c.nodes[0]->core->halt();
+  c.engine.run_for(msec(800));
+  for (std::size_t r = 1; r < c.nodes.size(); ++r) {
+    if (c.nodes[r]->core->is_leader()) return c.nodes[r].get();
+  }
+  return nullptr;
+}
+
+TEST(Paxos, SubmissionsHeldByFollowersSurviveTheirLeader) {
+  // k submissions reach only the followers: their copies to the leader were
+  // lost with it. Nobody re-submits; the new leader proposes what it held.
+  PaxosCluster c{3};
+  c.engine.run_for(msec(50));
+  ASSERT_TRUE(c.nodes[0]->core->is_leader());
+  constexpr int kEntries = 5;
+  for (int i = 0; i < kEntries; ++i) {
+    const LogEntry e{MsgId{0x2000u + static_cast<std::uint64_t>(i)}, net::make_msg<IntMsg>(i)};
+    EXPECT_FALSE(c.nodes[1]->core->submit(e));
+    EXPECT_FALSE(c.nodes[2]->core->submit(e));
+  }
+  EXPECT_EQ(c.nodes[1]->core->held_entries(), static_cast<std::size_t>(kEntries));
+
+  ASSERT_NE(crash_leader(c), nullptr);
+  for (std::size_t r = 1; r < 3; ++r) {
+    ASSERT_EQ(c.nodes[r]->decided.size(), static_cast<std::size_t>(kEntries)) << "replica " << r;
+    for (int i = 0; i < kEntries; ++i) {  // in arrival order
+      EXPECT_EQ(net::msg_as<IntMsg>(c.nodes[r]->decided[i].payload).value, i);
+    }
+    EXPECT_EQ(c.nodes[r]->core->held_entries(), 0u);
+  }
+}
+
+TEST(Paxos, DecideDropsTheHeldCopyOnEveryReplica) {
+  PaxosCluster c{3};
+  c.engine.run_for(msec(50));
+  const LogEntry e{MsgId{0x3000}, net::make_msg<IntMsg>(1)};
+  c.nodes[1]->core->submit(e);
+  c.nodes[2]->core->submit(e);
+  c.nodes[0]->core->submit(e);
+  c.engine.run_for(msec(50));
+  for (auto& n : c.nodes) {
+    ASSERT_EQ(n->decided.size(), 1u);
+    EXPECT_EQ(n->core->held_entries(), 0u);
+  }
+  // So a later leader proposes nothing twice.
+  ASSERT_NE(crash_leader(c), nullptr);
+  for (std::size_t r = 1; r < 3; ++r) EXPECT_EQ(c.nodes[r]->decided.size(), 1u);
+}
+
+TEST(Paxos, EntryHeldAfterItsDecideIsProposedAgainByTheNextLeader) {
+  // A copy that reaches the followers only after its slot was decided is
+  // held like any other (they cannot tell), and the next leader proposes it
+  // again. The log then carries the entry twice; the multicast layer drops
+  // the duplicate at delivery (Amcast.LateSubmissionToFollowersDeliversOnce).
+  PaxosCluster c{3};
+  c.engine.run_for(msec(50));
+  const MsgId id = c.submit(7);
+  c.engine.run_for(msec(50));
+  for (std::size_t r = 1; r < 3; ++r) c.nodes[r]->core->submit({id, net::make_msg<IntMsg>(7)});
+  ASSERT_NE(crash_leader(c), nullptr);
+  for (std::size_t r = 1; r < 3; ++r) {
+    ASSERT_EQ(c.nodes[r]->decided.size(), 2u);
+    EXPECT_EQ(c.nodes[r]->decided[1].id, id);
+  }
+}
+
+TEST(Paxos, HeldWindowKeepsTheLatestArrivals) {
+  // A follower holds the last 4096 arrivals; one more evicts the oldest.
+  PaxosCluster c{3};
+  c.engine.run_for(msec(50));
+  constexpr std::uint64_t kWindow = 4096;
+  for (std::uint64_t i = 0; i <= kWindow; ++i) {
+    const LogEntry e{MsgId{0x10000 + i}, net::make_msg<IntMsg>(static_cast<std::int64_t>(i))};
+    c.nodes[1]->core->submit(e);
+    c.nodes[2]->core->submit(e);
+  }
+  EXPECT_EQ(c.nodes[1]->core->held_entries(), kWindow);
+  ASSERT_NE(crash_leader(c), nullptr);
+  for (std::size_t r = 1; r < 3; ++r) {
+    ASSERT_EQ(c.nodes[r]->decided.size(), kWindow);
+    EXPECT_EQ(net::msg_as<IntMsg>(c.nodes[r]->decided.front().payload).value, 1);
+  }
+}
+
+TEST(Paxos, HaltDropsHeldEntries) {
+  PaxosCluster c{3};
+  c.engine.run_for(msec(50));
+  c.nodes[1]->core->submit({MsgId{0x4000}, net::make_msg<IntMsg>(1)});
+  ASSERT_EQ(c.nodes[1]->core->held_entries(), 1u);
+  c.nodes[1]->core->halt();
+  EXPECT_EQ(c.nodes[1]->core->held_entries(), 0u);
+  EXPECT_FALSE(c.nodes[1]->core->submit({MsgId{0x4001}, net::make_msg<IntMsg>(2)}));
+  EXPECT_EQ(c.nodes[1]->core->held_entries(), 0u);  // a halted replica takes nothing
+}
+
 TEST(Paxos, AllReplicasDeliverSameSequence) {
   PaxosCluster c{3};
   c.engine.run_for(msec(50));

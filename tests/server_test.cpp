@@ -141,6 +141,80 @@ TEST(ServerMove, MoveIsExactlyOnceUnderRetransmission) {
   for (const auto& v : violations) ADD_FAILURE() << v;
 }
 
+/// Hand delivery into a deployment's replicas: the protected delivery hooks,
+/// reached through member pointers named in derived classes.
+struct ServerHooks : PartitionServer {
+  static void amdeliver(PartitionServer& s, const multicast::AmcastMessage& m) {
+    (s.*&ServerHooks::on_amdeliver)(m);
+  }
+  static void rmdeliver(PartitionServer& s, const net::MessagePtr& payload) {
+    (s.*&ServerHooks::on_rmdeliver)(kNoProcess, payload);
+  }
+};
+struct OracleHooks : OracleNode {
+  static void amdeliver(OracleNode& o, const multicast::AmcastMessage& m) {
+    (o.*&OracleHooks::on_amdeliver)(m);
+  }
+};
+
+TEST(ServerMove, FailedInstallDoesNotDropALaterClaim) {
+  // Replicas run a move's task at different times relative to the later
+  // deliveries. Move 1 brings v to P0 from P1, which does not hold it (a
+  // stale prophecy), so its install fails and gives the claim up. Move 2
+  // brings v from P2, where it is. Replica 0 runs move 1's task before move
+  // 2 is delivered; replica 1 gets P1's (empty) shipment only after it, and
+  // its give-up must not erase move 2's claim.
+  auto cfg = small_config(3, Strategy::kDssmr, 1);
+  cfg.replicas_per_partition = 2;
+  Deployment d{cfg, kv::kv_app_factory(), [] { return std::make_unique<DssmrPolicy>(); }};
+  const VarId v{0};
+  d.preload_var(v, d.partition_gid(2), kv::KvValue{7, ""});
+  d.start();
+  d.settle();
+
+  auto move = [&](std::uint64_t id, GroupId source) {
+    smr::Command c;
+    c.type = smr::CommandType::kMove;
+    c.id = MsgId{id};
+    c.write_set = {v};
+    c.move_sources = {source};
+    c.move_dest = d.partition_gid(0);
+    return multicast::AmcastMessage{.id = MsgId{id},
+                                    .sender = kNoProcess,
+                                    .dests = {source, d.partition_gid(0), d.oracle_gid()},
+                                    .payload = net::make_msg<smr::CommandMsg>(c)};
+  };
+  const auto move1 = move(101, d.partition_gid(1));
+  const auto move2 = move(102, d.partition_gid(2));
+  const auto p1_ships_nothing = net::make_msg<smr::VarShipMsg>(
+      MsgId{101}, d.partition_gid(1), /*is_move=*/true, decltype(smr::VarShipMsg::vars){});
+
+  for (std::size_t r = 0; r < 2; ++r) ServerHooks::amdeliver(d.server(0, r), move1);
+  ServerHooks::rmdeliver(d.server(0, 0), p1_ships_nothing);
+  d.engine().run_for(msec(1));
+  EXPECT_FALSE(d.server(0, 0).owns(v));  // replica 0 gave move 1's claim up
+  EXPECT_TRUE(d.server(0, 1).owns(v));   // replica 1 still waits for P1
+
+  for (std::size_t r = 0; r < 2; ++r) {
+    ServerHooks::amdeliver(d.server(0, r), move2);
+    ServerHooks::amdeliver(d.server(2, r), move2);  // P2 ships v to P0
+  }
+  for (std::size_t r = 0; r < cfg.oracle_replicas; ++r) {
+    OracleHooks::amdeliver(d.oracle(r), move1);
+    OracleHooks::amdeliver(d.oracle(r), move2);
+  }
+  ServerHooks::rmdeliver(d.server(0, 1), p1_ships_nothing);
+  d.engine().run_for(msec(100));
+
+  for (std::size_t r = 0; r < 2; ++r) {
+    EXPECT_TRUE(d.server(0, r).owns(v)) << "replica " << r;
+    EXPECT_TRUE(d.server(0, r).store().contains(v)) << "replica " << r;
+  }
+  const auto violations = d.audit_consistency();
+  for (const auto& violation : violations) ADD_FAILURE() << violation;
+  EXPECT_TRUE(violations.empty());
+}
+
 TEST(ServerExec, ExecutedCountAndBusyTimeAdvance) {
   auto d = kv_deployment(2, Strategy::kDssmr);
   const auto before = d->server(0, 0).executed_count();
@@ -276,6 +350,41 @@ class ScriptedServer : public PartitionServer {
   using PartitionServer::on_amdeliver;
   using PartitionServer::on_rmdeliver;
 };
+
+TEST(ServerFailover, ReplyOfACommandTheOldLeaderDecidedComesFromTheNewOne) {
+  // The leader crashes right after deciding a command, before executing it.
+  // The followers execute it afterwards and hold their reply; the one
+  // elected sends it, within the client's timeout and with no re-send.
+  auto d = kv_deployment(1, Strategy::kDssmr);
+  RecordingClient probe;
+  d->network().add_process(probe, 0);
+  probe.init_client_node(d->network(), d->client(0).directory());
+  std::size_t dead = 0;
+  while (dead + 1 < d->config().replicas_per_partition && !d->server(0, dead).is_leader()) ++dead;
+  PartitionServer& leader = d->server(0, dead);
+  ASSERT_TRUE(leader.is_leader());
+
+  smr::Command cmd = kv_get(VarId{3});
+  cmd.id = probe.fresh_id();
+  cmd.requester = probe.pid();
+  const Time sent = d->engine().now();
+  const std::uint64_t before = leader.amcast_delivered();
+  probe.amcast({d->partition_gid(0)}, net::make_msg<smr::CommandMsg>(cmd));
+  while (leader.amcast_delivered() == before && d->engine().now() < sent + msec(10)) {
+    d->engine().run_for(usec(1));
+  }
+  ASSERT_EQ(leader.amcast_delivered(), before + 1);
+  d->network().crash(leader.pid());
+  leader.halt_node();
+
+  d->engine().run_until(sent + d->config().client_timeout);
+  ASSERT_EQ(probe.replies.size(), 1u);
+  const auto* reply = net::msg_cast<smr::ReplyMsg>(probe.replies[0]);
+  ASSERT_NE(reply, nullptr);
+  EXPECT_EQ(reply->cmd_id, cmd.id);
+  EXPECT_EQ(reply->code, ReplyCode::kOk);
+  EXPECT_EQ(kv_num(reply->app_reply), 3);
+}
 
 TEST(ServerExec, SecondReplicaShipmentOfAGroupIsIgnored) {
   // Replicas of one partition can diverge, so two replicas of the peer group

@@ -28,7 +28,12 @@ namespace dssmr::common {
 template <class K, class V, class Hash = std::hash<K>>
 class FlatMap {
  public:
-  using value_type = std::pair<K, V>;
+  /// Like std::pair, except that an empty V (a set's unit value) takes no
+  /// space: a set's table holds bare keys.
+  struct value_type {
+    K first;
+    [[no_unique_address]] V second;
+  };
 
   template <bool Const>
   class Iter {
@@ -185,7 +190,7 @@ class FlatMap {
     DSSMR_ASSERT((cap & (cap - 1)) == 0);
     std::vector<value_type> old_slots = std::move(slots_);
     std::vector<std::uint8_t> old_used = std::move(used_);
-    slots_.assign(cap, value_type{});
+    slots_ = std::vector<value_type>(cap);  // value-initialised: V may be move-only
     used_.assign(cap, 0);
     mask_ = cap - 1;
     shift_ = 64;

@@ -54,7 +54,7 @@ void PartitionServer::init_partition(net::Network& network,
 }
 
 void PartitionServer::preload(VarId v, std::unique_ptr<smr::VarValue> value) {
-  owned_.insert(v);
+  store_.claim(v, smr::VariableStore::kPreloaded);
   store_.put(v, std::move(value));
 }
 
@@ -100,14 +100,12 @@ template <class Body>
 void PartitionServer::execute(MsgId id, std::uint64_t trace_id, Time delivered, Duration service,
                               common::SmallSet<GroupId> awaits, Body body, sim::Callback on_head,
                               std::int64_t span_arg) {
-  inflight_.insert(id);
   exec_->enqueue({.id = id,
                   .awaits = std::move(awaits),
                   .service = service,
                   .on_head = std::move(on_head),
                   .run = [this, id, trace_id, delivered, service, span_arg,
                           body = std::move(body)]() mutable {
-                    inflight_.erase(id);
                     // run fires when the service time elapses, i.e. at exec end.
                     const Time exec_end = engine().now();
                     const Time exec_start = exec_end - service;
@@ -144,13 +142,6 @@ void PartitionServer::send_reply(ProcessId client, MsgId cmd_id, const Reply& re
   });
 }
 
-bool PartitionServer::settle_claim(VarId v, MsgId claimant) {
-  const auto it = claim_.find(v);
-  if (it == claim_.end() || it->second != claimant) return false;
-  claim_.erase(it);
-  return true;
-}
-
 void PartitionServer::on_amdeliver(const multicast::AmcastMessage& m) {
   const auto* cm = net::msg_cast<CommandMsg>(m.payload);
   DSSMR_ASSERT_MSG(cm != nullptr, "partition received a non-command payload");
@@ -173,7 +164,7 @@ void PartitionServer::on_amdeliver(const multicast::AmcastMessage& m) {
   }
   // Retransmission delivered while the original is still queued: ignore it
   // (the queued task will answer). Processing it would enqueue a duplicate.
-  if (inflight_.contains(cmd.id)) return;
+  if (exec_->pending(cmd.id)) return;
 
   // A window miss is not proof the command is new: the window is bounded,
   // and a slow retransmission can outlive its entry. The requester's latest
@@ -186,19 +177,19 @@ void PartitionServer::on_amdeliver(const multicast::AmcastMessage& m) {
   switch (cmd.type) {
     case CommandType::kAccess:
       if (m.dests.size() == 1) {
-        deliver_access_single(m, cmd);
+        deliver_access_single(cmd, client);
       } else {
-        deliver_access_multi(m, cmd);
+        deliver_access_multi(m, cmd, client);
       }
       break;
     case CommandType::kMove:
-      deliver_move(m, cmd);
+      deliver_move(cmd, client);
       break;
     case CommandType::kCreate:
-      deliver_create(m, cmd);
+      deliver_create(cmd);
       break;
     case CommandType::kDelete:
-      deliver_delete(m, cmd);
+      deliver_delete(cmd);
       break;
     case CommandType::kReconfig:
       DSSMR_ASSERT_MSG(false, "kReconfig is an oracle-only record; partitions never deliver it");
@@ -208,9 +199,7 @@ void PartitionServer::on_amdeliver(const multicast::AmcastMessage& m) {
 
 // ---- access: single partition (fast path) -----------------------------------
 
-void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
-                                            const Command& cmd) {
-  const ProcessId client = cmd.requester != kNoProcess ? cmd.requester : m.sender;
+void PartitionServer::deliver_access_single(const Command& cmd, ProcessId client) {
   const Time delivered = engine().now();
   // A retired partition's "your information is stale" answer upgrades to
   // kRetired: the client must also drop the partition from its cache and
@@ -221,21 +210,13 @@ void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
   // locally?"). Ownership is updated synchronously on delivery of moves, so
   // a command ordered after a move that brings its variables here passes
   // even though the values are still in flight.
-  for (VarId v : cmd.read_set) {
-    if (!owned_.contains(v)) {
-      bump(ctr_.retries_issued);
-      reply_to(client, cmd.id, stale, nullptr, ReplyTiming{delivered, delivered, delivered},
-               Settles::kNothing);
-      return;
-    }
-  }
-  for (VarId v : cmd.write_set) {
-    if (!owned_.contains(v)) {
-      bump(ctr_.retries_issued);
-      reply_to(client, cmd.id, stale, nullptr, ReplyTiming{delivered, delivered, delivered},
-               Settles::kNothing);
-      return;
-    }
+  const auto owned = [this](VarId v) { return store_.owns(v); };
+  if (!std::all_of(cmd.read_set.begin(), cmd.read_set.end(), owned) ||
+      !std::all_of(cmd.write_set.begin(), cmd.write_set.end(), owned)) {
+    bump(ctr_.retries_issued);
+    reply_to(client, cmd.id, stale, nullptr, ReplyTiming{delivered, delivered, delivered},
+             Settles::kNothing);
+    return;
   }
 
   bump(ctr_.single_partition);
@@ -246,13 +227,13 @@ void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
             // our variables (it would have been ordered before us and already
             // executed), but a *failed* inbound move can leave an owned
             // variable with no value; treat as stale information.
-            for (VarId v : cmd.vars()) {
-              if (!store_.contains(v)) {
-                bump(ctr_.retries_issued);
-                reply_to(client, cmd.id, retired_ ? ReplyCode::kRetired : ReplyCode::kRetry,
-                         nullptr, timing, Settles::kNothing);
-                return;
-              }
+            const auto held = [this](VarId v) { return store_.contains(v); };
+            if (!std::all_of(cmd.read_set.begin(), cmd.read_set.end(), held) ||
+                !std::all_of(cmd.write_set.begin(), cmd.write_set.end(), held)) {
+              bump(ctr_.retries_issued);
+              reply_to(client, cmd.id, retired_ ? ReplyCode::kRetired : ReplyCode::kRetry,
+                       nullptr, timing, Settles::kNothing);
+              return;
             }
             smr::ExecutionView view{store_};
             net::MessagePtr app_reply = app_->execute(cmd, view);
@@ -263,30 +244,28 @@ void PartitionServer::deliver_access_single(const multicast::AmcastMessage& m,
 
 // ---- access: multi partition (S-SMR execution) -------------------------------
 
-void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m,
-                                           const Command& cmd) {
-  const ProcessId client = cmd.requester != kNoProcess ? cmd.requester : m.sender;
+void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m, const Command& cmd,
+                                           ProcessId client) {
   const Time delivered = engine().now();
   common::SmallSet<GroupId> others;  // sorted, like m.dests
   for (GroupId g : m.dests) {
     if (g != group() && g != config_.oracle_group) others.insert(g);
   }
 
-  // Uninvolved: we neither own nor store any of the command's variables (the
-  // common case for an all-partition fallback). Our at-head snapshot would
-  // then be empty: a value enters store_ only through a task queued ahead of
-  // this one (a move install or a create), each of those claimed ownership at
-  // its own, earlier delivery, and a claim that is gone by now was dropped by
-  // a failed install (no value) or by a move-out or delete whose task, also
-  // ahead of ours, removes the value again. So we ship the same empty set now
-  // instead of at head, the involved peers compute exactly what they would
-  // have, and our queue never blocks on this command. The reply is cached and
-  // recorded as final so a retransmission is never executed here later, even
-  // after a move has brought one of the variables in.
+  // Uninvolved: no slot of our store holds any of the command's variables
+  // (the common case for an all-partition fallback). Our at-head snapshot
+  // would then be empty: a value enters store_ only through a task queued
+  // ahead of this one (a move install or a create), each of those claimed the
+  // slot at its own, earlier delivery, and a slot that is gone by now was
+  // given up by a failed install (no value) or by a move-out or delete whose
+  // task, also ahead of ours, removes the value again. So we ship the same
+  // empty set now instead of at head, the involved peers compute exactly what
+  // they would have, and our queue never blocks on this command. The reply is
+  // cached and recorded as final so a retransmission is never executed here
+  // later, even after a move has brought one of the variables in.
   const std::vector<VarId> vars = cmd.vars();
-  const bool involved = std::any_of(vars.begin(), vars.end(), [this](VarId v) {
-    return owned_.contains(v) || store_.contains(v);
-  });
+  const bool involved =
+      std::any_of(vars.begin(), vars.end(), [this](VarId v) { return store_.holds(v); });
   if (!involved) {
     // By name, not interned at init: runs without fallbacks keep their counters.
     if (is_leader() && metrics_ != nullptr) metrics_->inc("server.fallback_uninvolved");
@@ -297,7 +276,6 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m,
     }
     // Peer shipments that arrived before our delivery.
     exec_->forget(cmd.id);
-    shipped_.erase(cmd.id);
     reply_to(client, cmd.id, ReplyCode::kNotInvolved, nullptr,
              ReplyTiming{delivered, delivered, delivered}, Settles::kAccess);
     return;
@@ -310,9 +288,7 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m,
   auto ship_mine = [this, cmd, others] {
     std::vector<std::pair<VarId, std::shared_ptr<const smr::VarValue>>> ship;
     for (VarId v : cmd.vars()) {
-      if (const smr::VarValue* val = store_.get(v); val != nullptr) {
-        ship.emplace_back(v, std::shared_ptr<const smr::VarValue>(val->clone()));
-      }
+      if (const smr::VarValue* val = store_.get(v)) ship.emplace_back(v, val->clone());
     }
     if (!others.empty()) {
       rmcast({others.begin(), others.end()},
@@ -325,14 +301,10 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m,
       cmd.id, cmd.trace_id, delivered, app_->service_time(cmd), std::move(others),
       [this, cmd, client](const ReplyTiming& timing) {
         smr::ExecutionView view{store_};
-        auto it = shipped_.find(cmd.id);
-        if (it != shipped_.end()) {
-          for (auto& [v, val] : it->second) {
-            if (!store_.contains(v) && val != nullptr) view.lend(v, val->clone());
-          }
+        for (const auto& [v, val] : exec_->shipped(cmd.id)) {
+          if (!store_.contains(v)) view.lend(v, val->clone());
         }
         net::MessagePtr app_reply = app_->execute(cmd, view);
-        if (it != shipped_.end()) shipped_.erase(it);
         reply_to(client, cmd.id, ReplyCode::kOk, std::move(app_reply), timing, Settles::kAccess);
       },
       std::move(ship_mine));
@@ -340,8 +312,7 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m,
 
 // ---- move --------------------------------------------------------------------
 
-void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Command& cmd) {
-  const ProcessId client = cmd.requester != kNoProcess ? cmd.requester : m.sender;
+void PartitionServer::deliver_move(const Command& cmd, ProcessId client) {
   const bool is_dest = cmd.move_dest == group();
   const std::vector<VarId> vars = cmd.vars();
   const Time delivered = engine().now();
@@ -351,8 +322,7 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
     // what); ship the values once predecessors finish executing.
     std::vector<VarId> mine;
     for (VarId v : vars) {
-      claim_.erase(v);
-      if (owned_.erase(v) != 0) mine.push_back(v);
+      if (store_.release(v)) mine.push_back(v);
     }
     bump(ctr_.moves_source);
     heat_move();
@@ -362,11 +332,12 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
         [this, mine, dest = cmd.move_dest, id = cmd.id](const ReplyTiming&) {
           std::vector<std::pair<VarId, std::shared_ptr<const smr::VarValue>>> ship;
           for (VarId v : mine) {
-            if (auto val = store_.take(v); val != nullptr) {
-              ship.emplace_back(v, std::shared_ptr<const smr::VarValue>(std::move(val)));
-            }
+            if (auto val = store_.take(v)) ship.emplace_back(v, std::move(val));
           }
           rmcast({dest}, net::make_msg<VarShipMsg>(id, group(), /*is_move=*/true, std::move(ship)));
+          // Settled here: a retransmission delivered later must not give up
+          // (and ship) the variables a second time.
+          completed_.insert(id);
         },
         {}, static_cast<std::int64_t>(mine.size()));
     return;
@@ -374,10 +345,7 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
 
   // Destination: claim ownership now; wait for one shipment per source, then
   // install the values and answer the requester.
-  for (VarId v : vars) {
-    owned_.insert(v);
-    claim_[v] = cmd.id;
-  }
+  for (VarId v : vars) store_.claim(v, cmd.id);
   common::SmallSet<GroupId> sources;
   for (GroupId g : cmd.move_sources) {
     if (g != group()) sources.insert(g);
@@ -388,31 +356,22 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
       cmd.id, cmd.trace_id, delivered,
       config_.move_service_per_var * static_cast<Duration>(vars.size() + 1), std::move(sources),
       [this, vars, client, id = cmd.id](const ReplyTiming& timing) {
-        auto it = shipped_.find(id);
+        const auto& shipped = exec_->shipped(id);
         std::vector<VarId> installed;
         std::size_t failed = 0;
         for (VarId v : vars) {
           if (store_.contains(v)) {  // we already held it
-            settle_claim(v, id);
             installed.push_back(v);
-            continue;
-          }
-          std::shared_ptr<const smr::VarValue> val;
-          if (it != shipped_.end()) {
-            if (auto f = it->second.find(v); f != it->second.end()) val = f->second;
-          }
-          if (val != nullptr) {
-            store_.put(v, val->clone());
-            settle_claim(v, id);
+          } else if (auto f = shipped.find(v); f != shipped.end()) {
+            store_.put(v, f->second->clone());
             installed.push_back(v);
           } else {
             // No source shipped it: the mapping was stale; give the claim up,
             // unless a later delivery already re-claimed or moved v.
-            if (settle_claim(v, id)) owned_.erase(v);
+            store_.release(v, id);
             ++failed;
           }
         }
-        if (it != shipped_.end()) shipped_.erase(it);
         // The reply tells the client which variables really landed here so
         // it caches only those; a partial install is a failed move and must
         // go through the client's retry/fallback path, not pretend success.
@@ -433,64 +392,52 @@ void PartitionServer::deliver_move(const multicast::AmcastMessage& m, const Comm
 
 // ---- create / delete ---------------------------------------------------------
 
-void PartitionServer::deliver_create(const multicast::AmcastMessage& m, const Command& cmd) {
-  (void)m;
+void PartitionServer::deliver_create(const Command& cmd) {
   DSSMR_ASSERT(cmd.write_set.size() == 1);
   const VarId v = cmd.write_set[0];
-  if (owned_.contains(v)) {
+  if (store_.owns(v)) {
     // Duplicate create (raced consults); the oracle answers nok. Still signal
     // so the oracle's wait terminates.
     rmcast({config_.oracle_group}, net::make_msg<SignalMsg>(cmd.id, group()));
     return;
   }
-  owned_.insert(v);
-  claim_[v] = cmd.id;
+  store_.claim(v, cmd.id);
   bump(ctr_.creates);
   execute(cmd.id, cmd.trace_id, engine().now(), config_.create_delete_service, {},
           [this, v, id = cmd.id](const ReplyTiming&) {
-            settle_claim(v, id);
-            if (owned_.contains(v) && !store_.contains(v)) {
-              store_.put(v, app_->make_default(v));
-            }
+            // Not gated on ownership: a move-out or delete delivered since has
+            // its task queued behind this one, and takes the value from there.
+            // Tasks run in delivery order, so every replica ships the same.
+            if (!store_.contains(v)) store_.put(v, app_->make_default(v));
             // Execution-atomicity signal: the oracle replies to the client
             // only after the partition has applied the create.
             rmcast({config_.oracle_group}, net::make_msg<SignalMsg>(id, group()));
           });
 }
 
-void PartitionServer::deliver_delete(const multicast::AmcastMessage& m, const Command& cmd) {
-  (void)m;
+void PartitionServer::deliver_delete(const Command& cmd) {
   DSSMR_ASSERT(cmd.write_set.size() == 1);
   const VarId v = cmd.write_set[0];
-  owned_.erase(v);
-  claim_.erase(v);
+  store_.release(v);
   bump(ctr_.deletes);
   execute(cmd.id, cmd.trace_id, engine().now(), config_.create_delete_service, {},
           [this, v, id = cmd.id](const ReplyTiming&) {
-            store_.erase(v);
+            store_.take(v);
             rmcast({config_.oracle_group}, net::make_msg<SignalMsg>(id, group()));
           });
 }
 
 // ---- reliable-multicast inputs ------------------------------------------------
 
-void PartitionServer::on_rmdeliver(ProcessId origin, const net::MessagePtr& payload) {
-  (void)origin;
+void PartitionServer::on_rmdeliver(ProcessId /*origin*/, const net::MessagePtr& payload) {
   if (const auto* ship = net::msg_cast<VarShipMsg>(payload)) {
     if (completed_.contains(ship->cmd_id)) return;  // late duplicate
-    // Another replica of the same group: drop it before storing anything, as
-    // replicas of one partition may ship different variable sets.
-    if (!exec_->arrive(ship->cmd_id, ship->from_group)) return;
-    // Storing after arrive() is safe: a task it readies runs in a later event.
-    auto& vals = shipped_[ship->cmd_id];
-    for (const auto& [v, val] : ship->vars) vals.try_emplace(v, val);
-    return;
+    // The engine stores nothing for another replica of a group it heard
+    // from, as replicas of one partition may ship different variable sets.
+    exec_->arrive(ship->cmd_id, ship->from_group, ship->vars);
   }
-  if (net::msg_cast<SignalMsg>(payload) != nullptr) {
-    // Partitions do not wait on signals in this implementation (only the
-    // oracle does, before answering create/delete); ignore.
-    return;
-  }
+  // Partitions do not wait on signals (only the oracle does, before
+  // answering create/delete); other payloads are ignored.
 }
 
 }  // namespace dssmr::core

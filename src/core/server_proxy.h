@@ -5,7 +5,7 @@
 // commands in order:
 //
 //  * access, single destination (the DS-SMR fast path): delivered commands
-//    are checked against the ownership set — a command whose variables all
+//    are checked against the store's claims — a command whose variables all
 //    live here executes locally like classic SMR; otherwise the client gets
 //    `retry` (its oracle information was stale).
 //  * access, multiple destinations (the S-SMR baseline and DS-SMR's
@@ -13,11 +13,19 @@
 //    only execute once every involved partition has checked in — the
 //    execution-atomic protocol of S-SMR.
 //  * move: sources relinquish ownership at delivery and ship values when the
-//    move reaches the head of their execution queue; the destination waits
-//    for one shipment per source, installs the values, and answers the
-//    requester.
+//    move reaches the head of their execution queue; the destination claims
+//    the variables at delivery, waits for one shipment per source, installs
+//    the values, and answers the requester.
 //  * create/delete: apply locally, then signal the oracle, which sends the
 //    client its reply only after the partition has checked in.
+//
+// A replica's state is one table, smr::VariableStore: per variable, the
+// delivery that claimed it and its value. Claims change at delivery, in the
+// same order on every replica; values change when tasks run, which replicas
+// do at different times. So a decision taken at delivery reads claims, a task
+// reads values, and a task gives up only its own claim. What a command
+// waits for (peer shipments) and whether it is queued live in the execution
+// engine's record of that command.
 //
 // Replies are sent by the replica that currently leads the partition's Paxos
 // group; the others hold theirs until they hear that leader again, and send
@@ -30,8 +38,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/bounded.h"
@@ -69,9 +75,7 @@ class PartitionServer : public multicast::GroupNode {
   /// Pre-loads a variable (initial state distribution, before start()).
   void preload(VarId v, std::unique_ptr<smr::VarValue> value);
 
-  bool owns(VarId v) const { return owned_.contains(v); }
-  std::size_t owned_count() const { return owned_.size(); }
-  const std::unordered_set<VarId>& owned_vars() const { return owned_; }
+  /// Ownership and values (see smr::VariableStore).
   const smr::VariableStore& store() const { return store_; }
   std::uint64_t executed_count() const { return exec_->executed_count(); }
   Duration busy_time() const { return exec_->busy_time(); }
@@ -109,14 +113,14 @@ class PartitionServer : public multicast::GroupNode {
   /// requester's session.
   enum class Settles : std::uint8_t { kNothing, kAccess, kMove };
 
-  void deliver_access_single(const multicast::AmcastMessage& m, const smr::Command& cmd);
-  void deliver_access_multi(const multicast::AmcastMessage& m, const smr::Command& cmd);
-  void deliver_move(const multicast::AmcastMessage& m, const smr::Command& cmd);
-  void deliver_create(const multicast::AmcastMessage& m, const smr::Command& cmd);
-  void deliver_delete(const multicast::AmcastMessage& m, const smr::Command& cmd);
+  /// `client` is where the command's replies go.
+  void deliver_access_single(const smr::Command& cmd, ProcessId client);
+  void deliver_access_multi(const multicast::AmcastMessage& m, const smr::Command& cmd,
+                            ProcessId client);
+  void deliver_move(const smr::Command& cmd, ProcessId client);
+  void deliver_create(const smr::Command& cmd);
+  void deliver_delete(const smr::Command& cmd);
 
-  /// Clears `v`'s claim if it is still `claimant`'s; returns whether it was.
-  bool settle_claim(VarId v, MsgId claimant);
   void reply_to(ProcessId client, MsgId cmd_id, smr::ReplyCode code,
                 net::MessagePtr app_reply, smr::ReplyTiming timing, Settles settles);
   /// Leader-only: (re)sends `reply` for `cmd_id` to `client` (held on a
@@ -124,7 +128,7 @@ class PartitionServer : public multicast::GroupNode {
   void send_reply(ProcessId client, MsgId cmd_id, const Reply& reply);
   /// Queues a command's task: it waits for the inputs of `awaits`, occupies
   /// the CPU for `service`, records the queue and execute spans and then runs
-  /// `body(timing)`. The command counts as in flight until then.
+  /// `body(timing)`. The command is exec_->pending() until then.
   template <class Body>
   void execute(MsgId id, std::uint64_t trace_id, Time delivered, Duration service,
                common::SmallSet<GroupId> awaits, Body body, sim::Callback on_head = {},
@@ -142,30 +146,22 @@ class PartitionServer : public multicast::GroupNode {
   void span(stats::SpanPhase p, std::uint64_t trace_id, Time start, Time end,
             std::int64_t arg = 0);
 
+  /// Claims and values. A failed install gives its claim up when its task
+  /// runs, and replicas run tasks at different times relative to
+  /// deliveries, so it releases only while its own claim stands: a later
+  /// delivery may have re-claimed or moved the variable in the meantime.
   smr::VariableStore store_;
-  std::unordered_set<VarId> owned_;
-  /// Claims whose task has not run yet: the command (a move to here or a
-  /// create) whose delivery last claimed each variable. A delivery that
-  /// gives the variable away clears it, and so does the claimant's task.
-  /// owned_ changes at delivery, in the same order on every replica, but a
-  /// failed install gives its claim up when its task runs, and replicas run
-  /// tasks at different times relative to deliveries. The claim tells that
-  /// give-up whether a later delivery re-claimed or moved the variable in
-  /// the meantime, so every replica ends with the same owned_.
-  common::FlatMap<VarId, MsgId> claim_;
   std::unique_ptr<smr::AppStateMachine> app_;
+  /// Also the record of each queued command: its peer shipments, and whether
+  /// it is pending. A client that retransmits re-multicasts under a fresh
+  /// multicast id, so the amcast layer cannot dedup; a delivery whose command
+  /// is pending is dropped, or it would enqueue a second task (double
+  /// execution for accesses, and a task that waits forever for
+  /// already-consumed shipments for moves).
   std::unique_ptr<smr::ExecutionEngine> exec_;
-  /// Variables shipped by peer partitions, per command, until its task runs.
-  std::unordered_map<MsgId, std::unordered_map<VarId, std::shared_ptr<const smr::VarValue>>>
-      shipped_;
-  /// Logical command ids currently queued or executing. A client that
-  /// retransmits re-multicasts under a fresh multicast id, so the amcast
-  /// layer cannot dedup; without this set a duplicate delivery would enqueue
-  /// a second task (double execution for accesses, and a task that waits
-  /// forever for already-consumed shipments for moves).
-  std::unordered_set<MsgId> inflight_;
-  /// Logical ids of the commands settled here (outcomes only, no payloads):
-  /// a retransmission or a late VarShipMsg of one of them is not processed.
+  /// Logical ids of the commands settled here (outcomes only, no payloads),
+  /// including moves whose source shipped: a retransmission or a late
+  /// VarShipMsg of one of them is not processed.
   BoundedSet<MsgId> completed_{1 << 15};
   /// A requester's latest settled command of one kind, with the reply to
   /// resend for it. Command ids are never 0, so 0 means none yet.

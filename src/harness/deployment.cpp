@@ -303,7 +303,7 @@ bool Deployment::partition_drained(std::size_t i) {
   for (std::size_t r = 0; r < config_.replicas_per_partition; ++r) {
     core::PartitionServer& s = server(i, r);
     if (s.halted()) continue;  // a crashed replica re-learns the log on recovery
-    if (s.owned_count() != 0 || s.queue_depth() != 0 || s.amcast_pending() != 0) return false;
+    if (s.store().owned_count() > 0 || s.queue_depth() > 0 || s.amcast_pending() > 0) return false;
   }
   for (auto& o : oracles_) {
     if (o->halted()) continue;
@@ -382,23 +382,26 @@ std::vector<std::string> Deployment::audit_consistency() {
 
   // 1. Live replicas of each partition agree on the owned set.
   for (std::size_t p = 0; p < partition_count(); ++p) {
-    const auto& ref = server(p, ref_replica[p]).owned_vars();
+    const std::vector<VarId> ref = server(p, ref_replica[p]).store().owned_vars();
     for (std::size_t r = ref_replica[p] + 1; r < config_.replicas_per_partition; ++r) {
       if (network_.crashed(server(p, r).pid())) continue;
-      const auto& other = server(p, r).owned_vars();
-      if (ref != other) {
-        std::ostringstream os;
-        os << "partition " << p << ": replica " << r << " owns " << other.size()
-           << " vars, replica " << ref_replica[p] << " owns " << ref.size();
-        complain(os.str());
-      }
+      const std::vector<VarId> other = server(p, r).store().owned_vars();
+      if (ref == other) continue;
+      // Both are sorted: at the first mismatch, the smaller variable is the
+      // smallest that one replica owns and the other does not.
+      const auto [a, b] = std::mismatch(ref.begin(), ref.end(), other.begin(), other.end());
+      const VarId first = b == other.end() || (a != ref.end() && *a < *b) ? *a : *b;
+      std::ostringstream os;
+      os << "partition " << p << ": replica " << r << " owns " << other.size() << " vars, replica "
+         << ref_replica[p] << " owns " << ref.size() << "; first disputed var " << first.value;
+      complain(os.str());
     }
   }
 
   // 2. Every variable is owned by at most one partition.
   std::unordered_map<VarId, GroupId> owner;
   for (std::size_t p = 0; p < partition_count(); ++p) {
-    for (VarId v : server(p, ref_replica[p]).owned_vars()) {
+    for (VarId v : server(p, ref_replica[p]).store().owned_vars()) {
       auto [it, inserted] = owner.try_emplace(v, partition_gid(p));
       if (!inserted) {
         std::ostringstream os;

@@ -2,17 +2,23 @@
 //
 // Mirrors the Eyrie API surface the paper describes: `VarValue` is the C++
 // analogue of PRObject (a partially replicated data item), `VariableStore`
-// holds the items a partition currently owns, and `AppStateMachine` is the
-// PartitionStateMachine the service designer implements. Application code is
-// written against these types only — it never sees partitions, moves, or the
+// is a partition replica's one table of the items it owns and the values it
+// holds, and `AppStateMachine` is the PartitionStateMachine the service
+// designer implements. Application code is written against the value side of
+// these types only — it never sees partitions, ownership, moves, or the
 // multicast layer.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/assert.h"
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "net/message.h"
 
@@ -29,45 +35,90 @@ struct VarValue {
   virtual std::size_t size_bytes() const = 0;
 };
 
-/// The variables a partition replica currently stores.
+/// A partition replica's variables: one slot per variable, holding who
+/// claims it and its value. The variable is owned while the slot has a claim
+/// (the id of the delivery that last brought it here: a move to here, a
+/// create, or kPreloaded). Ownership changes when a command is delivered and
+/// values move when tasks execute, so a slot may be owned with its value
+/// still in flight, or given up with its value not yet shipped; a slot with
+/// neither is dropped. Apps use only the value side (contains/get/put/take).
 class VariableStore {
  public:
-  bool contains(VarId v) const { return vars_.contains(v); }
+  /// The claim of a preloaded variable; no command has this id.
+  static constexpr MsgId kPreloaded{std::numeric_limits<std::uint64_t>::max()};
 
-  VarValue* get(VarId v) {
-    auto it = vars_.find(v);
-    return it == vars_.end() ? nullptr : it->second.get();
-  }
+  bool contains(VarId v) const { return get(v) != nullptr; }
+
+  VarValue* get(VarId v) { return const_cast<VarValue*>(std::as_const(*this).get(v)); }
   const VarValue* get(VarId v) const {
-    auto it = vars_.find(v);
-    return it == vars_.end() ? nullptr : it->second.get();
+    auto it = slots_.find(v);
+    return it == slots_.end() ? nullptr : it->second.value.get();
   }
 
   void put(VarId v, std::unique_ptr<VarValue> value) {
     DSSMR_ASSERT(value != nullptr);
-    vars_[v] = std::move(value);
+    slots_[v].value = std::move(value);
   }
 
   /// Removes and returns the value (nullptr when absent).
   std::unique_ptr<VarValue> take(VarId v) {
-    auto it = vars_.find(v);
-    if (it == vars_.end()) return nullptr;
-    auto value = std::move(it->second);
-    vars_.erase(it);
+    auto it = slots_.find(v);
+    if (it == slots_.end()) return nullptr;
+    auto value = std::move(it->second.value);
+    if (it->second.claim == MsgId{}) slots_.erase(it);
     return value;
   }
 
-  void erase(VarId v) { vars_.erase(v); }
-  std::size_t size() const { return vars_.size(); }
-
   std::size_t total_bytes() const {
     std::size_t n = 0;
-    for (const auto& [v, val] : vars_) n += val->size_bytes();
+    for (const auto& [v, slot] : slots_) n += slot.value ? slot.value->size_bytes() : 0;
     return n;
   }
 
+  bool owns(VarId v) const {
+    auto it = slots_.find(v);
+    return it != slots_.end() && it->second.claim != MsgId{};
+  }
+  /// Owned, or holding a value not yet shipped away.
+  bool holds(VarId v) const { return slots_.contains(v); }
+  std::size_t owned_count() const { return owned_; }
+  /// The owned variables, sorted.
+  std::vector<VarId> owned_vars() const {
+    std::vector<VarId> out;
+    for (const auto& [v, slot] : slots_) {
+      if (slot.claim != MsgId{}) out.push_back(v);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  /// Makes `by` the claimant of `v` (taking ownership if `v` was not owned).
+  void claim(VarId v, MsgId by) {
+    DSSMR_ASSERT(by != MsgId{});
+    Slot& slot = slots_[v];
+    if (slot.claim == MsgId{}) ++owned_;
+    slot.claim = by;
+  }
+
+  /// Gives `v` up; when `by` is set, only while `by` still holds the claim.
+  /// Returns whether `v` was given up.
+  bool release(VarId v, MsgId by = MsgId{}) {
+    auto it = slots_.find(v);
+    if (it == slots_.end() || it->second.claim == MsgId{}) return false;
+    if (by != MsgId{} && it->second.claim != by) return false;
+    --owned_;
+    it->second.claim = MsgId{};
+    if (it->second.value == nullptr) slots_.erase(it);
+    return true;
+  }
+
  private:
-  std::unordered_map<VarId, std::unique_ptr<VarValue>> vars_;
+  struct Slot {
+    MsgId claim{};
+    std::unique_ptr<VarValue> value;
+  };
+  common::FlatMap<VarId, Slot> slots_;
+  std::size_t owned_ = 0;
 };
 
 /// The view a command executes against: the partition's own store plus any
@@ -97,8 +148,6 @@ class ExecutionView {
   T* get_as(VarId v) {
     return dynamic_cast<T*>(get(v));
   }
-
-  VariableStore& local() { return local_; }
 
  private:
   VariableStore& local_;

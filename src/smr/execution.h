@@ -8,18 +8,26 @@
 // commands cap S-SMR's scalability, so the model must capture it.
 //
 // The engine owns that one waiting rule: a task names the groups it awaits,
-// and the host reports each group's input for a command with arrive(). An
-// input may arrive before its command is queued; the record is dropped when
-// the command's task runs (or by forget(), for a command that never queues).
+// and the host reports each group's input for a command with arrive(),
+// together with the values that group shipped. It keeps one record per
+// command: the groups heard from, their shipped values (read by the task
+// through shipped()) and whether the task is queued (pending()). An input may
+// arrive before its command is queued; the record is dropped when the
+// command's task returns (or by forget(), for a command that never queues).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <span>
+#include <utility>
 
 #include "common/flat_map.h"
 #include "common/small_set.h"
 #include "common/types.h"
 #include "sim/engine.h"
+#include "smr/app.h"
 
 namespace dssmr::smr {
 
@@ -37,24 +45,47 @@ class ExecutionEngine {
     /// Executes the command (mutates state, sends the reply).
     sim::Callback run;
   };
+  /// Values shipped in for one command by peer groups, by variable.
+  using Shipped = common::FlatMap<VarId, std::shared_ptr<const VarValue>>;
 
   explicit ExecutionEngine(sim::Engine& engine) : engine_(engine) {}
 
+  /// Queues `t`. A task with id 0 keeps no record: it awaits nothing and is
+  /// never pending().
   void enqueue(Task t) {
+    if (t.id != MsgId{}) records_[t.id].queued = true;
     queue_.push_back(std::move(t));
     pump();
   }
 
-  /// Records group `from`'s input for command `id`; false if it was already
-  /// recorded (another replica of `from` sent the same input).
-  bool arrive(MsgId id, GroupId from) {
-    if (!arrived_[id].insert(from)) return false;
+  /// Records group `from`'s input for command `id` and the values it shipped
+  /// (the first shipment of a variable wins); false, storing nothing, if the
+  /// group's input was already recorded (another replica of `from` sent it).
+  bool arrive(MsgId id, GroupId from,
+              std::span<const std::pair<VarId, std::shared_ptr<const VarValue>>> vars = {}) {
+    std::unique_ptr<Inputs>& in = records_[id].in;
+    if (in == nullptr) in = std::make_unique<Inputs>();
+    if (!in->arrived.insert(from)) return false;
+    for (const auto& [v, val] : vars) in->shipped.emplace(v, val);
     pump();
     return true;
   }
 
-  /// Drops the inputs recorded for a command that will never be queued.
-  void forget(MsgId id) { arrived_.erase(id); }
+  /// The values shipped in for `id` so far.
+  const Shipped& shipped(MsgId id) const {
+    static const Shipped kNone;
+    auto it = records_.find(id);
+    return it == records_.end() || it->second.in == nullptr ? kNone : it->second.in->shipped;
+  }
+
+  /// Whether `id`'s task is queued or executing.
+  bool pending(MsgId id) const {
+    auto it = records_.find(id);
+    return it != records_.end() && it->second.queued;
+  }
+
+  /// Drops the record of a command that will never be queued.
+  void forget(MsgId id) { records_.erase(id); }
 
   std::size_t queue_depth() const { return queue_.size(); }
   bool idle() const { return queue_.empty() && !executing_; }
@@ -64,14 +95,25 @@ class ExecutionEngine {
   Duration busy_time() const { return busy_time_; }
 
  private:
+  /// The inputs heard for one command: the groups (bounded by the partition
+  /// count) and the values they shipped.
+  struct Inputs {
+    common::SmallSet<GroupId> arrived;
+    Shipped shipped;
+  };
+  /// Every queued command takes a table slot, so its inputs are allocated
+  /// only when the first one arrives: most commands await none.
+  struct Record {
+    std::unique_ptr<Inputs> in;
+    bool queued = false;
+  };
+
   bool inputs_in(const Task& t) const {
     if (t.awaits.empty()) return true;
-    auto it = arrived_.find(t.id);
-    if (it == arrived_.end()) return false;
-    for (GroupId g : t.awaits) {
-      if (!it->second.contains(g)) return false;
-    }
-    return true;
+    auto it = records_.find(t.id);
+    if (it == records_.end() || it->second.in == nullptr) return false;
+    const auto& in = it->second.in->arrived;  // both sorted
+    return std::includes(in.begin(), in.end(), t.awaits.begin(), t.awaits.end());
   }
 
   void pump() {
@@ -90,8 +132,8 @@ class ExecutionEngine {
       Task done = std::move(queue_.front());
       queue_.pop_front();
       ++executed_;
-      arrived_.erase(done.id);
       done.run();
+      records_.erase(done.id);
       executing_ = false;
       pump();
     });
@@ -99,8 +141,7 @@ class ExecutionEngine {
 
   sim::Engine& engine_;
   std::deque<Task> queue_;
-  /// Inputs per command, by sending group (bounded by the partition count).
-  common::FlatMap<MsgId, common::SmallSet<GroupId>> arrived_;
+  common::FlatMap<MsgId, Record> records_;
   bool executing_ = false;
   std::uint64_t executed_ = 0;
   Duration busy_time_ = 0;

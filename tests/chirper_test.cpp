@@ -197,8 +197,8 @@ TEST(ChirperE2E, WorksUnderStaticSsmrToo) {
   ASSERT_EQ(as_timeline(reply).posts.size(), 1u);
   EXPECT_EQ(as_timeline(reply).posts[0]->text, "static");
   // No moves under the static scheme; users stay put.
-  EXPECT_TRUE(d->server(0, 0).owns(VarId{0}));
-  EXPECT_TRUE(d->server(1, 0).owns(VarId{1}));
+  EXPECT_TRUE(d->server(0, 0).store().owns(VarId{0}));
+  EXPECT_TRUE(d->server(1, 0).store().owns(VarId{1}));
 }
 
 TEST(ChirperE2E, TimelineOfUnknownUserIsNok) {

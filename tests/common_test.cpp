@@ -332,6 +332,24 @@ TEST(FlatMap, EraseByIterator) {
   EXPECT_TRUE(m.contains(VarId{2}));
 }
 
+TEST(FlatMap, HoldsMoveOnlyValuesAcrossRehash) {
+  common::FlatMap<int, std::unique_ptr<int>> m;
+  for (int i = 0; i < 100; ++i) m[i] = std::make_unique<int>(i * 10);  // several rehashes
+  for (int i = 0; i < 100; i += 2) m.erase(i);
+  ASSERT_EQ(m.size(), 50u);
+  for (int i = 1; i < 100; i += 2) EXPECT_EQ(*m.find(i)->second, i * 10);
+}
+
+TEST(FlatMap, EmptyValueTakesNoSpace) {
+  struct Unit {};
+  static_assert(sizeof(common::FlatMap<std::uint64_t, Unit>::value_type) ==
+                sizeof(std::uint64_t));
+  common::FlatMap<std::uint64_t, Unit> set;
+  set.emplace(7, {});
+  EXPECT_TRUE(set.contains(7));
+  EXPECT_EQ(set.begin()->first, 7u);
+}
+
 TEST(Pool, ReusesFreedBlocks) {
   const auto before = common::Pool::stats();
   void* a = common::Pool::allocate(64);

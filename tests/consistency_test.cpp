@@ -167,7 +167,7 @@ TEST(ConsistencyChirper, PostHeavyWorkloadKeepsOwnershipPartitioned) {
   for (const auto& v : violations) ADD_FAILURE() << v;
   // Every user still accounted for.
   std::size_t owned = 0;
-  for (std::size_t p = 0; p < 3; ++p) owned += d.server(p, 0).owned_count();
+  for (std::size_t p = 0; p < 3; ++p) owned += d.server(p, 0).store().owned_count();
   EXPECT_EQ(owned, graph.user_count());
 }
 

@@ -61,7 +61,7 @@ TEST(DssmrCore, CrossPartitionCommandMovesAndExecutes) {
   // ...and according to the partitions themselves.
   int owners = 0;
   for (std::size_t p = 0; p < 2; ++p) {
-    if (d->server(p, 0).owns(VarId{0}) && d->server(p, 0).owns(VarId{1})) ++owners;
+    if (d->server(p, 0).store().owns(VarId{0}) && d->server(p, 0).store().owns(VarId{1})) ++owners;
   }
   EXPECT_EQ(owners, 1);
 }
@@ -144,7 +144,7 @@ TEST(DssmrCore, DeleteThenAccessFails) {
   EXPECT_EQ(run_op(*d, 0, make_delete(VarId{4})), ReplyCode::kOk);
   EXPECT_EQ(run_op(*d, 1, kv_get(VarId{4})), ReplyCode::kNok);
   // The variable is gone from the partitions, too.
-  for (std::size_t p = 0; p < 2; ++p) EXPECT_FALSE(d->server(p, 0).owns(VarId{4}));
+  for (std::size_t p = 0; p < 2; ++p) EXPECT_FALSE(d->server(p, 0).store().owns(VarId{4}));
 }
 
 TEST(DssmrCore, AccessUnknownVariableIsNok) {
@@ -171,7 +171,7 @@ TEST(DssmrCore, ReplicasOfPartitionConverge) {
   d->engine().run_for(sec(1));  // let followers drain their queues
   for (std::size_t p = 0; p < 2; ++p) {
     for (VarId v : {VarId{0}, VarId{1}, VarId{2}, VarId{3}}) {
-      if (!d->server(p, 0).owns(v)) continue;
+      if (!d->server(p, 0).store().owns(v)) continue;
       const auto* a = dynamic_cast<const kv::KvValue*>(d->server(p, 0).store().get(v));
       ASSERT_NE(a, nullptr);
       for (std::size_t r = 1; r < 3; ++r) {
@@ -216,8 +216,8 @@ TEST(SsmrBaseline, WritesApplyAtOwningPartitionOnly) {
   EXPECT_EQ(run_op(*d, 0, kv_get(VarId{1}), &reply), ReplyCode::kOk);
   EXPECT_EQ(kv_data(reply), "both");
   // Ownership unchanged.
-  EXPECT_TRUE(d->server(0, 0).owns(VarId{0}));
-  EXPECT_TRUE(d->server(1, 0).owns(VarId{1}));
+  EXPECT_TRUE(d->server(0, 0).store().owns(VarId{0}));
+  EXPECT_TRUE(d->server(1, 0).store().owns(VarId{1}));
 }
 
 TEST(SsmrBaseline, FourPartitionSpanningCommand) {

@@ -147,7 +147,7 @@ TEST(Scaler, ScaleOutAdmitsPartitionAndRebalances) {
   // were shipped onto it by the rebalance.
   std::size_t on_new = 0;
   for (std::size_t r = 0; r < cfg.replicas_per_partition; ++r) {
-    on_new = std::max(on_new, d.server(2, r).owned_count());
+    on_new = std::max(on_new, d.server(2, r).store().owned_count());
   }
   EXPECT_GT(on_new, 0u);
   // Every variable is still readable through a client after the rebalance.
@@ -218,7 +218,7 @@ TEST(Scaler, RetiredPartitionAnswersRetiredAndClientsReroute) {
   }
   for (std::size_t r = 0; r < cfg.replicas_per_partition; ++r) {
     EXPECT_TRUE(d.server(1, r).retired());
-    EXPECT_EQ(d.server(1, r).owned_count(), 0u);
+    EXPECT_EQ(d.server(1, r).store().owned_count(), 0u);
   }
 }
 

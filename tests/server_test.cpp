@@ -72,8 +72,8 @@ TEST(ServerExec, CrossPartitionWriteAppliesAtOwnerOnly) {
   auto d = kv_deployment(2, Strategy::kStaticSsmr);
   // kSet writes both vars; each partition applies only its own.
   EXPECT_EQ(run_op(*d, 0, kv_set({VarId{0}, VarId{1}}, "w")), ReplyCode::kOk);
-  EXPECT_TRUE(d->server(0, 0).owns(VarId{0}));
-  EXPECT_FALSE(d->server(0, 0).owns(VarId{1}));
+  EXPECT_TRUE(d->server(0, 0).store().owns(VarId{0}));
+  EXPECT_FALSE(d->server(0, 0).store().owns(VarId{1}));
   net::MessagePtr reply;
   EXPECT_EQ(run_op(*d, 1, kv_get(VarId{1}), &reply), ReplyCode::kOk);
   EXPECT_EQ(kv_data(reply), "w");
@@ -87,8 +87,8 @@ TEST(ServerMove, MoveToPartitionAlreadyHoldingSomeVars) {
   EXPECT_EQ(run_op(*d, 0, kv_sum({VarId{0}, VarId{2}, VarId{1}}, VarId{0}), &reply),
             ReplyCode::kOk);
   EXPECT_EQ(kv_num(reply), 0 + 2 + 1);
-  EXPECT_TRUE(d->server(0, 0).owns(VarId{1}));
-  EXPECT_FALSE(d->server(1, 0).owns(VarId{1}));
+  EXPECT_TRUE(d->server(0, 0).store().owns(VarId{1}));
+  EXPECT_FALSE(d->server(1, 0).store().owns(VarId{1}));
   // Store value travelled with the move.
   EXPECT_EQ(run_op(*d, 1, kv_get(VarId{1}), &reply), ReplyCode::kOk);
   EXPECT_EQ(kv_num(reply), 1);
@@ -157,6 +157,21 @@ struct OracleHooks : OracleNode {
   }
 };
 
+/// A move of `v` from `source` to `dest`, as the amcast layer delivers it.
+multicast::AmcastMessage move_msg(const Deployment& d, std::uint64_t id, VarId v, GroupId source,
+                                  GroupId dest) {
+  smr::Command c;
+  c.type = smr::CommandType::kMove;
+  c.id = MsgId{id};
+  c.write_set = {v};
+  c.move_sources = {source};
+  c.move_dest = dest;
+  return multicast::AmcastMessage{.id = MsgId{id},
+                                  .sender = kNoProcess,
+                                  .dests = {source, dest, d.oracle_gid()},
+                                  .payload = net::make_msg<smr::CommandMsg>(c)};
+}
+
 TEST(ServerMove, FailedInstallDoesNotDropALaterClaim) {
   // Replicas run a move's task at different times relative to the later
   // deliveries. Move 1 brings v to P0 from P1, which does not hold it (a
@@ -172,28 +187,16 @@ TEST(ServerMove, FailedInstallDoesNotDropALaterClaim) {
   d.start();
   d.settle();
 
-  auto move = [&](std::uint64_t id, GroupId source) {
-    smr::Command c;
-    c.type = smr::CommandType::kMove;
-    c.id = MsgId{id};
-    c.write_set = {v};
-    c.move_sources = {source};
-    c.move_dest = d.partition_gid(0);
-    return multicast::AmcastMessage{.id = MsgId{id},
-                                    .sender = kNoProcess,
-                                    .dests = {source, d.partition_gid(0), d.oracle_gid()},
-                                    .payload = net::make_msg<smr::CommandMsg>(c)};
-  };
-  const auto move1 = move(101, d.partition_gid(1));
-  const auto move2 = move(102, d.partition_gid(2));
+  const auto move1 = move_msg(d, 101, v, d.partition_gid(1), d.partition_gid(0));
+  const auto move2 = move_msg(d, 102, v, d.partition_gid(2), d.partition_gid(0));
   const auto p1_ships_nothing = net::make_msg<smr::VarShipMsg>(
       MsgId{101}, d.partition_gid(1), /*is_move=*/true, decltype(smr::VarShipMsg::vars){});
 
   for (std::size_t r = 0; r < 2; ++r) ServerHooks::amdeliver(d.server(0, r), move1);
   ServerHooks::rmdeliver(d.server(0, 0), p1_ships_nothing);
   d.engine().run_for(msec(1));
-  EXPECT_FALSE(d.server(0, 0).owns(v));  // replica 0 gave move 1's claim up
-  EXPECT_TRUE(d.server(0, 1).owns(v));   // replica 1 still waits for P1
+  EXPECT_FALSE(d.server(0, 0).store().owns(v));  // replica 0 gave move 1's claim up
+  EXPECT_TRUE(d.server(0, 1).store().owns(v));   // replica 1 still waits for P1
 
   for (std::size_t r = 0; r < 2; ++r) {
     ServerHooks::amdeliver(d.server(0, r), move2);
@@ -207,12 +210,103 @@ TEST(ServerMove, FailedInstallDoesNotDropALaterClaim) {
   d.engine().run_for(msec(100));
 
   for (std::size_t r = 0; r < 2; ++r) {
-    EXPECT_TRUE(d.server(0, r).owns(v)) << "replica " << r;
+    EXPECT_TRUE(d.server(0, r).store().owns(v)) << "replica " << r;
     EXPECT_TRUE(d.server(0, r).store().contains(v)) << "replica " << r;
   }
   const auto violations = d.audit_consistency();
   for (const auto& violation : violations) ADD_FAILURE() << violation;
   EXPECT_TRUE(violations.empty());
+}
+
+TEST(ServerMove, CreateShipsTheSameValueWhereverItsMoveOutLands) {
+  // A move-out of a new variable is delivered before the create's task runs
+  // on replica 1, and after it on replica 0. The task makes the default value
+  // either way (tasks run in delivery order, so the move-out's task then
+  // ships it), and P1 installs what replica 1 ships, which arrives first.
+  auto cfg = small_config(2, Strategy::kDssmr, 1);
+  cfg.replicas_per_partition = 2;
+  Deployment d{cfg, kv::kv_app_factory(), [] { return std::make_unique<DssmrPolicy>(); }};
+  d.start();
+  d.settle();
+  const VarId v{0};
+  smr::Command c;
+  c.type = smr::CommandType::kCreate;
+  c.id = MsgId{201};
+  c.write_set = {v};
+  const multicast::AmcastMessage create{.id = MsgId{201},
+                                        .sender = kNoProcess,
+                                        .dests = {d.partition_gid(0), d.oracle_gid()},
+                                        .payload = net::make_msg<smr::CommandMsg>(c)};
+  const auto move_out = move_msg(d, 202, v, d.partition_gid(0), d.partition_gid(1));
+
+  ServerHooks::amdeliver(d.server(0, 0), create);
+  d.engine().run_for(msec(1));
+  ASSERT_TRUE(d.server(0, 0).store().contains(v));  // replica 0 ran the create's task
+  ServerHooks::amdeliver(d.server(0, 1), create);
+  ServerHooks::amdeliver(d.server(0, 1), move_out);
+  for (std::size_t r = 0; r < 2; ++r) ServerHooks::amdeliver(d.server(1, r), move_out);
+  d.engine().run_for(msec(100));
+  ServerHooks::amdeliver(d.server(0, 0), move_out);
+  d.engine().run_for(msec(100));
+
+  for (std::size_t r = 0; r < 2; ++r) {
+    EXPECT_FALSE(d.server(0, r).store().holds(v)) << "replica " << r;
+    EXPECT_TRUE(d.server(1, r).store().owns(v)) << "replica " << r;
+    EXPECT_TRUE(d.server(1, r).store().contains(v)) << "replica " << r;
+  }
+}
+
+TEST(ServerMove, SourceIgnoresARetransmittedSettledMove) {
+  // Move 1 takes v from P1 to P0 and move 2 brings it back. A retransmission
+  // of move 1 delivered at P1 afterwards must not give v up a second time.
+  auto cfg = small_config(2, Strategy::kDssmr, 1);
+  cfg.replicas_per_partition = 2;
+  Deployment d{cfg, kv::kv_app_factory(), [] { return std::make_unique<DssmrPolicy>(); }};
+  const VarId v{0};
+  d.preload_var(v, d.partition_gid(1), kv::KvValue{7, ""});
+  d.start();
+  d.settle();
+  const auto move1 = move_msg(d, 301, v, d.partition_gid(1), d.partition_gid(0));
+  const auto move2 = move_msg(d, 302, v, d.partition_gid(0), d.partition_gid(1));
+  auto deliver = [&](const multicast::AmcastMessage& m) {
+    for (std::size_t p = 0; p < 2; ++p) {
+      for (std::size_t r = 0; r < 2; ++r) ServerHooks::amdeliver(d.server(p, r), m);
+    }
+    d.engine().run_for(msec(100));
+  };
+  deliver(move1);
+  ASSERT_TRUE(d.server(0, 0).store().contains(v));
+  deliver(move2);
+  const std::uint64_t sourced = d.metrics().counter("server.moves_source");
+  for (std::size_t r = 0; r < 2; ++r) ServerHooks::amdeliver(d.server(1, r), move1);
+  d.engine().run_for(msec(100));
+
+  EXPECT_EQ(d.metrics().counter("server.moves_source"), sourced);
+  for (std::size_t r = 0; r < 2; ++r) {
+    EXPECT_TRUE(d.server(1, r).store().owns(v)) << "replica " << r;
+    EXPECT_TRUE(d.server(1, r).store().contains(v)) << "replica " << r;
+    EXPECT_FALSE(d.server(0, r).store().holds(v)) << "replica " << r;
+  }
+}
+
+TEST(ServerAudit, NamesTheFirstVariableReplicasDisagreeOn) {
+  // Only replica 1 of P0 has moves of v3 and v2 delivered, so only it claims
+  // them; the audit names the smaller one.
+  auto cfg = small_config(2, Strategy::kDssmr, 1);
+  cfg.replicas_per_partition = 2;
+  Deployment d{cfg, kv::kv_app_factory(), [] { return std::make_unique<DssmrPolicy>(); }};
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    d.preload_var(VarId{i}, d.partition_gid(1), kv::KvValue{0, ""});
+  }
+  d.start();
+  d.settle();
+  for (std::uint64_t i : {3, 2}) {
+    ServerHooks::amdeliver(d.server(0, 1),
+                           move_msg(d, 400 + i, VarId{i}, d.partition_gid(1), d.partition_gid(0)));
+  }
+  EXPECT_EQ(d.audit_consistency(),
+            std::vector<std::string>{
+                "partition 0: replica 1 owns 2 vars, replica 0 owns 0; first disputed var 2"});
 }
 
 TEST(ServerExec, ExecutedCountAndBusyTimeAdvance) {
@@ -226,7 +320,7 @@ TEST(ServerExec, ExecutedCountAndBusyTimeAdvance) {
 
 TEST(ServerExec, StoreReflectsPreloadedBytes) {
   auto d = kv_deployment(2, Strategy::kDssmr);
-  EXPECT_EQ(d->server(0, 0).owned_count(), 4u);
+  EXPECT_EQ(d->server(0, 0).store().owned_count(), 4u);
   EXPECT_GT(d->server(0, 0).store().total_bytes(), 0u);
 }
 
@@ -275,7 +369,7 @@ TEST(ServerFallback, OnlyPartitionsHoldingAVariableExecuteIt) {
   EXPECT_EQ(run_op(*d, 0, kv_get(VarId{1})), ReplyCode::kOk);  // cache v1@P1
   EXPECT_EQ(run_op(*d, 1, kv_sum({VarId{0}, VarId{3}, VarId{1}}, VarId{0})), ReplyCode::kOk);
   d->engine().run_for(msec(100));  // every replica has applied the move
-  ASSERT_TRUE(d->server(0, 0).owns(VarId{1}));
+  ASSERT_TRUE(d->server(0, 0).store().owns(VarId{1}));
   const auto p0 = exec_totals(*d, 0);
   const auto p1 = exec_totals(*d, 1);
   const auto p2 = exec_totals(*d, 2);
@@ -330,7 +424,7 @@ TEST(ServerFallback, RetransmissionNeverExecutesWhereFirstDeliveryWasUninvolved)
 
   EXPECT_EQ(run_op(*d, 1, kv_sum({VarId{2}, VarId{5}, VarId{1}}, VarId{2})), ReplyCode::kOk);
   d->engine().run_for(msec(100));
-  ASSERT_TRUE(d->server(2, 0).owns(VarId{1}));
+  ASSERT_TRUE(d->server(2, 0).store().owns(VarId{1}));
   const auto p2 = exec_totals(*d, 2);
 
   d->client(0).amcast(all, payload);  // retransmission, fresh multicast id

@@ -80,18 +80,34 @@ TEST(ExecutionEngine, OnHeadRunsOnceBeforeReadyChecks) {
   EXPECT_TRUE(exec.idle());
 }
 
+/// One shipped variable.
+std::vector<std::pair<VarId, std::shared_ptr<const VarValue>>> ship(std::uint64_t v, int num) {
+  return {{VarId{v}, std::make_shared<kv::KvValue>(num, "")}};
+}
+
+int shipped_num(const ExecutionEngine& exec, std::uint64_t id, std::uint64_t v) {
+  const auto& shipped = exec.shipped(MsgId{id});
+  auto it = shipped.find(VarId{v});
+  if (it == shipped.end()) return -1;
+  return static_cast<int>(dynamic_cast<const kv::KvValue&>(*it->second).num);
+}
+
 TEST(ExecutionEngine, InputArrivingBeforeItsCommandCounts) {
   sim::Engine engine;
   ExecutionEngine exec{engine};
-  EXPECT_TRUE(exec.arrive(MsgId{1}, GroupId{4}));
+  EXPECT_TRUE(exec.arrive(MsgId{1}, GroupId{4}, ship(7, 70)));
   bool ran = false;
   exec.enqueue({.id = MsgId{1},
                 .awaits = groups({4}),
                 .service = usec(1),
                 .on_head = {},
-                .run = [&] { ran = true; }});
+                .run = [&] {
+                  ran = true;
+                  EXPECT_EQ(shipped_num(exec, 1, 7), 70);  // shipped before enqueue
+                }});
   engine.run_for(msec(1));
   EXPECT_TRUE(ran);
+  EXPECT_TRUE(exec.shipped(MsgId{1}).empty());
   // The run dropped the record: a reused id waits for fresh input.
   bool reran = false;
   exec.enqueue({.id = MsgId{1},
@@ -106,11 +122,40 @@ TEST(ExecutionEngine, InputArrivingBeforeItsCommandCounts) {
 TEST(ExecutionEngine, DuplicateArriveReturnsFalse) {
   sim::Engine engine;
   ExecutionEngine exec{engine};
-  EXPECT_TRUE(exec.arrive(MsgId{1}, GroupId{2}));
-  EXPECT_FALSE(exec.arrive(MsgId{1}, GroupId{2}));
-  EXPECT_TRUE(exec.arrive(MsgId{1}, GroupId{3}));
+  EXPECT_TRUE(exec.arrive(MsgId{1}, GroupId{2}, ship(5, 1)));
+  // Another replica of group 2: nothing it ships is stored.
+  EXPECT_FALSE(exec.arrive(MsgId{1}, GroupId{2}, ship(6, 2)));
+  EXPECT_EQ(shipped_num(exec, 1, 6), -1);
+  // A later group does not overwrite a variable already shipped.
+  EXPECT_TRUE(exec.arrive(MsgId{1}, GroupId{3}, ship(5, 3)));
+  EXPECT_EQ(shipped_num(exec, 1, 5), 1);
   exec.forget(MsgId{1});
+  EXPECT_TRUE(exec.shipped(MsgId{1}).empty());
   EXPECT_TRUE(exec.arrive(MsgId{1}, GroupId{2}));  // forgotten: new again
+}
+
+TEST(ExecutionEngine, PendingFromEnqueueUntilRunReturns) {
+  sim::Engine engine;
+  ExecutionEngine exec{engine};
+  bool pending_in_run = false;
+  exec.enqueue({.id = MsgId{1},
+                .awaits = groups({2}),
+                .service = usec(1),
+                .on_head = {},
+                .run = [&] { pending_in_run = exec.pending(MsgId{1}); }});
+  EXPECT_TRUE(exec.pending(MsgId{1}));
+  engine.run_for(msec(1));
+  EXPECT_TRUE(exec.pending(MsgId{1}));  // waiting for group 2
+  EXPECT_FALSE(exec.pending(MsgId{9}));
+  exec.arrive(MsgId{1}, GroupId{2});
+  engine.run_for(msec(1));
+  EXPECT_TRUE(pending_in_run);
+  EXPECT_FALSE(exec.pending(MsgId{1}));
+  // An input alone does not make a command pending, and id 0 keeps no record.
+  exec.arrive(MsgId{3}, GroupId{2});
+  EXPECT_FALSE(exec.pending(MsgId{3}));
+  exec.enqueue(plain(0, usec(1), [] {}));
+  EXPECT_FALSE(exec.pending(MsgId{0}));
 }
 
 TEST(ExecutionEngine, ZeroServiceTaskCompletes) {
@@ -142,10 +187,55 @@ TEST(VariableStore, PutGetTakeErase) {
   store.put(VarId{1}, std::make_unique<kv::KvValue>(5, "x"));
   ASSERT_TRUE(store.contains(VarId{1}));
   EXPECT_EQ(dynamic_cast<kv::KvValue*>(store.get(VarId{1}))->num, 5);
+  EXPECT_FALSE(store.owns(VarId{1}));  // a value alone is not ownership
   auto taken = store.take(VarId{1});
   ASSERT_NE(taken, nullptr);
   EXPECT_FALSE(store.contains(VarId{1}));
+  EXPECT_FALSE(store.holds(VarId{1}));
   EXPECT_EQ(store.take(VarId{1}), nullptr);
+}
+
+TEST(VariableStore, ClaimReleaseTakeDropsTheSlot) {
+  VariableStore store;
+  const VarId v{4};
+  store.claim(v, MsgId{10});  // owned, value still in flight
+  EXPECT_TRUE(store.owns(v));
+  EXPECT_TRUE(store.holds(v));
+  EXPECT_FALSE(store.contains(v));
+  store.put(v, std::make_unique<kv::KvValue>(1, ""));
+  EXPECT_TRUE(store.release(v));  // given up, value not yet shipped
+  EXPECT_FALSE(store.owns(v));
+  EXPECT_TRUE(store.holds(v));
+  EXPECT_TRUE(store.contains(v));
+  EXPECT_FALSE(store.release(v));  // nothing left to give up
+  EXPECT_NE(store.take(v), nullptr);
+  EXPECT_FALSE(store.holds(v));  // neither: the slot is gone
+  store.claim(v, MsgId{11});
+  EXPECT_TRUE(store.release(v));
+  EXPECT_FALSE(store.holds(v));  // released with no value: gone too
+}
+
+TEST(VariableStore, ReleaseByAnOldClaimIgnoresALaterClaim) {
+  VariableStore store;
+  const VarId v{4};
+  store.claim(v, MsgId{10});
+  store.claim(v, MsgId{11});
+  EXPECT_FALSE(store.release(v, MsgId{10}));
+  EXPECT_TRUE(store.owns(v));
+  EXPECT_TRUE(store.release(v, MsgId{11}));
+  EXPECT_FALSE(store.owns(v));
+}
+
+TEST(VariableStore, OwnedCountAndSortedOwnedVars) {
+  VariableStore store;
+  for (std::uint64_t v : {9, 3, 5}) store.claim(VarId{v}, MsgId{v});
+  store.claim(VarId{3}, MsgId{30});  // a re-claim is not a second variable
+  store.put(VarId{1}, std::make_unique<kv::KvValue>(1, ""));  // held, not owned
+  EXPECT_EQ(store.owned_count(), 3u);
+  EXPECT_EQ(store.owned_vars(), (std::vector<VarId>{VarId{3}, VarId{5}, VarId{9}}));
+  store.release(VarId{5});
+  EXPECT_EQ(store.owned_count(), 2u);
+  EXPECT_EQ(store.owned_vars(), (std::vector<VarId>{VarId{3}, VarId{9}}));
 }
 
 TEST(VariableStore, TotalBytesSumsValues) {

@@ -99,8 +99,6 @@ int main(int argc, char** argv) {
     dep.oracle_replicas = 2;
     dep.clients = 32;
     dep.strategy = dynastar ? core::Strategy::kDynaStar : core::Strategy::kDssmr;
-    dep.client_hints = dynastar;
-    dep.oracle.oracle_issues_moves = dynastar;
     dep.node.rmcast_relay = false;
     dep.seed = 42;
 

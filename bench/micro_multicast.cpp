@@ -137,7 +137,7 @@ struct MiniFabric {
     for (std::size_t g = 0; g < groups; ++g) {
       for (std::size_t r = 0; r < replicas; ++r, ++i) {
         nodes[i]->init_group_node(network, directory, GroupId{static_cast<std::uint32_t>(g)},
-                                  {}, 11 + i);
+                                  {}, nullptr, 11 + i);
       }
     }
     for (auto& n : nodes) n->start();

@@ -23,8 +23,6 @@ int main() {
   cfg.replicas_per_partition = 2;
   cfg.clients = 4;
   cfg.strategy = core::Strategy::kDynaStar;
-  cfg.client_hints = true;
-  cfg.oracle.oracle_issues_moves = true;
 
   core::DynaStarPolicy::Config pc;
   pc.repartition_every_hints = 60;

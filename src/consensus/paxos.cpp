@@ -8,6 +8,13 @@
 namespace dssmr::consensus {
 namespace {
 
+/// A leader heartbeats every kHeartbeatInterval; a follower that hears none
+/// for kElectionTimeout plus a random share of it stands for election.
+constexpr Duration kHeartbeatInterval = msec(20);
+constexpr Duration kElectionTimeout = msec(120);
+/// A leader re-sends its undecided proposals every kResendInterval.
+constexpr Duration kResendInterval = msec(40);
+
 std::size_t batch_bytes(const Batch& b) {
   std::size_t n = 16;
   for (const auto& e : b) n += 16 + (e.payload != nullptr ? e.payload->size_bytes() : 0);
@@ -104,7 +111,7 @@ void PaxosCore::broadcast(const net::MessagePtr& m) {
 void PaxosCore::arm_election_timer() {
   if (halted_) return;
   engine_.cancel(election_timer_);
-  const Duration t = cfg_.election_timeout + rng_.range(0, cfg_.election_timeout);
+  const Duration t = kElectionTimeout + rng_.range(0, kElectionTimeout);
   election_timer_ = engine_.schedule(t, [this] {
     election_timer_ = 0;
     if (halted_ || role_ == Role::Leader) return;
@@ -115,7 +122,7 @@ void PaxosCore::arm_election_timer() {
 void PaxosCore::arm_heartbeat_timer() {
   if (halted_ || role_ != Role::Leader) return;
   engine_.cancel(heartbeat_timer_);
-  heartbeat_timer_ = engine_.schedule(cfg_.heartbeat_interval, [this] {
+  heartbeat_timer_ = engine_.schedule(kHeartbeatInterval, [this] {
     heartbeat_timer_ = 0;
     if (halted_ || role_ != Role::Leader) return;
     broadcast(net::make_msg<HeartbeatMsg>(gid_, ballot_, next_deliver_ - 1));
@@ -126,7 +133,7 @@ void PaxosCore::arm_heartbeat_timer() {
 void PaxosCore::arm_resend_timer() {
   if (halted_ || role_ != Role::Leader) return;
   engine_.cancel(resend_timer_);
-  resend_timer_ = engine_.schedule(cfg_.resend_interval, [this] {
+  resend_timer_ = engine_.schedule(kResendInterval, [this] {
     resend_timer_ = 0;
     if (halted_ || role_ != Role::Leader) return;
     for (const auto& [slot, prop] : proposals_) {

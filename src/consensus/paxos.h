@@ -75,9 +75,6 @@ struct LogEntry {
 using Batch = std::vector<LogEntry>;
 
 struct PaxosConfig {
-  Duration heartbeat_interval = msec(20);
-  Duration election_timeout = msec(120);
-  Duration resend_interval = msec(40);
   Duration batch_delay = usec(100);
   std::size_t max_batch = 64;
   /// Decided slots kept behind the delivery point for catch-up.
@@ -298,8 +295,9 @@ class PaxosCore {
   /// Entry ids submitted while leading, so a duplicate is not proposed
   /// twice. Duplicates are the same entry submitted by each replica of a
   /// sending group, or re-answered after a timestamp query: they trail the
-  /// first copy by one round trip or one `ts_retry_interval`, and 4096 ids
-  /// spans far more than either at the benches' per-leader submit rates.
+  /// first copy by one round trip or one amcast timestamp-retry period, and
+  /// 4096 ids spans far more than either at the benches' per-leader submit
+  /// rates.
   /// Correctness does not rest on the window: the multicast layer drops a
   /// decided duplicate stamp or timestamp at delivery.
   BoundedSet<std::uint64_t> submitted_ids_{4096};

@@ -22,13 +22,6 @@ using stats::InstantKind;
 
 namespace {
 
-/// Sink for counter handles when no metrics object is wired (tests).
-/// thread_local: simulations on different sweep threads may share it.
-stats::Counter& dummy_counter() {
-  thread_local stats::Counter c;
-  return c;
-}
-
 /// Never-enabled event store standing in when no metrics object is wired:
 /// every record() on it returns at the enable check.
 stats::SpanStore& dummy_events() {
@@ -56,13 +49,13 @@ void ClientProxy::init_client(net::Network& network, const multicast::Directory&
   cfg_ = std::move(config);
   metrics_ = metrics;
   auto handle = [this](const char* name) {
-    return metrics_ != nullptr ? &metrics_->counter_handle(name) : &dummy_counter();
+    return metrics_ != nullptr ? &metrics_->counter_handle(name) : &stats::dummy_counter();
   };
   // Locality counters are interned only when their feature flag is on:
   // default-off runs must not materialize `locality.*` names (the run record
   // would grow a section and break byte-identity with pre-locality builds).
   auto gated = [&handle](bool on, const char* name) {
-    return on ? handle(name) : &dummy_counter();
+    return on ? handle(name) : &stats::dummy_counter();
   };
   ctr_ = {handle("client.ops"),       handle("client.consults"),
           handle("client.cache_hits"), handle("client.multi_partition"),
@@ -77,7 +70,7 @@ void ClientProxy::init_client(net::Network& network, const multicast::Directory&
     completions_series_ = &metrics_->series("client.completions");
     moves_series_ = &metrics_->series("moves_ts");
   }
-  DSSMR_ASSERT(!cfg_.partitions.empty());
+  DSSMR_ASSERT(cfg_.partitions != nullptr && !cfg_.partitions->empty());
   if (cfg_.strategy == Strategy::kStaticSsmr) {
     DSSMR_ASSERT_MSG(cfg_.static_map != nullptr, "S-SMR clients need a static map");
   } else {
@@ -403,9 +396,19 @@ void ClientProxy::do_fallback() {
                   cmd_.id.value, retries_);
   fallback_start_ = network().engine().now();
   DSSMR_ASSERT(cmd_.type == CommandType::kAccess);
-  send_command(cfg_.partition_universe != nullptr ? *cfg_.partition_universe
-                                                  : cfg_.partitions,
-               Phase::kAwaitFallback);
+  send_command(*cfg_.partitions, Phase::kAwaitFallback);
+}
+
+void ClientProxy::retry() {
+  ctr_.retries->inc();
+  ++retries_;
+  events().record(InstantKind::kRetry, network().engine().now(), pid().value, cmd_.id.value,
+                  retries_);
+  if (retries_ > cfg_.max_retries) {
+    do_fallback();
+  } else {
+    do_consult();
+  }
 }
 
 void ClientProxy::on_reply(ProcessId from, const net::MessagePtr& m) {
@@ -454,15 +457,7 @@ void ClientProxy::on_reply(ProcessId from, const net::MessagePtr& m) {
         // Failed move (stale mapping at the destination): same path as a
         // command retry — without this the timeout replays the identical
         // move forever and the S-SMR fallback is never reached.
-        ctr_.retries->inc();
-        ++retries_;
-        events().record(InstantKind::kRetry, network().engine().now(), pid().value,
-                        cmd_.id.value, retries_);
-        if (retries_ > cfg_.max_retries) {
-          do_fallback();
-        } else {
-          do_consult();
-        }
+        retry();
       }
       break;
     }
@@ -475,16 +470,8 @@ void ClientProxy::on_reply(ProcessId from, const net::MessagePtr& m) {
         network().engine().cancel(timeout_);
         timeout_ = 0;
         decompose_reply(*r);
-        ctr_.retries->inc();
         for (VarId v : cmd_.vars()) cache_.erase(v);
-        ++retries_;
-        events().record(InstantKind::kRetry, network().engine().now(), pid().value,
-                        cmd_.id.value, retries_);
-        if (retries_ > cfg_.max_retries) {
-          do_fallback();
-        } else {
-          do_consult();
-        }
+        retry();
       } else {
         decompose_reply(*r);
         finish(r->code, r->app_reply);
@@ -544,7 +531,10 @@ void ClientProxy::finish(ReplyCode code, const net::MessagePtr& app_reply) {
     root_span_ = 0;
   }
 
-  if (cfg_.send_hints && code == ReplyCode::kOk && !cmd_.hint_edges.empty()) {
+  // DynaStar's oracle places variables from the workload graph its clients
+  // report; DS-SMR's needs no workload knowledge.
+  if (cfg_.strategy == Strategy::kDynaStar && code == ReplyCode::kOk &&
+      !cmd_.hint_edges.empty()) {
     amcast({cfg_.oracle_group}, net::make_msg<HintMsg>(cmd_.hint_edges));
     ctr_.hints->inc();
   }

@@ -17,6 +17,8 @@
 //      mode the proxy multicasts a move command to {oracle} ∪ sources ∪
 //      {destination}; in DynaStar mode the oracle has already issued the move
 //      and the proxy waits for the destination partition's confirmation.
+//      DynaStar clients also report each completed command's workload hints
+//      to the oracle.
 //   3. Multicast the command to the single destination partition.
 //   4. A `retry` answer means the mapping changed under us: invalidate the
 //      cache and go back to 1. After `max_retries` attempts, fall back to
@@ -64,19 +66,15 @@ struct ClientConfig {
   int max_retries = 3;
   Duration op_timeout = msec(250);
   GroupId oracle_group = kNoGroup;
-  std::vector<GroupId> partitions;
-  /// Live partition universe for the S-SMR fallback under elastic
-  /// repartitioning. Points at the deployment's address-stable live-group
-  /// list: retired partitions drop out and added ones join, so a fallback
-  /// never waits on a drained group. nullptr (or in non-elastic runs,
-  /// identical contents) falls back to `partitions`.
-  const std::vector<GroupId>* partition_universe = nullptr;
+  /// The live partitions, where the S-SMR fallback goes. Points at the
+  /// deployment's address-stable live-group list: under elastic
+  /// repartitioning retired partitions drop out and added ones join, so a
+  /// fallback never waits on a drained group.
+  const std::vector<GroupId>* partitions = nullptr;
   /// Required for kStaticSsmr.
   std::shared_ptr<const StaticMap> static_map;
-  /// Send workload-graph hints to the oracle after commands that carry them.
-  bool send_hints = false;
-  /// Locality fast path (off by default; see OracleConfig::prefetch_k for
-  /// the oracle half): install the prophecy's piggybacked co-access
+  /// Locality fast path (off by default; see OracleNode::init_oracle's
+  /// `prefetch_k` for the oracle half): install the prophecy's piggybacked co-access
   /// neighbours into the location cache.
   bool prefetch = false;
 };
@@ -117,6 +115,10 @@ class ClientProxy : public multicast::ClientNode {
   void on_prophecy(const smr::ProphecyMsg& p);
   void send_dssmr_move(GroupId dest, const std::vector<GroupId>& sources);
   void send_command(std::vector<GroupId> dests, Phase next_phase);
+  /// One more attempt after a failed move or a kRetry/kRetired answer:
+  /// counts it, then falls back once `max_retries` are spent, else
+  /// re-consults.
+  void retry();
   void do_fallback();
   void finish(smr::ReplyCode code, const net::MessagePtr& app_reply);
   void arm_timeout();

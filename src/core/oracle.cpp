@@ -20,12 +20,12 @@ using smr::SignalMsg;
 
 namespace {
 
-/// Sink for counter handles when no metrics object is wired (tests).
-/// thread_local: simulations on different sweep threads may share it.
-stats::Counter& dummy_counter() {
-  thread_local stats::Counter c;
-  return c;
-}
+/// Simulated CPU cost of answering one consult.
+constexpr Duration kConsultService = usec(5);
+/// Simulated CPU cost of applying one command or hint batch.
+constexpr Duration kCommandService = usec(3);
+/// Variables per rebalance move command (one chunk = one kMove multicast).
+constexpr std::size_t kRebalanceChunk = 16;
 
 }  // namespace
 
@@ -38,18 +38,20 @@ MsgId derive_move_id(MsgId consult_id) {
 void OracleNode::init_oracle(net::Network& network, const multicast::Directory& directory,
                              GroupId gid, multicast::GroupNodeConfig node_config,
                              std::unique_ptr<OraclePolicy> policy,
-                             std::vector<GroupId> partitions, OracleConfig config,
-                             stats::Metrics* metrics, std::uint64_t seed) {
-  init_group_node(network, directory, gid, node_config, seed);
+                             std::vector<GroupId> partitions, bool issues_moves,
+                             std::size_t prefetch_k, bool elastic, stats::Metrics* metrics,
+                             std::uint64_t seed) {
+  init_group_node(network, directory, gid, node_config, metrics, seed);
   mapping_ = std::make_unique<Mapping>(partitions);
   policy_ = std::move(policy);
   DSSMR_ASSERT(policy_ != nullptr);
   exec_ = std::make_unique<smr::ExecutionEngine>(network.engine());
   partitions_ = std::move(partitions);
-  config_ = config;
-  metrics_ = metrics;
-  auto handle = [this](const char* name) {
-    return metrics_ != nullptr ? &metrics_->counter_handle(name) : &dummy_counter();
+  issues_moves_ = issues_moves;
+  prefetch_k_ = prefetch_k;
+  stats::Counter* const off = &stats::dummy_counter();
+  auto handle = [metrics, off](const char* name) {
+    return metrics != nullptr ? &metrics->counter_handle(name) : off;
   };
   ctr_ = {handle("oracle.consults"),     handle("oracle.creates"),
           handle("oracle.deletes"),      handle("oracle.moves_issued"),
@@ -57,16 +59,16 @@ void OracleNode::init_oracle(net::Network& network, const multicast::Directory& 
           // Locality counters are interned only when their feature is on:
           // interning creates the counter, and off-mode run records must stay
           // byte-identical to the pre-locality output.
-          config_.prefetch_k > 0 ? handle("locality.prefetch_sent") : &dummy_counter(),
+          prefetch_k > 0 ? handle("locality.prefetch_sent") : off,
           // Elastic counters follow the same rule: interned only when a scale
           // plan is armed, so non-elastic run records keep their exact bytes.
-          config_.elastic ? handle("elastic.partitions_added") : &dummy_counter(),
-          config_.elastic ? handle("elastic.partitions_retired") : &dummy_counter(),
-          config_.elastic ? handle("elastic.rebalance_moves") : &dummy_counter(),
-          config_.elastic ? handle("elastic.rebalance_vars") : &dummy_counter()};
-  if (metrics_ != nullptr) {
-    busy_series_ = &metrics_->series("oracle.busy_us");
-    moves_series_ = &metrics_->series("moves_ts");
+          elastic ? handle("elastic.partitions_added") : off,
+          elastic ? handle("elastic.partitions_retired") : off,
+          elastic ? handle("elastic.rebalance_moves") : off,
+          elastic ? handle("elastic.rebalance_vars") : off};
+  if (metrics != nullptr) {
+    busy_series_ = &metrics->series("oracle.busy_us");
+    moves_series_ = &metrics->series("moves_ts");
   }
 }
 
@@ -174,7 +176,7 @@ void OracleNode::handle_consult(ProcessId client, const ConsultMsg& consult) {
       // Same draining guard as place_new: collocation must target a live
       // partition even when the policy picks the (involved) draining one.
       if (!mapping_->is_live(prophecy->dest)) prophecy->dest = mapping_->least_loaded();
-      if (config_.oracle_issues_moves && is_leader()) {
+      if (issues_moves_ && is_leader()) {
         // DynaStar mode: the oracle collocates the variables itself. The move
         // id is derived from the consult id so the client can await the
         // destination partition's confirmation.
@@ -196,13 +198,13 @@ void OracleNode::handle_consult(ProcessId client, const ConsultMsg& consult) {
                        static_cast<std::int64_t>(prophecy->dest.value));
         if (moves_series_ != nullptr) moves_series_->add(engine().now());
       }
-      prophecy->oracle_moved = config_.oracle_issues_moves;
+      prophecy->oracle_moved = issues_moves_;
     } else if (cmd.type == CommandType::kAccess && dests.size() == 1) {
       prophecy->dest = dests[0];
     }
   }
 
-  if (config_.prefetch_k > 0 && cmd.type == CommandType::kAccess &&
+  if (prefetch_k_ > 0 && cmd.type == CommandType::kAccess &&
       prophecy->code == ReplyCode::kOk && is_leader()) {
     // The co-access table is leader-local soft state: most access consults
     // reach only the leader, so only the replica that answers feeds and
@@ -211,7 +213,7 @@ void OracleNode::handle_consult(ProcessId client, const ConsultMsg& consult) {
     // advisory like every cached location.
     policy_->note_co_access(cmd.vars());
     std::vector<VarId> candidates;
-    policy_->prefetch_candidates(cmd.vars(), config_.prefetch_k, candidates);
+    policy_->prefetch_candidates(cmd.vars(), prefetch_k_, candidates);
     for (VarId c : candidates) {
       const GroupId loc = mapping_->locate(c);
       if (loc == kNoGroup) continue;
@@ -221,19 +223,18 @@ void OracleNode::handle_consult(ProcessId client, const ConsultMsg& consult) {
   }
 
   const Time delivered = engine().now();
-  queue_reply_task(config_.consult_service, [this, client, prophecy,
-                                             tid = cmd.trace_id, delivered] {
+  queue_reply_task(kConsultService, [this, client, prophecy, tid = cmd.trace_id, delivered] {
     leader_action([this, client, prophecy, tid, delivered] {
       // Server-side view of consult handling (delivery -> prophecy sent); the
       // client's folded kConsult span covers this window end to end.
-      if (metrics_ != nullptr && tid != 0 && metrics_->spans().enabled()) {
-        metrics_->spans().record({.trace_id = tid,
-                                  .phase = stats::SpanPhase::kOracle,
-                                  .start = delivered,
-                                  .end = engine().now(),
-                                  .node = pid().value,
-                                  .group = group()},
-                                 /*fold=*/false);
+      if (metrics() != nullptr && tid != 0 && metrics()->spans().enabled()) {
+        metrics()->spans().record({.trace_id = tid,
+                                   .phase = stats::SpanPhase::kOracle,
+                                   .start = delivered,
+                                   .end = engine().now(),
+                                   .node = pid().value,
+                                   .group = group()},
+                                  /*fold=*/false);
       }
       send_direct(client, prophecy);
     });
@@ -276,10 +277,10 @@ void OracleNode::handle_create_delete(const multicast::AmcastMessage& m, const C
   common::SmallSet<GroupId> awaits;
   if (outcome == ReplyCode::kOk && target != kNoGroup) awaits.insert(target);
   queue_reply_task(
-      config_.command_service,
+      kCommandService,
       [this, id = cmd.id, client, outcome, delivered] {
         const Time exec_end = engine().now();
-        const ReplyTiming timing{delivered, exec_end - config_.command_service, exec_end};
+        const ReplyTiming timing{delivered, exec_end - kCommandService, exec_end};
         completed_.put(id, CachedReply{outcome, timing});
         send_reply(client, net::make_msg<ReplyMsg>(id, outcome, group(), nullptr, timing));
       },
@@ -298,7 +299,7 @@ void OracleNode::handle_move(const Command& cmd) {
     }
   }
   bump(ctr_.moves_applied);
-  queue_reply_task(config_.command_service, [] {});
+  queue_reply_task(kCommandService, [] {});
 }
 
 void OracleNode::submit_reconfig(GroupId partition, std::uint32_t op) {
@@ -339,7 +340,7 @@ void OracleNode::handle_reconfig(const Command& cmd) {
     // idempotent, so each sweep only moves the leftovers.
     if (is_leader()) plan_drain(target);
   }
-  queue_reply_task(config_.command_service, [] {});
+  queue_reply_task(kCommandService, [] {});
 }
 
 void OracleNode::plan_rebalance_in(GroupId target) {
@@ -366,8 +367,8 @@ void OracleNode::plan_rebalance_in(GroupId target) {
     mapping_->vars_on(donor, vars);
     vars.resize(static_cast<std::size_t>(take));
     deficit -= take;
-    for (std::size_t i = 0; i < vars.size(); i += config_.rebalance_chunk) {
-      const std::size_t n = std::min(config_.rebalance_chunk, vars.size() - i);
+    for (std::size_t i = 0; i < vars.size(); i += kRebalanceChunk) {
+      const std::size_t n = std::min(kRebalanceChunk, vars.size() - i);
       issue_rebalance_move(
           donor, target,
           std::vector<VarId>(vars.begin() + static_cast<std::ptrdiff_t>(i),
@@ -390,8 +391,8 @@ void OracleNode::plan_drain(GroupId retiring) {
     loads.push_back(mapping_->load(p));
   }
   DSSMR_ASSERT_MSG(!live.empty(), "draining the last live partition");
-  for (std::size_t i = 0; i < vars.size(); i += config_.rebalance_chunk) {
-    const std::size_t n = std::min(config_.rebalance_chunk, vars.size() - i);
+  for (std::size_t i = 0; i < vars.size(); i += kRebalanceChunk) {
+    const std::size_t n = std::min(kRebalanceChunk, vars.size() - i);
     std::size_t best = 0;
     for (std::size_t j = 1; j < live.size(); ++j) {
       if (loads[j] < loads[best]) best = j;
@@ -415,8 +416,8 @@ void OracleNode::issue_rebalance_move(GroupId from, GroupId to, std::vector<VarI
   bump(ctr_.rebalance_moves);
   if (is_leader()) {
     ctr_.rebalance_vars->inc(move.write_set.size());
-    if (metrics_ != nullptr) {
-      metrics_->histogram("elastic.rebalance_entries")
+    if (metrics() != nullptr) {
+      metrics()->histogram("elastic.rebalance_entries")
           .record(static_cast<std::int64_t>(move.write_set.size()));
     }
   }
@@ -437,7 +438,7 @@ void OracleNode::handle_hint(const HintMsg& hint) {
     record_instant(stats::InstantKind::kMark, 0, 0,
                    "repartition #" + std::to_string(policy_->repartition_count()));
   }
-  queue_reply_task(config_.command_service, [] {});
+  queue_reply_task(kCommandService, [] {});
 }
 
 void OracleNode::on_rmdeliver(ProcessId origin, const net::MessagePtr& payload) {

@@ -19,8 +19,8 @@
 // Placement decisions are delegated to an OraclePolicy: the DS-SMR policy
 // needs no workload knowledge; the DynaStar-style policy (an extension, see
 // DESIGN.md) maintains a workload graph and a graph-partitioner-computed
-// ideal partitioning, and — when `oracle_issues_moves` is set — the oracle
-// leader multicasts the move itself instead of leaving it to the client.
+// ideal partitioning. Under the DynaStar strategy the oracle leader also
+// multicasts the move itself instead of leaving it to the client.
 #pragma once
 
 #include <cstdint>
@@ -38,24 +38,6 @@
 
 namespace dssmr::core {
 
-struct OracleConfig {
-  /// DynaStar mode: the oracle issues collocation moves itself.
-  bool oracle_issues_moves = false;
-  /// Simulated CPU cost of answering one consult.
-  Duration consult_service = usec(5);
-  /// Simulated CPU cost of applying one command / hint batch.
-  Duration command_service = usec(3);
-  /// Locality fast path, prophecy prefetch (0 = off; see DESIGN.md):
-  /// prophecies carry up to this many co-accessed prefetch entries.
-  std::size_t prefetch_k = 0;
-  /// Elastic repartitioning armed (a ScalePlan may deliver membership
-  /// records). Gates the interning of the elastic.* counters so non-elastic
-  /// run records stay byte-identical to the pre-elasticity output.
-  bool elastic = false;
-  /// Variables per rebalance move command (one chunk = one kMove multicast).
-  std::size_t rebalance_chunk = 16;
-};
-
 /// Command::op values of a kReconfig membership record.
 inline constexpr std::uint32_t kReconfigAdd = 0;
 inline constexpr std::uint32_t kReconfigRetire = 1;
@@ -66,10 +48,17 @@ MsgId derive_move_id(MsgId consult_id);
 
 class OracleNode : public multicast::GroupNode {
  public:
+  /// `issues_moves` (DynaStar): the leader multicasts the collocation move a
+  /// consult calls for itself, instead of leaving it to the client.
+  /// `prefetch_k` > 0: prophecies carry up to that many co-accessed prefetch
+  /// entries (see DESIGN.md). `elastic`: a ScalePlan may deliver membership
+  /// records; only then are the elastic.* counters interned, so non-elastic
+  /// run records stay byte-identical to the pre-elasticity output.
   void init_oracle(net::Network& network, const multicast::Directory& directory, GroupId gid,
                    multicast::GroupNodeConfig node_config,
                    std::unique_ptr<OraclePolicy> policy, std::vector<GroupId> partitions,
-                   OracleConfig config, stats::Metrics* metrics, std::uint64_t seed);
+                   bool issues_moves, std::size_t prefetch_k, bool elastic,
+                   stats::Metrics* metrics, std::uint64_t seed);
 
   /// Pre-registers a variable's location (initial state distribution).
   void preload(VarId v, GroupId p);
@@ -133,8 +122,8 @@ class OracleNode : public multicast::GroupNode {
   std::unique_ptr<OraclePolicy> policy_;
   std::unique_ptr<smr::ExecutionEngine> exec_;
   std::vector<GroupId> partitions_;
-  OracleConfig config_;
-  stats::Metrics* metrics_ = nullptr;
+  bool issues_moves_ = false;
+  std::size_t prefetch_k_ = 0;
   BoundedMap<MsgId, CachedReply> completed_{1 << 15};
 
   /// Interned counter handles (see ClientProxy::Counters): consults and hints

@@ -19,29 +19,28 @@ using stats::SpanPhase;
 
 namespace {
 
-/// thread_local: simulations on different sweep threads may share it.
-stats::Counter& dummy_counter() {
-  thread_local stats::Counter c;
-  return c;
-}
+/// CPU cost of shipping one variable during a move (plus one for the move).
+constexpr Duration kMoveServicePerVar = usec(2);
+/// CPU cost of installing a created or deleted variable.
+constexpr Duration kCreateDeleteService = usec(5);
 
 }  // namespace
 
 void PartitionServer::init_partition(net::Network& network,
                                      const multicast::Directory& directory, GroupId gid,
+                                     GroupId oracle_group,
                                      multicast::GroupNodeConfig node_config,
                                      const smr::AppFactory& app_factory,
                                      PartitionServerConfig config, stats::Metrics* metrics,
                                      std::uint64_t seed) {
-  init_group_node(network, directory, gid, node_config, seed);
+  init_group_node(network, directory, gid, node_config, metrics, seed);
   app_ = app_factory();
   DSSMR_ASSERT(app_ != nullptr);
   exec_ = std::make_unique<smr::ExecutionEngine>(network.engine());
-  config_ = config;
-  completed_ = BoundedSet<MsgId>{config_.reply_cache_capacity};
-  metrics_ = metrics;
-  auto handle = [this](const char* name) {
-    return metrics_ != nullptr ? &metrics_->counter_handle(name) : &dummy_counter();
+  oracle_group_ = oracle_group;
+  completed_ = BoundedSet<MsgId>{config.reply_cache_capacity};
+  auto handle = [metrics](const char* name) {
+    return metrics != nullptr ? &metrics->counter_handle(name) : &stats::dummy_counter();
   };
   ctr_ = {handle("server.retries_issued"),
           handle("server.single_partition_commands"),
@@ -64,13 +63,13 @@ void PartitionServer::bump(stats::Counter* c) {
 }
 
 void PartitionServer::heat_command(bool multi) {
-  if (metrics_ == nullptr || !is_leader()) return;
-  metrics_->recorder().record_command(engine().now(), heat_index(), multi);
+  if (metrics() == nullptr || !is_leader()) return;
+  metrics()->recorder().record_command(engine().now(), heat_index(), multi);
 }
 
 void PartitionServer::heat_move() {
-  if (metrics_ == nullptr || !is_leader()) return;
-  metrics_->recorder().record_move(engine().now(), heat_index());
+  if (metrics() == nullptr || !is_leader()) return;
+  metrics()->recorder().record_move(engine().now(), heat_index());
 }
 
 std::size_t PartitionServer::heat_index() const {
@@ -78,13 +77,13 @@ std::size_t PartitionServer::heat_index() const {
   // so elastically added partitions (gid > oracle) shift down by one. Initial
   // partitions (gid < oracle) keep their gid as index, unchanged from the
   // pre-elasticity layout.
-  return group().value < config_.oracle_group.value ? group().value : group().value - 1;
+  return group().value < oracle_group_.value ? group().value : group().value - 1;
 }
 
 void PartitionServer::span(SpanPhase p, std::uint64_t trace_id, Time start, Time end,
                            std::int64_t arg) {
-  if (metrics_ == nullptr || trace_id == 0 || !is_leader()) return;
-  stats::SpanStore& sp = metrics_->spans();
+  if (metrics() == nullptr || trace_id == 0 || !is_leader()) return;
+  stats::SpanStore& sp = metrics()->spans();
   if (!sp.enabled()) return;
   sp.record({.trace_id = trace_id,
              .phase = p,
@@ -249,7 +248,7 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m, co
   const Time delivered = engine().now();
   common::SmallSet<GroupId> others;  // sorted, like m.dests
   for (GroupId g : m.dests) {
-    if (g != group() && g != config_.oracle_group) others.insert(g);
+    if (g != group() && g != oracle_group_) others.insert(g);
   }
 
   // Uninvolved: no slot of our store holds any of the command's variables
@@ -268,7 +267,7 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m, co
       std::any_of(vars.begin(), vars.end(), [this](VarId v) { return store_.holds(v); });
   if (!involved) {
     // By name, not interned at init: runs without fallbacks keep their counters.
-    if (is_leader() && metrics_ != nullptr) metrics_->inc("server.fallback_uninvolved");
+    if (is_leader() && metrics() != nullptr) metrics()->inc("server.fallback_uninvolved");
     if (!others.empty()) {
       rmcast({others.begin(), others.end()},
              net::make_msg<VarShipMsg>(cmd.id, group(), /*is_move=*/false,
@@ -328,7 +327,7 @@ void PartitionServer::deliver_move(const Command& cmd, ProcessId client) {
     heat_move();
     execute(
         cmd.id, cmd.trace_id, delivered,
-        config_.move_service_per_var * static_cast<Duration>(mine.size() + 1), {},
+        kMoveServicePerVar * static_cast<Duration>(mine.size() + 1), {},
         [this, mine, dest = cmd.move_dest, id = cmd.id](const ReplyTiming&) {
           std::vector<std::pair<VarId, std::shared_ptr<const smr::VarValue>>> ship;
           for (VarId v : mine) {
@@ -354,7 +353,7 @@ void PartitionServer::deliver_move(const Command& cmd, ProcessId client) {
   heat_move();
   execute(
       cmd.id, cmd.trace_id, delivered,
-      config_.move_service_per_var * static_cast<Duration>(vars.size() + 1), std::move(sources),
+      kMoveServicePerVar * static_cast<Duration>(vars.size() + 1), std::move(sources),
       [this, vars, client, id = cmd.id](const ReplyTiming& timing) {
         const auto& shipped = exec_->shipped(id);
         std::vector<VarId> installed;
@@ -398,12 +397,12 @@ void PartitionServer::deliver_create(const Command& cmd) {
   if (store_.owns(v)) {
     // Duplicate create (raced consults); the oracle answers nok. Still signal
     // so the oracle's wait terminates.
-    rmcast({config_.oracle_group}, net::make_msg<SignalMsg>(cmd.id, group()));
+    rmcast({oracle_group_}, net::make_msg<SignalMsg>(cmd.id, group()));
     return;
   }
   store_.claim(v, cmd.id);
   bump(ctr_.creates);
-  execute(cmd.id, cmd.trace_id, engine().now(), config_.create_delete_service, {},
+  execute(cmd.id, cmd.trace_id, engine().now(), kCreateDeleteService, {},
           [this, v, id = cmd.id](const ReplyTiming&) {
             // Not gated on ownership: a move-out or delete delivered since has
             // its task queued behind this one, and takes the value from there.
@@ -411,7 +410,7 @@ void PartitionServer::deliver_create(const Command& cmd) {
             if (!store_.contains(v)) store_.put(v, app_->make_default(v));
             // Execution-atomicity signal: the oracle replies to the client
             // only after the partition has applied the create.
-            rmcast({config_.oracle_group}, net::make_msg<SignalMsg>(id, group()));
+            rmcast({oracle_group_}, net::make_msg<SignalMsg>(id, group()));
           });
 }
 
@@ -420,10 +419,10 @@ void PartitionServer::deliver_delete(const Command& cmd) {
   const VarId v = cmd.write_set[0];
   store_.release(v);
   bump(ctr_.deletes);
-  execute(cmd.id, cmd.trace_id, engine().now(), config_.create_delete_service, {},
+  execute(cmd.id, cmd.trace_id, engine().now(), kCreateDeleteService, {},
           [this, v, id = cmd.id](const ReplyTiming&) {
             store_.take(v);
-            rmcast({config_.oracle_group}, net::make_msg<SignalMsg>(id, group()));
+            rmcast({oracle_group_}, net::make_msg<SignalMsg>(id, group()));
           });
 }
 

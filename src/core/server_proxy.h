@@ -53,12 +53,6 @@
 namespace dssmr::core {
 
 struct PartitionServerConfig {
-  /// CPU cost of shipping one variable during a move.
-  Duration move_service_per_var = usec(2);
-  /// CPU cost of installing a created/deleted variable.
-  Duration create_delete_service = usec(5);
-  /// Oracle group (destination of create/delete signals).
-  GroupId oracle_group = kNoGroup;
   /// Capacity of the bounded window of settled commands (`completed_`).
   /// Tests shrink it to force eviction and exercise the per-requester dedup
   /// fallback.
@@ -67,8 +61,9 @@ struct PartitionServerConfig {
 
 class PartitionServer : public multicast::GroupNode {
  public:
+  /// `oracle_group` is where create/delete signals go.
   void init_partition(net::Network& network, const multicast::Directory& directory,
-                      GroupId gid, multicast::GroupNodeConfig node_config,
+                      GroupId gid, GroupId oracle_group, multicast::GroupNodeConfig node_config,
                       const smr::AppFactory& app_factory, PartitionServerConfig config,
                       stats::Metrics* metrics, std::uint64_t seed);
 
@@ -193,8 +188,7 @@ class PartitionServer : public multicast::GroupNode {
     Settled move;
   };
   common::FlatMap<ProcessId, Session> sessions_;
-  PartitionServerConfig config_;
-  stats::Metrics* metrics_ = nullptr;
+  GroupId oracle_group_ = kNoGroup;
   /// See set_retired().
   bool retired_ = false;
 

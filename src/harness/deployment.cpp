@@ -14,7 +14,6 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
       app_factory_(std::move(app_factory)),
       policy_factory_(std::move(policy_factory)),
       network_(engine_, config.net, config.seed),
-      metrics_(config.metrics_bucket),
       static_map_(std::make_shared<core::StaticMap>()) {
   DSSMR_ASSERT(config_.partitions >= 1);
   DSSMR_ASSERT(config_.replicas_per_partition >= 1);
@@ -34,8 +33,6 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
     metrics_.spans().set_group_name(oracle_gid(), "oracle");
   }
 
-  config_.server.oracle_group = GroupId{static_cast<std::uint32_t>(config_.partitions)};
-
   // Batching/pipelining knobs fan into the per-node configs before any node
   // is initialized. batch_size == 0 leaves both configs at their defaults,
   // so the deployment stays byte-identical to the pre-batching layout.
@@ -43,22 +40,8 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
   config_.node.batching.batch_delay = config_.batch_delay;
   config_.node.paxos.pipeline_depth = config_.pipeline_depth;
 
-  // Prophecy prefetch: the oracle attaches candidates, clients install them.
-  config_.oracle.prefetch_k = config_.prefetch_k;
-
-  // Register partition replicas: partition i lives in rack i % 2 (two
-  // switches in the paper's testbed).
   for (std::size_t p = 0; p < config_.partitions; ++p) {
-    std::vector<ProcessId> members;
-    for (std::size_t r = 0; r < config_.replicas_per_partition; ++r) {
-      auto node = std::make_unique<core::PartitionServer>();
-      members.push_back(network_.add_process(*node, static_cast<int>(p % 2)));
-      servers_.push_back(std::move(node));
-    }
-    directory_.add_group(std::move(members));
-    static_map_->partitions.push_back(partition_gid(p));
-    live_partition_gids_.push_back(partition_gid(p));
-    retired_.push_back(false);
+    static_map_->partitions.push_back(register_partition(p));
   }
 
   // Oracle group, rack 0.
@@ -71,22 +54,14 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
     }
     directory_.add_group(std::move(members));
   }
-
-  // Init nodes now that the directory is complete.
-  for (std::size_t p = 0; p < config_.partitions; ++p) {
-    for (std::size_t r = 0; r < config_.replicas_per_partition; ++r) {
-      server(p, r).init_partition(network_, directory_, partition_gid(p), config_.node,
-                                  app_factory_, config_.server, &metrics_,
-                                  config_.seed * 7919 + p * 131 + r);
-      server(p, r).set_metrics(&metrics_);
-    }
-  }
+  // The strategy alone selects DynaStar: its oracle issues the moves (and
+  // its clients send the workload hints, see ClientProxy::finish).
+  const bool dynastar = config_.strategy == core::Strategy::kDynaStar;
   for (std::size_t r = 0; r < config_.oracle_replicas; ++r) {
     DSSMR_ASSERT(policy_factory_ != nullptr);
     oracles_[r]->init_oracle(network_, directory_, oracle_gid(), config_.node,
-                             policy_factory_(), partition_gids(), config_.oracle, &metrics_,
-                             config_.seed * 104729 + r);
-    oracles_[r]->set_metrics(&metrics_);
+                             policy_factory_(), partition_gids(), dynastar, config_.prefetch_k,
+                             config_.elastic, &metrics_, config_.seed * 104729 + r);
   }
 
   // Client-tier batch relays, one per rack, only when batching is on (the
@@ -108,12 +83,8 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
   ccfg.max_retries = config_.client_max_retries;
   ccfg.op_timeout = config_.client_timeout;
   ccfg.oracle_group = oracle_gid();
-  ccfg.partitions = partition_gids();
-  // Fallback universe tracks elastic membership; initially identical to
-  // ccfg.partitions, so non-elastic runs behave (and serialize) the same.
-  ccfg.partition_universe = &live_partition_gids_;
+  ccfg.partitions = &live_partition_gids_;
   ccfg.static_map = static_map_;
-  ccfg.send_hints = config_.client_hints;
   ccfg.prefetch = config_.prefetch_k > 0;
   for (std::size_t c = 0; c < config_.clients; ++c) {
     auto client = std::make_unique<core::ClientProxy>();
@@ -257,8 +228,8 @@ core::PartitionServer& Deployment::server(std::size_t partition, std::size_t rep
   return *servers_[partition * config_.replicas_per_partition + replica];
 }
 
-GroupId Deployment::add_partition() {
-  const std::size_t p = partition_count();
+GroupId Deployment::register_partition(std::size_t p) {
+  // Partition p lives in rack p % 2 (two switches in the paper's testbed).
   std::vector<ProcessId> members;
   for (std::size_t r = 0; r < config_.replicas_per_partition; ++r) {
     auto node = std::make_unique<core::PartitionServer>();
@@ -266,21 +237,27 @@ GroupId Deployment::add_partition() {
     servers_.push_back(std::move(node));
   }
   const GroupId gid = directory_.add_group(std::move(members));
-  // The directory hands out dense ids; the oracle group registered right
+  // The directory hands out dense ids; the oracle group registers right
   // after the initial partitions, so the next id is exactly partition_gid(p)
   // (which skips the oracle's reserved band).
   DSSMR_ASSERT(gid == partition_gid(p));
-  if (config_.spans) {
-    metrics_.spans().set_group_name(gid, "partition " + std::to_string(p));
-  }
   for (std::size_t r = 0; r < config_.replicas_per_partition; ++r) {
-    server(p, r).init_partition(network_, directory_, gid, config_.node, app_factory_,
-                                config_.server, &metrics_, config_.seed * 7919 + p * 131 + r);
-    server(p, r).set_metrics(&metrics_);
-    server(p, r).start();
+    server(p, r).init_partition(network_, directory_, gid, oracle_gid(), config_.node,
+                                app_factory_, config_.server, &metrics_,
+                                config_.seed * 7919 + p * 131 + r);
   }
   live_partition_gids_.push_back(gid);
   retired_.push_back(false);
+  return gid;
+}
+
+GroupId Deployment::add_partition() {
+  const std::size_t p = partition_count();
+  if (config_.spans) {
+    metrics_.spans().set_group_name(partition_gid(p), "partition " + std::to_string(p));
+  }
+  const GroupId gid = register_partition(p);
+  for (std::size_t r = 0; r < config_.replicas_per_partition; ++r) server(p, r).start();
   return gid;
 }
 

@@ -35,24 +35,23 @@ struct DeploymentConfig : Knobs {
   std::size_t replicas_per_partition = 3;
   std::size_t oracle_replicas = 3;
   std::size_t clients = 10;
+  /// Also the one switch for DynaStar: under kDynaStar clients send workload
+  /// hints and the oracle issues the moves; under kDssmr clients issue them.
   core::Strategy strategy = core::Strategy::kDssmr;
 
   net::NetworkConfig net;
   multicast::GroupNodeConfig node;
   core::PartitionServerConfig server;
-  core::OracleConfig oracle;
 
   bool client_cache = true;
   int client_max_retries = 3;
   Duration client_timeout = msec(250);
-  bool client_hints = false;
 
-  Duration metrics_bucket = sec(1);
   std::uint64_t seed = 1;
 
   /// Elastic repartitioning (a ScalePlan will add/retire partitions mid-run).
-  /// Off by default; when off, no elastic gauge registers and the deployment
-  /// is byte-identical to a build without elasticity.
+  /// Off by default; when off, no elastic counter or gauge registers and the
+  /// deployment is byte-identical to a build without elasticity.
   bool elastic = false;
 };
 
@@ -145,6 +144,9 @@ class Deployment {
   std::vector<std::string> audit_consistency();
 
  private:
+  /// Registers partition p's replicas (rack p % 2) and its multicast group
+  /// and inits them; returns the group's id, partition_gid(p).
+  GroupId register_partition(std::size_t p);
   /// Registers the standard gauge set with the recorder (queue depths,
   /// in-flight messages, cache occupancy, pending amcast, oracle state).
   void register_telemetry_gauges();

@@ -117,8 +117,6 @@ RunResult run_chirper(const ChirperRunConfig& cfg) {
   dep.node.rmcast_relay = cfg.rmcast_relay;
   dep.client_cache = cfg.client_cache;
   dep.seed = cfg.seed;
-  dep.client_hints = cfg.strategy == core::Strategy::kDynaStar;
-  dep.oracle.oracle_issues_moves = cfg.strategy == core::Strategy::kDynaStar;
 
   const auto k = static_cast<std::uint32_t>(cfg.partitions);
   PolicyFactory policy_factory;

@@ -204,7 +204,6 @@ void apply_knobs(const RunKnobs& knobs, DeploymentConfig& dep) {
   // partition-count gauge, so it is set only when a plan is actually armed —
   // scale-plan-free runs stay byte-identical to the pre-elasticity output.
   dep.elastic = !knobs.scale_plan.empty();
-  dep.oracle.elastic = dep.elastic;
 }
 
 void add_knob_meta(const RunKnobs& knobs, stats::RunRecord& rec) {

@@ -11,19 +11,16 @@ namespace {
 
 constexpr std::uint64_t kStampSalt = 0x57a3;
 constexpr std::uint64_t kTsSalt = 0x75e0;
+/// A leader re-pushes its unfinished timestamps every kTsRetryInterval, and
+/// also re-disseminates the stamp of one pending for two periods.
+constexpr Duration kTsRetryInterval = msec(50);
 
 }  // namespace
 
 // ---- AmcastCore ------------------------------------------------------------
 
-AmcastCore::AmcastCore(sim::Engine& engine, GroupId self_group, Callbacks callbacks,
-                       Duration ts_retry_interval)
-    : engine_(engine),
-      self_group_(self_group),
-      cb_(std::move(callbacks)),
-      ts_retry_interval_(ts_retry_interval) {
-  DSSMR_ASSERT(cb_.deliver != nullptr && cb_.submit_remote != nullptr &&
-               cb_.query_ts != nullptr && cb_.is_leader != nullptr);
+AmcastCore::AmcastCore(GroupNode& node)
+    : node_(node), engine_(node.engine()), self_group_(node.group()) {
   arm_retry_timer();
 }
 
@@ -94,20 +91,20 @@ void AmcastCore::maybe_finalize(Pending& p) {
 }
 
 void AmcastCore::push_ts(MsgId mid, const Pending& p, bool pull_missing) {
-  if (halted_ || !cb_.is_leader() || !p.msg || !p.local_ts) return;
+  if (halted_ || !node_.is_leader() || !p.msg || !p.local_ts) return;
   for (GroupId g : p.msg->dests) {
     if (g == self_group_) continue;
     consensus::LogEntry entry{derive_entry_id(mid, g, kTsSalt + self_group_.value),
                               net::make_msg<TsEntry>(mid, self_group_, *p.local_ts)};
-    cb_.submit_remote(g, std::move(entry));
+    node_.submit_local_or_remote(g, std::move(entry));
     if (pull_missing && !p.ts.contains(g)) {
       // The peer group may never have received the stamp at all (the
       // submitter's messages were lost). Re-disseminate the stamp — we hold
       // the full message — and also ask for the timestamp in case the group
       // stamped it long ago and only the TsEntry got lost.
-      cb_.submit_remote(g, consensus::LogEntry{derive_entry_id(mid, g, kStampSalt),
-                                               net::make_msg<StampEntry>(*p.msg)});
-      cb_.query_ts(g, mid);
+      node_.submit_local_or_remote(g, consensus::LogEntry{derive_entry_id(mid, g, kStampSalt),
+                                                          net::make_msg<StampEntry>(*p.msg)});
+      node_.query_ts(g, mid);
     }
   }
 }
@@ -128,14 +125,14 @@ void AmcastCore::on_gained_leadership() {
 
 void AmcastCore::arm_retry_timer() {
   if (halted_) return;
-  retry_timer_ = engine_.schedule(ts_retry_interval_, [this] {
+  retry_timer_ = engine_.schedule(kTsRetryInterval, [this] {
     retry_timer_ = 0;
     if (halted_) return;
-    if (cb_.is_leader()) {
+    if (node_.is_leader()) {
       const Time now = engine_.now();
       for (const auto& [mid, p] : pending_) {
         if (!p.local_ts || p.final_ts) continue;
-        const bool stale = now - p.stamped_at > 2 * ts_retry_interval_;
+        const bool stale = now - p.stamped_at > 2 * kTsRetryInterval;
         push_ts(mid, p, /*pull_missing=*/stale);
       }
     }
@@ -165,19 +162,22 @@ void AmcastCore::try_deliver() {
     if (!msg.single_group()) delivered_ts_.put(best_id, *best->local_ts);
     pending_.erase(best_id);
     ++delivered_count_;
-    cb_.deliver(msg, stamped_at);
+    node_.deliver_amcast(msg, stamped_at);
   }
 }
 
 // ---- GroupNode -------------------------------------------------------------
 
 void GroupNode::init_group_node(net::Network& network, const Directory& directory,
-                                GroupId gid, GroupNodeConfig config, std::uint64_t seed) {
+                                GroupId gid, GroupNodeConfig config, stats::Metrics* metrics,
+                                std::uint64_t seed) {
   DSSMR_ASSERT_MSG(pid() != kNoProcess, "register the node with the network first");
   network_ = &network;
   directory_ = &directory;
   gid_ = gid;
   config_ = config;
+  metrics_ = metrics;
+  delivered_ctr_ = metrics != nullptr ? &metrics->counter_handle("amcast.delivered") : nullptr;
 
   consensus::PaxosCore::Callbacks pcb;
   pcb.send = [this](ProcessId to, net::MessagePtr m) {
@@ -201,41 +201,7 @@ void GroupNode::init_group_node(net::Network& network, const Directory& director
       network.engine(), gid, std::vector<ProcessId>(members.begin(), members.end()), pid(),
       config.paxos, std::move(pcb), seed);
 
-  AmcastCore::Callbacks acb;
-  acb.deliver = [this](const AmcastMessage& m, Time stamped_at) {
-    // Leader-gated so one event is recorded per group delivery, not one per
-    // replica (matching the leader-gated metrics counters).
-    const bool leading = paxos_->is_leader();
-    if (delivered_ctr_ != nullptr && leading) delivered_ctr_->inc();
-    record_instant(stats::InstantKind::kAmcastDeliver, m.id.value,
-                   static_cast<std::int64_t>(m.dests.size()));
-    if (metrics_ != nullptr && metrics_->spans().enabled() && leading) {
-      // This group's view of the multicast: stamp -> atomic delivery. The
-      // client folds its own end-to-end amcast phase; these server-side spans
-      // stay unfolded (one per destination group, they would double-count).
-      if (const std::uint64_t tid = m.payload->trace_id(); tid != 0) {
-        metrics_->spans().record({.trace_id = tid,
-                                  .phase = stats::SpanPhase::kAmcast,
-                                  .start = stamped_at,
-                                  .end = network_->engine().now(),
-                                  .node = pid().value,
-                                  .group = gid_,
-                                  .arg = static_cast<std::int64_t>(m.dests.size())},
-                                 /*fold=*/false);
-      }
-    }
-    on_amdeliver(m);
-  };
-  acb.submit_remote = [this](GroupId g, consensus::LogEntry entry) {
-    submit_local_or_remote(g, std::move(entry));
-  };
-  acb.query_ts = [this](GroupId g, MsgId mid) {
-    auto q = net::make_msg<TsQuery>(mid, gid_);
-    for (ProcessId p : directory_->members(g)) network_->send(pid(), p, q);
-  };
-  acb.is_leader = [this] { return paxos_->is_leader(); };
-  amcast_ = std::make_unique<AmcastCore>(network.engine(), gid, std::move(acb),
-                                         config.ts_retry_interval);
+  amcast_ = std::make_unique<AmcastCore>(*this);
 
   rmcast_ = std::make_unique<RmcastEngine>(
       network, directory, config.rmcast_relay,
@@ -246,19 +212,43 @@ void GroupNode::init_group_node(net::Network& network, const Directory& director
   if (config_.batching.enabled()) {
     batcher_ = std::make_unique<SubmitBatcher>();
     batcher_->init(network, directory, pid(), config_.batching);
+    batcher_->set_metrics(metrics);
   }
+}
+
+void GroupNode::deliver_amcast(const AmcastMessage& m, Time stamped_at) {
+  // Leader-gated so one event is recorded per group delivery, not one per
+  // replica (matching the leader-gated metrics counters).
+  const bool leading = paxos_->is_leader();
+  if (delivered_ctr_ != nullptr && leading) delivered_ctr_->inc();
+  record_instant(stats::InstantKind::kAmcastDeliver, m.id.value,
+                 static_cast<std::int64_t>(m.dests.size()));
+  if (metrics_ != nullptr && metrics_->spans().enabled() && leading) {
+    // This group's view of the multicast: stamp -> atomic delivery. The
+    // client folds its own end-to-end amcast phase; these server-side spans
+    // stay unfolded (one per destination group, they would double-count).
+    if (const std::uint64_t tid = m.payload->trace_id(); tid != 0) {
+      metrics_->spans().record({.trace_id = tid,
+                                .phase = stats::SpanPhase::kAmcast,
+                                .start = stamped_at,
+                                .end = network_->engine().now(),
+                                .node = pid().value,
+                                .group = gid_,
+                                .arg = static_cast<std::int64_t>(m.dests.size())},
+                               /*fold=*/false);
+    }
+  }
+  on_amdeliver(m);
+}
+
+void GroupNode::query_ts(GroupId g, MsgId mid) {
+  auto q = net::make_msg<TsQuery>(mid, gid_);
+  for (ProcessId p : directory_->members(g)) network_->send(pid(), p, q);
 }
 
 void GroupNode::start() {
   DSSMR_ASSERT_MSG(paxos_ != nullptr, "init_group_node() not called");
   paxos_->start();
-}
-
-void GroupNode::set_metrics(stats::Metrics* metrics) {
-  DSSMR_ASSERT_MSG(paxos_ != nullptr, "init_group_node() not called");
-  metrics_ = metrics;
-  delivered_ctr_ = metrics != nullptr ? &metrics->counter_handle("amcast.delivered") : nullptr;
-  if (batcher_ != nullptr) batcher_->set_metrics(metrics);
 }
 
 void GroupNode::record_instant(stats::InstantKind kind, std::uint64_t id, std::int64_t arg,

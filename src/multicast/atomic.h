@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -62,23 +61,13 @@ struct TsQuery final : net::Message {
   std::size_t size_bytes() const override { return 24; }
 };
 
+class GroupNode;
+
+/// The amcast state machine of one replica. It delivers into, submits and
+/// queries through, and asks leadership of the GroupNode that owns it.
 class AmcastCore {
  public:
-  struct Callbacks {
-    /// Atomic delivery, in the group's total order. `stamped_at` is when this
-    /// group stamped the message (step 1) — the delivery latency m spent in
-    /// the multicast here is now - stamped_at.
-    std::function<void(const AmcastMessage&, Time stamped_at)> deliver;
-    /// Submit `entry` for sequencing in group `g` (leader duty).
-    std::function<void(GroupId g, consensus::LogEntry entry)> submit_remote;
-    /// Ask the members of group `g` for their timestamp of `mid`.
-    std::function<void(GroupId g, MsgId mid)> query_ts;
-    /// Whether this replica currently leads its group.
-    std::function<bool()> is_leader;
-  };
-
-  AmcastCore(sim::Engine& engine, GroupId self_group, Callbacks callbacks,
-             Duration ts_retry_interval);
+  explicit AmcastCore(GroupNode& node);
 
   /// Consumes one decided log entry (in log order). Returns false if the
   /// entry's payload is not an amcast entry type.
@@ -120,10 +109,9 @@ class AmcastCore {
   void try_deliver();
   void arm_retry_timer();
 
+  GroupNode& node_;
   sim::Engine& engine_;
   GroupId self_group_;
-  Callbacks cb_;
-  Duration ts_retry_interval_;
   bool halted_ = false;
 
   std::uint64_t clock_ = 0;
@@ -138,7 +126,6 @@ class AmcastCore {
 
 struct GroupNodeConfig {
   consensus::PaxosConfig paxos;
-  Duration ts_retry_interval = msec(50);
   /// Reliable-multicast flooding (turn off in crash-free perf runs).
   bool rmcast_relay = true;
   /// Server-tier submission batching: remote submissions (timestamp pushes,
@@ -156,8 +143,13 @@ class GroupNode : public net::Actor {
 
   /// Two-phase init: the node must already be registered with the network
   /// (so pid() is valid) and `directory` must already contain the group.
+  /// `metrics` is the deployment-wide registry (nullptr in tests): the node
+  /// interns a leader-gated `amcast.delivered` counter bumped once per group
+  /// delivery, and records leader-gated events into its store: a kAmcast
+  /// span covering stamp -> delivery for each traced payload, kAmcastDeliver
+  /// and kLeaderChange instants.
   void init_group_node(net::Network& network, const Directory& directory, GroupId gid,
-                       GroupNodeConfig config, std::uint64_t seed);
+                       GroupNodeConfig config, stats::Metrics* metrics, std::uint64_t seed);
 
   /// Arms Paxos timers; call on every node after the whole deployment is wired.
   virtual void start();
@@ -204,14 +196,6 @@ class GroupNode : public net::Actor {
     return batcher_ != nullptr ? batcher_->pending_entries() : 0;
   }
 
-  /// Wires the deployment-wide metrics registry: interns a leader-gated
-  /// `amcast.delivered` counter bumped once per group delivery (the interned
-  /// handle keeps the per-delivery hot path free of by-name map lookups), and
-  /// records leader-gated events into its store: a kAmcast span covering
-  /// stamp -> delivery for each traced payload, kAmcastDeliver and
-  /// kLeaderChange instants. Call after init_group_node().
-  void set_metrics(stats::Metrics* metrics);
-
  protected:
   /// Atomic delivery hook — same sequence on every group member.
   virtual void on_amdeliver(const AmcastMessage& m) = 0;
@@ -226,6 +210,9 @@ class GroupNode : public net::Actor {
 
   MsgId next_msg_id();
 
+  /// The registry wired at init (nullptr in tests).
+  stats::Metrics* metrics() const { return metrics_; }
+
   /// Runs `action` now if this replica leads its group; otherwise holds it.
   /// For what only the leader does. The leader runs its own copy, so a held
   /// action is dropped once the leader is heard from again; a replica that
@@ -235,13 +222,22 @@ class GroupNode : public net::Actor {
   void leader_action(sim::Callback action);
 
   /// Records an instant into the deployment's event store, leader-gated so
-  /// a group event is recorded once, not once per replica. No-op until
-  /// set_metrics() wires a registry.
+  /// a group event is recorded once, not once per replica. No-op when no
+  /// registry is wired.
   void record_instant(stats::InstantKind kind, std::uint64_t id, std::int64_t arg = 0,
                       std::string label = {});
 
  private:
+  friend class AmcastCore;
+
+  /// Atomic delivery, in the group's total order. `stamped_at` is when this
+  /// group stamped the message (step 1): m spent now - stamped_at in the
+  /// multicast here.
+  void deliver_amcast(const AmcastMessage& m, Time stamped_at);
+  /// Submits `entry` for sequencing in group `g` (leader duty).
   void submit_local_or_remote(GroupId g, consensus::LogEntry entry);
+  /// Asks the members of group `g` for their timestamp of `mid`.
+  void query_ts(GroupId g, MsgId mid);
   void run_held_actions();
 
   net::Network* network_ = nullptr;
@@ -255,7 +251,7 @@ class GroupNode : public net::Actor {
   /// Server-tier submission batcher; null unless config_.batching enables it.
   std::unique_ptr<SubmitBatcher> batcher_;
   stats::Metrics* metrics_ = nullptr;
-  /// Interned by set_metrics(); nullptr when no metrics sink is wired.
+  /// Interned at init; nullptr when no metrics sink is wired.
   stats::Counter* delivered_ctr_ = nullptr;
   std::uint64_t next_msg_seq_ = 0;
   /// leader_action()s held while following, with the time each was held; at

@@ -69,12 +69,9 @@ void Network::send_one(ProcessId from, ProcessId to, const MessagePtr& m,
   }
 
   Time arrival = engine_.now() + transit_time(from, to, bytes);
-  if (config_.fifo) {
-    const std::uint64_t key = (static_cast<std::uint64_t>(from.value) << 32) | to.value;
-    Time& front = fifo_front_[key];
-    if (arrival < front) arrival = front;
-    front = arrival;
-  }
+  Time& front = fifo_front_[link_key(from, to)];
+  if (arrival < front) arrival = front;
+  front = arrival;
 
   engine_.schedule_at(arrival, [this, from, to, m] {
     if (crashed(to)) {

@@ -46,8 +46,6 @@ struct NetworkConfig {
   double bandwidth_bytes_per_usec = 125.0;
   /// Probability that any given message is silently lost.
   double drop_probability = 0.0;
-  /// Per-pair FIFO delivery (true models TCP-like channels).
-  bool fifo = true;
 };
 
 struct NetworkStats {
@@ -141,7 +139,8 @@ class Network {
   /// Down directed links are rare (fault runs only); link_up() fast-paths on
   /// empty().
   std::unordered_set<std::uint64_t> down_links_;
-  /// Earliest admissible arrival per (from,to) pair, for FIFO channels.
+  /// Earliest admissible arrival per (from,to) pair: channels are FIFO, like
+  /// TCP.
   common::FlatMap<std::uint64_t, Time> fifo_front_;
   NetworkStats stats_;
 };

@@ -2,6 +2,11 @@
 
 namespace dssmr::stats {
 
+Counter& dummy_counter() {
+  thread_local Counter c;
+  return c;
+}
+
 std::uint64_t Metrics::counter(const std::string& name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second.value();
@@ -15,7 +20,7 @@ const Histogram* Metrics::find_histogram(const std::string& name) const {
 TimeSeries& Metrics::series(const std::string& name) {
   auto it = series_.find(name);
   if (it == series_.end()) {
-    it = series_.emplace(name, TimeSeries{series_bucket_width_}).first;
+    it = series_.emplace(name, TimeSeries{kSeriesBucketWidth}).first;
   }
   return it->second;
 }

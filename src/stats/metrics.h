@@ -32,11 +32,13 @@ class Counter {
   std::uint64_t value_ = 0;
 };
 
+/// Sink for the counter handles of a feature that is off, or of a node with
+/// no registry wired (tests): bumps land here and nothing reads them.
+/// thread_local: simulations on different sweep threads may share it.
+Counter& dummy_counter();
+
 class Metrics {
  public:
-  explicit Metrics(Duration series_bucket_width = sec(1))
-      : series_bucket_width_(series_bucket_width) {}
-
   void inc(const std::string& name, std::uint64_t by = 1) { counters_[name].inc(by); }
   std::uint64_t counter(const std::string& name) const;
 
@@ -46,6 +48,7 @@ class Metrics {
   Histogram& histogram(const std::string& name) { return histograms_[name]; }
   const Histogram* find_histogram(const std::string& name) const;
 
+  /// Series bucket by kSeriesBucketWidth of virtual time.
   TimeSeries& series(const std::string& name);
   const TimeSeries* find_series(const std::string& name) const;
 
@@ -66,7 +69,8 @@ class Metrics {
   void reset();
 
  private:
-  Duration series_bucket_width_;
+  static constexpr Duration kSeriesBucketWidth = sec(1);
+
   std::map<std::string, Counter> counters_;
   std::map<std::string, Histogram> histograms_;
   std::map<std::string, TimeSeries> series_;

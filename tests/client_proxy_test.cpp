@@ -58,16 +58,20 @@ TEST(ClientProxy, NokDoesNotPoisonCache) {
   EXPECT_EQ(d->client(0).cached_location(VarId{77}), std::nullopt);
 }
 
+// The strategy enables hints: DS-SMR's oracle needs no workload knowledge, so
+// its clients send none; DynaStar's clients report every completed command's.
 TEST(ClientProxy, HintsOnlySentWhenEnabled) {
-  auto cfg = small_config(2, Strategy::kDssmr);
-  cfg.client_hints = false;
-  auto d = deployment(cfg);
-  smr::Command cmd = kv_get(VarId{0});
-  cmd.hint_edges = {{VarId{0}, VarId{1}}};
-  EXPECT_EQ(run_op(*d, 0, cmd), ReplyCode::kOk);
-  d->engine().run_for(msec(200));
-  EXPECT_EQ(d->metrics().counter("client.hints"), 0u);
-  EXPECT_EQ(d->metrics().counter("oracle.hints"), 0u);
+  for (Strategy strategy : {Strategy::kDssmr, Strategy::kDynaStar}) {
+    SCOPED_TRACE(to_string(strategy));
+    auto d = deployment(small_config(2, strategy));
+    smr::Command cmd = kv_get(VarId{0});
+    cmd.hint_edges = {{VarId{0}, VarId{1}}};
+    EXPECT_EQ(run_op(*d, 0, cmd), ReplyCode::kOk);
+    d->engine().run_for(msec(200));
+    const std::uint64_t sent = strategy == Strategy::kDynaStar ? 1 : 0;
+    EXPECT_EQ(d->metrics().counter("client.hints"), sent);
+    EXPECT_EQ(d->metrics().counter("oracle.hints"), sent);
+  }
 }
 
 TEST(ClientProxy, TimeoutsRetransmitUntilAnswered) {

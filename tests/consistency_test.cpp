@@ -90,6 +90,12 @@ TEST_P(ConsistencyGrid, RandomWorkloadLeavesConsistentState) {
   const auto violations = d.audit_consistency();
   for (const auto& v : violations) ADD_FAILURE() << v;
 
+  // The strategy alone selects DynaStar: its oracle issues every move.
+  if (strategy == Strategy::kDynaStar) {
+    EXPECT_EQ(d.metrics().counter("client.moves"), 0u);
+    EXPECT_GT(d.metrics().counter("oracle.moves_issued"), 0u);
+  }
+
   // All preloaded variables are still reachable with a sane value.
   for (std::size_t i = 0; i < kVars; ++i) {
     net::MessagePtr reply;

@@ -231,9 +231,7 @@ TEST(SsmrBaseline, FourPartitionSpanningCommand) {
 // ---- DynaStar extension mode ---------------------------------------------------
 
 TEST(DynaStarMode, OracleIssuesMoves) {
-  auto cfg = small_config(2, Strategy::kDynaStar);
-  cfg.oracle.oracle_issues_moves = true;
-  auto d = make_kv_deployment(cfg);
+  auto d = make_kv_deployment(small_config(2, Strategy::kDynaStar));
   net::MessagePtr reply;
   EXPECT_EQ(run_op(*d, 0, kv_sum({VarId{0}, VarId{1}}, VarId{1}), &reply), ReplyCode::kOk);
   EXPECT_EQ(kv_num(reply), 10);

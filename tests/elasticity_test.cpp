@@ -85,7 +85,6 @@ TEST(ScalePlanParse, ShippedPlansAllResolve) {
 harness::DeploymentConfig elastic_config(std::size_t parts, std::size_t clients) {
   auto cfg = small_config(parts, Strategy::kDssmr, clients);
   cfg.elastic = true;
-  cfg.oracle.elastic = true;
   return cfg;
 }
 

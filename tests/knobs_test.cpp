@@ -80,13 +80,11 @@ TEST(Knobs, ApplyForwardsIntoDeploymentConfig) {
   EXPECT_TRUE(dep.telemetry);
   EXPECT_EQ(dep.spans_capacity, 1u << 16);
   EXPECT_TRUE(dep.elastic);
-  EXPECT_TRUE(dep.oracle.elastic);
   EXPECT_EQ(dep.replicas_per_partition, 3u);  // not a knob: untouched
 
   DeploymentConfig plain;
   sink_for({}).apply(plain);
   EXPECT_FALSE(plain.elastic);
-  EXPECT_FALSE(plain.oracle.elastic);
 }
 
 TEST(Knobs, BadValuesMakeFinishReturnTwo) {

@@ -147,8 +147,6 @@ TEST_F(OracleFixture, OracleBusyTimeAccrues) {
 
 TEST(OracleHints, HintsReachEveryOracleReplicaIdentically) {
   auto cfg = small_config(2, Strategy::kDynaStar, 1);
-  cfg.client_hints = true;
-  cfg.oracle.oracle_issues_moves = true;
   DynaStarPolicy::Config pc;
   pc.repartition_every_hints = 1000000;  // never, for this test
   pc.partitioner.k = 2;
@@ -387,7 +385,6 @@ TEST_P(DeposedOracleLeader, StalePropheciesKeepHistoriesLinearizable) {
   cfg.spans = true;          // kOracle spans name the answering replica
   harness::PolicyFactory policy = [] { return std::make_unique<DssmrPolicy>(); };
   if (GetParam() == Strategy::kDynaStar) {
-    cfg.oracle.oracle_issues_moves = true;
     DynaStarPolicy::Config pc;
     pc.partitioner.k = 2;
     policy = [pc] { return std::make_unique<DynaStarPolicy>(pc); };

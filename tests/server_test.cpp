@@ -491,9 +491,9 @@ TEST(ServerExec, SecondReplicaShipmentOfAGroupIsIgnored) {
   RecordingGroupNode peer;
   directory.add_group({network.add_process(server, 0)});
   directory.add_group({network.add_process(peer, 1)});
-  server.init_partition(network, directory, GroupId{0}, {}, kv::kv_app_factory(), {}, nullptr,
-                        1);
-  peer.init_group_node(network, directory, GroupId{1}, {}, 2);
+  server.init_partition(network, directory, GroupId{0}, kNoGroup, {}, kv::kv_app_factory(), {},
+                        nullptr, 1);
+  peer.init_group_node(network, directory, GroupId{1}, {}, nullptr, 2);
   server.preload(VarId{0}, std::make_unique<kv::KvValue>(1, ""));
 
   smr::Command sum = kv_sum({VarId{0}, VarId{1}, VarId{2}}, VarId{0});
@@ -537,9 +537,9 @@ struct RetryHarness {
     network.add_process(requester, 0);
     PartitionServerConfig cfg;
     cfg.reply_cache_capacity = window;
-    server.init_partition(network, directory, GroupId{0}, {}, chirper::chirper_app_factory(),
-                          cfg, nullptr, 1);
-    peer.init_group_node(network, directory, GroupId{1}, {}, 2);
+    server.init_partition(network, directory, GroupId{0}, kNoGroup, {},
+                          chirper::chirper_app_factory(), cfg, nullptr, 1);
+    peer.init_group_node(network, directory, GroupId{1}, {}, nullptr, 2);
     auto user = std::make_unique<chirper::UserValue>();
     for (std::uint64_t i = 1; i <= 3; ++i) {
       chirper::Post post{VarId{2}, i, "post " + std::to_string(i)};

@@ -210,9 +210,10 @@ TEST(Metrics, HistogramsCreateOnUse) {
   EXPECT_EQ(m.find_histogram("lat")->count(), 1u);
 }
 
-TEST(Metrics, SeriesUseConfiguredWidth) {
-  Metrics m{msec(100)};
-  m.series("tput").add(msec(150), 1);
+TEST(Metrics, SeriesUseOneSecondBuckets) {
+  Metrics m;
+  m.series("tput").add(msec(1500), 1);
+  EXPECT_DOUBLE_EQ(m.series("tput").bucket(0), 0);
   EXPECT_DOUBLE_EQ(m.series("tput").bucket(1), 1);
 }
 

@@ -94,7 +94,7 @@ class Fabric {
     for (std::size_t g = 0; g < groups; ++g) {
       for (std::size_t r = 0; r < replicas; ++r) {
         node(g, r).init_group_node(network, directory, GroupId{static_cast<std::uint32_t>(g)},
-                                   node_cfg, seed * 1000 + g * 10 + r);
+                                   node_cfg, nullptr, seed * 1000 + g * 10 + r);
       }
     }
     for (auto& n : nodes) n->start();

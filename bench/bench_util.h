@@ -98,6 +98,20 @@ class RunRecordSink {
   std::vector<stats::RunRecord> records_;
 };
 
+/// The Chirper setup the figures share: 8 closed-loop clients per partition on
+/// a 2048-user community-structured Holme–Kim graph whose cross-community edge
+/// fraction is `edge_cut` (the paper's "x% edge cut"), seed 42. Benches set
+/// the strategy, shape, mix and windows on top.
+inline harness::ChirperRunConfig chirper_base(double edge_cut) {
+  harness::ChirperRunConfig cfg;
+  cfg.clients_per_partition = 8;
+  cfg.graph = {.n = 2048, .m = 2, .p_triad = 0.8};
+  cfg.use_controlled_cut = true;
+  cfg.controlled_edge_cut = edge_cut;
+  cfg.seed = 42;
+  return cfg;
+}
+
 /// One sweep entry: the run config plus the label used for the table row and
 /// the run record.
 struct SweepPoint {
@@ -129,6 +143,11 @@ inline void heading(const std::string& title) {
 
 inline void subheading(const std::string& title) {
   std::printf("\n-- %s --\n", title.c_str());
+}
+
+/// Whole percent of a fraction, for labels ("cut5" for 0.05).
+inline std::string percent(double fraction) {
+  return std::to_string(static_cast<int>(fraction * 100));
 }
 
 inline const char* mix_name(const workload::ChirperMix& mix) {

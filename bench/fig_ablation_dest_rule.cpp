@@ -31,18 +31,13 @@ int main(int argc, char** argv) {
 
   std::vector<SweepPoint> points;
   for (const auto& c : kCases) {
-    harness::ChirperRunConfig cfg;
+    harness::ChirperRunConfig cfg = chirper_base(0.01);
     cfg.strategy = core::Strategy::kDssmr;
     cfg.dssmr_dest_rule = c.rule;
     cfg.partitions = 4;
-    cfg.clients_per_partition = 8;
-    cfg.graph = {.n = 2048, .m = 2, .p_triad = 0.8};
-    cfg.use_controlled_cut = true;
-    cfg.controlled_edge_cut = 0.01;
     cfg.workload.mix = workload::mixes::kPostOnly;
     cfg.warmup = sec(4);
     cfg.measure = sec(3);
-    cfg.seed = 42;
     sink.apply(cfg);
     points.push_back({cfg, c.label});
   }

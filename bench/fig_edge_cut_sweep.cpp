@@ -32,23 +32,17 @@ int main(int argc, char** argv) {
   for (double cut : {0.0, 0.01, 0.05, 0.10}) {
     for (std::size_t parts : {2u, 4u, 8u}) {
       for (const auto& c : kCases) {
-        ChirperRunConfig cfg;
+        ChirperRunConfig cfg = chirper_base(cut);
         cfg.strategy = c.strategy;
         cfg.placement = c.placement;
         cfg.partitions = parts;
-        cfg.clients_per_partition = 8;
-        cfg.graph = {.n = 2048, .m = 2, .p_triad = 0.8};
-        cfg.use_controlled_cut = true;
-        cfg.controlled_edge_cut = cut;
         cfg.workload.mix = workload::mixes::kPostOnly;
         cfg.workload.hint_posts = true;
         cfg.dynastar_hint_threshold = 1500;
         cfg.warmup = sec(4);
         cfg.measure = sec(2);
-        cfg.seed = 42;
         sink.apply(cfg);
-        points.push_back({cfg, std::string(c.label) + "/cut" +
-                                   std::to_string(static_cast<int>(cut * 100)) + "/p" +
+        points.push_back({cfg, std::string(c.label) + "/cut" + percent(cut) + "/p" +
                                    std::to_string(parts)});
       }
     }
@@ -57,7 +51,7 @@ int main(int argc, char** argv) {
 
   std::size_t i = 0;
   for (double cut : {0.0, 0.01, 0.05, 0.10}) {
-    subheading("edge cut " + std::to_string(static_cast<int>(cut * 100)) + "%");
+    subheading("edge cut " + percent(cut) + "%");
     print_run_header();
     for (std::size_t parts : {2u, 4u, 8u}) {
       for (const auto& c : kCases) print_run_row(c.label, parts, results[i++]);

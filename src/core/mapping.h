@@ -64,6 +64,14 @@ class Mapping {
   std::size_t partition_count() const { return partitions_.size(); }
   const std::vector<GroupId>& partitions() const { return partitions_; }
 
+  /// Position of member `p` in partitions(); fails if `p` is not a member.
+  std::size_t index_of(GroupId p) const {
+    for (std::size_t i = 0; i < partitions_.size(); ++i) {
+      if (partitions_[i] == p) return i;
+    }
+    DSSMR_FAIL("partition not in mapping");
+  }
+
   /// Number of variables currently mapped to `p`.
   std::uint64_t load(GroupId p) const { return counts_[index_of(p)]; }
 
@@ -134,13 +142,6 @@ class Mapping {
   }
 
  private:
-  std::size_t index_of(GroupId p) const {
-    for (std::size_t i = 0; i < partitions_.size(); ++i) {
-      if (partitions_[i] == p) return i;
-    }
-    DSSMR_FAIL("partition not in mapping");
-  }
-
   std::vector<GroupId> partitions_;
   std::vector<std::uint64_t> counts_;
   /// Parallel to partitions_: false while draining/retired.
@@ -297,7 +298,7 @@ class DssmrPolicy : public OraclePolicy {
     for (VarId v : vars) {
       const GroupId p = map.locate(v);
       if (p == kNoGroup) continue;
-      const std::size_t i = partition_index(map, p);
+      const std::size_t i = map.index_of(p);
       if (held_[i]++ == 0) ++involved_count;
     }
     DSSMR_ASSERT_MSG(involved_count > 0, "choose_destination with fully unmapped vars");
@@ -317,11 +318,11 @@ class DssmrPolicy : public OraclePolicy {
       case DestRule::kMostHeld: {
         std::size_t most = 0;
         for (GroupId p : involved_) {
-          most = std::max(most, held_[partition_index(map, p)]);
+          most = std::max(most, held_[map.index_of(p)]);
         }
         tied_.clear();
         for (GroupId p : involved_) {
-          if (held_[partition_index(map, p)] == most) tied_.push_back(p);
+          if (held_[map.index_of(p)] == most) tied_.push_back(p);
         }
         return tied_[h % tied_.size()];
       }
@@ -337,14 +338,6 @@ class DssmrPolicy : public OraclePolicy {
   }
 
  private:
-  std::size_t partition_index(const Mapping& map, GroupId p) const {
-    const auto& parts = map.partitions();
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      if (parts[i] == p) return i;
-    }
-    DSSMR_FAIL("partition not in mapping");
-  }
-
   DestRule rule_ = DestRule::kMostHeld;
   /// Scratch buffers reused across calls (one policy instance per oracle
   /// replica; calls are sequential within a simulation).

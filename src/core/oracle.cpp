@@ -77,11 +77,6 @@ void OracleNode::preload(VarId v, GroupId p) {
   policy_->on_create(v);
 }
 
-void OracleNode::bump(stats::Counter* c) {
-  // Leader-gated so deployment-wide counters are per-event, not per-replica.
-  if (is_leader()) c->inc();
-}
-
 void OracleNode::account(Duration service) {
   // One series per deployment: only the leader accounts, so the series
   // reflects one oracle replica's CPU, matching the paper's measurement.

@@ -115,7 +115,6 @@ class OracleNode : public multicast::GroupNode {
   /// for command `id`.
   void queue_reply_task(Duration service, sim::Callback run, MsgId id = MsgId{0},
                         common::SmallSet<GroupId> awaits = {});
-  void bump(stats::Counter* c);
   void account(Duration service);
 
   std::unique_ptr<Mapping> mapping_;

@@ -57,11 +57,6 @@ void PartitionServer::preload(VarId v, std::unique_ptr<smr::VarValue> value) {
   store_.put(v, std::move(value));
 }
 
-void PartitionServer::bump(stats::Counter* c) {
-  // Leader-gated so deployment-wide counters are per-event, not per-replica.
-  if (is_leader()) c->inc();
-}
-
 void PartitionServer::heat_command(bool multi) {
   if (metrics() == nullptr || !is_leader()) return;
   metrics()->recorder().record_command(engine().now(), heat_index(), multi);

@@ -128,7 +128,6 @@ class PartitionServer : public multicast::GroupNode {
   void execute(MsgId id, std::uint64_t trace_id, Time delivered, Duration service,
                common::SmallSet<GroupId> awaits, Body body, sim::Callback on_head = {},
                std::int64_t span_arg = 0);
-  void bump(stats::Counter* c);
   /// Leader-gated windowed heat (stats::Recorder); recorded at the exact
   /// same sites as the single/multi counters so per-bucket sums tile them.
   void heat_command(bool multi);

@@ -9,7 +9,6 @@
 namespace dssmr::multicast {
 namespace {
 
-constexpr std::uint64_t kStampSalt = 0x57a3;
 constexpr std::uint64_t kTsSalt = 0x75e0;
 /// A leader re-pushes its unfinished timestamps every kTsRetryInterval, and
 /// also re-disseminates the stamp of one pending for two periods.
@@ -102,8 +101,7 @@ void AmcastCore::push_ts(MsgId mid, const Pending& p, bool pull_missing) {
       // submitter's messages were lost). Re-disseminate the stamp — we hold
       // the full message — and also ask for the timestamp in case the group
       // stamped it long ago and only the TsEntry got lost.
-      node_.submit_local_or_remote(g, consensus::LogEntry{derive_entry_id(mid, g, kStampSalt),
-                                                          net::make_msg<StampEntry>(*p.msg)});
+      node_.submit_local_or_remote(g, stamp_log_entry(mid, g, net::make_msg<StampEntry>(*p.msg)));
       node_.query_ts(g, mid);
     }
   }
@@ -341,7 +339,7 @@ MsgId GroupNode::amcast(std::vector<GroupId> dests, net::MessagePtr payload) {
   const MsgId id = msg.id;
   auto stamp = net::make_msg<StampEntry>(msg);
   for (GroupId g : dests) {
-    submit_local_or_remote(g, consensus::LogEntry{derive_entry_id(id, g, kStampSalt), stamp});
+    submit_local_or_remote(g, stamp_log_entry(id, g, stamp));
   }
   return id;
 }

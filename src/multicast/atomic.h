@@ -213,6 +213,11 @@ class GroupNode : public net::Actor {
   /// The registry wired at init (nullptr in tests).
   stats::Metrics* metrics() const { return metrics_; }
 
+  /// Leader-gated so deployment-wide counters are per-event, not per-replica.
+  void bump(stats::Counter* c) {
+    if (is_leader()) c->inc();
+  }
+
   /// Runs `action` now if this replica leads its group; otherwise holds it.
   /// For what only the leader does. The leader runs its own copy, so a held
   /// action is dropped once the leader is heard from again; a replica that

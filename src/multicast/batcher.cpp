@@ -7,15 +7,6 @@
 #include "common/assert.h"
 
 namespace dssmr::multicast {
-namespace {
-
-/// Same salt as the amcast layer's stamp entries (atomic.cpp, client.cpp):
-/// a batched and an unbatched submission of the same multicast must derive
-/// identical entry ids so the leaders' dedup collapses them.
-constexpr std::uint64_t kStampSalt = 0x57a3;
-
-}  // namespace
-
 void SubmitBatcher::init(net::Network& network, const Directory& directory, ProcessId self,
                          BatchConfig config) {
   DSSMR_ASSERT_MSG(self != kNoProcess, "register the batcher's endpoint first");
@@ -40,7 +31,7 @@ void SubmitBatcher::amcast(const AmcastMessage& msg, FlushFn on_flush) {
   if (halted_) return;
   auto stamp = net::make_msg<StampEntry>(msg);
   for (GroupId g : msg.dests) {
-    pending_[g].push_back(consensus::LogEntry{derive_entry_id(msg.id, g, kStampSalt), stamp});
+    pending_[g].push_back(stamp_log_entry(msg.id, g, stamp));
   }
   if (on_flush) flush_cbs_.push_back(std::move(on_flush));
   queued();

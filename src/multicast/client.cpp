@@ -30,8 +30,7 @@ void ClientNode::amcast_with_id(MsgId id, std::vector<GroupId> dests, net::Messa
   }
   auto stamp = net::make_msg<StampEntry>(std::move(msg));
   for (GroupId g : dests) {
-    auto wrapped = net::make_msg<SubmitToLog>(
-        g, consensus::LogEntry{derive_entry_id(id, g, 0x57a3), stamp});
+    auto wrapped = net::make_msg<SubmitToLog>(g, stamp_log_entry(id, g, stamp));
     for (ProcessId p : directory_->members(g)) network_->send(pid(), p, wrapped);
   }
 }

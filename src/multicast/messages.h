@@ -134,4 +134,15 @@ inline MsgId derive_entry_id(MsgId base, GroupId g, std::uint64_t salt) {
   return MsgId{x ^ (x >> 31)};
 }
 
+/// Salt of stamp entry ids: every submission of one multicast to one group
+/// (the sender's, a batcher's, a leader's re-dissemination) derives the same
+/// id, so the group leader's dedup collapses them.
+inline constexpr std::uint64_t kStampSalt = 0x57a3;
+
+/// The log entry that submits `stamp`, the StampEntry of message `id`, to
+/// group `g`.
+inline consensus::LogEntry stamp_log_entry(MsgId id, GroupId g, net::MessagePtr stamp) {
+  return consensus::LogEntry{derive_entry_id(id, g, kStampSalt), std::move(stamp)};
+}
+
 }  // namespace dssmr::multicast

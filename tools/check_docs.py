@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc lint: keep the user-facing docs in sync with the code they describe.
 
-Three checks, all derived from the source of truth rather than a hand-kept
+Four checks, all derived from the source of truth rather than a hand-kept
 list, so adding a flag or a run-record section without documenting it, or
 removing a flag the docs still mention, fails CI:
 
@@ -13,6 +13,9 @@ removing a flag the docs still mention, fails CI:
     declared as a string literal ("--flag" or '--flag') by some source under
     src/, bench/, examples/, tools/ or perfbench/. Only EXTERNAL_FLAGS,
     which belong to other programs, are exempt.
+  * Stale binaries — every `bench/<name>` (or `build/bench/<name>`, or
+    `bench/<name>.cpp`) those docs mention must be a target that
+    bench/CMakeLists.txt builds, so an example never runs a deleted bench.
   * Run-record schema keys — every JSON key emitted by
     src/stats/run_record.cpp (`w.key("...")` calls and the section keys and
     histogram names of its prefix-section table) plus the schema version
@@ -29,7 +32,8 @@ Exit codes:
 
 --self-test additionally verifies the negative path: the lint must flag an
 injected table row without a help line, an injected doc mention of an
-undeclared flag and an injected undocumented schema key. CI runs
+undeclared flag, an injected doc mention of a bench that is not built and an
+injected undocumented schema key. CI runs
 `check_docs.py --self-test` so a regression that makes the lint vacuously
 pass is itself a failure.
 """
@@ -48,6 +52,7 @@ KEY_DOC = "docs/schema.md"
 FLAG_MENTION_DOCS = ["README.md", "EXPERIMENTS.md", "DESIGN.md", "docs/schema.md",
                      ".claude/skills/verify/SKILL.md"]
 FLAG_DECL_DIRS = ["src", "bench", "examples", "tools", "perfbench"]
+BENCH_CMAKE = "bench/CMakeLists.txt"
 FLAG_DECL_SUFFIXES = {".cpp", ".h", ".py"}
 # Flags of other programs: `--help` reaches dssmr_sim's usage through its
 # unknown-flag path, and `--test-dir` is ctest's.
@@ -64,6 +69,11 @@ SCHEMA_RE = re.compile(r'kRunRecordSchema\s*=\s*"([^"]+)"')
 FLAG_PATTERN = r"--[a-z][a-z0-9]*(?:-[a-z0-9]+)*"
 FLAG_MENTION_RE = re.compile(rf"(?<![\w-])({FLAG_PATTERN})")
 FLAG_DECL_RE = re.compile(rf"""["']({FLAG_PATTERN})["']""")
+# `bench/<name>` with an optional extension; a glob such as `bench/fig_*` is
+# not a name.
+BENCH_MENTION_RE = re.compile(r"(?<![\w.-])bench/(\w+)(\.\w+)?(?![\w*])")
+# One bench target: `dssmr_fig(name)` / `dssmr_micro(name)`.
+BENCH_TARGET_RE = re.compile(r"^\s*dssmr_\w+\((\w+)\)", re.M)
 
 
 def die(msg):
@@ -136,6 +146,24 @@ def check_stale_flags(docs, declared):
     return problems
 
 
+def bench_targets(root):
+    targets = set(BENCH_TARGET_RE.findall(read(root, BENCH_CMAKE)))
+    if not targets:
+        die(f"{BENCH_CMAKE}: no bench targets extracted — pattern out of date?")
+    return targets
+
+
+def check_stale_binaries(docs, targets):
+    """Every binary (or its .cpp) the docs name under bench/ must be built.
+    Other files there (bench_util.h, CMakeLists.txt) are not binaries."""
+    problems = []
+    for name, text in docs.items():
+        mentioned = {b for b, ext in BENCH_MENTION_RE.findall(text) if ext in ("", ".cpp")}
+        for b in sorted(mentioned - targets):
+            problems.append(f"{name}: mentions bench/{b}, which {BENCH_CMAKE} does not build")
+    return problems
+
+
 def check_keys(keys, token, schema_text):
     missing = [k for k in keys
                if not re.search(rf"\b{re.escape(k)}\b", schema_text)]
@@ -159,7 +187,9 @@ def run_checks(root):
         die(f"no --flag literals found under {', '.join(FLAG_DECL_DIRS)}")
 
     problems = check_flags(flags, readme)
-    problems += check_stale_flags({d: read(root, d) for d in FLAG_MENTION_DOCS}, declared)
+    docs = {d: read(root, d) for d in FLAG_MENTION_DOCS}
+    problems += check_stale_flags(docs, declared)
+    problems += check_stale_binaries(docs, bench_targets(root))
     for k in check_keys(keys, token, schema_doc):
         problems.append(f"{KEY_DOC}: run-record key {k} ({KEY_SOURCE}) undocumented")
     return flags, keys, problems
@@ -178,6 +208,9 @@ def self_test(root):
     if not check_stale_flags({FLAG_DOC: f"{readme}\nRun with {undeclared}.\n"},
                              declared_flags(root)):
         failures.append("lint did not flag a doc mention of an undeclared flag")
+    stale = f"{readme}\nRun ./build/bench/fig_intentionally_stale --json out.json.\n"
+    if not check_stale_binaries({FLAG_DOC: stale}, bench_targets(root)):
+        failures.append("lint did not flag a doc mention of a bench that is not built")
     _, token = extract_keys(read(root, KEY_SOURCE), read(root, SCHEMA_SOURCE))
     if not check_keys(["intentionally_undocumented_key"], token, schema_doc):
         failures.append("lint did not flag an undocumented schema key")
@@ -191,7 +224,7 @@ def main():
                     help="repository root (default: current directory)")
     ap.add_argument("--self-test", action="store_true",
                     help="also verify the lint catches an injected "
-                         "undocumented flag and schema key")
+                         "undocumented flag, stale bench name and schema key")
     args = ap.parse_args()
     root = pathlib.Path(args.root)
 

@@ -14,7 +14,6 @@
 #include "chirper/chirper.h"
 #include "core/dynastar_policy.h"
 #include "fault/nemesis.h"
-#include "fault/scaler.h"
 #include "workload/chirper_workload.h"
 
 namespace {
@@ -121,11 +120,6 @@ int main(int argc, char** argv) {
     if (!opts.nemesis.empty()) {
       nemesis.emplace(d, fault::resolve_plan(opts.nemesis));
       nemesis->arm();
-    }
-    std::optional<fault::Scaler> scaler;
-    if (!opts.scale_plan.empty()) {
-      scaler.emplace(d, fault::resolve_scale_plan(opts.scale_plan));
-      scaler->arm();
     }
 
     GrowingWorkload wl{1500, /*target_edges=*/3000, 7};

@@ -1,19 +1,19 @@
 // E10 — Elastic scale-out: live partition add with state transfer.
 //
 // A DS-SMR chirper deployment starts at 2 partitions, driven to saturation
-// by a fixed client population. Mid-run a ScalePlan boots a third partition;
+// by a fixed client population. Mid-run the nemesis boots a third partition;
 // the oracle admits it through an atomically multicast membership record and
 // rebalances variables onto it with chunked bulk moves while clients keep
 // executing. Expected shape: throughput plateaus at the 2-partition capacity,
 // dips briefly during the rebalance window (move churn), then settles above
 // the pre-scale plateau once a third of the load lives on the new partition.
 //
-// The plan is --scale-plan (default add-partition@3s); the run extends to the
+// The plan is --nemesis (default add-partition@3s); the run extends to the
 // plan's last event + 8s so late events still show their post-scale plateau.
 #include <algorithm>
 
 #include "bench_util.h"
-#include "fault/scale_plan.h"
+#include "fault/fault_plan.h"
 
 int main(int argc, char** argv) {
   using namespace dssmr;
@@ -22,9 +22,9 @@ int main(int argc, char** argv) {
   RunRecordSink sink(argc, argv, "fig_elastic_scaleout");
   heading("E10: elastic scale-out — live partition add + rebalance, 2 partitions + 1");
 
-  const std::string& flag_plan = sink.options().scale_plan;
+  const std::string& flag_plan = sink.options().nemesis;
   const std::string plan_spec = flag_plan.empty() ? "add-partition@3s" : flag_plan;
-  const fault::ScalePlan plan = fault::resolve_scale_plan(plan_spec);
+  const fault::FaultPlan plan = fault::resolve_plan(plan_spec);
   const Duration last_event = plan.events.back().at;
 
   harness::ChirperRunConfig cfg;
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   cfg.measure = std::max(last_event + sec(8), sec(12));
   cfg.seed = 42;
   sink.apply(cfg);
-  cfg.scale_plan = plan_spec;
+  cfg.nemesis = plan_spec;
 
   const std::vector<SweepPoint> points = {{cfg, "elastic"}};
   const auto results = run_points(sink, points);

@@ -60,8 +60,9 @@ void OracleNode::init_oracle(net::Network& network, const multicast::Directory& 
           // interning creates the counter, and off-mode run records must stay
           // byte-identical to the pre-locality output.
           prefetch_k > 0 ? handle("locality.prefetch_sent") : off,
-          // Elastic counters follow the same rule: interned only when a scale
-          // plan is armed, so non-elastic run records keep their exact bytes.
+          // Elastic counters follow the same rule: interned only when the plan
+          // adds or retires a partition, so non-elastic run records keep their
+          // exact bytes.
           elastic ? handle("elastic.partitions_added") : off,
           elastic ? handle("elastic.partitions_retired") : off,
           elastic ? handle("elastic.rebalance_moves") : off,
@@ -329,7 +330,7 @@ void OracleNode::handle_reconfig(const Command& cmd) {
       record_instant(stats::InstantKind::kPartitionDraining, cmd.id.value,
                      static_cast<std::int64_t>(target.value));
     }
-    // Sweep whatever is currently mapped there. The Scaler re-submits the
+    // Sweep whatever is currently mapped there. The Nemesis re-submits the
     // retire record if stragglers (moves in flight at planning time) land
     // variables on the draining partition afterwards — handle_reconfig is
     // idempotent, so each sweep only moves the leftovers.

@@ -51,7 +51,7 @@ class OracleNode : public multicast::GroupNode {
   /// `issues_moves` (DynaStar): the leader multicasts the collocation move a
   /// consult calls for itself, instead of leaving it to the client.
   /// `prefetch_k` > 0: prophecies carry up to that many co-accessed prefetch
-  /// entries (see DESIGN.md). `elastic`: a ScalePlan may deliver membership
+  /// entries (see DESIGN.md). `elastic`: a nemesis plan may deliver membership
   /// records; only then are the elastic.* counters interned, so non-elastic
   /// run records stay byte-identical to the pre-elasticity output.
   void init_oracle(net::Network& network, const multicast::Directory& directory, GroupId gid,
@@ -75,7 +75,7 @@ class OracleNode : public multicast::GroupNode {
   std::size_t queue_depth() const { return exec_->queue_depth(); }
 
   /// Elastic membership entry point (called on the current leader by the
-  /// Scaler): atomically multicasts a kReconfig record to the oracle group so
+  /// Nemesis): atomically multicasts a kReconfig record to the oracle group so
   /// EVERY replica admits/drains `partition` at the same point in the
   /// delivered command order. `op` is kReconfigAdd or kReconfigRetire.
   /// Idempotent at delivery — re-submitting a retire re-sweeps whatever

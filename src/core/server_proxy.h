@@ -87,7 +87,7 @@ class PartitionServer : public multicast::GroupNode {
   /// shipments) but answers kRetired instead of kRetry, steering clients back
   /// to the oracle. Straggler moves that land variables here afterwards are
   /// still accepted — rejecting them would drop the shipped values — and the
-  /// Scaler's drain watchdog re-sweeps them off.
+  /// Nemesis's drain watchdog re-sweeps them off.
   void set_retired() { retired_ = true; }
   bool retired() const { return retired_; }
 

@@ -1,16 +1,65 @@
 #include "fault/fault_plan.h"
 
+#include <algorithm>
 #include <cstdlib>
-
-#include "fault/plan_dsl.h"
+#include <stdexcept>
 
 namespace dssmr::fault {
 namespace {
 
-using dsl::fail;
-using dsl::parse_time;
-using dsl::parse_u32;
-using dsl::trim;
+/// A malformed plan, before parse_plan() adds the plan's text, so every
+/// error reads `bad fault plan "<spec>": <why>`.
+struct ParseError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+[[noreturn]] void fail(const std::string& why) { throw ParseError(why); }
+
+std::vector<std::string_view> split(std::string_view s, char sep) {
+  std::vector<std::string_view> out;
+  while (true) {
+    const std::size_t pos = s.find(sep);
+    if (pos == std::string_view::npos) {
+      out.push_back(s);
+      return out;
+    }
+    out.push_back(s.substr(0, pos));
+    s.remove_prefix(pos + 1);
+  }
+}
+
+std::string_view trim(std::string_view s) {
+  while (!s.empty() && s.front() == ' ') s.remove_prefix(1);
+  while (!s.empty() && s.back() == ' ') s.remove_suffix(1);
+  return s;
+}
+
+bool parse_u32(std::string_view s, std::uint32_t& out) {
+  if (s.empty()) return false;
+  std::uint64_t v = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+    v = v * 10 + static_cast<std::uint64_t>(c - '0');
+    if (v > 0xffffffffULL) return false;
+  }
+  out = static_cast<std::uint32_t>(v);
+  return true;
+}
+
+/// `120ms`, `50us`, `2s` -> microseconds.
+Duration parse_time(std::string_view s) {
+  s = trim(s);
+  std::size_t digits = 0;
+  while (digits < s.size() && s[digits] >= '0' && s[digits] <= '9') ++digits;
+  if (digits == 0) fail("expected a time like 120ms, got \"" + std::string(s) + "\"");
+  std::uint32_t n = 0;
+  if (!parse_u32(s.substr(0, digits), n)) fail("time out of range: " + std::string(s));
+  const std::string_view unit = s.substr(digits);
+  if (unit == "us") return usec(n);
+  if (unit == "ms") return msec(n);
+  if (unit == "s") return sec(n);
+  fail("unknown time unit \"" + std::string(unit) + "\" (want us/ms/s)");
+}
 
 double parse_prob(std::string_view s) {
   const std::string str(trim(s));
@@ -59,7 +108,7 @@ FaultTarget parse_target(std::string_view s) {
 
 std::vector<FaultTarget> parse_set(std::string_view s) {
   std::vector<FaultTarget> out;
-  for (std::string_view part : dsl::split(s, '+')) {
+  for (std::string_view part : split(s, '+')) {
     FaultTarget t = parse_target(part);
     if (t.kind == FaultTarget::Kind::kLastVictim) fail("`last` is not valid in a cut set");
     out.push_back(t);
@@ -73,8 +122,17 @@ bool is_process(const FaultTarget& t) {
          t.kind == FaultTarget::Kind::kLastVictim;
 }
 
+/// One event, `<action>[:<args>]@<time>`.
 FaultEvent parse_event(std::string_view s) {
-  auto [action, args, time_part] = dsl::split_event(s);
+  const std::size_t at_pos = s.rfind('@');
+  if (at_pos == std::string_view::npos) fail("event \"" + std::string(s) + "\" is missing @time");
+  std::string_view action = trim(s.substr(0, at_pos));
+  std::string_view args;
+  std::string_view time_part = trim(s.substr(at_pos + 1));
+  if (const std::size_t colon = action.find(':'); colon != std::string_view::npos) {
+    args = trim(action.substr(colon + 1));
+    action = action.substr(0, colon);
+  }
   FaultEvent e;
   if (action == "crash" || action == "recover") {
     e.action = action == "crash" ? FaultAction::kCrash : FaultAction::kRecover;
@@ -116,6 +174,15 @@ FaultEvent parse_event(std::string_view s) {
     e.duration = parse_time(time_part.substr(plus + 1));
     time_part = trim(time_part.substr(0, plus));
     if (e.duration <= 0) fail("drop burst duration must be positive");
+  } else if (action == "add-partition") {
+    e.action = FaultAction::kAddPartition;
+    if (!args.empty()) fail("add-partition takes no argument");
+  } else if (action == "remove-partition") {
+    e.action = FaultAction::kRemovePartition;
+    e.target.kind = FaultTarget::Kind::kPartition;
+    if (!parse_u32(args, e.target.partition)) {
+      fail("remove-partition needs a partition index, got \"" + std::string(args) + "\"");
+    }
   } else {
     fail("unknown action \"" + std::string(action) + "\"");
   }
@@ -125,8 +192,29 @@ FaultEvent parse_event(std::string_view s) {
 
 }  // namespace
 
+bool FaultPlan::elastic() const {
+  return std::any_of(events.begin(), events.end(),
+                     [](const FaultEvent& e) { return is_scale(e.action); });
+}
+
 FaultPlan parse_plan(std::string_view spec) {
-  return dsl::parse<FaultPlan>("fault", spec, parse_event);
+  try {
+    FaultPlan plan;
+    plan.name = "custom";
+    plan.spec = std::string(trim(spec));
+    if (plan.spec.empty()) fail("empty plan");
+    for (std::string_view ev : split(plan.spec, ';')) {
+      ev = trim(ev);
+      if (!ev.empty()) plan.events.push_back(parse_event(ev));
+    }
+    if (plan.events.empty()) fail("plan has no events");
+    // Trigger-time order, ties in written order.
+    std::stable_sort(plan.events.begin(), plan.events.end(),
+                     [](const FaultEvent& a, const FaultEvent& b) { return a.at < b.at; });
+    return plan;
+  } catch (const ParseError& e) {
+    throw std::invalid_argument("bad fault plan \"" + std::string(spec) + "\": " + e.what());
+  }
 }
 
 const std::vector<ShippedPlan>& shipped_plans() {
@@ -143,12 +231,26 @@ const std::vector<ShippedPlan>& shipped_plans() {
        "asymmetric fault: p0r0 hears its peers but they never hear it"},
       {"drop-burst", "drop:0.05@100ms+300ms",
        "5% random message loss for 300ms, then restore"},
+      {"scale-out", "add-partition@150ms",
+       "boot one fresh partition mid-run; the oracle rebalances onto it"},
+      {"scale-in", "remove-partition:1@150ms",
+       "drain partition 1 onto the rest, wait for the barrier, retire it"},
+      {"scale-bounce", "add-partition@100ms;remove-partition:2@400ms",
+       "add a partition, then drain and retire it again (2-partition deployments: "
+       "the added one is index 2)"},
   };
   return kPlans;
 }
 
 FaultPlan resolve_plan(std::string_view name_or_spec) {
-  return dsl::resolve(shipped_plans(), name_or_spec, parse_plan);
+  for (const ShippedPlan& p : shipped_plans()) {
+    if (name_or_spec == p.name) {
+      FaultPlan plan = parse_plan(p.spec);
+      plan.name = std::string(p.name);
+      return plan;
+    }
+  }
+  return parse_plan(name_or_spec);
 }
 
 }  // namespace dssmr::fault

@@ -4,16 +4,22 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/assert.h"
+#include "core/oracle.h"
+
 namespace dssmr::fault {
 namespace {
 
-/// Leader-watch cadence after a kill-leader: fine enough that
-/// time_to_new_leader is accurate to half a heartbeat, coarse enough not to
-/// inflate the event count.
-constexpr Duration kLeaderPoll = usec(500);
-/// Give up watching after this many polls (a group with no quorum left never
-/// elects; the histogram simply records nothing).
-constexpr int kLeaderPollLimit = 10000;
+/// Cadence of the leader watch, reconfig submit and drain barrier: fine
+/// enough that time_to_new_leader and drain_time are accurate to half a
+/// heartbeat, coarse enough not to inflate the event count.
+constexpr Duration kPoll = usec(500);
+/// Give up after this many polls: a group with no quorum left never elects,
+/// and a partition wedged behind a dead peer never drains.
+constexpr int kPollLimit = 10000;
+/// Post-retire straggler watchdog: slower cadence, bounded horizon.
+constexpr Duration kWatchdogPoll = msec(5);
+constexpr int kWatchdogPolls = 400;
 
 }  // namespace
 
@@ -23,31 +29,34 @@ Nemesis::Nemesis(harness::Deployment& deployment, FaultPlan plan)
 }
 
 void Nemesis::validate() const {
+  // Partition indexes are dense over every partition ever created, so an add
+  // raises the valid range by one as the time-sorted plan replays.
   const auto& cfg = d_.config();
-  auto check = [&](const FaultTarget& t) {
+  std::size_t total = cfg.partitions;
+  std::size_t live = total;
+  std::vector<bool> removed(total, false);
+  const auto bad = [&](const std::string& why) {
+    throw std::invalid_argument("fault plan \"" + plan_.name + "\" " + why);
+  };
+  const auto check = [&](const FaultTarget& t) {
     switch (t.kind) {
       case FaultTarget::Kind::kReplica:
-        if (t.partition >= cfg.partitions || t.replica >= cfg.replicas_per_partition) {
-          throw std::invalid_argument(
-              "fault plan \"" + plan_.name + "\" targets p" + std::to_string(t.partition) +
-              "r" + std::to_string(t.replica) + " but the deployment has " +
-              std::to_string(cfg.partitions) + " partitions x " +
-              std::to_string(cfg.replicas_per_partition) + " replicas");
+        if (t.partition >= total || t.replica >= cfg.replicas_per_partition) {
+          bad("targets p" + std::to_string(t.partition) + "r" + std::to_string(t.replica) +
+              " but the deployment has " + std::to_string(total) + " partitions x " +
+              std::to_string(cfg.replicas_per_partition) + " replicas at that point");
         }
         break;
       case FaultTarget::Kind::kOracleReplica:
         if (t.replica >= cfg.oracle_replicas) {
-          throw std::invalid_argument("fault plan \"" + plan_.name + "\" targets oracle" +
-                                      std::to_string(t.replica) + " but the oracle has " +
-                                      std::to_string(cfg.oracle_replicas) + " replicas");
+          bad("targets oracle" + std::to_string(t.replica) + " but the oracle has " +
+              std::to_string(cfg.oracle_replicas) + " replicas");
         }
         break;
       case FaultTarget::Kind::kPartition:
-        if (t.partition >= cfg.partitions) {
-          throw std::invalid_argument("fault plan \"" + plan_.name + "\" targets p" +
-                                      std::to_string(t.partition) +
-                                      " but the deployment has " +
-                                      std::to_string(cfg.partitions) + " partitions");
+        if (t.partition >= total) {
+          bad("targets p" + std::to_string(t.partition) + " but the deployment has " +
+              std::to_string(total) + " partitions at that point");
         }
         break;
       case FaultTarget::Kind::kOracle:
@@ -56,9 +65,23 @@ void Nemesis::validate() const {
     }
   };
   for (const FaultEvent& e : plan_.events) {
+    if (e.action == FaultAction::kAddPartition) {
+      ++total;
+      ++live;
+      removed.push_back(false);
+      continue;
+    }
     check(e.target);
     for (const FaultTarget& t : e.side_a) check(t);
     for (const FaultTarget& t : e.side_b) check(t);
+    if (e.action == FaultAction::kRemovePartition) {
+      if (removed[e.target.partition]) {
+        bad("removes partition " + std::to_string(e.target.partition) + " twice");
+      }
+      if (live <= 1) bad("would drain the last live partition");
+      removed[e.target.partition] = true;
+      --live;
+    }
   }
 }
 
@@ -111,7 +134,7 @@ std::vector<ProcessId> Nemesis::expand_set(const std::vector<FaultTarget>& set) 
 
 void Nemesis::fire(const FaultEvent& e) {
   ++events_fired_;
-  d_.metrics().inc("faults.events_injected");
+  d_.metrics().inc(is_scale(e.action) ? "elastic.plan_events" : "faults.events_injected");
   switch (e.action) {
     case FaultAction::kCrash:
       if (Node* n = process_node(e.target); n != nullptr) do_crash(*n);
@@ -130,6 +153,12 @@ void Nemesis::fire(const FaultEvent& e) {
       break;
     case FaultAction::kDropBurst:
       do_drop_burst(e);
+      break;
+    case FaultAction::kAddPartition:
+      do_add();
+      break;
+    case FaultAction::kRemovePartition:
+      do_remove(e.target.partition);
       break;
   }
 }
@@ -170,23 +199,40 @@ void Nemesis::do_kill_leader(const FaultEvent& e) {
   const Time killed_at = d_.engine().now();
   do_crash(*leader);
   d_.metrics().inc("faults.leader_kills");
-  watch_for_leader(std::move(members), killed_at, kLeaderPollLimit);
+  const std::string group = e.target.kind == FaultTarget::Kind::kOracle
+                                ? "oracle"
+                                : "p" + std::to_string(e.target.partition);
+  poll(
+      [this, members = std::move(members), killed_at] {
+        for (Node* m : members) {
+          if (!m->halted() && m->is_leader()) {
+            d_.metrics().histogram("faults.time_to_new_leader_us")
+                .record(d_.engine().now() - killed_at);
+            return true;
+          }
+        }
+        return false;
+      },
+      "faults.poll_expired", "a new leader of " + group, kPollLimit);
 }
 
-void Nemesis::watch_for_leader(std::vector<Node*> members, Time killed_at,
-                               int polls_left) {
-  for (Node* m : members) {
-    if (!m->halted() && m->is_leader()) {
-      d_.metrics().histogram("faults.time_to_new_leader_us")
-          .record(d_.engine().now() - killed_at);
-      return;
-    }
+void Nemesis::poll(std::function<bool()> done, const char* expired, std::string what,
+                   int polls_left) {
+  if (done()) return;
+  if (polls_left <= 0) {
+    d_.metrics().inc(expired);
+    mark("gave up waiting for " + what);
+    return;
   }
-  if (polls_left <= 0) return;
-  d_.engine().schedule(kLeaderPoll, [this, members = std::move(members), killed_at,
-                                     polls_left]() mutable {
-    watch_for_leader(std::move(members), killed_at, polls_left - 1);
+  d_.engine().schedule(kPoll, [this, done = std::move(done), expired, what = std::move(what),
+                               polls_left]() mutable {
+    poll(std::move(done), expired, std::move(what), polls_left - 1);
   });
+}
+
+void Nemesis::mark(std::string label) {
+  d_.metrics().spans().record(stats::InstantKind::kMark, d_.engine().now(), 0, 0, 0,
+                              std::move(label));
 }
 
 void Nemesis::cut_one(ProcessId from, ProcessId to) {
@@ -245,6 +291,66 @@ void Nemesis::do_drop_burst(const FaultEvent& e) {
     d_.metrics().spans().record(stats::InstantKind::kFaultRecover, d_.engine().now(), 0, 0,
                                 0, "drop burst over");
     window_close();
+  });
+}
+
+void Nemesis::do_add() {
+  const std::size_t index = d_.partition_count();
+  const GroupId gid = d_.add_partition();
+  mark("scale-out: partition " + std::to_string(index) + " booted");
+  submit_on_leader(gid, core::kReconfigAdd);
+}
+
+void Nemesis::do_remove(std::size_t partition) {
+  DSSMR_ASSERT_MSG(!d_.partition_retired(partition), "partition retired twice");
+  ++pending_removes_;
+  mark("scale-in: partition " + std::to_string(partition) + " draining");
+  submit_on_leader(d_.partition_gid(partition), core::kReconfigRetire);
+  poll(
+      [this, partition, submitted_at = d_.engine().now()] {
+        if (!d_.partition_drained(partition)) return false;
+        d_.metrics().histogram("elastic.drain_time_us")
+            .record(d_.engine().now() - submitted_at);
+        d_.finish_retire(partition);
+        d_.metrics().spans().record(
+            stats::InstantKind::kPartitionRetired, d_.engine().now(), 0, 0,
+            static_cast<std::int64_t>(d_.partition_gid(partition).value),
+            "scale-in: partition " + std::to_string(partition) + " retired");
+        --pending_removes_;
+        watchdog(partition, kWatchdogPolls);
+        return true;
+      },
+      "elastic.poll_expired", "the drain of partition " + std::to_string(partition),
+      kPollLimit);
+}
+
+void Nemesis::submit_on_leader(GroupId target, std::uint32_t op) {
+  poll(
+      [this, target, op] {
+        for (std::size_t r = 0; r < d_.config().oracle_replicas; ++r) {
+          core::OracleNode& o = d_.oracle(r);
+          if (!o.halted() && o.is_leader()) {
+            o.submit_reconfig(target, op);
+            return true;
+          }
+        }
+        return false;
+      },
+      "elastic.poll_expired", "an oracle leader to submit a reconfig", kPollLimit);
+}
+
+void Nemesis::watchdog(std::size_t partition, int polls_left) {
+  if (polls_left <= 0) return;
+  d_.engine().schedule(kWatchdogPoll, [this, partition, polls_left] {
+    if (!d_.partition_drained(partition)) {
+      // A straggler move (issued against a pre-drain prophecy) landed
+      // variables on the retired partition. The retire record is idempotent:
+      // re-delivering it re-sweeps whatever is mapped there now.
+      d_.metrics().inc("elastic.straggler_sweeps");
+      mark("scale-in: straggler re-sweep of partition " + std::to_string(partition));
+      submit_on_leader(d_.partition_gid(partition), core::kReconfigRetire);
+    }
+    watchdog(partition, polls_left - 1);
   });
 }
 

@@ -49,7 +49,7 @@ struct DeploymentConfig : Knobs {
 
   std::uint64_t seed = 1;
 
-  /// Elastic repartitioning (a ScalePlan will add/retire partitions mid-run).
+  /// Elastic repartitioning (a nemesis plan will add/retire partitions mid-run).
   /// Off by default; when off, no elastic counter or gauge registers and the
   /// deployment is byte-identical to a build without elasticity.
   bool elastic = false;
@@ -106,7 +106,7 @@ class Deployment {
   /// Boots a fresh replica group mid-run (elastic scale-out): registers the
   /// processes and the multicast group, wires trace/spans/metrics and starts
   /// the replicas. The oracle does NOT know about it yet — the caller (the
-  /// Scaler) must follow up with an atomically multicast membership record so
+  /// Nemesis) must follow up with an atomically multicast membership record so
   /// every oracle replica admits it at the same point in the command order.
   GroupId add_partition();
 

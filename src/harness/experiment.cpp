@@ -10,7 +10,6 @@
 #include "common/assert.h"
 #include "core/dynastar_policy.h"
 #include "fault/nemesis.h"
-#include "fault/scaler.h"
 #include "partition/partitioner.h"
 
 namespace dssmr::harness {
@@ -162,13 +161,6 @@ RunResult run_chirper(const ChirperRunConfig& cfg) {
   if (!cfg.nemesis.empty()) {
     nemesis.emplace(d, fault::resolve_plan(cfg.nemesis));
     nemesis->arm();
-  }
-  // Same lifetime rule as the nemesis; composes with it (both actors share
-  // the virtual clock, so e.g. a drain can run under a drop burst).
-  std::optional<fault::Scaler> scaler;
-  if (!cfg.scale_plan.empty()) {
-    scaler.emplace(d, fault::resolve_scale_plan(cfg.scale_plan));
-    scaler->arm();
   }
 
   workload::ChirperWorkload wl{prepared.graph, cfg.workload, cfg.seed * 31 + 7};

@@ -64,7 +64,7 @@ enum class Placement : std::uint8_t {
 
 const char* to_string(Placement p);
 
-/// The batching, locality, tracing, telemetry, fault and scale-plan knobs come
+/// The batching, locality, tracing, telemetry and nemesis-plan knobs come
 /// from RunKnobs (harness/knobs.h).
 struct ChirperRunConfig : RunKnobs {
   std::size_t partitions = 2;

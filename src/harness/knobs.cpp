@@ -10,7 +10,6 @@
 #include <variant>
 
 #include "fault/fault_plan.h"
-#include "fault/scale_plan.h"
 #include "harness/deployment.h"
 #include "stats/run_record.h"
 
@@ -25,7 +24,6 @@ enum class Kind : std::uint8_t {
   kCount,      // non-negative count
   kMicros,     // positive microsecond count
   kFaultPlan,  // shipped plan name or DSL that fault::resolve_plan accepts
-  kScalePlan,  // shipped plan name or DSL that fault::resolve_scale_plan accepts
 };
 
 struct KindInfo {
@@ -41,7 +39,6 @@ constexpr KindInfo kKinds[] = {
     {"N", "a non-negative count"},
     {"<us>", "a positive microsecond count"},
     {"<plan>", "a plan name or fault-plan spec"},
-    {"<plan>", "a plan name or scale-plan spec"},
 };
 
 const KindInfo& info(Kind kind) { return kKinds[static_cast<std::size_t>(kind)]; }
@@ -52,7 +49,6 @@ using Field = T BenchOptions::*;
 bool batching_on(const RunKnobs& k) { return k.batch_size > 0 || k.pipeline_depth > 0; }
 bool locality_on(const RunKnobs& k) { return k.prefetch_k > 0; }
 bool telemetry_on(const RunKnobs& k) { return k.telemetry; }
-bool scale_plan_set(const RunKnobs& k) { return !k.scale_plan.empty(); }
 
 struct Row {
   const char* flag;
@@ -87,12 +83,8 @@ constexpr Row kRows[] = {
              "run record's `phases` section"},
     {.flag = "--nemesis", .kind = Kind::kFaultPlan, .field = &BenchOptions::nemesis,
      .meta = "nemesis", .off = "none",
-     .help = "arm a deterministic fault schedule: shipped plan name or DSL "
-             "(src/fault/fault_plan.h)"},
-    {.flag = "--scale-plan", .kind = Kind::kScalePlan, .field = &BenchOptions::scale_plan,
-     .meta = "scale_plan", .gate = scale_plan_set,
-     .help = "arm a deterministic elasticity schedule, live partition add/remove with state "
-             "transfer: shipped plan name or DSL (src/fault/scale_plan.h)"},
+     .help = "arm a deterministic fault and elasticity schedule (crashes, cuts, drops, live "
+             "partition add/remove): shipped plan name or DSL (src/fault/fault_plan.h)"},
     {.flag = "--batch-size", .kind = Kind::kCount, .field = &BenchOptions::batch_size,
      .meta = "batch_size", .gate = batching_on,
      .help = "pack up to N logical submissions into one atomic-multicast message; 0 = off"},
@@ -170,16 +162,11 @@ std::string assign(const Row& row, const char* value, const std::string& experim
       return {};
     }
     case Kind::kFaultPlan:
-    case Kind::kScalePlan:
       if (v.empty()) return need;
       // Surface plan errors here, so the sweep stays plan-free and finish()
       // can return 2 instead of crashing mid-run.
       try {
-        if (row.kind == Kind::kFaultPlan) {
-          fault::resolve_plan(v);
-        } else {
-          fault::resolve_scale_plan(v);
-        }
+        fault::resolve_plan(v);
       } catch (const std::invalid_argument& e) {
         return e.what();
       }
@@ -201,9 +188,10 @@ std::optional<long long> parse_integer(std::string_view s) {
 void apply_knobs(const RunKnobs& knobs, DeploymentConfig& dep) {
   static_cast<Knobs&>(dep) = knobs;
   // Elastic gating: the flag interns the elastic.* counters and registers the
-  // partition-count gauge, so it is set only when a plan is actually armed —
-  // scale-plan-free runs stay byte-identical to the pre-elasticity output.
-  dep.elastic = !knobs.scale_plan.empty();
+  // partition-count gauge, so it is set only when the plan adds or retires a
+  // partition — every other run stays byte-identical to the pre-elasticity
+  // output.
+  dep.elastic = !knobs.nemesis.empty() && fault::resolve_plan(knobs.nemesis).elastic();
 }
 
 void add_knob_meta(const RunKnobs& knobs, stats::RunRecord& rec) {

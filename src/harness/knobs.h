@@ -77,17 +77,13 @@ struct Knobs {
 /// Knobs only a driven run acts on: actors armed right after settle().
 struct RunKnobs : Knobs {
   /// Fault plan: a shipped plan name or fault-plan DSL (see
-  /// fault/fault_plan.h). Empty = no faults.
+  /// fault/fault_plan.h), faults and partition adds/removes alike. Empty =
+  /// no faults and no elasticity.
   std::string nemesis;
-  /// Scale plan: a shipped plan name or scale-plan DSL (see
-  /// fault/scale_plan.h). Empty = no elasticity (and the run stays
-  /// byte-identical to the pre-elasticity code). Composes with `nemesis` —
-  /// both actors are armed on the same clock.
-  std::string scale_plan;
 };
 
 /// Copies the deployment-level knobs into `dep` and turns elasticity on
-/// exactly when a scale plan is set.
+/// exactly when the nemesis plan adds or retires a partition.
 void apply_knobs(const RunKnobs& knobs, DeploymentConfig& dep);
 
 /// Appends the knobs' run-record metadata to `rec`: `nemesis` and

@@ -190,7 +190,7 @@ void write_prefix_section(JsonWriter& w, const Metrics& m, const PrefixSection& 
 
 // v3 `faults` (a nemesis ran), then — after telemetry — v5 `batching`, v6
 // `locality` (prophecy prefetch was on) and v7
-// `elasticity` (a ScalePlan was armed): one stable place per feature for
+// `elasticity` (a plan added or retired a partition): one stable place per feature for
 // its tooling.
 const PrefixSection kFaultsSection{"faults", "faults.", {"time_to_new_leader_us"}};
 const PrefixSection kFeatureSections[] = {

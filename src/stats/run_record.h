@@ -18,8 +18,8 @@
 // core/client_proxy.h), an `elasticity` section summarizing live
 // repartitioning — partitions added/retired, rebalance move and variable
 // totals, and the rebalance chunk-size histogram (present when a run carried
-// `elastic.*` metrics, i.e. a ScalePlan was armed — v7's addition, see
-// fault/scaler.h) — and free-form run metadata (strategy, partitions, seed,
+// `elastic.*` metrics, i.e. a nemesis plan added or retired a partition —
+// v7's addition, see fault/nemesis.h) — and free-form run metadata (strategy, partitions, seed,
 // ...). v8 only removed keys of deleted features. The format is documented
 // in docs/schema.md and EXPERIMENTS.md; CI asserts one of these files parses
 // and carries a nonzero client.ops.

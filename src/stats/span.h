@@ -112,7 +112,7 @@ enum class InstantKind : std::uint8_t {
   kFaultRecover,   // nemesis restored something (recover, heal, drop burst end)
   kPartitionAdded,     // oracle admitted a fresh partition (kReconfig add delivered)
   kPartitionDraining,  // oracle marked a partition draining (kReconfig retire delivered)
-  kPartitionRetired,   // scaler observed the drain barrier and retired the partition
+  kPartitionRetired,   // nemesis observed the drain barrier and retired the partition
   kRebalanceMove,      // oracle leader issued one chunked rebalance move
   kMark,  // a timeline mark with no protocol event (repartitioning, straggler sweep)
   // Add new kinds directly above and extend to_string(); the sentinel keeps

@@ -17,6 +17,7 @@
 #include "stats/run_record.h"
 #include "testing/dssmr_fixture.h"
 #include "testing/history.h"
+#include "testing/plans.h"
 
 namespace dssmr::fault {
 namespace {
@@ -75,6 +76,17 @@ TEST(FaultPlanParse, DropBurst) {
   EXPECT_DOUBLE_EQ(p.events[0].drop_probability, 0.25);
   EXPECT_EQ(p.events[0].at, msec(100));
   EXPECT_EQ(p.events[0].duration, msec(300));
+}
+
+TEST(FaultPlanParse, MixesFaultAndScaleEvents) {
+  const FaultPlan p = parse_plan("kill-leader:p0@120ms;recover:last@700ms;add-partition@150ms");
+  ASSERT_EQ(p.events.size(), 3u);
+  EXPECT_EQ(p.events[0].action, FaultAction::kKillLeader);
+  EXPECT_EQ(p.events[1].action, FaultAction::kAddPartition);
+  EXPECT_EQ(p.events[1].at, msec(150));
+  EXPECT_EQ(p.events[2].action, FaultAction::kRecover);
+  EXPECT_TRUE(p.elastic());
+  EXPECT_FALSE(parse_plan("kill-leader:p0@120ms;recover:last@700ms").elastic());
 }
 
 TEST(FaultPlanParse, MalformedSpecsThrow) {
@@ -173,6 +185,33 @@ TEST(Nemesis, KillLeaderElectsReplacementAndMeasuresIt) {
   EXPECT_GE(live_leaders, 1u);
 }
 
+TEST(Nemesis, LeaderWatchThatRunsOutSaysSo) {
+  // 2-replica groups: the survivor of a leader kill never has a quorum, so
+  // the group never re-elects and the leader watch gives up.
+  auto cfg = small_config(2, Strategy::kDssmr, 2);
+  cfg.replicas_per_partition = 2;
+  cfg.telemetry = true;
+  Deployment d{cfg, kv::kv_app_factory(),
+               [] { return std::make_unique<core::DssmrPolicy>(); }};
+  preload_kv(d, 4);
+  d.start();
+  d.settle();
+
+  Nemesis nem{d, resolve_plan("kill-leader:p0@1ms")};
+  nem.arm();
+  d.engine().run_for(sec(6));
+
+  EXPECT_EQ(d.metrics().counter("faults.leader_kills"), 1u);
+  EXPECT_EQ(d.metrics().counter("faults.poll_expired"), 1u);
+  EXPECT_EQ(d.metrics().find_histogram("faults.time_to_new_leader_us"), nullptr);
+  const stats::SpanStore& events = d.metrics().spans();
+  std::size_t marks = 0;
+  for (const stats::Instant& e : events.instants()) {
+    if (events.label(e) == "gave up waiting for a new leader of p0") ++marks;
+  }
+  EXPECT_EQ(marks, 1u);
+}
+
 TEST(Nemesis, HealRestoresExactlyTheCutLinks) {
   auto cfg = small_config(2, Strategy::kDssmr, 2);
   Deployment d{cfg, kv::kv_app_factory(),
@@ -258,21 +297,8 @@ TEST_P(ShippedPlanLinearizability, HistoriesUnderPlanAreLinearizable) {
   EXPECT_GT(d.metrics().counter("faults.events_injected"), 0u);
 }
 
-std::vector<std::string> shipped_plan_names() {
-  std::vector<std::string> names;
-  for (const ShippedPlan& p : shipped_plans()) names.emplace_back(p.name);
-  return names;
-}
-
 INSTANTIATE_TEST_SUITE_P(AllShippedPlans, ShippedPlanLinearizability,
-                         ::testing::ValuesIn(shipped_plan_names()),
-                         [](const auto& info) {
-                           std::string n = info.param;
-                           for (char& c : n) {
-                             if (c == '-') c = '_';
-                           }
-                           return n;
-                         });
+                         ::testing::ValuesIn(shipped_plan_names(false)), plan_param_name);
 
 // ---- acceptance: byte-identical run records under every shipped plan ---------
 
@@ -303,17 +329,12 @@ TEST_P(ShippedPlanDeterminism, SameSeedSameRunRecordBytes) {
   EXPECT_NE(first.find("\"faults\""), std::string::npos);
   EXPECT_NE(first.find("\"events_injected\""), std::string::npos);
   EXPECT_NE(first.find("\"nemesis\": \"" + GetParam() + "\""), std::string::npos);
+  // Fault events count as faults only: no elasticity section.
+  EXPECT_EQ(first.find("\"elasticity\""), std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllShippedPlans, ShippedPlanDeterminism,
-                         ::testing::ValuesIn(shipped_plan_names()),
-                         [](const auto& info) {
-                           std::string n = info.param;
-                           for (char& c : n) {
-                             if (c == '-') c = '_';
-                           }
-                           return n;
-                         });
+                         ::testing::ValuesIn(shipped_plan_names(false)), plan_param_name);
 
 TEST(FaultRunRecord, NoNemesisMeansNoFaultsSection) {
   harness::ChirperRunConfig cfg;

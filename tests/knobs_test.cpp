@@ -45,8 +45,6 @@ std::vector<FlagCase> flag_cases() {
        }},
       {{"--nemesis", "leader-kill-recover"},
        [](C c, O) { return c.nemesis == "leader-kill-recover"; }},
-      {{"--scale-plan", "add-partition@2s"},
-       [](C c, O) { return c.scale_plan == "add-partition@2s"; }},
       {{"--batch-size", "8"}, [](C c, O) { return c.batch_size == 8; }},
       {{"--batch-delay-us", "50"}, [](C c, O) { return c.batch_delay == usec(50); }},
       {{"--pipeline-depth", "4"}, [](C c, O) { return c.pipeline_depth == 4; }},
@@ -72,7 +70,7 @@ TEST(Knobs, EveryFlagSetsTheFieldApplyForwards) {
 
 TEST(Knobs, ApplyForwardsIntoDeploymentConfig) {
   const auto sink = sink_for({"--batch-size", "8", "--prefetch-k", "4", "--telemetry",
-                              "--scale-plan", "scale-out"});
+                              "--nemesis", "scale-out"});
   DeploymentConfig dep;
   sink.apply(dep);
   EXPECT_EQ(dep.batch_size, 8u);
@@ -85,6 +83,13 @@ TEST(Knobs, ApplyForwardsIntoDeploymentConfig) {
   DeploymentConfig plain;
   sink_for({}).apply(plain);
   EXPECT_FALSE(plain.elastic);
+  // Only a plan that adds or retires a partition makes the deployment elastic.
+  DeploymentConfig faulty;
+  sink_for({"--nemesis", "leader-kill-recover"}).apply(faulty);
+  EXPECT_FALSE(faulty.elastic);
+  DeploymentConfig mixed;
+  sink_for({"--nemesis", "kill-leader:p0@120ms;add-partition@150ms"}).apply(mixed);
+  EXPECT_TRUE(mixed.elastic);
 }
 
 TEST(Knobs, BadValuesMakeFinishReturnTwo) {
@@ -104,8 +109,9 @@ TEST(Knobs, BadValuesMakeFinishReturnTwo) {
       {"--telemetry-interval", "0"},
       {"--nemesis", "not-a-plan"},
       {"--nemesis"},
-      {"--scale-plan", "not-a-plan"},
-      {"--scale-plan"},
+      {"--nemesis", "add-partition:1@1ms"},
+      // The flag of the separate elasticity schedule, now a --nemesis event.
+      {"--scale-plan", "scale-out"},
       {"--no-such-flag"},
       // Flags of removed features (cache repair, move coalescing).
       {"--cache-repair"},
@@ -119,7 +125,6 @@ TEST(Knobs, BadValuesMakeFinishReturnTwo) {
   // A rejected value leaves its field at the default, so the sweep that still
   // runs before finish() stays fault-free and telemetry-free.
   EXPECT_TRUE(sink_for({"--nemesis", "not-a-plan"}).options().nemesis.empty());
-  EXPECT_TRUE(sink_for({"--scale-plan", "not-a-plan"}).options().scale_plan.empty());
   EXPECT_FALSE(sink_for({"--telemetry-interval", "0"}).options().telemetry);
   EXPECT_EQ(sink_for({"--batch-size", "4x"}).options().batch_size, 0u);
 }
@@ -164,8 +169,7 @@ TEST(Knobs, MetaMatchesTheHandWrittenRecord) {
                   {"ok", "0"},
                   {"nok", "0"}}));
 
-  cfg.nemesis = "leader-kill-recover";
-  cfg.scale_plan = "scale-out";
+  cfg.nemesis = "kill-leader:p0@120ms;add-partition@150ms";
   cfg.batch_size = 8;
   cfg.pipeline_depth = 4;
   cfg.prefetch_k = 8;
@@ -181,8 +185,7 @@ TEST(Knobs, MetaMatchesTheHandWrittenRecord) {
                   {"warmup_us", "2000000"},
                   {"measure_us", "4000000"},
                   {"client_cache", "true"},
-                  {"nemesis", "leader-kill-recover"},
-                  {"scale_plan", "scale-out"},
+                  {"nemesis", "kill-leader:p0@120ms;add-partition@150ms"},
                   {"batch_size", "8"},
                   {"batch_delay_us", "100"},
                   {"pipeline_depth", "4"},

@@ -21,6 +21,7 @@
 #include "stats/run_record.h"
 #include "testing/dssmr_fixture.h"
 #include "testing/history.h"
+#include "testing/plans.h"
 
 namespace dssmr::core {
 namespace {
@@ -149,21 +150,8 @@ TEST_P(LocalityUnderFaults, HistoriesUnderPlanAreLinearizable) {
   EXPECT_GT(d.metrics().counter("faults.events_injected"), 0u);
 }
 
-std::vector<std::string> shipped_plan_names() {
-  std::vector<std::string> names;
-  for (const fault::ShippedPlan& p : fault::shipped_plans()) names.emplace_back(p.name);
-  return names;
-}
-
 INSTANTIATE_TEST_SUITE_P(AllShippedPlans, LocalityUnderFaults,
-                         ::testing::ValuesIn(shipped_plan_names()),
-                         [](const auto& info) {
-                           std::string n = info.param;
-                           for (char& c : n) {
-                             if (c == '-') c = '_';
-                           }
-                           return n;
-                         });
+                         ::testing::ValuesIn(shipped_plan_names(false)), plan_param_name);
 
 // ---- determinism and off-by-default purity -----------------------------------
 

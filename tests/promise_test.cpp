@@ -109,7 +109,7 @@ TEST(Promise, PartitionAddKeepsThroughput) {
   cfg.clients_per_partition = 8;
   const RunResult off = run_chirper(cfg);
 
-  cfg.scale_plan = "add-partition@50ms";
+  cfg.nemesis = "add-partition@50ms";
   const RunResult on = run_chirper(cfg);
 
   EXPECT_EQ(on.counter("elastic.partitions_added"), 1u);

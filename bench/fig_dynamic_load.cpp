@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
       policy = [] { return std::make_unique<core::DssmrPolicy>(); };
     }
 
-    harness::Deployment d{dep, chirper::chirper_app_factory({usec(80), usec(5), usec(0)}),
+    harness::Deployment d{dep, chirper::chirper_app_factory({usec(80), usec(5)}),
                           std::move(policy)};
     d.start();
     d.settle();

@@ -1,7 +1,11 @@
 // Microbenchmarks of the communication substrate (google-benchmark):
 // engine event throughput, network send, Paxos decision round, atomic and
-// reliable multicast end-to-end rounds.
+// reliable multicast end-to-end rounds. The cases that time on the wall
+// clock (UseRealTime) are gated against BENCH_perf.json by
+// tools/perf_compare.py (EXPERIMENTS.md, "Microbenches").
 #include <benchmark/benchmark.h>
+
+#include <cstdlib>
 
 #include "multicast/atomic.h"
 #include "multicast/client.h"
@@ -34,19 +38,25 @@ void BM_EngineScheduleAndRun(benchmark::State& state) {
 BENCHMARK(BM_EngineScheduleAndRun);
 
 void BM_EngineScheduleFire(benchmark::State& state) {
-  // Pure schedule->fire round trips with a deep queue already in place —
-  // the steady-state shape of a busy simulation.
+  // Pure schedule->fire round trips against a populated heap: a mid-size
+  // chirper run keeps thousands of timers pending (per-client timeouts plus
+  // every in-flight network delivery). The capture mirrors the network's
+  // delivery callbacks ([this, from, to, m] — four words).
   sim::Engine engine;
+  std::int64_t ballast = 0;
+  for (int i = 0; i < 4096; ++i) engine.schedule(1'000'000'000 + i, [&ballast] { ++ballast; });
   std::int64_t sink = 0;
-  for (int i = 0; i < 1024; ++i) engine.schedule(1'000'000'000 + i, [&sink] { ++sink; });
+  std::uint64_t from = 1, to = 2, payload = 3;
   for (auto _ : state) {
-    engine.schedule(0, [&sink] { ++sink; });
+    engine.schedule(0, [&sink, from, to, payload] {
+      sink += static_cast<std::int64_t>(from + to + payload) / 6;
+    });
     engine.step();
   }
-  benchmark::DoNotOptimize(sink);
+  if (sink != static_cast<std::int64_t>(state.iterations())) std::abort();
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EngineScheduleFire);
+BENCHMARK(BM_EngineScheduleFire)->UseRealTime();
 
 void BM_EngineScheduleCancel(benchmark::State& state) {
   // The timeout pattern: nearly every armed timer is cancelled before it
@@ -61,10 +71,10 @@ void BM_EngineScheduleCancel(benchmark::State& state) {
     for (int i = 0; i < 64; ++i) engine.cancel(ids[i]);
     engine.run();  // drains the dead heap entries without firing anything
   }
-  benchmark::DoNotOptimize(sink);
+  if (sink != 0) std::abort();
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_EngineScheduleCancel);
+BENCHMARK(BM_EngineScheduleCancel)->UseRealTime();
 
 class Sink : public net::Actor {
  public:
@@ -106,7 +116,7 @@ void BM_NetworkMultisend(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * fanout);
 }
-BENCHMARK(BM_NetworkMultisend)->Arg(4)->Arg(16);
+BENCHMARK(BM_NetworkMultisend)->Arg(4)->Arg(16)->UseRealTime();
 
 class NullGroupNode : public multicast::GroupNode {
  public:

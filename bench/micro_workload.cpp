@@ -1,7 +1,12 @@
-// Microbenchmarks of the workload-generation and statistics substrates.
+// Microbenchmarks of the workload-generation and statistics substrates and
+// of the client location cache's flat maps. The cases that time on the wall
+// clock (UseRealTime) are gated against BENCH_perf.json by
+// tools/perf_compare.py (EXPERIMENTS.md, "Microbenches").
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
 #include <unordered_map>
+#include <utility>
 
 #include "common/flat_map.h"
 #include "common/rng.h"
@@ -29,7 +34,7 @@ void BM_ZipfSampleAlias(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(zipf.sample(rng));
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ZipfSampleAlias)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_ZipfSampleAlias)->Arg(1000)->Arg(100000)->UseRealTime();
 
 void BM_ZipfSampleCdf(benchmark::State& state) {
   // Reference inverse-CDF sampler (binary search) — the alias method above
@@ -39,7 +44,7 @@ void BM_ZipfSampleCdf(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(zipf.sample_cdf(rng));
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ZipfSampleCdf)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_ZipfSampleCdf)->Arg(1000)->Arg(100000)->UseRealTime();
 
 void BM_FlatMapLocate(benchmark::State& state) {
   // The Mapping/location-cache lookup shape: VarId keys 0..n-1, random probe
@@ -55,7 +60,7 @@ void BM_FlatMapLocate(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_FlatMapLocate)->Arg(2048)->Arg(100000);
+BENCHMARK(BM_FlatMapLocate)->Arg(2048)->Arg(100000)->UseRealTime();
 
 void BM_UnorderedMapLocate(benchmark::State& state) {
   // std::unordered_map baseline for BM_FlatMapLocate.
@@ -71,6 +76,53 @@ void BM_UnorderedMapLocate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_UnorderedMapLocate)->Arg(2048)->Arg(100000);
+
+constexpr std::size_t kCachedVars = 100'000;
+
+void BM_ProphecyApply(benchmark::State& state) {
+  // ClientProxy::install_prefetch: unconditional upserts into the location
+  // cache plus the per-variable `prefetched` flag, one prophecy's worth of
+  // entries (8) per iteration.
+  common::FlatMap<VarId, GroupId> cache;
+  common::FlatMap<VarId, bool> prefetched;
+  cache.reserve(kCachedVars);
+  prefetched.reserve(kCachedVars);
+  Rng rng{17};
+  std::pair<VarId, GroupId> batch[8];
+  for (auto _ : state) {
+    for (auto& [v, loc] : batch) {
+      v = VarId{rng.below(kCachedVars)};
+      loc = GroupId{static_cast<std::uint32_t>(rng.below(8))};
+    }
+    for (const auto& [v, loc] : batch) {
+      cache[v] = loc;
+      prefetched[v] = true;
+    }
+  }
+  benchmark::DoNotOptimize(cache.size() + prefetched.size());
+  state.SetItemsProcessed(state.iterations() * 8);
+}
+BENCHMARK(BM_ProphecyApply)->UseRealTime();
+
+void BM_PrefetchHitLookup(benchmark::State& state) {
+  // The cache fast path's prefetch-hit check against a warm cache (every
+  // variable prefetched): find the flag, clear it once credited.
+  common::FlatMap<VarId, bool> prefetched;
+  prefetched.reserve(kCachedVars);
+  for (std::size_t i = 0; i < kCachedVars; ++i) prefetched[VarId{i}] = true;
+  Rng rng{18};
+  std::uint64_t hits = 0;
+  for (auto _ : state) {
+    const auto it = prefetched.find(VarId{rng.below(kCachedVars)});
+    if (it != prefetched.end() && it->second) {
+      it->second = false;
+      ++hits;
+    }
+  }
+  if (hits == 0) std::abort();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PrefetchHitLookup)->UseRealTime();
 
 void BM_HistogramRecord(benchmark::State& state) {
   stats::Histogram h;

@@ -66,8 +66,7 @@ std::unique_ptr<smr::VarValue> ChirperApp::make_default(VarId v) {
 }
 
 Duration ChirperApp::service_time(const smr::Command& cmd) const {
-  return costs_.base + costs_.per_write_var * static_cast<Duration>(cmd.write_set.size()) +
-         (cmd.op == kGetTimeline ? costs_.per_timeline_post * kTimelineCap : 0);
+  return costs_.base + costs_.per_write_var * static_cast<Duration>(cmd.write_set.size());
 }
 
 smr::Command make_post(VarId user, const std::vector<VarId>& followers, std::string text) {

@@ -122,7 +122,6 @@ class ChirperApp final : public smr::AppStateMachine {
   struct Costs {
     Duration base = usec(8);
     Duration per_write_var = usec(1);
-    Duration per_timeline_post = usec(0);
   };
 
   ChirperApp() : costs_(Costs{}) {}

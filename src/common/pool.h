@@ -54,7 +54,7 @@ class Pool {
     std::uint64_t reused = 0;       // blocks served from a free list
     std::uint64_t chunk_bytes = 0;  // chunk memory held by this thread
   };
-  /// This thread's pool statistics (for tests and the perf suite).
+  /// This thread's pool statistics (for tests).
   static Stats stats() {
     const Lists& l = lists();
     return {l.carved, l.reused, l.chunk_bytes};

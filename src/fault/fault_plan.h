@@ -15,7 +15,7 @@
 //
 //   crash:<proc>          crash one process      (p0r1, oracle2)
 //   recover:<proc>        undo a crash           (also `recover:last` — the
-//                         most recent crash/kill victim)
+//                         most recent crash/kill victim still down)
 //   kill-leader:<group>   crash the CURRENT leader of p<i> or oracle,
 //                         resolved at fire time, not at parse time
 //   cut:A|B               cut every link between process sets A and B
@@ -76,7 +76,7 @@ struct FaultTarget {
     kOracleReplica,  // oracle<r>
     kPartition,      // p<i> (whole group; kill-leader / cut sets / remove)
     kOracle,         // oracle (whole group)
-    kLastVictim,     // `last`: most recent crash / kill-leader victim
+    kLastVictim,     // `last`: most recent crash / kill-leader victim still down
   };
   Kind kind = Kind::kReplica;
   std::uint32_t partition = 0;

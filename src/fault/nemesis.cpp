@@ -100,7 +100,7 @@ Nemesis::Node* Nemesis::process_node(const FaultTarget& t) {
     case FaultTarget::Kind::kOracleReplica:
       return &d_.oracle(t.replica);
     case FaultTarget::Kind::kLastVictim:
-      return last_victim_;
+      return down_.empty() ? nullptr : down_.back();
     default:
       return nullptr;
   }
@@ -167,7 +167,7 @@ void Nemesis::do_crash(Node& n) {
   if (n.halted()) return;  // crashing a corpse is a no-op, not a new window
   d_.network().crash(n.pid());
   n.halt_node();
-  last_victim_ = &n;
+  down_.push_back(&n);
   d_.metrics().inc("faults.crashes");
   d_.metrics().spans().record(stats::InstantKind::kFaultInject, d_.engine().now(),
                               n.pid().value, 0, 0,
@@ -177,6 +177,7 @@ void Nemesis::do_crash(Node& n) {
 
 void Nemesis::do_recover(Node& n) {
   if (!n.halted()) return;
+  std::erase(down_, &n);
   d_.network().recover(n.pid());
   n.restart_node();
   d_.metrics().inc("faults.recoveries");

@@ -132,7 +132,9 @@ class Nemesis {
   bool armed_ = false;
   std::uint64_t events_fired_ = 0;
   std::size_t pending_removes_ = 0;
-  Node* last_victim_ = nullptr;
+  /// Crash and kill-leader victims still down, in crash order; any recover
+  /// removes its node, and `recover:last` takes the back.
+  std::vector<Node*> down_;
   /// Directed links currently cut by this nemesis; heal restores exactly
   /// these (a deployment-made cut from a test is left alone).
   std::vector<std::pair<ProcessId, ProcessId>> cut_links_;

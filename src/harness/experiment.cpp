@@ -123,20 +123,7 @@ RunResult run_chirper(const ChirperRunConfig& cfg) {
     core::DynaStarPolicy::Config pc;
     pc.repartition_every_hints = cfg.dynastar_hint_threshold;
     pc.partitioner.k = k;
-    const bool preload = cfg.dynastar_preload_graph;
-    const auto& graph = prepared.graph;
-    policy_factory = [pc, preload, &graph] {
-      auto policy = std::make_unique<core::DynaStarPolicy>(pc);
-      if (preload) {
-        for (std::size_t u = 0; u < graph.user_count(); ++u) {
-          for (VarId v : graph.neighbors(VarId{u})) {
-            if (u < v.value) policy->preload_edge(VarId{u}, v);
-          }
-        }
-        policy->force_repartition();
-      }
-      return policy;
-    };
+    policy_factory = [pc] { return std::make_unique<core::DynaStarPolicy>(pc); };
   } else {
     const auto rule = cfg.dssmr_dest_rule;
     policy_factory = [rule] { return std::make_unique<core::DssmrPolicy>(rule); };

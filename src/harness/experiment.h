@@ -76,7 +76,7 @@ struct ChirperRunConfig : RunKnobs {
   workload::ChirperWorkloadConfig workload;
   /// Simulated per-command CPU costs; the default saturates one partition at
   /// roughly 10k commands/s, in the ballpark of the paper's testbed.
-  chirper::ChirperApp::Costs app_costs{usec(80), usec(5), usec(0)};
+  chirper::ChirperApp::Costs app_costs{usec(80), usec(5)};
 
   /// When set, overrides the Holme-Kim graph with a community-structured
   /// graph whose inter-community edge fraction is `controlled_edge_cut`
@@ -96,9 +96,6 @@ struct ChirperRunConfig : RunKnobs {
 
   /// DynaStar extension knobs.
   std::uint64_t dynastar_hint_threshold = 2000;
-  /// Seed the oracle's workload graph with the social graph and compute the
-  /// initial ideal partitioning before the run starts.
-  bool dynastar_preload_graph = false;
 
   /// Tuned-for-simulation deployment knobs applied by run_chirper. Two
   /// replicas per partition have no majority left after a crash, so any

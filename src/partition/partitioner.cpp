@@ -10,6 +10,9 @@
 namespace dssmr::partition {
 namespace {
 
+/// Stop coarsening below this many vertices (or 8 per part, if more).
+constexpr std::size_t kCoarsestSize = 128;
+
 struct Level {
   Csr graph;
   /// fine vertex -> coarse vertex of the NEXT level (empty at the coarsest).
@@ -214,7 +217,7 @@ PartitionResult partition_graph(const Csr& g, const PartitionerConfig& cfg) {
   // Coarsening.
   std::vector<Level> levels;
   levels.push_back({g, {}});
-  const std::size_t target = std::max<std::size_t>(cfg.coarsest_size, cfg.k * 8);
+  const std::size_t target = std::max<std::size_t>(kCoarsestSize, cfg.k * 8);
   while (levels.back().graph.vertex_count() > target) {
     const Csr& cur = levels.back().graph;
     auto [to_coarse, nc] = match(cur);

@@ -21,8 +21,6 @@ struct PartitionerConfig {
   std::uint32_t k = 2;
   /// Maximum part weight = imbalance * (total / k).
   double imbalance = 1.05;
-  /// Stop coarsening below this many vertices (scaled by k internally).
-  std::size_t coarsest_size = 128;
   /// Refinement sweeps per level.
   int refine_passes = 8;
 };

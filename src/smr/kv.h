@@ -44,14 +44,6 @@ struct KvReply final : net::Message {
 
 class KvApp final : public smr::AppStateMachine {
  public:
-  struct Costs {
-    Duration base = usec(10);
-    Duration per_var = usec(1);
-  };
-
-  KvApp() : costs_(Costs{}) {}
-  explicit KvApp(Costs costs) : costs_(costs) {}
-
   net::MessagePtr execute(const smr::Command& cmd, smr::ExecutionView& view) override {
     switch (cmd.op) {
       case kGet: {
@@ -98,15 +90,12 @@ class KvApp final : public smr::AppStateMachine {
   }
 
   Duration service_time(const smr::Command& cmd) const override {
-    return costs_.base + costs_.per_var * static_cast<Duration>(cmd.vars().size());
+    return usec(10) + usec(1) * static_cast<Duration>(cmd.vars().size());
   }
-
- private:
-  Costs costs_;
 };
 
-inline smr::AppFactory kv_app_factory(KvApp::Costs costs = {}) {
-  return [costs] { return std::make_unique<KvApp>(costs); };
+inline smr::AppFactory kv_app_factory() {
+  return [] { return std::make_unique<KvApp>(); };
 }
 
 }  // namespace dssmr::kv

@@ -157,6 +157,25 @@ TEST(Nemesis, CrashRecoverCycleCountsAndRestores) {
   EXPECT_TRUE(d.metrics().counters().contains("faults.retries_in_window"));
 }
 
+TEST(Nemesis, RecoverLastSkipsARecoveredVictim) {
+  // p1r1 goes down after p0r1 but comes back by name first, so `last` must
+  // resolve to p0r1, the most recent victim that is still down.
+  auto cfg = small_config(2, Strategy::kDssmr, 2);
+  Deployment d{cfg, kv::kv_app_factory(),
+               [] { return std::make_unique<core::DssmrPolicy>(); }};
+  preload_kv(d, 4);
+  d.start();
+  d.settle();
+
+  Nemesis nem{d, resolve_plan("crash:p0r1@5ms;crash:p1r1@10ms;recover:p1r1@20ms;"
+                              "recover:last@30ms")};
+  nem.arm();
+  d.engine().run_for(msec(40));
+  EXPECT_FALSE(d.server(0, 1).halted());
+  EXPECT_FALSE(d.server(1, 1).halted());
+  EXPECT_EQ(d.metrics().counter("faults.recoveries"), 2u);
+}
+
 TEST(Nemesis, KillLeaderElectsReplacementAndMeasuresIt) {
   auto cfg = small_config(2, Strategy::kDssmr, 2);
   Deployment d{cfg, kv::kv_app_factory(),

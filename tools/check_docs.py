@@ -11,8 +11,9 @@ removing a flag the docs still mention, fails CI:
     declared twice, and README.md must point readers at the table.
   * Stale flags — every `--flag` the user-facing docs mention must be
     declared as a string literal ("--flag" or '--flag') by some source under
-    src/, bench/, examples/, tools/ or perfbench/. Only EXTERNAL_FLAGS,
-    which belong to other programs, are exempt.
+    src/, bench/, examples/, tools/ or perfbench/. Only EXTERNAL_FLAGS and
+    google-benchmark's `--benchmark_*` flags, which belong to other
+    programs, are exempt.
   * Stale binaries — every `bench/<name>` (or `build/bench/<name>`, or
     `bench/<name>.cpp`) those docs mention must be a target that
     bench/CMakeLists.txt builds, so an example never runs a deleted bench.
@@ -55,8 +56,10 @@ FLAG_DECL_DIRS = ["src", "bench", "examples", "tools", "perfbench"]
 BENCH_CMAKE = "bench/CMakeLists.txt"
 FLAG_DECL_SUFFIXES = {".cpp", ".h", ".py"}
 # Flags of other programs: `--help` reaches dssmr_sim's usage through its
-# unknown-flag path, and `--test-dir` is ctest's.
+# unknown-flag path, `--test-dir` is ctest's, and every `--benchmark_*` is
+# google-benchmark's.
 EXTERNAL_FLAGS = {"--help", "--test-dir"}
+EXTERNAL_FLAG_PREFIX = "--benchmark_"
 
 # One knob-table row: `{.flag = "--x", ... .help = "..." "..."}`.
 ROW_RE = re.compile(r'\{\s*\.flag\s*=\s*"(--[a-z][a-z-]*)"(.*?)\}', re.S)
@@ -66,7 +69,7 @@ KEY_RE = re.compile(r'w\.key\("([A-Za-z_.]+)"\)')
 # One prefix-section table entry: `{"section", "prefix.", {"hist", ...}}`.
 SECTION_RE = re.compile(r'\{"([A-Za-z_]+)", "[A-Za-z_.]+", \{([^{}]*)\}\}')
 SCHEMA_RE = re.compile(r'kRunRecordSchema\s*=\s*"([^"]+)"')
-FLAG_PATTERN = r"--[a-z][a-z0-9]*(?:-[a-z0-9]+)*"
+FLAG_PATTERN = r"--[a-z][a-z0-9]*(?:[-_][a-z0-9]+)*"
 FLAG_MENTION_RE = re.compile(rf"(?<![\w-])({FLAG_PATTERN})")
 FLAG_DECL_RE = re.compile(rf"""["']({FLAG_PATTERN})["']""")
 # `bench/<name>` with an optional extension; a glob such as `bench/fig_*` is
@@ -142,6 +145,8 @@ def check_stale_flags(docs, declared):
     problems = []
     for name, text in docs.items():
         for flag in sorted(set(FLAG_MENTION_RE.findall(text)) - declared - EXTERNAL_FLAGS):
+            if flag.startswith(EXTERNAL_FLAG_PREFIX):
+                continue
             problems.append(f"{name}: mentions {flag}, which no source declares")
     return problems
 

@@ -12,6 +12,7 @@
 #include "multicast/directory.h"
 #include "net/network.h"
 #include "sim/engine.h"
+#include "stats/metrics.h"
 
 namespace {
 
@@ -147,7 +148,7 @@ struct MiniFabric {
     for (std::size_t g = 0; g < groups; ++g) {
       for (std::size_t r = 0; r < replicas; ++r, ++i) {
         nodes[i]->init_group_node(network, directory, GroupId{static_cast<std::uint32_t>(g)},
-                                  {}, nullptr, 11 + i);
+                                  {}, metrics, 11 + i);
       }
     }
     for (auto& n : nodes) n->start();
@@ -165,6 +166,7 @@ struct MiniFabric {
   sim::Engine engine;
   net::Network network;
   multicast::Directory directory;
+  stats::Metrics metrics;
   std::vector<std::unique_ptr<NullGroupNode>> nodes;
   NullClient client;
 };

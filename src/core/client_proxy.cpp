@@ -20,17 +20,6 @@ using smr::ReplyMsg;
 using stats::SpanPhase;
 using stats::InstantKind;
 
-namespace {
-
-/// Never-enabled event store standing in when no metrics object is wired:
-/// every record() on it returns at the enable check.
-stats::SpanStore& dummy_events() {
-  thread_local stats::SpanStore store;
-  return store;
-}
-
-}  // namespace
-
 const char* to_string(Strategy s) {
   switch (s) {
     case Strategy::kStaticSsmr:
@@ -44,13 +33,11 @@ const char* to_string(Strategy s) {
 }
 
 void ClientProxy::init_client(net::Network& network, const multicast::Directory& directory,
-                              ClientConfig config, stats::Metrics* metrics) {
+                              ClientConfig config, stats::Metrics& metrics) {
   init_client_node(network, directory);
   cfg_ = std::move(config);
-  metrics_ = metrics;
-  auto handle = [this](const char* name) {
-    return metrics_ != nullptr ? &metrics_->counter_handle(name) : &stats::dummy_counter();
-  };
+  metrics_ = &metrics;
+  auto handle = [&metrics](const char* name) { return &metrics.counter_handle(name); };
   // Locality counters are interned only when their feature flag is on:
   // default-off runs must not materialize `locality.*` names (the run record
   // would grow a section and break byte-identity with pre-locality builds).
@@ -65,21 +52,15 @@ void ClientProxy::init_client(net::Network& network, const multicast::Directory&
           handle("client.nok"),
           gated(cfg_.prefetch, "locality.prefetch_installed"),
           gated(cfg_.prefetch, "locality.prefetch_hits")};
-  if (metrics_ != nullptr) {
-    latency_hist_ = &metrics_->histogram("client.latency_us");
-    completions_series_ = &metrics_->series("client.completions");
-    moves_series_ = &metrics_->series("moves_ts");
-  }
+  latency_hist_ = &metrics.histogram("client.latency_us");
+  completions_series_ = &metrics.series("client.completions");
+  moves_series_ = &metrics.series("moves_ts");
   DSSMR_ASSERT(cfg_.partitions != nullptr && !cfg_.partitions->empty());
   if (cfg_.strategy == Strategy::kStaticSsmr) {
     DSSMR_ASSERT_MSG(cfg_.static_map != nullptr, "S-SMR clients need a static map");
   } else {
     DSSMR_ASSERT_MSG(cfg_.oracle_group != kNoGroup, "dynamic strategies need an oracle");
   }
-}
-
-stats::SpanStore& ClientProxy::events() {
-  return metrics_ != nullptr ? metrics_->spans() : dummy_events();
 }
 
 void ClientProxy::record_phase(SpanPhase p, Time start, GroupId group, std::int64_t arg) {
@@ -336,7 +317,7 @@ void ClientProxy::on_prophecy(const ProphecyMsg& p) {
 
 void ClientProxy::send_dssmr_move(GroupId dest, const std::vector<GroupId>& sources) {
   ctr_.moves->inc();
-  if (moves_series_ != nullptr) moves_series_->add(network().engine().now());
+  moves_series_->add(network().engine().now());
 
   Command move;
   move.type = CommandType::kMove;
@@ -499,13 +480,11 @@ void ClientProxy::finish(ReplyCode code, const net::MessagePtr& app_reply) {
 
   const Time now = network().engine().now();
   (code == ReplyCode::kOk ? ctr_.ok : ctr_.nok)->inc();
-  if (metrics_ != nullptr) {
-    latency_hist_->record(now - issued_at_);
-    completions_series_->add(now);
-    // Windowed latency shares this exact site, so the recorder's merged
-    // windows reproduce client.latency_us (one-branch no-op when disabled).
-    metrics_->recorder().record_latency(now, now - issued_at_);
-  }
+  latency_hist_->record(now - issued_at_);
+  completions_series_->add(now);
+  // Windowed latency shares this exact site, so the recorder's merged
+  // windows reproduce client.latency_us (one-branch no-op when disabled).
+  metrics_->recorder().record_latency(now, now - issued_at_);
 
   stats::SpanStore& sp = events();
   if (sp.enabled() && root_span_ != 0) {

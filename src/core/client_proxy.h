@@ -84,7 +84,7 @@ class ClientProxy : public multicast::ClientNode {
   using DoneFn = std::function<void(smr::ReplyCode, const net::MessagePtr& app_reply)>;
 
   void init_client(net::Network& network, const multicast::Directory& directory,
-                   ClientConfig config, stats::Metrics* metrics);
+                   ClientConfig config, stats::Metrics& metrics);
 
   /// Issues one command; `done` fires exactly once. One outstanding command
   /// per proxy (clients are closed-loop, as in the paper's evaluation).
@@ -123,9 +123,8 @@ class ClientProxy : public multicast::ClientNode {
   void finish(smr::ReplyCode code, const net::MessagePtr& app_reply);
   void arm_timeout();
 
-  /// The deployment's event store, or a never-enabled one when metrics are
-  /// not wired.
-  stats::SpanStore& events();
+  /// The deployment's event store.
+  stats::SpanStore& events() { return metrics_->spans(); }
   /// Folds one client-attributed phase span [start, now] into the trace.
   void record_phase(stats::SpanPhase p, Time start, GroupId group, std::int64_t arg = 0);
   /// Decomposes the post-send window [sent_at_, now] into amcast / queue /
@@ -137,8 +136,7 @@ class ClientProxy : public multicast::ClientNode {
   stats::Metrics* metrics_ = nullptr;
 
   /// Interned counter handles (resolved once in init_client); hot-path inc()
-  /// avoids the per-call map lookup of Metrics::inc. Point at a shared dummy
-  /// counter when no metrics sink is wired.
+  /// avoids the per-call map lookup of Metrics::inc.
   struct Counters {
     stats::Counter* ops;
     stats::Counter* consults;
@@ -160,7 +158,6 @@ class ClientProxy : public multicast::ClientNode {
 
   /// Interned histogram/series handles, same rationale as ctr_: finish() and
   /// send_dssmr_move run per command, so the by-name map lookups add up.
-  /// nullptr when no metrics sink is wired.
   stats::Histogram* latency_hist_ = nullptr;
   stats::TimeSeries* completions_series_ = nullptr;
   stats::TimeSeries* moves_series_ = nullptr;

@@ -39,20 +39,17 @@ void OracleNode::init_oracle(net::Network& network, const multicast::Directory& 
                              GroupId gid, multicast::GroupNodeConfig node_config,
                              std::unique_ptr<OraclePolicy> policy,
                              std::vector<GroupId> partitions, bool issues_moves,
-                             std::size_t prefetch_k, bool elastic, stats::Metrics* metrics,
+                             std::size_t prefetch_k, bool elastic, stats::Metrics& metrics,
                              std::uint64_t seed) {
   init_group_node(network, directory, gid, node_config, metrics, seed);
-  mapping_ = std::make_unique<Mapping>(partitions);
+  mapping_ = std::make_unique<Mapping>(std::move(partitions));
   policy_ = std::move(policy);
   DSSMR_ASSERT(policy_ != nullptr);
   exec_ = std::make_unique<smr::ExecutionEngine>(network.engine());
-  partitions_ = std::move(partitions);
   issues_moves_ = issues_moves;
   prefetch_k_ = prefetch_k;
   stats::Counter* const off = &stats::dummy_counter();
-  auto handle = [metrics, off](const char* name) {
-    return metrics != nullptr ? &metrics->counter_handle(name) : off;
-  };
+  auto handle = [&metrics](const char* name) { return &metrics.counter_handle(name); };
   ctr_ = {handle("oracle.consults"),     handle("oracle.creates"),
           handle("oracle.deletes"),      handle("oracle.moves_issued"),
           handle("oracle.moves_applied"), handle("oracle.hints"),
@@ -67,10 +64,8 @@ void OracleNode::init_oracle(net::Network& network, const multicast::Directory& 
           elastic ? handle("elastic.partitions_retired") : off,
           elastic ? handle("elastic.rebalance_moves") : off,
           elastic ? handle("elastic.rebalance_vars") : off};
-  if (metrics != nullptr) {
-    busy_series_ = &metrics->series("oracle.busy_us");
-    moves_series_ = &metrics->series("moves_ts");
-  }
+  busy_series_ = &metrics.series("oracle.busy_us");
+  moves_series_ = &metrics.series("moves_ts");
 }
 
 void OracleNode::preload(VarId v, GroupId p) {
@@ -81,7 +76,7 @@ void OracleNode::preload(VarId v, GroupId p) {
 void OracleNode::account(Duration service) {
   // One series per deployment: only the leader accounts, so the series
   // reflects one oracle replica's CPU, matching the paper's measurement.
-  if (busy_series_ != nullptr && is_leader()) {
+  if (is_leader()) {
     busy_series_->add(engine().now(), static_cast<double>(service));
   }
 }
@@ -192,7 +187,7 @@ void OracleNode::handle_consult(ProcessId client, const ConsultMsg& consult) {
         bump(ctr_.moves_issued);
         record_instant(stats::InstantKind::kMoveIssued, move_id.value,
                        static_cast<std::int64_t>(prophecy->dest.value));
-        if (moves_series_ != nullptr) moves_series_->add(engine().now());
+        moves_series_->add(engine().now());
       }
       prophecy->oracle_moved = issues_moves_;
     } else if (cmd.type == CommandType::kAccess && dests.size() == 1) {
@@ -223,14 +218,14 @@ void OracleNode::handle_consult(ProcessId client, const ConsultMsg& consult) {
     leader_action([this, client, prophecy, tid, delivered] {
       // Server-side view of consult handling (delivery -> prophecy sent); the
       // client's folded kConsult span covers this window end to end.
-      if (metrics() != nullptr && tid != 0 && metrics()->spans().enabled()) {
-        metrics()->spans().record({.trace_id = tid,
-                                   .phase = stats::SpanPhase::kOracle,
-                                   .start = delivered,
-                                   .end = engine().now(),
-                                   .node = pid().value,
-                                   .group = group()},
-                                  /*fold=*/false);
+      if (tid != 0 && metrics().spans().enabled()) {
+        metrics().spans().record({.trace_id = tid,
+                                  .phase = stats::SpanPhase::kOracle,
+                                  .start = delivered,
+                                  .end = engine().now(),
+                                  .node = pid().value,
+                                  .group = group()},
+                                 /*fold=*/false);
       }
       send_direct(client, prophecy);
     });
@@ -312,7 +307,6 @@ void OracleNode::handle_reconfig(const Command& cmd) {
   if (cmd.op == kReconfigAdd) {
     if (!mapping_->is_member(target)) {
       mapping_->add_partition(target);
-      partitions_.push_back(target);
       bump(ctr_.partitions_added);
       record_instant(stats::InstantKind::kPartitionAdded, cmd.id.value,
                      static_cast<std::int64_t>(target.value));
@@ -412,14 +406,12 @@ void OracleNode::issue_rebalance_move(GroupId from, GroupId to, std::vector<VarI
   bump(ctr_.rebalance_moves);
   if (is_leader()) {
     ctr_.rebalance_vars->inc(move.write_set.size());
-    if (metrics() != nullptr) {
-      metrics()->histogram("elastic.rebalance_entries")
-          .record(static_cast<std::int64_t>(move.write_set.size()));
-    }
+    metrics().histogram("elastic.rebalance_entries")
+        .record(static_cast<std::int64_t>(move.write_set.size()));
   }
   record_instant(stats::InstantKind::kRebalanceMove, move.id.value,
                  static_cast<std::int64_t>(to.value));
-  if (moves_series_ != nullptr && is_leader()) moves_series_->add(engine().now());
+  if (is_leader()) moves_series_->add(engine().now());
   amcast({from, to, group()}, net::make_msg<CommandMsg>(std::move(move)));
 }
 

@@ -58,7 +58,7 @@ class OracleNode : public multicast::GroupNode {
                    multicast::GroupNodeConfig node_config,
                    std::unique_ptr<OraclePolicy> policy, std::vector<GroupId> partitions,
                    bool issues_moves, std::size_t prefetch_k, bool elastic,
-                   stats::Metrics* metrics, std::uint64_t seed);
+                   stats::Metrics& metrics, std::uint64_t seed);
 
   /// Pre-registers a variable's location (initial state distribution).
   void preload(VarId v, GroupId p);
@@ -120,7 +120,6 @@ class OracleNode : public multicast::GroupNode {
   std::unique_ptr<Mapping> mapping_;
   std::unique_ptr<OraclePolicy> policy_;
   std::unique_ptr<smr::ExecutionEngine> exec_;
-  std::vector<GroupId> partitions_;
   bool issues_moves_ = false;
   std::size_t prefetch_k_ = 0;
   BoundedMap<MsgId, CachedReply> completed_{1 << 15};
@@ -140,7 +139,7 @@ class OracleNode : public multicast::GroupNode {
     stats::Counter* rebalance_moves;
     stats::Counter* rebalance_vars;
   } ctr_{};
-  /// Interned series handles; nullptr when no metrics sink is wired.
+  /// Interned series handles.
   stats::TimeSeries* busy_series_ = nullptr;
   stats::TimeSeries* moves_series_ = nullptr;
 };

@@ -31,7 +31,7 @@ void PartitionServer::init_partition(net::Network& network,
                                      GroupId oracle_group,
                                      multicast::GroupNodeConfig node_config,
                                      const smr::AppFactory& app_factory,
-                                     PartitionServerConfig config, stats::Metrics* metrics,
+                                     PartitionServerConfig config, stats::Metrics& metrics,
                                      std::uint64_t seed) {
   init_group_node(network, directory, gid, node_config, metrics, seed);
   app_ = app_factory();
@@ -39,9 +39,7 @@ void PartitionServer::init_partition(net::Network& network,
   exec_ = std::make_unique<smr::ExecutionEngine>(network.engine());
   oracle_group_ = oracle_group;
   completed_ = BoundedSet<MsgId>{config.reply_cache_capacity};
-  auto handle = [metrics](const char* name) {
-    return metrics != nullptr ? &metrics->counter_handle(name) : &stats::dummy_counter();
-  };
+  auto handle = [&metrics](const char* name) { return &metrics.counter_handle(name); };
   ctr_ = {handle("server.retries_issued"),
           handle("server.single_partition_commands"),
           handle("server.multi_partition_commands"),
@@ -58,13 +56,13 @@ void PartitionServer::preload(VarId v, std::unique_ptr<smr::VarValue> value) {
 }
 
 void PartitionServer::heat_command(bool multi) {
-  if (metrics() == nullptr || !is_leader()) return;
-  metrics()->recorder().record_command(engine().now(), heat_index(), multi);
+  if (!is_leader()) return;
+  metrics().recorder().record_command(engine().now(), heat_index(), multi);
 }
 
 void PartitionServer::heat_move() {
-  if (metrics() == nullptr || !is_leader()) return;
-  metrics()->recorder().record_move(engine().now(), heat_index());
+  if (!is_leader()) return;
+  metrics().recorder().record_move(engine().now(), heat_index());
 }
 
 std::size_t PartitionServer::heat_index() const {
@@ -77,8 +75,8 @@ std::size_t PartitionServer::heat_index() const {
 
 void PartitionServer::span(SpanPhase p, std::uint64_t trace_id, Time start, Time end,
                            std::int64_t arg) {
-  if (metrics() == nullptr || trace_id == 0 || !is_leader()) return;
-  stats::SpanStore& sp = metrics()->spans();
+  if (trace_id == 0 || !is_leader()) return;
+  stats::SpanStore& sp = metrics().spans();
   if (!sp.enabled()) return;
   sp.record({.trace_id = trace_id,
              .phase = p,
@@ -262,7 +260,7 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m, co
       std::any_of(vars.begin(), vars.end(), [this](VarId v) { return store_.holds(v); });
   if (!involved) {
     // By name, not interned at init: runs without fallbacks keep their counters.
-    if (is_leader() && metrics() != nullptr) metrics()->inc("server.fallback_uninvolved");
+    if (is_leader()) metrics().inc("server.fallback_uninvolved");
     if (!others.empty()) {
       rmcast({others.begin(), others.end()},
              net::make_msg<VarShipMsg>(cmd.id, group(), /*is_move=*/false,

@@ -65,7 +65,7 @@ class PartitionServer : public multicast::GroupNode {
   void init_partition(net::Network& network, const multicast::Directory& directory,
                       GroupId gid, GroupId oracle_group, multicast::GroupNodeConfig node_config,
                       const smr::AppFactory& app_factory, PartitionServerConfig config,
-                      stats::Metrics* metrics, std::uint64_t seed);
+                      stats::Metrics& metrics, std::uint64_t seed);
 
   /// Pre-loads a variable (initial state distribution, before start()).
   void preload(VarId v, std::unique_ptr<smr::VarValue> value);

@@ -61,7 +61,7 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
     DSSMR_ASSERT(policy_factory_ != nullptr);
     oracles_[r]->init_oracle(network_, directory_, oracle_gid(), config_.node,
                              policy_factory_(), partition_gids(), dynastar, config_.prefetch_k,
-                             config_.elastic, &metrics_, config_.seed * 104729 + r);
+                             config_.elastic, metrics_, config_.seed * 104729 + r);
   }
 
   // Client-tier batch relays, one per rack, only when batching is on (the
@@ -70,8 +70,7 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
     for (int rack = 0; rack < 2; ++rack) {
       auto relay = std::make_unique<multicast::BatchRelay>();
       network_.add_process(*relay, rack);
-      relay->init_relay(network_, directory_, config_.node.batching);
-      relay->batcher().set_metrics(&metrics_);
+      relay->init_relay(network_, directory_, config_.node.batching, metrics_);
       relays_.push_back(std::move(relay));
     }
   }
@@ -89,7 +88,7 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
   for (std::size_t c = 0; c < config_.clients; ++c) {
     auto client = std::make_unique<core::ClientProxy>();
     network_.add_process(*client, static_cast<int>(c % 2));
-    client->init_client(network_, directory_, ccfg, &metrics_);
+    client->init_client(network_, directory_, ccfg, metrics_);
     if (!relays_.empty()) client->set_batcher(&relays_[c % relays_.size()]->batcher());
     clients_.push_back(std::move(client));
   }
@@ -243,7 +242,7 @@ GroupId Deployment::register_partition(std::size_t p) {
   DSSMR_ASSERT(gid == partition_gid(p));
   for (std::size_t r = 0; r < config_.replicas_per_partition; ++r) {
     server(p, r).init_partition(network_, directory_, gid, oracle_gid(), config_.node,
-                                app_factory_, config_.server, &metrics_,
+                                app_factory_, config_.server, metrics_,
                                 config_.seed * 7919 + p * 131 + r);
   }
   live_partition_gids_.push_back(gid);

@@ -167,15 +167,15 @@ void AmcastCore::try_deliver() {
 // ---- GroupNode -------------------------------------------------------------
 
 void GroupNode::init_group_node(net::Network& network, const Directory& directory,
-                                GroupId gid, GroupNodeConfig config, stats::Metrics* metrics,
+                                GroupId gid, GroupNodeConfig config, stats::Metrics& metrics,
                                 std::uint64_t seed) {
   DSSMR_ASSERT_MSG(pid() != kNoProcess, "register the node with the network first");
   network_ = &network;
   directory_ = &directory;
   gid_ = gid;
   config_ = config;
-  metrics_ = metrics;
-  delivered_ctr_ = metrics != nullptr ? &metrics->counter_handle("amcast.delivered") : nullptr;
+  metrics_ = &metrics;
+  delivered_ctr_ = &metrics.counter_handle("amcast.delivered");
 
   consensus::PaxosCore::Callbacks pcb;
   pcb.send = [this](ProcessId to, net::MessagePtr m) {
@@ -209,8 +209,7 @@ void GroupNode::init_group_node(net::Network& network, const Directory& director
 
   if (config_.batching.enabled()) {
     batcher_ = std::make_unique<SubmitBatcher>();
-    batcher_->init(network, directory, pid(), config_.batching);
-    batcher_->set_metrics(metrics);
+    batcher_->init(network, directory, pid(), config_.batching, metrics);
   }
 }
 
@@ -218,10 +217,10 @@ void GroupNode::deliver_amcast(const AmcastMessage& m, Time stamped_at) {
   // Leader-gated so one event is recorded per group delivery, not one per
   // replica (matching the leader-gated metrics counters).
   const bool leading = paxos_->is_leader();
-  if (delivered_ctr_ != nullptr && leading) delivered_ctr_->inc();
+  if (leading) delivered_ctr_->inc();
   record_instant(stats::InstantKind::kAmcastDeliver, m.id.value,
                  static_cast<std::int64_t>(m.dests.size()));
-  if (metrics_ != nullptr && metrics_->spans().enabled() && leading) {
+  if (metrics_->spans().enabled() && leading) {
     // This group's view of the multicast: stamp -> atomic delivery. The
     // client folds its own end-to-end amcast phase; these server-side spans
     // stay unfolded (one per destination group, they would double-count).
@@ -251,7 +250,7 @@ void GroupNode::start() {
 
 void GroupNode::record_instant(stats::InstantKind kind, std::uint64_t id, std::int64_t arg,
                                std::string label) {
-  if (metrics_ == nullptr || !is_leader()) return;
+  if (!is_leader()) return;
   metrics_->spans().record(kind, network_->engine().now(), pid().value, id, arg,
                            std::move(label));
 }

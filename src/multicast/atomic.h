@@ -143,13 +143,13 @@ class GroupNode : public net::Actor {
 
   /// Two-phase init: the node must already be registered with the network
   /// (so pid() is valid) and `directory` must already contain the group.
-  /// `metrics` is the deployment-wide registry (nullptr in tests): the node
-  /// interns a leader-gated `amcast.delivered` counter bumped once per group
+  /// `metrics` is the deployment-wide registry (tests pass a local one): the
+  /// node interns a leader-gated `amcast.delivered` counter bumped once per group
   /// delivery, and records leader-gated events into its store: a kAmcast
   /// span covering stamp -> delivery for each traced payload, kAmcastDeliver
   /// and kLeaderChange instants.
   void init_group_node(net::Network& network, const Directory& directory, GroupId gid,
-                       GroupNodeConfig config, stats::Metrics* metrics, std::uint64_t seed);
+                       GroupNodeConfig config, stats::Metrics& metrics, std::uint64_t seed);
 
   /// Arms Paxos timers; call on every node after the whole deployment is wired.
   virtual void start();
@@ -210,8 +210,8 @@ class GroupNode : public net::Actor {
 
   MsgId next_msg_id();
 
-  /// The registry wired at init (nullptr in tests).
-  stats::Metrics* metrics() const { return metrics_; }
+  /// The registry wired at init.
+  stats::Metrics& metrics() const { return *metrics_; }
 
   /// Leader-gated so deployment-wide counters are per-event, not per-replica.
   void bump(stats::Counter* c) {
@@ -227,8 +227,7 @@ class GroupNode : public net::Actor {
   void leader_action(sim::Callback action);
 
   /// Records an instant into the deployment's event store, leader-gated so
-  /// a group event is recorded once, not once per replica. No-op when no
-  /// registry is wired.
+  /// a group event is recorded once, not once per replica.
   void record_instant(stats::InstantKind kind, std::uint64_t id, std::int64_t arg = 0,
                       std::string label = {});
 
@@ -256,7 +255,7 @@ class GroupNode : public net::Actor {
   /// Server-tier submission batcher; null unless config_.batching enables it.
   std::unique_ptr<SubmitBatcher> batcher_;
   stats::Metrics* metrics_ = nullptr;
-  /// Interned at init; nullptr when no metrics sink is wired.
+  /// Interned at init.
   stats::Counter* delivered_ctr_ = nullptr;
   std::uint64_t next_msg_seq_ = 0;
   /// leader_action()s held while following, with the time each was held; at

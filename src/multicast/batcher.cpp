@@ -8,22 +8,18 @@
 
 namespace dssmr::multicast {
 void SubmitBatcher::init(net::Network& network, const Directory& directory, ProcessId self,
-                         BatchConfig config) {
+                         BatchConfig config, stats::Metrics& metrics) {
   DSSMR_ASSERT_MSG(self != kNoProcess, "register the batcher's endpoint first");
   DSSMR_ASSERT_MSG(config.enabled(), "constructing a batcher with batching off");
   network_ = &network;
   directory_ = &directory;
   self_ = self;
   cfg_ = config;
-}
-
-void SubmitBatcher::set_metrics(stats::Metrics* metrics) {
-  if (metrics == nullptr) return;
-  flushes_ctr_ = &metrics->counter_handle("batch.flushes");
-  entries_ctr_ = &metrics->counter_handle("batch.entries");
-  full_flush_ctr_ = &metrics->counter_handle("batch.flush_full");
-  timer_flush_ctr_ = &metrics->counter_handle("batch.flush_timer");
-  size_hist_ = &metrics->histogram("batch.size_entries");
+  flushes_ctr_ = &metrics.counter_handle("batch.flushes");
+  entries_ctr_ = &metrics.counter_handle("batch.entries");
+  full_flush_ctr_ = &metrics.counter_handle("batch.flush_full");
+  timer_flush_ctr_ = &metrics.counter_handle("batch.flush_timer");
+  size_hist_ = &metrics.histogram("batch.size_entries");
 }
 
 void SubmitBatcher::amcast(const AmcastMessage& msg, FlushFn on_flush) {
@@ -54,7 +50,7 @@ void SubmitBatcher::direct(GroupId g, ProcessId origin, net::MessagePtr payload)
 void SubmitBatcher::queued() {
   ++queued_items_;
   if (queued_items_ >= cfg_.batch_size) {
-    if (full_flush_ctr_ != nullptr) full_flush_ctr_->inc();
+    full_flush_ctr_->inc();
     flush();
   } else {
     arm_timer();
@@ -88,11 +84,9 @@ void SubmitBatcher::flush() {
     total += entries.size();
     ship(g, net::make_msg<BatchSubmitMsg>(g, std::move(entries)));
   }
-  if (flushes_ctr_ != nullptr) {
-    flushes_ctr_->inc();
-    entries_ctr_->inc(total);
-    size_hist_->record(static_cast<std::int64_t>(total));
-  }
+  flushes_ctr_->inc();
+  entries_ctr_->inc(total);
+  size_hist_->record(static_cast<std::int64_t>(total));
   pending_.clear();
   direct_.clear();
   queued_items_ = 0;
@@ -114,9 +108,7 @@ void SubmitBatcher::arm_timer() {
   timer_ = network_->engine().schedule(cfg_.batch_delay, [this] {
     timer_ = 0;
     if (halted_) return;
-    if (timer_flush_ctr_ != nullptr && (!pending_.empty() || !direct_.empty())) {
-      timer_flush_ctr_->inc();
-    }
+    if (!pending_.empty() || !direct_.empty()) timer_flush_ctr_->inc();
     flush();
   });
 }

@@ -58,12 +58,9 @@ class SubmitBatcher {
   SubmitBatcher() = default;
 
   /// Two-phase init: `self` must already be registered with the network.
+  /// Interns the batch.* counters and the flush-size histogram in `metrics`.
   void init(net::Network& network, const Directory& directory, ProcessId self,
-            BatchConfig config);
-
-  /// Interns the batch.* counters and the flush-size histogram (call once,
-  /// right after init; nullptr keeps the batcher metrics-free).
-  void set_metrics(stats::Metrics* metrics);
+            BatchConfig config, stats::Metrics& metrics);
 
   /// Queues the StampEntries of one atomic multicast — one entry per
   /// destination group, derived once from the shared stamp payload.
@@ -123,8 +120,9 @@ class SubmitBatcher {
 class BatchRelay final : public net::Actor {
  public:
   /// Two-phase init, after network registration.
-  void init_relay(net::Network& network, const Directory& directory, BatchConfig config) {
-    batcher_.init(network, directory, pid(), config);
+  void init_relay(net::Network& network, const Directory& directory, BatchConfig config,
+                  stats::Metrics& metrics) {
+    batcher_.init(network, directory, pid(), config, metrics);
   }
 
   void on_message(ProcessId from, const net::MessagePtr& m) override {

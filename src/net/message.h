@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "common/assert.h"
-#include "common/pool.h"
 
 namespace dssmr::net {
 
@@ -32,13 +31,11 @@ struct Message {
 
 using MessagePtr = std::shared_ptr<const Message>;
 
-/// Allocates the payload and its shared_ptr control block in one pooled
-/// block (common/pool.h): simulations create and retire millions of
-/// messages, and the pool's thread-local free lists recycle them without
-/// touching the general-purpose allocator.
+/// The one construction point for payloads: the payload and its shared_ptr
+/// control block share one allocation, and the result is immutable.
 template <class T, class... Args>
 MessagePtr make_msg(Args&&... args) {
-  return std::allocate_shared<T>(common::PoolAllocator<T>{}, std::forward<Args>(args)...);
+  return std::make_shared<T>(std::forward<Args>(args)...);
 }
 
 /// Downcast helper; returns nullptr when the runtime type differs.

@@ -32,8 +32,9 @@ class Counter {
   std::uint64_t value_ = 0;
 };
 
-/// Sink for the counter handles of a feature that is off, or of a node with
-/// no registry wired (tests): bumps land here and nothing reads them.
+/// Sink for the counter handles of a feature that is off (prefetch, elastic
+/// membership): bumps land here and nothing reads them, so an off feature
+/// adds no counter to the run record.
 /// thread_local: simulations on different sweep threads may share it.
 Counter& dummy_counter();
 

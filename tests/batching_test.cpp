@@ -42,7 +42,7 @@ constexpr GroupId kG1{1};
 struct BatchedFabric {
   BatchedFabric(std::size_t groups, BatchConfig bc) : fabric(groups, 3, 2) {
     fabric.network.add_process(relay, 0);
-    relay.init_relay(fabric.network, fabric.directory, bc);
+    relay.init_relay(fabric.network, fabric.directory, bc, fabric.metrics);
     fabric.clients[0]->set_batcher(&relay.batcher());
     fabric.engine.run_for(msec(50));  // elect leaders
   }

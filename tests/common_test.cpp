@@ -8,7 +8,6 @@
 
 #include "common/bounded.h"
 #include "common/flat_map.h"
-#include "common/pool.h"
 #include "common/rng.h"
 #include "common/types.h"
 
@@ -348,35 +347,6 @@ TEST(FlatMap, EmptyValueTakesNoSpace) {
   set.emplace(7, {});
   EXPECT_TRUE(set.contains(7));
   EXPECT_EQ(set.begin()->first, 7u);
-}
-
-TEST(Pool, ReusesFreedBlocks) {
-  const auto before = common::Pool::stats();
-  void* a = common::Pool::allocate(64);
-  common::Pool::deallocate(a, 64);
-  void* b = common::Pool::allocate(64);
-  EXPECT_EQ(a, b);  // same size class, LIFO free list
-  common::Pool::deallocate(b, 64);
-  const auto after = common::Pool::stats();
-  EXPECT_GE(after.reused, before.reused + 1);
-}
-
-TEST(Pool, LargeBlocksBypassThePool) {
-  void* p = common::Pool::allocate(4096);
-  ASSERT_NE(p, nullptr);
-  common::Pool::deallocate(p, 4096);
-}
-
-TEST(PoolAllocator, WorksWithAllocateShared) {
-  struct Payload {
-    std::uint64_t a, b;
-  };
-  auto sp = std::allocate_shared<Payload>(common::PoolAllocator<Payload>{});
-  sp->a = 1;
-  sp->b = 2;
-  auto sp2 = sp;
-  sp.reset();
-  EXPECT_EQ(sp2->a + sp2->b, 3u);
 }
 
 }  // namespace

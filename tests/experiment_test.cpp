@@ -6,6 +6,8 @@
 #include <numeric>
 #include <sstream>
 
+#include "stats/run_record.h"
+
 namespace dssmr::harness {
 namespace {
 
@@ -94,7 +96,8 @@ TEST(Experiment, RunRecordSerializesToJson) {
   std::ostringstream os;
   stats::write_run_records(os, "experiment_test", runs);
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"schema\": \"dssmr.run_record.v8\""), std::string::npos);
+  const std::string schema = "\"schema\": \"" + std::string(stats::kRunRecordSchema) + "\"";
+  EXPECT_NE(json.find(schema), std::string::npos);
   EXPECT_NE(json.find("\"experiment\": \"experiment_test\""), std::string::npos);
   EXPECT_NE(json.find("\"label\": \"tiny\""), std::string::npos);
   EXPECT_NE(json.find("\"client.ops\""), std::string::npos);

@@ -179,9 +179,10 @@ TEST(LocalityDeterminism, SameSeedSameRunRecordBytes) {
   const std::string second = record_json(cfg, harness::run_chirper(cfg));
   EXPECT_GT(first.size(), 100u);
   EXPECT_EQ(first, second);
-  // The record carries schema v8, the v6 locality section and the prefetch
-  // knob, and none of the removed features' meta.
-  EXPECT_NE(first.find("\"schema\": \"dssmr.run_record.v8\""), std::string::npos);
+  // The record carries the current schema, the v6 locality section and the
+  // prefetch knob, and none of the removed features' meta.
+  const std::string schema = "\"schema\": \"" + std::string(stats::kRunRecordSchema) + "\"";
+  EXPECT_NE(first.find(schema), std::string::npos);
   EXPECT_NE(first.find("\"locality\""), std::string::npos);
   EXPECT_NE(first.find("\"prefetch_k\": \"8\""), std::string::npos);
   EXPECT_EQ(first.find("cache_repair"), std::string::npos);

@@ -487,13 +487,14 @@ TEST(ServerExec, SecondReplicaShipmentOfAGroupIsIgnored) {
   sim::Engine engine;
   net::Network network(engine, {}, 7);
   multicast::Directory directory;
+  stats::Metrics metrics;
   ScriptedServer server;
   RecordingGroupNode peer;
   directory.add_group({network.add_process(server, 0)});
   directory.add_group({network.add_process(peer, 1)});
   server.init_partition(network, directory, GroupId{0}, kNoGroup, {}, kv::kv_app_factory(), {},
-                        nullptr, 1);
-  peer.init_group_node(network, directory, GroupId{1}, {}, nullptr, 2);
+                        metrics, 1);
+  peer.init_group_node(network, directory, GroupId{1}, {}, metrics, 2);
   server.preload(VarId{0}, std::make_unique<kv::KvValue>(1, ""));
 
   smr::Command sum = kv_sum({VarId{0}, VarId{1}, VarId{2}}, VarId{0});
@@ -538,8 +539,8 @@ struct RetryHarness {
     PartitionServerConfig cfg;
     cfg.reply_cache_capacity = window;
     server.init_partition(network, directory, GroupId{0}, kNoGroup, {},
-                          chirper::chirper_app_factory(), cfg, nullptr, 1);
-    peer.init_group_node(network, directory, GroupId{1}, {}, nullptr, 2);
+                          chirper::chirper_app_factory(), cfg, metrics, 1);
+    peer.init_group_node(network, directory, GroupId{1}, {}, metrics, 2);
     auto user = std::make_unique<chirper::UserValue>();
     for (std::uint64_t i = 1; i <= 3; ++i) {
       chirper::Post post{VarId{2}, i, "post " + std::to_string(i)};
@@ -600,6 +601,7 @@ struct RetryHarness {
   sim::Engine engine;
   net::Network network;
   multicast::Directory directory;
+  stats::Metrics metrics;
   ScriptedServer server;
   RecordingGroupNode peer;
   ReplyRecorder requester;

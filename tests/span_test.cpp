@@ -280,7 +280,7 @@ TEST(Span, ChirperRunRecordCarriesPhasesAndChromeTrace) {
   std::ostringstream rec_os;
   stats::write_run_records(rec_os, "span_test", {harness::make_run_record(cfg, r, "chirper")});
   const JsonValue doc = JsonParser::parse(rec_os.str());
-  EXPECT_EQ(doc.at("schema").str, "dssmr.run_record.v8");
+  EXPECT_EQ(doc.at("schema").str, stats::kRunRecordSchema);
   const JsonValue& run = doc.at("runs").array.at(0);
   ASSERT_TRUE(run.has("phases"));
   const JsonValue& phases = run.at("phases");

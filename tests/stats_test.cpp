@@ -507,7 +507,8 @@ TEST(RunRecord, SerializesSyntheticMetrics) {
   std::ostringstream os;
   write_run_records(os, "unit", {rec});
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"schema\": \"dssmr.run_record.v8\""), std::string::npos);
+  const std::string schema = "\"schema\": \"" + std::string(kRunRecordSchema) + "\"";
+  EXPECT_NE(json.find(schema), std::string::npos);
   EXPECT_NE(json.find("\"experiment\": \"unit\""), std::string::npos);
   EXPECT_NE(json.find("\"label\": \"case-a\""), std::string::npos);
   EXPECT_NE(json.find("\"partitions\": \"2\""), std::string::npos);

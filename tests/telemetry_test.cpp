@@ -189,7 +189,7 @@ TEST(Telemetry, RunRecordV4RoundTripsWithTelemetrySection) {
   const auto r = harness::run_chirper(cfg);
 
   const testing::JsonValue doc = testing::JsonParser::parse(record_json(cfg, r));
-  EXPECT_EQ(doc.at("schema").str, "dssmr.run_record.v8");
+  EXPECT_EQ(doc.at("schema").str, kRunRecordSchema);
   const testing::JsonValue& run = doc.at("runs").array.at(0);
   EXPECT_EQ(run.at("meta").at("telemetry").str, "on");
   ASSERT_TRUE(run.has("telemetry"));

@@ -11,6 +11,7 @@
 #include "multicast/directory.h"
 #include "net/network.h"
 #include "sim/engine.h"
+#include "stats/metrics.h"
 
 namespace dssmr::testing {
 
@@ -94,7 +95,7 @@ class Fabric {
     for (std::size_t g = 0; g < groups; ++g) {
       for (std::size_t r = 0; r < replicas; ++r) {
         node(g, r).init_group_node(network, directory, GroupId{static_cast<std::uint32_t>(g)},
-                                   node_cfg, nullptr, seed * 1000 + g * 10 + r);
+                                   node_cfg, metrics, seed * 1000 + g * 10 + r);
       }
     }
     for (auto& n : nodes) n->start();
@@ -113,6 +114,7 @@ class Fabric {
   sim::Engine engine;
   net::Network network;
   multicast::Directory directory;
+  stats::Metrics metrics;
   std::vector<std::unique_ptr<RecordingGroupNode>> nodes;
   std::vector<std::unique_ptr<RecordingClient>> clients;
   std::size_t replicas_per_group = 0;

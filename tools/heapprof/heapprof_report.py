@@ -9,8 +9,9 @@ the N largest call sites. With two (before and after a change) it prints the
 per-layer table side by side with the difference.
 
 A call site belongs to the layer of its innermost frame under src/ outside
-the generic containers (src/common/, core/mapping.h): that frame is the code
-that chose to keep the memory. Frames are resolved with addr2line, inlined
+the generic containers and constructors (src/common/, core/mapping.h,
+net/message.h): that frame is the code that chose to keep the memory, so a
+message is booked to the layer that built it. Frames are resolved with addr2line, inlined
 frames included, so the binaries must carry debug info (RelWithDebInfo does).
 Sites with no such frame count as "driver" (bench, test, example or tool
 code) or "runtime" (libc, libstdc++, the loader).
@@ -31,7 +32,7 @@ LAYERS = [
     ("multicast/reliable", "rmcast"),
     ("multicast/client", "client"),
     ("multicast/", "multicast (batcher)"),
-    ("net/", "net (pool, queues)"),
+    ("net/", "net"),
     ("core/server_proxy", "server"),
     ("smr/", "server"),
     ("core/client_proxy", "client"),
@@ -40,8 +41,9 @@ LAYERS = [
     ("sim/", "engine"),
     ("stats/", "stats"),
 ]
-# Containers and helpers whose owner is the next frame out.
-GENERIC = ("common/", "core/mapping.h")
+# Containers and helpers whose owner is the next frame out; net::make_msg
+# (net/message.h) is how every layer builds its messages.
+GENERIC = ("common/", "core/mapping.h", "net/message.h")
 SELF = "libheapprof"
 
 

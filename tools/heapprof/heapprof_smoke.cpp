@@ -1,6 +1,7 @@
 // Smoke driver for heapprof: executes a burst of Chirper posts, each fanned
-// out to ten followers, so the heap peaks on timeline state, then frees it.
-// smoke_test.py runs it under the profiler and checks the attribution.
+// out to ten followers, and keeps each post's reply message, so the heap
+// peaks on timeline state and replies, then frees both. smoke_test.py runs it
+// under the profiler and checks the attribution.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -20,6 +21,8 @@ int main() {
     }
     smr::ExecutionView view{vars};
     chirper::ChirperApp app;
+    std::vector<net::MessagePtr> replies;
+    replies.reserve(kPosts);
     for (std::uint64_t p = 0; p < kPosts; ++p) {
       const std::uint64_t poster = p % kUsers;
       std::vector<VarId> followers;
@@ -28,9 +31,10 @@ int main() {
       }
       smr::Command cmd = chirper::make_post(VarId{poster}, followers, std::string(100, 'x'));
       cmd.id = MsgId{p + 1};
-      app.execute(cmd, view);
+      replies.push_back(app.execute(cmd, view));
     }
-    std::printf("heapprof_smoke: timelines hold %zu modelled bytes\n", vars.total_bytes());
+    std::printf("heapprof_smoke: timelines hold %zu modelled bytes; %zu replies kept\n",
+                vars.total_bytes(), replies.size());
   }
   return 0;
 }

@@ -5,11 +5,13 @@ Usage:
     tools/report.py BENCH_<experiment>.json [-o REPORT_<experiment>.html]
                     [--run LABEL]
 
-Input is a `dssmr.run_record.v6` (or older) file produced by any fig_* bench with
---json; runs that also passed --telemetry carry a `telemetry` section and get
-the full dashboard (gauge sparklines, per-partition heat strips, windowed
-latency percentiles, fault-window shading from timeline marks). Runs without
-telemetry still get their headline metrics so a mixed file renders usefully.
+Input is a run-record file (`dssmr.run_record.v*`; the current version is
+stats::kRunRecordSchema) produced by any fig_* bench with --json; runs that
+also passed --telemetry carry a `telemetry` section and get the full
+dashboard (gauge sparklines, per-partition heat strips, windowed latency
+percentiles, fault-window shading from timeline marks). Runs without
+telemetry, and files older than v4, still get their headline metrics so a
+mixed file renders usefully.
 
 The output is one static HTML file: inline CSS + inline SVG, no JavaScript,
 no external assets — it can be archived as a CI artifact and opened years

@@ -11,6 +11,7 @@
 #include "common/flat_map.h"
 #include "common/rng.h"
 #include "common/types.h"
+#include "core/client_proxy.h"
 #include "partition/partitioner.h"
 #include "stats/histogram.h"
 #include "workload/chirper_workload.h"
@@ -80,13 +81,11 @@ BENCHMARK(BM_UnorderedMapLocate)->Arg(2048)->Arg(100000);
 constexpr std::size_t kCachedVars = 100'000;
 
 void BM_ProphecyApply(benchmark::State& state) {
-  // ClientProxy::install_prefetch: unconditional upserts into the location
-  // cache plus the per-variable `prefetched` flag, one prophecy's worth of
-  // entries (8) per iteration.
-  common::FlatMap<VarId, GroupId> cache;
-  common::FlatMap<VarId, bool> prefetched;
+  // ClientProxy::install_prefetch: one unconditional upsert of location and
+  // `prefetched` bit into the location cache per entry, one prophecy's worth
+  // of entries (8) per iteration.
+  core::LocationCache cache;
   cache.reserve(kCachedVars);
-  prefetched.reserve(kCachedVars);
   Rng rng{17};
   std::pair<VarId, GroupId> batch[8];
   for (auto _ : state) {
@@ -94,28 +93,27 @@ void BM_ProphecyApply(benchmark::State& state) {
       v = VarId{rng.below(kCachedVars)};
       loc = GroupId{static_cast<std::uint32_t>(rng.below(8))};
     }
-    for (const auto& [v, loc] : batch) {
-      cache[v] = loc;
-      prefetched[v] = true;
-    }
+    for (const auto& [v, loc] : batch) cache[v] = {loc, /*prefetched=*/true};
   }
-  benchmark::DoNotOptimize(cache.size() + prefetched.size());
+  benchmark::DoNotOptimize(cache.size());
   state.SetItemsProcessed(state.iterations() * 8);
 }
 BENCHMARK(BM_ProphecyApply)->UseRealTime();
 
 void BM_PrefetchHitLookup(benchmark::State& state) {
-  // The cache fast path's prefetch-hit check against a warm cache (every
-  // variable prefetched): find the flag, clear it once credited.
-  common::FlatMap<VarId, bool> prefetched;
-  prefetched.reserve(kCachedVars);
-  for (std::size_t i = 0; i < kCachedVars; ++i) prefetched[VarId{i}] = true;
+  // The cache fast path against a warm cache (every variable prefetched):
+  // find the entry, read its `prefetched` bit, clear it once credited.
+  core::LocationCache cache;
+  cache.reserve(kCachedVars);
+  for (std::size_t i = 0; i < kCachedVars; ++i) {
+    cache[VarId{i}] = {GroupId{static_cast<std::uint32_t>(i & 7)}, /*prefetched=*/true};
+  }
   Rng rng{18};
   std::uint64_t hits = 0;
   for (auto _ : state) {
-    const auto it = prefetched.find(VarId{rng.below(kCachedVars)});
-    if (it != prefetched.end() && it->second) {
-      it->second = false;
+    const auto it = cache.find(VarId{rng.below(kCachedVars)});
+    if (it != cache.end() && it->second.prefetched) {
+      it->second.prefetched = false;
       ++hits;
     }
   }

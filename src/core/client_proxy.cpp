@@ -38,20 +38,13 @@ void ClientProxy::init_client(net::Network& network, const multicast::Directory&
   cfg_ = std::move(config);
   metrics_ = &metrics;
   auto handle = [&metrics](const char* name) { return &metrics.counter_handle(name); };
-  // Locality counters are interned only when their feature flag is on:
-  // default-off runs must not materialize `locality.*` names (the run record
-  // would grow a section and break byte-identity with pre-locality builds).
-  auto gated = [&handle](bool on, const char* name) {
-    return on ? handle(name) : &stats::dummy_counter();
-  };
   ctr_ = {handle("client.ops"),       handle("client.consults"),
           handle("client.cache_hits"), handle("client.multi_partition"),
           handle("client.moves"),     handle("client.retries"),
           handle("client.fallbacks"), handle("client.timeouts"),
           handle("client.hints"),     handle("client.ok"),
           handle("client.nok"),
-          gated(cfg_.prefetch, "locality.prefetch_installed"),
-          gated(cfg_.prefetch, "locality.prefetch_hits")};
+          /*prefetch_installed=*/nullptr, /*prefetch_hits=*/nullptr};  // install_prefetch
   latency_hist_ = &metrics.histogram("client.latency_us");
   completions_series_ = &metrics.series("client.completions");
   moves_series_ = &metrics.series("moves_ts");
@@ -112,15 +105,19 @@ void ClientProxy::decompose_reply(const ReplyMsg& r) {
 std::optional<GroupId> ClientProxy::cached_location(VarId v) const {
   auto it = cache_.find(v);
   if (it == cache_.end()) return std::nullopt;
-  return it->second;
+  return it->second.at;
 }
 
 void ClientProxy::install_prefetch(const ProphecyMsg& p) {
-  for (const auto& [v, loc] : p.prefetch) {
-    cache_[v] = loc;
-    prefetched_[v] = true;
-    ctr_.prefetch_installed->inc();
+  // Default-off runs must not materialize `locality.*` names (the run record
+  // would grow a section and break byte-identity with pre-locality builds),
+  // so the counters come into being with the first prefetch.
+  if (ctr_.prefetch_installed == nullptr) {
+    ctr_.prefetch_installed = &metrics_->counter_handle("locality.prefetch_installed");
+    ctr_.prefetch_hits = &metrics_->counter_handle("locality.prefetch_hits");
   }
+  for (const auto& [v, loc] : p.prefetch) cache_[v] = {loc, /*prefetched=*/true};
+  ctr_.prefetch_installed->inc(p.prefetch.size());
 }
 
 void ClientProxy::issue(Command cmd, DoneFn done) {
@@ -160,38 +157,31 @@ void ClientProxy::start_attempt() {
     // Cache fast path: all variables cached on the same partition.
     GroupId p = kNoGroup;
     bool usable = true;
+    bool from_prefetch = false;
     for (VarId v : cmd_.vars()) {
       auto it = cache_.find(v);
-      if (it == cache_.end() || (p != kNoGroup && it->second != p)) {
+      if (it == cache_.end() || (p != kNoGroup && it->second.at != p)) {
         usable = false;
         break;
       }
-      p = it->second;
+      p = it->second.at;
+      from_prefetch = from_prefetch || it->second.prefetched;
     }
     if (usable && p != kNoGroup) {
       ctr_.cache_hits->inc();
-      if (cfg_.prefetch) {
+      if (from_prefetch) {
         // A hit counts as a prefetch hit when any of its entries got there
-        // via a prophecy prefetch; clear the flags so each prefetched entry
+        // via a prophecy prefetch; clear the bits so each prefetched entry
         // is credited at most once.
-        bool from_prefetch = false;
-        for (VarId v : cmd_.vars()) {
-          auto mit = prefetched_.find(v);
-          if (mit != prefetched_.end() && mit->second) {
-            from_prefetch = true;
-            mit->second = false;
-          }
-        }
-        if (from_prefetch) {
-          ctr_.prefetch_hits->inc();
-          stats::SpanStore& sp = events();
-          if (sp.enabled() && root_span_ != 0) {
-            const Time now = network().engine().now();
-            sp.record({.trace_id = cmd_.trace_id, .parent = root_span_,
-                       .phase = SpanPhase::kPrefetch, .start = now, .end = now,
-                       .node = pid().value, .group = p},
-                      /*fold=*/false);
-          }
+        for (VarId v : cmd_.vars()) cache_.find(v)->second.prefetched = false;
+        ctr_.prefetch_hits->inc();
+        stats::SpanStore& sp = events();
+        if (sp.enabled() && root_span_ != 0) {
+          const Time now = network().engine().now();
+          sp.record({.trace_id = cmd_.trace_id, .parent = root_span_,
+                     .phase = SpanPhase::kPrefetch, .start = now, .end = now,
+                     .node = pid().value, .group = p},
+                    /*fold=*/false);
         }
       }
       send_command({p}, Phase::kAwaitCommand);
@@ -284,10 +274,10 @@ void ClientProxy::on_prophecy(const ProphecyMsg& p) {
   // mapping, so it installs unconditionally.
   std::vector<GroupId> dests;
   for (const auto& [v, loc] : p.locations) {
-    cache_[v] = loc;
+    cache_[v] = {loc};
     if (std::find(dests.begin(), dests.end(), loc) == dests.end()) dests.push_back(loc);
   }
-  if (cfg_.prefetch && !p.prefetch.empty()) install_prefetch(p);
+  if (!p.prefetch.empty()) install_prefetch(p);
   DSSMR_ASSERT(!dests.empty());
 
   if (dests.size() == 1) {
@@ -428,9 +418,9 @@ void ClientProxy::on_reply(ProcessId from, const net::MessagePtr& m) {
       // cache with locations the partition knows are wrong.
       for (VarId v : cmd_.vars()) cache_.erase(v);
       if (const auto* res = net::msg_cast<MoveResultMsg>(r->app_reply)) {
-        for (VarId v : res->installed) cache_[v] = pending_dest_;
+        for (VarId v : res->installed) cache_[v] = {pending_dest_};
       } else if (r->code == ReplyCode::kOk) {
-        for (VarId v : cmd_.vars()) cache_[v] = pending_dest_;
+        for (VarId v : cmd_.vars()) cache_[v] = {pending_dest_};
       }
       if (r->code == ReplyCode::kOk) {
         send_command({pending_dest_}, Phase::kAwaitCommand);

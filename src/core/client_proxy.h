@@ -73,11 +73,16 @@ struct ClientConfig {
   const std::vector<GroupId>* partitions = nullptr;
   /// Required for kStaticSsmr.
   std::shared_ptr<const StaticMap> static_map;
-  /// Locality fast path (off by default; see OracleNode::init_oracle's
-  /// `prefetch_k` for the oracle half): install the prophecy's piggybacked co-access
-  /// neighbours into the location cache.
-  bool prefetch = false;
 };
+
+/// One location-cache entry: where the variable was last seen, and whether
+/// that location came from a prophecy prefetch not yet credited as a hit.
+/// Fits the 16 bytes of a bare (VarId, GroupId) entry.
+struct CachedLocation {
+  GroupId at;
+  bool prefetched = false;
+};
+using LocationCache = common::FlatMap<VarId, CachedLocation>;
 
 class ClientProxy : public multicast::ClientNode {
  public:
@@ -149,9 +154,9 @@ class ClientProxy : public multicast::ClientNode {
     stats::Counter* hints;
     stats::Counter* ok;
     stats::Counter* nok;
-    /// Locality fast path (interned only when prefetch is on, so default-off
-    /// runs never materialize `locality.*` counters and their run records
-    /// stay byte-identical).
+    /// Locality fast path: interned by the first install_prefetch, so
+    /// prefetch-off runs never materialize `locality.*` counters and their
+    /// run records stay byte-identical.
     stats::Counter* prefetch_installed;
     stats::Counter* prefetch_hits;
   } ctr_{};
@@ -204,12 +209,11 @@ class ClientProxy : public multicast::ClientNode {
   Time fallback_start_ = 0;
 
   /// Location cache (Section "Performance optimizations"): consulted on
-  /// every access command, so it shares the oracle's open-addressing map.
-  LocationMap cache_;
-  /// Locality-fast-path sidecar for cache_: whether a variable's cached
-  /// entry came from a prophecy prefetch (counted once as a prefetch hit when
-  /// the fast path uses it).
-  common::FlatMap<VarId, bool> prefetched_;
+  /// every access command, so it is an open-addressing map like the
+  /// oracle's. Every write other than a prefetch install clears the entry's
+  /// `prefetched` bit, so a prefetch hit is credited only to a location the
+  /// prefetch itself supplied.
+  LocationCache cache_;
 
   void install_prefetch(const smr::ProphecyMsg& p);
 };

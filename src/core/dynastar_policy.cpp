@@ -74,39 +74,10 @@ GroupId DynaStarPolicy::choose_destination(const std::vector<VarId>& vars,
   return candidates[minimal[h % minimal.size()]];
 }
 
-void DynaStarPolicy::note_neighbour(VarId u, VarId v) {
-  NeighbourRing& ring = neighbours_[u];
-  for (std::size_t i = 0; i < ring.count; ++i) {
-    if (ring.recent[i] == v) return;  // already tracked; keep the ring stable
-  }
-  ring.recent[ring.next] = v;
-  ring.next = static_cast<std::uint8_t>((ring.next + 1) % ring.recent.size());
-  ring.count = static_cast<std::uint8_t>(
-      std::min<std::size_t>(ring.count + 1, ring.recent.size()));
-}
-
-void DynaStarPolicy::prefetch_candidates(const std::vector<VarId>& vars, std::size_t k,
-                                         std::vector<VarId>& out) {
-  const auto wanted = [&](VarId c) {
-    return std::find(vars.begin(), vars.end(), c) == vars.end() &&
-           std::find(out.begin(), out.end(), c) == out.end();
-  };
-  for (std::size_t i = 0; i < vars.size() && out.size() < k; ++i) {
-    auto it = neighbours_.find(vars[i]);
-    if (it == neighbours_.end()) continue;
-    const NeighbourRing& ring = it->second;
-    for (std::size_t s = 0; s < ring.count && out.size() < k; ++s) {
-      if (wanted(ring.recent[s])) out.push_back(ring.recent[s]);
-    }
-  }
-}
-
 void DynaStarPolicy::on_hint(const std::vector<std::pair<VarId, VarId>>& edges) {
   for (const auto& [u, v] : edges) {
     if (u == v) continue;
     graph_.add_edge(node_of(u), node_of(v));
-    note_neighbour(u, v);
-    note_neighbour(v, u);
     ++hints_since_repartition_;
   }
   if (hints_since_repartition_ >= cfg_.repartition_every_hints) {
@@ -124,8 +95,6 @@ void DynaStarPolicy::on_delete(VarId v) {
 
 void DynaStarPolicy::preload_edge(VarId u, VarId v, partition::Weight w) {
   graph_.add_edge(node_of(u), node_of(v), w);
-  note_neighbour(u, v);
-  note_neighbour(v, u);
 }
 
 void DynaStarPolicy::force_repartition() {

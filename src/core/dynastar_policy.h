@@ -12,12 +12,10 @@
 // identical state — exactly the requirement the draft calls out.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
-#include "common/flat_map.h"
 #include "core/mapping.h"
 #include "partition/graph.h"
 #include "partition/partitioner.h"
@@ -41,15 +39,6 @@ class DynaStarPolicy : public OraclePolicy {
   void on_delete(VarId v) override;
   std::uint64_t repartition_count() const override { return repartitions_; }
 
-  /// Prophecy prefetch from the workload graph: hint edges double as the
-  /// co-access signal, so the base class's recent-co-access table is
-  /// redundant here. The graph builder keeps no adjacency lists (it
-  /// aggregates edge weights), so a small bounded ring of recent neighbours
-  /// per variable is maintained alongside it.
-  void note_co_access(const std::vector<VarId>& vars) override { (void)vars; }
-  void prefetch_candidates(const std::vector<VarId>& vars, std::size_t k,
-                           std::vector<VarId>& out) override;
-
   /// Seeds the workload graph (e.g. with a known social graph) before the
   /// run; optionally computes the initial ideal partitioning immediately.
   void preload_edge(VarId u, VarId v, partition::Weight w = 1);
@@ -57,22 +46,12 @@ class DynaStarPolicy : public OraclePolicy {
 
   std::size_t graph_vertex_count() const { return node_to_var_.size(); }
   std::size_t graph_edge_count() const { return graph_.edge_count(); }
-  std::size_t workload_graph_vertices() const override { return graph_vertex_count(); }
   std::size_t workload_graph_edges() const override { return graph_edge_count(); }
 
  private:
   partition::NodeId node_of(VarId v);
   /// Ideal partition of `v` (kNoGroup when unknown / not yet partitioned).
   GroupId ideal_of(VarId v, const Mapping& map) const;
-  void note_neighbour(VarId u, VarId v);
-
-  /// Bounded ring of a variable's most recent workload-graph neighbours,
-  /// feeding prefetch_candidates.
-  struct NeighbourRing {
-    std::array<VarId, 8> recent{};
-    std::uint8_t count = 0;
-    std::uint8_t next = 0;
-  };
 
   Config cfg_;
   partition::GraphBuilder graph_;
@@ -81,7 +60,6 @@ class DynaStarPolicy : public OraclePolicy {
   std::vector<std::uint32_t> ideal_;  // per node; empty until first repartition
   std::uint64_t hints_since_repartition_ = 0;
   std::uint64_t repartitions_ = 0;
-  common::FlatMap<VarId, NeighbourRing> neighbours_;
 };
 
 }  // namespace dssmr::core

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -13,10 +12,11 @@
 
 namespace dssmr::core {
 
-/// Variable->partition map type shared by the oracle mapping, the S-SMR
-/// static map and the client location cache. Open-addressing (see
-/// common/flat_map.h): locate() is consulted on every command, so this is
-/// one of the hottest lookups in the simulator.
+/// Variable->partition map type shared by the oracle mapping and the S-SMR
+/// static map (the client location cache is the same map with a prefetch bit
+/// per entry). Open-addressing (see common/flat_map.h): locate() is
+/// consulted on every command, so this is one of the hottest lookups in the
+/// simulator.
 using LocationMap = common::FlatMap<VarId, GroupId>;
 
 /// Dynamic variable->partition mapping, replicated inside the oracle group.
@@ -173,92 +173,9 @@ class OraclePolicy {
   /// Number of repartitionings computed so far (DynaStar-style policies).
   virtual std::uint64_t repartition_count() const { return 0; }
 
-  /// Workload-graph size (DynaStar-style policies keep a hint graph; 0 for
-  /// stateless policies). Sampled as telemetry gauges.
-  virtual std::size_t workload_graph_vertices() const { return 0; }
+  /// Workload-graph edge count (DynaStar-style policies keep a hint graph; 0
+  /// for stateless policies). Sampled as a telemetry gauge.
   virtual std::size_t workload_graph_edges() const { return 0; }
-
-  /// Prophecy prefetch (the locality fast path, see DESIGN.md): records that
-  /// `vars` were accessed by one command. Called only by the oracle replica
-  /// that answers a consult (the leader), for direct and ordered consults
-  /// alike, so the co-access state is best-effort, leader-local soft state
-  /// that a new leader rebuilds from the consults it answers. Prefetched
-  /// locations are advisory, so a partial table costs prefetch hits, never
-  /// correctness. The base class keeps a cheap bounded recent-co-access table;
-  /// policies with a real workload graph (DynaStar) override
-  /// prefetch_candidates() instead and may ignore this.
-  virtual void note_co_access(const std::vector<VarId>& vars) {
-    if (vars.size() < 2) return;
-    const std::size_t n = std::min<std::size_t>(vars.size(), kCoAccessFeedCap);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (i != j) co_access_[vars[i]].push(vars[j]);
-      }
-    }
-  }
-
-  /// Appends up to `k` variables recently co-accessed with `vars` (excluding
-  /// `vars` themselves, no duplicates) to `out`. Breadth-first over the
-  /// co-access rings: direct neighbours first, then neighbours-of-neighbours
-  /// while budget remains — one hot command's ring members mostly repeat what
-  /// the client already caches, so the transitive frontier is where the
-  /// novel (cache-warming) candidates live. Deterministic.
-  virtual void prefetch_candidates(const std::vector<VarId>& vars, std::size_t k,
-                                   std::vector<VarId>& out) {
-    const auto wanted = [&](VarId c) {
-      return std::find(vars.begin(), vars.end(), c) == vars.end() &&
-             std::find(out.begin(), out.end(), c) == out.end();
-    };
-    const std::size_t base = out.size();
-    const std::size_t n = std::min<std::size_t>(vars.size(), kCoAccessFeedCap);
-    for (std::size_t i = 0; i < n && out.size() - base < k; ++i) {
-      auto it = co_access_.find(vars[i]);
-      if (it == co_access_.end()) continue;
-      const CoRing& ring = it->second;
-      for (std::size_t s = 0; s < ring.count && out.size() - base < k; ++s) {
-        const VarId c = ring.recent[s];
-        if (wanted(c)) out.push_back(c);
-      }
-    }
-    // Second hop: expand from the appended candidates themselves (out acts
-    // as the BFS queue; entries appended here extend the frontier further,
-    // still bounded by k).
-    for (std::size_t f = base; f < out.size() && out.size() - base < k; ++f) {
-      auto it = co_access_.find(out[f]);
-      if (it == co_access_.end()) continue;
-      const CoRing& ring = it->second;
-      for (std::size_t s = 0; s < ring.count && out.size() - base < k; ++s) {
-        const VarId c = ring.recent[s];
-        if (wanted(c)) out.push_back(c);
-      }
-    }
-  }
-
- private:
-  /// Per-variable ring of the most recently co-accessed neighbours. Tiny and
-  /// bounded: the table is a best-effort cache-warming signal, not a workload
-  /// graph.
-  struct CoRing {
-    std::array<VarId, 8> recent{};
-    std::uint8_t count = 0;
-    std::uint8_t next = 0;
-
-    void push(VarId v) {
-      for (std::size_t i = 0; i < count; ++i) {
-        if (recent[i] == v) return;  // already tracked; keep ring stable
-      }
-      recent[next] = v;
-      next = static_cast<std::uint8_t>((next + 1) % recent.size());
-      count = static_cast<std::uint8_t>(std::min<std::size_t>(count + 1, recent.size()));
-    }
-  };
-
-  /// Only the first few variables of a wide command feed/probe the table:
-  /// co-access is quadratic in the fed prefix and wide commands (move bulks,
-  /// timeline fan-ins) would swamp it.
-  static constexpr std::size_t kCoAccessFeedCap = 8;
-
-  common::FlatMap<VarId, CoRing> co_access_;
 };
 
 /// The DS-SMR (DSN 2016) policy: no global workload knowledge. New variables

@@ -35,6 +35,50 @@ MsgId derive_move_id(MsgId consult_id) {
   return MsgId{x ^ (x >> 27)};
 }
 
+void CoAccessTable::Ring::push(VarId v) {
+  for (std::size_t i = 0; i < count; ++i) {
+    if (recent[i] == v) return;  // already tracked; keep the ring stable
+  }
+  recent[next] = v;
+  next = static_cast<std::uint8_t>((next + 1) % recent.size());
+  count = static_cast<std::uint8_t>(std::min<std::size_t>(count + 1, recent.size()));
+}
+
+void CoAccessTable::note(const std::vector<VarId>& vars) {
+  if (vars.size() < 2) return;
+  const std::size_t n = std::min(vars.size(), kFeedCap);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j) rings_[vars[i]].push(vars[j]);
+    }
+  }
+}
+
+void CoAccessTable::candidates(const std::vector<VarId>& vars, std::size_t k,
+                               std::vector<VarId>& out) const {
+  const std::size_t base = out.size();
+  // Appends the members of `v`'s ring that are neither in `vars` nor already
+  // in `out`, while budget remains.
+  const auto expand = [&](VarId v) {
+    auto it = rings_.find(v);
+    if (it == rings_.end()) return;
+    const Ring& ring = it->second;
+    for (std::size_t s = 0; s < ring.count && out.size() - base < k; ++s) {
+      const VarId c = ring.recent[s];
+      if (std::find(vars.begin(), vars.end(), c) == vars.end() &&
+          std::find(out.begin(), out.end(), c) == out.end()) {
+        out.push_back(c);
+      }
+    }
+  };
+  const std::size_t n = std::min(vars.size(), kFeedCap);
+  for (std::size_t i = 0; i < n && out.size() - base < k; ++i) expand(vars[i]);
+  // Second hop: expand from the appended candidates themselves (out acts as
+  // the BFS queue; entries appended here extend the frontier further, still
+  // bounded by k).
+  for (std::size_t f = base; f < out.size() && out.size() - base < k; ++f) expand(out[f]);
+}
+
 void OracleNode::init_oracle(net::Network& network, const multicast::Directory& directory,
                              GroupId gid, multicast::GroupNodeConfig node_config,
                              std::unique_ptr<OraclePolicy> policy,
@@ -202,9 +246,9 @@ void OracleNode::handle_consult(ProcessId client, const ConsultMsg& consult) {
     // probes it. A new leader starts from its own (partial) table, which
     // costs prefetch hits, never correctness — prefetched entries are
     // advisory like every cached location.
-    policy_->note_co_access(cmd.vars());
+    co_access_.note(cmd.vars());
     std::vector<VarId> candidates;
-    policy_->prefetch_candidates(cmd.vars(), prefetch_k_, candidates);
+    co_access_.candidates(cmd.vars(), prefetch_k_, candidates);
     for (VarId c : candidates) {
       const GroupId loc = mapping_->locate(c);
       if (loc == kNoGroup) continue;

@@ -20,14 +20,18 @@
 // needs no workload knowledge; the DynaStar-style policy (an extension, see
 // DESIGN.md) maintains a workload graph and a graph-partitioner-computed
 // ideal partitioning. Under the DynaStar strategy the oracle leader also
-// multicasts the move itself instead of leaving it to the client.
+// multicasts the move itself instead of leaving it to the client. The
+// prophecy prefetch's co-access table is the oracle's own, whatever the
+// policy (CoAccessTable).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/bounded.h"
+#include "common/flat_map.h"
 #include "common/small_set.h"
 #include "common/types.h"
 #include "core/mapping.h"
@@ -45,6 +49,46 @@ inline constexpr std::uint32_t kReconfigRetire = 1;
 /// Deterministic move-command id derived from the consult id, so the client
 /// knows which reply to wait for when the oracle issues the move.
 MsgId derive_move_id(MsgId consult_id);
+
+/// Prophecy prefetch (the locality fast path, see DESIGN.md): which variables
+/// recent consults accessed together. Only the oracle replica that answers a
+/// consult (the leader) feeds and probes it, for direct and ordered consults
+/// alike, so it is best-effort, leader-local soft state that a new leader
+/// rebuilds from the consults it answers. Prefetched locations are advisory,
+/// so a partial table costs prefetch hits, never correctness.
+class CoAccessTable {
+ public:
+  /// Records that `vars` were accessed by one command.
+  void note(const std::vector<VarId>& vars);
+
+  /// Appends up to `k` variables recently co-accessed with `vars` (excluding
+  /// `vars` themselves, no duplicates) to `out`. Breadth-first over the
+  /// rings: direct neighbours first, then neighbours-of-neighbours while
+  /// budget remains — one hot command's ring members mostly repeat what the
+  /// client already caches, so the transitive frontier is where the novel
+  /// (cache-warming) candidates live. Deterministic.
+  void candidates(const std::vector<VarId>& vars, std::size_t k,
+                  std::vector<VarId>& out) const;
+
+ private:
+  /// Per-variable ring of the most recently co-accessed neighbours. Tiny and
+  /// bounded: the table is a best-effort cache-warming signal, not a workload
+  /// graph.
+  struct Ring {
+    std::array<VarId, 8> recent{};
+    std::uint8_t count = 0;
+    std::uint8_t next = 0;
+
+    void push(VarId v);
+  };
+
+  /// Only the first few variables of a wide command feed/probe the table:
+  /// co-access is quadratic in the fed prefix and wide commands (move bulks,
+  /// timeline fan-ins) would swamp it.
+  static constexpr std::size_t kFeedCap = 8;
+
+  common::FlatMap<VarId, Ring> rings_;
+};
 
 class OracleNode : public multicast::GroupNode {
  public:
@@ -122,6 +166,7 @@ class OracleNode : public multicast::GroupNode {
   std::unique_ptr<smr::ExecutionEngine> exec_;
   bool issues_moves_ = false;
   std::size_t prefetch_k_ = 0;
+  CoAccessTable co_access_;
   BoundedMap<MsgId, CachedReply> completed_{1 << 15};
 
   /// Interned counter handles (see ClientProxy::Counters): consults and hints

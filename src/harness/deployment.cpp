@@ -7,6 +7,27 @@
 #include "common/assert.h"
 
 namespace dssmr::harness {
+namespace {
+
+double ratio(std::uint64_t num, std::uint64_t den) {
+  return den == 0 ? 0.0 : static_cast<double>(num) / static_cast<double>(den);
+}
+
+/// A counter's growth since the previous call: one telemetry tick's window.
+struct WindowDelta {
+  const stats::Metrics* metrics;
+  const char* name;
+  std::uint64_t last = 0;
+
+  std::uint64_t operator()() {
+    const std::uint64_t now = metrics->counter(name);
+    const std::uint64_t delta = now - last;
+    last = now;
+    return delta;
+  }
+};
+
+}  // namespace
 
 Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
                        PolicyFactory policy_factory)
@@ -40,9 +61,7 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
   config_.node.batching.batch_delay = config_.batch_delay;
   config_.node.paxos.pipeline_depth = config_.pipeline_depth;
 
-  for (std::size_t p = 0; p < config_.partitions; ++p) {
-    static_map_->partitions.push_back(register_partition(p));
-  }
+  for (std::size_t p = 0; p < config_.partitions; ++p) register_partition(p);
 
   // Oracle group, rack 0.
   {
@@ -84,7 +103,6 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
   ccfg.oracle_group = oracle_gid();
   ccfg.partitions = &live_partition_gids_;
   ccfg.static_map = static_map_;
-  ccfg.prefetch = config_.prefetch_k > 0;
   for (std::size_t c = 0; c < config_.clients; ++c) {
     auto client = std::make_unique<core::ClientProxy>();
     network_.add_process(*client, static_cast<int>(c % 2));
@@ -94,7 +112,7 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
   }
 
   if (config_.telemetry) {
-    metrics_.recorder().enable(config_.telemetry_interval, config_.partitions);
+    metrics_.recorder().enable(kTelemetryInterval, config_.partitions);
     register_telemetry_gauges();
   }
 }
@@ -152,9 +170,7 @@ void Deployment::register_telemetry_gauges() {
   });
   rec.register_gauge("client_cache.hit_rate", [this] {
     const std::uint64_t hits = metrics_.counter("client.cache_hits");
-    const std::uint64_t consults = metrics_.counter("client.consults");
-    const std::uint64_t decisions = hits + consults;
-    return decisions == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(decisions);
+    return ratio(hits, hits + metrics_.counter("client.consults"));
   });
 
   // Batching/pipelining occupancy, only when the knobs are live (the gauge
@@ -175,22 +191,23 @@ void Deployment::register_telemetry_gauges() {
     });
   }
 
-  // Locality fast path: cache hit rate vs. consult rate over time (the
-  // report's cache-effectiveness sparkline). Only when prefetch is on — the
-  // gauge set of a locality-off run must match the pre-locality one.
+  // Locality fast path: cache hit rate vs. consult rate within each tick
+  // window (the report's cache-effectiveness sparkline), from the counter
+  // deltas since the previous tick. Only when prefetch is on — the gauge set
+  // of a locality-off run must match the pre-locality one.
   if (config_.prefetch_k > 0) {
-    rec.register_gauge("locality.window_hit_rate", [this] {
-      const std::uint64_t hits = metrics_.counter("client.cache_hits");
-      const std::uint64_t consults = metrics_.counter("client.consults");
-      const std::uint64_t decisions = hits + consults;
-      return decisions == 0 ? 0.0
-                            : static_cast<double>(hits) / static_cast<double>(decisions);
-    });
-    rec.register_gauge("locality.consult_rate", [this] {
-      const std::uint64_t ops = metrics_.counter("client.ops");
-      const std::uint64_t consults = metrics_.counter("client.consults");
-      return ops == 0 ? 0.0 : static_cast<double>(consults) / static_cast<double>(ops);
-    });
+    rec.register_gauge("locality.window_hit_rate",
+                       [hits = WindowDelta{&metrics_, "client.cache_hits"},
+                        consults = WindowDelta{&metrics_, "client.consults"}]() mutable {
+                         const std::uint64_t h = hits();
+                         return ratio(h, h + consults());
+                       });
+    rec.register_gauge("locality.consult_rate",
+                       [consults = WindowDelta{&metrics_, "client.consults"},
+                        ops = WindowDelta{&metrics_, "client.ops"}]() mutable {
+                         const std::uint64_t c = consults();
+                         return ratio(c, ops());
+                       });
   }
 
   // Elastic repartitioning: live partition count over time (the report's
@@ -213,7 +230,7 @@ void Deployment::register_telemetry_gauges() {
 
 void Deployment::telemetry_tick() {
   metrics_.recorder().tick(engine_.now());
-  engine_.schedule(config_.telemetry_interval, [this] { telemetry_tick(); });
+  engine_.schedule(kTelemetryInterval, [this] { telemetry_tick(); });
 }
 
 std::vector<GroupId> Deployment::partition_gids() const {
@@ -307,7 +324,7 @@ void Deployment::start() {
   // First telemetry sample lands one interval in; the chain then keeps one
   // event pending forever (drive the engine with run_until, not run-to-empty).
   if (config_.telemetry) {
-    engine_.schedule(config_.telemetry_interval, [this] { telemetry_tick(); });
+    engine_.schedule(kTelemetryInterval, [this] { telemetry_tick(); });
   }
 }
 

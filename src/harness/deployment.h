@@ -129,8 +129,6 @@ class Deployment {
   std::size_t relay_count() const { return relays_.size(); }
   multicast::BatchRelay& relay(std::size_t i) { return *relays_[i]; }
 
-  core::StaticMap& static_map() { return *static_map_; }
-
   /// Sum of executed commands over one replica of each partition.
   std::uint64_t total_executed() const;
 

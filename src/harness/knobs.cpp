@@ -48,7 +48,6 @@ using Field = T BenchOptions::*;
 
 bool batching_on(const RunKnobs& k) { return k.batch_size > 0 || k.pipeline_depth > 0; }
 bool locality_on(const RunKnobs& k) { return k.prefetch_k > 0; }
-bool telemetry_on(const RunKnobs& k) { return k.telemetry; }
 
 struct Row {
   const char* flag;
@@ -102,10 +101,6 @@ constexpr Row kRows[] = {
      .meta = "telemetry", .off = "off", .on = "on",
      .help = "arm the flight recorder: windowed gauges, partition heat and latency in the "
              "run record's `telemetry` section"},
-    {.flag = "--telemetry-interval", .kind = Kind::kMicros,
-     .field = &BenchOptions::telemetry_interval, .implies = &BenchOptions::telemetry,
-     .meta = "telemetry_interval_us", .gate = telemetry_on,
-     .help = "telemetry sampling cadence and bucket width; implies --telemetry"},
 };
 
 const Row* find_row(const char* flag) {

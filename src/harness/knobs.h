@@ -23,6 +23,9 @@ namespace dssmr::harness {
 
 struct DeploymentConfig;
 
+/// Telemetry's gauge-sampling cadence and heat/latency bucket width.
+inline constexpr Duration kTelemetryInterval = msec(100);
+
 /// Knobs shared by ChirperRunConfig and DeploymentConfig. Both inherit it, so
 /// every field stays directly assignable (`cfg.batch_size = 8`).
 struct Knobs {
@@ -63,15 +66,13 @@ struct Knobs {
   /// is truncated (benches cap it to keep Chrome traces loadable).
   std::size_t spans_capacity = 0;
 
-  /// Enables flight-recorder telemetry (stats::Recorder): gauge sampling on
-  /// a virtual-time cadence, windowed per-partition heat, windowed latency
-  /// percentiles and timeline marks (labelled instants in the event store).
-  /// Off by default; when off, no tick chain is scheduled and every record_*
-  /// call is a one-branch no-op, so the virtual-time schedule is identical to
-  /// a build without telemetry.
+  /// Enables flight-recorder telemetry (stats::Recorder): gauge sampling
+  /// every kTelemetryInterval of virtual time, windowed per-partition heat,
+  /// windowed latency percentiles and timeline marks (labelled instants in
+  /// the event store). Off by default; when off, no tick chain is scheduled
+  /// and every record_* call is a one-branch no-op, so the virtual-time
+  /// schedule is identical to a build without telemetry.
   bool telemetry = false;
-  /// Gauge-sampling cadence and heat/latency bucket width.
-  Duration telemetry_interval = msec(100);
 };
 
 /// Knobs only a driven run acts on: actors armed right after settle().

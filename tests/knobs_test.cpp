@@ -50,8 +50,6 @@ std::vector<FlagCase> flag_cases() {
       {{"--pipeline-depth", "4"}, [](C c, O) { return c.pipeline_depth == 4; }},
       {{"--prefetch-k", "16"}, [](C c, O) { return c.prefetch_k == 16; }},
       {{"--telemetry"}, [](C c, O) { return c.telemetry; }},
-      {{"--telemetry-interval", "5000"},
-       [](C c, O) { return c.telemetry && c.telemetry_interval == usec(5000); }},
   };
 }
 
@@ -105,13 +103,13 @@ TEST(Knobs, BadValuesMakeFinishReturnTwo) {
       {"--prefetch-k", "-1"},
       {"--batch-delay-us", "0"},
       {"--batch-delay-us", "5x"},
-      {"--telemetry-interval", "1e3"},
-      {"--telemetry-interval", "0"},
       {"--nemesis", "not-a-plan"},
       {"--nemesis"},
       {"--nemesis", "add-partition:1@1ms"},
       // The flag of the separate elasticity schedule, now a --nemesis event.
       {"--scale-plan", "scale-out"},
+      // The sampling cadence, now the constant kTelemetryInterval.
+      {"--telemetry-interval", "5000"},
       {"--no-such-flag"},
       // Flags of removed features (cache repair, move coalescing).
       {"--cache-repair"},
@@ -125,7 +123,8 @@ TEST(Knobs, BadValuesMakeFinishReturnTwo) {
   // A rejected value leaves its field at the default, so the sweep that still
   // runs before finish() stays fault-free and telemetry-free.
   EXPECT_TRUE(sink_for({"--nemesis", "not-a-plan"}).options().nemesis.empty());
-  EXPECT_FALSE(sink_for({"--telemetry-interval", "0"}).options().telemetry);
+  EXPECT_EQ(sink_for({"--batch-delay-us", "0"}).options().batch_delay, Knobs{}.batch_delay);
+  EXPECT_FALSE(sink_for({"--telemetry-interval", "5000"}).options().telemetry);
   EXPECT_EQ(sink_for({"--batch-size", "4x"}).options().batch_size, 0u);
 }
 
@@ -174,7 +173,6 @@ TEST(Knobs, MetaMatchesTheHandWrittenRecord) {
   cfg.pipeline_depth = 4;
   cfg.prefetch_k = 8;
   cfg.telemetry = true;
-  cfg.telemetry_interval = msec(50);
   EXPECT_EQ(make_run_record(cfg, no_run).meta,
             (Meta{{"strategy", "DS-SMR"},
                   {"placement", "hash"},
@@ -191,7 +189,6 @@ TEST(Knobs, MetaMatchesTheHandWrittenRecord) {
                   {"pipeline_depth", "4"},
                   {"prefetch_k", "8"},
                   {"telemetry", "on"},
-                  {"telemetry_interval_us", "50000"},
                   {"placement_edge_cut", "0.000000"},
                   {"throughput_cps", "0.000000"},
                   {"latency_p50_us", "0"},
@@ -217,10 +214,9 @@ TEST(Knobs, EachMetaGroupGatesOnItsOwnKnobs) {
   k = RunKnobs{};
   k.prefetch_k = 1;
   EXPECT_EQ(keys(k), (Keys{"nemesis", "prefetch_k", "telemetry"}));
-  // Delays and the sampling interval alone turn no group on.
+  // Delays and tracing alone turn no group on.
   k = RunKnobs{};
   k.batch_delay = usec(5);
-  k.telemetry_interval = usec(5);
   k.trace = true;
   k.spans = true;
   EXPECT_EQ(keys(k), (Keys{"nemesis", "telemetry"}));

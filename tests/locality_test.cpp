@@ -1,5 +1,7 @@
 // Locality fast path: prophecy prefetch — functional behavior (prefetch
-// installs warm the cache and later commands skip the oracle),
+// installs warm the cache and later commands skip the oracle, a prefetch hit
+// is credited only to a location the prefetch supplied, DynaStar and DS-SMR
+// share one co-access table), the windowed cache gauges,
 // linearizability with prefetch on (including under every shipped nemesis
 // plan), the off-by-default purity the seed relies on (locality-off runs
 // produce byte-identical run records and carry no locality artifacts), and
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dynastar_policy.h"
 #include "fault/fault_plan.h"
 #include "fault/nemesis.h"
 #include "harness/experiment.h"
@@ -86,6 +89,123 @@ TEST(Prefetch, OffConfigInstallsNothing) {
   EXPECT_EQ(run_op(d, 1, kv_get(VarId{0})), smr::ReplyCode::kOk);
   EXPECT_FALSE(d.client(1).cached_location(VarId{2}).has_value());
   EXPECT_EQ(d.metrics().counter("locality.prefetch_installed"), 0u);
+}
+
+/// Issues `cmd` from client `ci` without waiting; `*done` flips when it ends.
+void issue_op(Deployment& d, std::size_t ci, smr::Command cmd, bool* done) {
+  d.client(ci).issue(std::move(cmd), [done](smr::ReplyCode, const net::MessagePtr&) {
+    *done = true;
+  });
+}
+
+/// Runs the engine in 1 ms steps until `pred` holds (bounded by `max_wait`).
+template <class Pred>
+void run_until_true(Deployment& d, Pred pred, Duration max_wait = sec(5)) {
+  const Time deadline = d.engine().now() + max_wait;
+  while (!pred() && d.engine().now() < deadline) {
+    d.engine().run_until(d.engine().now() + msec(1));
+  }
+  ASSERT_TRUE(pred()) << "condition not reached in time";
+}
+
+TEST(Prefetch, EntryRelearnedAfterARetryIsNotAPrefetchHit) {
+  auto cfg = locality_config(2, 2);
+  Deployment d{cfg, kv::kv_app_factory(),
+               [] { return std::make_unique<core::DssmrPolicy>(); }};
+  preload_kv(d, 8);  // even vars on partition 0, odd on partition 1
+  d.start();
+  d.settle();
+
+  // Client 1 learns var 2 from a prefetch: {0,2,4} were co-accessed.
+  EXPECT_EQ(run_op(d, 0, kv_sum({VarId{0}, VarId{2}}, VarId{4})), smr::ReplyCode::kOk);
+  EXPECT_EQ(run_op(d, 1, kv_get(VarId{0})), smr::ReplyCode::kOk);
+  ASSERT_EQ(d.client(1).cached_location(VarId{2}), d.partition_gid(0));
+
+  // Client 1's next command needs var 6 too, so it consults; its send to
+  // partition 0 is lost while client 0 moves vars 2 and 6 to partition 1
+  // (most-held). The re-sent command gets a retry, which erases the cached
+  // entries, and the ordered re-consult learns both on partition 1.
+  const std::uint64_t retries = d.metrics().counter("client.retries");
+  for (std::size_t r = 0; r < cfg.replicas_per_partition; ++r) {
+    d.network().set_link(d.client(1).pid(), d.server(0, r).pid(), false);
+  }
+  bool done = false;
+  issue_op(d, 1, kv_sum({VarId{2}}, VarId{6}), &done);
+  d.engine().run_until(d.engine().now() + msec(20));
+  ASSERT_FALSE(done);
+  EXPECT_EQ(run_op(d, 0, kv_sum({VarId{1}, VarId{3}, VarId{5}, VarId{2}}, VarId{6})),
+            smr::ReplyCode::kOk);
+  for (std::size_t r = 0; r < cfg.replicas_per_partition; ++r) {
+    d.network().set_link(d.client(1).pid(), d.server(0, r).pid(), true);
+  }
+  run_until_true(d, [&] { return done; });
+  ASSERT_GT(d.metrics().counter("client.retries"), retries);
+  ASSERT_EQ(d.client(1).cached_location(VarId{2}), d.partition_gid(1));
+
+  // A cache hit on the re-learned entry is not a prefetch hit.
+  const std::uint64_t hits = d.metrics().counter("client.cache_hits");
+  const std::uint64_t prefetch_hits = d.metrics().counter("locality.prefetch_hits");
+  EXPECT_EQ(run_op(d, 1, kv_get(VarId{2})), smr::ReplyCode::kOk);
+  EXPECT_EQ(d.metrics().counter("client.cache_hits"), hits + 1);
+  EXPECT_EQ(d.metrics().counter("locality.prefetch_hits"), prefetch_hits);
+}
+
+TEST(Prefetch, DynaStarPrefetchesConsultCoAccessWithoutHints) {
+  auto cfg = locality_config(2, 2);
+  cfg.strategy = Strategy::kDynaStar;
+  Deployment d{cfg, kv::kv_app_factory(),
+               [] { return std::make_unique<core::DynaStarPolicy>(DynaStarPolicy::Config{}); }};
+  preload_kv(d, 6);
+  d.start();
+  d.settle();
+
+  // KV commands carry no workload hints: {0,2,4} meet only in a consult.
+  EXPECT_EQ(run_op(d, 0, kv_sum({VarId{0}, VarId{2}}, VarId{4})), smr::ReplyCode::kOk);
+  EXPECT_EQ(run_op(d, 1, kv_get(VarId{0})), smr::ReplyCode::kOk);
+  EXPECT_EQ(d.metrics().counter("oracle.hints"), 0u);
+  EXPECT_TRUE(d.client(1).cached_location(VarId{2}).has_value());
+  EXPECT_TRUE(d.client(1).cached_location(VarId{4}).has_value());
+  EXPECT_GT(d.metrics().counter("locality.prefetch_installed"), 0u);
+}
+
+TEST(LocalityTelemetry, WindowHitRateCoversTheLastTickOnly) {
+  auto cfg = locality_config(2, 2);
+  cfg.telemetry = true;
+  Deployment d{cfg, kv::kv_app_factory(),
+               [] { return std::make_unique<core::DssmrPolicy>(); }};
+  preload_kv(d, 8);
+  d.start();
+  d.settle();
+  const stats::Recorder& rec = d.metrics().recorder();
+  const auto gauge = [&rec](const std::string& name) -> const std::vector<double>& {
+    for (const stats::Recorder::Gauge& g : rec.gauges()) {
+      if (g.name == name) return g.values;
+    }
+    ADD_FAILURE() << "no gauge " << name;
+    static const std::vector<double> none;
+    return none;
+  };
+  const auto next_tick = [&] {
+    const std::size_t ticks = rec.tick_times().size();
+    run_until_true(d, [&] { return rec.tick_times().size() > ticks; });
+  };
+
+  // One window of cache hits: client 0 consults once, then hits ten times.
+  next_tick();
+  for (int i = 0; i < 11; ++i) EXPECT_EQ(run_op(d, 0, kv_get(VarId{0})), smr::ReplyCode::kOk);
+  next_tick();
+  EXPECT_DOUBLE_EQ(gauge("locality.window_hit_rate").back(), 10.0 / 11.0);
+  EXPECT_DOUBLE_EQ(gauge("locality.consult_rate").back(), 1.0 / 11.0);
+
+  // The next window holds only first touches: every decision is a consult,
+  // whatever the run did before.
+  for (std::size_t v = 1; v < 6; ++v) {
+    EXPECT_EQ(run_op(d, 1, kv_get(VarId{v})), smr::ReplyCode::kOk);
+  }
+  next_tick();
+  EXPECT_DOUBLE_EQ(gauge("locality.window_hit_rate").back(), 0.0);
+  EXPECT_DOUBLE_EQ(gauge("locality.consult_rate").back(), 1.0);
+  EXPECT_GT(gauge("client_cache.hit_rate").back(), 0.0);
 }
 
 // ---- removed knobs ------------------------------------------------------------

@@ -184,7 +184,6 @@ std::string record_json(const harness::ChirperRunConfig& cfg,
 TEST(Telemetry, RunRecordV4RoundTripsWithTelemetrySection) {
   auto cfg = tiny_cfg();
   cfg.telemetry = true;
-  cfg.telemetry_interval = msec(100);
   cfg.nemesis = "leader-kill-recover";  // fault marks should land on the timeline
   const auto r = harness::run_chirper(cfg);
 
@@ -195,7 +194,8 @@ TEST(Telemetry, RunRecordV4RoundTripsWithTelemetrySection) {
   ASSERT_TRUE(run.has("telemetry"));
   const testing::JsonValue& tel = run.at("telemetry");
 
-  EXPECT_EQ(tel.at("interval_us").as_int(), static_cast<std::int64_t>(msec(100)));
+  EXPECT_EQ(tel.at("interval_us").as_int(),
+            static_cast<std::int64_t>(harness::kTelemetryInterval));
 
   // Gauges: non-empty, every value array aligned with the tick array.
   const std::size_t ticks = tel.at("ticks").array.size();

@@ -7,12 +7,10 @@
 // partitioning every N hints. Expected shape: throughput ratchets upward
 // after repartitionings as the placement matches the emerging communities,
 // while the plain DS-SMR oracle improves only via greedy per-command moves.
-#include <memory>
 #include <optional>
 
 #include "bench_util.h"
 #include "chirper/chirper.h"
-#include "core/dynastar_policy.h"
 #include "fault/nemesis.h"
 #include "workload/chirper_workload.h"
 
@@ -101,18 +99,9 @@ int main(int argc, char** argv) {
     dep.node.rmcast_relay = false;
     dep.seed = 42;
 
-    harness::PolicyFactory policy;
-    if (dynastar) {
-      core::DynaStarPolicy::Config pc;
-      pc.repartition_every_hints = 1500;
-      pc.partitioner.k = 4;
-      policy = [pc] { return std::make_unique<core::DynaStarPolicy>(pc); };
-    } else {
-      policy = [] { return std::make_unique<core::DssmrPolicy>(); };
-    }
-
     harness::Deployment d{dep, chirper::chirper_app_factory({usec(80), usec(5)}),
-                          std::move(policy)};
+                          harness::policy_factory(dep.strategy, dep.partitions,
+                                                  /*hint_threshold=*/1500)};
     d.start();
     d.settle();
 
@@ -127,12 +116,8 @@ int main(int argc, char** argv) {
     driver.run(/*warmup=*/0, /*measure=*/sec(12));
 
     Outcome out;
-    if (const auto* s = d.metrics().find_series("client.completions"); s != nullptr) {
-      for (std::size_t i = 0; i < 12; ++i) out.tput.push_back(s->rate(i));
-    }
-    if (const auto* s = d.metrics().find_series("moves_ts"); s != nullptr) {
-      for (std::size_t i = 0; i < 12; ++i) out.moves.push_back(s->rate(i));
-    }
+    out.tput = d.metrics().series("client.completions").rates(12);
+    out.moves = d.metrics().series("moves_ts").rates(12);
     out.creates = d.metrics().counter("oracle.creates");
     out.repartitionings = d.oracle(0).policy().repartition_count();
 

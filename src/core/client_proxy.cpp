@@ -309,19 +309,11 @@ void ClientProxy::send_dssmr_move(GroupId dest, const std::vector<GroupId>& sour
   ctr_.moves->inc();
   moves_series_->add(network().engine().now());
 
-  Command move;
-  move.type = CommandType::kMove;
-  move.id = fresh_id();
-  move.trace_id = cmd_.trace_id;  // the move belongs to the command's trace
+  // The move belongs to the command's trace.
+  Command move = smr::make_move(fresh_id(), cmd_.trace_id, cmd_.vars(), sources, dest);
   events().record(InstantKind::kMoveIssued, network().engine().now(), pid().value,
                   move.id.value, static_cast<std::int64_t>(dest.value));
-  move.write_set = cmd_.vars();
-  move.move_sources = sources;
-  move.move_dest = dest;
-
-  std::vector<GroupId> dests = sources;
-  dests.push_back(dest);
-  dests.push_back(cfg_.oracle_group);
+  std::vector<GroupId> dests = smr::move_groups(move, cfg_.oracle_group);
 
   awaited_reply_ = move.id;
   phase_ = Phase::kAwaitMove;

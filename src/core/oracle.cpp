@@ -215,23 +215,9 @@ void OracleNode::handle_consult(ProcessId client, const ConsultMsg& consult) {
         // DynaStar mode: the oracle collocates the variables itself. The move
         // id is derived from the consult id so the client can await the
         // destination partition's confirmation.
-        Command move;
-        move.type = CommandType::kMove;
-        move.id = derive_move_id(consult.consult_id);
-        move.trace_id = cmd.trace_id;  // stays in the consulting command's trace
-        move.requester = client;
-        move.write_set = cmd.vars();
-        move.move_sources = dests;
-        move.move_dest = prophecy->dest;
-        std::vector<GroupId> move_dests = dests;
-        move_dests.push_back(prophecy->dest);
-        move_dests.push_back(group());
-        const MsgId move_id = move.id;
-        amcast(std::move(move_dests), net::make_msg<CommandMsg>(std::move(move)));
-        bump(ctr_.moves_issued);
-        record_instant(stats::InstantKind::kMoveIssued, move_id.value,
-                       static_cast<std::int64_t>(prophecy->dest.value));
-        moves_series_->add(engine().now());
+        issue_move(smr::make_move(derive_move_id(consult.consult_id), cmd.trace_id, cmd.vars(),
+                                  std::move(dests), prophecy->dest, client),
+                   stats::InstantKind::kMoveIssued, ctr_.moves_issued);
       }
       prophecy->oracle_moved = issues_moves_;
     } else if (cmd.type == CommandType::kAccess && dests.size() == 1) {
@@ -262,22 +248,10 @@ void OracleNode::handle_consult(ProcessId client, const ConsultMsg& consult) {
     leader_action([this, client, prophecy, tid, delivered] {
       // Server-side view of consult handling (delivery -> prophecy sent); the
       // client's folded kConsult span covers this window end to end.
-      if (tid != 0 && metrics().spans().enabled()) {
-        metrics().spans().record({.trace_id = tid,
-                                  .phase = stats::SpanPhase::kOracle,
-                                  .start = delivered,
-                                  .end = engine().now(),
-                                  .node = pid().value,
-                                  .group = group()},
-                                 /*fold=*/false);
-      }
+      record_span(stats::SpanPhase::kOracle, tid, delivered, engine().now());
       send_direct(client, prophecy);
     });
   });
-}
-
-void OracleNode::send_reply(ProcessId client, net::MessagePtr reply) {
-  leader_action([this, client, reply = std::move(reply)] { send_direct(client, reply); });
 }
 
 void OracleNode::handle_create_delete(const multicast::AmcastMessage& m, const Command& cmd) {
@@ -440,23 +414,27 @@ void OracleNode::plan_drain(GroupId retiring) {
 }
 
 void OracleNode::issue_rebalance_move(GroupId from, GroupId to, std::vector<VarId> chunk) {
-  Command move;
-  move.type = CommandType::kMove;
-  move.id = next_msg_id();
-  move.requester = kNoProcess;  // no client awaits this reply
-  move.write_set = std::move(chunk);  // vars_on() order == vars() order (sorted)
-  move.move_sources = {from};
-  move.move_dest = to;
-  bump(ctr_.rebalance_moves);
   if (is_leader()) {
-    ctr_.rebalance_vars->inc(move.write_set.size());
+    ctr_.rebalance_vars->inc(chunk.size());
     metrics().histogram("elastic.rebalance_entries")
-        .record(static_cast<std::int64_t>(move.write_set.size()));
+        .record(static_cast<std::int64_t>(chunk.size()));
   }
-  record_instant(stats::InstantKind::kRebalanceMove, move.id.value,
-                 static_cast<std::int64_t>(to.value));
+  // No client awaits a rebalance move's reply. vars_on() order == vars()
+  // order (sorted).
+  issue_move(smr::make_move(next_msg_id(), /*trace_id=*/0, std::move(chunk), {from}, to),
+             stats::InstantKind::kRebalanceMove, ctr_.rebalance_moves);
+}
+
+void OracleNode::issue_move(Command move, stats::InstantKind kind, stats::Counter* counter) {
+  const MsgId id = move.id;
+  const GroupId dest = move.move_dest;
+  // The group list is built first: amcast's arguments are evaluated in an
+  // unspecified order, and one of them moves the command into its message.
+  std::vector<GroupId> groups = smr::move_groups(move, group());
+  amcast(std::move(groups), net::make_msg<CommandMsg>(std::move(move)));
+  bump(counter);
+  record_instant(kind, id.value, static_cast<std::int64_t>(dest.value));
   if (is_leader()) moves_series_->add(engine().now());
-  amcast({from, to, group()}, net::make_msg<CommandMsg>(std::move(move)));
 }
 
 void OracleNode::handle_hint(const HintMsg& hint) {

@@ -139,8 +139,6 @@ class OracleNode : public multicast::GroupNode {
   };
 
   void handle_consult(ProcessId client, const smr::ConsultMsg& consult);
-  /// Leader-only: sends a create/delete reply (held on a follower).
-  void send_reply(ProcessId client, net::MessagePtr reply);
   void handle_create_delete(const multicast::AmcastMessage& m, const smr::Command& cmd);
   void handle_move(const smr::Command& cmd);
   void handle_hint(const smr::HintMsg& hint);
@@ -154,6 +152,9 @@ class OracleNode : public multicast::GroupNode {
   void plan_drain(GroupId retiring);
   /// One chunked rebalance move: sources = {from}, dest = to.
   void issue_rebalance_move(GroupId from, GroupId to, std::vector<VarId> chunk);
+  /// Leader-only: multicasts an oracle-built move to smr::move_groups, bumps
+  /// `counter`, records a `kind` instant and adds to moves_ts.
+  void issue_move(smr::Command move, stats::InstantKind kind, stats::Counter* counter);
 
   /// Queues an oracle task; one with `awaits` waits for those groups' signals
   /// for command `id`.

@@ -73,21 +73,6 @@ std::size_t PartitionServer::heat_index() const {
   return group().value < oracle_group_.value ? group().value : group().value - 1;
 }
 
-void PartitionServer::span(SpanPhase p, std::uint64_t trace_id, Time start, Time end,
-                           std::int64_t arg) {
-  if (trace_id == 0 || !is_leader()) return;
-  stats::SpanStore& sp = metrics().spans();
-  if (!sp.enabled()) return;
-  sp.record({.trace_id = trace_id,
-             .phase = p,
-             .start = start,
-             .end = end,
-             .node = pid().value,
-             .group = group(),
-             .arg = arg},
-            /*fold=*/false);
-}
-
 template <class Body>
 void PartitionServer::execute(MsgId id, std::uint64_t trace_id, Time delivered, Duration service,
                               common::SmallSet<GroupId> awaits, Body body, sim::Callback on_head,
@@ -101,37 +86,28 @@ void PartitionServer::execute(MsgId id, std::uint64_t trace_id, Time delivered, 
                     // run fires when the service time elapses, i.e. at exec end.
                     const Time exec_end = engine().now();
                     const Time exec_start = exec_end - service;
-                    span(SpanPhase::kQueue, trace_id, delivered, exec_start);
-                    span(SpanPhase::kExecute, trace_id, exec_start, exec_end, span_arg);
+                    record_span(SpanPhase::kQueue, trace_id, delivered, exec_start);
+                    record_span(SpanPhase::kExecute, trace_id, exec_start, exec_end, span_arg);
                     body(ReplyTiming{delivered, exec_start, exec_end});
                   }});
 }
 
 void PartitionServer::reply_to(ProcessId client, MsgId cmd_id, ReplyCode code,
                                net::MessagePtr app_reply, ReplyTiming timing, Settles settles) {
-  Reply reply{code, std::move(app_reply), timing};
+  // Runs on every replica (deliveries are identical across replicas, so the
+  // dedup state stays deterministic and survives leader changes).
+  if (settles != Settles::kNothing) completed_.insert(cmd_id);
+  if (client == kNoProcess) return;  // a rebalance move: nobody awaits it
+  auto reply = net::make_msg<ReplyMsg>(cmd_id, code, group(), std::move(app_reply), timing);
   if (settles != Settles::kNothing) {
-    // Runs on every replica (deliveries are identical across replicas, so the
-    // dedup state stays deterministic and survives leader changes).
-    completed_.insert(cmd_id);
-    if (client != kNoProcess) {
-      Session& session = sessions_[client];
-      if (settles == Settles::kMove) {
-        session.move = Settled{cmd_id, reply};
-      } else if (cmd_id >= session.access.id) {
-        session.access = Settled{cmd_id, reply};
-      }
+    Session& session = sessions_[client];
+    if (settles == Settles::kMove) {
+      session.move = Settled{cmd_id, reply};
+    } else if (cmd_id >= session.access.id) {
+      session.access = Settled{cmd_id, reply};
     }
   }
-  send_reply(client, cmd_id, reply);
-}
-
-void PartitionServer::send_reply(ProcessId client, MsgId cmd_id, const Reply& reply) {
-  if (client == kNoProcess) return;
-  leader_action([this, client, msg = net::make_msg<ReplyMsg>(cmd_id, reply.code, group(),
-                                                             reply.app_reply, reply.timing)] {
-    send_direct(client, msg);
-  });
+  send_reply(client, std::move(reply));
 }
 
 void PartitionServer::on_amdeliver(const multicast::AmcastMessage& m) {
@@ -148,7 +124,7 @@ void PartitionServer::on_amdeliver(const multicast::AmcastMessage& m) {
   // Re-sends the reply of a retried command that settled here, if it is the
   // requester's latest of its kind; the requester ignores any other reply.
   auto answer_retry = [&] {
-    if (latest != nullptr && latest->id == cmd.id) send_reply(client, cmd.id, latest->reply);
+    if (latest != nullptr && latest->id == cmd.id) send_reply(client, latest->reply);
   };
   if (completed_.contains(cmd.id)) {
     answer_retry();
@@ -263,8 +239,7 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m, co
     if (is_leader()) metrics().inc("server.fallback_uninvolved");
     if (!others.empty()) {
       rmcast({others.begin(), others.end()},
-             net::make_msg<VarShipMsg>(cmd.id, group(), /*is_move=*/false,
-                                       decltype(VarShipMsg::vars){}));
+             net::make_msg<VarShipMsg>(cmd.id, group(), decltype(VarShipMsg::vars){}));
     }
     // Peer shipments that arrived before our delivery.
     exec_->forget(cmd.id);
@@ -284,7 +259,7 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m, co
     }
     if (!others.empty()) {
       rmcast({others.begin(), others.end()},
-             net::make_msg<VarShipMsg>(cmd.id, group(), /*is_move=*/false, std::move(ship)));
+             net::make_msg<VarShipMsg>(cmd.id, group(), std::move(ship)));
     }
   };
   // The queue span includes the wait for peer shipments — the serialization
@@ -326,7 +301,7 @@ void PartitionServer::deliver_move(const Command& cmd, ProcessId client) {
           for (VarId v : mine) {
             if (auto val = store_.take(v)) ship.emplace_back(v, std::move(val));
           }
-          rmcast({dest}, net::make_msg<VarShipMsg>(id, group(), /*is_move=*/true, std::move(ship)));
+          rmcast({dest}, net::make_msg<VarShipMsg>(id, group(), std::move(ship)));
           // Settled here: a retransmission delivered later must not give up
           // (and ship) the variables a second time.
           completed_.insert(id);

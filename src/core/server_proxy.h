@@ -96,13 +96,6 @@ class PartitionServer : public multicast::GroupNode {
   void on_rmdeliver(ProcessId origin, const net::MessagePtr& payload) override;
 
  private:
-  struct Reply {
-    smr::ReplyCode code = smr::ReplyCode::kOk;
-    net::MessagePtr app_reply;
-    /// Timestamps of the original execution; retransmitted replies carry them
-    /// unchanged (the client clamps stale timestamps into its own window).
-    smr::ReplyTiming timing;
-  };
   /// What a reply settles here: nothing (a retry answer), or the requester's
   /// access or move. A settled command enters `completed_` and its
   /// requester's session.
@@ -116,11 +109,10 @@ class PartitionServer : public multicast::GroupNode {
   void deliver_create(const smr::Command& cmd);
   void deliver_delete(const smr::Command& cmd);
 
+  /// Settles the command per `settles` and sends its reply to `client`
+  /// (GroupNode::send_reply); nothing is sent when `client` is kNoProcess.
   void reply_to(ProcessId client, MsgId cmd_id, smr::ReplyCode code,
                 net::MessagePtr app_reply, smr::ReplyTiming timing, Settles settles);
-  /// Leader-only: (re)sends `reply` for `cmd_id` to `client` (held on a
-  /// follower).
-  void send_reply(ProcessId client, MsgId cmd_id, const Reply& reply);
   /// Queues a command's task: it waits for the inputs of `awaits`, occupies
   /// the CPU for `service`, records the queue and execute spans and then runs
   /// `body(timing)`. The command is exec_->pending() until then.
@@ -135,10 +127,6 @@ class PartitionServer : public multicast::GroupNode {
   /// Dense heat-table index of this partition (gid with the oracle's slot
   /// compacted away; see heat_command).
   std::size_t heat_index() const;
-  /// Leader-gated server-view span (fold=false: the client attributes this
-  /// time itself from the reply's timestamps).
-  void span(stats::SpanPhase p, std::uint64_t trace_id, Time start, Time end,
-            std::int64_t arg = 0);
 
   /// Claims and values. A failed install gives its claim up when its task
   /// runs, and replicas run tasks at different times relative to
@@ -158,10 +146,12 @@ class PartitionServer : public multicast::GroupNode {
   /// VarShipMsg of one of them is not processed.
   BoundedSet<MsgId> completed_{1 << 15};
   /// A requester's latest settled command of one kind, with the reply to
-  /// resend for it. Command ids are never 0, so 0 means none yet.
+  /// resend for it: the original smr::ReplyMsg, so a retransmitted reply
+  /// carries the original execution's timestamps (the client clamps stale
+  /// ones into its own window). Command ids are never 0, so 0 means none yet.
   struct Settled {
     MsgId id{};
-    Reply reply;
+    net::MessagePtr reply;
   };
   /// Per requester (the process its replies go to), updated on every replica
   /// so the state survives leader changes. A requester waits for one reply at

@@ -219,12 +219,13 @@ void Deployment::register_telemetry_gauges() {
   }
 
   // Oracle state: mapped variables and (for DynaStar-style policies) the
-  // workload-graph size. Replica 0's view — replicas hold identical state.
+  // workload-graph size, as the first live replica sees it — live replicas
+  // apply the same log, and a crashed one's frozen state would hide growth.
   rec.register_gauge("oracle.mapped_vars", [this] {
-    return static_cast<double>(oracles_[0]->mapping().var_count());
+    return static_cast<double>(live_oracle().mapping().var_count());
   });
   rec.register_gauge("oracle.graph_edges", [this] {
-    return static_cast<double>(oracles_[0]->policy().workload_graph_edges());
+    return static_cast<double>(live_oracle().policy().workload_graph_edges());
   });
 }
 
@@ -450,10 +451,19 @@ std::vector<std::string> Deployment::audit_consistency() {
   return violations;
 }
 
+const core::OracleNode& Deployment::live_oracle() const {
+  std::size_t r = 0;
+  while (r + 1 < oracles_.size() && oracles_[r]->halted()) ++r;
+  return *oracles_[r];
+}
+
 std::uint64_t Deployment::total_executed() const {
+  const std::size_t replicas = config_.replicas_per_partition;
   std::uint64_t n = 0;
   for (std::size_t p = 0; p < partition_count(); ++p) {
-    n += const_cast<Deployment*>(this)->server(p, 0).executed_count();
+    std::size_t r = 0;  // the first live replica: a halted one's count froze
+    while (r + 1 < replicas && servers_[p * replicas + r]->halted()) ++r;
+    n += servers_[p * replicas + r]->executed_count();
   }
   return n;
 }

@@ -129,7 +129,8 @@ class Deployment {
   std::size_t relay_count() const { return relays_.size(); }
   multicast::BatchRelay& relay(std::size_t i) { return *relays_[i]; }
 
-  /// Sum of executed commands over one replica of each partition.
+  /// Sum of executed commands over the first live replica of each partition
+  /// (replica 0 when all of a partition's replicas are halted).
   std::uint64_t total_executed() const;
 
   /// Whole-deployment consistency audit, meaningful once the system is
@@ -145,6 +146,8 @@ class Deployment {
   /// Registers partition p's replicas (rack p % 2) and its multicast group
   /// and inits them; returns the group's id, partition_gid(p).
   GroupId register_partition(std::size_t p);
+  /// The first oracle replica that is not halted (replica 0 when all are).
+  const core::OracleNode& live_oracle() const;
   /// Registers the standard gauge set with the recorder (queue depths,
   /// in-flight messages, cache occupancy, pending amcast, oracle state).
   void register_telemetry_gauges();

@@ -1,7 +1,6 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include <optional>
@@ -103,6 +102,17 @@ PreparedWorkload prepare_workload(const ChirperRunConfig& cfg) {
   return out;
 }
 
+PolicyFactory policy_factory(core::Strategy strategy, std::size_t partitions,
+                             std::uint64_t hint_threshold, core::DssmrPolicy::DestRule rule) {
+  if (strategy == core::Strategy::kDynaStar) {
+    core::DynaStarPolicy::Config pc;
+    pc.repartition_every_hints = hint_threshold;
+    pc.partitioner.k = static_cast<std::uint32_t>(partitions);
+    return [pc] { return std::make_unique<core::DynaStarPolicy>(pc); };
+  }
+  return [rule] { return std::make_unique<core::DssmrPolicy>(rule); };
+}
+
 RunResult run_chirper(const ChirperRunConfig& cfg) {
   PreparedWorkload prepared = prepare_workload(cfg);
 
@@ -117,19 +127,9 @@ RunResult run_chirper(const ChirperRunConfig& cfg) {
   dep.client_cache = cfg.client_cache;
   dep.seed = cfg.seed;
 
-  const auto k = static_cast<std::uint32_t>(cfg.partitions);
-  PolicyFactory policy_factory;
-  if (cfg.strategy == core::Strategy::kDynaStar) {
-    core::DynaStarPolicy::Config pc;
-    pc.repartition_every_hints = cfg.dynastar_hint_threshold;
-    pc.partitioner.k = k;
-    policy_factory = [pc] { return std::make_unique<core::DynaStarPolicy>(pc); };
-  } else {
-    const auto rule = cfg.dssmr_dest_rule;
-    policy_factory = [rule] { return std::make_unique<core::DssmrPolicy>(rule); };
-  }
-
-  Deployment d{dep, chirper::chirper_app_factory(cfg.app_costs), std::move(policy_factory)};
+  Deployment d{dep, chirper::chirper_app_factory(cfg.app_costs),
+               policy_factory(cfg.strategy, cfg.partitions, cfg.dynastar_hint_threshold,
+                              cfg.dssmr_dest_rule)};
 
   // Preload every user on its assigned partition.
   d.reserve_vars(prepared.graph.user_count());
@@ -153,15 +153,9 @@ RunResult run_chirper(const ChirperRunConfig& cfg) {
   workload::ChirperWorkload wl{prepared.graph, cfg.workload, cfg.seed * 31 + 7};
   ClosedLoopDriver driver{d, [&wl] { return wl.next(); }};
   const std::uint64_t drive_ev0 = d.engine().events_executed();
-  const auto drive_t0 = std::chrono::steady_clock::now();
   driver.run(cfg.warmup, cfg.measure);
-  const double drive_wall =
-      std::chrono::duration_cast<std::chrono::duration<double>>(
-          std::chrono::steady_clock::now() - drive_t0)
-          .count();
 
   RunResult r;
-  r.drive_wall_s = drive_wall;
   r.events_executed = d.engine().events_executed() - drive_ev0;
   r.label = std::string(to_string(cfg.strategy)) + "/" + to_string(cfg.placement);
   r.throughput_cps = driver.throughput_cps();
@@ -175,23 +169,13 @@ RunResult run_chirper(const ChirperRunConfig& cfg) {
   for (const auto& [name, c] : d.metrics().counters()) r.counters[name] = c.value();
   r.placement_edge_cut = prepared.edge_cut_fraction;
 
+  // Clients and oracles intern these series at init, so they always exist.
   const Time end = d.engine().now();
   const auto seconds = static_cast<std::size_t>(end / sec(1)) + 1;
-  if (const auto* s = d.metrics().find_series("client.completions"); s != nullptr) {
-    for (std::size_t i = 0; i < seconds; ++i) r.tput_series.push_back(s->rate(i));
-  }
-  if (const auto* s = d.metrics().find_series("moves_ts"); s != nullptr) {
-    for (std::size_t i = 0; i < seconds; ++i) r.moves_series.push_back(s->rate(i));
-  } else {
-    r.moves_series.assign(seconds, 0.0);
-  }
-  if (const auto* s = d.metrics().find_series("oracle.busy_us"); s != nullptr) {
-    for (std::size_t i = 0; i < seconds; ++i) {
-      r.oracle_busy_series.push_back(s->rate(i) / 1e6);
-    }
-  } else {
-    r.oracle_busy_series.assign(seconds, 0.0);
-  }
+  r.tput_series = d.metrics().series("client.completions").rates(seconds);
+  r.moves_series = d.metrics().series("moves_ts").rates(seconds);
+  r.oracle_busy_series = d.metrics().series("oracle.busy_us").rates(seconds);
+  for (double& busy : r.oracle_busy_series) busy /= 1e6;  // busy µs per second
   // DynaStar moves are oracle-issued; fold them into the same series scale.
   r.counters["moves.total"] =
       r.counter("client.moves") + r.counter("oracle.moves_issued");

@@ -38,7 +38,6 @@ class ClosedLoopDriver {
   const stats::Histogram& latency() const { return latency_; }
   std::uint64_t measured_ok() const { return measured_ok_; }
   std::uint64_t measured_nok() const { return measured_nok_; }
-  Duration measure_duration() const { return measure_; }
   double throughput_cps() const;
 
  private:
@@ -117,8 +116,6 @@ struct RunResult {
   /// excluded; deterministic per seed — Promise.BatchingCutsEventsPerCommand
   /// gates on the batched/unbatched ratio).
   std::uint64_t events_executed = 0;
-  /// Wall-clock seconds spent driving the simulation (setup excluded).
-  double drive_wall_s = 0;
   std::map<std::string, std::uint64_t> counters;
   /// Per-second series over the whole run (index = second).
   std::vector<double> tput_series;
@@ -138,6 +135,14 @@ struct RunResult {
     return it == counters.end() ? 0 : it->second;
   }
 };
+
+/// The oracle policy of `strategy`: DynaStar's workload-graph policy, which
+/// recomputes a `partitions`-way ideal partitioning every `hint_threshold`
+/// hint edges, or else (DS-SMR, and S-SMR's idle oracle) the DS-SMR policy
+/// with destination rule `rule`.
+PolicyFactory policy_factory(
+    core::Strategy strategy, std::size_t partitions, std::uint64_t hint_threshold,
+    core::DssmrPolicy::DestRule rule = core::DssmrPolicy::DestRule::kMostHeld);
 
 /// Builds the Chirper deployment for `cfg`, preloads users per the placement,
 /// drives the workload, and extracts the metrics every figure needs.

@@ -216,25 +216,13 @@ void GroupNode::init_group_node(net::Network& network, const Directory& director
 void GroupNode::deliver_amcast(const AmcastMessage& m, Time stamped_at) {
   // Leader-gated so one event is recorded per group delivery, not one per
   // replica (matching the leader-gated metrics counters).
-  const bool leading = paxos_->is_leader();
-  if (leading) delivered_ctr_->inc();
+  bump(delivered_ctr_);
   record_instant(stats::InstantKind::kAmcastDeliver, m.id.value,
                  static_cast<std::int64_t>(m.dests.size()));
-  if (metrics_->spans().enabled() && leading) {
-    // This group's view of the multicast: stamp -> atomic delivery. The
-    // client folds its own end-to-end amcast phase; these server-side spans
-    // stay unfolded (one per destination group, they would double-count).
-    if (const std::uint64_t tid = m.payload->trace_id(); tid != 0) {
-      metrics_->spans().record({.trace_id = tid,
-                                .phase = stats::SpanPhase::kAmcast,
-                                .start = stamped_at,
-                                .end = network_->engine().now(),
-                                .node = pid().value,
-                                .group = gid_,
-                                .arg = static_cast<std::int64_t>(m.dests.size())},
-                               /*fold=*/false);
-    }
-  }
+  // This group's view of the multicast: stamp -> atomic delivery. The client
+  // folds its own end-to-end amcast phase.
+  record_span(stats::SpanPhase::kAmcast, m.payload->trace_id(), stamped_at, engine().now(),
+              static_cast<std::int64_t>(m.dests.size()));
   on_amdeliver(m);
 }
 
@@ -253,6 +241,19 @@ void GroupNode::record_instant(stats::InstantKind kind, std::uint64_t id, std::i
   if (!is_leader()) return;
   metrics_->spans().record(kind, network_->engine().now(), pid().value, id, arg,
                            std::move(label));
+}
+
+void GroupNode::record_span(stats::SpanPhase phase, std::uint64_t trace_id, Time start,
+                            Time end, std::int64_t arg) {
+  if (trace_id == 0 || !is_leader()) return;
+  metrics_->spans().record({.trace_id = trace_id,
+                            .phase = phase,
+                            .start = start,
+                            .end = end,
+                            .node = pid().value,
+                            .group = gid_,
+                            .arg = arg},
+                           /*fold=*/false);
 }
 
 void GroupNode::halt_node() {
@@ -349,6 +350,10 @@ void GroupNode::rmcast(std::vector<GroupId> dests, net::MessagePtr payload) {
 
 void GroupNode::send_direct(ProcessId to, net::MessagePtr payload) {
   network_->send(pid(), to, std::move(payload));
+}
+
+void GroupNode::send_reply(ProcessId to, net::MessagePtr reply) {
+  leader_action([this, to, reply = std::move(reply)] { send_direct(to, reply); });
 }
 
 void GroupNode::submit_local_or_remote(GroupId g, consensus::LogEntry entry) {

@@ -146,8 +146,8 @@ class GroupNode : public net::Actor {
   /// `metrics` is the deployment-wide registry (tests pass a local one): the
   /// node interns a leader-gated `amcast.delivered` counter bumped once per group
   /// delivery, and records leader-gated events into its store: a kAmcast
-  /// span covering stamp -> delivery for each traced payload, kAmcastDeliver
-  /// and kLeaderChange instants.
+  /// span covering stamp -> delivery for each traced payload (record_span),
+  /// kAmcastDeliver and kLeaderChange instants.
   void init_group_node(net::Network& network, const Directory& directory, GroupId gid,
                        GroupNodeConfig config, stats::Metrics& metrics, std::uint64_t seed);
 
@@ -226,10 +226,23 @@ class GroupNode : public net::Actor {
   /// prophecy they no longer await.
   void leader_action(sim::Callback action);
 
+  /// Sends `reply` to process `to` from the group's leader (held on a
+  /// follower, see leader_action): the one path for a group's answers to
+  /// clients — command replies and the oracle's create/delete replies.
+  void send_reply(ProcessId to, net::MessagePtr reply);
+
   /// Records an instant into the deployment's event store, leader-gated so
   /// a group event is recorded once, not once per replica.
   void record_instant(stats::InstantKind kind, std::uint64_t id, std::int64_t arg = 0,
                       std::string label = {});
+
+  /// Records this group's view of a traced command's phase into the event
+  /// store: leader-gated like record_instant, nothing for an untraced
+  /// command (`trace_id` 0), and never folded into the phase histograms —
+  /// the client attributes that time itself (from the reply's timestamps or
+  /// its own clock), so a folded server view would count it twice.
+  void record_span(stats::SpanPhase phase, std::uint64_t trace_id, Time start, Time end,
+                   std::int64_t arg = 0);
 
  private:
   friend class AmcastCore;

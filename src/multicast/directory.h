@@ -35,14 +35,6 @@ class Directory {
 
   std::size_t group_count() const { return offsets_.size() - 1; }
 
-  /// All group ids, in id order (handy for "multicast to all partitions").
-  std::vector<GroupId> all_groups() const {
-    std::vector<GroupId> ids;
-    ids.reserve(group_count());
-    for (std::uint32_t i = 0; i < group_count(); ++i) ids.push_back(GroupId{i});
-    return ids;
-  }
-
  private:
   std::vector<ProcessId> members_;       // all groups' members, concatenated
   std::vector<std::uint32_t> offsets_{0};  // group g: [offsets_[g], offsets_[g+1])

@@ -106,7 +106,6 @@ class Network {
   void partition_sets(const std::vector<ProcessId>& a, const std::vector<ProcessId>& b,
                       bool up);
 
-  std::size_t process_count() const { return processes_.size(); }
   int rack_of(ProcessId p) const;
   sim::Engine& engine() { return engine_; }
   const NetworkStats& stats() const { return stats_; }

@@ -53,6 +53,28 @@ std::size_t Command::size_bytes() const {
          move_sources.size() * 4 + hint_edges.size() * 16;
 }
 
+Command make_move(MsgId id, std::uint64_t trace_id, std::vector<VarId> vars,
+                  std::vector<GroupId> sources, GroupId dest, ProcessId requester) {
+  Command move;
+  move.type = CommandType::kMove;
+  move.id = id;
+  move.trace_id = trace_id;
+  move.requester = requester;
+  move.write_set = std::move(vars);
+  move.move_sources = std::move(sources);
+  move.move_dest = dest;
+  return move;
+}
+
+std::vector<GroupId> move_groups(const Command& move, GroupId oracle) {
+  std::vector<GroupId> groups = move.move_sources;
+  groups.push_back(move.move_dest);
+  groups.push_back(oracle);
+  std::sort(groups.begin(), groups.end());
+  groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
+  return groups;
+}
+
 std::size_t VarShipMsg::size_bytes() const {
   std::size_t n = 32;
   for (const auto& [v, val] : vars) {

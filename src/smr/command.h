@@ -70,6 +70,20 @@ struct Command {
   std::size_t size_bytes() const;
 };
 
+/// Builds a kMove command: relocate `vars` from `sources` to `dest`. Every
+/// move is built here — client-issued (DS-SMR), oracle-issued collocation
+/// (DynaStar) and oracle-issued rebalance chunks. `trace_id` keeps the move in
+/// its consulting command's trace (0 for rebalance moves); `requester` is the
+/// process awaiting the destination's reply when it is not the submitter
+/// (kNoProcess: the submitter, or nobody for a rebalance move).
+Command make_move(MsgId id, std::uint64_t trace_id, std::vector<VarId> vars,
+                  std::vector<GroupId> sources, GroupId dest, ProcessId requester = kNoProcess);
+
+/// The groups a move is multicast to: its sources ∪ {its destination, the
+/// oracle group `oracle`}, which applies it to the mapping. Sorted, without
+/// duplicates (a DynaStar move's sources may include its destination).
+std::vector<GroupId> move_groups(const Command& move, GroupId oracle);
+
 /// Envelope for a command travelling through atomic multicast.
 struct CommandMsg final : net::Message {
   Command cmd;
@@ -176,18 +190,16 @@ struct HintMsg final : net::Message {
 struct VarValue;  // smr/app.h
 
 /// Variables (possibly none) shipped from one partition to another for a
-/// command: S-SMR variable exchange when `is_move` is false, ownership
-/// transfer when true. An empty `vars` still counts as the sender's signal.
+/// command: S-SMR variable exchange for a multi-partition access, ownership
+/// transfer for a move. An empty `vars` still counts as the sender's signal.
 struct VarShipMsg final : net::Message {
   MsgId cmd_id;
   GroupId from_group;
-  bool is_move;
   /// Cloned snapshots; receivers clone again before mutating.
   std::vector<std::pair<VarId, std::shared_ptr<const VarValue>>> vars;
 
-  VarShipMsg(MsgId id, GroupId g, bool mv,
-             std::vector<std::pair<VarId, std::shared_ptr<const VarValue>>> v)
-      : cmd_id(id), from_group(g), is_move(mv), vars(std::move(v)) {}
+  VarShipMsg(MsgId id, GroupId g, std::vector<std::pair<VarId, std::shared_ptr<const VarValue>>> v)
+      : cmd_id(id), from_group(g), vars(std::move(v)) {}
   const char* type_name() const override { return "smr.varship"; }
   std::size_t size_bytes() const override;
 };

@@ -27,4 +27,11 @@ double TimeSeries::rate(std::size_t i) const {
   return bucket(i) / to_seconds(bucket_width_);
 }
 
+std::vector<double> TimeSeries::rates(std::size_t n) const {
+  std::vector<double> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(rate(i));
+  return out;
+}
+
 }  // namespace dssmr::stats

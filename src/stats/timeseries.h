@@ -38,6 +38,9 @@ class TimeSeries {
   /// Value normalized to a per-second rate.
   double rate(std::size_t i) const;
 
+  /// rate(i) of the first `n` buckets (0 past the recorded range).
+  std::vector<double> rates(std::size_t n) const;
+
   double total() const { return total_; }
 
  private:

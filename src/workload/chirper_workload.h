@@ -36,11 +36,6 @@ class SocialGraph {
                                           std::size_t communities, double cross_fraction,
                                           Rng& rng);
 
-  /// Community of a user for graphs built by generate_communities.
-  static std::size_t community_of(VarId u, std::size_t per_community_size) {
-    return static_cast<std::size_t>(u.value) / per_community_size;
-  }
-
   std::size_t user_count() const { return adj_.size(); }
   const std::vector<VarId>& neighbors(VarId u) const;
   bool connected(VarId u, VarId v) const;

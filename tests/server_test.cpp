@@ -190,7 +190,7 @@ TEST(ServerMove, FailedInstallDoesNotDropALaterClaim) {
   const auto move1 = move_msg(d, 101, v, d.partition_gid(1), d.partition_gid(0));
   const auto move2 = move_msg(d, 102, v, d.partition_gid(2), d.partition_gid(0));
   const auto p1_ships_nothing = net::make_msg<smr::VarShipMsg>(
-      MsgId{101}, d.partition_gid(1), /*is_move=*/true, decltype(smr::VarShipMsg::vars){});
+      MsgId{101}, d.partition_gid(1), decltype(smr::VarShipMsg::vars){});
 
   for (std::size_t r = 0; r < 2; ++r) ServerHooks::amdeliver(d.server(0, r), move1);
   ServerHooks::rmdeliver(d.server(0, 0), p1_ships_nothing);
@@ -506,8 +506,7 @@ TEST(ServerExec, SecondReplicaShipmentOfAGroupIsIgnored) {
   auto ship = [&](std::vector<std::pair<VarId, std::int64_t>> vars) {
     decltype(smr::VarShipMsg::vars) values;
     for (auto [v, n] : vars) values.emplace_back(v, std::make_shared<kv::KvValue>(n, ""));
-    server.on_rmdeliver(kNoProcess, net::make_msg<smr::VarShipMsg>(sum.id, GroupId{1},
-                                                                   /*is_move=*/false, values));
+    server.on_rmdeliver(kNoProcess, net::make_msg<smr::VarShipMsg>(sum.id, GroupId{1}, values));
   };
   ship({{VarId{1}, 10}});
   ship({{VarId{1}, 99}, {VarId{2}, 50}});
@@ -583,8 +582,7 @@ struct RetryHarness {
     deliver(c);
     decltype(smr::VarShipMsg::vars) values;
     values.emplace_back(c.write_set[0], std::make_shared<chirper::UserValue>());
-    server.on_rmdeliver(kNoProcess, net::make_msg<smr::VarShipMsg>(c.id, GroupId{1},
-                                                                   /*is_move=*/true, values));
+    server.on_rmdeliver(kNoProcess, net::make_msg<smr::VarShipMsg>(c.id, GroupId{1}, values));
     engine.run_for(msec(1));
   }
 

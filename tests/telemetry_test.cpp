@@ -12,8 +12,10 @@
 #include <vector>
 
 #include "harness/experiment.h"
+#include "smr/kv.h"
 #include "stats/run_record.h"
 #include "stats/span_export.h"
+#include "testing/dssmr_fixture.h"
 #include "testing/tiny_json.h"
 
 namespace dssmr::stats {
@@ -302,6 +304,34 @@ TEST(Telemetry, MergedLatencyWindowsTileEndOfRunHistogram) {
   EXPECT_EQ(merged.percentile(0.50), end_of_run->percentile(0.50));
   EXPECT_EQ(merged.percentile(0.99), end_of_run->percentile(0.99));
   EXPECT_DOUBLE_EQ(merged.mean(), end_of_run->mean());
+}
+
+// The oracle gauges read the first live replica. Replica 0 is the oracle's
+// first leader, the one oracle-leader-kill crashes: its frozen mapping must
+// not freeze the gauges while creates go on.
+TEST(Telemetry, OracleGaugesSkipAHaltedReplica) {
+  auto cfg = testing::small_config(2, core::Strategy::kDssmr, 1);
+  cfg.telemetry = true;
+  harness::Deployment d{cfg, kv::kv_app_factory(),
+                        [] { return std::make_unique<core::DssmrPolicy>(); }};
+  d.start();
+  d.settle();
+  d.network().crash(d.oracle(0).pid());
+  d.oracle(0).halt_node();
+  constexpr std::uint64_t kCreates = 5;
+  for (std::uint64_t v = 0; v < kCreates; ++v) {
+    ASSERT_EQ(testing::run_op(d, 0, testing::make_create(VarId{v})), smr::ReplyCode::kOk);
+  }
+  d.engine().run_for(2 * harness::kTelemetryInterval);
+
+  const Recorder::Gauge* mapped = nullptr;
+  for (const Recorder::Gauge& g : d.metrics().recorder().gauges()) {
+    if (g.name == "oracle.mapped_vars") mapped = &g;
+  }
+  ASSERT_NE(mapped, nullptr);
+  ASSERT_FALSE(mapped->values.empty());
+  EXPECT_EQ(mapped->values.front(), 0.0);
+  EXPECT_EQ(mapped->values.back(), static_cast<double>(kCreates));
 }
 
 TEST(Telemetry, OffRunsAreByteIdenticalAcrossRepeats) {

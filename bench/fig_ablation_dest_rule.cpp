@@ -4,7 +4,8 @@
 // in C.dests"; the choice matters enormously:
 //  * most-held with a FIXED tie-break collapses all state onto one partition
 //    on scattered placements (every near-tie resolves the same way);
-//  * most-held with a hashed tie-break converges fast and stays balanced;
+//  * most-held with ties to the lighter partition (hashed only among equal
+//    loads) converges fast and keeps the partitions' work even;
 //  * random-involved is symmetric but converges slowly (more moves);
 //  * least-loaded maximizes balance but keeps paying moves.
 // This bench quantifies the difference on a mostly-partitionable workload,
@@ -24,7 +25,7 @@ int main(int argc, char** argv) {
     const char* label;
   };
   const Case kCases[] = {
-      {DssmrPolicy::DestRule::kMostHeld, "most-held (hashed ties)"},
+      {DssmrPolicy::DestRule::kMostHeld, "most-held/lighter/hash"},
       {DssmrPolicy::DestRule::kRandomInvolved, "random-involved"},
       {DssmrPolicy::DestRule::kLeastLoaded, "least-loaded"},
   };
@@ -47,7 +48,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     print_run_row(points[i].label, 4, results[i]);
   }
-  std::printf("\n(watch the moves column: symmetric rules keep paying moves; the hashed\n"
-              " most-held rule converges and stops)\n");
+  std::printf("\n(watch the moves column: symmetric rules keep paying moves; most-held, with\n"
+              " ties to the lighter partition and then hashed, converges and stops)\n");
   return sink.finish();
 }

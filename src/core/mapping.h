@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/assert.h"
@@ -187,9 +188,11 @@ class OraclePolicy {
 ///  * kMostHeld (default): the involved partition already holding the most
 ///    of the command's variables (fewest moves now, directional merging ->
 ///    fast convergence). Ties — pervasive right after a scattered initial
-///    placement — break pseudo-randomly from the variable set, NOT by lowest
-///    partition id: a fixed tie-break funnels every near-tied neighbourhood
-///    to the same partition and collapses the whole state onto it.
+///    placement — go to the lighter partition (fewest mapped variables),
+///    which keeps the partitions' work even; only equal-load ties break
+///    pseudo-randomly from the variable set, NOT by lowest partition id: a
+///    fixed tie-break funnels every near-tied neighbourhood to the same
+///    partition and collapses the whole state onto it.
 ///  * kRandomInvolved: a pseudo-random involved partition (fully symmetric,
 ///    slowest convergence).
 ///  * kLeastLoaded: the involved partition with the fewest variables
@@ -233,13 +236,19 @@ class DssmrPolicy : public OraclePolicy {
       case DestRule::kRandomInvolved:
         return involved_[h % involved_.size()];
       case DestRule::kMostHeld: {
+        // Most held first, then the lightest; hash only what still ties.
         std::size_t most = 0;
+        std::uint64_t lightest = std::numeric_limits<std::uint64_t>::max();
         for (GroupId p : involved_) {
-          most = std::max(most, held_[map.index_of(p)]);
+          const std::size_t held = held_[map.index_of(p)];
+          if (held > most || (held == most && map.load(p) < lightest)) {
+            most = held;
+            lightest = map.load(p);
+          }
         }
         tied_.clear();
         for (GroupId p : involved_) {
-          if (held_[map.index_of(p)] == most) tied_.push_back(p);
+          if (held_[map.index_of(p)] == most && map.load(p) == lightest) tied_.push_back(p);
         }
         return tied_[h % tied_.size()];
       }

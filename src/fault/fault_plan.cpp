@@ -220,11 +220,13 @@ FaultPlan parse_plan(std::string_view spec) {
 const std::vector<ShippedPlan>& shipped_plans() {
   static const std::vector<ShippedPlan> kPlans = {
       {"leader-kill-recover", "kill-leader:p0@120ms;recover:last@700ms",
-       "crash partition 0's current leader, restart it after the group re-elects"},
+       "crash partition 0's current leader, restart it at 700ms (3 replicas re-elect "
+       "meanwhile; 2 lose their quorum and stall until the restart)"},
       {"oracle-member-crash", "crash:oracle1@120ms;recover:oracle1@700ms",
        "crash a non-leader oracle replica, then bring it back"},
       {"oracle-leader-kill", "kill-leader:oracle@120ms;recover:last@700ms",
-       "crash the oracle leader (consults stall until re-election), restart it"},
+       "crash the oracle leader, restart it at 700ms (consults stall until 3 replicas "
+       "re-elect; 2 lose their quorum and stall until the restart)"},
       {"partition-heal", "cut:p0|p1@150ms;heal@500ms",
        "full network partition between partition 0 and partition 1, then heal"},
       {"asym-partition", "cut:p0r0>p0@150ms;heal@500ms",

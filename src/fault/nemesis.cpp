@@ -21,6 +21,11 @@ constexpr int kPollLimit = 10000;
 constexpr Duration kWatchdogPoll = msec(5);
 constexpr int kWatchdogPolls = 400;
 
+std::string group_name(const FaultTarget& group) {
+  return group.kind == FaultTarget::Kind::kOracle ? "oracle"
+                                                  : "p" + std::to_string(group.partition);
+}
+
 }  // namespace
 
 Nemesis::Nemesis(harness::Deployment& deployment, FaultPlan plan)
@@ -120,6 +125,15 @@ std::vector<Nemesis::Node*> Nemesis::group_members(const FaultTarget& t) {
   return out;
 }
 
+FaultTarget Nemesis::group_of(const Node& n) const {
+  for (std::uint32_t p = 0; p < d_.partition_count(); ++p) {
+    if (d_.partition_gid(p) == n.group()) {
+      return {.kind = FaultTarget::Kind::kPartition, .partition = p};
+    }
+  }
+  return {.kind = FaultTarget::Kind::kOracle};
+}
+
 std::vector<ProcessId> Nemesis::expand_set(const std::vector<FaultTarget>& set) {
   std::vector<ProcessId> out;
   for (const FaultTarget& t : set) {
@@ -173,6 +187,17 @@ void Nemesis::do_crash(Node& n) {
                               n.pid().value, 0, 0,
                               "crash pid=" + std::to_string(n.pid().value));
   window_open();
+  // A crash that takes the group from a majority to one short of it is a
+  // quorum loss: the group orders nothing until a recovery, which is no
+  // failover. Counted once per loss: crashing a survivor too adds nothing.
+  const FaultTarget group = group_of(n);
+  const std::vector<Node*> members = group_members(group);
+  const auto live = std::ranges::count_if(members, [](const Node* m) { return !m->halted(); });
+  if (static_cast<std::size_t>(live) == members.size() / 2) {
+    d_.metrics().inc("faults.quorum_lost");
+    mark("quorum lost: " + group_name(group) + " has " + std::to_string(live) + " of " +
+         std::to_string(members.size()) + " replicas live");
+  }
 }
 
 void Nemesis::do_recover(Node& n) {
@@ -200,9 +225,6 @@ void Nemesis::do_kill_leader(const FaultEvent& e) {
   const Time killed_at = d_.engine().now();
   do_crash(*leader);
   d_.metrics().inc("faults.leader_kills");
-  const std::string group = e.target.kind == FaultTarget::Kind::kOracle
-                                ? "oracle"
-                                : "p" + std::to_string(e.target.partition);
   poll(
       [this, members = std::move(members), killed_at] {
         for (Node* m : members) {
@@ -214,7 +236,7 @@ void Nemesis::do_kill_leader(const FaultEvent& e) {
         }
         return false;
       },
-      "faults.poll_expired", "a new leader of " + group, kPollLimit);
+      "faults.poll_expired", "a new leader of " + group_name(e.target), kPollLimit);
 }
 
 void Nemesis::poll(std::function<bool()> done, const char* expired, std::string what,

@@ -48,6 +48,10 @@
 //   faults.links_cut / heals / drop_bursts      — what the fault events did;
 //   faults.time_to_new_leader_us (histogram)    — kill-leader to the group
 //                                                 having a live leader again;
+//   faults.quorum_lost                          — crashes (kill-leader
+//     included) that left their group one short of a majority, each with a
+//     `quorum lost` mark; such a group orders nothing until a recovery, so
+//     its time_to_new_leader is the restart, not an election;
 //   faults.retries_in_window / fallbacks_in_window — client retries and
 //     S-SMR fallbacks that happened while at least one disruption was open
 //     (crash not yet recovered, cut not yet healed, drop burst running);
@@ -100,6 +104,8 @@ class Nemesis {
   void validate() const;
   Node* process_node(const FaultTarget& t);
   std::vector<Node*> group_members(const FaultTarget& t);
+  /// The whole-group target (kPartition or kOracle) `n` belongs to.
+  FaultTarget group_of(const Node& n) const;
   std::vector<ProcessId> expand_set(const std::vector<FaultTarget>& set);
 
   void fire(const FaultEvent& e);

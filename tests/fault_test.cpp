@@ -231,6 +231,45 @@ TEST(Nemesis, LeaderWatchThatRunsOutSaysSo) {
   EXPECT_EQ(marks, 1u);
 }
 
+TEST(Nemesis, QuorumLossIsCountedAndMarked) {
+  // A crash that leaves a group one short of a majority is counted once and
+  // marked; crashing the survivor too loses nothing more. A 3-replica group
+  // keeps its majority through one crash and carries no such key.
+  for (const std::size_t replicas : {2u, 3u}) {
+    auto cfg = small_config(2, Strategy::kDssmr, 2);
+    cfg.replicas_per_partition = replicas;
+    cfg.oracle_replicas = replicas;
+    cfg.telemetry = true;
+    Deployment d{cfg, kv::kv_app_factory(),
+                 [] { return std::make_unique<core::DssmrPolicy>(); }};
+    preload_kv(d, 4);
+    d.start();
+    d.settle();
+
+    const std::string plan = replicas == 2 ? "kill-leader:p0@1ms;crash:p0r0@2ms;crash:p0r1@3ms"
+                                           : "kill-leader:p0@1ms;crash:oracle1@2ms";
+    Nemesis nem{d, resolve_plan(plan)};
+    nem.arm();
+    d.engine().run_for(msec(10));
+
+    std::size_t marks = 0;
+    const stats::SpanStore& events = d.metrics().spans();
+    for (const stats::Instant& e : events.instants()) {
+      if (events.label(e).starts_with("quorum lost")) {
+        EXPECT_EQ(events.label(e), "quorum lost: p0 has 1 of 2 replicas live");
+        ++marks;
+      }
+    }
+    if (replicas == 2) {
+      EXPECT_EQ(d.metrics().counter("faults.quorum_lost"), 1u);
+      EXPECT_EQ(marks, 1u);
+    } else {
+      EXPECT_FALSE(d.metrics().counters().contains("faults.quorum_lost"));
+      EXPECT_EQ(marks, 0u);
+    }
+  }
+}
+
 TEST(Nemesis, HealRestoresExactlyTheCutLinks) {
   auto cfg = small_config(2, Strategy::kDssmr, 2);
   Deployment d{cfg, kv::kv_app_factory(),

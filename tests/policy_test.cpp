@@ -68,15 +68,43 @@ TEST(DssmrPolicy, MostHeldTiesAreSpread) {
   EXPECT_GT(chosen.size(), 1u);
 }
 
+TEST(DssmrPolicy, MostHeldTieGoesToTheLighterPartition) {
+  // Partitions 0 and 1 each hold one variable of every command; the heavier
+  // of the two (more mapped variables) must never be chosen, whatever the
+  // variable set hashes to.
+  for (std::uint32_t heavy : {0u, 1u}) {
+    Mapping m{three_parts()};
+    for (std::uint64_t i = 0; i < 5; ++i) m.place(VarId{1000 + i}, GroupId{heavy});
+    DssmrPolicy policy{DssmrPolicy::DestRule::kMostHeld};
+    for (std::uint64_t i = 0; i < 40; i += 2) {
+      m.place(VarId{i}, GroupId{0});
+      m.place(VarId{i + 1}, GroupId{1});
+      EXPECT_EQ(policy.choose_destination({VarId{i}, VarId{i + 1}}, m), GroupId{1 - heavy});
+    }
+    // Holding more of the command still beats being lighter.
+    EXPECT_EQ(policy.choose_destination({VarId{0}, VarId{1}, VarId{1000}}, m), GroupId{heavy});
+  }
+}
+
 TEST(DssmrPolicy, DestinationIsDeterministic) {
   Mapping m{three_parts()};
   m.place(VarId{1}, GroupId{0});
   m.place(VarId{2}, GroupId{1});
+  // A three-way tie over unequal loads (4, 1, 2): the load tie-break must be
+  // as repeatable.
+  Mapping skewed{three_parts()};
+  skewed.place(VarId{1}, GroupId{0});
+  skewed.place(VarId{2}, GroupId{1});
+  skewed.place(VarId{3}, GroupId{2});
+  for (std::uint64_t i = 10; i < 13; ++i) skewed.place(VarId{i}, GroupId{0});
+  skewed.place(VarId{13}, GroupId{2});
   for (auto rule : {DssmrPolicy::DestRule::kMostHeld, DssmrPolicy::DestRule::kRandomInvolved,
                     DssmrPolicy::DestRule::kLeastLoaded}) {
     DssmrPolicy a{rule}, b{rule};
     EXPECT_EQ(a.choose_destination({VarId{1}, VarId{2}}, m),
               b.choose_destination({VarId{1}, VarId{2}}, m));
+    EXPECT_EQ(a.choose_destination({VarId{1}, VarId{2}, VarId{3}}, skewed),
+              b.choose_destination({VarId{1}, VarId{2}, VarId{3}}, skewed));
   }
 }
 

@@ -28,7 +28,7 @@ constexpr Duration kCreateDeleteService = usec(5);
 
 void PartitionServer::init_partition(net::Network& network,
                                      const multicast::Directory& directory, GroupId gid,
-                                     GroupId oracle_group,
+                                     std::size_t index, GroupId oracle_group,
                                      multicast::GroupNodeConfig node_config,
                                      const smr::AppFactory& app_factory,
                                      PartitionServerConfig config, stats::Metrics& metrics,
@@ -38,6 +38,7 @@ void PartitionServer::init_partition(net::Network& network,
   DSSMR_ASSERT(app_ != nullptr);
   exec_ = std::make_unique<smr::ExecutionEngine>(network.engine());
   oracle_group_ = oracle_group;
+  index_ = index;
   completed_ = BoundedSet<MsgId>{config.reply_cache_capacity};
   auto handle = [&metrics](const char* name) { return &metrics.counter_handle(name); };
   ctr_ = {handle("server.retries_issued"),
@@ -55,22 +56,16 @@ void PartitionServer::preload(VarId v, std::unique_ptr<smr::VarValue> value) {
   store_.put(v, std::move(value));
 }
 
-void PartitionServer::heat_command(bool multi) {
+void PartitionServer::count_command(bool multi) {
   if (!is_leader()) return;
-  metrics().recorder().record_command(engine().now(), heat_index(), multi);
+  (multi ? ctr_.multi_partition : ctr_.single_partition)->inc();
+  metrics().recorder().record_command(engine().now(), index_, multi);
 }
 
-void PartitionServer::heat_move() {
+void PartitionServer::count_move(bool dest) {
   if (!is_leader()) return;
-  metrics().recorder().record_move(engine().now(), heat_index());
-}
-
-std::size_t PartitionServer::heat_index() const {
-  // Dense partition index: the oracle group sits at gid == partition count,
-  // so elastically added partitions (gid > oracle) shift down by one. Initial
-  // partitions (gid < oracle) keep their gid as index, unchanged from the
-  // pre-elasticity layout.
-  return group().value < oracle_group_.value ? group().value : group().value - 1;
+  (dest ? ctr_.moves_dest : ctr_.moves_source)->inc();
+  metrics().recorder().record_move(engine().now(), index_);
 }
 
 template <class Body>
@@ -187,8 +182,7 @@ void PartitionServer::deliver_access_single(const Command& cmd, ProcessId client
     return;
   }
 
-  bump(ctr_.single_partition);
-  heat_command(/*multi=*/false);
+  count_command(/*multi=*/false);
   execute(cmd.id, cmd.trace_id, delivered, app_->service_time(cmd), {},
           [this, cmd, client](const ReplyTiming& timing) {
             // A move ordered between delivery and execution cannot have taken
@@ -248,8 +242,7 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m, co
     return;
   }
 
-  bump(ctr_.multi_partition);
-  heat_command(/*multi=*/true);
+  count_command(/*multi=*/true);
   // Ships every variable of the command we own (a snapshot), plus an
   // implicit signal, to the other involved partitions.
   auto ship_mine = [this, cmd, others] {
@@ -291,8 +284,7 @@ void PartitionServer::deliver_move(const Command& cmd, ProcessId client) {
     for (VarId v : vars) {
       if (store_.release(v)) mine.push_back(v);
     }
-    bump(ctr_.moves_source);
-    heat_move();
+    count_move(/*dest=*/false);
     execute(
         cmd.id, cmd.trace_id, delivered,
         kMoveServicePerVar * static_cast<Duration>(mine.size() + 1), {},
@@ -317,8 +309,7 @@ void PartitionServer::deliver_move(const Command& cmd, ProcessId client) {
   for (GroupId g : cmd.move_sources) {
     if (g != group()) sources.insert(g);
   }
-  bump(ctr_.moves_dest);
-  heat_move();
+  count_move(/*dest=*/true);
   execute(
       cmd.id, cmd.trace_id, delivered,
       kMoveServicePerVar * static_cast<Duration>(vars.size() + 1), std::move(sources),

@@ -61,9 +61,11 @@ struct PartitionServerConfig {
 
 class PartitionServer : public multicast::GroupNode {
  public:
+  /// `index` is the partition's dense index in the deployment;
   /// `oracle_group` is where create/delete signals go.
   void init_partition(net::Network& network, const multicast::Directory& directory,
-                      GroupId gid, GroupId oracle_group, multicast::GroupNodeConfig node_config,
+                      GroupId gid, std::size_t index, GroupId oracle_group,
+                      multicast::GroupNodeConfig node_config,
                       const smr::AppFactory& app_factory, PartitionServerConfig config,
                       stats::Metrics& metrics, std::uint64_t seed);
 
@@ -120,13 +122,12 @@ class PartitionServer : public multicast::GroupNode {
   void execute(MsgId id, std::uint64_t trace_id, Time delivered, Duration service,
                common::SmallSet<GroupId> awaits, Body body, sim::Callback on_head = {},
                std::int64_t span_arg = 0);
-  /// Leader-gated windowed heat (stats::Recorder); recorded at the exact
-  /// same sites as the single/multi counters so per-bucket sums tile them.
-  void heat_command(bool multi);
-  void heat_move();
-  /// Dense heat-table index of this partition (gid with the oracle's slot
-  /// compacted away; see heat_command).
-  std::size_t heat_index() const;
+  /// Leader-gated like bump(): counts a delivered command (single or multi
+  /// partition) or one side of a move, and records it in this partition's
+  /// windowed heat (stats::Recorder) in the same call, so the heat's
+  /// per-window sums tile the `server.*` counters by construction.
+  void count_command(bool multi);
+  void count_move(bool dest);
 
   /// Claims and values. A failed install gives its claim up when its task
   /// runs, and replicas run tasks at different times relative to
@@ -178,6 +179,8 @@ class PartitionServer : public multicast::GroupNode {
   };
   common::FlatMap<ProcessId, Session> sessions_;
   GroupId oracle_group_ = kNoGroup;
+  /// Dense partition index, the deployment's (indexes the heat table).
+  std::size_t index_ = 0;
   /// See set_retired().
   bool retired_ = false;
 

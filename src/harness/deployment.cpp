@@ -118,12 +118,10 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
 }
 
 void Deployment::register_telemetry_gauges() {
-  stats::Recorder& rec = metrics_.recorder();
-
   // Per-partition execution-queue depth: the max over live replicas (a
   // crashed replica's frozen queue would otherwise mask the live ones).
   for (std::size_t p = 0; p < config_.partitions; ++p) {
-    rec.register_gauge("queue_depth.p" + std::to_string(p), [this, p] {
+    gauge("queue_depth.p" + std::to_string(p), [this, p] {
       std::size_t depth = 0;
       for (std::size_t r = 0; r < config_.replicas_per_partition; ++r) {
         core::PartitionServer& s = server(p, r);
@@ -132,7 +130,7 @@ void Deployment::register_telemetry_gauges() {
       return static_cast<double>(depth);
     });
   }
-  rec.register_gauge("oracle.queue_depth", [this] {
+  gauge("oracle.queue_depth", [this] {
     std::size_t depth = 0;
     for (auto& o : oracles_) {
       if (!o->halted()) depth = std::max(depth, o->queue_depth());
@@ -141,13 +139,13 @@ void Deployment::register_telemetry_gauges() {
   });
 
   // Messages currently in flight on the simulated network.
-  rec.register_gauge("net.in_flight", [this] {
+  gauge("net.in_flight", [this] {
     const net::NetworkStats& s = network_.stats();
     return static_cast<double>(s.messages_sent - s.messages_delivered - s.messages_dropped);
   });
 
   // Stamped-but-undelivered atomic multicasts, summed over every group node.
-  rec.register_gauge("amcast.pending", [this] {
+  gauge("amcast.pending", [this] {
     std::size_t pending = 0;
     for (auto& s : servers_) pending += s->amcast_pending();
     for (auto& o : oracles_) pending += o->amcast_pending();
@@ -155,7 +153,7 @@ void Deployment::register_telemetry_gauges() {
   });
 
   // Reply-cache occupancy, summed over partition replicas.
-  rec.register_gauge("reply_cache.entries", [this] {
+  gauge("reply_cache.entries", [this] {
     std::size_t entries = 0;
     for (auto& s : servers_) entries += s->reply_cache_size();
     return static_cast<double>(entries);
@@ -163,12 +161,12 @@ void Deployment::register_telemetry_gauges() {
 
   // Client location caches: total cached entries and the cumulative hit rate
   // (hits / consult-or-hit decisions so far).
-  rec.register_gauge("client_cache.entries", [this] {
+  gauge("client_cache.entries", [this] {
     std::size_t entries = 0;
     for (auto& c : clients_) entries += c->cache_size();
     return static_cast<double>(entries);
   });
-  rec.register_gauge("client_cache.hit_rate", [this] {
+  gauge("client_cache.hit_rate", [this] {
     const std::uint64_t hits = metrics_.counter("client.cache_hits");
     return ratio(hits, hits + metrics_.counter("client.consults"));
   });
@@ -176,14 +174,14 @@ void Deployment::register_telemetry_gauges() {
   // Batching/pipelining occupancy, only when the knobs are live (the gauge
   // set of a batching-off run must match the pre-batching one).
   if (config_.node.batching.enabled() || config_.pipeline_depth != 0) {
-    rec.register_gauge("batch.occupancy", [this] {
+    gauge("batch.occupancy", [this] {
       std::size_t queued = 0;
       for (auto& rl : relays_) queued += rl->batcher().pending_entries();
       for (auto& s : servers_) queued += s->batch_pending();
       for (auto& o : oracles_) queued += o->batch_pending();
       return static_cast<double>(queued);
     });
-    rec.register_gauge("paxos.pipeline_inflight", [this] {
+    gauge("paxos.pipeline_inflight", [this] {
       std::size_t inflight = 0;
       for (auto& s : servers_) inflight += s->paxos_inflight();
       for (auto& o : oracles_) inflight += o->paxos_inflight();
@@ -196,41 +194,49 @@ void Deployment::register_telemetry_gauges() {
   // deltas since the previous tick. Only when prefetch is on — the gauge set
   // of a locality-off run must match the pre-locality one.
   if (config_.prefetch_k > 0) {
-    rec.register_gauge("locality.window_hit_rate",
-                       [hits = WindowDelta{&metrics_, "client.cache_hits"},
-                        consults = WindowDelta{&metrics_, "client.consults"}]() mutable {
-                         const std::uint64_t h = hits();
-                         return ratio(h, h + consults());
-                       });
-    rec.register_gauge("locality.consult_rate",
-                       [consults = WindowDelta{&metrics_, "client.consults"},
-                        ops = WindowDelta{&metrics_, "client.ops"}]() mutable {
-                         const std::uint64_t c = consults();
-                         return ratio(c, ops());
-                       });
+    gauge("locality.window_hit_rate",
+          [hits = WindowDelta{&metrics_, "client.cache_hits"},
+           consults = WindowDelta{&metrics_, "client.consults"}]() mutable {
+            const std::uint64_t h = hits();
+            return ratio(h, h + consults());
+          });
+    gauge("locality.consult_rate",
+          [consults = WindowDelta{&metrics_, "client.consults"},
+           ops = WindowDelta{&metrics_, "client.ops"}]() mutable {
+            const std::uint64_t c = consults();
+            return ratio(c, ops());
+          });
   }
 
   // Elastic repartitioning: live partition count over time (the report's
   // partition-count strip). Only when a scale plan is armed — the gauge set
   // of a non-elastic run must match the pre-elasticity one.
   if (config_.elastic) {
-    rec.register_gauge("elastic.partitions",
-                       [this] { return static_cast<double>(live_partition_gids_.size()); });
+    gauge("elastic.partitions",
+          [this] { return static_cast<double>(live_partition_gids_.size()); });
   }
 
   // Oracle state: mapped variables and (for DynaStar-style policies) the
   // workload-graph size, as the first live replica sees it — live replicas
   // apply the same log, and a crashed one's frozen state would hide growth.
-  rec.register_gauge("oracle.mapped_vars", [this] {
+  gauge("oracle.mapped_vars", [this] {
     return static_cast<double>(live_oracle().mapping().var_count());
   });
-  rec.register_gauge("oracle.graph_edges", [this] {
+  gauge("oracle.graph_edges", [this] {
     return static_cast<double>(live_oracle().policy().workload_graph_edges());
   });
 }
 
+void Deployment::gauge(std::string name, std::function<double()> sample) {
+  metrics_.recorder().add_gauge(std::move(name));
+  gauges_.push_back(std::move(sample));
+}
+
 void Deployment::telemetry_tick() {
-  metrics_.recorder().tick(engine_.now());
+  std::vector<double> samples;
+  samples.reserve(gauges_.size());
+  for (auto& sample : gauges_) samples.push_back(sample());
+  metrics_.recorder().tick(engine_.now(), samples);
   engine_.schedule(kTelemetryInterval, [this] { telemetry_tick(); });
 }
 
@@ -259,7 +265,7 @@ GroupId Deployment::register_partition(std::size_t p) {
   // (which skips the oracle's reserved band).
   DSSMR_ASSERT(gid == partition_gid(p));
   for (std::size_t r = 0; r < config_.replicas_per_partition; ++r) {
-    server(p, r).init_partition(network_, directory_, gid, oracle_gid(), config_.node,
+    server(p, r).init_partition(network_, directory_, gid, p, oracle_gid(), config_.node,
                                 app_factory_, config_.server, metrics_,
                                 config_.seed * 7919 + p * 131 + r);
   }

@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -148,12 +150,15 @@ class Deployment {
   GroupId register_partition(std::size_t p);
   /// The first oracle replica that is not halted (replica 0 when all are).
   const core::OracleNode& live_oracle() const;
-  /// Registers the standard gauge set with the recorder (queue depths,
-  /// in-flight messages, cache occupancy, pending amcast, oracle state).
+  /// Adds the standard gauge set (queue depths, in-flight messages, cache
+  /// occupancy, pending amcast, oracle state).
   void register_telemetry_gauges();
-  /// One telemetry tick: sample gauges, then reschedule. The chain keeps one
-  /// event pending forever, so telemetry runs must drive the engine with
-  /// run_until (run-to-empty would never drain).
+  /// Adds one gauge: the recorder keeps its name and samples, `sample` stays
+  /// here and is read once per telemetry tick.
+  void gauge(std::string name, std::function<double()> sample);
+  /// One telemetry tick: hand every gauge's sample to the recorder, then
+  /// reschedule. The chain keeps one event pending forever, so telemetry runs
+  /// must drive the engine with run_until (run-to-empty would never drain).
   void telemetry_tick();
 
   DeploymentConfig config_;
@@ -176,6 +181,9 @@ class Deployment {
   /// batching-off deployments keep the exact seed process-id layout.
   std::vector<std::unique_ptr<multicast::BatchRelay>> relays_;
   std::vector<std::unique_ptr<core::ClientProxy>> clients_;
+  /// Telemetry gauge samplers, in the recorder's gauge order; they read the
+  /// objects above, which is why they live here and not in the recorder.
+  std::vector<std::function<double()>> gauges_;
 };
 
 }  // namespace dssmr::harness

@@ -66,8 +66,9 @@ struct Knobs {
   /// is truncated (benches cap it to keep Chrome traces loadable).
   std::size_t spans_capacity = 0;
 
-  /// Enables flight-recorder telemetry (stats::Recorder): gauge sampling
-  /// every kTelemetryInterval of virtual time, windowed per-partition heat,
+  /// Enables flight-recorder telemetry (stats::Recorder): the deployment
+  /// samples its gauges every kTelemetryInterval of virtual time and hands
+  /// them to the recorder, which also keeps windowed per-partition heat,
   /// windowed latency percentiles and timeline marks (labelled instants in
   /// the event store). Off by default; when off, no tick chain is scheduled
   /// and every record_* call is a one-branch no-op, so the virtual-time

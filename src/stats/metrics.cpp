@@ -30,12 +30,4 @@ const TimeSeries* Metrics::find_series(const std::string& name) const {
   return it == series_.end() ? nullptr : &it->second;
 }
 
-void Metrics::reset() {
-  counters_.clear();
-  histograms_.clear();
-  series_.clear();
-  spans_.clear();
-  recorder_.reset();
-}
-
 }  // namespace dssmr::stats

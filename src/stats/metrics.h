@@ -67,8 +67,6 @@ class Metrics {
   Recorder& recorder() { return recorder_; }
   const Recorder& recorder() const { return recorder_; }
 
-  void reset();
-
  private:
   static constexpr Duration kSeriesBucketWidth = sec(1);
 

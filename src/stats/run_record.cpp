@@ -1,6 +1,7 @@
 #include "stats/run_record.h"
 
 #include <algorithm>
+#include <numeric>
 #include <ostream>
 
 #include "stats/json_writer.h"
@@ -44,9 +45,12 @@ void write_series(JsonWriter& w, const TimeSeries& s) {
 // v4: flight-recorder telemetry. Gauge samples are arrays aligned with
 // `ticks`; heat buckets and latency windows are `interval_us` wide (bucket i
 // covers [i*interval, (i+1)*interval)); trailing zero buckets are implicit.
-// Per-partition `commands`/`multi` sum exactly to the end-of-run
-// `server.single_partition_commands` + `server.multi_partition_commands`
-// counters because both record at the same leader-gated sites.
+// Each partition's `total_*` is the sum of its buckets. Summed over
+// partitions, `commands`/`multi`/`moves` equal the end-of-run
+// `server.single_partition_commands` + `server.multi_partition_commands`,
+// `server.multi_partition_commands` and `server.moves_source` +
+// `server.moves_dest` counters, because each heat window is bumped in the
+// same leader-gated call as its counter (PartitionServer::count_command).
 // `marks` is the event store's telemetry view: its labelled instants.
 void write_telemetry(JsonWriter& w, const Recorder& r, const SpanStore& events) {
   w.begin_object();
@@ -66,21 +70,24 @@ void write_telemetry(JsonWriter& w, const Recorder& r, const SpanStore& events) 
   w.end_object();
   w.key("partitions");
   w.begin_array();
+  using Buckets = std::vector<std::uint64_t>;
+  const auto total = [](const Windows<std::uint64_t>& s) {
+    return std::accumulate(s.values().begin(), s.values().end(), std::uint64_t{0});
+  };
   for (const Recorder::PartitionHeat& h : r.heat()) {
     w.begin_object();
-    w.field("total_commands", h.total_commands);
-    w.field("total_multi", h.total_multi);
-    w.field("total_moves", h.total_moves);
-    const auto write_buckets = [&w](const char* name,
-                                    const std::vector<std::uint64_t>& buckets) {
+    w.field("total_commands", total(h.commands));
+    w.field("total_multi", total(h.multi));
+    w.field("total_moves", total(h.moves));
+    const auto write_buckets = [&w](const char* name, const Buckets& buckets) {
       w.key(name);
       w.begin_array();
       for (std::uint64_t v : buckets) w.value(v);
       w.end_array();
     };
-    write_buckets("commands", h.commands);
-    write_buckets("multi", h.multi);
-    write_buckets("moves", h.moves);
+    write_buckets("commands", h.commands.values());
+    write_buckets("multi", h.multi.values());
+    write_buckets("moves", h.moves.values());
     w.end_object();
   }
   w.end_array();
@@ -88,16 +95,17 @@ void write_telemetry(JsonWriter& w, const Recorder& r, const SpanStore& events) 
   // commands (1.0 = perfectly local; null when the bucket saw no commands).
   std::size_t heat_buckets = 0;
   for (const Recorder::PartitionHeat& h : r.heat()) {
-    heat_buckets = std::max(heat_buckets, h.commands.size());
+    heat_buckets = std::max(heat_buckets, h.commands.values().size());
   }
+  const auto bucket = [](const Buckets& b, std::size_t i) { return i < b.size() ? b[i] : 0; };
   w.key("locality");
   w.begin_array();
   for (std::size_t i = 0; i < heat_buckets; ++i) {
     std::uint64_t commands = 0;
     std::uint64_t multi = 0;
     for (const Recorder::PartitionHeat& h : r.heat()) {
-      commands += i < h.commands.size() ? h.commands[i] : 0;
-      multi += i < h.multi.size() ? h.multi[i] : 0;
+      commands += bucket(h.commands.values(), i);
+      multi += bucket(h.multi.values(), i);
     }
     if (commands == 0) {
       w.null();

@@ -55,6 +55,10 @@ TEST(Determinism, DifferentSeedsActuallyDiffer) {
 TEST(Determinism, ParallelSweepMatchesSerial) {
   std::vector<ChirperRunConfig> cfgs;
   for (std::uint64_t s = 90; s < 94; ++s) cfgs.push_back(small_config(s));
+  // Telemetry on: each deployment samples its own gauges on its sweep thread,
+  // and the record's telemetry section must match too.
+  cfgs.push_back(small_config(94));
+  cfgs.back().telemetry = true;
 
   const std::vector<RunResult> serial = run_sweep(cfgs, 1);
   const std::vector<RunResult> parallel = run_sweep(cfgs, 4);
@@ -62,7 +66,8 @@ TEST(Determinism, ParallelSweepMatchesSerial) {
 
   for (std::size_t i = 0; i < serial.size(); ++i) {
     // Full-strength check: the serialized run records (every counter,
-    // histogram bucket, and time series) must match byte-for-byte.
+    // histogram bucket, time series and telemetry sample) must match
+    // byte-for-byte.
     EXPECT_EQ(record_json(cfgs[i], serial[i]), record_json(cfgs[i], parallel[i]))
         << "sweep point " << i << " diverged between serial and --jobs 4";
   }

@@ -492,8 +492,8 @@ TEST(ServerExec, SecondReplicaShipmentOfAGroupIsIgnored) {
   RecordingGroupNode peer;
   directory.add_group({network.add_process(server, 0)});
   directory.add_group({network.add_process(peer, 1)});
-  server.init_partition(network, directory, GroupId{0}, kNoGroup, {}, kv::kv_app_factory(), {},
-                        metrics, 1);
+  server.init_partition(network, directory, GroupId{0}, 0, kNoGroup, {}, kv::kv_app_factory(),
+                        {}, metrics, 1);
   peer.init_group_node(network, directory, GroupId{1}, {}, metrics, 2);
   server.preload(VarId{0}, std::make_unique<kv::KvValue>(1, ""));
 
@@ -537,7 +537,7 @@ struct RetryHarness {
     network.add_process(requester, 0);
     PartitionServerConfig cfg;
     cfg.reply_cache_capacity = window;
-    server.init_partition(network, directory, GroupId{0}, kNoGroup, {},
+    server.init_partition(network, directory, GroupId{0}, 0, kNoGroup, {},
                           chirper::chirper_app_factory(), cfg, metrics, 1);
     peer.init_group_node(network, directory, GroupId{1}, {}, metrics, 2);
     auto user = std::make_unique<chirper::UserValue>();

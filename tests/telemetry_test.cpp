@@ -29,7 +29,7 @@ TEST(Recorder, DisabledEntryPointsAreNoOps) {
   r.record_command(msec(5), 0, false);
   r.record_move(msec(5), 1);
   r.record_latency(msec(5), 123);
-  r.tick(msec(5));
+  r.tick(msec(5), {});
   EXPECT_TRUE(r.heat().empty());
   EXPECT_TRUE(r.latency_windows().empty());
   EXPECT_TRUE(r.tick_times().empty());
@@ -76,29 +76,22 @@ TEST(Recorder, HeatBucketsCommandsByIntervalAndPartition) {
   r.record_command(msec(150), 1, false);  // bucket 1, partition 1
   r.record_command(msec(350), 0, false);  // bucket 3 (bucket 2 stays implicit)
   r.record_move(msec(250), 1);            // bucket 2
+  r.record_move(msec(10), 3);             // a partition added mid-run
 
-  ASSERT_EQ(r.heat().size(), 2u);
+  using Buckets = std::vector<std::uint64_t>;
+  ASSERT_EQ(r.heat().size(), 4u);  // the table grew to hold partition 3
   const Recorder::PartitionHeat& p0 = r.heat()[0];
-  EXPECT_EQ(p0.total_commands, 3u);
-  EXPECT_EQ(p0.total_multi, 1u);
-  ASSERT_EQ(p0.commands.size(), 4u);
-  EXPECT_EQ(p0.commands[0], 1u);
-  EXPECT_EQ(p0.commands[1], 1u);
-  EXPECT_EQ(p0.commands[2], 0u);
-  EXPECT_EQ(p0.commands[3], 1u);
-  ASSERT_EQ(p0.multi.size(), 2u);
-  EXPECT_EQ(p0.multi[1], 1u);
+  EXPECT_EQ(p0.commands.values(), (Buckets{1, 1, 0, 1}));  // bucket 2 filled in as 0
+  EXPECT_EQ(p0.multi.values(), (Buckets{0, 1}));
+  EXPECT_TRUE(p0.moves.values().empty());
 
   const Recorder::PartitionHeat& p1 = r.heat()[1];
-  EXPECT_EQ(p1.total_commands, 1u);
-  EXPECT_EQ(p1.total_moves, 1u);
-  ASSERT_EQ(p1.moves.size(), 3u);
-  EXPECT_EQ(p1.moves[2], 1u);
+  EXPECT_EQ(p1.commands.values(), (Buckets{0, 1}));
+  EXPECT_TRUE(p1.multi.values().empty());
+  EXPECT_EQ(p1.moves.values(), (Buckets{0, 0, 1}));
 
-  // Per-bucket sums tile the totals.
-  std::uint64_t sum = 0;
-  for (std::uint64_t v : p0.commands) sum += v;
-  EXPECT_EQ(sum, p0.total_commands);
+  EXPECT_TRUE(r.heat()[2].moves.values().empty());
+  EXPECT_EQ(r.heat()[3].moves.values(), Buckets{1});
 }
 
 TEST(Recorder, MergedLatencyWindowsEqualOneBigHistogram) {
@@ -124,39 +117,56 @@ TEST(Recorder, MergedLatencyWindowsEqualOneBigHistogram) {
 TEST(Recorder, GaugesSampleOncePerTick) {
   Recorder r;
   r.enable(msec(100), 1);
-  double x = 1.0;
-  r.register_gauge("x", [&x] { return x; });
-  r.tick(msec(100));
-  x = 2.5;
-  r.tick(msec(200));
-  ASSERT_EQ(r.tick_times().size(), 2u);
-  ASSERT_EQ(r.gauges().size(), 1u);
-  ASSERT_EQ(r.gauges()[0].values.size(), 2u);
-  EXPECT_DOUBLE_EQ(r.gauges()[0].values[0], 1.0);
-  EXPECT_DOUBLE_EQ(r.gauges()[0].values[1], 2.5);
+  r.add_gauge("x");
+  r.add_gauge("y");
+  r.tick(msec(100), {1.0, -1.0});
+  r.tick(msec(200), {2.5, -2.5});
+  ASSERT_EQ(r.tick_times(), (std::vector<Time>{msec(100), msec(200)}));
+  ASSERT_EQ(r.gauges().size(), 2u);
+  EXPECT_EQ(r.gauges()[0].name, "x");
+  EXPECT_EQ(r.gauges()[0].values, (std::vector<double>{1.0, 2.5}));
+  EXPECT_EQ(r.gauges()[1].name, "y");
+  EXPECT_EQ(r.gauges()[1].values, (std::vector<double>{-1.0, -2.5}));
 }
 
-TEST(Recorder, CopyKeepsDataDropsCallbacks) {
+TEST(RecorderDeathTest, TickNeedsOneSamplePerGauge) {
   Recorder r;
   r.enable(msec(100), 1);
-  r.register_gauge("g", [] { return 7.0; });
-  r.tick(msec(100));
-  r.record_command(msec(10), 0, false);
+  r.add_gauge("x");
+  EXPECT_DEATH(r.tick(msec(100), {}), "samples.size");
+}
+
+TEST(Recorder, CopyKeepsEverySample) {
+  Recorder r;
+  r.enable(msec(100), 1);
+  r.add_gauge("g");
+  r.tick(msec(100), {7.0});
+  r.record_command(msec(10), 0, true);
+  r.record_move(msec(110), 0);
+  r.record_latency(msec(120), 42);
 
   const Recorder copy = r;  // what RunRecord snapshotting does
   EXPECT_TRUE(copy.enabled());
+  EXPECT_EQ(copy.interval(), msec(100));
+  EXPECT_EQ(copy.tick_times(), r.tick_times());
   ASSERT_EQ(copy.gauges().size(), 1u);
-  EXPECT_FALSE(static_cast<bool>(copy.gauges()[0].fn));
-  ASSERT_EQ(copy.gauges()[0].values.size(), 1u);
-  EXPECT_DOUBLE_EQ(copy.gauges()[0].values[0], 7.0);
-  EXPECT_EQ(copy.heat()[0].total_commands, 1u);
+  EXPECT_EQ(copy.gauges()[0].name, "g");
+  EXPECT_EQ(copy.gauges()[0].values, std::vector<double>{7.0});
+  ASSERT_EQ(copy.heat().size(), 1u);
+  EXPECT_EQ(copy.heat()[0].commands.values(), std::vector<std::uint64_t>{1});
+  EXPECT_EQ(copy.heat()[0].multi.values(), std::vector<std::uint64_t>{1});
+  EXPECT_EQ(copy.heat()[0].moves.values(), (std::vector<std::uint64_t>{0, 1}));
+  ASSERT_EQ(copy.latency_windows().size(), 2u);
+  EXPECT_EQ(copy.latency_windows()[1].count(), 1u);
+  EXPECT_EQ(copy.merged_latency().max(), 42);
 }
 
 TEST(RecorderDeathTest, FarFutureTimeFailsLoudly) {
   Recorder r;
   r.enable(usec(1), 1);
-  const Time absurd = static_cast<Time>(Recorder::kMaxBuckets) + sec(10);
+  const Time absurd = static_cast<Time>(kMaxBuckets) + sec(10);
   EXPECT_DEATH(r.record_command(absurd, 0, false), "exceeds kMaxBuckets");
+  EXPECT_DEATH(r.record_latency(absurd, 1), "exceeds kMaxBuckets");
 }
 
 // ---- End-to-end: run records, tiling, zero-cost off -------------------------
@@ -217,18 +227,25 @@ TEST(Telemetry, RunRecordV4RoundTripsWithTelemetrySection) {
   ASSERT_EQ(partitions.size(), cfg.partitions);
   std::uint64_t all_commands = 0;
   std::uint64_t all_multi = 0;
+  std::uint64_t all_moves = 0;
   for (const testing::JsonValue& p : partitions) {
-    std::uint64_t sum = 0;
-    for (const testing::JsonValue& v : p.at("commands").array) {
-      sum += static_cast<std::uint64_t>(v.as_int());
-    }
-    EXPECT_EQ(sum, static_cast<std::uint64_t>(p.at("total_commands").as_int()));
-    all_commands += sum;
-    all_multi += static_cast<std::uint64_t>(p.at("total_multi").as_int());
+    const auto sum = [&p](const char* series, const char* total) {
+      std::uint64_t n = 0;
+      for (const testing::JsonValue& v : p.at(series).array) {
+        n += static_cast<std::uint64_t>(v.as_int());
+      }
+      EXPECT_EQ(n, static_cast<std::uint64_t>(p.at(total).as_int())) << series;
+      return n;
+    };
+    all_commands += sum("commands", "total_commands");
+    all_multi += sum("multi", "total_multi");
+    all_moves += sum("moves", "total_moves");
   }
   EXPECT_EQ(all_commands, r.counter("server.single_partition_commands") +
                               r.counter("server.multi_partition_commands"));
   EXPECT_EQ(all_multi, r.counter("server.multi_partition_commands"));
+  EXPECT_EQ(all_moves, r.counter("server.moves_source") + r.counter("server.moves_dest"));
+  EXPECT_GT(all_moves, 0u);
 
   // Latency windows answer per-window percentiles.
   const auto& windows = tel.at("latency_windows").array;

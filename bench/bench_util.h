@@ -169,7 +169,7 @@ inline void print_run_row(const std::string& label, std::size_t partitions,
               static_cast<long long>(r.latency_p50_us),
               static_cast<long long>(r.latency_p95_us),
               static_cast<long long>(r.latency_p99_us),
-              static_cast<unsigned long long>(r.counter("moves.total")),
+              static_cast<unsigned long long>(r.counter("client.moves")),
               static_cast<unsigned long long>(r.counter("client.retries")),
               static_cast<unsigned long long>(r.counter("client.consults")));
 }

@@ -7,15 +7,11 @@
 //
 // E4's expected shape: the "perfect static" scheme (optimized placement, no
 // moves) runs at peak from t=0; DS-SMR starts low and climbs as moves
-// collocate communities, then moves drop to ~0; the DynaStar-style oracle
-// converges faster (it computes the ideal partitioning from the workload
-// graph instead of greedy moves).
+// collocate communities, then moves drop to ~0.
 //
 // E5's expected shape: DS-SMR keeps moving variables back and forth — the
 // moves series never dries up and throughput stays unstable/depressed; the
-// DynaStar-style oracle stabilizes (it only moves on demand toward a
-// graph-partitioned ideal); the optimized static scheme is steady but pays
-// for cross-partition posts.
+// optimized static scheme is steady but pays for cross-partition posts.
 #include "bench_util.h"
 
 int main(int argc, char** argv) {
@@ -46,7 +42,6 @@ int main(int argc, char** argv) {
   const Case kCases[] = {
       {Strategy::kStaticSsmr, Placement::kMetis, nullptr},
       {Strategy::kDssmr, Placement::kHash, "DS-SMR"},
-      {Strategy::kDynaStar, Placement::kHash, "DynaStar"},
   };
 
   std::vector<SweepPoint> points;
@@ -57,8 +52,6 @@ int main(int argc, char** argv) {
       cfg.placement = c.placement;
       cfg.partitions = 4;
       cfg.workload.mix = workload::mixes::kPostOnly;
-      cfg.workload.hint_posts = true;
-      cfg.dynastar_hint_threshold = 1500;
       cfg.warmup = 0;
       cfg.measure = sec(12);
       sink.apply(cfg);
@@ -79,12 +72,12 @@ int main(int argc, char** argv) {
       print_series("moves/s   ", r.moves_series);
       if (s.cut > 0) {  // weak locality: retries and fallbacks keep accruing
         std::printf("total moves: %llu, retries: %llu, fallbacks: %llu\n",
-                    static_cast<unsigned long long>(r.counter("moves.total")),
+                    static_cast<unsigned long long>(r.counter("client.moves")),
                     static_cast<unsigned long long>(r.counter("client.retries")),
                     static_cast<unsigned long long>(r.counter("client.fallbacks")));
       } else {
         std::printf("total moves: %llu\n",
-                    static_cast<unsigned long long>(r.counter("moves.total")));
+                    static_cast<unsigned long long>(r.counter("client.moves")));
       }
     }
   }

@@ -2,11 +2,11 @@
 // repartitioning dynamically" figure).
 //
 // The system starts empty. Clients continuously create users, follow each
-// other (friend-of-friend biased, so communities emerge) and post. The
-// DynaStar-style oracle accumulates hint edges and recomputes the ideal
-// partitioning every N hints. Expected shape: throughput ratchets upward
-// after repartitionings as the placement matches the emerging communities,
-// while the plain DS-SMR oracle improves only via greedy per-command moves.
+// other (friend-of-friend biased, so communities emerge) and post. The DS-SMR
+// oracle places each new user on the least-loaded partition, and the
+// placement then improves only through the clients' per-command moves.
+// Expected shape: throughput climbs as the moves collocate the emerging
+// communities.
 #include <optional>
 
 #include "bench_util.h"
@@ -75,72 +75,45 @@ int main(int argc, char** argv) {
   RunRecordSink sink(argc, argv, "fig_dynamic_load");
   heading("E8: dynamic workload — create users + follow + post, repartition on-line");
 
-  struct Outcome {
-    std::vector<double> tput, moves;
-    std::uint64_t creates = 0;
-    std::uint64_t repartitionings = 0;
-    stats::RunRecord rec;
-  };
-  const bool kVariants[] = {true, false};
-
-  // Each variant builds its own deployment, so the two runs are independent
-  // and can execute on sweep threads (--jobs 2); outputs are collected by
-  // index and printed afterwards, identical to a serial run.
   const harness::BenchOptions& opts = sink.options();
-  auto outcomes = harness::parallel_map(2, opts.jobs, [&](std::size_t vi) {
-    const bool dynastar = kVariants[vi];
-    harness::DeploymentConfig dep;
-    sink.apply(dep);
-    dep.partitions = 4;
-    dep.replicas_per_partition = 2;
-    dep.oracle_replicas = 2;
-    dep.clients = 32;
-    dep.strategy = dynastar ? core::Strategy::kDynaStar : core::Strategy::kDssmr;
-    dep.node.rmcast_relay = false;
-    dep.seed = 42;
+  harness::DeploymentConfig dep;
+  sink.apply(dep);
+  dep.partitions = 4;
+  dep.replicas_per_partition = 2;
+  dep.oracle_replicas = 2;
+  dep.clients = 32;
+  dep.node.rmcast_relay = false;
+  dep.seed = 42;
 
-    harness::Deployment d{dep, chirper::chirper_app_factory({usec(80), usec(5)}),
-                          harness::policy_factory(dep.strategy, dep.partitions,
-                                                  /*hint_threshold=*/1500)};
-    d.start();
-    d.settle();
+  harness::Deployment d{dep, chirper::chirper_app_factory({usec(80), usec(5)}),
+                        [] { return std::make_unique<core::DssmrPolicy>(); }};
+  d.start();
+  d.settle();
 
-    std::optional<fault::Nemesis> nemesis;
-    if (!opts.nemesis.empty()) {
-      nemesis.emplace(d, fault::resolve_plan(opts.nemesis));
-      nemesis->arm();
-    }
-
-    GrowingWorkload wl{1500, /*target_edges=*/3000, 7};
-    harness::ClosedLoopDriver driver{d, [&wl] { return wl.next(); }};
-    driver.run(/*warmup=*/0, /*measure=*/sec(12));
-
-    Outcome out;
-    out.tput = d.metrics().series("client.completions").rates(12);
-    out.moves = d.metrics().series("moves_ts").rates(12);
-    out.creates = d.metrics().counter("oracle.creates");
-    out.repartitionings = d.oracle(0).policy().repartition_count();
-
-    out.rec.label = dynastar ? "dynastar" : "dssmr";
-    out.rec.metrics = d.metrics();
-    out.rec.add_meta("strategy", out.rec.label);
-    out.rec.add_meta("partitions", std::to_string(dep.partitions));
-    out.rec.add_meta("clients", std::to_string(dep.clients));
-    out.rec.add_meta("seed", std::to_string(dep.seed));
-    out.rec.add_meta("repartitionings", std::to_string(out.repartitionings));
-    harness::add_knob_meta(opts, out.rec);
-    return out;
-  });
-
-  for (std::size_t vi = 0; vi < 2; ++vi) {
-    Outcome& out = outcomes[vi];
-    subheading(kVariants[vi] ? "DynaStar-style oracle" : "DS-SMR oracle");
-    print_series("tput(cps) ", out.tput);
-    print_series("moves/s   ", out.moves);
-    std::printf("users created: %llu, repartitionings: %llu\n",
-                static_cast<unsigned long long>(out.creates),
-                static_cast<unsigned long long>(out.repartitionings));
-    sink.add(std::move(out.rec));
+  std::optional<fault::Nemesis> nemesis;
+  if (!opts.nemesis.empty()) {
+    nemesis.emplace(d, fault::resolve_plan(opts.nemesis));
+    nemesis->arm();
   }
+
+  GrowingWorkload wl{1500, /*target_edges=*/3000, 7};
+  harness::ClosedLoopDriver driver{d, [&wl] { return wl.next(); }};
+  driver.run(/*warmup=*/0, /*measure=*/sec(12));
+
+  subheading("DS-SMR oracle");
+  print_series("tput(cps) ", d.metrics().series("client.completions").rates(12));
+  print_series("moves/s   ", d.metrics().series("moves_ts").rates(12));
+  std::printf("users created: %llu\n",
+              static_cast<unsigned long long>(d.metrics().counter("oracle.creates")));
+
+  stats::RunRecord rec;
+  rec.label = "dssmr";
+  rec.metrics = d.metrics();
+  rec.add_meta("strategy", rec.label);
+  rec.add_meta("partitions", std::to_string(dep.partitions));
+  rec.add_meta("clients", std::to_string(dep.clients));
+  rec.add_meta("seed", std::to_string(dep.seed));
+  harness::add_knob_meta(opts, rec);
+  sink.add(std::move(rec));
   return sink.finish();
 }

@@ -4,7 +4,7 @@
 // Edge-cut {0, 1, 5, 10}% x partitions {2, 4, 8} x strategies. Expected
 // shape: at 0% everything scales; throughput decays as the cut grows; around
 // 10% the move/coordination overhead cancels the benefit of extra
-// partitions; DS-SMR degrades faster than the graph-driven oracle.
+// partitions.
 #include "bench_util.h"
 
 int main(int argc, char** argv) {
@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   const Case kCases[] = {
       {Strategy::kStaticSsmr, Placement::kMetis, "S-SMR/optimized"},
       {Strategy::kDssmr, Placement::kHash, "DS-SMR"},
-      {Strategy::kDynaStar, Placement::kHash, "DynaStar"},
   };
 
   std::vector<SweepPoint> points;
@@ -37,8 +36,6 @@ int main(int argc, char** argv) {
         cfg.placement = c.placement;
         cfg.partitions = parts;
         cfg.workload.mix = workload::mixes::kPostOnly;
-        cfg.workload.hint_posts = true;
-        cfg.dynastar_hint_threshold = 1500;
         cfg.warmup = sec(4);
         cfg.measure = sec(2);
         sink.apply(cfg);

@@ -23,7 +23,7 @@ using namespace dssmr;
 namespace {
 
 struct Flags {
-  std::string strategy = "dssmr";  // ssmr-hash | ssmr-metis | dssmr | dynastar
+  std::string strategy = "dssmr";  // ssmr-hash | ssmr-metis | dssmr
   std::string mix = "post";        // timeline | post | mix | follow
   std::size_t partitions = 4;
   std::size_t clients_per_partition = 8;
@@ -50,7 +50,7 @@ bool parse_flag(const char* arg, const char* name, std::string& out) {
 [[noreturn]] void usage() {
   std::fprintf(
       stderr,
-      "usage: dssmr_sim [--strategy=ssmr-hash|ssmr-metis|dssmr|dynastar]\n"
+      "usage: dssmr_sim [--strategy=ssmr-hash|ssmr-metis|dssmr]\n"
       "                 [--mix=timeline|post|mix|follow] [--partitions=N]\n"
       "                 [--clients=N(per partition)] [--users=N]\n"
       "                 [--edge-cut=F] [--random-graph] [--zipf=THETA]\n"
@@ -125,9 +125,6 @@ int main(int argc, char** argv) {
     cfg.placement = harness::Placement::kMetis;
   } else if (f.strategy == "dssmr") {
     cfg.strategy = core::Strategy::kDssmr;
-  } else if (f.strategy == "dynastar") {
-    cfg.strategy = core::Strategy::kDynaStar;
-    cfg.workload.hint_posts = true;
   } else {
     usage();
   }
@@ -169,7 +166,7 @@ int main(int argc, char** argv) {
   std::printf("ok / not-ok       : %llu / %llu\n", static_cast<unsigned long long>(r.ok),
               static_cast<unsigned long long>(r.nok));
   std::printf("placement edgecut : %.2f%%\n", 100.0 * r.placement_edge_cut);
-  for (const char* c : {"moves.total", "client.retries", "client.fallbacks",
+  for (const char* c : {"client.moves", "client.retries", "client.fallbacks",
                         "client.consults", "client.cache_hits", "oracle.consults"}) {
     std::printf("%-18s: %llu\n", c, static_cast<unsigned long long>(r.counter(c)));
   }

@@ -86,7 +86,6 @@ smr::Command make_follow(VarId follower, VarId followee) {
   smr::Command c;
   c.op = kFollow;
   c.write_set = {follower, followee};
-  c.hint_edges = {{follower, followee}};
   return c;
 }
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/assert.h"
-#include "core/oracle.h"
 
 namespace dssmr::core {
 
@@ -12,7 +11,6 @@ using smr::Command;
 using smr::CommandMsg;
 using smr::CommandType;
 using smr::ConsultMsg;
-using smr::HintMsg;
 using smr::MoveResultMsg;
 using smr::ProphecyMsg;
 using smr::ReplyCode;
@@ -26,8 +24,6 @@ const char* to_string(Strategy s) {
       return "S-SMR";
     case Strategy::kDssmr:
       return "DS-SMR";
-    case Strategy::kDynaStar:
-      return "DynaStar";
   }
   return "?";
 }
@@ -42,8 +38,7 @@ void ClientProxy::init_client(net::Network& network, const multicast::Directory&
           handle("client.cache_hits"), handle("client.multi_partition"),
           handle("client.moves"),     handle("client.retries"),
           handle("client.fallbacks"), handle("client.timeouts"),
-          handle("client.hints"),     handle("client.ok"),
-          handle("client.nok"),
+          handle("client.ok"),        handle("client.nok"),
           /*prefetch_installed=*/nullptr, /*prefetch_hits=*/nullptr};  // install_prefetch
   latency_hist_ = &metrics.histogram("client.latency_us");
   completions_series_ = &metrics.series("client.completions");
@@ -52,7 +47,7 @@ void ClientProxy::init_client(net::Network& network, const multicast::Directory&
   if (cfg_.strategy == Strategy::kStaticSsmr) {
     DSSMR_ASSERT_MSG(cfg_.static_map != nullptr, "S-SMR clients need a static map");
   } else {
-    DSSMR_ASSERT_MSG(cfg_.oracle_group != kNoGroup, "dynamic strategies need an oracle");
+    DSSMR_ASSERT_MSG(cfg_.oracle_group != kNoGroup, "DS-SMR clients need an oracle");
   }
 }
 
@@ -287,17 +282,6 @@ void ClientProxy::on_prophecy(const ProphecyMsg& p) {
 
   ctr_.multi_partition->inc();
   pending_dest_ = p.dest;
-  if (p.oracle_moved) {
-    // DynaStar: the oracle already multicast the move; wait for the
-    // destination's confirmation, which carries the derived move id.
-    awaited_reply_ = derive_move_id(p.consult_id);
-    phase_ = Phase::kAwaitMove;
-    move_start_ = network().engine().now();
-    resend_ = [this] { do_consult(); };  // lost move? re-consult from scratch
-    arm_timeout();
-    return;
-  }
-
   std::vector<GroupId> sources;
   for (GroupId g : dests) {
     if (g != p.dest) sources.push_back(g);
@@ -490,14 +474,6 @@ void ClientProxy::finish(ReplyCode code, const net::MessagePtr& app_reply) {
                .node = pid().value,
                .arg = code == ReplyCode::kOk ? 0 : 1});
     root_span_ = 0;
-  }
-
-  // DynaStar's oracle places variables from the workload graph its clients
-  // report; DS-SMR's needs no workload knowledge.
-  if (cfg_.strategy == Strategy::kDynaStar && code == ReplyCode::kOk &&
-      !cmd_.hint_edges.empty()) {
-    amcast({cfg_.oracle_group}, net::make_msg<HintMsg>(cmd_.hint_edges));
-    ctr_.hints->inc();
   }
 
   // Reset before invoking the callback: the application typically issues the

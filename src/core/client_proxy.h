@@ -13,12 +13,9 @@
 //      `nok` (variable unknown) is re-checked through the log before it
 //      ends the command: the answering leader may not have applied a create
 //      that already completed.
-//   2. If the prophecy spans several partitions, collocate first: in DS-SMR
-//      mode the proxy multicasts a move command to {oracle} ∪ sources ∪
-//      {destination}; in DynaStar mode the oracle has already issued the move
-//      and the proxy waits for the destination partition's confirmation.
-//      DynaStar clients also report each completed command's workload hints
-//      to the oracle.
+//   2. If the prophecy spans several partitions, collocate first: the proxy
+//      multicasts a move command to {oracle} ∪ sources ∪ {destination} and
+//      waits for the destination partition's confirmation.
 //   3. Multicast the command to the single destination partition.
 //   4. A `retry` answer means the mapping changed under us: invalidate the
 //      cache and go back to 1. After `max_retries` attempts, fall back to
@@ -55,7 +52,6 @@ namespace dssmr::core {
 enum class Strategy : std::uint8_t {
   kStaticSsmr,  // S-SMR: static map, no oracle service, no moves
   kDssmr,       // DS-SMR: dynamic oracle, client-issued moves
-  kDynaStar,    // extension: oracle-issued moves + workload-graph policy
 };
 
 const char* to_string(Strategy s);
@@ -151,7 +147,6 @@ class ClientProxy : public multicast::ClientNode {
     stats::Counter* retries;
     stats::Counter* fallbacks;
     stats::Counter* timeouts;
-    stats::Counter* hints;
     stats::Counter* ok;
     stats::Counter* nok;
     /// Locality fast path: interned by the first install_prefetch, so

@@ -1,5 +1,5 @@
-// The oracle's variable->partition mapping and the pluggable placement
-// policy (the paper's OracleStateMachine extension point).
+// The oracle's variable->partition mapping and its placement policy (the
+// paper's OracleStateMachine).
 #pragma once
 
 #include <algorithm>
@@ -62,7 +62,6 @@ class Mapping {
 
   std::size_t var_count() const { return map_.size(); }
   const LocationMap& entries() const { return map_; }
-  std::size_t partition_count() const { return partitions_.size(); }
   const std::vector<GroupId>& partitions() const { return partitions_; }
 
   /// Position of member `p` in partitions(); fails if `p` is not a member.
@@ -150,37 +149,11 @@ class Mapping {
   LocationMap map_;
 };
 
-/// Placement decisions. Implementations MUST be deterministic functions of
-/// the delivered command sequence: every oracle replica runs the same policy
-/// instance over the same inputs and must reach the same answers.
-class OraclePolicy {
- public:
-  virtual ~OraclePolicy() = default;
-
-  /// Partition for a newly created variable.
-  virtual GroupId place_new(VarId v, const Mapping& map) = 0;
-
-  /// Destination partition when `vars` (spread over several partitions) must
-  /// be collocated for a command.
-  virtual GroupId choose_destination(const std::vector<VarId>& vars, const Mapping& map) = 0;
-
-  /// Workload-graph hint (edges between co-accessed variables). Default: ignore.
-  virtual void on_hint(const std::vector<std::pair<VarId, VarId>>& edges) { (void)edges; }
-
-  /// Variables created/deleted — keeps a workload graph's vertex set in sync.
-  virtual void on_create(VarId v) { (void)v; }
-  virtual void on_delete(VarId v) { (void)v; }
-
-  /// Number of repartitionings computed so far (DynaStar-style policies).
-  virtual std::uint64_t repartition_count() const { return 0; }
-
-  /// Workload-graph edge count (DynaStar-style policies keep a hint graph; 0
-  /// for stateless policies). Sampled as a telemetry gauge.
-  virtual std::size_t workload_graph_edges() const { return 0; }
-};
-
 /// The DS-SMR (DSN 2016) policy: no global workload knowledge. New variables
-/// go to the least-loaded partition (keeps load balanced).
+/// go to the least-loaded partition (keeps load balanced). It MUST be a
+/// deterministic function of the delivered command sequence: every oracle
+/// replica runs its own instance over the same inputs and must reach the
+/// same answers.
 ///
 /// The paper's client algorithm only says "let P_d be one of the partitions
 /// in C.dests" — the destination rule is a free design choice, so it is
@@ -197,19 +170,19 @@ class OraclePolicy {
 ///    slowest convergence).
 ///  * kLeastLoaded: the involved partition with the fewest variables
 ///    (strongest balancing, most moves).
-class DssmrPolicy : public OraclePolicy {
+class DssmrPolicy {
  public:
   enum class DestRule : std::uint8_t { kMostHeld, kRandomInvolved, kLeastLoaded };
 
   DssmrPolicy() = default;
   explicit DssmrPolicy(DestRule rule) : rule_(rule) {}
 
-  GroupId place_new(VarId v, const Mapping& map) override {
-    (void)v;
-    return map.least_loaded();
-  }
+  /// Partition for a newly created variable.
+  GroupId place_new(const Mapping& map) const { return map.least_loaded(); }
 
-  GroupId choose_destination(const std::vector<VarId>& vars, const Mapping& map) override {
+  /// Destination partition when `vars` (spread over several partitions) must
+  /// be collocated for a command.
+  GroupId choose_destination(const std::vector<VarId>& vars, const Mapping& map) {
     // Held-variable counts per partition, indexed like map.partitions().
     // Runs on every multi-partition consult: a linear scan over the few
     // deployed partitions beats any hash map here.

@@ -11,7 +11,6 @@ using smr::Command;
 using smr::CommandMsg;
 using smr::CommandType;
 using smr::ConsultMsg;
-using smr::HintMsg;
 using smr::ProphecyMsg;
 using smr::ReplyCode;
 using smr::ReplyMsg;
@@ -22,18 +21,12 @@ namespace {
 
 /// Simulated CPU cost of answering one consult.
 constexpr Duration kConsultService = usec(5);
-/// Simulated CPU cost of applying one command or hint batch.
+/// Simulated CPU cost of applying one command.
 constexpr Duration kCommandService = usec(3);
 /// Variables per rebalance move command (one chunk = one kMove multicast).
 constexpr std::size_t kRebalanceChunk = 16;
 
 }  // namespace
-
-MsgId derive_move_id(MsgId consult_id) {
-  std::uint64_t x = consult_id.value ^ 0x6d6f76652d69645fULL;  // "move-id_"
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  return MsgId{x ^ (x >> 27)};
-}
 
 void CoAccessTable::Ring::push(VarId v) {
   for (std::size_t i = 0; i < count; ++i) {
@@ -81,22 +74,18 @@ void CoAccessTable::candidates(const std::vector<VarId>& vars, std::size_t k,
 
 void OracleNode::init_oracle(net::Network& network, const multicast::Directory& directory,
                              GroupId gid, multicast::GroupNodeConfig node_config,
-                             std::unique_ptr<OraclePolicy> policy,
-                             std::vector<GroupId> partitions, bool issues_moves,
+                             DssmrPolicy policy, std::vector<GroupId> partitions,
                              std::size_t prefetch_k, bool elastic, stats::Metrics& metrics,
                              std::uint64_t seed) {
   init_group_node(network, directory, gid, node_config, metrics, seed);
   mapping_ = std::make_unique<Mapping>(std::move(partitions));
   policy_ = std::move(policy);
-  DSSMR_ASSERT(policy_ != nullptr);
   exec_ = std::make_unique<smr::ExecutionEngine>(network.engine());
-  issues_moves_ = issues_moves;
   prefetch_k_ = prefetch_k;
   stats::Counter* const off = &stats::dummy_counter();
   auto handle = [&metrics](const char* name) { return &metrics.counter_handle(name); };
-  ctr_ = {handle("oracle.consults"),     handle("oracle.creates"),
-          handle("oracle.deletes"),      handle("oracle.moves_issued"),
-          handle("oracle.moves_applied"), handle("oracle.hints"),
+  ctr_ = {handle("oracle.consults"), handle("oracle.creates"), handle("oracle.deletes"),
+          handle("oracle.moves_applied"),
           // Locality counters are interned only when their feature is on:
           // interning creates the counter, and off-mode run records must stay
           // byte-identical to the pre-locality output.
@@ -112,10 +101,7 @@ void OracleNode::init_oracle(net::Network& network, const multicast::Directory& 
   moves_series_ = &metrics.series("moves_ts");
 }
 
-void OracleNode::preload(VarId v, GroupId p) {
-  mapping_->place(v, p);
-  policy_->on_create(v);
-}
+void OracleNode::preload(VarId v, GroupId p) { mapping_->place(v, p); }
 
 void OracleNode::account(Duration service) {
   // One series per deployment: only the leader accounts, so the series
@@ -138,10 +124,6 @@ void OracleNode::queue_reply_task(Duration service, sim::Callback run, MsgId id,
 void OracleNode::on_amdeliver(const multicast::AmcastMessage& m) {
   if (const auto* consult = net::msg_cast<ConsultMsg>(m.payload)) {
     handle_consult(m.sender, *consult);
-    return;
-  }
-  if (const auto* hint = net::msg_cast<HintMsg>(m.payload)) {
-    handle_hint(*hint);
     return;
   }
   const auto* cm = net::msg_cast<CommandMsg>(m.payload);
@@ -183,11 +165,7 @@ void OracleNode::handle_consult(ProcessId client, const ConsultMsg& consult) {
     if (mapping_->contains(v)) {
       prophecy->code = ReplyCode::kNok;
     } else {
-      prophecy->dest = policy_->place_new(v, *mapping_);
-      // A draining partition must stop accumulating state; policies that
-      // ignore membership (e.g. a stale DynaStar ideal) are overridden here,
-      // at the single choke point every placement goes through.
-      if (!mapping_->is_live(prophecy->dest)) prophecy->dest = mapping_->least_loaded();
+      prophecy->dest = policy_.place_new(*mapping_);
       prophecy->locations.emplace_back(v, prophecy->dest);
     }
   } else {
@@ -207,19 +185,12 @@ void OracleNode::handle_consult(ProcessId client, const ConsultMsg& consult) {
       prophecy->code = ReplyCode::kNok;
       prophecy->locations.clear();
     } else if (cmd.type == CommandType::kAccess && dests.size() > 1) {
-      prophecy->dest = policy_->choose_destination(cmd.vars(), *mapping_);
-      // Same draining guard as place_new: collocation must target a live
-      // partition even when the policy picks the (involved) draining one.
+      prophecy->dest = policy_.choose_destination(cmd.vars(), *mapping_);
+      // A draining partition must stop accumulating state: collocation must
+      // target a live partition even when the policy picks the (involved)
+      // draining one. New variables need no such guard, since place_new
+      // picks among live partitions only.
       if (!mapping_->is_live(prophecy->dest)) prophecy->dest = mapping_->least_loaded();
-      if (issues_moves_ && is_leader()) {
-        // DynaStar mode: the oracle collocates the variables itself. The move
-        // id is derived from the consult id so the client can await the
-        // destination partition's confirmation.
-        issue_move(smr::make_move(derive_move_id(consult.consult_id), cmd.trace_id, cmd.vars(),
-                                  std::move(dests), prophecy->dest, client),
-                   stats::InstantKind::kMoveIssued, ctr_.moves_issued);
-      }
-      prophecy->oracle_moved = issues_moves_;
     } else if (cmd.type == CommandType::kAccess && dests.size() == 1) {
       prophecy->dest = dests[0];
     }
@@ -256,7 +227,7 @@ void OracleNode::handle_consult(ProcessId client, const ConsultMsg& consult) {
 
 void OracleNode::handle_create_delete(const multicast::AmcastMessage& m, const Command& cmd) {
   const VarId v = cmd.write_set.at(0);
-  const ProcessId client = cmd.requester != kNoProcess ? cmd.requester : m.sender;
+  const ProcessId client = m.sender;
 
   if (const CachedReply* cached = completed_.find(cmd.id)) {
     send_reply(client, net::make_msg<ReplyMsg>(cmd.id, cached->code, group(), nullptr,
@@ -272,13 +243,11 @@ void OracleNode::handle_create_delete(const multicast::AmcastMessage& m, const C
   ReplyCode outcome = ReplyCode::kOk;
   if (cmd.type == CommandType::kDelete) {
     mapping_->erase(v);
-    policy_->on_delete(v);
     bump(ctr_.deletes);
   } else if (mapping_->contains(v) || target == kNoGroup) {
     outcome = ReplyCode::kNok;
   } else {
     mapping_->place(v, target);
-    policy_->on_create(v);
     bump(ctr_.creates);
   }
 
@@ -329,9 +298,9 @@ void OracleNode::handle_reconfig(const Command& cmd) {
       record_instant(stats::InstantKind::kPartitionAdded, cmd.id.value,
                      static_cast<std::int64_t>(target.value));
     }
-    // Rebalance toward the newcomer. Leader-only, like oracle-issued
-    // collocation moves: the moves go through the regular amcast machinery
-    // and every replica's mapping updates when they deliver.
+    // Rebalance toward the newcomer. Leader-only: the moves go through the
+    // regular amcast machinery and every replica's mapping updates when they
+    // deliver.
     if (is_leader()) plan_rebalance_in(target);
   } else {
     DSSMR_ASSERT_MSG(cmd.op == kReconfigRetire, "unknown reconfig op");
@@ -414,41 +383,20 @@ void OracleNode::plan_drain(GroupId retiring) {
 }
 
 void OracleNode::issue_rebalance_move(GroupId from, GroupId to, std::vector<VarId> chunk) {
-  if (is_leader()) {
-    ctr_.rebalance_vars->inc(chunk.size());
-    metrics().histogram("elastic.rebalance_entries")
-        .record(static_cast<std::int64_t>(chunk.size()));
-  }
-  // No client awaits a rebalance move's reply. vars_on() order == vars()
-  // order (sorted).
-  issue_move(smr::make_move(next_msg_id(), /*trace_id=*/0, std::move(chunk), {from}, to),
-             stats::InstantKind::kRebalanceMove, ctr_.rebalance_moves);
-}
-
-void OracleNode::issue_move(Command move, stats::InstantKind kind, stats::Counter* counter) {
+  // Only the leader plans rebalance moves, so nothing here needs a leader
+  // gate. No client awaits a rebalance move's reply. vars_on() order ==
+  // vars() order (sorted).
+  ctr_.rebalance_vars->inc(chunk.size());
+  metrics().histogram("elastic.rebalance_entries").record(static_cast<std::int64_t>(chunk.size()));
+  Command move = smr::make_move(next_msg_id(), /*trace_id=*/0, std::move(chunk), {from}, to);
   const MsgId id = move.id;
-  const GroupId dest = move.move_dest;
   // The group list is built first: amcast's arguments are evaluated in an
   // unspecified order, and one of them moves the command into its message.
   std::vector<GroupId> groups = smr::move_groups(move, group());
   amcast(std::move(groups), net::make_msg<CommandMsg>(std::move(move)));
-  bump(counter);
-  record_instant(kind, id.value, static_cast<std::int64_t>(dest.value));
-  if (is_leader()) moves_series_->add(engine().now());
-}
-
-void OracleNode::handle_hint(const HintMsg& hint) {
-  const std::uint64_t repartitions_before = policy_->repartition_count();
-  policy_->on_hint(hint.edges);
-  bump(ctr_.hints);
-  // A hint batch that crossed the policy's threshold recomputed the ideal
-  // partitioning — annotate the telemetry timeline (leader-gated, like all
-  // deployment-wide recording).
-  if (policy_->repartition_count() != repartitions_before) {
-    record_instant(stats::InstantKind::kMark, 0, 0,
-                   "repartition #" + std::to_string(policy_->repartition_count()));
-  }
-  queue_reply_task(kCommandService, [] {});
+  ctr_.rebalance_moves->inc();
+  record_instant(stats::InstantKind::kRebalanceMove, id.value, static_cast<std::int64_t>(to.value));
+  moves_series_->add(engine().now());
 }
 
 void OracleNode::on_rmdeliver(ProcessId origin, const net::MessagePtr& payload) {

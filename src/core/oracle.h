@@ -16,13 +16,10 @@
 // multicast to the oracle group and answered at delivery, after every move
 // and membership record ordered before it.
 //
-// Placement decisions are delegated to an OraclePolicy: the DS-SMR policy
-// needs no workload knowledge; the DynaStar-style policy (an extension, see
-// DESIGN.md) maintains a workload graph and a graph-partitioner-computed
-// ideal partitioning. Under the DynaStar strategy the oracle leader also
-// multicasts the move itself instead of leaving it to the client. The
-// prophecy prefetch's co-access table is the oracle's own, whatever the
-// policy (CoAccessTable).
+// Placement decisions come from the DS-SMR policy (DssmrPolicy), which
+// needs no workload knowledge: clients issue the collocation moves
+// themselves. The prophecy prefetch's co-access table is the oracle's own
+// (CoAccessTable).
 #pragma once
 
 #include <array>
@@ -45,10 +42,6 @@ namespace dssmr::core {
 /// Command::op values of a kReconfig membership record.
 inline constexpr std::uint32_t kReconfigAdd = 0;
 inline constexpr std::uint32_t kReconfigRetire = 1;
-
-/// Deterministic move-command id derived from the consult id, so the client
-/// knows which reply to wait for when the oracle issues the move.
-MsgId derive_move_id(MsgId consult_id);
 
 /// Prophecy prefetch (the locality fast path, see DESIGN.md): which variables
 /// recent consults accessed together. Only the oracle replica that answers a
@@ -92,16 +85,13 @@ class CoAccessTable {
 
 class OracleNode : public multicast::GroupNode {
  public:
-  /// `issues_moves` (DynaStar): the leader multicasts the collocation move a
-  /// consult calls for itself, instead of leaving it to the client.
   /// `prefetch_k` > 0: prophecies carry up to that many co-accessed prefetch
   /// entries (see DESIGN.md). `elastic`: a nemesis plan may deliver membership
   /// records; only then are the elastic.* counters interned, so non-elastic
   /// run records stay byte-identical to the pre-elasticity output.
   void init_oracle(net::Network& network, const multicast::Directory& directory, GroupId gid,
-                   multicast::GroupNodeConfig node_config,
-                   std::unique_ptr<OraclePolicy> policy, std::vector<GroupId> partitions,
-                   bool issues_moves, std::size_t prefetch_k, bool elastic,
+                   multicast::GroupNodeConfig node_config, DssmrPolicy policy,
+                   std::vector<GroupId> partitions, std::size_t prefetch_k, bool elastic,
                    stats::Metrics& metrics, std::uint64_t seed);
 
   /// Pre-registers a variable's location (initial state distribution).
@@ -111,8 +101,6 @@ class OracleNode : public multicast::GroupNode {
   void reserve_vars(std::size_t n) { mapping_->reserve(n); }
 
   const Mapping& mapping() const { return *mapping_; }
-  OraclePolicy& policy() { return *policy_; }
-  const OraclePolicy& policy() const { return *policy_; }
   Duration busy_time() const { return exec_->busy_time(); }
 
   /// Telemetry gauge (see harness/deployment.cpp).
@@ -141,7 +129,6 @@ class OracleNode : public multicast::GroupNode {
   void handle_consult(ProcessId client, const smr::ConsultMsg& consult);
   void handle_create_delete(const multicast::AmcastMessage& m, const smr::Command& cmd);
   void handle_move(const smr::Command& cmd);
-  void handle_hint(const smr::HintMsg& hint);
   void handle_reconfig(const smr::Command& cmd);
 
   /// Rebalance planners (leader only, run while processing a delivered
@@ -150,11 +137,10 @@ class OracleNode : public multicast::GroupNode {
   /// commands through the regular move machinery.
   void plan_rebalance_in(GroupId target);
   void plan_drain(GroupId retiring);
-  /// One chunked rebalance move: sources = {from}, dest = to.
+  /// One chunked rebalance move: sources = {from}, dest = to. Multicasts it
+  /// to smr::move_groups and, on the leader, counts it, records a
+  /// kRebalanceMove instant and adds to moves_ts.
   void issue_rebalance_move(GroupId from, GroupId to, std::vector<VarId> chunk);
-  /// Leader-only: multicasts an oracle-built move to smr::move_groups, bumps
-  /// `counter`, records a `kind` instant and adds to moves_ts.
-  void issue_move(smr::Command move, stats::InstantKind kind, stats::Counter* counter);
 
   /// Queues an oracle task; one with `awaits` waits for those groups' signals
   /// for command `id`.
@@ -163,22 +149,19 @@ class OracleNode : public multicast::GroupNode {
   void account(Duration service);
 
   std::unique_ptr<Mapping> mapping_;
-  std::unique_ptr<OraclePolicy> policy_;
+  DssmrPolicy policy_;
   std::unique_ptr<smr::ExecutionEngine> exec_;
-  bool issues_moves_ = false;
   std::size_t prefetch_k_ = 0;
   CoAccessTable co_access_;
   BoundedMap<MsgId, CachedReply> completed_{1 << 15};
 
-  /// Interned counter handles (see ClientProxy::Counters): consults and hints
-  /// arrive per command, so the by-name map lookup is a hot-path cost.
+  /// Interned counter handles (see ClientProxy::Counters): consults arrive
+  /// per command, so the by-name map lookup is a hot-path cost.
   struct Counters {
     stats::Counter* consults;
     stats::Counter* creates;
     stats::Counter* deletes;
-    stats::Counter* moves_issued;
     stats::Counter* moves_applied;
-    stats::Counter* hints;
     stats::Counter* prefetch_sent;
     stats::Counter* partitions_added;
     stats::Counter* partitions_retired;

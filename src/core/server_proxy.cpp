@@ -109,7 +109,7 @@ void PartitionServer::on_amdeliver(const multicast::AmcastMessage& m) {
   const auto* cm = net::msg_cast<CommandMsg>(m.payload);
   DSSMR_ASSERT_MSG(cm != nullptr, "partition received a non-command payload");
   const Command& cmd = cm->cmd;
-  const ProcessId client = cmd.requester != kNoProcess ? cmd.requester : m.sender;
+  const ProcessId client = m.sender;
 
   const auto session = sessions_.find(client);
   const Settled* latest = nullptr;

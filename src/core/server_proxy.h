@@ -169,10 +169,9 @@ class PartitionServer : public multicast::GroupNode {
   /// id, and a delivered access at or below it is a stale retransmission —
   /// answer it on an exact id match, drop it silently otherwise.
   ///
-  /// `move` is simply the move settled last: move ids are not ordered (the
-  /// oracle derives a DynaStar move's id from a hash of the consult id), and
-  /// a client's move legitimately settles before the (older-id) command it
-  /// unblocks, so moves stay outside the backstop.
+  /// `move` is simply the move settled last: a client's move legitimately
+  /// settles before the (older-id) command it unblocks, so moves stay
+  /// outside the backstop.
   struct Session {
     Settled access;
     Settled move;

@@ -177,8 +177,8 @@ void Nemesis::fire(const FaultEvent& e) {
   }
 }
 
-void Nemesis::do_crash(Node& n) {
-  if (n.halted()) return;  // crashing a corpse is a no-op, not a new window
+bool Nemesis::do_crash(Node& n) {
+  if (n.halted()) return false;  // crashing a corpse is a no-op, not a new window
   d_.network().crash(n.pid());
   n.halt_node();
   down_.push_back(&n);
@@ -193,11 +193,11 @@ void Nemesis::do_crash(Node& n) {
   const FaultTarget group = group_of(n);
   const std::vector<Node*> members = group_members(group);
   const auto live = std::ranges::count_if(members, [](const Node* m) { return !m->halted(); });
-  if (static_cast<std::size_t>(live) == members.size() / 2) {
-    d_.metrics().inc("faults.quorum_lost");
-    mark("quorum lost: " + group_name(group) + " has " + std::to_string(live) + " of " +
-         std::to_string(members.size()) + " replicas live");
-  }
+  if (static_cast<std::size_t>(live) != members.size() / 2) return false;
+  d_.metrics().inc("faults.quorum_lost");
+  mark("quorum lost: " + group_name(group) + " has " + std::to_string(live) + " of " +
+       std::to_string(members.size()) + " replicas live");
+  return true;
 }
 
 void Nemesis::do_recover(Node& n) {
@@ -223,14 +223,16 @@ void Nemesis::do_kill_leader(const FaultEvent& e) {
   }
   if (leader == nullptr) return;  // no live leader to kill right now
   const Time killed_at = d_.engine().now();
-  do_crash(*leader);
+  // A group left without a quorum elects nobody: its next leader comes only
+  // after a recovery, so that wait is a restart, not an election.
+  const char* waited =
+      do_crash(*leader) ? "faults.time_to_restart_us" : "faults.time_to_new_leader_us";
   d_.metrics().inc("faults.leader_kills");
   poll(
-      [this, members = std::move(members), killed_at] {
+      [this, members = std::move(members), killed_at, waited] {
         for (Node* m : members) {
           if (!m->halted() && m->is_leader()) {
-            d_.metrics().histogram("faults.time_to_new_leader_us")
-                .record(d_.engine().now() - killed_at);
+            d_.metrics().histogram(waited).record(d_.engine().now() - killed_at);
             return true;
           }
         }

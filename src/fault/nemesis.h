@@ -47,11 +47,14 @@
 //   faults.events_injected / crashes / recoveries / leader_kills /
 //   faults.links_cut / heals / drop_bursts      — what the fault events did;
 //   faults.time_to_new_leader_us (histogram)    — kill-leader to the group
-//                                                 having a live leader again;
+//                                                 having a live leader again,
+//                                                 when the group kept a
+//                                                 quorum (an election);
+//   faults.time_to_restart_us (histogram)       — the same wait when the kill
+//                                                 lost the quorum (a restart);
 //   faults.quorum_lost                          — crashes (kill-leader
 //     included) that left their group one short of a majority, each with a
-//     `quorum lost` mark; such a group orders nothing until a recovery, so
-//     its time_to_new_leader is the restart, not an election;
+//     `quorum lost` mark; such a group orders nothing until a recovery;
 //   faults.retries_in_window / fallbacks_in_window — client retries and
 //     S-SMR fallbacks that happened while at least one disruption was open
 //     (crash not yet recovered, cut not yet healed, drop burst running);
@@ -109,7 +112,8 @@ class Nemesis {
   std::vector<ProcessId> expand_set(const std::vector<FaultTarget>& set);
 
   void fire(const FaultEvent& e);
-  void do_crash(Node& n);
+  /// Crashes `n`; true when that left its group one short of a majority.
+  bool do_crash(Node& n);
   void do_recover(Node& n);
   void do_kill_leader(const FaultEvent& e);
   void do_cut(const FaultEvent& e);

@@ -33,7 +33,6 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
                        PolicyFactory policy_factory)
     : config_(config),
       app_factory_(std::move(app_factory)),
-      policy_factory_(std::move(policy_factory)),
       network_(engine_, config.net, config.seed),
       static_map_(std::make_shared<core::StaticMap>()) {
   DSSMR_ASSERT(config_.partitions >= 1);
@@ -73,14 +72,11 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
     }
     directory_.add_group(std::move(members));
   }
-  // The strategy alone selects DynaStar: its oracle issues the moves (and
-  // its clients send the workload hints, see ClientProxy::finish).
-  const bool dynastar = config_.strategy == core::Strategy::kDynaStar;
+  DSSMR_ASSERT(policy_factory != nullptr);
   for (std::size_t r = 0; r < config_.oracle_replicas; ++r) {
-    DSSMR_ASSERT(policy_factory_ != nullptr);
-    oracles_[r]->init_oracle(network_, directory_, oracle_gid(), config_.node,
-                             policy_factory_(), partition_gids(), dynastar, config_.prefetch_k,
-                             config_.elastic, metrics_, config_.seed * 104729 + r);
+    oracles_[r]->init_oracle(network_, directory_, oracle_gid(), config_.node, *policy_factory(),
+                             partition_gids(), config_.prefetch_k, config_.elastic, metrics_,
+                             config_.seed * 104729 + r);
   }
 
   // Client-tier batch relays, one per rack, only when batching is on (the
@@ -216,14 +212,11 @@ void Deployment::register_telemetry_gauges() {
           [this] { return static_cast<double>(live_partition_gids_.size()); });
   }
 
-  // Oracle state: mapped variables and (for DynaStar-style policies) the
-  // workload-graph size, as the first live replica sees it — live replicas
-  // apply the same log, and a crashed one's frozen state would hide growth.
+  // Oracle state: mapped variables, as the first live replica sees it — live
+  // replicas apply the same log, and a crashed one's frozen state would hide
+  // growth.
   gauge("oracle.mapped_vars", [this] {
     return static_cast<double>(live_oracle().mapping().var_count());
-  });
-  gauge("oracle.graph_edges", [this] {
-    return static_cast<double>(live_oracle().policy().workload_graph_edges());
   });
 }
 

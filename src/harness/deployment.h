@@ -28,7 +28,8 @@
 
 namespace dssmr::harness {
 
-using PolicyFactory = std::function<std::unique_ptr<core::OraclePolicy>()>;
+/// Builds each oracle replica's placement policy (its destination rule).
+using PolicyFactory = std::function<std::unique_ptr<core::DssmrPolicy>()>;
 
 /// The batching, locality, tracing and telemetry knobs come from Knobs
 /// (harness/knobs.h).
@@ -37,8 +38,6 @@ struct DeploymentConfig : Knobs {
   std::size_t replicas_per_partition = 3;
   std::size_t oracle_replicas = 3;
   std::size_t clients = 10;
-  /// Also the one switch for DynaStar: under kDynaStar clients send workload
-  /// hints and the oracle issues the moves; under kDssmr clients issue them.
   core::Strategy strategy = core::Strategy::kDssmr;
 
   net::NetworkConfig net;
@@ -163,9 +162,8 @@ class Deployment {
 
   DeploymentConfig config_;
   /// Kept for elastic add_partition(): late replica groups are constructed
-  /// with the same factories as the initial ones.
+  /// with the same factory as the initial ones.
   smr::AppFactory app_factory_;
-  PolicyFactory policy_factory_;
   sim::Engine engine_;
   net::Network network_;
   multicast::Directory directory_;

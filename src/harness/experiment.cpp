@@ -7,7 +7,6 @@
 
 #include "chirper/chirper.h"
 #include "common/assert.h"
-#include "core/dynastar_policy.h"
 #include "fault/nemesis.h"
 #include "partition/partitioner.h"
 
@@ -102,17 +101,6 @@ PreparedWorkload prepare_workload(const ChirperRunConfig& cfg) {
   return out;
 }
 
-PolicyFactory policy_factory(core::Strategy strategy, std::size_t partitions,
-                             std::uint64_t hint_threshold, core::DssmrPolicy::DestRule rule) {
-  if (strategy == core::Strategy::kDynaStar) {
-    core::DynaStarPolicy::Config pc;
-    pc.repartition_every_hints = hint_threshold;
-    pc.partitioner.k = static_cast<std::uint32_t>(partitions);
-    return [pc] { return std::make_unique<core::DynaStarPolicy>(pc); };
-  }
-  return [rule] { return std::make_unique<core::DssmrPolicy>(rule); };
-}
-
 RunResult run_chirper(const ChirperRunConfig& cfg) {
   PreparedWorkload prepared = prepare_workload(cfg);
 
@@ -127,9 +115,9 @@ RunResult run_chirper(const ChirperRunConfig& cfg) {
   dep.client_cache = cfg.client_cache;
   dep.seed = cfg.seed;
 
+  const auto rule = cfg.dssmr_dest_rule;
   Deployment d{dep, chirper::chirper_app_factory(cfg.app_costs),
-               policy_factory(cfg.strategy, cfg.partitions, cfg.dynastar_hint_threshold,
-                              cfg.dssmr_dest_rule)};
+               [rule] { return std::make_unique<core::DssmrPolicy>(rule); }};
 
   // Preload every user on its assigned partition.
   d.reserve_vars(prepared.graph.user_count());
@@ -176,9 +164,6 @@ RunResult run_chirper(const ChirperRunConfig& cfg) {
   r.moves_series = d.metrics().series("moves_ts").rates(seconds);
   r.oracle_busy_series = d.metrics().series("oracle.busy_us").rates(seconds);
   for (double& busy : r.oracle_busy_series) busy /= 1e6;  // busy µs per second
-  // DynaStar moves are oracle-issued; fold them into the same series scale.
-  r.counters["moves.total"] =
-      r.counter("client.moves") + r.counter("oracle.moves_issued");
   r.metrics = d.metrics();
   // The registry's client.latency_us covers the whole run (warmup included);
   // keep the measurement-window histogram alongside it for run records.

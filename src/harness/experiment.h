@@ -93,9 +93,6 @@ struct ChirperRunConfig : RunKnobs {
   /// DS-SMR destination rule (see DssmrPolicy::DestRule).
   core::DssmrPolicy::DestRule dssmr_dest_rule = core::DssmrPolicy::DestRule::kMostHeld;
 
-  /// DynaStar extension knobs.
-  std::uint64_t dynastar_hint_threshold = 2000;
-
   /// Tuned-for-simulation deployment knobs applied by run_chirper. Two
   /// replicas per partition have no majority left after a crash, so any
   /// partition crash stalls that group; fault-robustness runs should use 3.
@@ -135,14 +132,6 @@ struct RunResult {
     return it == counters.end() ? 0 : it->second;
   }
 };
-
-/// The oracle policy of `strategy`: DynaStar's workload-graph policy, which
-/// recomputes a `partitions`-way ideal partitioning every `hint_threshold`
-/// hint edges, or else (DS-SMR, and S-SMR's idle oracle) the DS-SMR policy
-/// with destination rule `rule`.
-PolicyFactory policy_factory(
-    core::Strategy strategy, std::size_t partitions, std::uint64_t hint_threshold,
-    core::DssmrPolicy::DestRule rule = core::DssmrPolicy::DestRule::kMostHeld);
 
 /// Builds the Chirper deployment for `cfg`, preloads users per the placement,
 /// drives the workload, and extracts the metrics every figure needs.

@@ -49,17 +49,15 @@ std::vector<VarId> Command::vars() const {
 std::size_t Command::size_bytes() const {
   // 48 header bytes + 8 for the trace id (always carried, so the bandwidth
   // model is identical whether span tracing is enabled or not).
-  return 56 + (read_set.size() + write_set.size()) * 8 + arg.size() +
-         move_sources.size() * 4 + hint_edges.size() * 16;
+  return 56 + (read_set.size() + write_set.size()) * 8 + arg.size() + move_sources.size() * 4;
 }
 
 Command make_move(MsgId id, std::uint64_t trace_id, std::vector<VarId> vars,
-                  std::vector<GroupId> sources, GroupId dest, ProcessId requester) {
+                  std::vector<GroupId> sources, GroupId dest) {
   Command move;
   move.type = CommandType::kMove;
   move.id = id;
   move.trace_id = trace_id;
-  move.requester = requester;
   move.write_set = std::move(vars);
   move.move_sources = std::move(sources);
   move.move_dest = dest;
@@ -71,7 +69,6 @@ std::vector<GroupId> move_groups(const Command& move, GroupId oracle) {
   groups.push_back(move.move_dest);
   groups.push_back(oracle);
   std::sort(groups.begin(), groups.end());
-  groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
   return groups;
 }
 

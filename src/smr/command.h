@@ -33,9 +33,6 @@ struct Command {
   /// issuing client proxy and copied onto derived commands (moves), so every
   /// layer's spans land in the same trace tree. 0 when tracing is off.
   std::uint64_t trace_id = 0;
-  /// Process the reply should go to when it differs from the multicast
-  /// submitter (oracle-issued moves are answered to the consulting client).
-  ProcessId requester = kNoProcess;
 
   // -- kAccess --------------------------------------------------------------
   /// Application opcode, interpreted by the AppStateMachine.
@@ -58,11 +55,6 @@ struct Command {
   /// Destination partition.
   GroupId move_dest = kNoGroup;
 
-  /// Workload-graph edges this command implies (filled by the application for
-  /// structural operations); the client proxy forwards them to DynaStar-style
-  /// oracles after a successful execution.
-  std::vector<std::pair<VarId, VarId>> hint_edges;
-
   /// read_set ∪ write_set, deduplicated.
   std::vector<VarId> vars() const;
 
@@ -71,17 +63,16 @@ struct Command {
 };
 
 /// Builds a kMove command: relocate `vars` from `sources` to `dest`. Every
-/// move is built here — client-issued (DS-SMR), oracle-issued collocation
-/// (DynaStar) and oracle-issued rebalance chunks. `trace_id` keeps the move in
-/// its consulting command's trace (0 for rebalance moves); `requester` is the
-/// process awaiting the destination's reply when it is not the submitter
-/// (kNoProcess: the submitter, or nobody for a rebalance move).
+/// move is built here — client-issued collocation and oracle-issued
+/// rebalance chunks. `trace_id` keeps the move in its consulting command's
+/// trace (0 for rebalance moves). The reply goes to the move's submitter.
 Command make_move(MsgId id, std::uint64_t trace_id, std::vector<VarId> vars,
-                  std::vector<GroupId> sources, GroupId dest, ProcessId requester = kNoProcess);
+                  std::vector<GroupId> sources, GroupId dest);
 
 /// The groups a move is multicast to: its sources ∪ {its destination, the
-/// oracle group `oracle`}, which applies it to the mapping. Sorted, without
-/// duplicates (a DynaStar move's sources may include its destination).
+/// oracle group `oracle`}, which applies it to the mapping. Sorted. Every
+/// builder names each group once: the sources are distinct and never
+/// include the destination.
 std::vector<GroupId> move_groups(const Command& move, GroupId oracle);
 
 /// Envelope for a command travelling through atomic multicast.
@@ -162,9 +153,6 @@ struct ProphecyMsg final : net::Message {
   /// Destination the oracle recommends for collocation (kNoGroup if the
   /// command is already single-partition).
   GroupId dest = kNoGroup;
-  /// True when the oracle itself issued the move (DynaStar mode) and the
-  /// client must wait for the destination partition before multicasting.
-  bool oracle_moved = false;
   /// Prophecy prefetch: up to --prefetch-k variables recently co-accessed
   /// with the command's, with their current locations, so the client warms
   /// its cache and skips future consults. Empty when prefetch is off.
@@ -175,14 +163,6 @@ struct ProphecyMsg final : net::Message {
   std::size_t size_bytes() const override {
     return 32 + (locations.size() + prefetch.size()) * 12;
   }
-};
-
-/// Workload hint: edges of the workload graph (DynaStar-style oracles).
-struct HintMsg final : net::Message {
-  std::vector<std::pair<VarId, VarId>> edges;
-  explicit HintMsg(std::vector<std::pair<VarId, VarId>> e) : edges(std::move(e)) {}
-  const char* type_name() const override { return "oracle.hint"; }
-  std::size_t size_bytes() const override { return 16 + edges.size() * 16; }
 };
 
 // ---- inter-partition coordination -------------------------------------------

@@ -200,7 +200,8 @@ void write_prefix_section(JsonWriter& w, const Metrics& m, const PrefixSection& 
 // `locality` (prophecy prefetch was on) and v7
 // `elasticity` (a plan added or retired a partition): one stable place per feature for
 // its tooling.
-const PrefixSection kFaultsSection{"faults", "faults.", {"time_to_new_leader_us"}};
+const PrefixSection kFaultsSection{"faults", "faults.",
+                                   {"time_to_new_leader_us", "time_to_restart_us"}};
 const PrefixSection kFeatureSections[] = {
     {"batching", "batch.", {"size_entries"}},
     {"locality", "locality.", {}},

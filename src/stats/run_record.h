@@ -1,4 +1,4 @@
-// Machine-readable per-run records (schema "dssmr.run_record.v8").
+// Machine-readable per-run records (schema "dssmr.run_record.v9").
 //
 // Every bench binary can serialize its runs to JSON so the repo's perf
 // trajectory is diffable: counters, histogram summaries (count/min/max/mean/
@@ -35,7 +35,7 @@
 
 namespace dssmr::stats {
 
-inline constexpr std::string_view kRunRecordSchema = "dssmr.run_record.v8";
+inline constexpr std::string_view kRunRecordSchema = "dssmr.run_record.v9";
 
 struct RunRecord {
   std::string label;

@@ -101,7 +101,7 @@ struct Span {
 enum class InstantKind : std::uint8_t {
   kConsult,        // client sent a consult to the oracle
   kProphecy,       // oracle leader answered a consult
-  kMoveIssued,     // a move command was multicast (client in DS-SMR, oracle in DynaStar)
+  kMoveIssued,     // a client multicast a collocation move
   kMoveApplied,    // destination leader installed every requested variable
   kMoveFailed,     // destination leader gave up >= 1 unshipped variable (stale mapping)
   kRetry,          // client retried its command (stale cache or failed move)

@@ -108,11 +108,7 @@ smr::Command ChirperWorkload::next() {
 
 smr::Command ChirperWorkload::next_post() {
   const VarId u = pick_user();
-  smr::Command c = chirper::make_post(u, graph_.neighbors(u), "a 140-character chirp");
-  if (cfg_.hint_posts) {
-    for (VarId f : graph_.neighbors(u)) c.hint_edges.emplace_back(u, f);
-  }
-  return c;
+  return chirper::make_post(u, graph_.neighbors(u), "a 140-character chirp");
 }
 
 smr::Command ChirperWorkload::next_follow() {

@@ -72,9 +72,6 @@ struct ChirperWorkloadConfig {
   ChirperMix mix = mixes::kPostOnly;
   /// Zipf skew over users (0 = uniform).
   double zipf_theta = 0.0;
-  /// Attach workload-graph hints to posts too (so graph-driven oracles learn
-  /// from post-only workloads, as partitions would by reporting accesses).
-  bool hint_posts = false;
   /// Probability that a follow targets a friend-of-friend (vs. uniform).
   double follow_fof = 0.8;
 };

@@ -113,11 +113,14 @@ TEST(CommandBuilders, PostIncludesFollowersOnce) {
   EXPECT_EQ(cmd.arg, "hi");
 }
 
-TEST(CommandBuilders, FollowCarriesHintEdge) {
+TEST(CommandBuilders, FollowSizeCountsHeaderSetsAndArgument) {
+  // A follow's wire size is the command header (56 bytes), 8 bytes per
+  // read/write-set entry and its argument: nothing else rides along.
   auto cmd = make_follow(VarId{4}, VarId{7});
-  ASSERT_EQ(cmd.hint_edges.size(), 1u);
-  EXPECT_EQ(cmd.hint_edges[0].first, VarId{4});
-  EXPECT_EQ(cmd.hint_edges[0].second, VarId{7});
+  EXPECT_EQ(cmd.write_set, (std::vector<VarId>{VarId{4}, VarId{7}}));
+  EXPECT_EQ(cmd.size_bytes(),
+            56 + (cmd.read_set.size() + cmd.write_set.size()) * 8 + cmd.arg.size());
+  EXPECT_EQ(cmd.size_bytes(), 72u);
 }
 
 // ---- full-stack -------------------------------------------------------------

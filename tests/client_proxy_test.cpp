@@ -1,5 +1,5 @@
-// Client-proxy behaviour details: cache lifecycle, hint forwarding gating,
-// strategy labels, timeout-driven retransmission.
+// Client-proxy behaviour details: cache lifecycle, strategy labels,
+// timeout-driven retransmission.
 #include <gtest/gtest.h>
 
 #include "harness/deployment.h"
@@ -31,7 +31,6 @@ std::unique_ptr<Deployment> deployment(harness::DeploymentConfig cfg, std::size_
 TEST(ClientProxy, StrategyNames) {
   EXPECT_STREQ(to_string(Strategy::kStaticSsmr), "S-SMR");
   EXPECT_STREQ(to_string(Strategy::kDssmr), "DS-SMR");
-  EXPECT_STREQ(to_string(Strategy::kDynaStar), "DynaStar");
 }
 
 TEST(ClientProxy, CacheStartsEmptyAndFillsFromProphecies) {
@@ -56,22 +55,6 @@ TEST(ClientProxy, NokDoesNotPoisonCache) {
   auto d = deployment(small_config(2, Strategy::kDssmr));
   EXPECT_EQ(run_op(*d, 0, kv_get(VarId{77})), ReplyCode::kNok);
   EXPECT_EQ(d->client(0).cached_location(VarId{77}), std::nullopt);
-}
-
-// The strategy enables hints: DS-SMR's oracle needs no workload knowledge, so
-// its clients send none; DynaStar's clients report every completed command's.
-TEST(ClientProxy, HintsOnlySentWhenEnabled) {
-  for (Strategy strategy : {Strategy::kDssmr, Strategy::kDynaStar}) {
-    SCOPED_TRACE(to_string(strategy));
-    auto d = deployment(small_config(2, strategy));
-    smr::Command cmd = kv_get(VarId{0});
-    cmd.hint_edges = {{VarId{0}, VarId{1}}};
-    EXPECT_EQ(run_op(*d, 0, cmd), ReplyCode::kOk);
-    d->engine().run_for(msec(200));
-    const std::uint64_t sent = strategy == Strategy::kDynaStar ? 1 : 0;
-    EXPECT_EQ(d->metrics().counter("client.hints"), sent);
-    EXPECT_EQ(d->metrics().counter("oracle.hints"), sent);
-  }
 }
 
 TEST(ClientProxy, TimeoutsRetransmitUntilAnswered) {
@@ -188,7 +171,6 @@ TEST(ClientProxy, DuplicateAfterReplyCacheEvictionExecutesOnce) {
   rc.init_client_node(d->network(), d->server(0, 0).directory());
 
   const auto forge = [&](std::uint64_t seq, smr::Command cmd) {
-    cmd.requester = rc.pid();
     cmd.id = MsgId{(static_cast<std::uint64_t>(rc.pid().value) << 32) | seq};
     rc.amcast({d->partition_gid(0)}, net::make_msg<smr::CommandMsg>(std::move(cmd)));
     d->engine().run_for(msec(50));

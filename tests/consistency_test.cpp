@@ -90,12 +90,6 @@ TEST_P(ConsistencyGrid, RandomWorkloadLeavesConsistentState) {
   const auto violations = d.audit_consistency();
   for (const auto& v : violations) ADD_FAILURE() << v;
 
-  // The strategy alone selects DynaStar: its oracle issues every move.
-  if (strategy == Strategy::kDynaStar) {
-    EXPECT_EQ(d.metrics().counter("client.moves"), 0u);
-    EXPECT_GT(d.metrics().counter("oracle.moves_issued"), 0u);
-  }
-
   // All preloaded variables are still reachable with a sane value.
   for (std::size_t i = 0; i < kVars; ++i) {
     net::MessagePtr reply;
@@ -106,8 +100,7 @@ TEST_P(ConsistencyGrid, RandomWorkloadLeavesConsistentState) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, ConsistencyGrid,
-    ::testing::Combine(::testing::Values(Strategy::kDssmr, Strategy::kStaticSsmr,
-                                         Strategy::kDynaStar),
+    ::testing::Combine(::testing::Values(Strategy::kDssmr, Strategy::kStaticSsmr),
                        ::testing::Values(std::size_t{2}, std::size_t{3}),
                        ::testing::Values(std::uint64_t{1}, std::uint64_t{2})),
     [](const ::testing::TestParamInfo<GridParam>& info) {

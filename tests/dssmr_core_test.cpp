@@ -228,19 +228,6 @@ TEST(SsmrBaseline, FourPartitionSpanningCommand) {
   EXPECT_EQ(kv_num(reply), 0 + 10 + 20 + 30);
 }
 
-// ---- DynaStar extension mode ---------------------------------------------------
-
-TEST(DynaStarMode, OracleIssuesMoves) {
-  auto d = make_kv_deployment(small_config(2, Strategy::kDynaStar));
-  net::MessagePtr reply;
-  EXPECT_EQ(run_op(*d, 0, kv_sum({VarId{0}, VarId{1}}, VarId{1}), &reply), ReplyCode::kOk);
-  EXPECT_EQ(kv_num(reply), 10);
-  EXPECT_GE(d->metrics().counter("oracle.moves_issued"), 1u);
-  EXPECT_EQ(d->metrics().counter("client.moves"), 0u);
-  const GroupId p0 = d->oracle(0).mapping().locate(VarId{0});
-  EXPECT_EQ(p0, d->oracle(0).mapping().locate(VarId{1}));
-}
-
 // ---- fault tolerance -----------------------------------------------------------
 
 TEST(DssmrFaults, SurvivesOracleLeaderCrash) {

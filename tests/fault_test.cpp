@@ -234,7 +234,9 @@ TEST(Nemesis, LeaderWatchThatRunsOutSaysSo) {
 TEST(Nemesis, QuorumLossIsCountedAndMarked) {
   // A crash that leaves a group one short of a majority is counted once and
   // marked; crashing the survivor too loses nothing more. A 3-replica group
-  // keeps its majority through one crash and carries no such key.
+  // keeps its majority through one crash and carries no such key. The wait
+  // for p0's next leader is a restart in the first group (nobody can be
+  // elected until both replicas are back) and an election in the second.
   for (const std::size_t replicas : {2u, 3u}) {
     auto cfg = small_config(2, Strategy::kDssmr, 2);
     cfg.replicas_per_partition = replicas;
@@ -246,11 +248,12 @@ TEST(Nemesis, QuorumLossIsCountedAndMarked) {
     d.start();
     d.settle();
 
-    const std::string plan = replicas == 2 ? "kill-leader:p0@1ms;crash:p0r0@2ms;crash:p0r1@3ms"
+    const std::string plan = replicas == 2 ? "kill-leader:p0@1ms;crash:p0r0@2ms;crash:p0r1@3ms;"
+                                             "recover:p0r0@20ms;recover:p0r1@20ms"
                                            : "kill-leader:p0@1ms;crash:oracle1@2ms";
     Nemesis nem{d, resolve_plan(plan)};
     nem.arm();
-    d.engine().run_for(msec(10));
+    d.engine().run_for(msec(500));
 
     std::size_t marks = 0;
     const stats::SpanStore& events = d.metrics().spans();
@@ -260,12 +263,20 @@ TEST(Nemesis, QuorumLossIsCountedAndMarked) {
         ++marks;
       }
     }
+    const auto samples = [&d](const char* name) {
+      const stats::Histogram* h = d.metrics().find_histogram(name);
+      return h == nullptr ? 0 : h->count();
+    };
     if (replicas == 2) {
       EXPECT_EQ(d.metrics().counter("faults.quorum_lost"), 1u);
       EXPECT_EQ(marks, 1u);
+      EXPECT_EQ(samples("faults.time_to_restart_us"), 1u);
+      EXPECT_EQ(samples("faults.time_to_new_leader_us"), 0u);
     } else {
       EXPECT_FALSE(d.metrics().counters().contains("faults.quorum_lost"));
       EXPECT_EQ(marks, 0u);
+      EXPECT_EQ(samples("faults.time_to_restart_us"), 0u);
+      EXPECT_EQ(samples("faults.time_to_new_leader_us"), 1u);
     }
   }
 }

@@ -1,7 +1,7 @@
 // Locality fast path: prophecy prefetch — functional behavior (prefetch
 // installs warm the cache and later commands skip the oracle, a prefetch hit
-// is credited only to a location the prefetch supplied, DynaStar and DS-SMR
-// share one co-access table), the windowed cache gauges,
+// is credited only to a location the prefetch supplied), the windowed cache
+// gauges,
 // linearizability with prefetch on (including under every shipped nemesis
 // plan), the off-by-default purity the seed relies on (locality-off runs
 // produce byte-identical run records and carry no locality artifacts), and
@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/dynastar_policy.h"
 #include "fault/fault_plan.h"
 #include "fault/nemesis.h"
 #include "harness/experiment.h"
@@ -148,24 +147,6 @@ TEST(Prefetch, EntryRelearnedAfterARetryIsNotAPrefetchHit) {
   EXPECT_EQ(run_op(d, 1, kv_get(VarId{2})), smr::ReplyCode::kOk);
   EXPECT_EQ(d.metrics().counter("client.cache_hits"), hits + 1);
   EXPECT_EQ(d.metrics().counter("locality.prefetch_hits"), prefetch_hits);
-}
-
-TEST(Prefetch, DynaStarPrefetchesConsultCoAccessWithoutHints) {
-  auto cfg = locality_config(2, 2);
-  cfg.strategy = Strategy::kDynaStar;
-  Deployment d{cfg, kv::kv_app_factory(),
-               [] { return std::make_unique<core::DynaStarPolicy>(DynaStarPolicy::Config{}); }};
-  preload_kv(d, 6);
-  d.start();
-  d.settle();
-
-  // KV commands carry no workload hints: {0,2,4} meet only in a consult.
-  EXPECT_EQ(run_op(d, 0, kv_sum({VarId{0}, VarId{2}}, VarId{4})), smr::ReplyCode::kOk);
-  EXPECT_EQ(run_op(d, 1, kv_get(VarId{0})), smr::ReplyCode::kOk);
-  EXPECT_EQ(d.metrics().counter("oracle.hints"), 0u);
-  EXPECT_TRUE(d.client(1).cached_location(VarId{2}).has_value());
-  EXPECT_TRUE(d.client(1).cached_location(VarId{4}).has_value());
-  EXPECT_GT(d.metrics().counter("locality.prefetch_installed"), 0u);
 }
 
 TEST(LocalityTelemetry, WindowHitRateCoversTheLastTickOnly) {

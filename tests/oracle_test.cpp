@@ -1,12 +1,11 @@
 // Fine-grained oracle behaviour, observed through the full stack: prophecy
-// contents, destination recommendations, hint accounting, signal-gated
-// create replies, and the consult path (a command's first access consult is
-// answered outside the oracle's log, every other consult through it).
+// contents, destination recommendations, signal-gated create replies, and
+// the consult path (a command's first access consult is answered outside the
+// oracle's log, every other consult through it).
 #include <gtest/gtest.h>
 
 #include <unordered_set>
 
-#include "core/dynastar_policy.h"
 #include "fault/fault_plan.h"
 #include "fault/nemesis.h"
 #include "harness/deployment.h"
@@ -92,7 +91,6 @@ TEST_F(OracleFixture, ProphecyListsEveryVariableLocation) {
   }
   // Two of three variables on partition 0 -> most-held recommends partition 0.
   EXPECT_EQ(p.dest, d.partition_gid(0));
-  EXPECT_FALSE(p.oracle_moved);
 }
 
 TEST_F(OracleFixture, SinglePartitionProphecyHasNoMoveDestNeeded) {
@@ -143,31 +141,6 @@ TEST_F(OracleFixture, OracleBusyTimeAccrues) {
   Duration busy = 0;
   for (std::size_t r = 0; r < 3; ++r) busy += d.oracle(r).busy_time();
   EXPECT_GT(busy, 0);
-}
-
-TEST(OracleHints, HintsReachEveryOracleReplicaIdentically) {
-  auto cfg = small_config(2, Strategy::kDynaStar, 1);
-  DynaStarPolicy::Config pc;
-  pc.repartition_every_hints = 1000000;  // never, for this test
-  pc.partitioner.k = 2;
-  harness::Deployment d{cfg, kv::kv_app_factory(),
-                        [pc] { return std::make_unique<DynaStarPolicy>(pc); }};
-  for (std::size_t i = 0; i < 4; ++i) {
-    d.preload_var(VarId{i}, d.partition_gid(i % 2), kv::KvValue{0, ""});
-  }
-  d.start();
-  d.settle();
-
-  // A command carrying hint edges; the client forwards them after success.
-  smr::Command cmd = kv_get(VarId{0});
-  cmd.hint_edges = {{VarId{0}, VarId{1}}, {VarId{1}, VarId{2}}};
-  EXPECT_EQ(run_op(d, 0, cmd), ReplyCode::kOk);
-  d.engine().run_for(msec(200));
-
-  for (std::size_t r = 0; r < 3; ++r) {
-    auto& policy = dynamic_cast<DynaStarPolicy&>(d.oracle(r).policy());
-    EXPECT_EQ(policy.graph_edge_count(), 2u) << "oracle replica " << r;
-  }
 }
 
 // ---- the consult path ------------------------------------------------------
@@ -372,24 +345,15 @@ TEST(ConsultPath, BatchedDirectConsultRidesTheRelay) {
 
 // A deposed oracle leader — cut off from its peers but still reachable by
 // clients — keeps answering first consults from a mapping that stops
-// advancing. Its prophecies are stale, and in DynaStar mode the moves it
-// issues cannot be ordered by its group; re-consults go through the log and
+// advancing. Its prophecies are stale; re-consults go through the log and
 // reach the real leader, so histories stay linearizable and every command
 // terminates.
-class DeposedOracleLeader : public ::testing::TestWithParam<Strategy> {};
-
-TEST_P(DeposedOracleLeader, StalePropheciesKeepHistoriesLinearizable) {
+TEST(DeposedOracleLeader, StalePropheciesKeepHistoriesLinearizable) {
   constexpr std::size_t kVars = 4;
-  auto cfg = small_config(2, GetParam(), 3);
+  auto cfg = small_config(2, Strategy::kDssmr, 3);
   cfg.client_cache = false;  // every command consults
   cfg.spans = true;          // kOracle spans name the answering replica
-  harness::PolicyFactory policy = [] { return std::make_unique<DssmrPolicy>(); };
-  if (GetParam() == Strategy::kDynaStar) {
-    DynaStarPolicy::Config pc;
-    pc.partitioner.k = 2;
-    policy = [pc] { return std::make_unique<DynaStarPolicy>(pc); };
-  }
-  Deployment d{cfg, kv::kv_app_factory(), policy};
+  Deployment d{cfg, kv::kv_app_factory(), [] { return std::make_unique<DssmrPolicy>(); }};
   lincheck::KvSpec spec;
   for (std::size_t i = 0; i < kVars; ++i) {
     d.preload_var(VarId{i}, d.partition_gid(i % 2), kv::KvValue{0, ""});
@@ -481,12 +445,6 @@ TEST(DeposedOracleLeaderCreate, UnorderedNokDoesNotEndAnAccess) {
   spec.preload(VarId{0}, 0, "");
   EXPECT_TRUE(lincheck::is_linearizable(history, spec));
 }
-
-INSTANTIATE_TEST_SUITE_P(Strategies, DeposedOracleLeader,
-                         ::testing::Values(Strategy::kDssmr, Strategy::kDynaStar),
-                         [](const auto& info) {
-                           return info.param == Strategy::kDssmr ? "DSSMR" : "DynaStar";
-                         });
 
 // Followers hold each direct consult and each reply their leader acts on.
 // Crashing the oracle's and p0's leaders right after a command finished makes

@@ -1,10 +1,10 @@
-// Unit tests of the oracle-side placement machinery: the dynamic Mapping,
-// the DS-SMR destination rules, and the DynaStar-style graph policy.
+// Unit tests of the oracle-side placement machinery: the dynamic Mapping and
+// the DS-SMR placement and destination rules.
 #include <gtest/gtest.h>
 
-#include "core/dynastar_policy.h"
+#include <set>
+
 #include "core/mapping.h"
-#include "core/oracle.h"
 
 namespace dssmr::core {
 namespace {
@@ -40,7 +40,7 @@ TEST(DssmrPolicy, PlaceNewBalances) {
   Mapping m{three_parts()};
   DssmrPolicy policy;
   for (std::uint64_t i = 0; i < 9; ++i) {
-    const GroupId p = policy.place_new(VarId{i}, m);
+    const GroupId p = policy.place_new(m);
     m.place(VarId{i}, p);
   }
   for (GroupId g : three_parts()) EXPECT_EQ(m.load(g), 3u);
@@ -123,87 +123,6 @@ TEST(DssmrPolicy, LeastLoadedPrefersEmptierPartition) {
   m.place(VarId{10}, GroupId{1});
   DssmrPolicy policy{DssmrPolicy::DestRule::kLeastLoaded};
   EXPECT_EQ(policy.choose_destination({VarId{0}, VarId{10}}, m), GroupId{1});
-}
-
-TEST(DeriveMoveId, StableAndDistinct) {
-  EXPECT_EQ(derive_move_id(MsgId{7}), derive_move_id(MsgId{7}));
-  EXPECT_NE(derive_move_id(MsgId{7}), derive_move_id(MsgId{8}));
-  EXPECT_NE(derive_move_id(MsgId{7}), MsgId{7});
-}
-
-// ---- DynaStarPolicy ------------------------------------------------------------
-
-DynaStarPolicy::Config dynastar_cfg(std::uint32_t k, std::uint64_t every = 1000) {
-  DynaStarPolicy::Config cfg;
-  cfg.repartition_every_hints = every;
-  cfg.partitioner.k = k;
-  return cfg;
-}
-
-TEST(DynaStarPolicy, FallsBackBeforeFirstRepartition) {
-  Mapping m{three_parts()};
-  m.place(VarId{1}, GroupId{0});
-  m.place(VarId{2}, GroupId{1});
-  DynaStarPolicy policy{dynastar_cfg(3)};
-  const GroupId d = policy.choose_destination({VarId{1}, VarId{2}}, m);
-  EXPECT_TRUE(d == GroupId{0} || d == GroupId{1});
-  EXPECT_EQ(policy.repartition_count(), 0u);
-}
-
-TEST(DynaStarPolicy, RepartitionTriggersOnHintThreshold) {
-  DynaStarPolicy policy{dynastar_cfg(2, /*every=*/4)};
-  policy.on_hint({{VarId{1}, VarId{2}}, {VarId{2}, VarId{3}}});
-  EXPECT_EQ(policy.repartition_count(), 0u);
-  policy.on_hint({{VarId{3}, VarId{4}}, {VarId{4}, VarId{1}}});
-  EXPECT_EQ(policy.repartition_count(), 1u);
-}
-
-TEST(DynaStarPolicy, IdealPartitioningSeparatesCliques) {
-  Mapping m{{GroupId{0}, GroupId{1}}};
-  DynaStarPolicy policy{dynastar_cfg(2)};
-  // Two 4-cliques, A = {0..3}, B = {10..13}, scattered over the mapping.
-  for (std::uint64_t c : {0ull, 10ull}) {
-    for (std::uint64_t i = 0; i < 4; ++i) {
-      for (std::uint64_t j = i + 1; j < 4; ++j) {
-        policy.preload_edge(VarId{c + i}, VarId{c + j}, 10);
-      }
-      m.place(VarId{c + i}, GroupId{static_cast<std::uint32_t>(i % 2)});
-    }
-  }
-  policy.force_repartition();
-  EXPECT_EQ(policy.repartition_count(), 1u);
-
-  // The destination for clique A's variables must be one partition, and the
-  // destination for clique B must be the other (balance).
-  const GroupId da =
-      policy.choose_destination({VarId{0}, VarId{1}, VarId{2}, VarId{3}}, m);
-  const GroupId db =
-      policy.choose_destination({VarId{10}, VarId{11}, VarId{12}, VarId{13}}, m);
-  EXPECT_NE(da, kNoGroup);
-  EXPECT_NE(db, kNoGroup);
-  EXPECT_NE(da, db);
-}
-
-TEST(DynaStarPolicy, PlaceNewUsesIdealWhenKnown) {
-  Mapping m{{GroupId{0}, GroupId{1}}};
-  DynaStarPolicy policy{dynastar_cfg(2)};
-  policy.preload_edge(VarId{1}, VarId{2}, 5);
-  policy.preload_edge(VarId{3}, VarId{4}, 5);
-  policy.force_repartition();
-  const GroupId p1 = policy.place_new(VarId{1}, m);
-  const GroupId p2 = policy.place_new(VarId{2}, m);
-  EXPECT_EQ(p1, p2);  // connected pair shares its ideal partition
-  // An unknown variable falls back to least-loaded.
-  m.place(VarId{100}, GroupId{0});
-  EXPECT_EQ(policy.place_new(VarId{999}, m), GroupId{1});
-}
-
-TEST(DynaStarPolicy, GraphGrowsWithCreatesAndHints) {
-  DynaStarPolicy policy{dynastar_cfg(2)};
-  policy.on_create(VarId{5});
-  policy.on_hint({{VarId{5}, VarId{6}}});
-  EXPECT_EQ(policy.graph_vertex_count(), 2u);
-  EXPECT_EQ(policy.graph_edge_count(), 1u);
 }
 
 }  // namespace

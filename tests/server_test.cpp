@@ -460,7 +460,6 @@ TEST(ServerFailover, ReplyOfACommandTheOldLeaderDecidedComesFromTheNewOne) {
 
   smr::Command cmd = kv_get(VarId{3});
   cmd.id = probe.fresh_id();
-  cmd.requester = probe.pid();
   const Time sent = d->engine().now();
   const std::uint64_t before = leader.amcast_delivered();
   probe.amcast({d->partition_gid(0)}, net::make_msg<smr::CommandMsg>(cmd));
@@ -528,8 +527,8 @@ class ReplyRecorder : public net::Actor {
 };
 
 /// A single-replica chirper partition (group 0, leading) whose deliveries
-/// are driven by hand; group 1 is the source of its moves. Replies go to
-/// `requester`, which issues every command id.
+/// are driven by hand; group 1 is the source of its moves. Every command is
+/// delivered as `requester`'s, so its replies go there.
 struct RetryHarness {
   explicit RetryHarness(std::size_t window) : network(engine, {}, 7) {
     directory.add_group({network.add_process(server, 0)});
@@ -553,7 +552,6 @@ struct RetryHarness {
   smr::Command timeline() {
     smr::Command c = chirper::make_get_timeline(kUser);
     c.id = MsgId{(std::uint64_t{requester.pid().value} << 32) | ++seq};
-    c.requester = requester.pid();
     return c;
   }
 
@@ -562,7 +560,6 @@ struct RetryHarness {
     smr::Command c;
     c.type = smr::CommandType::kMove;
     c.id = MsgId{(std::uint64_t{requester.pid().value} << 32) | ++seq};
-    c.requester = requester.pid();
     c.write_set = {v};
     c.move_sources = {GroupId{1}};
     c.move_dest = GroupId{0};
@@ -571,7 +568,7 @@ struct RetryHarness {
 
   void deliver(const smr::Command& c) {
     server.on_amdeliver({.id = MsgId{++amcast_seq},
-                         .sender = kNoProcess,
+                         .sender = requester.pid(),
                          .dests = {GroupId{0}},
                          .payload = net::make_msg<smr::CommandMsg>(c)});
     engine.run_for(msec(1));
@@ -669,18 +666,20 @@ TEST(ServerRetry, OlderSettledCommandIsNeitherExecutedNorAnswered) {
   EXPECT_EQ(h.server.executed_count(), 2u);
 }
 
-TEST(ServerRetry, OracleIssuedMovesKeepOneSessionPerRequester) {
-  // DynaStar: the oracle issues a client's moves under ids hashed from the
-  // consult ids, so they follow no order and carry no issuer. Each move's
-  // retransmission still gets its reply back, and the partition keeps one
-  // session for the requester however many moves settle.
+TEST(ServerRetry, UnorderedMoveIdsKeepOneSessionPerRequester) {
+  // Move ids are outside the access watermark: a requester's moves may settle
+  // in any id order. Each move's retransmission still gets its reply back,
+  // and the partition keeps one session for the requester however many moves
+  // settle.
   for (const std::size_t window : {std::size_t{1} << 15, std::size_t{1}}) {
     SCOPED_TRACE(window);
     RetryHarness h{window};
     h.deliver(h.timeline());
     for (std::uint64_t i = 0; i < 20; ++i) {
       smr::Command mv = h.move(VarId{10 + i});
-      mv.id = derive_move_id(mv.id);
+      // 100, 107, 114, 101, 108, ...: a permutation of 100..119 that keeps
+      // going back below the ids already settled.
+      mv.id = MsgId{(std::uint64_t{h.requester.pid().value} << 32) | (100 + i * 7 % 20)};
       h.settle_move(mv);
       h.deliver(mv);
       ASSERT_EQ(h.requester.replies.size(), 2 + 2 * i + 1);

@@ -350,31 +350,18 @@ TEST(Command, ToStringCoversAllTypes) {
 // ---- Moves -----------------------------------------------------------------
 
 TEST(Move, MakeMoveFillsTheMoveFields) {
-  const Command m =
-      make_move(MsgId{7}, 42, {VarId{3}, VarId{1}}, {GroupId{2}}, GroupId{0}, ProcessId{9});
+  const Command m = make_move(MsgId{7}, 42, {VarId{3}, VarId{1}}, {GroupId{2}}, GroupId{0});
   EXPECT_EQ(m.type, CommandType::kMove);
   EXPECT_EQ(m.id, MsgId{7});
   EXPECT_EQ(m.trace_id, 42u);
-  EXPECT_EQ(m.requester, ProcessId{9});
   EXPECT_EQ(m.vars(), (std::vector<VarId>{VarId{1}, VarId{3}}));
   EXPECT_EQ(m.move_sources, std::vector<GroupId>{GroupId{2}});
   EXPECT_EQ(m.move_dest, GroupId{0});
-  // A move nobody but its submitter awaits (or, for rebalancing, nobody).
-  EXPECT_EQ(make_move(MsgId{8}, 0, {VarId{1}}, {GroupId{2}}, GroupId{0}).requester, kNoProcess);
 }
 
 TEST(Move, SingleSourceMoveGoesToSourceDestinationAndOracle) {
   const Command m = make_move(MsgId{1}, 0, {VarId{5}}, {GroupId{3}}, GroupId{1});
   EXPECT_EQ(move_groups(m, GroupId{2}), (std::vector<GroupId>{GroupId{1}, GroupId{2}, GroupId{3}}));
-}
-
-TEST(Move, DynaStarMoveListsItsDestinationOnce) {
-  // The oracle's collocation move names every partition holding a variable
-  // as a source, the destination among them.
-  const Command m = make_move(MsgId{1}, 0, {VarId{5}, VarId{6}},
-                              {GroupId{3}, GroupId{0}, GroupId{1}}, GroupId{0});
-  EXPECT_EQ(move_groups(m, GroupId{4}),
-            (std::vector<GroupId>{GroupId{0}, GroupId{1}, GroupId{3}, GroupId{4}}));
 }
 
 TEST(VarShipMsg, SizeIncludesValues) {

@@ -173,7 +173,6 @@ TEST(ChirperWorkload, FollowUpdatesGroundTruth) {
   if (cmd.op == chirper::kFollow) {
     EXPECT_EQ(g.edge_count(), before + 1);
     EXPECT_TRUE(g.connected(cmd.write_set[0], cmd.write_set[1]));
-    EXPECT_FALSE(cmd.hint_edges.empty());
   }
 }
 
@@ -188,17 +187,6 @@ TEST(ChirperWorkload, UnfollowShrinksGraph) {
   if (cmd.op == chirper::kUnfollow) {
     EXPECT_EQ(g.edge_count(), before - 1);
   }
-}
-
-TEST(ChirperWorkload, HintPostsAttachEdges) {
-  Rng seed_rng{15};
-  SocialGraph g = SocialGraph::generate({.n = 100, .m = 2, .p_triad = 0.5}, seed_rng);
-  ChirperWorkloadConfig cfg;
-  cfg.mix = mixes::kPostOnly;
-  cfg.hint_posts = true;
-  ChirperWorkload wl{g, cfg, 16};
-  auto cmd = wl.next();
-  EXPECT_EQ(cmd.hint_edges.size(), cmd.write_set.size() - 1);
 }
 
 }  // namespace

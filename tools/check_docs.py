@@ -14,9 +14,10 @@ removing a flag the docs still mention, fails CI:
     src/, bench/, examples/, tools/ or perfbench/. Only EXTERNAL_FLAGS and
     google-benchmark's `--benchmark_*` flags, which belong to other
     programs, are exempt.
-  * Stale binaries — every `bench/<name>` (or `build/bench/<name>`, or
-    `bench/<name>.cpp`) those docs mention must be a target that
-    bench/CMakeLists.txt builds, so an example never runs a deleted bench.
+  * Stale binaries — every `bench/<name>` or `examples/<name>` (or
+    `build/bench/<name>`, `bench/<name>.cpp`, and likewise for examples)
+    those docs mention must be a target that the directory's CMakeLists.txt
+    builds, so a doc never runs a deleted bench or example.
   * Run-record schema keys — every JSON key emitted by
     src/stats/run_record.cpp (`w.key("...")` calls and the section keys and
     histogram names of its prefix-section table) plus the schema version
@@ -33,8 +34,8 @@ Exit codes:
 
 --self-test additionally verifies the negative path: the lint must flag an
 injected table row without a help line, an injected doc mention of an
-undeclared flag, an injected doc mention of a bench that is not built and an
-injected undocumented schema key. CI runs
+undeclared flag, injected doc mentions of a bench and of an example that are
+not built and an injected undocumented schema key. CI runs
 `check_docs.py --self-test` so a regression that makes the lint vacuously
 pass is itself a failure.
 """
@@ -53,7 +54,9 @@ KEY_DOC = "docs/schema.md"
 FLAG_MENTION_DOCS = ["README.md", "EXPERIMENTS.md", "DESIGN.md", "docs/schema.md",
                      ".claude/skills/verify/SKILL.md"]
 FLAG_DECL_DIRS = ["src", "bench", "examples", "tools", "perfbench"]
-BENCH_CMAKE = "bench/CMakeLists.txt"
+# Directories whose binaries the docs run; each has a CMakeLists.txt that
+# declares one target per line.
+BINARY_DIRS = ["bench", "examples"]
 FLAG_DECL_SUFFIXES = {".cpp", ".h", ".py"}
 # Flags of other programs: `--help` reaches dssmr_sim's usage through its
 # unknown-flag path, `--test-dir` is ctest's, and every `--benchmark_*` is
@@ -72,11 +75,12 @@ SCHEMA_RE = re.compile(r'kRunRecordSchema\s*=\s*"([^"]+)"')
 FLAG_PATTERN = r"--[a-z][a-z0-9]*(?:[-_][a-z0-9]+)*"
 FLAG_MENTION_RE = re.compile(rf"(?<![\w-])({FLAG_PATTERN})")
 FLAG_DECL_RE = re.compile(rf"""["']({FLAG_PATTERN})["']""")
-# `bench/<name>` with an optional extension; a glob such as `bench/fig_*` is
-# not a name.
-BENCH_MENTION_RE = re.compile(r"(?<![\w.-])bench/(\w+)(\.\w+)?(?![\w*])")
-# One bench target: `dssmr_fig(name)` / `dssmr_micro(name)`.
-BENCH_TARGET_RE = re.compile(r"^\s*dssmr_\w+\((\w+)\)", re.M)
+# `bench/<name>` or `examples/<name>` with an optional extension; a glob such
+# as `bench/fig_*` is not a name.
+BINARY_MENTION_RE = re.compile(
+    rf"(?<![\w.-])({'|'.join(BINARY_DIRS)})/(\w+)(\.\w+)?(?![\w*])")
+# One target: `dssmr_fig(name)` / `dssmr_micro(name)` / `dssmr_example(name)`.
+TARGET_RE = re.compile(r"^\s*dssmr_\w+\((\w+)\)", re.M)
 
 
 def die(msg):
@@ -151,21 +155,29 @@ def check_stale_flags(docs, declared):
     return problems
 
 
-def bench_targets(root):
-    targets = set(BENCH_TARGET_RE.findall(read(root, BENCH_CMAKE)))
-    if not targets:
-        die(f"{BENCH_CMAKE}: no bench targets extracted — pattern out of date?")
+def binary_targets(root):
+    """The targets each of BINARY_DIRS builds, by directory."""
+    targets = {}
+    for d in BINARY_DIRS:
+        cmake = f"{d}/CMakeLists.txt"
+        targets[d] = set(TARGET_RE.findall(read(root, cmake)))
+        if not targets[d]:
+            die(f"{cmake}: no targets extracted — pattern out of date?")
     return targets
 
 
 def check_stale_binaries(docs, targets):
-    """Every binary (or its .cpp) the docs name under bench/ must be built.
-    Other files there (bench_util.h, CMakeLists.txt) are not binaries."""
+    """Every binary (or its .cpp) the docs name under bench/ or examples/
+    must be built. Other files there (bench_util.h, CMakeLists.txt) are not
+    binaries."""
     problems = []
     for name, text in docs.items():
-        mentioned = {b for b, ext in BENCH_MENTION_RE.findall(text) if ext in ("", ".cpp")}
-        for b in sorted(mentioned - targets):
-            problems.append(f"{name}: mentions bench/{b}, which {BENCH_CMAKE} does not build")
+        mentioned = {(d, b) for d, b, ext in BINARY_MENTION_RE.findall(text)
+                     if ext in ("", ".cpp")}
+        for d, b in sorted(mentioned):
+            if b not in targets[d]:
+                problems.append(f"{name}: mentions {d}/{b}, which {d}/CMakeLists.txt "
+                                "does not build")
     return problems
 
 
@@ -194,7 +206,7 @@ def run_checks(root):
     problems = check_flags(flags, readme)
     docs = {d: read(root, d) for d in FLAG_MENTION_DOCS}
     problems += check_stale_flags(docs, declared)
-    problems += check_stale_binaries(docs, bench_targets(root))
+    problems += check_stale_binaries(docs, binary_targets(root))
     for k in check_keys(keys, token, schema_doc):
         problems.append(f"{KEY_DOC}: run-record key {k} ({KEY_SOURCE}) undocumented")
     return flags, keys, problems
@@ -213,9 +225,10 @@ def self_test(root):
     if not check_stale_flags({FLAG_DOC: f"{readme}\nRun with {undeclared}.\n"},
                              declared_flags(root)):
         failures.append("lint did not flag a doc mention of an undeclared flag")
-    stale = f"{readme}\nRun ./build/bench/fig_intentionally_stale --json out.json.\n"
-    if not check_stale_binaries({FLAG_DOC: stale}, bench_targets(root)):
-        failures.append("lint did not flag a doc mention of a bench that is not built")
+    for d in BINARY_DIRS:
+        stale = f"{readme}\nRun ./build/{d}/intentionally_stale --json out.json.\n"
+        if not check_stale_binaries({FLAG_DOC: stale}, binary_targets(root)):
+            failures.append(f"lint did not flag a doc mention of a {d}/ binary that is not built")
     _, token = extract_keys(read(root, KEY_SOURCE), read(root, SCHEMA_SOURCE))
     if not check_keys(["intentionally_undocumented_key"], token, schema_doc):
         failures.append("lint did not flag an undocumented schema key")
@@ -229,7 +242,8 @@ def main():
                     help="repository root (default: current directory)")
     ap.add_argument("--self-test", action="store_true",
                     help="also verify the lint catches an injected "
-                         "undocumented flag, stale bench name and schema key")
+                         "undocumented flag, stale bench or example name and "
+                         "schema key")
     args = ap.parse_args()
     root = pathlib.Path(args.root)
 

@@ -37,7 +37,6 @@ LAYERS = [
     ("smr/", "server"),
     ("core/client_proxy", "client"),
     ("core/oracle", "oracle"),
-    ("core/dynastar", "oracle"),
     ("sim/", "engine"),
     ("stats/", "stats"),
 ]

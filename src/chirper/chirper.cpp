@@ -19,7 +19,7 @@ net::MessagePtr ChirperApp::execute(const smr::Command& cmd, smr::ExecutionView&
   switch (cmd.op) {
     case kPost: {
       const VarId poster = cmd.write_set.at(0);
-      const auto post = std::make_shared<const Post>(Post{poster, cmd.id.value, cmd.arg});
+      const PostPtr post = posts_->intern(poster, cmd.id.value, cmd.arg);
       // Deliver into every reachable timeline (the poster's own included),
       // each sharing the one post. Variables deleted concurrently are
       // simply skipped.

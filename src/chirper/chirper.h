@@ -7,18 +7,22 @@
 // out; the flip side is that post/follow/unfollow may touch several
 // partitions and therefore drive DS-SMR's moves.
 //
-// A post is immutable once executed, so a replica builds it once and every
-// timeline in the write set (and every timeline reply) holds the same
-// shared Post. Sizes still charge each timeline its own copy: the modelled
-// system ships and stores a post per follower, whatever the simulator keeps.
+// A post is immutable once executed, so it is built once and every timeline
+// in the write set (and every timeline reply) holds the same shared Post
+// (PostPtr) — on every replica that executes the command, which share it
+// through their factory's PostTable. Sizes still charge each timeline its own copy: the
+// modelled system ships and stores a post per follower per replica, whatever
+// the simulator keeps.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/bounded.h"
 #include "smr/app.h"
 #include "smr/command.h"
 
@@ -40,7 +44,60 @@ struct Post {
   std::string text;
 };
 
-using PostPtr = std::shared_ptr<const Post>;
+/// Shared ownership of an immutable post, one pointer wide (a
+/// std::shared_ptr is two): every replica's timelines hold up to
+/// kTimelineCap of them per user. The count is not atomic: a post never
+/// leaves the deployment (the one thread) that built it.
+class PostPtr {
+ public:
+  PostPtr() = default;
+  static PostPtr make(Post post) { return PostPtr{new Node{std::move(post), 1}}; }
+
+  PostPtr(const PostPtr& other) : node_(other.node_) {
+    if (node_ != nullptr) ++node_->refs;
+  }
+  PostPtr(PostPtr&& other) noexcept : node_(std::exchange(other.node_, nullptr)) {}
+  PostPtr& operator=(PostPtr other) noexcept {
+    std::swap(node_, other.node_);
+    return *this;
+  }
+  ~PostPtr() {
+    if (node_ != nullptr && --node_->refs == 0) delete node_;
+  }
+
+  const Post& operator*() const { return node_->post; }
+  const Post* operator->() const { return &node_->post; }
+  const Post* get() const { return node_ != nullptr ? &node_->post : nullptr; }
+
+ private:
+  struct Node {
+    Post post;
+    std::size_t refs;
+  };
+  explicit PostPtr(Node* node) : node_(node) {}
+
+  Node* node_ = nullptr;
+};
+
+/// The posts built recently, by command id, shared by the app instances of one
+/// factory. Every replica of a partition executes a post's command, as does
+/// every partition of an S-SMR execution, and all build the same immutable
+/// post, so the first one built serves the rest.
+class PostTable {
+ public:
+  PostPtr intern(VarId author, std::uint64_t seq, const std::string& text) {
+    if (const PostPtr* seen = recent_.find(seq)) return *seen;
+    PostPtr post = PostPtr::make(Post{author, seq, text});
+    recent_.put(seq, post);
+    return post;
+  }
+
+ private:
+  /// Replicas execute a command within moments of each other, so a short
+  /// window of recent posts catches nearly every repeat (a miss only costs a
+  /// second copy), and keeping them alive costs little.
+  BoundedMap<std::uint64_t, PostPtr> recent_{1 << 12};
+};
 
 /// Modelled bytes of one post, whichever timeline or reply holds it.
 inline std::size_t post_bytes(const Post& p) { return 24 + p.text.size(); }
@@ -124,8 +181,10 @@ class ChirperApp final : public smr::AppStateMachine {
     Duration per_write_var = usec(1);
   };
 
-  ChirperApp() : costs_(Costs{}) {}
-  explicit ChirperApp(Costs costs) : costs_(costs) {}
+  ChirperApp() : ChirperApp(Costs{}) {}
+  explicit ChirperApp(Costs costs,
+                      std::shared_ptr<PostTable> posts = std::make_shared<PostTable>())
+      : costs_(costs), posts_(std::move(posts)) {}
 
   net::MessagePtr execute(const smr::Command& cmd, smr::ExecutionView& view) override;
   std::unique_ptr<smr::VarValue> make_default(VarId v) override;
@@ -133,10 +192,14 @@ class ChirperApp final : public smr::AppStateMachine {
 
  private:
   Costs costs_;
+  std::shared_ptr<PostTable> posts_;
 };
 
+/// The apps one factory makes share one PostTable.
 inline smr::AppFactory chirper_app_factory(ChirperApp::Costs costs = ChirperApp::Costs{}) {
-  return [costs] { return std::make_unique<ChirperApp>(costs); };
+  return [costs, posts = std::make_shared<PostTable>()] {
+    return std::make_unique<ChirperApp>(costs, posts);
+  };
 }
 
 // ---- command builders (the client-side application vocabulary) -------------

@@ -10,15 +10,16 @@
 // Entries live inline in a common::FlatMap; a ring of keys in insertion order
 // names the next victim. The ring grows lazily up to `capacity` (nothing is
 // reserved up front: an amcast group's delivered window defaults to 1<<17
-// entries on every replica), then each new key overwrites the oldest one and
-// erases it from the map. Overwriting an existing key's value does not
-// refresh its age.
+// entries on every replica), in fixed-size chunks rather than by doubling, so
+// a window that is still filling holds no spare key slots; then each new key
+// overwrites the oldest one and erases it from the map. Overwriting an
+// existing key's value does not refresh its age.
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <functional>
 #include <utility>
-#include <vector>
 
 #include "common/assert.h"
 #include "common/flat_map.h"
@@ -67,7 +68,7 @@ class BoundedMap {
   std::size_t capacity_;
   common::FlatMap<K, V, Hash> map_;
   /// Keys in insertion order; once full, ring_[oldest_] is the oldest.
-  std::vector<K> ring_;
+  std::deque<K> ring_;
   std::size_t oldest_ = 0;
 };
 

@@ -21,6 +21,13 @@ std::size_t batch_bytes(const Batch& b) {
   return n;
 }
 
+/// A decided batch as every replica keeps it for the retention window: a
+/// batch filled by push_back can hold up to twice its entries' room.
+SharedBatch share(Batch batch) {
+  batch.shrink_to_fit();
+  return std::make_shared<const Batch>(std::move(batch));
+}
+
 }  // namespace
 
 std::size_t P1b::size_bytes() const {
@@ -33,7 +40,7 @@ std::size_t P1b::size_bytes() const {
 }
 
 std::size_t P2a::size_bytes() const { return 64 + batch_bytes(batch); }
-std::size_t CommitMsg::size_bytes() const { return 64 + batch_bytes(batch); }
+std::size_t CommitMsg::size_bytes() const { return 64 + batch_bytes(*batch); }
 
 PaxosCore::PaxosCore(sim::Engine& engine, GroupId gid, std::vector<ProcessId> members,
                      ProcessId self, PaxosConfig config, Callbacks callbacks,
@@ -299,8 +306,8 @@ void PaxosCore::propose(Slot slot, Batch batch) {
 
   broadcast(net::make_msg<P2a>(gid_, ballot_, slot, it->second.batch));
   if (it->second.acks.size() >= majority()) {
-    Batch copy = it->second.batch;
-    decide(slot, std::move(copy), /*broadcast_commit=*/true);
+    decide(slot, share(std::move(it->second.batch)),
+           /*broadcast_commit=*/true);
   }
 }
 
@@ -403,8 +410,8 @@ void PaxosCore::handle_p2b(ProcessId from, const P2b& m) {
   if (it == proposals_.end()) return;
   it->second.acks.insert(index_of(from));
   if (it->second.acks.size() >= majority()) {
-    Batch copy = it->second.batch;
-    decide(m.slot, std::move(copy), /*broadcast_commit=*/true);
+    decide(m.slot, share(std::move(it->second.batch)),
+           /*broadcast_commit=*/true);
   }
 }
 
@@ -424,8 +431,8 @@ void PaxosCore::handle_heartbeat(ProcessId from, const HeartbeatMsg& m) {
 
 void PaxosCore::handle_learnreq(ProcessId from, const LearnReq& m) {
   for (Slot s = std::max(m.from, decided_base_); s < next_deliver_; ++s) {
-    if (const Batch* batch = decided_at(s)) {
-      cb_.send(from, net::make_msg<CommitMsg>(gid_, s, *batch));
+    if (const SharedBatch& batch = decided_[s - decided_base_]) {
+      cb_.send(from, net::make_msg<CommitMsg>(gid_, s, batch));
     }
   }
 }
@@ -440,17 +447,16 @@ void PaxosCore::maybe_request_catchup(Slot leader_committed, ProcessId from) {
 
 const Batch* PaxosCore::decided_at(Slot slot) const {
   if (slot < decided_base_ || slot >= decided_end()) return nullptr;
-  const auto& batch = decided_[slot - decided_base_];
-  return batch.has_value() ? &*batch : nullptr;
+  return decided_[slot - decided_base_].get();
 }
 
-void PaxosCore::decide(Slot slot, Batch batch, bool broadcast_commit) {
+void PaxosCore::decide(Slot slot, SharedBatch batch, bool broadcast_commit) {
   if (slot < next_deliver_) return;  // already delivered
   // decided_base_ <= next_deliver_ (trim keeps the delivery point), so the
   // slot lands at or above the window's front.
   const std::size_t i = slot - decided_base_;
   if (i >= decided_.size()) decided_.resize(i + 1);
-  const bool fresh = !decided_[i].has_value();
+  const bool fresh = decided_[i] == nullptr;
   if (fresh) {
     decided_[i] = std::move(batch);
     if (!held_ids_.empty()) {
@@ -460,7 +466,7 @@ void PaxosCore::decide(Slot slot, Batch batch, bool broadcast_commit) {
   accepted_.erase(slot);
   proposals_.erase(slot);
   if (broadcast_commit && fresh) {
-    broadcast(net::make_msg<CommitMsg>(gid_, slot, *decided_[i]));
+    broadcast(net::make_msg<CommitMsg>(gid_, slot, decided_[i]));
   }
   advance_delivery();
   // A decision freed a pipeline slot; push the backlog into it right away.
@@ -471,8 +477,9 @@ void PaxosCore::decide(Slot slot, Batch batch, bool broadcast_commit) {
 }
 
 void PaxosCore::advance_delivery() {
-  while (const Batch* batch = decided_at(next_deliver_)) {
+  while (decided_at(next_deliver_) != nullptr) {
     const Slot slot = next_deliver_;
+    const SharedBatch batch = decided_[slot - decided_base_];
     ++next_deliver_;
     cb_.on_decide(slot, *batch);
   }

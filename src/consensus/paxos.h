@@ -17,11 +17,14 @@
 //    it, so any later leader's phase 1 re-discovers it.
 //  * Each slot is held once: accepted_ until it is decided, then decided_
 //    alone (phase 1 reports a decided slot from decided_, so its accepted
-//    copy is never read again). The decided log is a slot-indexed window
-//    starting at the trim point: it keeps a retransmission window of
-//    `retain_window` delivered slots for catch-up requests plus every slot
-//    decided above the delivery point, and scans of it start at the first
-//    slot they need instead of walking the retained window.
+//    copy is never read again). A decided batch is immutable and shared:
+//    the commit messages carry the leader's copy, and every replica that
+//    learns the slot from one keeps that same copy. The decided log is a
+//    slot-indexed window starting at the trim point: it keeps a
+//    retransmission window of `retain_window` delivered slots for catch-up
+//    requests plus every slot decided above the delivery point, and scans of
+//    it start at the first slot they need instead of walking the retained
+//    window.
 //  * Submissions outlive their leader. Senders address a submission to every
 //    member; a follower cannot propose it, so it holds it until a decide
 //    carries it (on every replica) or this replica is elected. A new leader
@@ -40,7 +43,7 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "common/bounded.h"
@@ -73,6 +76,9 @@ struct LogEntry {
 };
 
 using Batch = std::vector<LogEntry>;
+/// A decided batch: immutable, so every replica of a group (and every commit
+/// message carrying it) shares one copy.
+using SharedBatch = std::shared_ptr<const Batch>;
 
 struct PaxosConfig {
   Duration batch_delay = usec(100);
@@ -132,8 +138,8 @@ struct P2b final : net::Message {
 struct CommitMsg final : net::Message {
   GroupId gid;
   Slot slot;
-  Batch batch;
-  CommitMsg(GroupId g, Slot s, Batch b) : gid(g), slot(s), batch(std::move(b)) {}
+  SharedBatch batch;
+  CommitMsg(GroupId g, Slot s, SharedBatch b) : gid(g), slot(s), batch(std::move(b)) {}
   const char* type_name() const override { return "paxos.commit"; }
   std::size_t size_bytes() const override;
 };
@@ -242,7 +248,7 @@ class PaxosCore {
   void clear_held();
   void flush_pending();
   void arm_batch_timer();
-  void decide(Slot slot, Batch batch, bool broadcast_commit);
+  void decide(Slot slot, SharedBatch batch, bool broadcast_commit);
   /// The decided batch of `slot`, or null if it is undecided here or trimmed.
   const Batch* decided_at(Slot slot) const;
   /// One past the highest slot decided_ holds.
@@ -271,12 +277,11 @@ class PaxosCore {
   std::map<Slot, std::pair<Ballot, Batch>> accepted_;
 
   // Learner state.
-  /// decided_[i] is slot decided_base_ + i (nullopt: not decided here yet).
+  /// decided_[i] is slot decided_base_ + i (null: not decided here yet).
   /// trim() pops the front; a decision above the end grows the back, so no
-  /// slot above the delivery point is ever dropped. A deque, not a vector:
-  /// growing it keeps references to its elements valid, and
-  /// advance_delivery() holds one across the re-entrant on_decide.
-  std::deque<std::optional<Batch>> decided_;
+  /// slot above the delivery point is ever dropped. advance_delivery() holds
+  /// a reference to the batch itself across the re-entrant on_decide.
+  std::deque<SharedBatch> decided_;
   Slot decided_base_ = 1;
   Slot next_deliver_ = 1;
   Time leader_heard_at_ = 0;

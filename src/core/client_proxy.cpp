@@ -84,13 +84,21 @@ void ClientProxy::decompose_reply(const ReplyMsg& r) {
     a = f;
   }
   const Time d = std::clamp(r.timing.delivered_at, a, now);
-  const Time es = std::clamp(r.timing.exec_start, d, now);
+  // A fused move's destination waits for its shipped variables from
+  // delivery until the last shipment is in: that wait is the move phase.
+  const Time m = r.timing.inputs_in != 0 ? std::clamp(r.timing.inputs_in, d, now) : d;
+  const Time es = std::clamp(r.timing.exec_start, m, now);
   const Time ee = std::clamp(r.timing.exec_end, es, now);
   const GroupId g = r.from_group;
   sp.record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kAmcast,
              .start = a, .end = d, .node = pid().value, .group = g});
+  if (r.timing.inputs_in != 0) {
+    sp.record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kMove,
+               .start = d, .end = m, .node = pid().value, .group = g,
+               .arg = r.code == ReplyCode::kOk ? 0 : 1});
+  }
   sp.record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kQueue,
-             .start = d, .end = es, .node = pid().value, .group = g});
+             .start = m, .end = es, .node = pid().value, .group = g});
   sp.record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kExecute,
              .start = es, .end = ee, .node = pid().value, .group = g});
   sp.record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kReply,
@@ -120,7 +128,8 @@ void ClientProxy::issue(Command cmd, DoneFn done) {
   cmd_ = std::move(cmd);
   cmd_.id = fresh_id();
   // The command's stable logical id doubles as its trace id: it survives
-  // retries and is copied onto derived moves, so all spans share one tree.
+  // retries and is copied onto its fused attempts, so all spans share one
+  // tree.
   cmd_.trace_id = cmd_.id.value;
   done_ = std::move(done);
   retries_ = 0;
@@ -189,13 +198,6 @@ void ClientProxy::start_attempt() {
 void ClientProxy::do_consult() {
   ctr_.consults->inc();
   const Time now = network().engine().now();
-  if (phase_ == Phase::kAwaitMove && move_start_ != 0) {
-    // A move confirmation timed out and we re-consult from scratch: close the
-    // still-open move window so the time spent waiting stays attributed.
-    // (A failed-move reply closes the window itself before retrying.)
-    record_phase(SpanPhase::kMove, move_start_, pending_dest_, /*arg=*/-1);
-    move_start_ = 0;
-  }
   if (phase_ != Phase::kConsult) {
     consult_start_ = now;  // retransmissions keep the window
     // New attempt: answers to the previous attempt's consults are superseded
@@ -281,45 +283,35 @@ void ClientProxy::on_prophecy(const ProphecyMsg& p) {
   }
 
   ctr_.multi_partition->inc();
-  pending_dest_ = p.dest;
   std::vector<GroupId> sources;
   for (GroupId g : dests) {
     if (g != p.dest) sources.push_back(g);
   }
-  send_dssmr_move(p.dest, sources);
+  send_fused(p.dest, std::move(sources));
 }
 
-void ClientProxy::send_dssmr_move(GroupId dest, const std::vector<GroupId>& sources) {
+void ClientProxy::send_fused(GroupId dest, std::vector<GroupId> sources) {
   ctr_.moves->inc();
-  moves_series_->add(network().engine().now());
-
-  // The move belongs to the command's trace.
-  Command move = smr::make_move(fresh_id(), cmd_.trace_id, cmd_.vars(), sources, dest);
-  events().record(InstantKind::kMoveIssued, network().engine().now(), pid().value,
-                  move.id.value, static_cast<std::int64_t>(dest.value));
-  std::vector<GroupId> dests = smr::move_groups(move, cfg_.oracle_group);
-
-  awaited_reply_ = move.id;
-  phase_ = Phase::kAwaitMove;
-  move_start_ = network().engine().now();
-  auto payload = net::make_msg<CommandMsg>(std::move(move));
-  amcast_with_id(fresh_id(), dests, payload);
-  resend_ = [this, dests, payload] {
-    // Same logical move (same cmd id inside), fresh multicast id.
-    amcast_with_id(fresh_id(), dests, payload);
-    arm_timeout();
-  };
-  arm_timeout();
+  const Time now = network().engine().now();
+  moves_series_->add(now);
+  // A fresh logical id per attempt: the destination settles a failed attempt
+  // too, so the next one must not be answered with its outcome.
+  Command attempt = smr::fuse_move(cmd_, fresh_id(), std::move(sources), dest);
+  events().record(InstantKind::kMoveIssued, now, pid().value, attempt.id.value,
+                  static_cast<std::int64_t>(dest.value));
+  std::vector<GroupId> dests = smr::move_groups(attempt, cfg_.oracle_group);
+  send(std::move(attempt), std::move(dests), Phase::kAwaitCommand);
 }
 
-void ClientProxy::send_command(std::vector<GroupId> dests, Phase next_phase) {
-  awaited_reply_ = cmd_.id;
+void ClientProxy::send(Command c, std::vector<GroupId> dests, Phase next_phase) {
+  awaited_reply_ = c.id;
+  move_dest_ = c.fused_move() ? c.move_dest : kNoGroup;
   phase_ = next_phase;
   awaited_groups_ = dests.size();
   not_involved_.clear();
   sent_at_ = network().engine().now();  // first send; retransmissions keep the window
   batch_flushed_at_ = 0;
-  auto payload = net::make_msg<CommandMsg>(cmd_);
+  auto payload = net::make_msg<CommandMsg>(std::move(c));
   // The flush callback pins down when the first send actually left the relay;
   // it checks the window is still the one it was armed for, so a late flush
   // of a retried window never pollutes a newer one. Retransmissions pass no
@@ -382,33 +374,6 @@ void ClientProxy::on_reply(ProcessId from, const net::MessagePtr& m) {
   }
 
   switch (phase_) {
-    case Phase::kAwaitMove: {
-      network().engine().cancel(timeout_);
-      timeout_ = 0;
-      record_phase(SpanPhase::kMove, move_start_, pending_dest_,
-                   r->code == ReplyCode::kOk ? 0 : 1);
-      move_start_ = 0;  // window closed: the retry's do_consult must not re-close it
-      // Cache exactly what the destination reports as installed: the
-      // destination gives up its claim on variables no source shipped
-      // (a stale mapping), so caching all of cmd_.vars() would poison the
-      // cache with locations the partition knows are wrong.
-      for (VarId v : cmd_.vars()) cache_.erase(v);
-      if (const auto* res = net::msg_cast<MoveResultMsg>(r->app_reply)) {
-        for (VarId v : res->installed) cache_[v] = {pending_dest_};
-      } else if (r->code == ReplyCode::kOk) {
-        for (VarId v : cmd_.vars()) cache_[v] = {pending_dest_};
-      }
-      if (r->code == ReplyCode::kOk) {
-        send_command({pending_dest_}, Phase::kAwaitCommand);
-      } else {
-        // Failed move (stale mapping at the destination): same path as a
-        // command retry — without this the timeout replays the identical
-        // move forever and the S-SMR fallback is never reached.
-        retry();
-      }
-      break;
-    }
-
     case Phase::kAwaitCommand:
       // kRetired is kRetry's elastic sibling: the partition drained and left,
       // so the answer is the same — invalidate and re-route (the re-consult
@@ -418,9 +383,18 @@ void ClientProxy::on_reply(ProcessId from, const net::MessagePtr& m) {
         timeout_ = 0;
         decompose_reply(*r);
         for (VarId v : cmd_.vars()) cache_.erase(v);
+        // A failed fused move reports what did land at its destination, which
+        // gave its claim on every variable no source shipped up (a stale
+        // mapping): cache exactly the installed ones there.
+        if (const auto* res = net::msg_cast<MoveResultMsg>(r->app_reply)) {
+          for (VarId v : res->installed) cache_[v] = {r->from_group};
+        }
         retry();
       } else {
         decompose_reply(*r);
+        if (move_dest_ != kNoGroup) {
+          for (VarId v : cmd_.vars()) cache_[v] = {move_dest_};
+        }
         finish(r->code, r->app_reply);
       }
       break;

@@ -13,11 +13,16 @@
 //      `nok` (variable unknown) is re-checked through the log before it
 //      ends the command: the answering leader may not have applied a create
 //      that already completed.
-//   2. If the prophecy spans several partitions, collocate first: the proxy
-//      multicasts a move command to {oracle} ∪ sources ∪ {destination} and
-//      waits for the destination partition's confirmation.
-//   3. Multicast the command to the single destination partition.
-//   4. A `retry` answer means the mapping changed under us: invalidate the
+//   2. If the prophecy names one partition, multicast the command to it.
+//   3. If it spans several, the command rides its own move (a fused move,
+//      smr::fuse_move): one multicast to {oracle} ∪ sources ∪ {destination},
+//      under a fresh id per attempt. The sources ship the variables, the
+//      oracle updates its mapping, and the destination installs them,
+//      executes the command and replies. This departs from the paper, whose
+//      client waits for a move's confirmation before multicasting the
+//      command (see DESIGN.md).
+//   4. A `retry` answer (a stale location, or a fused move that found a
+//      variable missing) means the mapping changed under us: invalidate the
 //      cache and go back to 1. After `max_retries` attempts, fall back to
 //      S-SMR — multicast to every partition, of which those holding one of
 //      its variables execute it — which always terminates.
@@ -51,7 +56,7 @@ namespace dssmr::core {
 
 enum class Strategy : std::uint8_t {
   kStaticSsmr,  // S-SMR: static map, no oracle service, no moves
-  kDssmr,       // DS-SMR: dynamic oracle, client-issued moves
+  kDssmr,       // DS-SMR: dynamic oracle, client-issued (fused) moves
 };
 
 const char* to_string(Strategy s);
@@ -106,7 +111,6 @@ class ClientProxy : public multicast::ClientNode {
   enum class Phase : std::uint8_t {
     kIdle,
     kConsult,
-    kAwaitMove,
     kAwaitCommand,
     kAwaitFallback,
   };
@@ -114,9 +118,15 @@ class ClientProxy : public multicast::ClientNode {
   void start_attempt();
   void do_consult();
   void on_prophecy(const smr::ProphecyMsg& p);
-  void send_dssmr_move(GroupId dest, const std::vector<GroupId>& sources);
-  void send_command(std::vector<GroupId> dests, Phase next_phase);
-  /// One more attempt after a failed move or a kRetry/kRetired answer:
+  /// Multicasts one attempt of the command as a fused move to `dest`.
+  void send_fused(GroupId dest, std::vector<GroupId> sources);
+  void send_command(std::vector<GroupId> dests, Phase next_phase) {
+    send(cmd_, std::move(dests), next_phase);
+  }
+  /// Multicasts `c` (the command, or one fused attempt of it) to `dests` and
+  /// awaits its reply.
+  void send(smr::Command c, std::vector<GroupId> dests, Phase next_phase);
+  /// One more attempt after a kRetry/kRetired answer (a failed fused move too):
   /// counts it, then falls back once `max_retries` are spent, else
   /// re-consults.
   void retry();
@@ -130,7 +140,8 @@ class ClientProxy : public multicast::ClientNode {
   void record_phase(stats::SpanPhase p, Time start, GroupId group, std::int64_t arg = 0);
   /// Decomposes the post-send window [sent_at_, now] into amcast / queue /
   /// execute / reply spans using the server timestamps piggybacked on `r`
-  /// (plus a leading batch span when submissions ride a batcher).
+  /// (plus a leading batch span when submissions ride a batcher, and a move
+  /// span for a fused move's wait for its shipped variables).
   void decompose_reply(const smr::ReplyMsg& r);
 
   ClientConfig cfg_;
@@ -157,7 +168,7 @@ class ClientProxy : public multicast::ClientNode {
   } ctr_{};
 
   /// Interned histogram/series handles, same rationale as ctr_: finish() and
-  /// send_dssmr_move run per command, so the by-name map lookups add up.
+  /// send_fused run per command, so the by-name map lookups add up.
   stats::Histogram* latency_hist_ = nullptr;
   stats::TimeSeries* completions_series_ = nullptr;
   stats::TimeSeries* moves_series_ = nullptr;
@@ -187,7 +198,8 @@ class ClientProxy : public multicast::ClientNode {
   /// destination gave one (see on_reply).
   std::size_t awaited_groups_ = 0;
   common::SmallSet<GroupId> not_involved_;
-  GroupId pending_dest_ = kNoGroup;
+  /// Destination of the current send when it is a fused move, else kNoGroup.
+  GroupId move_dest_ = kNoGroup;
   std::function<void()> resend_;
   sim::TimerId timeout_ = 0;
 
@@ -196,7 +208,6 @@ class ClientProxy : public multicast::ClientNode {
   /// to attribute every microsecond of [issued_at_, finish] to one phase.
   std::uint64_t root_span_ = 0;  // pre-allocated root span id (0 = tracing off)
   Time consult_start_ = 0;
-  Time move_start_ = 0;
   Time sent_at_ = 0;       // first multicast of the current command window
   /// When the batch carrying the current command's first send left the relay
   /// (0 until the flush callback fires; only set on the batched path).

@@ -116,8 +116,8 @@ void OracleNode::queue_reply_task(Duration service, sim::Callback run, MsgId id,
   account(service);
   exec_->enqueue({.id = id,
                   .awaits = std::move(awaits),
+                  .touches = {},
                   .service = service,
-                  .on_head = {},
                   .run = std::move(run)});
 }
 
@@ -141,7 +141,9 @@ void OracleNode::on_amdeliver(const multicast::AmcastMessage& m) {
       handle_reconfig(cmd);
       break;
     case CommandType::kAccess:
-      // Fall-back S-SMR executions do not involve the oracle; nothing to do.
+      // Only a fused move reaches the oracle (fall-back S-SMR executions do
+      // not involve it): its mapping change applies like a bare move's.
+      if (cmd.fused_move()) handle_move(cmd);
       break;
   }
 }

@@ -17,8 +17,9 @@
 // and membership record ordered before it.
 //
 // Placement decisions come from the DS-SMR policy (DssmrPolicy), which
-// needs no workload knowledge: clients issue the collocation moves
-// themselves. The prophecy prefetch's co-access table is the oracle's own
+// needs no workload knowledge: clients collocate a command's variables
+// themselves, with a fused move (the command multicast to its sources, its
+// destination and this group), whose mapping change applies at delivery. The prophecy prefetch's co-access table is the oracle's own
 // (CoAccessTable).
 #pragma once
 

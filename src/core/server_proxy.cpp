@@ -70,12 +70,12 @@ void PartitionServer::count_move(bool dest) {
 
 template <class Body>
 void PartitionServer::execute(MsgId id, std::uint64_t trace_id, Time delivered, Duration service,
-                              common::SmallSet<GroupId> awaits, Body body, sim::Callback on_head,
-                              std::int64_t span_arg) {
+                              common::SmallSet<GroupId> awaits, std::vector<VarId> touches,
+                              Body body, std::int64_t span_arg) {
   exec_->enqueue({.id = id,
                   .awaits = std::move(awaits),
+                  .touches = std::move(touches),
                   .service = service,
-                  .on_head = std::move(on_head),
                   .run = [this, id, trace_id, delivered, service, span_arg,
                           body = std::move(body)]() mutable {
                     // run fires when the service time elapses, i.e. at exec end.
@@ -111,10 +111,13 @@ void PartitionServer::on_amdeliver(const multicast::AmcastMessage& m) {
   const Command& cmd = cm->cmd;
   const ProcessId client = m.sender;
 
+  // A fused move settles as a move: it carries a fresh id per attempt, so
+  // it must not raise the access watermark past the command's own id.
+  const bool moves = cmd.type == CommandType::kMove || cmd.fused_move();
   const auto session = sessions_.find(client);
   const Settled* latest = nullptr;
   if (session != sessions_.end()) {
-    latest = cmd.type == CommandType::kMove ? &session->second.move : &session->second.access;
+    latest = moves ? &session->second.move : &session->second.access;
   }
   // Re-sends the reply of a retried command that settled here, if it is the
   // requester's latest of its kind; the requester ignores any other reply.
@@ -132,14 +135,16 @@ void PartitionServer::on_amdeliver(const multicast::AmcastMessage& m) {
   // A window miss is not proof the command is new: the window is bounded,
   // and a slow retransmission can outlive its entry. The requester's latest
   // settled access catches that — at-most-once even after eviction.
-  if (cmd.type == CommandType::kAccess && latest != nullptr && cmd.id <= latest->id) {
+  if (cmd.type == CommandType::kAccess && !moves && latest != nullptr && cmd.id <= latest->id) {
     answer_retry();
     return;
   }
 
   switch (cmd.type) {
     case CommandType::kAccess:
-      if (m.dests.size() == 1) {
+      if (moves) {
+        deliver_move(cmd, client);
+      } else if (m.dests.size() == 1) {
         deliver_access_single(cmd, client);
       } else {
         deliver_access_multi(m, cmd, client);
@@ -183,7 +188,7 @@ void PartitionServer::deliver_access_single(const Command& cmd, ProcessId client
   }
 
   count_command(/*multi=*/false);
-  execute(cmd.id, cmd.trace_id, delivered, app_->service_time(cmd), {},
+  execute(cmd.id, cmd.trace_id, delivered, app_->service_time(cmd), {}, cmd.vars(),
           [this, cmd, client](const ReplyTiming& timing) {
             // A move ordered between delivery and execution cannot have taken
             // our variables (it would have been ordered before us and already
@@ -215,16 +220,16 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m, co
   }
 
   // Uninvolved: no slot of our store holds any of the command's variables
-  // (the common case for an all-partition fallback). Our at-head snapshot
+  // (the common case for an all-partition fallback). Our settled snapshot
   // would then be empty: a value enters store_ only through a task queued
   // ahead of this one (a move install or a create), each of those claimed the
   // slot at its own, earlier delivery, and a slot that is gone by now was
   // given up by a failed install (no value) or by a move-out or delete whose
   // task, also ahead of ours, removes the value again. So we ship the same
-  // empty set now instead of at head, the involved peers compute exactly what
-  // they would have, and our queue never blocks on this command. The reply is
-  // cached and recorded as final so a retransmission is never executed here
-  // later, even after a move has brought one of the variables in.
+  // empty set now, the involved peers compute exactly what they would have,
+  // and our queue never holds this command. The reply is cached and recorded
+  // as final so a retransmission is never executed here later, even after a
+  // move has brought one of the variables in.
   const std::vector<VarId> vars = cmd.vars();
   const bool involved =
       std::any_of(vars.begin(), vars.end(), [this](VarId v) { return store_.holds(v); });
@@ -243,22 +248,19 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m, co
   }
 
   count_command(/*multi=*/true);
-  // Ships every variable of the command we own (a snapshot), plus an
-  // implicit signal, to the other involved partitions.
-  auto ship_mine = [this, cmd, others] {
-    std::vector<std::pair<VarId, std::shared_ptr<const smr::VarValue>>> ship;
-    for (VarId v : cmd.vars()) {
-      if (const smr::VarValue* val = store_.get(v)) ship.emplace_back(v, val->clone());
-    }
-    if (!others.empty()) {
+  // Ships every variable of the command we hold (a snapshot), plus an
+  // implicit signal, to the other involved partitions, as soon as the values
+  // are final: no task queued before this command touches them any more.
+  if (!others.empty()) {
+    exec_->when_settled(vars, [this, vars, id = cmd.id, others] {
       rmcast({others.begin(), others.end()},
-             net::make_msg<VarShipMsg>(cmd.id, group(), std::move(ship)));
-    }
-  };
+             net::make_msg<VarShipMsg>(id, group(), snapshot(vars)));
+    });
+  }
   // The queue span includes the wait for peer shipments — the serialization
   // S-SMR pays for multi-partition commands.
   execute(
-      cmd.id, cmd.trace_id, delivered, app_->service_time(cmd), std::move(others),
+      cmd.id, cmd.trace_id, delivered, app_->service_time(cmd), std::move(others), vars,
       [this, cmd, client](const ReplyTiming& timing) {
         smr::ExecutionView view{store_};
         for (const auto& [v, val] : exec_->shipped(cmd.id)) {
@@ -266,55 +268,69 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m, co
         }
         net::MessagePtr app_reply = app_->execute(cmd, view);
         reply_to(client, cmd.id, ReplyCode::kOk, std::move(app_reply), timing, Settles::kAccess);
-      },
-      std::move(ship_mine));
+      });
 }
 
-// ---- move --------------------------------------------------------------------
+// ---- move (bare or fused) ---------------------------------------------------
+
+std::vector<std::pair<VarId, std::shared_ptr<const smr::VarValue>>> PartitionServer::snapshot(
+    const std::vector<VarId>& vars) const {
+  std::vector<std::pair<VarId, std::shared_ptr<const smr::VarValue>>> ship;
+  for (VarId v : vars) {
+    if (const smr::VarValue* val = store_.get(v)) ship.emplace_back(v, val->clone());
+  }
+  return ship;
+}
 
 void PartitionServer::deliver_move(const Command& cmd, ProcessId client) {
-  const bool is_dest = cmd.move_dest == group();
   const std::vector<VarId> vars = cmd.vars();
   const Time delivered = engine().now();
 
-  if (!is_dest) {
+  if (cmd.move_dest != group()) {
     // Source: give up ownership immediately (delivery order defines who owns
-    // what); ship the values once predecessors finish executing.
+    // what) and ship the values once they are final — when no task queued
+    // before this one touches them — rather than when this move reaches the
+    // head of the queue. The task that takes them out of the store still
+    // runs in order, and pays the shipping CPU.
     std::vector<VarId> mine;
     for (VarId v : vars) {
       if (store_.release(v)) mine.push_back(v);
     }
     count_move(/*dest=*/false);
+    exec_->when_settled(mine, [this, mine, dest = cmd.move_dest, id = cmd.id] {
+      rmcast({dest}, net::make_msg<VarShipMsg>(id, group(), snapshot(mine)));
+      // Settled here: a retransmission delivered later must not give up
+      // (and ship) the variables a second time.
+      completed_.insert(id);
+    });
+    const auto n = static_cast<std::int64_t>(mine.size());
     execute(
-        cmd.id, cmd.trace_id, delivered,
-        kMoveServicePerVar * static_cast<Duration>(mine.size() + 1), {},
-        [this, mine, dest = cmd.move_dest, id = cmd.id](const ReplyTiming&) {
-          std::vector<std::pair<VarId, std::shared_ptr<const smr::VarValue>>> ship;
-          for (VarId v : mine) {
-            if (auto val = store_.take(v)) ship.emplace_back(v, std::move(val));
-          }
-          rmcast({dest}, net::make_msg<VarShipMsg>(id, group(), std::move(ship)));
-          // Settled here: a retransmission delivered later must not give up
-          // (and ship) the variables a second time.
-          completed_.insert(id);
+        cmd.id, cmd.trace_id, delivered, kMoveServicePerVar * (n + 1), {}, mine,
+        [this, mine](const ReplyTiming&) {
+          for (VarId v : mine) store_.take(v);
         },
-        {}, static_cast<std::int64_t>(mine.size()));
+        n);
     return;
   }
 
   // Destination: claim ownership now; wait for one shipment per source, then
-  // install the values and answer the requester.
+  // install the values. A fused move then executes its command here.
   for (VarId v : vars) store_.claim(v, cmd.id);
   common::SmallSet<GroupId> sources;
   for (GroupId g : cmd.move_sources) {
     if (g != group()) sources.insert(g);
   }
   count_move(/*dest=*/true);
+  Duration service = kMoveServicePerVar * static_cast<Duration>(vars.size() + 1);
+  if (cmd.fused_move()) {
+    count_command(/*multi=*/false);
+    service += app_->service_time(cmd);
+  }
   execute(
-      cmd.id, cmd.trace_id, delivered,
-      kMoveServicePerVar * static_cast<Duration>(vars.size() + 1), std::move(sources),
-      [this, vars, client, id = cmd.id](const ReplyTiming& timing) {
-        const auto& shipped = exec_->shipped(id);
+      cmd.id, cmd.trace_id, delivered, service, std::move(sources), vars,
+      [this, cmd, vars, client, delivered](ReplyTiming timing) {
+        timing.inputs_in = std::max(exec_->inputs_at(cmd.id), delivered);
+        const auto& shipped = exec_->shipped(cmd.id);
         std::vector<VarId> installed;
         std::size_t failed = 0;
         for (VarId v : vars) {
@@ -326,26 +342,36 @@ void PartitionServer::deliver_move(const Command& cmd, ProcessId client) {
           } else {
             // No source shipped it: the mapping was stale; give the claim up,
             // unless a later delivery already re-claimed or moved v.
-            store_.release(v, id);
+            store_.release(v, cmd.id);
             ++failed;
           }
         }
-        // The reply tells the client which variables really landed here so
-        // it caches only those; a partial install is a failed move and must
-        // go through the client's retry/fallback path, not pretend success.
-        const ReplyCode code = failed == 0 ? ReplyCode::kOk : ReplyCode::kRetry;
-        if (failed == 0) {
-          record_instant(stats::InstantKind::kMoveApplied, id.value,
-                         static_cast<std::int64_t>(installed.size()));
-        } else {
+        // A partial install is a failed move: the reply tells the requester
+        // which variables really landed here so it caches only those, and
+        // the command goes through the client's retry/fallback path. It
+        // settles like a success, so a retransmission is answered from the
+        // session instead of claiming the variables again.
+        if (failed != 0) {
           bump(ctr_.moves_failed);
-          record_instant(stats::InstantKind::kMoveFailed, id.value,
+          record_instant(stats::InstantKind::kMoveFailed, cmd.id.value,
                          static_cast<std::int64_t>(failed));
+          reply_to(client, cmd.id, ReplyCode::kRetry,
+                   net::make_msg<smr::MoveResultMsg>(std::move(installed)), timing,
+                   Settles::kMove);
+          return;
         }
-        reply_to(client, id, code, net::make_msg<smr::MoveResultMsg>(std::move(installed)), timing,
-                 Settles::kMove);
+        record_instant(stats::InstantKind::kMoveApplied, cmd.id.value,
+                       static_cast<std::int64_t>(installed.size()));
+        net::MessagePtr app_reply;
+        if (cmd.fused_move()) {
+          smr::ExecutionView view{store_};
+          app_reply = app_->execute(cmd, view);
+        } else {
+          app_reply = net::make_msg<smr::MoveResultMsg>(std::move(installed));
+        }
+        reply_to(client, cmd.id, ReplyCode::kOk, std::move(app_reply), timing, Settles::kMove);
       },
-      {}, static_cast<std::int64_t>(vars.size()));
+      static_cast<std::int64_t>(vars.size()));
 }
 
 // ---- create / delete ---------------------------------------------------------
@@ -361,7 +387,7 @@ void PartitionServer::deliver_create(const Command& cmd) {
   }
   store_.claim(v, cmd.id);
   bump(ctr_.creates);
-  execute(cmd.id, cmd.trace_id, engine().now(), kCreateDeleteService, {},
+  execute(cmd.id, cmd.trace_id, engine().now(), kCreateDeleteService, {}, {v},
           [this, v, id = cmd.id](const ReplyTiming&) {
             // Not gated on ownership: a move-out or delete delivered since has
             // its task queued behind this one, and takes the value from there.
@@ -378,7 +404,7 @@ void PartitionServer::deliver_delete(const Command& cmd) {
   const VarId v = cmd.write_set[0];
   store_.release(v);
   bump(ctr_.deletes);
-  execute(cmd.id, cmd.trace_id, engine().now(), kCreateDeleteService, {},
+  execute(cmd.id, cmd.trace_id, engine().now(), kCreateDeleteService, {}, {v},
           [this, v, id = cmd.id](const ReplyTiming&) {
             store_.take(v);
             rmcast({oracle_group_}, net::make_msg<SignalMsg>(id, group()));

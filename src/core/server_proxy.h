@@ -12,10 +12,16 @@
 //    fall-back): partitions exchange variables + signals (VarShipMsg) and
 //    only execute once every involved partition has checked in — the
 //    execution-atomic protocol of S-SMR.
-//  * move: sources relinquish ownership at delivery and ship values when the
-//    move reaches the head of their execution queue; the destination claims
-//    the variables at delivery, waits for one shipment per source, installs
-//    the values, and answers the requester.
+//  * move, bare (an oracle rebalance chunk) or fused (an access that rides
+//    its own move, multicast to sources ∪ {destination, oracle}): sources
+//    relinquish ownership at delivery and ship the values as soon as they are
+//    final (ExecutionEngine::when_settled); the destination claims the
+//    variables at delivery, waits for one shipment per source, installs the
+//    values, executes a fused move's command, and answers the requester.
+//  A variable shipped for the S-SMR exchange or a move is final once no task
+//  delivered before the shipping command that touches it is still queued or
+//  running here, so it ships then, not when that command reaches the head of
+//  this partition's queue.
 //  * create/delete: apply locally, then signal the oracle, which sends the
 //    client its reply only after the partition has checked in.
 //
@@ -32,12 +38,13 @@
 // them if they are elected first (GroupNode::leader_action). A bounded window
 // of settled logical command ids catches duplicated deliveries (client
 // retries); the reply payload to resend is kept only for each requester's
-// latest settled access and move, the only retransmissions a requester still
-// waits for.
+// latest settled access and move (bare or fused), the only retransmissions a
+// requester still waits for.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/bounded.h"
@@ -107,6 +114,7 @@ class PartitionServer : public multicast::GroupNode {
   void deliver_access_single(const smr::Command& cmd, ProcessId client);
   void deliver_access_multi(const multicast::AmcastMessage& m, const smr::Command& cmd,
                             ProcessId client);
+  /// A bare kMove or a fused move (smr::Command::fused_move).
   void deliver_move(const smr::Command& cmd, ProcessId client);
   void deliver_create(const smr::Command& cmd);
   void deliver_delete(const smr::Command& cmd);
@@ -117,11 +125,15 @@ class PartitionServer : public multicast::GroupNode {
                 net::MessagePtr app_reply, smr::ReplyTiming timing, Settles settles);
   /// Queues a command's task: it waits for the inputs of `awaits`, occupies
   /// the CPU for `service`, records the queue and execute spans and then runs
-  /// `body(timing)`. The command is exec_->pending() until then.
+  /// `body(timing)`. The command is exec_->pending() until then. `touches`
+  /// (sorted) are the variables `body` may read or write.
   template <class Body>
   void execute(MsgId id, std::uint64_t trace_id, Time delivered, Duration service,
-               common::SmallSet<GroupId> awaits, Body body, sim::Callback on_head = {},
+               common::SmallSet<GroupId> awaits, std::vector<VarId> touches, Body body,
                std::int64_t span_arg = 0);
+  /// Clones of the values of `vars` this replica holds, to ship.
+  std::vector<std::pair<VarId, std::shared_ptr<const smr::VarValue>>> snapshot(
+      const std::vector<VarId>& vars) const;
   /// Leader-gated like bump(): counts a delivered command (single or multi
   /// partition) or one side of a move, and records it in this partition's
   /// windowed heat (stats::Recorder) in the same call, so the heat's
@@ -140,11 +152,14 @@ class PartitionServer : public multicast::GroupNode {
   /// multicast id, so the amcast layer cannot dedup; a delivery whose command
   /// is pending is dropped, or it would enqueue a second task (double
   /// execution for accesses, and a task that waits forever for
-  /// already-consumed shipments for moves).
+  /// already-consumed shipments for moves). It also decides when a shipped
+  /// value is final (when_settled).
   std::unique_ptr<smr::ExecutionEngine> exec_;
   /// Logical ids of the commands settled here (outcomes only, no payloads),
-  /// including moves whose source shipped: a retransmission or a late
-  /// VarShipMsg of one of them is not processed.
+  /// including moves whose source shipped and failed moves: a retransmission
+  /// or a late VarShipMsg of one of them is not processed. A failed move's
+  /// sources have shipped, so a retransmission that claimed again would wait
+  /// for shipments that never come.
   BoundedSet<MsgId> completed_{1 << 15};
   /// A requester's latest settled command of one kind, with the reply to
   /// resend for it: the original smr::ReplyMsg, so a retransmitted reply
@@ -169,9 +184,10 @@ class PartitionServer : public multicast::GroupNode {
   /// id, and a delivered access at or below it is a stale retransmission —
   /// answer it on an exact id match, drop it silently otherwise.
   ///
-  /// `move` is simply the move settled last: a client's move legitimately
-  /// settles before the (older-id) command it unblocks, so moves stay
-  /// outside the backstop.
+  /// `move` is simply the move settled last. A fused move carries a fresh id
+  /// per attempt, above its command's own id, and a failed attempt is
+  /// followed by a retry under that smaller id, so moves stay outside the
+  /// backstop.
   struct Session {
     Settled access;
     Settled move;

@@ -64,6 +64,14 @@ Command make_move(MsgId id, std::uint64_t trace_id, std::vector<VarId> vars,
   return move;
 }
 
+Command fuse_move(const Command& access, MsgId id, std::vector<GroupId> sources, GroupId dest) {
+  Command fused = access;
+  fused.id = id;
+  fused.move_sources = std::move(sources);
+  fused.move_dest = dest;
+  return fused;
+}
+
 std::vector<GroupId> move_groups(const Command& move, GroupId oracle) {
   std::vector<GroupId> groups = move.move_sources;
   groups.push_back(move.move_dest);

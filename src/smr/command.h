@@ -49,7 +49,7 @@ struct Command {
   // the kMove fields: move_dest names the affected partition and `op` is 0
   // for add, 1 for retire (see core/oracle.h kReconfigAdd/kReconfigRetire).
 
-  // -- kMove ----------------------------------------------------------------
+  // -- kMove, and a kAccess that rides its own move ---------------------------
   /// Source partitions variables may currently live in.
   std::vector<GroupId> move_sources;
   /// Destination partition.
@@ -58,21 +58,30 @@ struct Command {
   /// read_set ∪ write_set, deduplicated.
   std::vector<VarId> vars() const;
 
+  /// A fused move: an access that relocates its variables from move_sources
+  /// to move_dest and then executes there, in one multicast (see fuse_move).
+  bool fused_move() const { return type == CommandType::kAccess && move_dest != kNoGroup; }
+
   /// Approximate wire size (drives the bandwidth model).
   std::size_t size_bytes() const;
 };
 
-/// Builds a kMove command: relocate `vars` from `sources` to `dest`. Every
-/// move is built here — client-issued collocation and oracle-issued
-/// rebalance chunks. `trace_id` keeps the move in its consulting command's
-/// trace (0 for rebalance moves). The reply goes to the move's submitter.
+/// Builds a kMove command: relocate `vars` from `sources` to `dest`. The
+/// oracle's rebalance chunks are the only bare moves; `trace_id` is 0 for
+/// them. The reply goes to the move's submitter.
 Command make_move(MsgId id, std::uint64_t trace_id, std::vector<VarId> vars,
                   std::vector<GroupId> sources, GroupId dest);
 
-/// The groups a move is multicast to: its sources ∪ {its destination, the
-/// oracle group `oracle`}, which applies it to the mapping. Sorted. Every
-/// builder names each group once: the sources are distinct and never
-/// include the destination.
+/// Builds one attempt of a fused move: `access` under the fresh logical id
+/// `id`, relocating its variables from `sources` to `dest`, where it then
+/// executes. Each attempt has its own id because the destination settles a
+/// failed attempt too (see PartitionServer).
+Command fuse_move(const Command& access, MsgId id, std::vector<GroupId> sources, GroupId dest);
+
+/// The groups a move (bare or fused) is multicast to: its sources ∪ {its
+/// destination, the oracle group `oracle`}, which applies it to the mapping.
+/// Sorted. Every builder names each group once: the sources are distinct and
+/// never include the destination.
 std::vector<GroupId> move_groups(const Command& move, GroupId oracle);
 
 /// Envelope for a command travelling through atomic multicast.
@@ -95,14 +104,17 @@ enum class ReplyCode : std::uint8_t {
 const char* to_string(ReplyCode c);
 
 /// Server-side timestamps piggybacked on replies (Dapper-style annotations):
-/// when the executing group delivered the command, and when execution started
-/// and finished on its simulated CPU. The client proxy uses them to decompose
-/// its post-send wait into amcast / queue / execute / reply span phases.
-/// All-zero when the server predates tracing or answered without executing.
+/// when the executing group delivered the command, when execution started
+/// and finished on its simulated CPU, and when a move destination had every
+/// source's shipment in (0 for commands that move nothing). The client proxy
+/// uses them to decompose its post-send wait into amcast / move / queue /
+/// execute / reply span phases. All-zero when the server answered without
+/// executing.
 struct ReplyTiming {
   Time delivered_at = 0;
   Time exec_start = 0;
   Time exec_end = 0;
+  Time inputs_in = 0;
 };
 
 /// Server -> client reply.
@@ -116,15 +128,16 @@ struct ReplyMsg final : net::Message {
       : cmd_id(id), code(c), from_group(g), app_reply(std::move(r)), timing(t) {}
   const char* type_name() const override { return "smr.reply"; }
   std::size_t size_bytes() const override {
-    return 32 + 24 + (app_reply != nullptr ? app_reply->size_bytes() : 0);
+    return 32 + 32 + (app_reply != nullptr ? app_reply->size_bytes() : 0);
   }
 };
 
-/// Move destination -> client: which of the move's variables are actually
+/// Move destination -> requester: which of the move's variables are actually
 /// installed (held before the move or shipped by a source). Carried as the
-/// move reply's app payload. Variables missing from `installed` hit a stale
-/// mapping — no source shipped them and the destination gave their claim up —
-/// so the client must not cache them at the destination.
+/// app payload of a bare move's reply and of a failed fused move's. Variables
+/// missing from `installed` hit a stale mapping — no source shipped them and
+/// the destination gave their claim up — so the client must not cache them
+/// at the destination.
 struct MoveResultMsg final : net::Message {
   std::vector<VarId> installed;
   explicit MoveResultMsg(std::vector<VarId> v) : installed(std::move(v)) {}

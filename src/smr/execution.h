@@ -11,9 +11,18 @@
 // and the host reports each group's input for a command with arrive(),
 // together with the values that group shipped. It keeps one record per
 // command: the groups heard from, their shipped values (read by the task
-// through shipped()) and whether the task is queued (pending()). An input may
-// arrive before its command is queued; the record is dropped when the
-// command's task returns (or by forget(), for a command that never queues).
+// through shipped()), when the last of them arrived (inputs_at()) and whether
+// the task is queued (pending()). An input may arrive before its command is
+// queued; the record is dropped when the command's task returns (or by
+// forget(), for a command that never queues).
+//
+// It also owns the rule for when a value is final (Marandi et al.'s
+// observation that only conflicting commands need to wait for each other): a
+// task names the variables it touches, and when_settled(vars, fn) runs `fn`
+// once no task queued before the call that touches any of `vars` is still
+// queued or running. A partition ships a variable to a peer then, not when
+// the shipping command reaches the head of its own queue, so a peer's head
+// does not wait for unrelated work queued here.
 #pragma once
 
 #include <algorithm>
@@ -22,6 +31,7 @@
 #include <memory>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "common/flat_map.h"
 #include "common/small_set.h"
@@ -37,11 +47,11 @@ class ExecutionEngine {
     MsgId id;
     /// Groups whose input for `id` must arrive before the task executes.
     common::SmallSet<GroupId> awaits;
+    /// Variables the task may read or write, sorted: a when_settled() on any
+    /// of them made while the task is queued or running waits for it.
+    std::vector<VarId> touches;
     /// CPU time the execution occupies once its inputs are in.
     Duration service = 0;
-    /// Called once, when the task first reaches the head of the queue
-    /// (e.g. to ship local variables to peer partitions).
-    sim::Callback on_head;
     /// Executes the command (mutates state, sends the reply).
     sim::Callback run;
   };
@@ -54,8 +64,21 @@ class ExecutionEngine {
   /// never pending().
   void enqueue(Task t) {
     if (t.id != MsgId{}) records_[t.id].queued = true;
-    queue_.push_back(std::move(t));
+    queue_.push_back({std::move(t), {}});
     pump();
+  }
+
+  /// Runs `fn` once every task queued so far that touches one of `vars`
+  /// (sorted) has returned: at once if none is queued or running, else right
+  /// after the last of them returns. Tasks queued later do not delay it.
+  void when_settled(std::span<const VarId> vars, sim::Callback fn) {
+    for (auto it = queue_.rbegin(); it != queue_.rend(); ++it) {
+      if (intersects(it->task.touches, vars)) {
+        it->settled.push_back(std::move(fn));
+        return;
+      }
+    }
+    fn();
   }
 
   /// Records group `from`'s input for command `id` and the values it shipped
@@ -67,6 +90,7 @@ class ExecutionEngine {
     if (in == nullptr) in = std::make_unique<Inputs>();
     if (!in->arrived.insert(from)) return false;
     for (const auto& [v, val] : vars) in->shipped.emplace(v, val);
+    in->last = engine_.now();
     pump();
     return true;
   }
@@ -76,6 +100,12 @@ class ExecutionEngine {
     static const Shipped kNone;
     auto it = records_.find(id);
     return it == records_.end() || it->second.in == nullptr ? kNone : it->second.in->shipped;
+  }
+
+  /// When the last group's input for `id` arrived; 0 if none has.
+  Time inputs_at(MsgId id) const {
+    auto it = records_.find(id);
+    return it == records_.end() || it->second.in == nullptr ? 0 : it->second.in->last;
   }
 
   /// Whether `id`'s task is queued or executing.
@@ -100,6 +130,7 @@ class ExecutionEngine {
   struct Inputs {
     common::SmallSet<GroupId> arrived;
     Shipped shipped;
+    Time last = 0;
   };
   /// Every queued command takes a table slot, so its inputs are allocated
   /// only when the first one arrives: most commands await none.
@@ -107,6 +138,25 @@ class ExecutionEngine {
     std::unique_ptr<Inputs> in;
     bool queued = false;
   };
+
+  /// A queued task and the when_settled() callbacks that wait for it.
+  struct Queued {
+    Task task;
+    std::vector<sim::Callback> settled;
+  };
+
+  /// Whether two sorted variable lists share an element.
+  static bool intersects(std::span<const VarId> a, std::span<const VarId> b) {
+    for (auto i = a.begin(), j = b.begin(); i != a.end() && j != b.end();) {
+      if (*i == *j) return true;
+      if (*i < *j) {
+        ++i;
+      } else {
+        ++j;
+      }
+    }
+    return false;
+  }
 
   bool inputs_in(const Task& t) const {
     if (t.awaits.empty()) return true;
@@ -118,29 +168,24 @@ class ExecutionEngine {
 
   void pump() {
     if (executing_ || queue_.empty()) return;
-    Task& head = queue_.front();
-    if (head.on_head) {
-      sim::Callback fn = std::move(head.on_head);
-      fn();
-      // on_head may have re-entered pump() via arrive(); restart cleanly.
-      if (executing_ || queue_.empty()) return;
-    }
-    if (!inputs_in(queue_.front())) return;  // wait; arrive() re-pumps
+    const Task& head = queue_.front().task;
+    if (!inputs_in(head)) return;  // wait; arrive() re-pumps
     executing_ = true;
-    busy_time_ += queue_.front().service;
-    engine_.schedule(queue_.front().service, [this] {
-      Task done = std::move(queue_.front());
+    busy_time_ += head.service;
+    engine_.schedule(head.service, [this] {
+      Queued done = std::move(queue_.front());
       queue_.pop_front();
       ++executed_;
-      done.run();
-      records_.erase(done.id);
+      done.task.run();
+      records_.erase(done.task.id);
+      for (sim::Callback& fn : done.settled) fn();
       executing_ = false;
       pump();
     });
   }
 
   sim::Engine& engine_;
-  std::deque<Task> queue_;
+  std::deque<Queued> queue_;
   common::FlatMap<MsgId, Record> records_;
   bool executing_ = false;
   std::uint64_t executed_ = 0;

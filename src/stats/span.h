@@ -46,7 +46,7 @@ namespace dssmr::stats {
 enum class SpanPhase : std::uint8_t {
   kCommand,   // root: client issue() -> reply handed to the application
   kConsult,   // client sent a consult -> prophecy received
-  kMove,      // collocation wait: move issued/awaited -> destination confirmed
+  kMove,      // fused move's wait at its destination: delivery -> last shipment in
   kBatch,     // batching wait: command handed to the batcher -> batch flushed
   kAmcast,    // command submitted to atomic multicast -> ordered delivery
   kQueue,     // delivery -> execution start (ownership checks, input waits)
@@ -101,7 +101,7 @@ struct Span {
 enum class InstantKind : std::uint8_t {
   kConsult,        // client sent a consult to the oracle
   kProphecy,       // oracle leader answered a consult
-  kMoveIssued,     // a client multicast a collocation move
+  kMoveIssued,     // a client multicast one attempt of a fused move
   kMoveApplied,    // destination leader installed every requested variable
   kMoveFailed,     // destination leader gave up >= 1 unshipped variable (stale mapping)
   kRetry,          // client retried its command (stale cache or failed move)
@@ -194,7 +194,7 @@ class SpanStore {
   bool tracing() const { return tracing_; }
   bool marking() const { return marking_; }
 
-  /// Caps the retained instant vector (default 1<<20, independent of the
+  /// Caps the retained instant vector (default 1<<21, independent of the
   /// span cap); per-kind counts keep accumulating past it.
   void set_instant_capacity(std::size_t cap) { instants_.capacity = cap; }
 
@@ -268,7 +268,9 @@ class SpanStore {
   std::array<Histogram, kSpanPhases> phase_hist_{};
   Retained<Span> spans_;
   std::array<std::uint64_t, kInstantKinds> instant_counts_{};
-  Retained<Instant> instants_;
+  /// Twice the span cap: E10's traced run (fig_elastic_scaleout) records
+  /// about 1.07M instants, every one of which its `--trace` JSONL must hold.
+  Retained<Instant> instants_{.items = {}, .capacity = 1u << 21, .dropped = 0};
   std::vector<std::string> labels_;
   std::map<std::uint32_t, std::string> group_names_;
 };

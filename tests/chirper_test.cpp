@@ -16,7 +16,7 @@ using smr::ReplyCode;
 using namespace dssmr::testing;
 
 PostPtr shared_post(VarId author, std::uint64_t seq, std::string text) {
-  return std::make_shared<const Post>(Post{author, seq, std::move(text)});
+  return PostPtr::make(Post{author, seq, std::move(text)});
 }
 
 TEST(UserValue, TimelineCapEnforced) {
@@ -105,6 +105,34 @@ TEST(ChirperApp, PostFanOutSharesOnePostAcrossTimelines) {
   const auto& posts = net::msg_as<TimelineReply>(reply).posts;
   ASSERT_EQ(posts.size(), 1u);
   EXPECT_EQ(posts[0].get(), &first);
+}
+
+TEST(ChirperApp, ReplicasOfOneFactoryShareAPost) {
+  // Two replicas (apps of one factory) execute the same post command against
+  // their own state: both timelines hold one post object. A third app from
+  // another factory builds its own.
+  smr::Command cmd = make_post(VarId{0}, {}, "replicated");
+  cmd.id = MsgId{91};
+  const smr::AppFactory factory = chirper_app_factory();
+  const auto posted = [&cmd](smr::AppStateMachine& app) {
+    smr::VariableStore vars;
+    vars.put(VarId{0}, std::make_unique<UserValue>());
+    smr::ExecutionView view{vars};
+    app.execute(cmd, view);
+    return net::msg_as<TimelineReply>(app.execute(make_get_timeline(VarId{0}), view)).posts;
+  };
+  const auto a = factory();
+  const auto b = factory();
+  const auto other = chirper_app_factory()();
+  const std::vector<PostPtr> on_a = posted(*a);
+  const std::vector<PostPtr> on_b = posted(*b);
+  const std::vector<PostPtr> on_other = posted(*other);
+  ASSERT_EQ(on_a.size(), 1u);
+  ASSERT_EQ(on_b.size(), 1u);
+  ASSERT_EQ(on_other.size(), 1u);
+  EXPECT_EQ(on_a[0].get(), on_b[0].get());
+  EXPECT_NE(on_a[0].get(), on_other[0].get());
+  EXPECT_EQ(on_other[0]->text, "replicated");
 }
 
 TEST(CommandBuilders, PostIncludesFollowersOnce) {

@@ -45,6 +45,8 @@ TEST(ClientProxy, CacheStartsEmptyAndFillsFromProphecies) {
 TEST(ClientProxy, MoveUpdatesCacheForAllMovedVars) {
   auto d = deployment(small_config(2, Strategy::kDssmr));
   EXPECT_EQ(run_op(*d, 0, kv_sum({VarId{0}, VarId{2}, VarId{1}}, VarId{1})), ReplyCode::kOk);
+  // One fused move: the command itself collocated and executed.
+  EXPECT_EQ(d->metrics().counter("client.moves"), 1u);
   // All three collocated on partition 0 (most-held); the mover's cache knows.
   for (VarId v : {VarId{0}, VarId{1}, VarId{2}}) {
     EXPECT_EQ(d->client(0).cached_location(v), d->partition_gid(0));
@@ -85,11 +87,11 @@ TEST(ClientProxy, SequentialOpsReuseTheProxy) {
   EXPECT_EQ(kv_num(reply), 20);
 }
 
-// Regression: a failed move (non-kOk reply) used to be dropped on the floor in
-// kAwaitMove — the timeout then replayed the identical move id forever, the
-// destination's cached kRetry reply came back forever, and the client never
-// reached the S-SMR fallback. The phantom variable below is known only to the
-// oracle, so every move the oracle prophesies is doomed to a partial install.
+// A failed fused move (a kRetry reply from its destination) must count as a
+// retry: replaying the identical attempt would get the destination's settled
+// kRetry back forever, and the client would never reach the S-SMR fallback.
+// The phantom variable below is known only to the oracle, so every fused
+// move the oracle prophesies is doomed to a partial install.
 TEST(ClientProxy, FailedMoveRetriesThenFallsBack) {
   auto cfg = small_config(2, Strategy::kDssmr, 1);
   cfg.trace = true;
@@ -122,15 +124,16 @@ TEST(ClientProxy, FailedMoveRetriesThenFallsBack) {
   EXPECT_EQ(d->metrics().counter("client.fallbacks"), 1u);
 
   const stats::SpanStore& events = d->metrics().spans();
+  EXPECT_GE(events.count(stats::InstantKind::kMoveIssued), 1u);
   EXPECT_GE(events.count(stats::InstantKind::kMoveFailed), 1u);
   EXPECT_GE(events.count(stats::InstantKind::kRetry), 1u);
   EXPECT_EQ(events.count(stats::InstantKind::kFallback), 1u);
 }
 
-// Regression: after a move the client used to cache ALL the command's
-// variables at the destination, even though the destination gives up its claim
-// on variables no source shipped. The move reply now carries the installed
-// set, and only that set may enter the cache.
+// A failed fused move must not cache ALL the command's variables at the
+// destination, which gives up its claim on variables no source shipped: its
+// kRetry reply carries the installed set, and only that set may enter the
+// cache.
 TEST(ClientProxy, FailedMoveCachesOnlyInstalledVars) {
   auto cfg = small_config(2, Strategy::kDssmr, 1);
   cfg.trace = true;
@@ -147,6 +150,7 @@ TEST(ClientProxy, FailedMoveCachesOnlyInstalledVars) {
 
   EXPECT_EQ(run_op(*d, 0, kv_sum({VarId{1}, VarId{5}}, VarId{1})), ReplyCode::kOk);
   EXPECT_EQ(d->metrics().counter("client.fallbacks"), 1u);
+  EXPECT_EQ(d->metrics().counter("client.moves"), 1u);  // one fused attempt
   EXPECT_GE(d->metrics().spans().count(stats::InstantKind::kMoveFailed), 1u);
   // The phantom never landed anywhere: caching it would poison the cache.
   EXPECT_EQ(d->client(0).cached_location(VarId{5}), std::nullopt);

@@ -265,7 +265,7 @@ TEST(ConsultPath, ReconsultAfterFailedMoveIsOrdered) {
   cfg.client_max_retries = 1;
   auto d = traced_deployment(cfg);
   d->preload_var(VarId{1}, d->partition_gid(1), kv::KvValue{7, ""});
-  // A phantom known only to the oracle: every move it prophesies fails.
+  // A phantom known only to the oracle: every fused move it prophesies fails.
   for (std::size_t r = 0; r < cfg.oracle_replicas; ++r) {
     d->oracle(r).preload(VarId{5}, d->partition_gid(0));
   }
@@ -273,6 +273,7 @@ TEST(ConsultPath, ReconsultAfterFailedMoveIsOrdered) {
   d->settle();
   d->metrics().spans().clear();
   EXPECT_EQ(run_op(*d, 0, kv_sum({VarId{1}, VarId{5}}, VarId{1})), ReplyCode::kOk);
+  EXPECT_GE(d->metrics().spans().count(stats::InstantKind::kMoveIssued), 1u);
   EXPECT_GE(d->metrics().spans().count(stats::InstantKind::kMoveFailed), 1u);
   expect_only_first_consult_direct(consult_routes(*d), 2);
 }

@@ -324,7 +324,8 @@ struct ScriptedFollower {
   /// The leader's commit of `slot`, carrying entry id `slot`.
   void commit(Slot slot) {
     Batch batch{{MsgId{slot}, net::make_msg<IntMsg>(static_cast<std::int64_t>(slot))}};
-    core->handle(kLeader, net::make_msg<CommitMsg>(GroupId{0}, slot, std::move(batch)));
+    core->handle(kLeader, net::make_msg<CommitMsg>(GroupId{0}, slot,
+                                                    std::make_shared<const Batch>(std::move(batch))));
   }
 
   /// The slots this follower sends back for a catch-up request from `from`.

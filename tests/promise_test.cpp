@@ -55,6 +55,12 @@ void record(const char* key, double value) {
 // groups; without the location cache every command consults the oracle.
 // Batching amortizes the Skeen timestamp exchange, the Paxos instances and
 // the submit fan-out over a batch.
+//
+// The ratio bound keeps the 4% headroom it had when first set (1.58 against
+// a measured 1.64). Fused moves removed the unbatched run's retry storm
+// (45.5 -> 21.0 events per command), so the ratio fell from 2.29 to 1.39 and
+// the bound to 1.34; the absolute bound holds the batched run at or below
+// its cost before fused moves (19.85 events per command).
 TEST(Promise, BatchingCutsEventsPerCommand) {
   auto cfg = small_chirper();
   cfg.clients_per_partition = 16;
@@ -71,8 +77,11 @@ TEST(Promise, BatchingCutsEventsPerCommand) {
 
   EXPECT_GT(on.counter("batch.flushes"), 0u);
   const double event_ratio = events_per_command(off) / events_per_command(on);
+  record("events_per_cmd_off", events_per_command(off));
+  record("events_per_cmd_on", events_per_command(on));
   record("event_ratio", event_ratio);
-  EXPECT_GE(event_ratio, 1.58);
+  EXPECT_GE(event_ratio, 1.34);
+  EXPECT_LE(events_per_command(on), 19.85);
 }
 
 // Post-only on a larger METIS-placed graph, so clients pay real cold

@@ -517,6 +517,83 @@ TEST(ServerExec, SecondReplicaShipmentOfAGroupIsIgnored) {
   EXPECT_EQ(v0->num, 1 + 10);
 }
 
+/// The value a VarShipMsg carries for `v` (-1 if it carries none).
+std::int64_t shipped_num(const net::MessagePtr& m, VarId v) {
+  for (const auto& [var, val] : net::msg_as<smr::VarShipMsg>(m).vars) {
+    if (var == v) return dynamic_cast<const kv::KvValue&>(*val).num;
+  }
+  return -1;
+}
+
+TEST(ServerMove, SourceShipsOnceNoEarlierTaskTouchesTheVariable) {
+  // P0's queue, in delivery order: A adds 5 to v0; B sums v1 and P1's v2
+  // into v1 and blocks the head until P1's input arrives; move M1 takes v0
+  // to P1, M2 takes v1 there, M3 takes v3 there. Each move ships as soon as
+  // no earlier queued task touches its variable: M3 at once, M1 when A
+  // returns, although B still blocks the queue, and M2 only after B. Each
+  // ships the value it would have shipped at the head of the queue.
+  sim::Engine engine;
+  net::Network network(engine, {}, 7);
+  multicast::Directory directory;
+  stats::Metrics metrics;
+  ScriptedServer server;
+  RecordingGroupNode peer;
+  directory.add_group({network.add_process(server, 0)});
+  directory.add_group({network.add_process(peer, 1)});
+  server.init_partition(network, directory, GroupId{0}, 0, kNoGroup, {}, kv::kv_app_factory(),
+                        {}, metrics, 1);
+  peer.init_group_node(network, directory, GroupId{1}, {}, metrics, 2);
+  for (std::uint64_t v : {0, 1, 3}) {
+    server.preload(VarId{v}, std::make_unique<kv::KvValue>(static_cast<std::int64_t>(v) * 100 + 1, ""));
+  }
+  std::uint64_t seq = 0;
+  const auto deliver = [&](smr::Command c, std::vector<GroupId> dests) {
+    c.id = MsgId{++seq};
+    server.on_amdeliver({.id = c.id,
+                         .sender = kNoProcess,
+                         .dests = std::move(dests),
+                         .payload = net::make_msg<smr::CommandMsg>(std::move(c))});
+    return MsgId{seq};
+  };
+  const auto move = [&](VarId v) {
+    return deliver(smr::make_move(MsgId{}, 0, {v}, {GroupId{0}}, GroupId{1}),
+                   {GroupId{0}, GroupId{1}});
+  };
+  const auto ships_for = [&](MsgId id) {
+    std::vector<net::MessagePtr> out;
+    for (const auto& m : peer.rmdelivered) {
+      if (net::msg_as<smr::VarShipMsg>(m).cmd_id == id) out.push_back(m);
+    }
+    return out;
+  };
+
+  deliver(kv_add(VarId{0}, 5), {GroupId{0}});
+  const MsgId b = deliver(kv_sum({VarId{1}, VarId{2}}, VarId{1}), {GroupId{0}, GroupId{1}});
+  const MsgId m1 = move(VarId{0});
+  const MsgId m2 = move(VarId{1});
+  const MsgId m3 = move(VarId{3});
+  engine.run_for(msec(5));
+  ASSERT_EQ(server.executed_count(), 1u);  // A ran; B waits for P1's input
+  ASSERT_EQ(ships_for(m3).size(), 1u);
+  EXPECT_EQ(shipped_num(ships_for(m3)[0], VarId{3}), 301);
+  ASSERT_EQ(ships_for(m1).size(), 1u);
+  EXPECT_EQ(shipped_num(ships_for(m1)[0], VarId{0}), 1 + 5);  // after A, not before
+  EXPECT_TRUE(ships_for(m2).empty());  // B, queued before M2, writes v1
+  ASSERT_EQ(ships_for(b).size(), 1u);   // B's own exchange needed only v1 final
+  EXPECT_EQ(shipped_num(ships_for(b)[0], VarId{1}), 101);
+
+  server.on_rmdeliver(kNoProcess,
+                      net::make_msg<smr::VarShipMsg>(
+                          b, GroupId{1},
+                          decltype(smr::VarShipMsg::vars){
+                              {VarId{2}, std::make_shared<kv::KvValue>(1000, "")}}));
+  engine.run_for(msec(5));
+  EXPECT_EQ(server.executed_count(), 5u);
+  ASSERT_EQ(ships_for(m2).size(), 1u);
+  EXPECT_EQ(shipped_num(ships_for(m2)[0], VarId{1}), 101 + 1000);
+  for (std::uint64_t v : {0, 1, 3}) EXPECT_FALSE(server.store().holds(VarId{v})) << v;
+}
+
 /// Collects the replies a partition sends to one requester.
 class ReplyRecorder : public net::Actor {
  public:
@@ -542,7 +619,7 @@ struct RetryHarness {
     auto user = std::make_unique<chirper::UserValue>();
     for (std::uint64_t i = 1; i <= 3; ++i) {
       chirper::Post post{VarId{2}, i, "post " + std::to_string(i)};
-      user->timeline.push(std::make_shared<const chirper::Post>(std::move(post)));
+      user->timeline.push(chirper::PostPtr::make(std::move(post)));
     }
     server.preload(kUser, std::move(user));
     server.start();
@@ -692,6 +769,71 @@ TEST(ServerRetry, UnorderedMoveIdsKeepOneSessionPerRequester) {
     EXPECT_EQ(h.server.executed_count(), 21u);
     EXPECT_EQ(h.server.session_count(), 1u);
   }
+}
+
+TEST(ServerRetry, RetransmittedFusedMoveIsAnsweredAndNeverClaimsAgain) {
+  // A fused move settles at its destination whether it succeeded or not: a
+  // retransmission is answered from the session and claims nothing again.
+  // A claim would wait forever for shipments the sources, which settled the
+  // attempt when they shipped, never send again, wedging the queue.
+  RetryHarness h{std::size_t{1} << 15};
+  const auto fused = [&](VarId followee) {
+    smr::Command c = chirper::make_follow(RetryHarness::kUser, followee);
+    c.id = MsgId{(std::uint64_t{h.requester.pid().value} << 32) | ++h.seq};
+    const MsgId attempt{(std::uint64_t{h.requester.pid().value} << 32) | ++h.seq};
+    return std::make_pair(c, smr::fuse_move(c, attempt, {GroupId{1}}, GroupId{0}));
+  };
+  const auto ship = [&](MsgId id, decltype(smr::VarShipMsg::vars) vars) {
+    h.server.on_rmdeliver(kNoProcess, net::make_msg<smr::VarShipMsg>(id, GroupId{1}, vars));
+    h.engine.run_for(msec(1));
+  };
+
+  // Success: v7 comes in from P1 and the follow executes here.
+  const auto [follow7, ok] = fused(VarId{7});
+  h.deliver(ok);
+  ship(ok.id, {{VarId{7}, std::make_shared<chirper::UserValue>()}});
+  ASSERT_EQ(h.requester.replies.size(), 1u);
+  EXPECT_EQ(h.requester.replies[0].code, ReplyCode::kOk);
+  EXPECT_EQ(h.server.executed_count(), 1u);
+  // v7 moves back out; the retransmitted attempt must not claim it again.
+  h.settle_move(smr::make_move(MsgId{(std::uint64_t{h.requester.pid().value} << 32) | ++h.seq},
+                               0, {VarId{7}}, {GroupId{0}}, GroupId{1}));
+  ASSERT_FALSE(h.server.store().owns(VarId{7}));
+  h.deliver(ok);
+  ASSERT_EQ(h.requester.replies.size(), 2u);
+  EXPECT_EQ(h.requester.replies[1].cmd_id, ok.id);
+  EXPECT_EQ(h.requester.replies[1].code, ReplyCode::kOk);
+  EXPECT_FALSE(h.server.store().owns(VarId{7}));
+  EXPECT_EQ(h.server.executed_count(), 2u);  // the follow and the move out
+
+  // Failure: P1 ships nothing for v8, so the attempt answers kRetry with the
+  // variables that did land here.
+  const auto [follow8, failed] = fused(VarId{8});
+  h.deliver(failed);
+  ship(failed.id, {});
+  ASSERT_EQ(h.requester.replies.size(), 3u);
+  EXPECT_EQ(h.requester.replies[2].code, ReplyCode::kRetry);
+  const auto* result = net::msg_cast<smr::MoveResultMsg>(h.requester.replies[2].app_reply);
+  ASSERT_NE(result, nullptr);
+  EXPECT_EQ(result->installed, std::vector<VarId>{RetryHarness::kUser});
+  h.deliver(failed);
+  ASSERT_EQ(h.requester.replies.size(), 4u);
+  EXPECT_EQ(h.requester.replies[3].cmd_id, failed.id);
+  EXPECT_EQ(h.requester.replies[3].code, ReplyCode::kRetry);
+  EXPECT_FALSE(h.server.store().owns(VarId{8}));
+  EXPECT_EQ(h.server.executed_count(), 3u);
+
+  // The queue is not wedged, and the attempt stayed out of the access
+  // watermark: once v8 is here, the command's retry under its own, smaller
+  // id executes.
+  h.settle_move(h.move(VarId{8}));
+  ASSERT_EQ(h.requester.replies.size(), 5u);
+  ASSERT_LT(follow8.id, failed.id);
+  h.deliver(follow8);
+  ASSERT_EQ(h.requester.replies.size(), 6u);
+  EXPECT_EQ(h.requester.replies[5].cmd_id, follow8.id);
+  EXPECT_EQ(h.requester.replies[5].code, ReplyCode::kOk);
+  EXPECT_EQ(h.server.executed_count(), 5u);
 }
 
 }  // namespace

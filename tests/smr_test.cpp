@@ -2,6 +2,9 @@
 // view, KV application semantics, and command plumbing.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sim/engine.h"
 #include "smr/app.h"
 #include "smr/command.h"
@@ -13,9 +16,14 @@ namespace {
 
 // ---- ExecutionEngine ----------------------------------------------------------
 
-/// A task with no inputs to wait for and no on_head step.
-ExecutionEngine::Task plain(std::uint64_t id, Duration service, sim::Callback run) {
-  return {.id = MsgId{id}, .awaits = {}, .service = service, .on_head = {}, .run = std::move(run)};
+/// A task with no inputs to wait for that touches `touches`.
+ExecutionEngine::Task plain(std::uint64_t id, Duration service, sim::Callback run,
+                            std::vector<VarId> touches = {}) {
+  return {.id = MsgId{id},
+          .awaits = {},
+          .touches = std::move(touches),
+          .service = service,
+          .run = std::move(run)};
 }
 
 common::SmallSet<GroupId> groups(std::initializer_list<std::uint32_t> ids) {
@@ -47,8 +55,8 @@ TEST(ExecutionEngine, HeadWaitsBlockEverythingBehind) {
   std::vector<int> order;
   exec.enqueue({.id = MsgId{1},
                 .awaits = groups({3, 5}),
+                .touches = {},
                 .service = usec(5),
-                .on_head = {},
                 .run = [&] { order.push_back(1); }});
   exec.enqueue(plain(2, usec(5), [&] { order.push_back(2); }));
   engine.run_for(msec(1));
@@ -61,22 +69,31 @@ TEST(ExecutionEngine, HeadWaitsBlockEverythingBehind) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(ExecutionEngine, OnHeadRunsOnceBeforeReadyChecks) {
+TEST(ExecutionEngine, WhenSettledWaitsOnlyForEarlierTasksThatTouchItsVars) {
   sim::Engine engine;
   ExecutionEngine exec{engine};
-  int head_calls = 0;
+  std::vector<std::string> log;
+  // Task 1 touches v1 and blocks the queue on group 2's input; task 2 touches
+  // v2; task 3, queued after the call below, touches v1 too.
   exec.enqueue({.id = MsgId{1},
                 .awaits = groups({2}),
+                .touches = {VarId{1}},
                 .service = usec(1),
-                .on_head = [&] { ++head_calls; },
-                .run = [] {}});
+                .run = [&] { log.emplace_back("run 1"); }});
+  exec.enqueue(plain(2, usec(1), [&] { log.emplace_back("run 2"); }, {VarId{2}}));
+  const std::vector<VarId> v1{VarId{1}}, v2{VarId{2}}, v3{VarId{3}};
+  exec.when_settled(v3, [&] { log.emplace_back("v3"); });  // nothing queued touches v3
+  EXPECT_EQ(log, (std::vector<std::string>{"v3"}));
+  exec.when_settled(v1, [&] { log.emplace_back("v1"); });
+  exec.when_settled(v2, [&] { log.emplace_back("v2"); });
+  exec.enqueue(plain(3, usec(1), [&] { log.emplace_back("run 3"); }, {VarId{1}}));
   engine.run_for(msec(1));
-  EXPECT_EQ(head_calls, 1);
-  exec.arrive(MsgId{9}, GroupId{2});  // another command's input re-checks the head
-  EXPECT_EQ(head_calls, 1);
-  EXPECT_TRUE(exec.arrive(MsgId{1}, GroupId{2}));
+  EXPECT_EQ(log.size(), 1u);  // the head still waits for group 2
+  exec.arrive(MsgId{1}, GroupId{2});
   engine.run_for(msec(1));
-  EXPECT_EQ(head_calls, 1);
+  // v1 settles right after task 1, not after task 3 queued behind the call;
+  // v2 right after task 2.
+  EXPECT_EQ(log, (std::vector<std::string>{"v3", "run 1", "v1", "run 2", "v2", "run 3"}));
   EXPECT_TRUE(exec.idle());
 }
 
@@ -99,8 +116,8 @@ TEST(ExecutionEngine, InputArrivingBeforeItsCommandCounts) {
   bool ran = false;
   exec.enqueue({.id = MsgId{1},
                 .awaits = groups({4}),
+                .touches = {},
                 .service = usec(1),
-                .on_head = {},
                 .run = [&] {
                   ran = true;
                   EXPECT_EQ(shipped_num(exec, 1, 7), 70);  // shipped before enqueue
@@ -112,8 +129,8 @@ TEST(ExecutionEngine, InputArrivingBeforeItsCommandCounts) {
   bool reran = false;
   exec.enqueue({.id = MsgId{1},
                 .awaits = groups({4}),
+                .touches = {},
                 .service = usec(1),
-                .on_head = {},
                 .run = [&] { reran = true; }});
   engine.run_for(msec(1));
   EXPECT_FALSE(reran);
@@ -140,8 +157,8 @@ TEST(ExecutionEngine, PendingFromEnqueueUntilRunReturns) {
   bool pending_in_run = false;
   exec.enqueue({.id = MsgId{1},
                 .awaits = groups({2}),
+                .touches = {},
                 .service = usec(1),
-                .on_head = {},
                 .run = [&] { pending_in_run = exec.pending(MsgId{1}); }});
   EXPECT_TRUE(exec.pending(MsgId{1}));
   engine.run_for(msec(1));

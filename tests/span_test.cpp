@@ -88,7 +88,7 @@ TEST(Span, PhasesTileEndToEndLatencyExactly) {
   cfg.spans = true;
   auto d = deployment(cfg);
   EXPECT_EQ(run_op(*d, 0, kv_get(VarId{1})), ReplyCode::kOk);
-  // Multi-partition command: triggers a move, so the kMove phase appears.
+  // Multi-partition command: a fused move, so the kMove phase appears.
   EXPECT_EQ(run_op(*d, 0, kv_sum({VarId{0}, VarId{1}, VarId{2}}, VarId{0})), ReplyCode::kOk);
   EXPECT_EQ(run_op(*d, 1, kv_add(VarId{4}, 2)), ReplyCode::kOk);
   EXPECT_EQ(run_op(*d, 0, kv_get(VarId{0})), ReplyCode::kOk);
@@ -113,12 +113,13 @@ TEST(Span, PhasesTileEndToEndLatencyExactly) {
   }
   const stats::Histogram& cmd = store.phase_histogram(SpanPhase::kCommand);
   ASSERT_EQ(cmd.count(), 4u);
+  EXPECT_EQ(store.phase_histogram(SpanPhase::kMove).count(), 1u);
   EXPECT_NEAR(phase_sum, cmd.mean() * static_cast<double>(cmd.count()), 0.5);
 }
 
 // The phantom variable (known only to the oracle) dooms every prophesied
-// move, so the command traverses consult -> move(fail) -> retry ... ->
-// S-SMR fallback. The whole journey must land in ONE trace.
+// fused move, so the command traverses consult -> fused move (fail) -> retry
+// ... -> S-SMR fallback. The whole journey must land in ONE trace.
 TEST(Span, FailedMoveRetryFallbackStaysInOneTrace) {
   auto cfg = small_config(2, Strategy::kDssmr, 1);
   cfg.spans = true;
@@ -147,7 +148,7 @@ TEST(Span, FailedMoveRetryFallbackStaysInOneTrace) {
   const auto fallbacks = q.select(tid, SpanPhase::kFallback);
   ASSERT_EQ(fallbacks.size(), 1u);
   EXPECT_FALSE(fallbacks[0]->folded);
-  // At least one move span closed unsuccessfully (arg != 0).
+  // At least one fused attempt's move span closed unsuccessfully (arg != 0).
   const auto moves = q.select(tid, SpanPhase::kMove);
   ASSERT_GE(moves.size(), 1u);
   bool any_failed = false;

@@ -153,7 +153,7 @@ void ClientProxy::start_attempt() {
     }
     DSSMR_ASSERT(!dests.empty());
     if (dests.size() > 1) ctr_.multi_partition->inc();
-    send_command(std::move(dests), Phase::kAwaitCommand);
+    send(cmd_, std::move(dests), Phase::kAwaitCommand);
     return;
   }
 
@@ -188,7 +188,7 @@ void ClientProxy::start_attempt() {
                     /*fold=*/false);
         }
       }
-      send_command({p}, Phase::kAwaitCommand);
+      send(cmd_, {p}, Phase::kAwaitCommand);
       return;
     }
   }
@@ -258,12 +258,12 @@ void ClientProxy::on_prophecy(const ProphecyMsg& p) {
   }
 
   if (cmd_.type == CommandType::kCreate) {
-    send_command({p.dest, cfg_.oracle_group}, Phase::kAwaitCommand);
+    send(cmd_, {p.dest, cfg_.oracle_group}, Phase::kAwaitCommand);
     return;
   }
   if (cmd_.type == CommandType::kDelete) {
     DSSMR_ASSERT(!p.locations.empty());
-    send_command({p.locations[0].second, cfg_.oracle_group}, Phase::kAwaitCommand);
+    send(cmd_, {p.locations[0].second, cfg_.oracle_group}, Phase::kAwaitCommand);
     return;
   }
 
@@ -278,7 +278,7 @@ void ClientProxy::on_prophecy(const ProphecyMsg& p) {
   DSSMR_ASSERT(!dests.empty());
 
   if (dests.size() == 1) {
-    send_command({dests[0]}, Phase::kAwaitCommand);
+    send(cmd_, {dests[0]}, Phase::kAwaitCommand);
     return;
   }
 
@@ -335,7 +335,7 @@ void ClientProxy::do_fallback() {
                   cmd_.id.value, retries_);
   fallback_start_ = network().engine().now();
   DSSMR_ASSERT(cmd_.type == CommandType::kAccess);
-  send_command(*cfg_.partitions, Phase::kAwaitFallback);
+  send(cmd_, *cfg_.partitions, Phase::kAwaitFallback);
 }
 
 void ClientProxy::retry() {

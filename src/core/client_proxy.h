@@ -120,9 +120,6 @@ class ClientProxy : public multicast::ClientNode {
   void on_prophecy(const smr::ProphecyMsg& p);
   /// Multicasts one attempt of the command as a fused move to `dest`.
   void send_fused(GroupId dest, std::vector<GroupId> sources);
-  void send_command(std::vector<GroupId> dests, Phase next_phase) {
-    send(cmd_, std::move(dests), next_phase);
-  }
   /// Multicasts `c` (the command, or one fused attempt of it) to `dests` and
   /// awaits its reply.
   void send(smr::Command c, std::vector<GroupId> dests, Phase next_phase);

@@ -165,7 +165,11 @@ class Mapping {
 ///    which keeps the partitions' work even; only equal-load ties break
 ///    pseudo-randomly from the variable set, NOT by lowest partition id: a
 ///    fixed tie-break funnels every near-tied neighbourhood to the same
-///    partition and collapses the whole state onto it.
+///    partition and collapses the whole state onto it. Most held is still
+///    rich-get-richer on a connected graph that grows on-line (E8): a
+///    partition holding more than a fifth above the mean share of variables
+///    is therefore no destination while an involved partition below that
+///    exists, and its variables move to the lighter one instead.
 ///  * kRandomInvolved: a pseudo-random involved partition (fully symmetric,
 ///    slowest convergence).
 ///  * kLeastLoaded: the involved partition with the fewest variables
@@ -209,7 +213,12 @@ class DssmrPolicy {
       case DestRule::kRandomInvolved:
         return involved_[h % involved_.size()];
       case DestRule::kMostHeld: {
-        // Most held first, then the lightest; hash only what still ties.
+        // Crowded partitions are passed over while an involved one is not.
+        // Then most held first, then the lightest; hash only what still ties.
+        const auto crowded = [&map](GroupId p) { return is_crowded(map, p); };
+        if (!std::all_of(involved_.begin(), involved_.end(), crowded)) {
+          std::erase_if(involved_, crowded);
+        }
         std::size_t most = 0;
         std::uint64_t lightest = std::numeric_limits<std::uint64_t>::max();
         for (GroupId p : involved_) {
@@ -237,6 +246,13 @@ class DssmrPolicy {
   }
 
  private:
+  /// More than a fifth (and one variable) above the mean number of variables
+  /// per live partition.
+  static bool is_crowded(const Mapping& map, GroupId p) {
+    const std::uint64_t live = map.live_count();
+    return 5 * map.load(p) * live > 6 * map.var_count() + 5 * live;
+  }
+
   DestRule rule_ = DestRule::kMostHeld;
   /// Scratch buffers reused across calls (one policy instance per oracle
   /// replica; calls are sequential within a simulation).

@@ -87,19 +87,26 @@ void PartitionServer::execute(MsgId id, std::uint64_t trace_id, Time delivered, 
                   }});
 }
 
-void PartitionServer::reply_to(ProcessId client, MsgId cmd_id, ReplyCode code,
+void PartitionServer::reply_to(ProcessId client, const Command& cmd, ReplyCode code,
                                net::MessagePtr app_reply, ReplyTiming timing, Settles settles) {
   // Runs on every replica (deliveries are identical across replicas, so the
   // dedup state stays deterministic and survives leader changes).
-  if (settles != Settles::kNothing) completed_.insert(cmd_id);
+  if (settles != Settles::kNothing) completed_.insert(cmd.id);
   if (client == kNoProcess) return;  // a rebalance move: nobody awaits it
-  auto reply = net::make_msg<ReplyMsg>(cmd_id, code, group(), std::move(app_reply), timing);
+  auto reply = net::make_msg<ReplyMsg>(cmd.id, code, group(), std::move(app_reply), timing);
   if (settles != Settles::kNothing) {
     Session& session = sessions_[client];
     if (settles == Settles::kMove) {
-      session.move = Settled{cmd_id, reply};
-    } else if (cmd_id >= session.access.id) {
-      session.access = Settled{cmd_id, reply};
+      session.move = Settled{cmd.id, reply};
+      // A fused move that executed settles its command too, under the
+      // command's own id: a late copy of an earlier send of the command must
+      // not run it here again.
+      const MsgId own{cmd.trace_id};
+      if (code == ReplyCode::kOk && cmd.fused_move() && own >= session.access.id) {
+        session.access = Settled{own, reply};
+      }
+    } else if (cmd.id >= session.access.id) {
+      session.access = Settled{cmd.id, reply};
     }
   }
   send_reply(client, std::move(reply));
@@ -114,16 +121,25 @@ void PartitionServer::on_amdeliver(const multicast::AmcastMessage& m) {
   // A fused move settles as a move: it carries a fresh id per attempt, so
   // it must not raise the access watermark past the command's own id.
   const bool moves = cmd.type == CommandType::kMove || cmd.fused_move();
-  const auto session = sessions_.find(client);
-  const Settled* latest = nullptr;
-  if (session != sessions_.end()) {
-    latest = moves ? &session->second.move : &session->second.access;
-  }
   // Re-sends the reply of a retried command that settled here, if it is the
   // requester's latest of its kind; the requester ignores any other reply.
   auto answer_retry = [&] {
-    if (latest != nullptr && latest->id == cmd.id) send_reply(client, latest->reply);
+    const auto session = sessions_.find(client);
+    if (session == sessions_.end()) return;
+    const Settled& latest = moves ? session->second.move : session->second.access;
+    if (latest.id == cmd.id) send_reply(client, latest.reply);
   };
+
+  // Each attempt of a fused move is delivered once at every partition it
+  // involves, whatever the windows below still hold (see Session::fused).
+  if (cmd.fused_move() && client != kNoProcess) {
+    MsgId& fused = sessions_[client].fused;
+    if (cmd.id <= fused) {
+      answer_retry();
+      return;
+    }
+    fused = cmd.id;
+  }
   if (completed_.contains(cmd.id)) {
     answer_retry();
     return;
@@ -135,9 +151,12 @@ void PartitionServer::on_amdeliver(const multicast::AmcastMessage& m) {
   // A window miss is not proof the command is new: the window is bounded,
   // and a slow retransmission can outlive its entry. The requester's latest
   // settled access catches that — at-most-once even after eviction.
-  if (cmd.type == CommandType::kAccess && !moves && latest != nullptr && cmd.id <= latest->id) {
-    answer_retry();
-    return;
+  if (cmd.type == CommandType::kAccess && !moves) {
+    const auto session = sessions_.find(client);
+    if (session != sessions_.end() && cmd.id <= session->second.access.id) {
+      answer_retry();
+      return;
+    }
   }
 
   switch (cmd.type) {
@@ -182,7 +201,7 @@ void PartitionServer::deliver_access_single(const Command& cmd, ProcessId client
   if (!std::all_of(cmd.read_set.begin(), cmd.read_set.end(), owned) ||
       !std::all_of(cmd.write_set.begin(), cmd.write_set.end(), owned)) {
     bump(ctr_.retries_issued);
-    reply_to(client, cmd.id, stale, nullptr, ReplyTiming{delivered, delivered, delivered},
+    reply_to(client, cmd, stale, nullptr, ReplyTiming{delivered, delivered, delivered},
              Settles::kNothing);
     return;
   }
@@ -198,13 +217,13 @@ void PartitionServer::deliver_access_single(const Command& cmd, ProcessId client
             if (!std::all_of(cmd.read_set.begin(), cmd.read_set.end(), held) ||
                 !std::all_of(cmd.write_set.begin(), cmd.write_set.end(), held)) {
               bump(ctr_.retries_issued);
-              reply_to(client, cmd.id, retired_ ? ReplyCode::kRetired : ReplyCode::kRetry,
+              reply_to(client, cmd, retired_ ? ReplyCode::kRetired : ReplyCode::kRetry,
                        nullptr, timing, Settles::kNothing);
               return;
             }
             smr::ExecutionView view{store_};
             net::MessagePtr app_reply = app_->execute(cmd, view);
-            reply_to(client, cmd.id, ReplyCode::kOk, std::move(app_reply), timing,
+            reply_to(client, cmd, ReplyCode::kOk, std::move(app_reply), timing,
                      Settles::kAccess);
           });
 }
@@ -242,7 +261,7 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m, co
     }
     // Peer shipments that arrived before our delivery.
     exec_->forget(cmd.id);
-    reply_to(client, cmd.id, ReplyCode::kNotInvolved, nullptr,
+    reply_to(client, cmd, ReplyCode::kNotInvolved, nullptr,
              ReplyTiming{delivered, delivered, delivered}, Settles::kAccess);
     return;
   }
@@ -267,7 +286,7 @@ void PartitionServer::deliver_access_multi(const multicast::AmcastMessage& m, co
           if (!store_.contains(v)) view.lend(v, val->clone());
         }
         net::MessagePtr app_reply = app_->execute(cmd, view);
-        reply_to(client, cmd.id, ReplyCode::kOk, std::move(app_reply), timing, Settles::kAccess);
+        reply_to(client, cmd, ReplyCode::kOk, std::move(app_reply), timing, Settles::kAccess);
       });
 }
 
@@ -350,12 +369,12 @@ void PartitionServer::deliver_move(const Command& cmd, ProcessId client) {
         // which variables really landed here so it caches only those, and
         // the command goes through the client's retry/fallback path. It
         // settles like a success, so a retransmission is answered from the
-        // session instead of claiming the variables again.
+        // session.
         if (failed != 0) {
           bump(ctr_.moves_failed);
           record_instant(stats::InstantKind::kMoveFailed, cmd.id.value,
                          static_cast<std::int64_t>(failed));
-          reply_to(client, cmd.id, ReplyCode::kRetry,
+          reply_to(client, cmd, ReplyCode::kRetry,
                    net::make_msg<smr::MoveResultMsg>(std::move(installed)), timing,
                    Settles::kMove);
           return;
@@ -369,7 +388,7 @@ void PartitionServer::deliver_move(const Command& cmd, ProcessId client) {
         } else {
           app_reply = net::make_msg<smr::MoveResultMsg>(std::move(installed));
         }
-        reply_to(client, cmd.id, ReplyCode::kOk, std::move(app_reply), timing, Settles::kMove);
+        reply_to(client, cmd, ReplyCode::kOk, std::move(app_reply), timing, Settles::kMove);
       },
       static_cast<std::int64_t>(vars.size()));
 }

@@ -121,7 +121,7 @@ class PartitionServer : public multicast::GroupNode {
 
   /// Settles the command per `settles` and sends its reply to `client`
   /// (GroupNode::send_reply); nothing is sent when `client` is kNoProcess.
-  void reply_to(ProcessId client, MsgId cmd_id, smr::ReplyCode code,
+  void reply_to(ProcessId client, const smr::Command& cmd, smr::ReplyCode code,
                 net::MessagePtr app_reply, smr::ReplyTiming timing, Settles settles);
   /// Queues a command's task: it waits for the inputs of `awaits`, occupies
   /// the CPU for `service`, records the queue and execute spans and then runs
@@ -187,10 +187,23 @@ class PartitionServer : public multicast::GroupNode {
   /// `move` is simply the move settled last. A fused move carries a fresh id
   /// per attempt, above its command's own id, and a failed attempt is
   /// followed by a retry under that smaller id, so moves stay outside the
-  /// backstop.
+  /// access backstop. A fused move that executed raises `access` to its
+  /// command's own id instead.
+  ///
+  /// `fused` is the backstop for fused moves: the highest attempt id the
+  /// requester has had delivered here, as a source or as the destination,
+  /// raised at delivery. A fresh attempt is above it at every partition it
+  /// involves: the requester sends an attempt only after the previous one's
+  /// reply, which its destination sends after every source shipped, that is
+  /// after every involved partition delivered it. Every copy of an attempt
+  /// goes to the same groups, so every involved partition delivers the same
+  /// copy first and drops the others, whatever `completed_` still holds:
+  /// sources never give the variables up twice, and the destination never
+  /// claims them again (no source would ship) or runs the command twice.
   struct Session {
     Settled access;
     Settled move;
+    MsgId fused{};
   };
   common::FlatMap<ProcessId, Session> sessions_;
   GroupId oracle_group_ = kNoGroup;

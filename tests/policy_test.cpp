@@ -86,6 +86,25 @@ TEST(DssmrPolicy, MostHeldTieGoesToTheLighterPartition) {
   }
 }
 
+TEST(DssmrPolicy, MostHeldPassesOverACrowdedPartition) {
+  // P0 holds 10 of 15 variables, more than a fifth (and one variable) above
+  // the mean of 5: it is no destination while an involved partition is not
+  // crowded, even where it holds the most of the command.
+  Mapping m{three_parts()};
+  for (std::uint64_t i = 0; i < 10; ++i) m.place(VarId{i}, GroupId{0});
+  for (std::uint64_t i = 10; i < 12; ++i) m.place(VarId{i}, GroupId{1});
+  for (std::uint64_t i = 20; i < 23; ++i) m.place(VarId{i}, GroupId{2});
+  DssmrPolicy policy{DssmrPolicy::DestRule::kMostHeld};
+  EXPECT_EQ(policy.choose_destination({VarId{0}, VarId{1}, VarId{10}}, m), GroupId{1});
+  // Among the others, most held still wins over lighter.
+  EXPECT_EQ(policy.choose_destination({VarId{0}, VarId{10}, VarId{20}, VarId{21}}, m),
+            GroupId{2});
+  // With every involved partition crowded, most held applies as before.
+  for (std::uint64_t i = 12; i < 20; ++i) m.place(VarId{i}, GroupId{1});
+  for (std::uint64_t i = 20; i < 23; ++i) m.erase(VarId{i});
+  EXPECT_EQ(policy.choose_destination({VarId{0}, VarId{1}, VarId{10}}, m), GroupId{0});
+}
+
 TEST(DssmrPolicy, DestinationIsDeterministic) {
   Mapping m{three_parts()};
   m.place(VarId{1}, GroupId{0});

@@ -836,5 +836,79 @@ TEST(ServerRetry, RetransmittedFusedMoveIsAnsweredAndNeverClaimsAgain) {
   EXPECT_EQ(h.server.executed_count(), 5u);
 }
 
+TEST(ServerRetry, FusedAttemptThatOutlivesItsWindowEntryIsNotProcessedAgain) {
+  // A window of 1 evicts each attempt as soon as anything else settles, so a
+  // slow copy of it is caught by the requester's fused watermark alone.
+  RetryHarness h{1};
+  const auto fused = [&](smr::Command c, GroupId source, GroupId dest) {
+    c.id = MsgId{(std::uint64_t{h.requester.pid().value} << 32) | ++h.seq};
+    c.trace_id = c.id.value;
+    const MsgId attempt{(std::uint64_t{h.requester.pid().value} << 32) | ++h.seq};
+    return std::make_pair(c, smr::fuse_move(c, attempt, {source}, dest));
+  };
+  const auto ship = [&](MsgId id, decltype(smr::VarShipMsg::vars) vars) {
+    h.server.on_rmdeliver(kNoProcess, net::make_msg<smr::VarShipMsg>(id, GroupId{1}, vars));
+    h.engine.run_for(msec(1));
+  };
+  const auto timeline_posts = [&] {
+    h.deliver(h.timeline());
+    return RetryHarness::posts(h.requester.replies.back()).size();
+  };
+
+  // Destination, success: the post runs once. A late copy of an earlier send
+  // of the command under its own id finds it settled; a timeline read then
+  // evicts the attempt, whose copy is answered and runs nothing either.
+  const auto [post, ok] =
+      fused(chirper::make_post(RetryHarness::kUser, {VarId{7}}, "hi"), GroupId{1}, GroupId{0});
+  h.deliver(ok);
+  ship(ok.id, {{VarId{7}, std::make_shared<chirper::UserValue>()}});
+  ASSERT_EQ(h.requester.replies.size(), 1u);
+  ASSERT_EQ(h.requester.replies[0].code, ReplyCode::kOk);
+  h.deliver(post);
+  ASSERT_EQ(timeline_posts(), 4u);
+  h.deliver(ok);
+  ASSERT_EQ(h.requester.replies.size(), 4u);
+  EXPECT_EQ(h.requester.replies[3].cmd_id, ok.id);
+  EXPECT_EQ(h.requester.replies[3].code, ReplyCode::kOk);
+  EXPECT_EQ(timeline_posts(), 4u);
+
+  // Destination, failure: P1 ships nothing for v8. The evicted attempt's
+  // copy is answered, claims nothing and leaves no task waiting in the queue.
+  const auto [follow, failed] =
+      fused(chirper::make_follow(RetryHarness::kUser, VarId{8}), GroupId{1}, GroupId{0});
+  h.deliver(failed);
+  ship(failed.id, {});
+  ASSERT_EQ(h.requester.replies.size(), 6u);
+  ASSERT_EQ(h.requester.replies[5].code, ReplyCode::kRetry);
+  timeline_posts();
+  h.deliver(failed);
+  ASSERT_EQ(h.requester.replies.size(), 8u);
+  EXPECT_EQ(h.requester.replies[7].cmd_id, failed.id);
+  EXPECT_EQ(h.requester.replies[7].code, ReplyCode::kRetry);
+  EXPECT_FALSE(h.server.store().owns(VarId{8}));
+  EXPECT_EQ(timeline_posts(), 4u);
+  EXPECT_EQ(h.requester.replies.size(), 9u);
+
+  // Source: the attempt takes the user to P1; it comes back with a later
+  // move, which evicts the attempt. Its copy must not give the user up again.
+  const auto [out_cmd, out] =
+      fused(chirper::make_follow(RetryHarness::kUser, VarId{9}), GroupId{0}, GroupId{1});
+  h.deliver(out);
+  const auto ships = [&] {
+    return std::count_if(h.peer.rmdelivered.begin(), h.peer.rmdelivered.end(),
+                         [&](const net::MessagePtr& m) {
+                           return net::msg_as<smr::VarShipMsg>(m).cmd_id == out.id;
+                         });
+  };
+  ASSERT_EQ(ships(), 1);
+  ASSERT_FALSE(h.server.store().owns(RetryHarness::kUser));
+  h.settle_move(h.move(RetryHarness::kUser));
+  ASSERT_TRUE(h.server.store().contains(RetryHarness::kUser));
+  h.deliver(out);
+  EXPECT_EQ(ships(), 1);
+  EXPECT_TRUE(h.server.store().owns(RetryHarness::kUser));
+  EXPECT_EQ(h.server.session_count(), 1u);
+}
+
 }  // namespace
 }  // namespace dssmr::core

@@ -152,7 +152,10 @@ void PaxosCore::arm_resend_timer() {
 
 void PaxosCore::arm_batch_timer() {
   if (halted_ || batch_timer_ != 0) return;
-  batch_timer_ = engine_.schedule(cfg_.batch_delay, [this] {
+  // With nothing in flight there is nothing to batch behind: close the batch
+  // at the end of this instant, so a same-instant burst still shares a slot.
+  const Duration delay = proposals_.empty() ? Duration{0} : cfg_.batch_delay;
+  batch_timer_ = engine_.schedule(delay, [this] {
     batch_timer_ = 0;
     if (!halted_ && role_ == Role::Leader) flush_pending();
   });
@@ -469,9 +472,10 @@ void PaxosCore::decide(Slot slot, SharedBatch batch, bool broadcast_commit) {
     broadcast(net::make_msg<CommitMsg>(gid_, slot, decided_[i]));
   }
   advance_delivery();
-  // A decision freed a pipeline slot; push the backlog into it right away.
-  if (cfg_.pipeline_depth != 0 && role_ == Role::Leader && !pending_.empty() &&
-      proposals_.size() < cfg_.pipeline_depth) {
+  // A decision freed room in the window (depth 0 has no bound); propose the
+  // backlog right away instead of leaving it to the batch timer.
+  if (role_ == Role::Leader && !pending_.empty() &&
+      (cfg_.pipeline_depth == 0 || proposals_.size() < cfg_.pipeline_depth)) {
     flush_pending();
   }
 }

@@ -10,9 +10,14 @@
 //    with the highest granted ballot leads, proposes batches into slots, and
 //    broadcasts commits. Followers monitor heartbeats and run an election
 //    (phase 1) after a randomized timeout.
-//  * Batching: submissions are buffered for up to `batch_delay` (or
-//    `max_batch` entries) and decided as one slot, which is both realistic
-//    (Ring Paxos batches aggressively) and essential for simulation speed.
+//  * Batching: the leader batches only behind proposals already in flight.
+//    A submission that finds none is proposed at the end of the current
+//    instant, together with whatever else arrived in that instant; one that
+//    finds some waits until a decision lands (which proposes the backlog at
+//    once), `max_batch` entries accumulate, or `batch_delay` passes. So a
+//    lone entry pays no batching wait, and under load slots still carry
+//    many entries, which is both realistic (Ring Paxos batches aggressively)
+//    and essential for simulation speed.
 //  * Uniform agreement: a value is committed only after a majority accepted
 //    it, so any later leader's phase 1 re-discovers it.
 //  * Each slot is held once: accepted_ until it is decided, then decided_
@@ -81,6 +86,10 @@ using Batch = std::vector<LogEntry>;
 using SharedBatch = std::shared_ptr<const Batch>;
 
 struct PaxosConfig {
+  /// Longest a submission waits behind in-flight proposals before the leader
+  /// proposes it. With nothing in flight it is proposed within the instant,
+  /// and a decision proposes the backlog at once, so this bounds only the
+  /// wait behind a slow slot.
   Duration batch_delay = usec(100);
   std::size_t max_batch = 64;
   /// Decided slots kept behind the delivery point for catch-up.

@@ -211,6 +211,54 @@ TEST(Pipeline, DepthZeroKeepsSingleFlushBehavior) {
   }
 }
 
+TEST(Pipeline, IdleLeaderProposesWithinTheInstant) {
+  consensus::PaxosConfig cfg;
+  cfg.batch_delay = msec(10);  // long enough that any wait on it shows
+  PipelineCluster c{cfg};
+  consensus::PaxosCore& leader = *c.nodes[0]->core;
+  ASSERT_TRUE(leader.is_leader());
+  // Nothing in flight: a lone entry is proposed at once and decided on every
+  // replica within one round trip, not batch_delay later.
+  ASSERT_TRUE(leader.submit({MsgId{0x300}, net::make_msg<IntMsg>(0)}));
+  c.engine.run_for(msec(1));
+  for (auto& n : c.nodes) ASSERT_EQ(n->decided.size(), 1u);
+  // A burst within one instant still becomes one slot.
+  for (std::int64_t v = 1; v <= 6; ++v) {
+    ASSERT_TRUE(leader.submit({MsgId{0x300 + static_cast<std::uint64_t>(v)},
+                               net::make_msg<IntMsg>(v)}));
+  }
+  c.engine.run_for(msec(1));
+  for (auto& n : c.nodes) {
+    ASSERT_EQ(n->decided.size(), 7u);
+    EXPECT_GT(n->decided_slots[1], n->decided_slots[0]);
+    EXPECT_EQ(n->decided_slots[1], n->decided_slots.back());
+  }
+}
+
+TEST(Pipeline, DecisionFlushesBacklogAtDepthZero) {
+  consensus::PaxosConfig cfg;  // pipeline_depth = 0
+  cfg.batch_delay = msec(10);
+  PipelineCluster c{cfg};
+  consensus::PaxosCore& leader = *c.nodes[0]->core;
+  ASSERT_TRUE(leader.is_leader());
+  ASSERT_TRUE(leader.submit({MsgId{0x400}, net::make_msg<IntMsg>(0)}));
+  c.engine.run_for(usec(1));
+  ASSERT_EQ(leader.inflight_proposals(), 1u);
+  // Entries arriving behind an in-flight slot wait for its decision, which
+  // proposes them at once, not for the batch timer.
+  for (std::int64_t v = 1; v <= 2; ++v) {
+    ASSERT_TRUE(leader.submit({MsgId{0x400 + static_cast<std::uint64_t>(v)},
+                               net::make_msg<IntMsg>(v)}));
+  }
+  EXPECT_EQ(leader.pending_entries(), 2u);
+  c.engine.run_for(msec(2));
+  for (auto& n : c.nodes) {
+    ASSERT_EQ(n->decided.size(), 3u);
+    EXPECT_GT(n->decided_slots[1], n->decided_slots[0]);
+    EXPECT_EQ(n->decided_slots[1], n->decided_slots[2]);
+  }
+}
+
 // ---- whole-deployment guarantees with batching on ---------------------------
 
 harness::DeploymentConfig batched_config(std::size_t parts, std::size_t clients) {

@@ -273,28 +273,9 @@ void PaxosCore::clear_held() {
 }
 
 void PaxosCore::flush_pending() {
-  if (cfg_.pipeline_depth == 0) {
-    // Unbounded: everything pending becomes one slot (original behavior).
-    if (pending_.empty()) return;
-    propose(next_slot_++, std::exchange(pending_, {}));
-    return;
-  }
-  // Pipelined: propose chunks of up to max_batch while the window has room.
-  // Leftover entries stay pending and are re-flushed as decisions land, so
-  // under load the per-slot batches grow instead of the slot count.
-  while (!pending_.empty() && proposals_.size() < cfg_.pipeline_depth) {
-    if (pending_.size() <= cfg_.max_batch) {
-      propose(next_slot_++, std::exchange(pending_, {}));
-      break;
-    }
-    Batch chunk(std::make_move_iterator(pending_.begin()),
-                std::make_move_iterator(pending_.begin() +
-                                        static_cast<std::ptrdiff_t>(cfg_.max_batch)));
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<std::ptrdiff_t>(cfg_.max_batch));
-    propose(next_slot_++, std::move(chunk));
-  }
-  if (!pending_.empty()) arm_batch_timer();
+  // The whole backlog becomes one slot.
+  if (pending_.empty()) return;
+  propose(next_slot_++, std::exchange(pending_, {}));
 }
 
 void PaxosCore::propose(Slot slot, Batch batch) {
@@ -472,12 +453,9 @@ void PaxosCore::decide(Slot slot, SharedBatch batch, bool broadcast_commit) {
     broadcast(net::make_msg<CommitMsg>(gid_, slot, decided_[i]));
   }
   advance_delivery();
-  // A decision freed room in the window (depth 0 has no bound); propose the
-  // backlog right away instead of leaving it to the batch timer.
-  if (role_ == Role::Leader && !pending_.empty() &&
-      (cfg_.pipeline_depth == 0 || proposals_.size() < cfg_.pipeline_depth)) {
-    flush_pending();
-  }
+  // Propose the backlog that queued behind this slot right away instead of
+  // leaving it to the batch timer.
+  if (role_ == Role::Leader) flush_pending();
 }
 
 void PaxosCore::advance_delivery() {

@@ -94,13 +94,6 @@ struct PaxosConfig {
   std::size_t max_batch = 64;
   /// Decided slots kept behind the delivery point for catch-up.
   Slot retain_window = 4096;
-  /// Max undecided slots the leader keeps in flight. 0 = unbounded: every
-  /// flush proposes all pending entries as one slot (the original behavior).
-  /// With a window, each flush proposes chunks of up to `max_batch` entries
-  /// while the window has room; the rest accumulates in `pending_` and is
-  /// re-flushed as decisions free slots, so batches grow under load instead
-  /// of queueing one slot per arrival burst.
-  std::size_t pipeline_depth = 0;
 };
 
 // ---- wire messages ---------------------------------------------------------
@@ -303,7 +296,7 @@ class PaxosCore {
   std::map<Slot, std::pair<Ballot, Batch>> p1b_accepted_;
   Slot next_slot_ = 1;
   /// Undecided proposals only (decide() erases the slot): its size is the
-  /// pipeline occupancy, and the resend timer touches nothing else.
+  /// number of slots in flight, and the resend timer touches nothing else.
   std::map<Slot, Proposal> proposals_;
   Batch pending_;
   /// Entry ids submitted while leading, so a duplicate is not proposed

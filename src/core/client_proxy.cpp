@@ -74,16 +74,7 @@ void ClientProxy::decompose_reply(const ReplyMsg& r) {
   // retransmitted delivery stay within the first-send window.
   const Time now = network().engine().now();
   const Time s = sent_at_;
-  // Batched sends wait at the relay first; the flush time splits that wait
-  // out of the amcast phase. Unbatched runs record no batch span at all.
-  Time a = s;
-  if (batched()) {
-    const Time f = std::clamp(batch_flushed_at_, s, now);
-    sp.record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kBatch,
-               .start = s, .end = f, .node = pid().value, .group = r.from_group});
-    a = f;
-  }
-  const Time d = std::clamp(r.timing.delivered_at, a, now);
+  const Time d = std::clamp(r.timing.delivered_at, s, now);
   // A fused move's destination waits for its shipped variables from
   // delivery until the last shipment is in: that wait is the move phase.
   const Time m = r.timing.inputs_in != 0 ? std::clamp(r.timing.inputs_in, d, now) : d;
@@ -91,7 +82,7 @@ void ClientProxy::decompose_reply(const ReplyMsg& r) {
   const Time ee = std::clamp(r.timing.exec_end, es, now);
   const GroupId g = r.from_group;
   sp.record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kAmcast,
-             .start = a, .end = d, .node = pid().value, .group = g});
+             .start = s, .end = d, .node = pid().value, .group = g});
   if (r.timing.inputs_in != 0) {
     sp.record({.trace_id = cmd_.trace_id, .parent = root_span_, .phase = SpanPhase::kMove,
                .start = d, .end = m, .node = pid().value, .group = g,
@@ -310,16 +301,8 @@ void ClientProxy::send(Command c, std::vector<GroupId> dests, Phase next_phase) 
   awaited_groups_ = dests.size();
   not_involved_.clear();
   sent_at_ = network().engine().now();  // first send; retransmissions keep the window
-  batch_flushed_at_ = 0;
   auto payload = net::make_msg<CommandMsg>(std::move(c));
-  // The flush callback pins down when the first send actually left the relay;
-  // it checks the window is still the one it was armed for, so a late flush
-  // of a retried window never pollutes a newer one. Retransmissions pass no
-  // callback — the window keeps its first flush time.
-  const Time sent = sent_at_;
-  amcast_with_id(fresh_id(), dests, payload, [this, sent](Time flushed_at) {
-    if (sent_at_ == sent && batch_flushed_at_ == 0) batch_flushed_at_ = flushed_at;
-  });
+  amcast_with_id(fresh_id(), dests, payload);
   resend_ = [this, dests, payload] {
     amcast_with_id(fresh_id(), dests, payload);
     arm_timeout();

@@ -137,8 +137,7 @@ class ClientProxy : public multicast::ClientNode {
   void record_phase(stats::SpanPhase p, Time start, GroupId group, std::int64_t arg = 0);
   /// Decomposes the post-send window [sent_at_, now] into amcast / queue /
   /// execute / reply spans using the server timestamps piggybacked on `r`
-  /// (plus a leading batch span when submissions ride a batcher, and a move
-  /// span for a fused move's wait for its shipped variables).
+  /// (plus a move span for a fused move's wait for its shipped variables).
   void decompose_reply(const smr::ReplyMsg& r);
 
   ClientConfig cfg_;
@@ -206,9 +205,6 @@ class ClientProxy : public multicast::ClientNode {
   std::uint64_t root_span_ = 0;  // pre-allocated root span id (0 = tracing off)
   Time consult_start_ = 0;
   Time sent_at_ = 0;       // first multicast of the current command window
-  /// When the batch carrying the current command's first send left the relay
-  /// (0 until the flush callback fires; only set on the batched path).
-  Time batch_flushed_at_ = 0;
   Time fallback_start_ = 0;
 
   /// Location cache (Section "Performance optimizations"): consulted on

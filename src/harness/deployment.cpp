@@ -53,13 +53,6 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
     metrics_.spans().set_group_name(oracle_gid(), "oracle");
   }
 
-  // Batching/pipelining knobs fan into the per-node configs before any node
-  // is initialized. batch_size == 0 leaves both configs at their defaults,
-  // so the deployment stays byte-identical to the pre-batching layout.
-  config_.node.batching.batch_size = config_.batch_size;
-  config_.node.batching.batch_delay = config_.batch_delay;
-  config_.node.paxos.pipeline_depth = config_.pipeline_depth;
-
   for (std::size_t p = 0; p < config_.partitions; ++p) register_partition(p);
 
   // Oracle group, rack 0.
@@ -79,17 +72,6 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
                              config_.seed * 104729 + r);
   }
 
-  // Client-tier batch relays, one per rack, only when batching is on (the
-  // process-id layout must not shift for batching-off runs).
-  if (config_.node.batching.enabled()) {
-    for (int rack = 0; rack < 2; ++rack) {
-      auto relay = std::make_unique<multicast::BatchRelay>();
-      network_.add_process(*relay, rack);
-      relay->init_relay(network_, directory_, config_.node.batching, metrics_);
-      relays_.push_back(std::move(relay));
-    }
-  }
-
   // Clients, alternating racks.
   core::ClientConfig ccfg;
   ccfg.strategy = config_.strategy;
@@ -103,7 +85,6 @@ Deployment::Deployment(DeploymentConfig config, smr::AppFactory app_factory,
     auto client = std::make_unique<core::ClientProxy>();
     network_.add_process(*client, static_cast<int>(c % 2));
     client->init_client(network_, directory_, ccfg, metrics_);
-    if (!relays_.empty()) client->set_batcher(&relays_[c % relays_.size()]->batcher());
     clients_.push_back(std::move(client));
   }
 
@@ -166,24 +147,6 @@ void Deployment::register_telemetry_gauges() {
     const std::uint64_t hits = metrics_.counter("client.cache_hits");
     return ratio(hits, hits + metrics_.counter("client.consults"));
   });
-
-  // Batching/pipelining occupancy, only when the knobs are live (the gauge
-  // set of a batching-off run must match the pre-batching one).
-  if (config_.node.batching.enabled() || config_.pipeline_depth != 0) {
-    gauge("batch.occupancy", [this] {
-      std::size_t queued = 0;
-      for (auto& rl : relays_) queued += rl->batcher().pending_entries();
-      for (auto& s : servers_) queued += s->batch_pending();
-      for (auto& o : oracles_) queued += o->batch_pending();
-      return static_cast<double>(queued);
-    });
-    gauge("paxos.pipeline_inflight", [this] {
-      std::size_t inflight = 0;
-      for (auto& s : servers_) inflight += s->paxos_inflight();
-      for (auto& o : oracles_) inflight += o->paxos_inflight();
-      return static_cast<double>(inflight);
-    });
-  }
 
   // Locality fast path: cache hit rate vs. consult rate within each tick
   // window (the report's cache-effectiveness sparkline), from the counter

@@ -19,7 +19,6 @@
 #include "core/oracle.h"
 #include "core/server_proxy.h"
 #include "harness/knobs.h"
-#include "multicast/batcher.h"
 #include "multicast/directory.h"
 #include "net/network.h"
 #include "sim/engine.h"
@@ -31,7 +30,7 @@ namespace dssmr::harness {
 /// Builds each oracle replica's placement policy (its destination rule).
 using PolicyFactory = std::function<std::unique_ptr<core::DssmrPolicy>()>;
 
-/// The batching, locality, tracing and telemetry knobs come from Knobs
+/// The locality, tracing and telemetry knobs come from Knobs
 /// (harness/knobs.h).
 struct DeploymentConfig : Knobs {
   std::size_t partitions = 2;
@@ -126,9 +125,6 @@ class Deployment {
   core::OracleNode& oracle(std::size_t replica) { return *oracles_[replica]; }
   core::ClientProxy& client(std::size_t i) { return *clients_[i]; }
   std::size_t client_count() const { return clients_.size(); }
-  /// Client-tier batch relays (empty when batching is off).
-  std::size_t relay_count() const { return relays_.size(); }
-  multicast::BatchRelay& relay(std::size_t i) { return *relays_[i]; }
 
   /// Sum of executed commands over the first live replica of each partition
   /// (replica 0 when all of a partition's replicas are halted).
@@ -175,9 +171,6 @@ class Deployment {
   std::vector<bool> retired_;
   std::vector<std::unique_ptr<core::PartitionServer>> servers_;
   std::vector<std::unique_ptr<core::OracleNode>> oracles_;
-  /// One per rack when batching is on; registered after the oracles so that
-  /// batching-off deployments keep the exact seed process-id layout.
-  std::vector<std::unique_ptr<multicast::BatchRelay>> relays_;
   std::vector<std::unique_ptr<core::ClientProxy>> clients_;
   /// Telemetry gauge samplers, in the recorder's gauge order; they read the
   /// objects above, which is why they live here and not in the recorder.

@@ -63,7 +63,7 @@ enum class Placement : std::uint8_t {
 
 const char* to_string(Placement p);
 
-/// The batching, locality, tracing, telemetry and nemesis-plan knobs come
+/// The locality, tracing, telemetry and nemesis-plan knobs come
 /// from RunKnobs (harness/knobs.h).
 struct ChirperRunConfig : RunKnobs {
   std::size_t partitions = 2;
@@ -110,8 +110,7 @@ struct RunResult {
   std::uint64_t ok = 0;
   std::uint64_t nok = 0;
   /// Simulator events executed during the drive phase (setup and settle
-  /// excluded; deterministic per seed — Promise.BatchingCutsEventsPerCommand
-  /// gates on the batched/unbatched ratio).
+  /// excluded; deterministic per seed).
   std::uint64_t events_executed = 0;
   std::map<std::string, std::uint64_t> counters;
   /// Per-second series over the whole run (index = second).

@@ -22,7 +22,6 @@ enum class Kind : std::uint8_t {
   kPath,       // optional value; absent = a default file named after the bench
   kThreads,    // positive count
   kCount,      // non-negative count
-  kMicros,     // positive microsecond count
   kFaultPlan,  // shipped plan name or DSL that fault::resolve_plan accepts
 };
 
@@ -37,7 +36,6 @@ constexpr KindInfo kKinds[] = {
     {"[path]", ""},
     {"N", "a positive thread count"},
     {"N", "a non-negative count"},
-    {"<us>", "a positive microsecond count"},
     {"<plan>", "a plan name or fault-plan spec"},
 };
 
@@ -46,13 +44,12 @@ const KindInfo& info(Kind kind) { return kKinds[static_cast<std::size_t>(kind)];
 template <class T>
 using Field = T BenchOptions::*;
 
-bool batching_on(const RunKnobs& k) { return k.batch_size > 0 || k.pipeline_depth > 0; }
 bool locality_on(const RunKnobs& k) { return k.prefetch_k > 0; }
 
 struct Row {
   const char* flag;
   Kind kind;
-  std::variant<Field<bool>, Field<std::size_t>, Field<Duration>, Field<std::string>> field;
+  std::variant<Field<bool>, Field<std::size_t>, Field<std::string>> field;
   /// kPath: the default file, `*` standing for the experiment name.
   const char* file = nullptr;
   /// A switch the flag also turns on once its value is accepted.
@@ -84,15 +81,6 @@ constexpr Row kRows[] = {
      .meta = "nemesis", .off = "none",
      .help = "arm a deterministic fault and elasticity schedule (crashes, cuts, drops, live "
              "partition add/remove): shipped plan name or DSL (src/fault/fault_plan.h)"},
-    {.flag = "--batch-size", .kind = Kind::kCount, .field = &BenchOptions::batch_size,
-     .meta = "batch_size", .gate = batching_on,
-     .help = "pack up to N logical submissions into one atomic-multicast message; 0 = off"},
-    {.flag = "--batch-delay-us", .kind = Kind::kMicros, .field = &BenchOptions::batch_delay,
-     .meta = "batch_delay_us", .gate = batching_on,
-     .help = "max virtual-time wait before a non-full batch flushes"},
-    {.flag = "--pipeline-depth", .kind = Kind::kCount, .field = &BenchOptions::pipeline_depth,
-     .meta = "pipeline_depth", .gate = batching_on,
-     .help = "each Paxos leader keeps N proposals in flight; 0 = unbounded"},
     {.flag = "--prefetch-k", .kind = Kind::kCount, .field = &BenchOptions::prefetch_k,
      .meta = "prefetch_k", .gate = locality_on,
      .help = "consult replies prefetch up to N co-accessed neighbour locations into the "
@@ -148,12 +136,6 @@ std::string assign(const Row& row, const char* value, const std::string& experim
       const std::optional<long long> n = parse_integer(v);
       if (!n || *n < (row.kind == Kind::kThreads ? 1 : 0)) return need;
       out.*std::get<Field<std::size_t>>(row.field) = static_cast<std::size_t>(*n);
-      return {};
-    }
-    case Kind::kMicros: {
-      const std::optional<long long> us = parse_integer(v);
-      if (!us || *us <= 0) return need;
-      out.*std::get<Field<Duration>>(row.field) = static_cast<Duration>(*us);
       return {};
     }
     case Kind::kFaultPlan:
@@ -233,8 +215,7 @@ std::string bench_flag_usage() {
     if (row.file != nullptr) {
       std::string file = row.file;
       usage += " (default file " + file.replace(file.find('*'), 1, "<experiment>") + ")";
-    } else if (std::holds_alternative<Field<std::size_t>>(row.field) ||
-               std::holds_alternative<Field<Duration>>(row.field)) {
+    } else if (std::holds_alternative<Field<std::size_t>>(row.field)) {
       usage += " (default " + text(row, defaults) + ")";
     }
     usage += "\n";

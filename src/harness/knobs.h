@@ -27,20 +27,8 @@ struct DeploymentConfig;
 inline constexpr Duration kTelemetryInterval = msec(100);
 
 /// Knobs shared by ChirperRunConfig and DeploymentConfig. Both inherit it, so
-/// every field stays directly assignable (`cfg.batch_size = 8`).
+/// every field stays directly assignable (`cfg.prefetch_k = 8`).
 struct Knobs {
-  /// Submission batching (multicast/batcher.h): 0 disables it and the
-  /// deployment is byte-identical to a build without batching — no relay
-  /// processes exist and group nodes construct no batcher. When > 0, one
-  /// BatchRelay per rack collects its clients' multicasts and every group
-  /// node batches its remote submissions with the same knobs.
-  std::size_t batch_size = 0;
-  /// Max virtual-time wait from the first queued submission to the flush.
-  Duration batch_delay = usec(100);
-  /// Paxos pipeline window: in-flight proposals per leader (0 = unbounded,
-  /// the original single-slot-per-flush behavior).
-  std::size_t pipeline_depth = 0;
-
   /// Locality fast path, prophecy prefetch (off by default; off keeps the
   /// deployment — wire bytes, run record — byte-identical to a build without
   /// it). prefetch_k > 0 makes prophecies carry up to k co-accessed
@@ -52,6 +40,13 @@ struct Knobs {
   bool cache_repair = false;
   std::size_t coalesce_moves = 0;
   Duration coalesce_delay = usec(200);
+  /// Removed features (submission batching, the Paxos pipeline window), kept
+  /// only so existing callers that assign them still compile. No flag sets
+  /// them and nothing reads them, whatever their value: the Paxos leader's
+  /// own rule (consensus/paxos.h) is the only batching.
+  std::size_t batch_size = 0;
+  Duration batch_delay = usec(100);
+  std::size_t pipeline_depth = 0;
 
   /// Records every protocol-event instant (consult, move, retry, ...) in the
   /// deployment's event store (stats/span.h) — the `--trace` JSONL view; off

@@ -206,11 +206,6 @@ void GroupNode::init_group_node(net::Network& network, const Directory& director
       [this](ProcessId origin, const net::MessagePtr& payload) {
         on_rmdeliver(origin, payload);
       });
-
-  if (config_.batching.enabled()) {
-    batcher_ = std::make_unique<SubmitBatcher>();
-    batcher_->init(network, directory, pid(), config_.batching, metrics);
-  }
 }
 
 void GroupNode::deliver_amcast(const AmcastMessage& m, Time stamped_at) {
@@ -261,7 +256,6 @@ void GroupNode::halt_node() {
   held_actions_.clear();
   if (paxos_ != nullptr) paxos_->halt();
   if (amcast_ != nullptr) amcast_->halt();
-  if (batcher_ != nullptr) batcher_->halt();
 }
 
 void GroupNode::restart_node() {
@@ -270,7 +264,6 @@ void GroupNode::restart_node() {
   held_actions_.clear();
   if (paxos_ != nullptr) paxos_->restart();
   if (amcast_ != nullptr) amcast_->restart();
-  if (batcher_ != nullptr) batcher_->restart();
 }
 
 void GroupNode::on_message(ProcessId from, const net::MessagePtr& m) {
@@ -283,18 +276,6 @@ void GroupNode::on_message(ProcessId from, const net::MessagePtr& m) {
   // holds it for a future leader.
   if (const auto* sub = net::msg_cast<SubmitToLog>(m)) {
     if (sub->gid == gid_) paxos_->submit(sub->entry);
-    return;
-  }
-  if (const auto* batch = net::msg_cast<BatchSubmitMsg>(m)) {
-    if (batch->gid == gid_) {
-      for (const consensus::LogEntry& e : batch->entries) paxos_->submit(e);
-    }
-    return;
-  }
-  if (const auto* direct = net::msg_cast<DirectBatchMsg>(m)) {
-    if (direct->gid == gid_) {
-      for (const auto& [origin, payload] : direct->entries) on_direct(origin, payload);
-    }
     return;
   }
   if (const auto* q = net::msg_cast<TsQuery>(m)) {
@@ -359,12 +340,6 @@ void GroupNode::send_reply(ProcessId to, net::MessagePtr reply) {
 void GroupNode::submit_local_or_remote(GroupId g, consensus::LogEntry entry) {
   // Our own group: the leader proposes, a follower holds its copy too.
   if (g == gid_ && paxos_->submit(entry)) return;
-  if (batcher_ != nullptr) {
-    // Server-tier batching: the entry rides the next BatchSubmitMsg to g's
-    // members instead of fanning out immediately.
-    batcher_->submit(g, std::move(entry));
-    return;
-  }
   auto wrapped = net::make_msg<SubmitToLog>(g, std::move(entry));
   for (ProcessId p : directory_->members(g)) {
     if (p == pid()) continue;

@@ -41,7 +41,6 @@
 #include "common/bounded.h"
 #include "common/types.h"
 #include "consensus/paxos.h"
-#include "multicast/batcher.h"
 #include "multicast/directory.h"
 #include "multicast/messages.h"
 #include "multicast/reliable.h"
@@ -128,11 +127,6 @@ struct GroupNodeConfig {
   consensus::PaxosConfig paxos;
   /// Reliable-multicast flooding (turn off in crash-free perf runs).
   bool rmcast_relay = true;
-  /// Server-tier submission batching: remote submissions (timestamp pushes,
-  /// stamp re-disseminations) queue in an embedded SubmitBatcher instead of
-  /// fanning out per entry. Off by default — the node then constructs no
-  /// batcher and the message schedule matches the pre-batching code exactly.
-  BatchConfig batching;
 };
 
 /// A replica process belonging to exactly one multicast group.
@@ -190,19 +184,13 @@ class GroupNode : public net::Actor {
   /// Undecided Paxos proposals in flight here (telemetry gauge; nonzero only
   /// while leading).
   std::size_t paxos_inflight() const { return paxos_->inflight_proposals(); }
-  /// Entries queued in the embedded server-tier batcher (0 when batching is
-  /// off or nothing is queued).
-  std::size_t batch_pending() const {
-    return batcher_ != nullptr ? batcher_->pending_entries() : 0;
-  }
 
  protected:
   /// Atomic delivery hook — same sequence on every group member.
   virtual void on_amdeliver(const AmcastMessage& m) = 0;
   /// Reliable delivery hook.
   virtual void on_rmdeliver(ProcessId origin, const net::MessagePtr& payload) = 0;
-  /// Everything that is not consensus/multicast traffic, including each
-  /// entry of a DirectBatchMsg (with `from` = the entry's origin).
+  /// Everything that is not consensus/multicast traffic.
   virtual void on_direct(ProcessId from, const net::MessagePtr& m) {
     (void)from;
     (void)m;
@@ -265,8 +253,6 @@ class GroupNode : public net::Actor {
   std::unique_ptr<consensus::PaxosCore> paxos_;
   std::unique_ptr<AmcastCore> amcast_;
   std::unique_ptr<RmcastEngine> rmcast_;
-  /// Server-tier submission batcher; null unless config_.batching enables it.
-  std::unique_ptr<SubmitBatcher> batcher_;
   stats::Metrics* metrics_ = nullptr;
   /// Interned at init.
   stats::Counter* delivered_ctr_ = nullptr;

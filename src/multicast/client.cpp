@@ -20,15 +20,9 @@ MsgId ClientNode::fresh_id() {
   return MsgId{(static_cast<std::uint64_t>(pid().value) << 32) | next_msg_seq_++};
 }
 
-void ClientNode::amcast_with_id(MsgId id, std::vector<GroupId> dests, net::MessagePtr payload,
-                                SubmitBatcher::FlushFn on_flush) {
+void ClientNode::amcast_with_id(MsgId id, std::vector<GroupId> dests, net::MessagePtr payload) {
   normalize_dests(dests);
-  AmcastMessage msg{id, pid(), dests, std::move(payload)};
-  if (batcher_ != nullptr) {
-    batcher_->amcast(msg, std::move(on_flush));
-    return;
-  }
-  auto stamp = net::make_msg<StampEntry>(std::move(msg));
+  auto stamp = net::make_msg<StampEntry>(AmcastMessage{id, pid(), dests, std::move(payload)});
   for (GroupId g : dests) {
     auto wrapped = net::make_msg<SubmitToLog>(g, stamp_log_entry(id, g, stamp));
     for (ProcessId p : directory_->members(g)) network_->send(pid(), p, wrapped);
@@ -42,10 +36,6 @@ MsgId ClientNode::amcast(std::vector<GroupId> dests, net::MessagePtr payload) {
 }
 
 void ClientNode::send_to_group(GroupId g, net::MessagePtr payload) {
-  if (batcher_ != nullptr) {
-    batcher_->direct(g, pid(), std::move(payload));
-    return;
-  }
   network_->multisend(pid(), directory_->members(g), payload);
 }
 

@@ -11,12 +11,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/types.h"
 #include "consensus/paxos.h"
-#include "multicast/batcher.h"
 #include "multicast/directory.h"
 #include "multicast/messages.h"
 #include "net/network.h"
@@ -31,29 +29,19 @@ class ClientNode : public net::Actor {
   /// Two-phase init (after network registration).
   void init_client_node(net::Network& network, const Directory& directory);
 
-  /// Routes this client's submissions through a shared batcher (the rack's
-  /// BatchRelay) instead of fanning SubmitToLog out per member. nullptr
-  /// (default) keeps the direct path.
-  void set_batcher(SubmitBatcher* batcher) { batcher_ = batcher; }
-  bool batched() const { return batcher_ != nullptr; }
-
   void on_message(ProcessId from, const net::MessagePtr& m) final;
 
   /// Allocates a fresh message id for a logical operation.
   MsgId fresh_id();
 
-  /// Atomically multicasts `payload` to `dests` under the given id. When a
-  /// batcher is wired, `on_flush` fires once the batch carrying this
-  /// multicast leaves the relay (never invoked on the direct path, where the
-  /// submission leaves immediately).
-  void amcast_with_id(MsgId id, std::vector<GroupId> dests, net::MessagePtr payload,
-                      SubmitBatcher::FlushFn on_flush = nullptr);
+  /// Atomically multicasts `payload` to `dests` under the given id.
+  void amcast_with_id(MsgId id, std::vector<GroupId> dests, net::MessagePtr payload);
 
   /// Convenience: fresh id + amcast; returns the id.
   MsgId amcast(std::vector<GroupId> dests, net::MessagePtr payload);
 
   /// Sends `payload` point to point to every member of group `g`, outside
-  /// the group's log (riding the batcher's next flush when one is wired).
+  /// the group's log.
   void send_to_group(GroupId g, net::MessagePtr payload);
 
   net::Network& network() { return *network_; }
@@ -66,7 +54,6 @@ class ClientNode : public net::Actor {
  private:
   net::Network* network_ = nullptr;
   const Directory* directory_ = nullptr;
-  SubmitBatcher* batcher_ = nullptr;
   std::uint64_t next_msg_seq_ = 0;
 };
 

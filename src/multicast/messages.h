@@ -67,47 +67,6 @@ struct SubmitToLog final : net::Message {
   }
 };
 
-/// A batch of log-entry submissions for one group, accumulated by a
-/// SubmitBatcher (see multicast/batcher.h) and shipped as a single message.
-/// Like SubmitToLog, it is sent to every group member: the current Paxos
-/// leader sequences the entries and the followers hold them for a future
-/// leader; the leader's entry-id dedup absorbs duplicated batches from
-/// retries.
-struct BatchSubmitMsg final : net::Message {
-  GroupId gid;
-  std::vector<consensus::LogEntry> entries;
-  BatchSubmitMsg(GroupId g, std::vector<consensus::LogEntry> e)
-      : gid(g), entries(std::move(e)) {}
-  const char* type_name() const override { return "amcast.batchsubmit"; }
-  std::size_t size_bytes() const override {
-    std::size_t n = 24;
-    for (const auto& e : entries) {
-      n += 16 + (e.payload != nullptr ? e.payload->size_bytes() : 0);
-    }
-    return n;
-  }
-};
-
-/// Point-to-point messages for one group's members, accumulated by a
-/// client-tier SubmitBatcher next to its log entries and shipped in the same
-/// flush. Nothing here is sequenced: every member hands each entry to its
-/// direct-message handler as if `origin` had sent it.
-struct DirectBatchMsg final : net::Message {
-  GroupId gid;
-  std::vector<std::pair<ProcessId, net::MessagePtr>> entries;
-  DirectBatchMsg(GroupId g, std::vector<std::pair<ProcessId, net::MessagePtr>> e)
-      : gid(g), entries(std::move(e)) {}
-  const char* type_name() const override { return "amcast.directbatch"; }
-  std::size_t size_bytes() const override {
-    std::size_t n = 24;
-    for (const auto& [origin, payload] : entries) {
-      (void)origin;
-      n += 8 + (payload != nullptr ? payload->size_bytes() : 0);
-    }
-    return n;
-  }
-};
-
 /// Reliable-multicast envelope.
 struct RmMsg final : net::Message {
   MsgId id;
@@ -135,7 +94,7 @@ inline MsgId derive_entry_id(MsgId base, GroupId g, std::uint64_t salt) {
 }
 
 /// Salt of stamp entry ids: every submission of one multicast to one group
-/// (the sender's, a batcher's, a leader's re-dissemination) derives the same
+/// (the sender's, a leader's re-dissemination) derives the same
 /// id, so the group leader's dedup collapses them.
 inline constexpr std::uint64_t kStampSalt = 0x57a3;
 

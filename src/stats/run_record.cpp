@@ -196,14 +196,12 @@ void write_prefix_section(JsonWriter& w, const Metrics& m, const PrefixSection& 
   w.end_object();
 }
 
-// v3 `faults` (a nemesis ran), then — after telemetry — v5 `batching`, v6
-// `locality` (prophecy prefetch was on) and v7
-// `elasticity` (a plan added or retired a partition): one stable place per feature for
-// its tooling.
+// v3 `faults` (a nemesis ran), then — after telemetry — v6 `locality`
+// (prophecy prefetch was on) and v7 `elasticity` (a plan added or retired a
+// partition): one stable place per feature for its tooling.
 const PrefixSection kFaultsSection{"faults", "faults.",
                                    {"time_to_new_leader_us", "time_to_restart_us"}};
 const PrefixSection kFeatureSections[] = {
-    {"batching", "batch.", {"size_entries"}},
     {"locality", "locality.", {}},
     {"elasticity", "elastic.", {"drain_time_us", "rebalance_entries"}},
 };

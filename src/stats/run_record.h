@@ -9,10 +9,7 @@
 // metrics — v3's addition, see fault/nemesis.h), a `telemetry` section with
 // windowed flight-recorder data — gauge samples, per-partition heat,
 // windowed latency percentiles and timeline marks (present when the run's
-// Recorder was enabled — v4's addition, see stats/recorder.h), a `batching`
-// section summarizing submission batching — flush counts by trigger, entry
-// totals and the flush-size histogram (present when a run carried `batch.*`
-// metrics — v5's addition, see multicast/batcher.h), a `locality` section
+// Recorder was enabled — v4's addition, see stats/recorder.h), a `locality` section
 // summarizing prophecy prefetch — entries sent, installed and hit (present
 // when a run carried `locality.*` metrics — v6's addition, see
 // core/client_proxy.h), an `elasticity` section summarizing live
@@ -20,8 +17,9 @@
 // totals, and the rebalance chunk-size histogram (present when a run carried
 // `elastic.*` metrics, i.e. a nemesis plan added or retired a partition —
 // v7's addition, see fault/nemesis.h) — and free-form run metadata (strategy, partitions, seed,
-// ...). v8 only removed keys of deleted features. The format is documented
-// in docs/schema.md and EXPERIMENTS.md; CI asserts one of these files parses
+// ...). v8 only removed keys of deleted features; v5's `batching` section is
+// no longer emitted either (submission batching was removed). The format is
+// documented in docs/schema.md and EXPERIMENTS.md; CI asserts one of these files parses
 // and carries a nonzero client.ops.
 #pragma once
 

@@ -47,7 +47,7 @@ enum class SpanPhase : std::uint8_t {
   kCommand,   // root: client issue() -> reply handed to the application
   kConsult,   // client sent a consult -> prophecy received
   kMove,      // fused move's wait at its destination: delivery -> last shipment in
-  kBatch,     // batching wait: command handed to the batcher -> batch flushed
+  kBatch,     // never recorded: the submission batcher it timed was removed
   kAmcast,    // command submitted to atomic multicast -> ordered delivery
   kQueue,     // delivery -> execution start (ownership checks, input waits)
   kExecute,   // execution occupying the partition's simulated CPU
@@ -70,10 +70,10 @@ std::string_view to_string(SpanPhase p);
 /// The client-attributed phases, in decomposition order: for every finished
 /// command, the durations folded under these phases tile [issue, finish], so
 /// their histogram totals sum exactly to the kCommand histogram total.
-/// (kBatch appears only when submission batching is on — the batcher's flush
-/// time splits the post-send window; unbatched runs never record it.
-/// kFallback covers a window already decomposed into amcast/queue/execute/
-/// reply, kOracle is a server-side view, and kPrefetch is a locality
+/// (kBatch is never recorded; it stays listed because perfbench reports one
+/// metric per phase listed here and its scripts read `stats.batch_*` by
+/// name. kFallback covers a window already decomposed into amcast/queue/
+/// execute/reply, kOracle is a server-side view, and kPrefetch is a locality
 /// fast-path marker over already-attributed time; all are fold=false.)
 inline constexpr std::array<SpanPhase, 7> kLatencyPhases = {
     SpanPhase::kConsult, SpanPhase::kMove,    SpanPhase::kBatch,  SpanPhase::kAmcast,

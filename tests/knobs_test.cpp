@@ -45,9 +45,6 @@ std::vector<FlagCase> flag_cases() {
        }},
       {{"--nemesis", "leader-kill-recover"},
        [](C c, O) { return c.nemesis == "leader-kill-recover"; }},
-      {{"--batch-size", "8"}, [](C c, O) { return c.batch_size == 8; }},
-      {{"--batch-delay-us", "50"}, [](C c, O) { return c.batch_delay == usec(50); }},
-      {{"--pipeline-depth", "4"}, [](C c, O) { return c.pipeline_depth == 4; }},
       {{"--prefetch-k", "16"}, [](C c, O) { return c.prefetch_k == 16; }},
       {{"--telemetry"}, [](C c, O) { return c.telemetry; }},
   };
@@ -67,11 +64,9 @@ TEST(Knobs, EveryFlagSetsTheFieldApplyForwards) {
 }
 
 TEST(Knobs, ApplyForwardsIntoDeploymentConfig) {
-  const auto sink = sink_for({"--batch-size", "8", "--prefetch-k", "4", "--telemetry",
-                              "--nemesis", "scale-out"});
+  const auto sink = sink_for({"--prefetch-k", "4", "--telemetry", "--nemesis", "scale-out"});
   DeploymentConfig dep;
   sink.apply(dep);
-  EXPECT_EQ(dep.batch_size, 8u);
   EXPECT_EQ(dep.prefetch_k, 4u);
   EXPECT_TRUE(dep.telemetry);
   EXPECT_EQ(dep.spans_capacity, 1u << 16);
@@ -95,14 +90,10 @@ TEST(Knobs, BadValuesMakeFinishReturnTwo) {
       {"--jobs", "0"},
       {"--jobs"},
       {"--jobs", "abc"},
-      {"--batch-size", "-1"},
-      {"--batch-size", "abc"},
-      {"--batch-size", "4x"},
-      {"--pipeline-depth", "1e3"},
-      {"--pipeline-depth", "-2"},
       {"--prefetch-k", "-1"},
-      {"--batch-delay-us", "0"},
-      {"--batch-delay-us", "5x"},
+      {"--prefetch-k", "abc"},
+      {"--prefetch-k", "4x"},
+      {"--prefetch-k", "1e3"},
       {"--nemesis", "not-a-plan"},
       {"--nemesis"},
       {"--nemesis", "add-partition:1@1ms"},
@@ -111,10 +102,14 @@ TEST(Knobs, BadValuesMakeFinishReturnTwo) {
       // The sampling cadence, now the constant kTelemetryInterval.
       {"--telemetry-interval", "5000"},
       {"--no-such-flag"},
-      // Flags of removed features (cache repair, move coalescing).
+      // Flags of removed features (cache repair, move coalescing, submission
+      // batching, the Paxos pipeline window).
       {"--cache-repair"},
       {"--coalesce-moves", "4"},
       {"--coalesce-delay-us", "300"},
+      {"--batch-size", "8"},
+      {"--batch-delay-us", "100"},
+      {"--pipeline-depth", "4"},
   };
   for (const Args& args : bad) {
     auto sink = sink_for(args);
@@ -123,9 +118,8 @@ TEST(Knobs, BadValuesMakeFinishReturnTwo) {
   // A rejected value leaves its field at the default, so the sweep that still
   // runs before finish() stays fault-free and telemetry-free.
   EXPECT_TRUE(sink_for({"--nemesis", "not-a-plan"}).options().nemesis.empty());
-  EXPECT_EQ(sink_for({"--batch-delay-us", "0"}).options().batch_delay, Knobs{}.batch_delay);
   EXPECT_FALSE(sink_for({"--telemetry-interval", "5000"}).options().telemetry);
-  EXPECT_EQ(sink_for({"--batch-size", "4x"}).options().batch_size, 0u);
+  EXPECT_EQ(sink_for({"--prefetch-k", "4x"}).options().prefetch_k, 0u);
 }
 
 TEST(Knobs, UsageNamesEveryFlag) {
@@ -169,8 +163,6 @@ TEST(Knobs, MetaMatchesTheHandWrittenRecord) {
                   {"nok", "0"}}));
 
   cfg.nemesis = "kill-leader:p0@120ms;add-partition@150ms";
-  cfg.batch_size = 8;
-  cfg.pipeline_depth = 4;
   cfg.prefetch_k = 8;
   cfg.telemetry = true;
   EXPECT_EQ(make_run_record(cfg, no_run).meta,
@@ -184,9 +176,6 @@ TEST(Knobs, MetaMatchesTheHandWrittenRecord) {
                   {"measure_us", "4000000"},
                   {"client_cache", "true"},
                   {"nemesis", "kill-leader:p0@120ms;add-partition@150ms"},
-                  {"batch_size", "8"},
-                  {"batch_delay_us", "100"},
-                  {"pipeline_depth", "4"},
                   {"prefetch_k", "8"},
                   {"telemetry", "on"},
                   {"placement_edge_cut", "0.000000"},
@@ -208,15 +197,10 @@ TEST(Knobs, EachMetaGroupGatesOnItsOwnKnobs) {
   };
   using Keys = std::vector<std::string>;
   RunKnobs k;
-  k.pipeline_depth = 1;
-  EXPECT_EQ(keys(k), (Keys{"nemesis", "batch_size", "batch_delay_us", "pipeline_depth",
-                           "telemetry"}));
-  k = RunKnobs{};
   k.prefetch_k = 1;
   EXPECT_EQ(keys(k), (Keys{"nemesis", "prefetch_k", "telemetry"}));
-  // Delays and tracing alone turn no group on.
+  // Tracing alone turns no group on.
   k = RunKnobs{};
-  k.batch_delay = usec(5);
   k.trace = true;
   k.spans = true;
   EXPECT_EQ(keys(k), (Keys{"nemesis", "telemetry"}));

@@ -316,34 +316,6 @@ TEST(ConsultPath, UnorderedNokIsRecheckedThroughTheLog) {
   expect_only_first_consult_direct(consult_routes(*d), 2);
 }
 
-TEST(ConsultPath, BatchedDirectConsultRidesTheRelay) {
-  auto cfg = small_config(2, Strategy::kDssmr, 2);
-  cfg.batch_size = 8;
-  cfg.batch_delay = usec(200);
-  Deployment d{cfg, kv::kv_app_factory(), [] { return std::make_unique<DssmrPolicy>(); }};
-  preload_and_start(d, 4);
-  ASSERT_EQ(d.relay_count(), 2u);
-
-  ProbingClient probe;
-  d.network().add_process(probe, 0);
-  probe.init_client_node(d.network(), d.client(0).directory());
-  probe.set_batcher(&d.relay(0).batcher());
-  const auto before = oracle_deliveries(d);
-  const std::uint64_t entries = d.metrics().counter("batch.entries");
-  probe.consult_direct(d.oracle_gid(), kv_get(VarId{1}));
-  EXPECT_EQ(d.relay(0).batcher().pending_entries(), 1u);
-  d.engine().run_for(msec(100));
-  EXPECT_EQ(d.metrics().counter("batch.entries"), entries + 1);
-  ASSERT_EQ(probe.prophecies.size(), 1u);
-  EXPECT_EQ(probe.prophecies.back()->dest, d.partition_gid(1));
-  EXPECT_EQ(oracle_deliveries(d), before);
-
-  // The real proxy's first consult takes the same path.
-  EXPECT_EQ(run_op(d, 0, kv_get(VarId{3})), ReplyCode::kOk);
-  EXPECT_EQ(d.metrics().counter("client.consults"), 1u);
-  EXPECT_EQ(oracle_deliveries(d), before);
-}
-
 // A deposed oracle leader — cut off from its peers but still reachable by
 // clients — keeps answering first consults from a mapping that stops
 // advancing. Its prophecies are stale; re-consults go through the log and

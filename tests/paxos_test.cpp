@@ -16,7 +16,8 @@ using testing::IntMsg;
 using testing::TestPaxosNode;
 
 struct PaxosCluster {
-  explicit PaxosCluster(std::size_t n, double drop = 0.0, std::uint64_t seed = 5)
+  explicit PaxosCluster(std::size_t n, double drop = 0.0, std::uint64_t seed = 5,
+                        PaxosConfig cfg = {})
       : network(engine, make_net(drop), seed) {
     std::vector<ProcessId> members;
     for (std::size_t i = 0; i < n; ++i) {
@@ -24,7 +25,6 @@ struct PaxosCluster {
       members.push_back(network.add_process(*node, static_cast<int>(i % 2)));
       nodes.push_back(std::move(node));
     }
-    PaxosConfig cfg;
     for (std::size_t i = 0; i < n; ++i) {
       nodes[i]->init(network, GroupId{0}, members, cfg, seed + i);
       nodes[i]->core->start();
@@ -201,6 +201,74 @@ TEST(Paxos, BatchesManySubmissionsIntoFewSlots) {
   ASSERT_EQ(c.nodes[0]->decided.size(), 64u);
   // With max_batch = 64 these should occupy very few slots.
   EXPECT_LE(c.nodes[0]->decided_slots.back(), 3u);
+}
+
+TEST(Paxos, KeepsSingleFlushBehavior) {
+  PaxosCluster c{3};
+  c.engine.run_for(msec(50));  // elect nodes[0]
+  PaxosCore& leader = *c.nodes[0]->core;
+  for (std::int64_t v = 0; v < 6; ++v) {
+    ASSERT_TRUE(leader.submit({MsgId{0x200 + static_cast<std::uint64_t>(v)},
+                               net::make_msg<IntMsg>(v)}));
+  }
+  c.engine.run_for(msec(100));
+  for (auto& n : c.nodes) {
+    ASSERT_EQ(n->decided.size(), 6u);
+    // All six entries landed in the same slot: one flush, one proposal.
+    EXPECT_EQ(n->decided_slots.front(), n->decided_slots.back());
+  }
+}
+
+PaxosConfig slow_batch_timer() {
+  PaxosConfig cfg;
+  cfg.batch_delay = msec(10);  // long enough that any wait on it shows
+  return cfg;
+}
+
+TEST(Paxos, IdleLeaderProposesWithinTheInstant) {
+  PaxosCluster c{3, 0.0, 5, slow_batch_timer()};
+  c.engine.run_for(msec(50));  // elect nodes[0]
+  PaxosCore& leader = *c.nodes[0]->core;
+  ASSERT_TRUE(leader.is_leader());
+  // Nothing in flight: a lone entry is proposed at once and decided on every
+  // replica within one round trip, not batch_delay later.
+  ASSERT_TRUE(leader.submit({MsgId{0x300}, net::make_msg<IntMsg>(0)}));
+  c.engine.run_for(msec(1));
+  for (auto& n : c.nodes) ASSERT_EQ(n->decided.size(), 1u);
+  // A burst within one instant still becomes one slot.
+  for (std::int64_t v = 1; v <= 6; ++v) {
+    ASSERT_TRUE(leader.submit({MsgId{0x300 + static_cast<std::uint64_t>(v)},
+                               net::make_msg<IntMsg>(v)}));
+  }
+  c.engine.run_for(msec(1));
+  for (auto& n : c.nodes) {
+    ASSERT_EQ(n->decided.size(), 7u);
+    EXPECT_GT(n->decided_slots[1], n->decided_slots[0]);
+    EXPECT_EQ(n->decided_slots[1], n->decided_slots.back());
+  }
+}
+
+TEST(Paxos, DecisionFlushesBacklog) {
+  PaxosCluster c{3, 0.0, 5, slow_batch_timer()};
+  c.engine.run_for(msec(50));  // elect nodes[0]
+  PaxosCore& leader = *c.nodes[0]->core;
+  ASSERT_TRUE(leader.is_leader());
+  ASSERT_TRUE(leader.submit({MsgId{0x400}, net::make_msg<IntMsg>(0)}));
+  c.engine.run_for(usec(1));
+  ASSERT_EQ(leader.inflight_proposals(), 1u);
+  // Entries arriving behind an in-flight slot wait for its decision, which
+  // proposes them at once, not for the batch timer.
+  for (std::int64_t v = 1; v <= 2; ++v) {
+    ASSERT_TRUE(leader.submit({MsgId{0x400 + static_cast<std::uint64_t>(v)},
+                               net::make_msg<IntMsg>(v)}));
+  }
+  EXPECT_EQ(leader.pending_entries(), 2u);
+  c.engine.run_for(msec(2));
+  for (auto& n : c.nodes) {
+    ASSERT_EQ(n->decided.size(), 3u);
+    EXPECT_GT(n->decided_slots[1], n->decided_slots[0]);
+    EXPECT_EQ(n->decided_slots[1], n->decided_slots[2]);
+  }
 }
 
 TEST(Paxos, DuplicateEntryIdsDedupAtLeader) {

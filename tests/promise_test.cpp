@@ -1,7 +1,5 @@
 // The deterministic promises of the paper's mechanisms, each as an on/off
 // pair of Chirper runs on the same config and seed:
-//   * command batching plus consensus pipelining cuts simulator events per
-//     command by >= 1.58x;
 //   * prophecy prefetch cuts oracle consults per command by >= 2x, and
 //     costs neither simulator events nor committed throughput;
 //   * a live partition add inside warmup keeps >= 95% of the no-plan
@@ -49,39 +47,6 @@ double consults_per_command(const RunResult& r) {
 
 void record(const char* key, double value) {
   ::testing::Test::RecordProperty(key, std::to_string(value));
-}
-
-// Post-only at a 30% cut, so a large share of commands multicast to both
-// groups; without the location cache every command consults the oracle.
-// Batching amortizes the Skeen timestamp exchange, the Paxos instances and
-// the submit fan-out over a batch.
-//
-// The ratio bound keeps the 4% headroom it had when first set (1.58 against
-// a measured 1.64). Fused moves removed the unbatched run's retry storm
-// (45.5 -> 21.0 events per command), so the ratio fell from 2.29 to 1.39 and
-// the bound to 1.34; the absolute bound holds the batched run at or below
-// its cost before fused moves (19.85 events per command).
-TEST(Promise, BatchingCutsEventsPerCommand) {
-  auto cfg = small_chirper();
-  cfg.clients_per_partition = 16;
-  cfg.controlled_edge_cut = 0.3;
-  cfg.workload.mix = workload::mixes::kPostOnly;
-  cfg.workload.zipf_theta = 0.8;
-  cfg.client_cache = false;
-  const RunResult off = run_chirper(cfg);
-
-  cfg.batch_size = 16;
-  cfg.batch_delay = usec(1000);
-  cfg.pipeline_depth = 8;
-  const RunResult on = run_chirper(cfg);
-
-  EXPECT_GT(on.counter("batch.flushes"), 0u);
-  const double event_ratio = events_per_command(off) / events_per_command(on);
-  record("events_per_cmd_off", events_per_command(off));
-  record("events_per_cmd_on", events_per_command(on));
-  record("event_ratio", event_ratio);
-  EXPECT_GE(event_ratio, 1.34);
-  EXPECT_LE(events_per_command(on), 19.85);
 }
 
 // Post-only on a larger METIS-placed graph, so clients pay real cold

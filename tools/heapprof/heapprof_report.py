@@ -31,7 +31,7 @@ LAYERS = [
     ("multicast/atomic", "amcast"),
     ("multicast/reliable", "rmcast"),
     ("multicast/client", "client"),
-    ("multicast/", "multicast (batcher)"),
+    ("multicast/", "multicast"),
     ("net/", "net"),
     ("core/server_proxy", "server"),
     ("smr/", "server"),
